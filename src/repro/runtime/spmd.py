@@ -165,6 +165,11 @@ class _ShardState:
     # agree; validated after the launch like scalar state.
     capture_points: dict[int, int] = field(default_factory=dict)
     loop_replays: dict[int, LoopReplay] = field(default_factory=dict)
+    # (copy stmt uid, i, j) -> the pair's lowered PairCopy.  Instances,
+    # points and lock do not change within a run, so the second captured
+    # iteration reuses what the first one lowered; dropped at the freeze.
+    pair_copies: dict[tuple[int, int, int], PairCopy] = field(
+        default_factory=dict)
     # Window compiler (repro.runtime.window): raw ops recorded per frozen
     # window, ops left after lowering, closures in compiled windows, and
     # windows compiled to closures (0 with --jit off).
@@ -195,6 +200,7 @@ class _ShardState:
         self.scalars = scalars
         self.metrics = metrics
         self.pending_reductions.clear()
+        self.pair_copies.clear()  # lowered per run, like the counters
         self.pair_visits = 0
         self.elements_copied = 0
         self.copies_performed = 0
@@ -605,6 +611,12 @@ class SPMDExecutor(SequentialExecutor):
                 self._drive_stepped(gens)
         self._merge_scalars(states)
         self._merge_counters(states)
+        if not persistent:
+            # A finished state and its compiled windows' closures hold each
+            # other; dropping the plans lets refcounting free the run's
+            # instances instead of a later pass of the cyclic gc.
+            for st in states:
+                st.loop_replays.clear()
         if self.tracer.enabled:
             self.tracer.counter("replay", {"hit": float(self.replay_hits),
                                            "miss": float(self.replay_misses)},
@@ -959,12 +971,19 @@ class SPMDExecutor(SequentialExecutor):
             tf = perf()
             t0 = tracer.now_us() if tracer.enabled else 0.0
             yield from self._shard_body(stmt.body, state, ctx, rec)
-            if lr.end_iteration(self, state) and tracer.enabled:
-                tracer.complete("replay:capture", t0, tracer.now_us() - t0,
-                                cat="replay", pid=PID_SPMD, tid=state.shard,
-                                args={"loop": stmt.uid,
-                                      "iteration": lr.iterations_recorded})
+            # Stamped before end_iteration: a freeze records its own
+            # COMPILE interval, which must not also count as capture.
             flight.record(_flight.CAPTURE, stmt.uid, tf, perf())
+            if lr.end_iteration(self, state):
+                # Frozen: the window kept what it needs of the lowered
+                # pairs, and no further capture will ask for them.
+                state.pair_copies.clear()
+                if tracer.enabled:
+                    tracer.complete("replay:capture", t0,
+                                    tracer.now_us() - t0, cat="replay",
+                                    pid=PID_SPMD, tid=state.shard,
+                                    args={"loop": stmt.uid,
+                                          "iteration": lr.iterations_recorded})
 
     def _shard_launch_stmt(self, stmt: IndexLaunch, state: _ShardState,
                            ctx: "_EpochContext",
@@ -1143,8 +1162,11 @@ class SPMDExecutor(SequentialExecutor):
             # Lower once against resolved instances; the capture iteration
             # itself runs the lowered copy, so the frozen form is exercised
             # (and its localization validated) before any replay.
-            pc = PairCopy.build(stmt, src_inst, dst_inst, pts, lock=lock,
-                                width=self._field_width(stmt))
+            pc = state.pair_copies.get((stmt.uid, i, j))
+            if pc is None:
+                pc = state.pair_copies[(stmt.uid, i, j)] = PairCopy.build(
+                    stmt, src_inst, dst_inst, pts, lock=lock,
+                    width=self._field_width(stmt))
             rec.copy(stmt.uid, i, j, pc)
         t0 = time.perf_counter()
         with self.tracer.span(f"copy:{stmt.src.name}->{stmt.dst.name}",

@@ -8,11 +8,11 @@ set, epoch bases, and per-pass side tables (folded scalar names, per-uid
 protected-array footprints).
 
 The structural verifier (:func:`window_summary` / :func:`verify_window`)
-runs after every pass: it recomputes the window's externally visible
-effects — counter deltas, per-channel advance targets and wait strides,
-the barrier/collective sequence — and checks them against the recorded
-baseline, so a lowering bug fails at compile time instead of corrupting a
-steady-state run.
+runs after every pass that changed the op list: it recomputes the
+window's externally visible effects — counter deltas, per-channel advance
+targets and wait strides, the barrier/collective sequence — in one walk
+and checks them against the recorded baseline, so a lowering bug fails at
+compile time instead of corrupting a steady-state run.
 """
 
 from __future__ import annotations
@@ -45,11 +45,12 @@ from .recorder import (
     OP_VISIT,
     OP_VISITS,
     OP_WAIT,
+    OP_YIELD,
 )
 
 __all__ = [
     "FrozenView", "PairCopy", "WindowIR", "WindowVerifyError",
-    "counter_deltas", "format_window", "guards_hold", "op_arrays",
+    "format_window", "guards_hold", "op_arrays",
     "verify_window", "window_summary",
 ]
 
@@ -130,8 +131,9 @@ class PairCopy:
     @classmethod
     def build(cls, stmt, src_inst, dst_inst, pts, lock=None,
               width=None) -> "PairCopy":
-        src_ix = _as_index(src_inst.localize(pts))
-        dst_ix = _as_index(dst_inst.localize(pts))
+        points = pts.to_indices()
+        src_ix = _as_index(src_inst.localize(points))
+        dst_ix = _as_index(dst_inst.localize(points))
         arrays = tuple((dst_inst.fields[f], src_inst.fields[f])
                        for f in stmt.fields)
         count = int(pts.count)
@@ -522,17 +524,25 @@ class WindowIR:
 # Footprints, counter deltas, and the structural verifier
 # ---------------------------------------------------------------------------
 
-def op_arrays(op) -> frozenset[int]:
+# Op kinds that touch no instance array: sync, scalar, visit, yield.
+_NO_ARRAYS = frozenset({OP_ADV, OP_ADVN, OP_WAIT, OP_BARRIER, OP_COLL,
+                        OP_ASSIGN, OP_SETVAR, OP_CONST, OP_VISIT, OP_VISITS,
+                        OP_YIELD})
+_EMPTY_FOOTPRINT: frozenset[int] = frozenset()
+
+
+def op_arrays(op) -> frozenset[int] | None:
     """ids of every instance array the op may read or write.
 
-    Scalar, sync, and bookkeeping ops have empty footprints; the fission
-    pass treats an unknown footprint as a scheduling fence, so this only
-    needs to be exact for the op kinds it moves things across.
+    Sync, scalar and bookkeeping ops have a known-empty footprint.  An op
+    this function does not model — an unknown kind, or a launch not yet
+    frozen — has an unknown one and returns ``None``, which the fission
+    pass treats as a scheduling fence.
     """
     k = op[0]
-    if k == OP_TASK and len(op) == 2:
-        return frozenset(op[1].arrays())
-    if k == OP_MEGA:
+    if k in _NO_ARRAYS:
+        return _EMPTY_FOOTPRINT
+    if (k == OP_TASK and len(op) == 2) or k == OP_MEGA:
         return frozenset(op[1].arrays())
     if k == OP_COPY:
         pc = op[1]
@@ -555,29 +565,36 @@ def op_arrays(op) -> frozenset[int]:
                     ids.add(id(src))
         return frozenset(ids)
     if k == OP_MSG:
-        ids: set[int] = set()
-        for m in op[1].members:
-            for src in m.srcs:
-                ids.add(id(src))
-        return frozenset(ids)
+        return frozenset(id(src) for m in op[1].members for src in m.srcs)
     if k == OP_FILL:
         return frozenset(id(arr) for arr, _ in op[1])
-    return frozenset()
+    return None
 
 
-def counter_deltas(ops) -> dict[str, int]:
-    """Shard-counter deltas one execution of ``ops`` produces.
+def window_summary(wir: WindowIR):
+    """The window's externally visible effects, in one walk of its ops:
+    the shard-counter deltas one execution produces, per-channel max
+    advance target and ordered wait strides, and the ordered
+    barrier/collective sequence.
 
-    Computed once at compile time and applied per replayed iteration, so
+    The counter deltas are applied once per replayed iteration, so
     compiled windows stay counter-identical to interpretation by
-    construction; the verifier also diffs this across passes.
+    construction; the verifier diffs the whole summary across passes.
     """
     d = {"pair_visits": 0, "elements_copied": 0, "copies_performed": 0,
          "bytes_copied": 0, "tasks_executed": 0, "fused_copies": 0,
          "fused_pairs": 0, "lockfree_folds": 0, "locked_folds": 0}
-    for op in ops:
+    advs: dict[int, int] = {}
+    waits: dict[int, list[int]] = {}
+    syncs: list[tuple] = []
+    for op in wir.ops:
         k = op[0]
-        if k == OP_COPY:
+        if k == OP_ADV:
+            key = id(op[1])
+            advs[key] = max(advs.get(key, op[3]), op[3])
+        elif k == OP_WAIT:
+            waits.setdefault(id(op[1]), []).append(op[3])
+        elif k == OP_COPY:
             pc = op[1]
             d["pair_visits"] += 1
             d["elements_copied"] += pc.count
@@ -586,6 +603,12 @@ def counter_deltas(ops) -> dict[str, int]:
             if pc.ufunc is not None:
                 key = "lockfree_folds" if pc.lock is None else "locked_folds"
                 d[key] += 1
+        elif k == OP_VISIT:
+            d["pair_visits"] += 1
+        elif k == OP_ADVN:
+            for seq in op[1]:
+                key = id(seq)
+                advs[key] = max(advs.get(key, op[3]), op[3])
         elif k == OP_FUSED:
             fb = op[1]
             d["pair_visits"] += fb.pair_count
@@ -607,8 +630,6 @@ def counter_deltas(ops) -> dict[str, int]:
             d["copies_performed"] += ps.pair_count
             d["elements_copied"] += ps.count
             d["bytes_copied"] += ps.nbytes
-        elif k == OP_VISIT:
-            d["pair_visits"] += 1
         elif k == OP_VISITS:
             d["pair_visits"] += op[1]
         elif k == OP_TASK:
@@ -617,33 +638,11 @@ def counter_deltas(ops) -> dict[str, int]:
                                     else len(op[1].entries))
         elif k == OP_MEGA:
             d["tasks_executed"] += op[1].tasks()
-    return d
-
-
-def window_summary(wir: WindowIR):
-    """The window's externally visible effects, for cross-pass diffing:
-    counter deltas, per-channel max advance target and ordered wait
-    strides, and the ordered barrier/collective sequence."""
-    advs: dict[int, int] = {}
-    waits: dict[int, list[int]] = {}
-    syncs: list[tuple] = []
-    for op in wir.ops:
-        k = op[0]
-        if k == OP_ADV:
-            key = id(op[1])
-            advs[key] = max(advs.get(key, op[3]), op[3])
-        elif k == OP_ADVN:
-            for seq in op[1]:
-                key = id(seq)
-                advs[key] = max(advs.get(key, op[3]), op[3])
-        elif k == OP_WAIT:
-            waits.setdefault(id(op[1]), []).append(op[3])
         elif k == OP_BARRIER:
             syncs.append(("barrier", id(op[1]), op[2], op[3]))
         elif k == OP_COLL:
             syncs.append(("coll", id(op[1]), op[2], op[3], op[4]))
-    return (counter_deltas(wir.ops), advs,
-            {k: tuple(v) for k, v in waits.items()}, tuple(syncs))
+    return (d, advs, {k: tuple(v) for k, v in waits.items()}, tuple(syncs))
 
 
 class WindowVerifyError(RuntimeError):

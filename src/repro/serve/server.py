@@ -15,9 +15,11 @@ A thin :class:`~http.server.ThreadingHTTPServer` over a
   clipped to the trailing ``last`` seconds.
 
 Every request is timed into the per-endpoint latency histogram
-(``serve_http_request_seconds{endpoint=...}``) regardless of outcome,
-and a client may tag a run with ``X-Trace-Id`` (or a ``trace_id`` body
-field) — the id rides on the job, the response, and ``/debug/requests``.
+(``serve_http_request_seconds{endpoint=...}``) regardless of outcome
+and before its reply is written, so a client that has its answer finds
+the request in ``/stats``; a client may tag a run with ``X-Trace-Id``
+(or a ``trace_id`` body field) — the id rides on the job, the response,
+and ``/debug/requests``.
 
 Status mapping: malformed request → 400, admission rejection (full
 queue, shard cap) → 429, job failure → 500, synchronous timeout → 504.
@@ -51,10 +53,24 @@ class ServeHandler(BaseHTTPRequestHandler):
         if not self.quiet:
             super().log_message(fmt, *args)
 
-    def _send_json(self, code: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
+    def _reply_json(self, code: int, payload: dict) -> None:
+        self._reply = (code, "application/json",
+                       json.dumps(payload).encode("utf-8"))
+
+    def _timed(self, endpoint: str, route, *args) -> None:
+        """Run a route, observe its latency, then write the reply it set.
+
+        In that order: a client holding its answer must already find the
+        request in ``/stats`` and ``/metrics``.
+        """
+        t0 = time.perf_counter()
+        try:
+            route(*args)
+        finally:
+            self.engine.observe_http(endpoint, time.perf_counter() - t0)
+        code, ctype, body = self._reply
         self.send_response(code)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", ctype)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
@@ -83,52 +99,39 @@ class ServeHandler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:
         split = urlsplit(self.path)
         path = split.path.rstrip("/") or "/"
-        t0 = time.perf_counter()
-        try:
-            self._route_get(path, split.query)
-        finally:
-            self.engine.observe_http(self._endpoint_label("GET", path),
-                                     time.perf_counter() - t0)
+        self._timed(self._endpoint_label("GET", path),
+                    self._route_get, path, split.query)
 
     def _route_get(self, path: str, query: str) -> None:
         if path == "/healthz":
-            self._send_json(200, {"ok": True})
+            self._reply_json(200, {"ok": True})
         elif path == "/metrics":
-            ctype, body = self.engine.scrape()
-            self.send_response(200)
-            self.send_header("Content-Type", ctype)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self._reply = (200, *self.engine.scrape())
         elif path == "/stats":
-            self._send_json(200, self.engine.stats())
+            self._reply_json(200, self.engine.stats())
         elif path == "/debug/requests":
-            self._send_json(200, {"requests": self.engine.recent_requests()})
+            self._reply_json(200, {"requests": self.engine.recent_requests()})
         elif path == "/debug/flight":
             try:
                 last = parse_qs(query).get("last")
                 last_s = float(last[0]) if last else None
             except ValueError:
-                self._send_json(400, {"error": "last must be a number"})
+                self._reply_json(400, {"error": "last must be a number"})
                 return
-            self._send_json(200, self.engine.flight_trace(last_s=last_s))
+            self._reply_json(200, self.engine.flight_trace(last_s=last_s))
         elif path.startswith("/jobs/"):
             job = self.engine.get_job(path[len("/jobs/"):])
             if job is None:
-                self._send_json(404, {"error": "unknown job"})
+                self._reply_json(404, {"error": "unknown job"})
             else:
-                self._send_json(200, job.to_dict())
+                self._reply_json(200, job.to_dict())
         else:
-            self._send_json(404, {"error": f"no such endpoint {path!r}"})
+            self._reply_json(404, {"error": f"no such endpoint {path!r}"})
 
     def do_POST(self) -> None:
         path = self.path.split("?", 1)[0].rstrip("/")
-        t0 = time.perf_counter()
-        try:
-            self._route_post(path)
-        finally:
-            self.engine.observe_http(self._endpoint_label("POST", path),
-                                     time.perf_counter() - t0)
+        self._timed(self._endpoint_label("POST", path),
+                    self._route_post, path)
 
     def _route_post(self, path: str) -> None:
         try:
@@ -139,25 +142,25 @@ class ServeHandler(BaseHTTPRequestHandler):
             if path == "/run":
                 result = self.engine.run_sync(payload,
                                               timeout=self.request_timeout)
-                self._send_json(200, result)
+                self._reply_json(200, result)
             elif path == "/jobs":
                 job = self.engine.submit(payload)
-                self._send_json(202, job.to_dict())
+                self._reply_json(202, job.to_dict())
             else:
-                self._send_json(404, {"error": f"no such endpoint {path!r}"})
+                self._reply_json(404, {"error": f"no such endpoint {path!r}"})
         except ValueError as exc:
-            self._send_json(400, {"error": str(exc)})
+            self._reply_json(400, {"error": str(exc)})
         except AdmissionError as exc:
-            self._send_json(429, {"error": str(exc)})
+            self._reply_json(429, {"error": str(exc)})
         except TimeoutError as exc:
-            self._send_json(504, {"error": str(exc)})
+            self._reply_json(504, {"error": str(exc)})
         except ServeJobError as exc:
             out = {"error": str(exc)}
             if getattr(exc, "trace_id", None):
                 out["trace_id"] = exc.trace_id
             if getattr(exc, "flight_path", None):
                 out["flight_path"] = exc.flight_path
-            self._send_json(500, out)
+            self._reply_json(500, out)
 
 
 def create_server(engine: ServeEngine, host: str = "127.0.0.1",

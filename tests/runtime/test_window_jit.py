@@ -4,10 +4,15 @@ Covers the window-compiler pipeline end to end: sequential equivalence
 and counter parity across all four apps and all three backends with the
 JIT on/off, constant folding of stable scalars (and its refusal to
 freeze evolving ones), invalidation when a guard-fallback iteration
-rewrites a folded scalar, the batched advance path, and the
-observability surface (``spmd_window_*`` metrics, ``replay:jit`` spans,
-pass dumps).
+rewrites a folded scalar, the batched advance path, the one-sweep
+fission pass against its pairwise-swap oracle, the cost of a freeze
+(footprint derivations, pair-copy lowerings, finished-run lifetime), and
+the observability surface (``spmd_window_*`` metrics, ``replay:jit``
+spans, pass dumps).
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -28,6 +33,18 @@ from repro.runtime import (
     procs_available,
 )
 from repro.runtime.events import Sequence, advance_group
+from repro.runtime.window import exec as window_exec
+from repro.runtime.window import schedule
+from repro.runtime.window.ir import PairCopy, WindowIR, op_arrays
+from repro.runtime.window.recorder import (
+    OP_ADV,
+    OP_ADVN,
+    OP_BARRIER,
+    OP_COLL,
+    OP_COPY,
+    OP_WAIT,
+)
+from repro.runtime.window.schedule import FissionPass
 
 from tests.conftest import Fig2
 
@@ -325,6 +342,219 @@ class TestBatchLaunch:
         assert scalars["lo"] == seq_scalars["lo"]
         assert ex.window_compiles == 2
         assert _pass_stat(metrics, "batched_launches") == 0
+
+
+def bubble_fission(ops, protect):
+    """The pairwise-swap fission the one-sweep pass replaced, kept as its
+    oracle: every ack advance bubbles backward and every ready wait
+    forward, one slot at a time, until a fence or an op touching its
+    protected arrays stops it.  Returns ``(ops, hoisted, sunk)``."""
+    ops = list(ops)
+
+    def stops(other, prot):
+        fp = op_arrays(other)
+        return (other[0] in (OP_BARRIER, OP_COLL) or fp is None
+                or bool(fp & prot))
+
+    hoisted = sunk = 0
+    for i in range(len(ops)):
+        op = ops[i]
+        if op[0] not in (OP_ADV, OP_ADVN) or op[-1] != "ack":
+            continue
+        prot = protect.get(op[2])
+        if not prot:
+            continue
+        j = i
+        while j > 0 and not stops(ops[j - 1], prot):
+            ops[j], ops[j - 1] = ops[j - 1], ops[j]
+            j -= 1
+        hoisted += j != i
+    for i in range(len(ops) - 1, -1, -1):
+        op = ops[i]
+        if op[0] != OP_WAIT or op[5] != "rdy":
+            continue
+        prot = protect.get(op[2])
+        if not prot:
+            continue
+        j = i
+        while j + 1 < len(ops) and not stops(ops[j + 1], prot):
+            ops[j], ops[j + 1] = ops[j + 1], ops[j]
+            j += 1
+        sunk += j != i
+    return ops, hoisted, sunk
+
+
+def run_fission(ops, protect):
+    wir = WindowIR(ops=list(ops), guards=[], epoch_base={}, written=set(),
+                   copy_ranges=[])
+    wir.copy_protect = protect
+    fission = FissionPass()
+    return fission.run(wir, None).ops, fission.stats(wir)
+
+
+def same_ops(got, want):
+    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+class TestFission:
+    """The one-sweep pass must emit exactly what the swap loops did."""
+
+    @pytest.mark.parametrize("mode", ["stepped", "threaded"])
+    @pytest.mark.parametrize("app", sorted(APPS))
+    def test_matches_bubble_oracle_on_apps(self, app, mode, monkeypatch):
+        windows = []  # appended from shard threads; list.append is atomic
+        sweep_run = FissionPass.run
+
+        def run(self, wir, ctx):
+            before = list(wir.ops)
+            wir = sweep_run(self, wir, ctx)
+            windows.append((before, dict(wir.copy_protect), list(wir.ops),
+                            self.stats(wir)))
+            return wir
+
+        monkeypatch.setattr(FissionPass, "run", run)
+        APPS[app]().run_control_replicated(4, mode=mode, jit="auto")
+        assert len(windows) >= 4  # one compiled window per shard
+        moved = 0
+        for before, protect, after, stats in windows:
+            want, hoisted, sunk = bubble_fission(before, protect)
+            assert same_ops(after, want), (app, mode)
+            assert stats == {"hoisted_acks": hoisted,
+                             "sunk_ready_waits": sunk}
+            moved += hoisted + sunk
+        assert moved > 0  # the comparison is not between two no-ops
+
+    def test_matches_bubble_oracle_on_random_windows(self):
+        # Shapes the apps never record: movers sharing a landing slot,
+        # acks with nothing to protect, fences and unknown ops anywhere.
+        import random
+        arrays = [np.zeros(1) for _ in range(5)]
+
+        def random_op(rng):
+            r, uid = rng.random(), rng.randrange(4)
+            if r < 0.25:
+                return (OP_ADV, "s", uid, 1, rng.choice(("ack", "rdy")))
+            if r < 0.5:
+                return (OP_WAIT, "s", uid, 1, "w", rng.choice(("ack", "rdy")))
+            if r < 0.55:
+                return (OP_ADVN, ("s", "t"), uid, 1, "ack")
+            if r < 0.85:
+                x, y = rng.sample(arrays, 2)
+                return (OP_COPY, PairCopy(((x, y),), 0, 0, None, 1, 8))
+            if r < 0.9:
+                return (OP_BARRIER, "bar", uid, 1, "barrier:x")
+            return (99, "unknown") if r < 0.95 else (OP_COLL, "c", uid, 1, "n")
+
+        moved = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            protect = {uid: frozenset(id(a) for a in
+                                      rng.sample(arrays, rng.randrange(3)))
+                       for uid in range(3)}
+            ops = [random_op(rng) for _ in range(rng.randrange(40))]
+            got, stats = run_fission(ops, protect)
+            want, hoisted, sunk = bubble_fission(ops, protect)
+            assert same_ops(got, want), seed
+            assert stats == {"hoisted_acks": hoisted,
+                             "sunk_ready_waits": sunk}, seed
+            moved += hoisted + sunk
+        assert moved > 300
+
+    def test_unknown_footprint_is_a_fence(self):
+        # op_arrays promises that what it does not model is never crossed:
+        # an op kind from the future, and a launch not yet frozen.
+        a = np.zeros(2)
+        copy = (OP_COPY, PairCopy(((a, a),), 0, 0, None, 1, 8))
+        ack = (OP_ADV, "seq", 1, 1, "ack")
+        rdy = (OP_WAIT, "seq", 1, 1, "w", "rdy")
+        protect = {1: frozenset({id(a)})}
+        for unknown in ((99, "opaque"), (2, "stmt", (0, 1))):
+            assert op_arrays(unknown) is None
+            ops = [copy, unknown, ack]
+            assert same_ops(run_fission(ops, protect)[0], ops)
+            ops = [rdy, unknown, copy]
+            assert same_ops(run_fission(ops, protect)[0], ops)
+        # A known-empty op in the same place is crossed both ways.
+        crossable = (OP_WAIT, "other", 9, 1, "w", "ack")
+        assert op_arrays(crossable) == frozenset()
+        got, stats = run_fission([copy, crossable, ack, rdy, crossable, copy],
+                                 protect)
+        assert same_ops(got, [copy, ack, crossable, crossable, rdy, copy])
+        assert stats == {"hoisted_acks": 1, "sunk_ready_waits": 1}
+
+
+class TestFreezeCost:
+    """Freeze work grows with the ops recorded, not with their square."""
+
+    @pytest.mark.parametrize("pieces", [24, 96])
+    def test_one_footprint_per_op(self, pieces, monkeypatch):
+        # Deterministic stand-in for a timing bound: the swap loops
+        # re-derived a neighbour's footprint at every step (2.27 M calls
+        # for the 96-piece window); one sweep needs each op's once.
+        calls = []
+
+        def counting(op):
+            calls.append(op[0])
+            return op_arrays(op)
+
+        monkeypatch.setattr(schedule, "op_arrays", counting)
+        p = CircuitProblem(pieces=pieces, nodes_per_piece=20,
+                           wires_per_piece=30, steps=4)
+        _, _, ex, _ = p.run_control_replicated(2, jit="auto")
+        assert ex.window_compiles == 2
+        assert 0 < len(calls) <= 2 * ex.window_ops_lowered
+
+    def test_pair_copies_lowered_once_per_run(self, monkeypatch):
+        built = []
+        build = PairCopy.build.__func__
+
+        def counting(cls, stmt, src_inst, dst_inst, pts, **kw):
+            built.append((stmt.uid, id(src_inst), id(dst_inst)))
+            return build(cls, stmt, src_inst, dst_inst, pts, **kw)
+
+        monkeypatch.setattr(PairCopy, "build", classmethod(counting))
+        fig2 = Fig2(steps=6)
+        seq = SequentialExecutor(instances=fig2.fresh_instances())
+        seq.run(fig2.build())
+        seq.run(fig2.build())
+        prog, _ = control_replicate(fig2.build(), num_shards=2)
+        ex = SPMDExecutor(num_shards=2, instances=fig2.fresh_instances())
+        ex.run(prog)
+        assert ex.replay_misses == 2 * 2  # two captured iterations a shard
+        first = len(built)
+        # The second captured iteration reused every pair the first lowered.
+        assert first > 0 and len(set(built)) == first
+        # A new run re-allocates the instances, so nothing carries over.
+        ex.run(prog)
+        assert len(built) == 2 * first
+        for uid in (fig2.A.uid, fig2.B.uid):
+            assert np.array_equal(ex.instances[uid].fields["v"],
+                                  seq.instances[uid].fields["v"])
+
+    @pytest.mark.parametrize("mode", ["stepped", "threaded"])
+    def test_finished_run_frees_its_windows_without_gc(self, mode,
+                                                       monkeypatch):
+        # Shard state <-> compiled-window closures is a reference cycle;
+        # a finished run must break it itself, or every run's instances
+        # sit in memory until the cyclic collector happens to pass.
+        windows = []
+        build = window_exec.CompiledWindow.build.__func__
+
+        def tracking(cls, *args, **kw):
+            cw = build(cls, *args, **kw)
+            windows.append(weakref.ref(cw))
+            return cw
+
+        monkeypatch.setattr(window_exec.CompiledWindow, "build",
+                            classmethod(tracking))
+        gc.collect()
+        gc.disable()
+        try:
+            APPS["stencil"]().run_control_replicated(2, mode=mode)
+            assert len(windows) == 2
+            assert all(ref() is None for ref in windows)
+        finally:
+            gc.enable()
 
 
 class TestObservability:
