@@ -1,7 +1,7 @@
 """Micro-benchmarks of the substrate data structures.
 
 Not a paper table — these keep the building blocks honest: interval-set
-algebra, interval-tree shallow intersections vs brute force, and the SPMD
+algebra, overlap-join shallow intersections vs brute force, and the SPMD
 copy path, at sizes where asymptotic differences show.
 """
 
@@ -59,11 +59,11 @@ class TestShallowIntersections:
                   for i in range(n_sets)]
         return blocks
 
-    def test_interval_tree_pairs(self, benchmark):
+    def test_overlap_join_pairs(self, benchmark):
         sets = self._sets(512)
         pairs = bench_and_record(
             benchmark, lambda: shallow_intersection_pairs(sets, sets),
-            rounds=3, bench="micro_substrate", op="shallow_pairs_tree",
+            rounds=3, bench="micro_substrate", op="shallow_pairs_join",
             backend="substrate")
         assert len(pairs) >= 512  # diagonal plus neighbors
 

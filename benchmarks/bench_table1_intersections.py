@@ -2,7 +2,7 @@
 
 For every application the compiled program's ``ComputeIntersections``
 statements are evaluated at 64 and 1024 pieces, timing the *shallow* phase
-(interval tree / BVH candidate pairs) and the *complete* phase (exact
+(interval join / BVH candidate pairs) and the *complete* phase (exact
 element sets) separately — the two columns of the paper's Table 1.
 
 Problem sizes per piece are reduced relative to the paper (this is a pure

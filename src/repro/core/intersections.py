@@ -10,9 +10,9 @@ and rewrites each copy to iterate over the named pair set — turning the
 copy loop from O(N²) to O(N) for bounded-degree communication patterns.
 
 The actual two-phase computation — *shallow* (which pairs overlap, via an
-interval tree for unstructured regions and a bounding volume hierarchy for
-structured ones) then *complete* (the exact shared elements, computed
-per-shard) — lives in :mod:`repro.runtime.intersection_exec`; it is a
+overlap join of the intervals for unstructured regions and a bounding
+volume hierarchy for structured ones) then *complete* (the exact shared
+elements, computed per-shard) — lives in :mod:`repro.runtime.intersection_exec`; it is a
 runtime activity, deferred exactly as in the paper.
 """
 

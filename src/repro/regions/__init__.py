@@ -10,7 +10,7 @@ compiler.
 from .bvh import BVH, structured_intersection_pairs
 from .hierarchical import PrivateGhost, private_ghost_decomposition
 from .index_space import IndexSpace, ispace
-from .interval_tree import IntervalTree, shallow_intersection_pairs
+from .interval_join import shallow_intersection_pairs
 from .intervals import IntervalSet
 from .partition import Partition
 from .partition_ops import (
@@ -44,7 +44,6 @@ __all__ = [
     "FieldSpace",
     "IndexSpace",
     "IntervalSet",
-    "IntervalTree",
     "Partition",
     "PhysicalInstance",
     "PrivateGhost",

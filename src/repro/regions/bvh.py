@@ -2,7 +2,7 @@
 
 Paper §3.3: "For structured regions, we use a bounding volume hierarchy"
 to find which pairs of subregions overlap.  Subregions of a structured
-region linearize to many row intervals, so the interval tree would hold
+region linearize to many row intervals, so an interval join would handle
 one entry per row; a BVH over the subregions' n-dimensional bounding boxes
 answers the same which-pairs question with one entry per subregion.
 """

@@ -59,9 +59,9 @@ def private_ghost_decomposition(root: Region, owned: Partition,
     if owned.num_colors != accessed.num_colors:
         raise ValueError("owned and accessed must have matching color counts")
     prefix = name or f"pg_{root.name}"
-    ghost_set = IntervalSet.empty()
-    for c in owned.colors:
-        ghost_set = ghost_set | (accessed.subset(c) - owned.subset(c))
+    # Strictly-remote ghosts: each color's accessed-but-not-owned elements.
+    remote_subsets = [accessed.subset(c) - owned.subset(c) for c in owned.colors]
+    ghost_set = IntervalSet.union_all(remote_subsets)
     # Communication is two-sided: the owner's copy of a communicated element
     # is also involved (it is the producer), but it lives in the same global
     # element — the ghost *set* is the union of remotely-accessed elements.
@@ -73,11 +73,10 @@ def private_ghost_decomposition(root: Region, owned: Partition,
     private_part = partition_restrict(owned, all_private, name=f"{prefix}_private")
     shared_part = partition_restrict(owned, all_ghost, name=f"{prefix}_shared")
     ghost_part = partition_restrict(accessed, all_ghost, name=f"{prefix}_ghost")
-    # Strictly-remote ghosts: each color's accessed-but-not-owned elements.
     # Tasks holding write or reduce privileges on both the shared and ghost
-    # windows must use this variant — it is disjoint *from shared_part per
-    # color*, so one task never sees the same element through two views.
-    remote_subsets = [(accessed.subset(c) - owned.subset(c)) for c in owned.colors]
+    # windows must use the strictly-remote variant — it is disjoint *from
+    # shared_part per color*, so one task never sees the same element
+    # through two views.
     remote_ghost_part = Partition(all_ghost, remote_subsets, disjoint=False,
                                   name=f"{prefix}_remote_ghost")
     return PrivateGhost(root=root, top=top, all_private=all_private,

@@ -7,9 +7,11 @@ intersection results are interval sets.  The representation is compact for
 the contiguous blocks produced by ``block``/``equal`` partitioning and
 degrades gracefully (one interval per point) for arbitrary image sets.
 
-The algebra here is deliberately allocation-light: set operations are
-performed on numpy arrays with two-pointer merges, and conversion to a flat
-point array (`to_indices`) is vectorized via `numpy.repeat`.
+Every set operation and query is array-at-a-time: there is no Python step
+per interval.  Two primitives carry the algebra — the rank function
+:meth:`IntervalSet.below` (prefix sum of interval lengths plus one
+``searchsorted``) for counting and containment, and :func:`expand_ranges`
+for enumerating index ranges without a per-range ``arange``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,23 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["IntervalSet"]
+__all__ = ["IntervalSet", "expand_ranges", "stack_intervals"]
+
+
+def expand_ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(lo[k], lo[k] + counts[k])`` over all ``k``."""
+    ends = np.cumsum(counts)  # ends - counts: offset of each range in the output
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(lo - (ends - counts), counts) + np.arange(total, dtype=np.int64)
+
+
+def stack_intervals(sets: Sequence["IntervalSet"]) -> tuple[np.ndarray, np.ndarray]:
+    """All intervals of ``sets`` as one ``(k, 2)`` table, plus the position
+    in ``sets`` each row came from."""
+    if not sets:
+        return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64)
+    labels = np.repeat(np.arange(len(sets)), [s.num_intervals for s in sets])
+    return np.concatenate([s.intervals for s in sets]), labels
 
 
 def _normalize_pairs(pairs: np.ndarray) -> np.ndarray:
@@ -51,13 +69,14 @@ def _normalize_pairs(pairs: np.ndarray) -> np.ndarray:
 class IntervalSet:
     """An immutable set of int64 points stored as disjoint sorted intervals."""
 
-    __slots__ = ("_ivals", "_count")
+    __slots__ = ("_ivals", "_count", "_rank")
 
     def __init__(self, pairs: np.ndarray | Sequence[tuple[int, int]] = ()):
         arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         self._ivals = _normalize_pairs(arr)
         self._ivals.setflags(write=False)
         self._count = int((self._ivals[:, 1] - self._ivals[:, 0]).sum())
+        self._rank = None  # prefix tables of below(), built on first use
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -72,26 +91,42 @@ class IntervalSet:
 
     @classmethod
     def from_indices(cls, indices: Iterable[int]) -> "IntervalSet":
-        idx = np.unique(np.asarray(list(indices) if not isinstance(indices, np.ndarray) else indices, dtype=np.int64))
+        idx = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices),
+                         dtype=np.int64).reshape(-1)
         if idx.size == 0:
             return _EMPTY
-        breaks = np.nonzero(np.diff(idx) > 1)[0]
-        starts = np.concatenate(([idx[0]], idx[breaks + 1]))
-        stops = np.concatenate((idx[breaks] + 1, [idx[-1] + 1]))
-        out = cls.__new__(cls)
-        ivals = np.column_stack((starts, stops))
-        ivals.setflags(write=False)
-        out._ivals = ivals
-        out._count = int(idx.size)
-        return out
+        lo, hi = int(idx.min()), int(idx.max())
+        if hi - lo <= 4 * idx.size:
+            # Dense: mark the points in a byte mask (zero-padded at both
+            # ends) and read the runs off its edges — no sort at all.
+            mask = np.zeros(hi - lo + 3, dtype=bool)
+            mask[idx - (lo - 1)] = True
+            edges = np.flatnonzero(mask[1:] != mask[:-1]) + lo
+            return cls._from_normalized(edges.reshape(-1, 2))
+        if np.any(idx[1:] < idx[:-1]):
+            idx = np.sort(idx)
+        # Duplicates have difference 0 and so never break a run.
+        breaks = np.flatnonzero(np.diff(idx) > 1)
+        starts = np.concatenate((idx[:1], idx[breaks + 1]))
+        stops = np.concatenate((idx[breaks], idx[-1:])) + 1
+        return cls._from_normalized(np.column_stack((starts, stops)))
 
     @classmethod
-    def _from_normalized(cls, ivals: np.ndarray) -> "IntervalSet":
+    def union_all(cls, sets: Iterable["IntervalSet"]) -> "IntervalSet":
+        """Union of any number of sets: one concatenate, one normalize."""
+        sets = [s for s in sets if s._count]
+        if len(sets) <= 1:
+            return sets[0] if sets else _EMPTY
+        return cls(np.concatenate([s._ivals for s in sets]))
+
+    @classmethod
+    def _from_normalized(cls, ivals: np.ndarray, count: int | None = None) -> "IntervalSet":
         out = cls.__new__(cls)
         ivals = np.ascontiguousarray(ivals, dtype=np.int64)
         ivals.setflags(write=False)
         out._ivals = ivals
-        out._count = int((ivals[:, 1] - ivals[:, 0]).sum()) if ivals.size else 0
+        out._count = int((ivals[:, 1] - ivals[:, 0]).sum()) if count is None else count
+        out._rank = None
         return out
 
     # -- basic queries -----------------------------------------------------
@@ -142,12 +177,24 @@ class IntervalSet:
 
     def to_indices(self) -> np.ndarray:
         """Materialize the set as a sorted int64 point array."""
-        if self._count == 0:
-            return np.empty(0, dtype=np.int64)
-        lengths = self._ivals[:, 1] - self._ivals[:, 0]
-        # offsets of each interval start within the output
-        out = np.repeat(self._ivals[:, 0] - np.concatenate(([0], np.cumsum(lengths)[:-1])), lengths)
-        return out + np.arange(self._count, dtype=np.int64)
+        return expand_ranges(self._ivals[:, 0], self._ivals[:, 1] - self._ivals[:, 0])
+
+    def below(self, x: np.ndarray | int) -> np.ndarray:
+        """Rank function: how many points of the set are ``< x`` (vectorized).
+
+        For a point of the set this is its position in :meth:`to_indices`.
+        """
+        if self._rank is None:
+            # upto[n]: points in the first n intervals; before[n]: where the
+            # n-th of them stops (a far-off sentinel for "none of them").
+            lengths = self._ivals[:, 1] - self._ivals[:, 0]
+            self._rank = (np.concatenate(([0], np.cumsum(lengths))),
+                          np.concatenate(([_FAR_BELOW], self._ivals[:, 1])))
+        upto, before = self._rank
+        n = np.searchsorted(self._ivals[:, 0], x, side="right")  # intervals starting <= x
+        # All of the first n intervals, less what the last of them holds
+        # at or above x.
+        return upto[n] - np.maximum(before[n] - x, 0)
 
     # -- set algebra ---------------------------------------------------------
     def union(self, other: "IntervalSet") -> "IntervalSet":
@@ -159,87 +206,54 @@ class IntervalSet:
 
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
         a, b = self._ivals, other._ivals
-        if self._count == 0 or other._count == 0:
-            return _EMPTY
-        # Quick reject on bounds.
-        if a[0, 0] >= b[-1, 1] or b[0, 0] >= a[-1, 1]:
+        if self._bounds_miss(other):
             return _EMPTY
         if a.shape[0] > b.shape[0]:
             a, b = b, a
-        # For each interval of the smaller set, find overlapping range in b.
+        # For each interval of a, the run of b intervals it overlaps.
         lo_idx = np.searchsorted(b[:, 1], a[:, 0], side="right")
-        hi_idx = np.searchsorted(b[:, 0], a[:, 1], side="left")
-        counts = hi_idx - lo_idx
-        total = int(counts.sum())
-        if total == 0:
+        counts = np.searchsorted(b[:, 0], a[:, 1], side="left") - lo_idx
+        if not counts.any():
             return _EMPTY
-        # Expand pairs (vectorized repeat of a rows against slices of b rows).
-        a_rep = np.repeat(np.arange(a.shape[0]), counts)
-        b_ids = np.concatenate([np.arange(l, h) for l, h in zip(lo_idx, hi_idx) if h > l]) if total else np.empty(0, np.int64)
-        starts = np.maximum(a[a_rep, 0], b[b_ids, 0])
-        stops = np.minimum(a[a_rep, 1], b[b_ids, 1])
-        return IntervalSet._from_normalized(_normalize_pairs(np.column_stack((starts, stops))))
+        a_ids = np.repeat(np.arange(a.shape[0]), counts)
+        b_ids = expand_ranges(lo_idx, counts)
+        # Clipping two normal sets pair by pair, in a-then-b order, yields
+        # sorted, disjoint, non-adjacent pieces: already normal.
+        return IntervalSet._from_normalized(np.column_stack(
+            (np.maximum(a[a_ids, 0], b[b_ids, 0]), np.minimum(a[a_ids, 1], b[b_ids, 1]))))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
-        if self._count == 0 or other._count == 0:
+        if self._bounds_miss(other):
             return self
-        out: list[tuple[int, int]] = []
+        # Intersect with the complement of ``other`` over the joint bounds:
+        # the gaps before, between and after its intervals.
         b = other._ivals
-        for lo, hi in self._ivals:
-            cur = int(lo)
-            j = int(np.searchsorted(b[:, 1], cur, side="right"))
-            while j < b.shape[0] and b[j, 0] < hi:
-                if b[j, 0] > cur:
-                    out.append((cur, int(b[j, 0])))
-                cur = max(cur, int(b[j, 1]))
-                if cur >= hi:
-                    break
-                j += 1
-            if cur < hi:
-                out.append((cur, int(hi)))
-        if not out:
-            return _EMPTY
-        return IntervalSet._from_normalized(np.asarray(out, dtype=np.int64))
+        lo, hi = min(self._ivals[0, 0], b[0, 0]), max(self._ivals[-1, 1], b[-1, 1])
+        gaps = np.column_stack((np.concatenate(([lo], b[:, 1])), np.concatenate((b[:, 0], [hi]))))
+        return self.intersection(IntervalSet._from_normalized(gaps[gaps[:, 0] < gaps[:, 1]]))
 
-    def intersects(self, other: "IntervalSet") -> bool:
-        """True iff the two sets share at least one point (early-out scan)."""
+    def _bounds_miss(self, other: "IntervalSet") -> bool:
+        """Quick reject: an operand is empty or the bounding ranges miss."""
         a, b = self._ivals, other._ivals
-        if self._count == 0 or other._count == 0:
-            return False
-        if a[0, 0] >= b[-1, 1] or b[0, 0] >= a[-1, 1]:
-            return False
-        i = j = 0
-        while i < a.shape[0] and j < b.shape[0]:
-            if a[i, 1] <= b[j, 0]:
-                i += 1
-            elif b[j, 1] <= a[i, 0]:
-                j += 1
-            else:
-                return True
-        return False
+        return (self._count == 0 or other._count == 0
+                or a[0, 0] >= b[-1, 1] or b[0, 0] >= a[-1, 1])
 
     def intersection_count(self, other: "IntervalSet") -> int:
         """Number of shared points, without materializing the intersection."""
-        a, b = self._ivals, other._ivals
-        if self._count == 0 or other._count == 0:
+        if self._bounds_miss(other):
             return 0
-        i = j = total = 0
-        while i < a.shape[0] and j < b.shape[0]:
-            lo = max(a[i, 0], b[j, 0])
-            hi = min(a[i, 1], b[j, 1])
-            if hi > lo:
-                total += int(hi - lo)
-            if a[i, 1] <= b[j, 1]:
-                i += 1
-            else:
-                j += 1
-        return total
+        rank = other.below(self._ivals)  # of every start and every stop
+        return int((rank[:, 1] - rank[:, 0]).sum())
+
+    def intersects(self, other: "IntervalSet") -> bool:
+        """True iff the two sets share at least one point."""
+        return self.intersection_count(other) > 0
 
     def issubset(self, other: "IntervalSet") -> bool:
         return self.intersection_count(other) == self._count
 
     def isdisjoint(self, other: "IntervalSet") -> bool:
-        return not self.intersects(other)
+        return self.intersection_count(other) == 0
 
     def shift(self, offset: int) -> "IntervalSet":
         if self._count == 0:
@@ -272,7 +286,5 @@ class IntervalSet:
         return f"IntervalSet({body}; n={self._count})"
 
 
-_EMPTY = IntervalSet.__new__(IntervalSet)
-_EMPTY._ivals = np.empty((0, 2), dtype=np.int64)
-_EMPTY._ivals.setflags(write=False)
-_EMPTY._count = 0
+_FAR_BELOW = np.iinfo(np.int64).min // 2  # minus any point: no overflow
+_EMPTY = IntervalSet._from_normalized(np.empty((0, 2), dtype=np.int64))

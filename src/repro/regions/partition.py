@@ -15,8 +15,10 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .index_space import IndexSpace
-from .intervals import IntervalSet
+from .intervals import IntervalSet, stack_intervals
 from .region import Region
 
 __all__ = ["Partition"]
@@ -37,10 +39,14 @@ class Partition:
             self._subsets = [subsets.get(i, IntervalSet.empty()) for i in range(n)]
         else:
             self._subsets = list(subsets)
-        for i, sub in enumerate(self._subsets):
-            if not sub.issubset(parent.index_set):
-                raise ValueError(
-                    f"subset {i} is not contained in parent region {parent.name}")
+        # One containment evaluation for the whole family: an interval lies
+        # in the parent iff the parent has as many points in it as it spans.
+        ivals, owner = stack_intervals(self._subsets)
+        rank = parent.index_set.below(ivals)
+        outside = np.flatnonzero(rank[:, 1] - rank[:, 0] != ivals[:, 1] - ivals[:, 0])
+        if outside.size:
+            raise ValueError(f"subset {owner[outside[0]]} is not contained in "
+                             f"parent region {parent.name}")
         self.disjoint = bool(disjoint)
         self.name = name or f"partition{self.uid}"
         self.color_space = color_space
@@ -81,24 +87,14 @@ class Partition:
     # -- verification ----------------------------------------------------------
     def compute_disjoint(self) -> bool:
         """Actual (dynamic) disjointness: total point count equals union count."""
-        total = sum(s.count for s in self._subsets)
-        union = IntervalSet.empty()
-        for s in self._subsets:
-            union = union | s
-        return total == union.count
+        return sum(s.count for s in self._subsets) == self.union_of_subsets().count
 
     def compute_complete(self) -> bool:
         """True iff the subregions cover the parent region exactly."""
-        union = IntervalSet.empty()
-        for s in self._subsets:
-            union = union | s
-        return union == self.parent.index_set
+        return self.union_of_subsets() == self.parent.index_set
 
     def union_of_subsets(self) -> IntervalSet:
-        union = IntervalSet.empty()
-        for s in self._subsets:
-            union = union | s
-        return union
+        return IntervalSet.union_all(self._subsets)
 
     def __repr__(self) -> str:
         kind = "disjoint" if self.disjoint else "aliased"

@@ -137,10 +137,14 @@ def bounding_rect_of_intervals(ivals: IntervalSet, shape: tuple[int, ...]) -> Re
     if not ivals:
         return Rect((0,) * len(shape), (0,) * len(shape))
     pairs = ivals.intervals
-    # Delinearize interval endpoints; since rows are contiguous in the last
-    # dimension, the bounding box of the endpoints bounds the whole set.
-    pts = np.concatenate((pairs[:, 0], pairs[:, 1] - 1))
-    coords = np.stack(np.unravel_index(pts, shape), axis=1)
-    lo = coords.min(axis=0)
-    hi = coords.max(axis=0) + 1
-    return Rect(tuple(int(x) for x in lo), tuple(int(x) for x in hi))
+    # Grid coordinates of each interval's first and last point: (dim, k).
+    first, last = np.array(np.unravel_index(
+        (pairs[:, 0], pairs[:, 1] - 1), shape)).swapaxes(0, 1)
+    # An interval whose ends differ in dimension d crosses a row boundary
+    # there, so it holds points at both extremes of every later dimension;
+    # up to and including d, the ends themselves are the extremes.
+    wraps = np.zeros(first.shape, dtype=bool)
+    np.logical_or.accumulate(first[:-1] != last[:-1], axis=0, out=wraps[1:])
+    lo = np.where(wraps, 0, first).min(axis=1)
+    hi = np.where(wraps, np.array(shape)[:, None] - 1, last).max(axis=1) + 1
+    return Rect(tuple(lo.tolist()), tuple(hi.tolist()))

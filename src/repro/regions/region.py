@@ -17,12 +17,12 @@ Both implementations are provided here; the functional executors pick one.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .index_space import IndexSpace
-from .intervals import IntervalSet
+from .intervals import IntervalSet, expand_ranges, stack_intervals
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .partition import Partition
@@ -202,11 +202,18 @@ class PhysicalInstance:
     def localize(self, points: np.ndarray | IntervalSet) -> np.ndarray:
         """Map global points to local slots. Points must be covered."""
         if isinstance(points, IntervalSet):
-            points = points.to_indices()
+            return expand_ranges(*self.localize_runs(points.intervals))
         slots = np.searchsorted(self._points, points)
         if slots.size and (np.any(slots >= self._points.shape[0]) or np.any(self._points[slots] != points)):
             raise IndexError("points not covered by this instance")
         return slots
+
+    def localize_runs(self, ivals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Map each global ``[start, stop)`` row of ``ivals`` to its run of
+        local slots, as ``(first slots, lengths)`` — a point's slot is its
+        rank in ``index_set``, so no point array is materialized.  Every
+        interval must be covered."""
+        return _covered_runs(self.index_set, ivals)
 
     def covers(self, points: IntervalSet) -> bool:
         return points.issubset(self.index_set)
@@ -269,6 +276,36 @@ class PhysicalInstance:
 
     def __repr__(self) -> str:
         return f"PhysicalInstance({self.region.name}, n={self.num_points})"
+
+
+def _covered_runs(index_set: IntervalSet, ivals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    rank = index_set.below(ivals)
+    lengths = ivals[:, 1] - ivals[:, 0]
+    if np.any(rank[:, 1] - rank[:, 0] != lengths):
+        raise IndexError("points not covered by this instance")
+    return rank[:, 0], lengths
+
+
+def localize_stacked(instances: Sequence[PhysicalInstance], which: np.ndarray,
+                     ivals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`PhysicalInstance.localize_runs` of many intervals against many
+    instances in one call: row ``k`` of ``ivals`` is localized in
+    ``instances[which[k]]``.
+
+    The instances' interval tables are stacked into one interval set over
+    composite keys ``instance * span + point`` (``span`` exceeds every
+    coordinate in play, so no interval reaches the next instance's keys);
+    a row's slot is then its rank in the stack less the points stacked
+    before its instance.
+    """
+    tables, inst = stack_intervals([x.index_set for x in instances])
+    both = np.concatenate((tables, ivals))
+    lo = both.min()
+    span = both.max() - lo + 1
+    stacked = IntervalSet._from_normalized(tables - lo + (inst * span)[:, None])
+    first, lengths = _covered_runs(stacked, ivals - lo + (which * span)[:, None])
+    before = np.cumsum([0] + [x.num_points for x in instances[:-1]])
+    return first - before[which], lengths
 
 
 _REDUCTION_UFUNCS = {

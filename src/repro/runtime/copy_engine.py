@@ -52,6 +52,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.shards import owner_of_color
+from ..regions.intervals import IntervalSet
 
 __all__ = ["FusedBatch", "FusedCopy", "fuse_group", "coalesce",
            "joint_runs", "uniform_runs", "disjoint_dst_colors",
@@ -440,19 +441,17 @@ def disjoint_dst_colors(pairs, pts_of, src_num_colors: int,
     decision is a pure function of the evaluated pair sets, hence
     identical on every shard and in every forked process.
     """
-    by_dst: dict[int, dict[int, object]] = {}
+    by_dst: dict[int, dict[int, list]] = {}
     for (i, j) in pairs:
         pts = pts_of(i, j)
-        if not pts:
-            continue
-        owner = owner_of_color(src_num_colors, num_shards, i)
-        per_owner = by_dst.setdefault(j, {})
-        prev = per_owner.get(owner)
-        per_owner[owner] = pts if prev is None else prev | pts
+        if pts:
+            owner = owner_of_color(src_num_colors, num_shards, i)
+            by_dst.setdefault(j, {}).setdefault(owner, []).append(pts)
     out = set()
     for j, per_owner in by_dst.items():
-        sets = list(per_owner.values())
-        if all(sets[a].isdisjoint(sets[b])
-               for a in range(len(sets)) for b in range(a + 1, len(sets))):
+        # Each producer shard's contribution to j; they are pairwise
+        # disjoint iff their union is as large as all of them together.
+        sets = [IntervalSet.union_all(parts) for parts in per_owner.values()]
+        if IntervalSet.union_all(sets).count == sum(s.count for s in sets):
             out.add(j)
     return frozenset(out)

@@ -4,12 +4,15 @@ The compiler defers the number, size, and extent of subregion
 intersections to runtime.  Evaluation is two-phase:
 
 * **shallow** — find the candidate pairs ``(i, j)`` whose subregions may
-  overlap, using an interval tree for unstructured regions and a bounding
-  volume hierarchy for structured ones; ``O(N log N)`` in the number of
-  subregions rather than all-pairs;
+  overlap: for unstructured regions the distinct label pairs of one
+  output-sensitive overlap join of the two sides' intervals
+  (:mod:`repro.regions.interval_join`), for structured ones a bounding
+  volume hierarchy; never all-pairs;
 * **complete** — compute the exact shared element set for each candidate
-  pair (after shard creation this runs per shard over its owned sources,
-  which is how the paper keeps it ``O(M^2)`` in per-shard terms).
+  pair: the join's rows clipped and grouped by pair (unstructured), or a
+  per-pair ``&`` (structured).  After shard creation this runs per shard
+  over its owned sources, which is how the paper keeps it ``O(M^2)`` in
+  per-shard terms.
 
 Timings of both phases are recorded — they are what Table 1 of the paper
 reports.
@@ -21,8 +24,10 @@ import time
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 
+import numpy as np
+
 from ..regions.bvh import structured_intersection_pairs
-from ..regions.interval_tree import shallow_intersection_pairs
+from ..regions.interval_join import exact_intersections, overlap_join
 from ..regions.intervals import IntervalSet
 from ..regions.partition import Partition
 
@@ -71,28 +76,7 @@ class IntersectionResult:
 
 def compute_intersections(src: Partition, dst: Partition) -> IntersectionResult:
     """Evaluate ``{ i, j | dst[j] ∩ src[i] ≠ ∅ }`` with exact element sets."""
-    src_sets = [src.subset(c) for c in src.colors]
-    dst_sets = [dst.subset(c) for c in dst.colors]
-
-    t0 = time.perf_counter()
-    shape = src.parent.ispace.shape
-    if shape is not None:
-        candidates = structured_intersection_pairs(src_sets, dst_sets, shape)
-    else:
-        candidates = shallow_intersection_pairs(src_sets, dst_sets)
-    t1 = time.perf_counter()
-
-    pairs: dict[tuple[int, int], IntervalSet] = {}
-    for i, j in candidates:
-        inter = src_sets[i] & dst_sets[j]
-        if inter:
-            pairs[(i, j)] = inter
-    t2 = time.perf_counter()
-
-    return IntersectionResult(src=src, dst=dst, pairs=pairs,
-                              shallow_seconds=t1 - t0,
-                              complete_seconds=t2 - t1,
-                              candidate_pairs=len(candidates))
+    return compute_intersections_sharded(src, dst, 1)[0]
 
 
 def compute_intersections_sharded(src: Partition, dst: Partition,
@@ -110,29 +94,41 @@ def compute_intersections_sharded(src: Partition, dst: Partition,
 
     src_sets = [src.subset(c) for c in src.colors]
     dst_sets = [dst.subset(c) for c in dst.colors]
+    owner = np.array([owner_of_color(src.num_colors, num_shards, c)
+                      for c in src.colors], dtype=np.int64)
     t0 = time.perf_counter()
     shape = src.parent.ispace.shape
     if shape is not None:
-        candidates = structured_intersection_pairs(src_sets, dst_sets, shape)
+        candidates = np.array(
+            structured_intersection_pairs(src_sets, dst_sets, shape),
+            dtype=np.int64).reshape(-1, 2)
+        i = candidates[:, 0]
+        num_candidates = candidates.shape[0]
+
+        def complete(rows):
+            return {(ci, cj): inter for ci, cj in candidates[rows].tolist()
+                    if (inter := src_sets[ci] & dst_sets[cj])}
     else:
-        candidates = shallow_intersection_pairs(src_sets, dst_sets)
+        i, j, src_rows, dst_rows = overlap_join(src_sets, dst_sets)
+        num_candidates = np.unique(i * dst.num_colors + j).size
+
+        def complete(rows):
+            return exact_intersections(i[rows], j[rows], src_rows[rows],
+                                       dst_rows[rows])
     t1 = time.perf_counter()
 
-    by_shard: dict[int, list[tuple[int, int]]] = {}
-    for (i, j) in candidates:
-        by_shard.setdefault(owner_of_color(src.num_colors, num_shards, i),
-                            []).append((i, j))
+    # Hand every shard the candidates of its owned source colors.
+    owners = owner[i]
+    by_owner = np.argsort(owners, kind="stable")
+    cuts = np.searchsorted(owners[by_owner], np.arange(num_shards + 1))
     pairs: dict[tuple[int, int], IntervalSet] = {}
     per_shard: list[float] = []
     for s in range(num_shards):
         ts = time.perf_counter()
-        for (i, j) in by_shard.get(s, ()):
-            inter = src_sets[i] & dst_sets[j]
-            if inter:
-                pairs[(i, j)] = inter
+        pairs.update(complete(by_owner[cuts[s]:cuts[s + 1]]))
         per_shard.append(time.perf_counter() - ts)
     result = IntersectionResult(src=src, dst=dst, pairs=pairs,
                                 shallow_seconds=t1 - t0,
                                 complete_seconds=max(per_shard, default=0.0),
-                                candidate_pairs=len(candidates))
+                                candidate_pairs=num_candidates)
     return result, per_shard

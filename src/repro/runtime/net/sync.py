@@ -694,10 +694,14 @@ class NetCommContext:
         self.failed.set()
 
     # -- producer hook (shard thread) --------------------------------------
+    def is_local(self, stmt, j: int, ns: int) -> bool:
+        """Whether destination color ``j`` of ``stmt`` lives on this rank."""
+        return owner_of_color(stmt.dst.num_colors, ns, j) == self.rank
+
     def pair_copy(self, stmt, i: int, j: int, state, rec, ns: int) -> bool:
         """Intercept one producer-side pair copy; returns False for local
         pairs (the in-memory path handles them)."""
-        if owner_of_color(stmt.dst.num_colors, ns, j) == self.rank:
+        if self.is_local(stmt, j, ns):
             return False
         state.pair_visits += 1
         cid = self._chan_ids[(stmt.uid, (i, j))]
@@ -721,7 +725,7 @@ class NetCommContext:
 
     def _build_send(self, stmt, i: int, j: int, cid: int) -> NetSendCopy:
         ex = self.ex
-        pts = self.pair_pts(stmt, i, j)
+        pts = ex._pair_points(stmt, i, j)
         src_inst = ex.dist_instance(stmt.src, i)
         src_ix = _as_index(src_inst.localize(pts))
         srcs = tuple(src_inst.fields[f] for f in stmt.fields)
@@ -739,15 +743,9 @@ class NetCommContext:
         return sc.tx if sc is not None else _TxState()
 
     # -- receive-side plans (shard thread) ---------------------------------
-    def pair_pts(self, stmt, i: int, j: int):
-        ex = self.ex
-        if stmt.pairs_name is not None:
-            return ex.pair_sets[stmt.pairs_name].pairs[(i, j)]
-        return stmt.src.subset(i) & stmt.dst.subset(j)
-
     def rx_plan(self, stmt, pair):
         i, j = pair
-        pts = self.pair_pts(stmt, i, j)
+        pts = self.ex._pair_points(stmt, i, j)
         dst_inst = self.ex.dist_instance(stmt.dst, j)
         dst_ix = _as_index(dst_inst.localize(pts))
         arrs = tuple(dst_inst.fields[f] for f in stmt.fields)
@@ -765,7 +763,7 @@ class NetCommContext:
             for pair in members:
                 chan = self._rx_by_pair[(uid, pair)]
                 arrs, dst_ix, ufunc = chan.plan()
-                cnt = int(self.pair_pts(stmt, pair[0], pair[1]).count)
+                cnt = int(self.ex._pair_points(stmt, *pair).count)
                 plan.append((arrs, dst_ix, slice(off, off + cnt), ufunc))
                 off += cnt
             self._unpack_plans[key] = plan

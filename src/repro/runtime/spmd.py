@@ -40,6 +40,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Iterator
 
 from ..core.ir import (
@@ -165,10 +166,11 @@ class _ShardState:
     # agree; validated after the launch like scalar state.
     capture_points: dict[int, int] = field(default_factory=dict)
     loop_replays: dict[int, LoopReplay] = field(default_factory=dict)
-    # (copy stmt uid, i, j) -> the pair's lowered PairCopy.  Instances,
-    # points and lock do not change within a run, so the second captured
-    # iteration reuses what the first one lowered; dropped at the freeze.
-    pair_copies: dict[tuple[int, int, int], PairCopy] = field(
+    # copy stmt uid -> {(i, j): the pair's lowered PairCopy}, filled for
+    # all of the shard's pairs the first time the statement is captured.
+    # Instances, points and locks do not change within a run, so the
+    # second captured iteration reuses the lot; dropped at the freeze.
+    pair_copies: dict[int, dict[tuple[int, int], PairCopy]] = field(
         default_factory=dict)
     # Window compiler (repro.runtime.window): raw ops recorded per frozen
     # window, ops left after lowering, closures in compiled windows, and
@@ -650,16 +652,9 @@ class SPMDExecutor(SequentialExecutor):
         key = (stmt.uid, ns)
         cached = self._disjoint_cache.get(key)
         if cached is None:
-            if stmt.pairs_name is not None:
-                pairs_of = self.pair_sets[stmt.pairs_name].pairs
-
-                def pts_of(i, j):
-                    return pairs_of[(i, j)]
-            else:
-                def pts_of(i, j):
-                    return stmt.src.subset(i) & stmt.dst.subset(j)
-            cached = disjoint_dst_colors(self._copy_pairs(stmt), pts_of,
-                                         stmt.src.num_colors, ns)
+            cached = disjoint_dst_colors(
+                self._copy_pairs(stmt), partial(self._pair_points, stmt),
+                stmt.src.num_colors, ns)
             self._disjoint_cache[key] = cached
         return cached
 
@@ -1094,6 +1089,8 @@ class SPMDExecutor(SequentialExecutor):
         else:
             my_pairs = [(i, j) for (i, j) in pairs
                         if owner_of_color(src_n, ns, i) == me]
+        if rec is not None and stmt.uid not in state.pair_copies:
+            state.pair_copies[stmt.uid] = self._lower_pairs(stmt, my_pairs, ns)
         for (i, j) in my_pairs:
             if sync == "p2p":
                 # WAR: wait for the consumer to have arrived at epoch g
@@ -1139,35 +1136,50 @@ class SPMDExecutor(SequentialExecutor):
         if rec is not None:
             rec.copy_end()
 
+    def _pair_points(self, stmt: PairwiseCopy, i: int, j: int):
+        if stmt.pairs_name is not None:
+            return self.pair_sets[stmt.pairs_name].pairs[(i, j)]
+        return stmt.src.subset(i) & stmt.dst.subset(j)
+
+    def _lower_pairs(self, stmt: PairwiseCopy, pairs, ns: int):
+        """Lower, in one batch, every in-memory pair copy of ``stmt`` this
+        shard produces; the capture iteration itself then runs the lowered
+        copies, so the frozen form is exercised (and its localization
+        validated) before any replay."""
+        net = self._net
+        todo = {}
+        for (i, j) in pairs:
+            if net is not None and not net.is_local(stmt, j, ns):
+                continue  # cross-rank pair, lowered to a framed send
+            pts = self._pair_points(stmt, i, j)
+            if pts:
+                lock = (self._reduction_lock(stmt, j, ns)
+                        if stmt.redop is not None else None)
+                todo[(i, j)] = (self.dist_instance(stmt.src, i),
+                                self.dist_instance(stmt.dst, j), pts, lock)
+        return dict(zip(todo, PairCopy.build_many(
+            stmt, list(todo.values()), width=self._field_width(stmt))))
+
     def _do_pair_copy(self, stmt: PairwiseCopy, i: int, j: int,
                       state: _ShardState, rec=None, ns: int = 1) -> None:
         net = self._net
         if net is not None and net.pair_copy(stmt, i, j, state, rec, ns):
             return  # cross-rank pair, lowered to a framed send
         state.pair_visits += 1
-        if stmt.pairs_name is not None:
-            pts = self.pair_sets[stmt.pairs_name].pairs[(i, j)]
-        else:
-            pts = stmt.src.subset(i) & stmt.dst.subset(j)
+        pts = self._pair_points(stmt, i, j)
         if not pts:
             if rec is not None:
                 rec.visit(stmt.uid, i, j)
             return
-        dst_inst = self.dist_instance(stmt.dst, j)
-        src_inst = self.dist_instance(stmt.src, i)
         lock = (self._reduction_lock(stmt, j, ns)
                 if stmt.redop is not None else None)
         pc = None
         if rec is not None:
-            # Lower once against resolved instances; the capture iteration
-            # itself runs the lowered copy, so the frozen form is exercised
-            # (and its localization validated) before any replay.
-            pc = state.pair_copies.get((stmt.uid, i, j))
-            if pc is None:
-                pc = state.pair_copies[(stmt.uid, i, j)] = PairCopy.build(
-                    stmt, src_inst, dst_inst, pts, lock=lock,
-                    width=self._field_width(stmt))
+            pc = state.pair_copies[stmt.uid][(i, j)]
             rec.copy(stmt.uid, i, j, pc)
+        else:
+            dst_inst = self.dist_instance(stmt.dst, j)
+            src_inst = self.dist_instance(stmt.src, i)
         t0 = time.perf_counter()
         with self.tracer.span(f"copy:{stmt.src.name}->{stmt.dst.name}",
                               cat="copy", pid=PID_SPMD, tid=state.shard,

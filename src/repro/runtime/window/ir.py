@@ -22,7 +22,12 @@ from typing import Any, Iterator
 import numpy as np
 
 from ...core.ir import Expr, IndexLaunch, evaluate
-from ...regions.region import _REDUCTION_UFUNCS, apply_reduction
+from ...regions.intervals import expand_ranges, stack_intervals
+from ...regions.region import (
+    _REDUCTION_UFUNCS,
+    apply_reduction,
+    localize_stacked,
+)
 from ...tasks.privileges import PrivilegeError
 from ...tasks.views import RegionView
 from ..collectives import SCALAR_REDUCTIONS
@@ -100,11 +105,23 @@ def _as_index(slots: np.ndarray):
     return slots
 
 
+def _pair_indices(insts, pair: np.ndarray, ivals: np.ndarray, spans) -> list:
+    """Per pair ``p``, the local index of its points in ``insts[p]``; row
+    ``k`` of ``ivals`` belongs to pair ``pair[k]``, whose slots are
+    ``spans[pair[k]]`` of the stacked slot array."""
+    distinct = {id(x): x for x in insts}
+    position = {key: n for n, key in enumerate(distinct)}
+    which = np.array([position[id(x)] for x in insts])
+    slots = expand_ranges(*localize_stacked(
+        list(distinct.values()), which[pair], ivals))
+    return [_as_index(slots[s:e]) for s, e in spans]
+
+
 class PairCopy:
     """One pairwise copy lowered to cached index arrays / slice tuples.
 
-    ``localize`` (two searchsorted passes over materialized point arrays)
-    runs once at capture; every replay is a plain numpy fancy-indexed
+    Localization (interval by interval, for all of a copy statement's pairs
+    at once) runs once at capture; every replay is a plain numpy fancy-indexed
     assignment — or ``ufunc.at`` under the pair's reduction lock for
     reduction copies — between the pre-resolved instance buffers.  The
     lock is resolved at build time from the executor's per-destination
@@ -131,18 +148,39 @@ class PairCopy:
     @classmethod
     def build(cls, stmt, src_inst, dst_inst, pts, lock=None,
               width=None) -> "PairCopy":
-        points = pts.to_indices()
-        src_ix = _as_index(src_inst.localize(points))
-        dst_ix = _as_index(dst_inst.localize(points))
-        arrays = tuple((dst_inst.fields[f], src_inst.fields[f])
-                       for f in stmt.fields)
-        count = int(pts.count)
+        return cls.build_many(stmt, [(src_inst, dst_inst, pts, lock)],
+                              width)[0]
+
+    @classmethod
+    def build_many(cls, stmt, pairs, width=None) -> list["PairCopy"]:
+        """Lower all of a copy statement's pairs in one call.
+
+        ``pairs`` is a sequence of ``(src_inst, dst_inst, pts, lock)`` with
+        non-empty ``pts``.  Both sides of every pair are localized together
+        (:func:`~repro.regions.region.localize_stacked`), interval by
+        interval; no point array is materialized.
+        """
+        if not pairs:
+            return []
+        srcs, dsts, sets, locks = zip(*pairs)
+        ivals, pair = stack_intervals(sets)
+        # Where each pair's slots begin and end in the stacked slot arrays.
+        ends = np.cumsum([pts.count for pts in sets]).tolist()
+        spans = list(zip([0] + ends[:-1], ends))
+        src_ixs = _pair_indices(srcs, pair, ivals, spans)
+        dst_ixs = _pair_indices(dsts, pair, ivals, spans)
         if width is None:
-            width = sum(dst_inst.fields[f].dtype.itemsize
-                        for f in stmt.fields)
+            width = sum(dsts[0].fields[f].dtype.itemsize for f in stmt.fields)
         ufunc = None if stmt.redop is None else _REDUCTION_UFUNCS[stmt.redop]
-        return cls(arrays, src_ix, dst_ix, ufunc, count, count * width,
-                   uid=stmt.uid, group_key=id(dst_inst), lock=lock)
+        out = []
+        for src_inst, dst_inst, pts, lock, src_ix, dst_ix in zip(
+                srcs, dsts, sets, locks, src_ixs, dst_ixs):
+            arrays = tuple((dst_inst.fields[f], src_inst.fields[f])
+                           for f in stmt.fields)
+            out.append(cls(arrays, src_ix, dst_ix, ufunc, pts.count,
+                           pts.count * width, uid=stmt.uid,
+                           group_key=id(dst_inst), lock=lock))
+        return out
 
     def apply(self) -> None:
         src_ix, dst_ix = self.src_ix, self.dst_ix

@@ -1,9 +1,10 @@
-"""Static augmented interval tree for shallow intersection queries.
+"""Static augmented interval tree: the oracle for the overlap join.
 
 Paper §3.3: shallow intersections determine *which* pairs of subregions
-overlap without computing the overlap extent.  For unstructured regions an
-interval tree makes this ``O(N log N)`` instead of the naive all-pairs
-``O(N^2)``.
+overlap without computing the overlap extent.  This recursive tree with a
+Python-stack query answered that in ``src/`` until the array-at-a-time join
+of :mod:`repro.regions.interval_join` replaced it; it is kept here, as it
+was, so the tests can hold the join to the same answers.
 
 The tree here is the classic array-based construction: intervals sorted by
 start form an implicit balanced BST; each node is augmented with the
@@ -17,9 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .intervals import IntervalSet
+from repro.regions import IntervalSet
 
-__all__ = ["IntervalTree", "shallow_intersection_pairs"]
+__all__ = ["IntervalTree", "tree_intersection_pairs"]
 
 
 class IntervalTree:
@@ -97,8 +98,8 @@ class IntervalTree:
         return np.unique(np.concatenate(hits)) if hits else np.empty(0, dtype=np.int64)
 
 
-def shallow_intersection_pairs(a_sets: Sequence[IntervalSet],
-                               b_sets: Sequence[IntervalSet]) -> list[tuple[int, int]]:
+def tree_intersection_pairs(a_sets: Sequence[IntervalSet],
+                            b_sets: Sequence[IntervalSet]) -> list[tuple[int, int]]:
     """All pairs ``(i, j)`` with ``a_sets[i] ∩ b_sets[j] != ∅``.
 
     Builds an interval tree over the smaller side and queries with the

@@ -47,13 +47,20 @@ def _run(steps: int, tracer=None):
 
 
 def _per_iteration_seconds() -> float:
-    """Steady-state slope, nulls in place (the production default)."""
-    best = float("inf")
-    for _ in range(3):
-        lo, _ = _run(STEPS_LO)
-        hi, _ = _run(STEPS_HI)
-        best = min(best, (hi - lo) / (STEPS_HI - STEPS_LO))
-    return max(best, 1e-9)
+    """Steady-state slope, nulls in place (the production default).
+
+    Noise only ever adds to a run, so the fastest of a few runs is the
+    estimate of each length, and the slope is taken between the two
+    estimates — not the least of several noisy differences, which picks
+    the most negative noise.
+    """
+    runs = [(_run(STEPS_LO)[0], _run(STEPS_HI)[0]) for _ in range(5)]
+    lo, hi = (min(times) for times in zip(*runs))
+    slope = (hi - lo) / (STEPS_HI - STEPS_LO)
+    assert slope > 0, (
+        f"{STEPS_HI} steps ran no slower than {STEPS_LO} "
+        f"({hi * 1e3:.2f} ms vs {lo * 1e3:.2f} ms): no slope to budget against")
+    return slope
 
 
 def _touches_per_iteration() -> float:

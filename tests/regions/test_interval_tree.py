@@ -1,11 +1,13 @@
-"""Tests for the interval tree and shallow intersection pairs."""
+"""Tests for shallow intersection pairs and their interval-tree oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.regions import IntervalSet, IntervalTree, shallow_intersection_pairs
+from repro.regions import IntervalSet, shallow_intersection_pairs
+
+from tests.interval_tree_oracle import IntervalTree
 
 
 def brute_pairs(a_sets, b_sets):

@@ -122,6 +122,14 @@ class TestAlgebra:
 
 
 points = st.lists(st.integers(min_value=0, max_value=200), max_size=40)
+# (start, length) runs, possibly overlapping one another.
+runs = st.lists(st.tuples(st.integers(0, 300), st.integers(1, 100)), max_size=8)
+
+
+def as_set(run_list):
+    """The IntervalSet of some runs and the same points as a Python set."""
+    pts = set().union(*(range(s, s + n) for s, n in run_list))
+    return IntervalSet([(s, s + n) for s, n in run_list]), pts
 
 
 class TestProperties:
@@ -145,6 +153,52 @@ class TestProperties:
         sa, sb = IntervalSet.from_indices(a), IntervalSet.from_indices(b)
         assert sa.intersects(sb) == bool(set(a) & set(b))
         assert sa.intersection_count(sb) == len(set(a) & set(b))
+        assert sa.isdisjoint(sb) == set(a).isdisjoint(b)
+        assert sa.issubset(sb) == set(a).issubset(b)
+        assert (sa | sb).issubset(sb) == set(a).issubset(b)
+
+    @given(runs, runs)
+    def test_algebra_on_long_intervals(self, a, b):
+        # Few long runs instead of many short ones: one interval of either
+        # side can span several of the other's.
+        (sa, pa), (sb, pb) = as_set(a), as_set(b)
+        assert (sa & sb).to_indices().tolist() == sorted(pa & pb)
+        assert (sa - sb).to_indices().tolist() == sorted(pa - pb)
+        assert sa.intersection_count(sb) == len(pa & pb)
+        assert sa.issubset(sb) == pa.issubset(pb)
+        assert sa.isdisjoint(sb) == pa.isdisjoint(pb)
+        for s in (sa & sb, sa - sb):
+            iv = s.intervals  # still normal: sorted, non-empty, non-adjacent
+            assert (iv[:, 0] < iv[:, 1]).all() and (iv[:-1, 1] < iv[1:, 0]).all()
+
+    @given(runs, st.lists(st.integers(-10, 420), max_size=30))
+    def test_below_is_the_rank_function(self, a, xs):
+        s, pts = as_set(a)
+        want = [sum(1 for p in pts if p < x) for x in xs]
+        assert s.below(np.array(xs, dtype=np.int64)).tolist() == want
+        assert s.below(s.to_indices()).tolist() == list(range(s.count))
+
+    @given(st.lists(points, max_size=8))
+    def test_union_all_matches_sets(self, lists):
+        got = IntervalSet.union_all([IntervalSet.from_indices(l) for l in lists])
+        assert got.to_indices().tolist() == sorted(set().union(*lists))
+        chained = IntervalSet.empty()
+        for l in lists:
+            chained = chained | IntervalSet.from_indices(l)
+        assert got == chained
+
+    @given(st.lists(st.integers(0, 60), max_size=80),
+           st.sampled_from([1, 3, 40, 10_000]), st.booleans())
+    def test_from_indices_paths_agree(self, raw, stride, presorted):
+        # stride 1/3 -> dense input (byte-mask path), 40/10000 -> sparse
+        # (sort path); raw repeats values and is unsorted unless presorted.
+        idx = np.array(sorted(raw) if presorted else raw, dtype=np.int64) * stride
+        got = IntervalSet.from_indices(idx)
+        uniq = np.unique(idx)
+        assert got.to_indices().tolist() == uniq.tolist()
+        assert got.count == uniq.size
+        assert got == IntervalSet([(p, p + 1) for p in uniq.tolist()])
+        assert got == IntervalSet.from_indices(idx.tolist())
 
     @given(points)
     def test_normalization_invariants(self, a):

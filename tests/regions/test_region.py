@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.regions import (
     FieldSpace,
@@ -16,6 +18,8 @@ from repro.regions import (
     reduction_identity,
     region,
 )
+from repro.regions.intervals import stack_intervals
+from repro.regions.region import localize_stacked
 
 
 @pytest.fixture
@@ -102,6 +106,52 @@ class TestPhysicalInstance:
         assert inst.localize(np.array([4, 7])).tolist() == [0, 3]
         with pytest.raises(IndexError):
             inst.localize(np.array([0]))
+
+    @given(st.lists(st.integers(0, 120), min_size=1, max_size=60), st.data())
+    @settings(deadline=None)
+    def test_interval_localize_matches_pointwise(self, held, data):
+        # The interval-native path (ranks of interval ends) against the
+        # point-wise one (searchsorted over the materialized points).
+        big = region(ispace(size=128), {"a": np.float64})
+        inst = PhysicalInstance(big, IntervalSet.from_indices(held))
+        sub = IntervalSet.from_indices(data.draw(st.lists(st.sampled_from(held))))
+        want = inst.localize(sub.to_indices())
+        got = inst.localize(sub)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert inst.points[got].tolist() == sub.to_indices().tolist()
+        # One uncovered point anywhere — inside a gap, below or above the
+        # instance — fails both paths alike.
+        stray = data.draw(st.integers(-3, 125).filter(lambda p: p not in held))
+        for pts in (sub | IntervalSet.from_range(stray, stray + 1),
+                    IntervalSet.from_range(min(held), max(max(held), stray) + 1)):
+            if not pts.issubset(inst.index_set):
+                with pytest.raises(IndexError, match="points not covered"):
+                    inst.localize(pts.to_indices())
+                with pytest.raises(IndexError, match="points not covered"):
+                    inst.localize(pts)
+
+    @given(st.lists(st.lists(st.integers(-40, 90), min_size=1, max_size=25),
+                    min_size=1, max_size=6), st.data())
+    @settings(deadline=None)
+    def test_localize_stacked_matches_one_by_one(self, helds, data):
+        big = region(ispace(size=128), {"a": np.float64})
+        insts = [PhysicalInstance(big, IntervalSet.from_indices(h)) for h in helds]
+        which = data.draw(st.lists(st.integers(0, len(insts) - 1), max_size=12))
+        subs = [IntervalSet.from_indices(data.draw(st.lists(
+            st.sampled_from(helds[w]), min_size=1))) for w in which]
+        ivals, row = stack_intervals(subs)
+        first, lengths = localize_stacked(insts, np.array(which, np.int64)[row], ivals)
+        want = [insts[w].localize_runs(s.intervals) for w, s in zip(which, subs)]
+        assert first.tolist() == [x for f, _ in want for x in f.tolist()]
+        assert lengths.tolist() == [x for _, n in want for x in n.tolist()]
+        # A row asked of the wrong instance must not be found in a
+        # neighbour's keys.
+        if len(insts) > 1 and subs:
+            w = (which[0] + 1) % len(insts)
+            if not subs[0].issubset(insts[w].index_set):
+                with pytest.raises(IndexError, match="points not covered"):
+                    localize_stacked(insts, np.full(subs[0].num_intervals, w),
+                                     subs[0].intervals)
 
     def test_covers(self, simple_region):
         inst = PhysicalInstance(simple_region, IntervalSet.from_range(0, 8))

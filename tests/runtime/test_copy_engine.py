@@ -9,6 +9,7 @@ from repro.apps.pennant import PennantProblem
 from repro.apps.stencil import StencilProblem
 from repro.core import ProgramBuilder, control_replicate
 from repro.regions import (
+    IntervalSet,
     PhysicalInstance,
     ispace,
     partition_block,
@@ -210,15 +211,19 @@ class TestFusedCopyBuild:
         assert np.array_equal(dst_fused, dst_seq)
 
 
+def iset(*idx):
+    return IntervalSet.from_indices(list(idx))
+
+
 class TestDisjointDstColors:
     def test_distinct_owners_disjoint_points(self):
-        pts = {(0, 0): {0, 1}, (1, 0): {2, 3}}
+        pts = {(0, 0): iset(0, 1), (1, 0): iset(2, 3)}
         out = disjoint_dst_colors(list(pts), lambda i, j: pts[(i, j)],
                                   src_num_colors=2, num_shards=2)
         assert out == frozenset({0})
 
     def test_overlapping_owners_excluded(self):
-        pts = {(0, 0): {0, 1}, (1, 0): {1, 2}}
+        pts = {(0, 0): iset(0, 1), (1, 0): iset(1, 2)}
         out = disjoint_dst_colors(list(pts), lambda i, j: pts[(i, j)],
                                   src_num_colors=2, num_shards=2)
         assert out == frozenset()
@@ -226,13 +231,13 @@ class TestDisjointDstColors:
     def test_single_owner_always_disjoint(self):
         # Both producer colors land on shard 0: no cross-shard contention
         # even though the point sets overlap.
-        pts = {(0, 0): {0, 1}, (1, 0): {1, 2}}
+        pts = {(0, 0): iset(0, 1), (1, 0): iset(1, 2)}
         out = disjoint_dst_colors(list(pts), lambda i, j: pts[(i, j)],
                                   src_num_colors=2, num_shards=1)
         assert out == frozenset({0})
 
     def test_empty_pairs_ignored(self):
-        pts = {(0, 0): {0}, (1, 0): set()}
+        pts = {(0, 0): iset(0), (1, 0): iset()}
         out = disjoint_dst_colors(list(pts), lambda i, j: pts[(i, j)],
                                   src_num_colors=2, num_shards=2)
         assert out == frozenset({0})

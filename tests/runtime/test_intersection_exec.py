@@ -1,15 +1,28 @@
 """Tests for runtime intersection evaluation (paper §3.3)."""
 
-import numpy as np
+from collections import Counter
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.apps.circuit import CircuitProblem
 from repro.regions import (
+    IntervalSet,
+    Partition,
     ispace,
     partition_block,
     partition_blocks_nd,
     partition_by_image,
+    partition_from_subsets,
     region,
+    shallow_intersection_pairs,
 )
-from repro.runtime import compute_intersections
+from repro.runtime import compute_intersections, compute_intersections_sharded
+from repro.runtime import spmd
+
+from tests.interval_tree_oracle import tree_intersection_pairs
 
 
 def brute(src, dst):
@@ -99,3 +112,137 @@ class TestShardedComplete:
         sharded, per_shard = compute_intersections_sharded(p, q, 1)
         assert len(per_shard) == 1
         assert sharded.pairs == compute_intersections(p, q).pairs
+
+
+# Subsets as lists of points below 160 (several short runs each) ...
+subsets = st.lists(st.lists(st.integers(0, 159), max_size=14),
+                   min_size=1, max_size=7)
+
+
+@st.composite
+def aliased_sides(draw):
+    """Two families of subsets of one 160-point space, aliased within and
+    across sides, one of them holding a run that spans most of the space
+    (the case that made a prefix-max pruned scan quadratic)."""
+    a, b = draw(subsets), draw(subsets)
+    side, k = draw(st.sampled_from((a, b))), draw(st.integers(0, 6))
+    lo, hi = draw(st.integers(0, 30)), draw(st.integers(120, 160))
+    side[k % len(side)] = side[k % len(side)] + list(range(lo, hi))
+    return a, b
+
+
+def check_against_brute_force(src, dst, shards):
+    want = brute(src, dst)
+    res = compute_intersections(src, dst)
+    assert res.pairs == want
+    assert res.nonempty_pairs() == sorted(want)
+    assert res.candidate_pairs >= len(want)
+    sharded, per_shard = compute_intersections_sharded(src, dst, shards)
+    assert sharded.pairs == want
+    assert sharded.candidate_pairs == res.candidate_pairs
+    assert len(per_shard) == shards
+    return res
+
+
+class TestAgainstBruteForce:
+    @given(aliased_sides(), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_unstructured(self, sides, shards):
+        R = region(ispace(size=160), {"v": np.float64})
+        src, dst = (partition_from_subsets(
+            R, [IntervalSet.from_indices(l) for l in side], disjoint=False)
+            for side in sides)
+        res = check_against_brute_force(src, dst, shards)
+        # Unstructured shallow pairs are exact, and agree with the tree.
+        sets = [[p.subset(c) for c in p.colors] for p in (src, dst)]
+        assert shallow_intersection_pairs(*sets) == sorted(res.pairs)
+        assert shallow_intersection_pairs(*sets) == tree_intersection_pairs(*sets)
+
+    @given(st.sampled_from([(4, 4), (5, 7), (3, 4, 5), (2, 3, 2, 3)]),
+           st.data(), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_structured(self, shape, data, shards):
+        # Arbitrary linearized runs, most of which cross a row boundary:
+        # their bounding boxes must still contain them.
+        size = int(np.prod(shape))
+        runs = st.lists(st.tuples(st.integers(0, size - 1), st.integers(1, 9)),
+                        max_size=3)
+        A = region(ispace(shape=shape), {"v": np.float64})
+        src, dst = (partition_from_subsets(
+            A, [IntervalSet([(s, min(s + n, size)) for s, n in runs_])
+                for runs_ in data.draw(st.lists(runs, min_size=1, max_size=5))],
+            disjoint=False) for _ in range(2))
+        check_against_brute_force(src, dst, shards)
+
+    def test_interval_crossing_a_row_boundary(self):
+        # {2..5} on a 4x4 grid holds (0, 2), (0, 3), (1, 0), (1, 1); the box
+        # of its two end points alone, [0, 2) x [1, 3), misses both 3 and 4.
+        A = region(ispace(shape=(4, 4)), {"v": np.float64})
+        src = partition_from_subsets(
+            A, [IntervalSet.from_range(2, 6), IntervalSet.from_range(8, 10)],
+            disjoint=True)
+        dst = partition_from_subsets(
+            A, [IntervalSet.from_range(4, 5), IntervalSet.from_range(3, 4)],
+            disjoint=True)
+        res = compute_intersections(src, dst)
+        assert res.nonempty_pairs() == [(0, 0), (0, 1)]
+        assert res.pairs == brute(src, dst)
+
+
+class TestSetupCost:
+    """Deterministic stand-ins for set-up timing bounds (counts, no clock)."""
+
+    @pytest.mark.parametrize("pieces", [24, 96])
+    def test_unstructured_complete_pass_is_one_join(self, pieces, monkeypatch):
+        # The per-pair `&` was 4 333 calls on the 96-piece circuit; the join
+        # computes every pair's exact set without one.
+        calls = Counter()
+        compute = spmd.compute_intersections
+        intersection = IntervalSet.intersection
+
+        def counted_compute(src, dst):
+            assert src.parent.ispace.shape is None
+            calls["inside"] += 1
+            try:
+                return compute(src, dst)
+            finally:
+                calls["inside"] -= 1
+                calls["pair_sets"] += 1
+
+        def counted_intersection(self, other):
+            calls["intersections"] += calls["inside"]
+            return intersection(self, other)
+
+        monkeypatch.setattr(spmd, "compute_intersections", counted_compute)
+        monkeypatch.setattr(IntervalSet, "intersection", counted_intersection)
+        p = CircuitProblem(pieces=pieces, nodes_per_piece=20,
+                           wires_per_piece=30, steps=2)
+        p.run_control_replicated(2)
+        assert calls["pair_sets"] == 5
+        assert calls["intersections"] == 0
+
+    @pytest.mark.parametrize("pieces", [24, 96])
+    def test_partition_containment_is_one_evaluation(self, pieces, monkeypatch):
+        # Partition.__init__ asked `issubset` of every subset (866 calls, a
+        # Python step per interval each); now one rank query per partition.
+        calls = Counter()
+        init = Partition.__init__
+
+        def counted_init(self, *args, **kw):
+            calls["inside"] += 1
+            try:
+                init(self, *args, **kw)
+            finally:
+                calls["inside"] -= 1
+                calls["partitions"] += 1
+
+        monkeypatch.setattr(Partition, "__init__", counted_init)
+        for name in ("below", "contains_points", "intersection_count",
+                     "intersection"):
+            def counted(self, *args, _query=getattr(IntervalSet, name), **kw):
+                calls["queries"] += calls["inside"]
+                return _query(self, *args, **kw)
+            monkeypatch.setattr(IntervalSet, name, counted)
+        CircuitProblem(pieces=pieces, nodes_per_piece=20, wires_per_piece=30)
+        assert calls["partitions"] == 8  # PW, PN, QN and the §4.5 five
+        assert calls["queries"] == calls["partitions"]

@@ -6,13 +6,15 @@ JIT on/off, constant folding of stable scalars (and its refusal to
 freeze evolving ones), invalidation when a guard-fallback iteration
 rewrites a folded scalar, the batched advance path, the one-sweep
 fission pass against its pairwise-swap oracle, the cost of a freeze
-(footprint derivations, pair-copy lowerings, finished-run lifetime), and
+(footprint derivations, batched pair-copy lowering against the per-pair
+one, finished-run lifetime), and
 the observability surface (``spmd_window_*`` metrics, ``replay:jit``
 spans, pass dumps).
 """
 
 import gc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,9 +24,15 @@ from repro.apps.miniaero import MiniAeroProblem
 from repro.apps.pennant import PennantProblem
 from repro.apps.stencil import StencilProblem
 from repro.core import ProgramBuilder, control_replicate
-from repro.core.ir import BinOp, Const, ScalarRef
+from repro.core.ir import BinOp, Const, PairwiseCopy, ScalarRef, walk
 from repro.obs import MetricsRegistry, Tracer
-from repro.regions import ispace, partition_block, region
+from repro.regions import (
+    IntervalSet,
+    PhysicalInstance,
+    ispace,
+    partition_block,
+    region,
+)
 from repro.tasks import R, task
 from repro.runtime import (
     ReplayError,
@@ -35,7 +43,7 @@ from repro.runtime import (
 from repro.runtime.events import Sequence, advance_group
 from repro.runtime.window import exec as window_exec
 from repro.runtime.window import schedule
-from repro.runtime.window.ir import PairCopy, WindowIR, op_arrays
+from repro.runtime.window.ir import PairCopy, WindowIR, _as_index, op_arrays
 from repro.runtime.window.recorder import (
     OP_ADV,
     OP_ADVN,
@@ -505,31 +513,96 @@ class TestFreezeCost:
         assert 0 < len(calls) <= 2 * ex.window_ops_lowered
 
     def test_pair_copies_lowered_once_per_run(self, monkeypatch):
-        built = []
-        build = PairCopy.build.__func__
+        batches, lowered = [], []
+        pointwise = Counter()  # per-pair work done inside a batch
+        build_many = PairCopy.build_many.__func__
 
-        def counting(cls, stmt, src_inst, dst_inst, pts, **kw):
-            built.append((stmt.uid, id(src_inst), id(dst_inst)))
-            return build(cls, stmt, src_inst, dst_inst, pts, **kw)
+        def counting(cls, stmt, pairs, width=None):
+            batches.append(stmt.uid)
+            lowered.extend((stmt.uid, id(src), id(dst))
+                           for src, dst, _, _ in pairs)
+            pointwise["on"] += 1
+            try:
+                return build_many(cls, stmt, pairs, width)
+            finally:
+                pointwise["on"] -= 1
 
-        monkeypatch.setattr(PairCopy, "build", classmethod(counting))
+        monkeypatch.setattr(PairCopy, "build_many", classmethod(counting))
+        for cls, name in ((IntervalSet, "to_indices"),
+                          (PhysicalInstance, "localize")):
+            def counted(self, *args, _fn=getattr(cls, name)):
+                pointwise["calls"] += pointwise["on"]
+                return _fn(self, *args)
+            monkeypatch.setattr(cls, name, counted)
         fig2 = Fig2(steps=6)
         seq = SequentialExecutor(instances=fig2.fresh_instances())
         seq.run(fig2.build())
         seq.run(fig2.build())
         prog, _ = control_replicate(fig2.build(), num_shards=2)
+        copies = sum(isinstance(s, PairwiseCopy) for s in walk(prog.body))
         ex = SPMDExecutor(num_shards=2, instances=fig2.fresh_instances())
         ex.run(prog)
         assert ex.replay_misses == 2 * 2  # two captured iterations a shard
-        first = len(built)
-        # The second captured iteration reused every pair the first lowered.
-        assert first > 0 and len(set(built)) == first
+        first = len(lowered)
+        # One batch per copy statement per shard lowered every pair once;
+        # the second captured iteration reused them all.
+        assert first > 0 and len(set(lowered)) == first
+        assert 0 < len(batches) <= copies * 2
+        assert pointwise["calls"] == 0
         # A new run re-allocates the instances, so nothing carries over.
         ex.run(prog)
-        assert len(built) == 2 * first
+        assert len(lowered) == 2 * first
         for uid in (fig2.A.uid, fig2.B.uid):
             assert np.array_equal(ex.instances[uid].fields["v"],
                                   seq.instances[uid].fields["v"])
+
+    @pytest.mark.parametrize("app", sorted(APPS))
+    def test_batched_lowering_matches_per_pair(self, app, monkeypatch):
+        # The lowering build_many replaced, pair by pair and point by point.
+        def per_pair(stmt, src_inst, dst_inst, pts, lock):
+            points = pts.to_indices()
+            width = sum(dst_inst.fields[f].dtype.itemsize for f in stmt.fields)
+            return (_as_index(src_inst.localize(points)),
+                    _as_index(dst_inst.localize(points)),
+                    int(pts.count), int(pts.count) * width, lock)
+
+        def same_index(got, want):
+            if isinstance(want, slice):
+                return type(got) is slice and got == want
+            return (type(got) is np.ndarray and got.dtype == want.dtype
+                    and np.array_equal(got, want))
+
+        checked = Counter()
+        build_many = PairCopy.build_many.__func__
+
+        def checking(cls, stmt, pairs, width=None):
+            out = build_many(cls, stmt, pairs, width)
+            assert len(out) == len(pairs)
+            for pc, (src_inst, dst_inst, pts, lock) in zip(out, pairs):
+                src_ix, dst_ix, count, nbytes, lock = per_pair(
+                    stmt, src_inst, dst_inst, pts, lock)
+                assert same_index(pc.src_ix, src_ix)
+                assert same_index(pc.dst_ix, dst_ix)
+                assert (pc.count, pc.nbytes) == (count, nbytes)
+                assert type(pc.count) is int and type(pc.nbytes) is int
+                assert pc.lock is lock and pc.uid == stmt.uid
+                assert pc.group_key == id(dst_inst)
+                assert all(d is dst_inst.fields[f] and s is src_inst.fields[f]
+                           for f, (d, s) in zip(stmt.fields, pc.arrays))
+                checked["slices" if isinstance(src_ix, slice)
+                        else "arrays"] += 1
+            if len(pairs) > 1:  # the one-pair entry point is the same code
+                one = build_many(cls, stmt, pairs[-1:], width)[0]
+                assert same_index(one.src_ix, out[-1].src_ix)
+                assert same_index(one.dst_ix, out[-1].dst_ix)
+            return out
+
+        monkeypatch.setattr(PairCopy, "build_many", classmethod(checking))
+        # Threaded, so that reduction pairs carry real locks.
+        APPS[app]().run_control_replicated(2, mode="threaded")
+        assert checked["slices"] + checked["arrays"] > 0
+        if app in ("circuit", "pennant"):
+            assert checked["arrays"] > 0  # unstructured: gathers, not slices
 
     @pytest.mark.parametrize("mode", ["stepped", "threaded"])
     def test_finished_run_frees_its_windows_without_gc(self, mode,
