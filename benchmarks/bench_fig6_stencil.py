@@ -4,24 +4,12 @@ Paper result: Regent with CR reaches 99% parallel efficiency at 1024
 nodes at ~1.4-1.5 G points/s/node; without CR throughput collapses once
 the control thread saturates; the PRK MPI and MPI+OpenMP references scale
 nearly flat (and only run on square node counts).
-
-This module also measures the steady-state trace replay of the real
-executor (``--replay auto`` vs ``off``) on the stencil time loop: the
-per-iteration cost once the loop's schedule is frozen must beat
-interpretation, which is the point of ``repro.runtime.replay``.
 """
 
-import os
-import time
-
-import pytest
-from conftest import record_bench, run_once
+from conftest import run_once
 
 from repro.analysis import run_figure
-from repro.apps.stencil import StencilProblem
 from repro.apps.stencil.perf import figure6_spec
-from repro.core import control_replicate
-from repro.runtime import SPMDExecutor
 
 
 # Wall time of this sweep on the pre-vectorization event-heap simulator,
@@ -52,69 +40,3 @@ def test_figure6_weak_scaling(benchmark, machine):
     assert mpi > 0.9
     assert data.efficiency("Regent (w/o CR)", 16) > 0.9  # fine at small scale
 
-
-# -- steady-state trace replay ------------------------------------------------
-
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
-
-
-def _steady_state_seconds(mode: str, replay: str, shards: int,
-                          steps_lo: int = 4, steps_hi: int = 12) -> float:
-    """Per-iteration wall time of the stencil loop's steady state.
-
-    Timing two runs that differ only in step count and taking the slope
-    cancels everything that is not the steady-state loop body: compile,
-    instance creation, channel setup, and the first interpreted (capture)
-    iterations, which occur identically in both runs.
-    """
-    times = {}
-    for steps in (steps_lo, steps_hi):
-        p = StencilProblem(n=256, radius=2, tiles=4, steps=steps)
-        prog, _ = control_replicate(p.build_program(), num_shards=shards)
-        ex = SPMDExecutor(num_shards=shards, mode=mode, replay=replay,
-                          instances=p.fresh_instances())
-        t0 = time.perf_counter()
-        ex.run(prog)
-        times[steps] = time.perf_counter() - t0
-        if replay == "auto":
-            assert ex.replay_hits == (steps - 2) * shards
-    return (times[steps_hi] - times[steps_lo]) / (steps_hi - steps_lo)
-
-
-def test_replay_per_iteration_stepped():
-    """Informational single-core measurement (always runs): the stepped
-    driver's steady-state per-iteration time, replay vs interpretation."""
-    interp = min(_steady_state_seconds("stepped", "off", 2) for _ in range(3))
-    replay = min(_steady_state_seconds("stepped", "auto", 2) for _ in range(3))
-    speedup = interp / replay
-    record_bench("fig6_stencil", op="steady_state_iteration", shards=2,
-                 backend="stepped", seconds_per_iteration=replay,
-                 interpreted_seconds_per_iteration=interp,
-                 replay_speedup=speedup)
-    print(f"\nstepped steady-state: interp {interp * 1e3:.2f} ms/iter, "
-          f"replay {replay * 1e3:.2f} ms/iter -> {speedup:.2f}x")
-    assert replay > 0
-
-
-@pytest.mark.skipif(_usable_cpus() < 2,
-                    reason="needs >= 2 CPUs for a stable threaded measurement")
-def test_replay_steady_state_speedup_threaded():
-    """Acceptance: replayed steady-state iterations must beat interpreted
-    ones by >= 1.5x on the threaded backend."""
-    interp = min(_steady_state_seconds("threaded", "off", 2) for _ in range(3))
-    replay = min(_steady_state_seconds("threaded", "auto", 2) for _ in range(3))
-    speedup = interp / replay
-    record_bench("fig6_stencil", op="steady_state_iteration", shards=2,
-                 backend="threaded", seconds_per_iteration=replay,
-                 interpreted_seconds_per_iteration=interp,
-                 replay_speedup=speedup)
-    print(f"\nthreaded steady-state: interp {interp * 1e3:.2f} ms/iter, "
-          f"replay {replay * 1e3:.2f} ms/iter -> {speedup:.2f}x")
-    assert speedup >= 1.5, (
-        f"replay speedup {speedup:.2f}x below the 1.5x acceptance bar "
-        f"(interp {interp * 1e3:.2f} ms/iter, replay {replay * 1e3:.2f} "
-        f"ms/iter)")

@@ -51,9 +51,6 @@ class AppProblem:
     def run_control_replicated(self, num_shards: int, mode: str = "stepped",
                                seed: int = 0, sync: str = "p2p",
                                tracer=None, metrics=None,
-                               replay: str = "auto",
-                               fuse_copies: str = "auto",
-                               jit: str = "auto",
                                executor_kw: dict | None = None,
                                **compile_kw):
         from ..core.compiler import control_replicate
@@ -67,9 +64,7 @@ class AppProblem:
                                          **compile_kw)
         ex = SPMDExecutor(num_shards=num_shards, mode=mode, seed=seed,
                           instances=self.fresh_instances(), tracer=tracer,
-                          metrics=metrics, replay=replay,
-                          fuse_copies=fuse_copies, jit=jit,
-                          **(executor_kw or {}))
+                          metrics=metrics, **(executor_kw or {}))
         scalars = ex.run(prog)
         return self.extract_state(ex.instances), scalars, ex, report
 

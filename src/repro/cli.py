@@ -20,7 +20,7 @@ Commands:
 * ``bench-report`` — merge all ``benchmarks/BENCH_*.json`` files into one
   perf-trajectory table;
 * ``serve``   — run a resident compile-once/serve-many HTTP server: each
-  structurally distinct request (app, sizes, shards, backend, opt flags)
+  structurally distinct request (app, sizes, shards, backend, sync mode)
   is compiled once, and every later identical request reuses the cached
   SPMD program and frozen replay/window plans (see ``docs/serving.md``);
 * ``top``     — live terminal view of a running serve process: polls
@@ -152,23 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "threads, or OS processes over shared memory")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--sync", choices=["p2p", "barrier"], default="p2p")
-    v.add_argument("--replay", choices=["auto", "off", "force"],
-                   default="auto",
-                   help="steady-state trace capture & replay: auto freezes "
-                        "after two identical iterations, off always "
-                        "interprets, force freezes after the first")
-    v.add_argument("--fuse-copies", dest="fuse_copies", choices=["auto", "off"],
-                   default="auto",
-                   help="fused copy engine: auto fuses each copy "
-                        "statement's pair copies at trace-freeze "
-                        "time, off keeps per-pair replay")
-    v.add_argument("--jit", choices=["auto", "off", "force"],
-                   default="auto",
-                   help="whole-window JIT: auto lowers frozen iterations "
-                        "to compiled closures (falling back to "
-                        "interpretation if a pass fails verification), "
-                        "off interprets the frozen trace, force errors "
-                        "if the window cannot be compiled")
     v.add_argument("--trace", metavar="OUT.json", default=None,
                    help="write a Chrome-trace timeline of the compile + run")
     v.add_argument("--metrics", metavar="OUT.prom", default=None,
@@ -181,23 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="threaded")
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--sync", choices=["p2p", "barrier"], default="p2p")
-    r.add_argument("--replay", choices=["auto", "off", "force"],
-                   default="auto",
-                   help="steady-state trace capture & replay: auto freezes "
-                        "after two identical iterations, off always "
-                        "interprets, force freezes after the first")
-    r.add_argument("--fuse-copies", dest="fuse_copies", choices=["auto", "off"],
-                   default="auto",
-                   help="fused copy engine: auto fuses each copy "
-                        "statement's pair copies at trace-freeze "
-                        "time, off keeps per-pair replay")
-    r.add_argument("--jit", choices=["auto", "off", "force"],
-                   default="auto",
-                   help="whole-window JIT: auto lowers frozen iterations "
-                        "to compiled closures (falling back to "
-                        "interpretation if a pass fails verification), "
-                        "off interprets the frozen trace, force errors "
-                        "if the window cannot be compiled")
     r.add_argument("--no-check", action="store_true",
                    help="skip the region-state comparison against the "
                         "sequential executor")
@@ -266,12 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--shards", type=int, default=2)
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--sync", choices=["p2p", "barrier"], default="p2p")
-    pr.add_argument("--replay", choices=["auto", "off", "force"],
-                    default="auto")
-    pr.add_argument("--fuse-copies", dest="fuse_copies",
-                    choices=["auto", "off"], default="auto")
-    pr.add_argument("--jit", choices=["auto", "off", "force"],
-                    default="auto")
     pr.add_argument("--top-k", dest="top_k", type=int, default=3,
                     help="number of longest chains to extract (default 3)")
     pr.add_argument("--json", metavar="OUT.json", default=None,
@@ -344,12 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "port-base + r (default 8380)")
     lw.add_argument("--seed", type=int, default=0)
     lw.add_argument("--sync", choices=["p2p", "barrier"], default="p2p")
-    lw.add_argument("--replay", choices=["auto", "off", "force"],
-                    default="auto")
-    lw.add_argument("--fuse-copies", dest="fuse_copies",
-                    choices=["auto", "off"], default="auto")
-    lw.add_argument("--jit", choices=["auto", "off", "force"],
-                    default="auto")
 
     e = sub.add_parser("explain", help="show what one shard will do")
     add_app_args(e)
@@ -376,8 +330,7 @@ def cmd_verify(args) -> int:
     seq, seq_scalars, _ = problem.run_sequential()
     cr, cr_scalars, ex, report = problem.run_control_replicated(
         args.shards, mode=args.mode, seed=args.seed, sync=args.sync,
-        tracer=tracer, metrics=metrics, replay=args.replay,
-        fuse_copies=args.fuse_copies, jit=args.jit)
+        tracer=tracer, metrics=metrics)
     elapsed = time.perf_counter() - t0
 
     ok = True
@@ -418,8 +371,7 @@ def cmd_run(args) -> int:
         return 0
     state, _, ex, report = problem.run_control_replicated(
         args.shards, mode=args.backend, seed=args.seed, sync=args.sync,
-        tracer=tracer, metrics=metrics, replay=args.replay,
-        fuse_copies=args.fuse_copies, jit=args.jit)
+        tracer=tracer, metrics=metrics)
     elapsed = time.perf_counter() - t0
 
     ok = True
@@ -442,8 +394,6 @@ def cmd_run(args) -> int:
                     print(f"FAIL {args.backend} != sequential on {k} "
                           f"(max diff {np.abs(state[k] - seq[k]).max():.3e})")
     print(f"{args.app}: backend={args.backend} shards={args.shards} "
-          f"replay={args.replay} fuse-copies={args.fuse_copies} "
-          f"jit={args.jit} "
           f"[{ex.tasks_executed} tasks, {ex.copies_performed} copies, "
           f"{ex.bytes_copied} bytes exchanged, "
           f"{ex.replay_hits} replayed / {ex.replay_misses} interpreted "
@@ -451,8 +401,8 @@ def cmd_run(args) -> int:
           f"({ex.fused_pairs} pairs), {elapsed:.3f}s] -- {check}")
     if ex.window_compiles:
         # Per-window lowering summary: how many recorded interpreter ops
-        # the JIT saw, how many survived lowering, and how many fused
-        # closures the compiled windows actually execute per replay.
+        # the window compiler saw, how many survived lowering, and how many
+        # fused closures the compiled windows actually execute per replay.
         n = ex.window_compiles
         print(f"-- window jit: {n} window(s) compiled, "
               f"{ex.window_ops_recorded // n} ops recorded -> "
@@ -614,8 +564,7 @@ def cmd_profile(args) -> int:
     metrics = MetricsRegistry()
     _, _, ex, report = problem.run_control_replicated(
         args.shards, mode=args.backend, seed=args.seed, sync=args.sync,
-        tracer=tracer, metrics=metrics, replay=args.replay,
-        fuse_copies=args.fuse_copies, jit=args.jit)
+        tracer=tracer, metrics=metrics)
 
     prof = build_profile(tracer.events(), app=args.app, backend=args.backend,
                          num_shards=args.shards, t_seq_s=t_seq, executor=ex,
@@ -782,7 +731,6 @@ def cmd_launch_worker(args) -> int:
     t0 = time.perf_counter()
     _, _, ex, _ = problem.run_control_replicated(
         args.shards, mode="net", seed=args.seed, sync=args.sync,
-        replay=args.replay, fuse_copies=args.fuse_copies, jit=args.jit,
         executor_kw={"net_worker": (args.rank, addrs)})
     elapsed = time.perf_counter() - t0
     net = ex.net_stats.get(args.rank, {})

@@ -13,7 +13,6 @@ from .model import PIZ_DAINT, MachineModel
 from .patterns import (halo_edges_2d, halo_edges_2d_flat, halo_edges_3d,
                        halo_edges_3d_flat, random_graph_edges,
                        random_graph_edges_flat)
-from .simulator import Simulation, SimTask
 from .tracing import (UtilizationReport, analyze_simulation,
                       simulation_metrics, simulation_trace_events)
 from .vector_sim import run_vectorized
@@ -26,8 +25,6 @@ __all__ = [
     "MachineModel",
     "PIZ_DAINT",
     "PhaseSpec",
-    "SimTask",
-    "Simulation",
     "StepResult",
     "UnsupportedGraph",
     "UtilizationReport",

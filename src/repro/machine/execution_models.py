@@ -117,9 +117,8 @@ def _collective_tree(sim, machine: MachineModel,
 
     Built from explicit hop messages so its latency genuinely overlaps
     whatever else the simulator has in flight (Legion dynamic collectives
-    are asynchronous, paper §4.4/§5.3).  Scalar reference; ``sim`` may be
-    a :class:`~repro.machine.simulator.Simulation` or a
-    :class:`~repro.machine.graph.GraphBuilder` (same ``add`` signature).
+    are asynchronous, paper §4.4/§5.3).  Scalar reference, one
+    :meth:`~repro.machine.graph.GraphBuilder.add` per hop.
     """
     level = dict(leaf_uids)
     span = 1

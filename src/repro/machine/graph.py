@@ -1,20 +1,33 @@
 """Columnar (struct-of-arrays) task graphs for the machine simulator.
 
-:class:`~repro.machine.simulator.Simulation` stores one ``SimTask``
-dataclass per event, which makes building and scheduling a paper-scale
-graph (fig. 6-9: ~10^5-10^6 sim tasks per 1024-node sweep point) a
-millions-of-Python-iterations affair.  :class:`GraphBuilder` stores the
-same graph as numpy columns — ``duration`` / ``node`` / ``kind`` plus a
-CSR dependency structure with per-edge latencies — and grows it with bulk
-:meth:`add_batch` calls, so the execution models construct whole index
-launches (thousands of tasks) with a handful of array operations.
+A Realm-flavoured execution model: a simulation is a DAG of *sim tasks*,
+each bound to a resource pool of its node.  A task becomes ready when all
+its dependencies have completed (plus any per-edge latency, used for
+network transit time), and then occupies the earliest-available server
+of its pool.  List scheduling in ready order — greedy, deterministic,
+and adequate for the structural phenomena we reproduce (control-thread
+saturation, halo-exchange pipelines, collective trees).
+
+Resource kinds per node:
+
+* ``core`` — ``cores_per_node`` servers running point tasks;
+* ``ctrl`` — one server; the control thread that pays launch overhead
+  (this is the resource whose saturation kills un-replicated scaling);
+* ``nic`` — one server; serializes message injection at the sender;
+* ``none`` — no resource, pure delay.
+
+A paper-scale graph (fig. 6-9) has ~10^5-10^6 sim tasks per 1024-node
+sweep point, so :class:`GraphBuilder` stores it as numpy columns —
+``duration`` / ``node`` / ``kind`` plus a CSR dependency structure with
+per-edge latencies — and grows it with bulk :meth:`add_batch` calls: the
+execution models construct whole index launches (thousands of tasks)
+with a handful of array operations.
 
 Two engines execute a built graph, selected by :meth:`run`:
 
-* ``"event"`` — a port of the heap scheduler in
-  :mod:`repro.machine.simulator` reading the columnar arrays directly:
-  one heap pop per task, greedy ready-order list scheduling.  This is the
-  oracle semantics.
+* ``"event"`` — the heap scheduler, reading the columnar arrays
+  directly: one heap pop per task, greedy ready-order list scheduling.
+  This is the oracle semantics.
 * ``"vector"`` — the wave-based batch scheduler in
   :mod:`repro.machine.vector_sim`, which produces bit-identical
   ``start`` / ``finish`` / ``server`` assignments (asserted by the
@@ -22,9 +35,6 @@ Two engines execute a built graph, selected by :meth:`run`:
 * ``"auto"`` — ``vector`` unless the graph uses features the vectorized
   engine rejects (negative durations or edge latencies), in which case it
   falls back to ``event``.
-
-The scalar :meth:`add` API mirrors ``Simulation.add`` so existing
-call sites and tests port one-for-one.
 """
 
 from __future__ import annotations
@@ -227,7 +237,7 @@ class GraphBuilder:
 
     def add(self, duration: float, node: int, kind: str = "core",
             deps=None, label: str = "") -> int:
-        """Scalar convenience mirroring ``Simulation.add``."""
+        """Add one task; ``deps`` entries are uids or (uid, latency) pairs."""
         targets: list[int] = []
         lats: list[float] = []
         for d in deps or []:
@@ -416,22 +426,3 @@ class GraphBuilder:
         if completed != n:
             self._raise_deadlock(self.finish >= 0)
         return makespan
-
-    # -- interop ------------------------------------------------------------
-    def to_simulation(self):
-        """Materialize a classic :class:`Simulation` with identical uids.
-
-        Test-scale only (one ``SimTask`` object per task): the
-        equivalence suite uses it to run the untouched heap oracle
-        against the vectorized engine on the same graph.
-        """
-        from .simulator import Simulation
-        self.finalize()
-        sim = Simulation(self.num_nodes, self.cores_per_node)
-        for uid in range(self._n):
-            got = sim.add(float(self.duration[uid]), int(self.node[uid]),
-                          KINDS[int(self.kind[uid])],
-                          deps=self.deps_of(uid),
-                          label=self._labels[int(self.label_id[uid])])
-            assert got == uid
-        return sim

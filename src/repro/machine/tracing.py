@@ -4,10 +4,8 @@ After a simulation runs, every sim task carries its start/finish times.
 This module summarizes them: per-resource busy fractions, per-label time
 breakdowns, and a textual timeline — the evidence behind statements like
 "the control thread is saturated" or "the halo exchange is fully
-overlapped".  Both graph representations are accepted: the classic
-:class:`~repro.machine.simulator.Simulation` (one ``SimTask`` per event)
-and the columnar :class:`~repro.machine.graph.GraphBuilder`, whose
-analysis runs as array reductions.
+overlapped".  The analysis of a :class:`~repro.machine.graph.GraphBuilder`
+runs as array reductions over its columns.
 
 It also exports the completed schedule as virtual-time events on a shared
 :class:`repro.obs.Tracer`, so simulated timelines land in the same
@@ -24,7 +22,6 @@ import numpy as np
 
 from ..obs import PID_SIM_BASE, MetricsRegistry, Tracer
 from .graph import KIND_CTRL, KIND_NONE, KINDS, GraphBuilder
-from .simulator import Simulation
 
 __all__ = ["UtilizationReport", "analyze_simulation",
            "simulation_trace_events", "simulation_metrics"]
@@ -65,8 +62,8 @@ def _label_prefix(label: str) -> str:
     return label.split(":", 1)[0] if label else "task"
 
 
-def _analyze_graph(g: GraphBuilder) -> UtilizationReport:
-    """Columnar utilization analysis — one bincount per statistic."""
+def analyze_simulation(g: GraphBuilder) -> UtilizationReport:
+    """Summarize a completed simulation run — one bincount per statistic."""
     if g.finish is None or (g.num_tasks and float(g.finish.min()) < 0):
         raise ValueError("simulation has not been run")
     makespan = float(g.finish.max()) if g.num_tasks else 0.0
@@ -99,35 +96,7 @@ def _analyze_graph(g: GraphBuilder) -> UtilizationReport:
                              by_label=by_label, per_node_ctrl=per_node_ctrl)
 
 
-def analyze_simulation(sim: Simulation | GraphBuilder) -> UtilizationReport:
-    """Summarize a completed simulation run (either representation)."""
-    if isinstance(sim, GraphBuilder):
-        return _analyze_graph(sim)
-    makespan = max((t.finish for t in sim.tasks.values()), default=0.0)
-    busy: dict[str, float] = {}
-    by_label: dict[str, float] = {}
-    per_node_ctrl: dict[int, float] = {}
-    for t in sim.tasks.values():
-        if t.finish < 0:
-            raise ValueError("simulation has not been run")
-        if t.kind == "none":
-            continue
-        busy[t.kind] = busy.get(t.kind, 0.0) + t.duration
-        label = _label_prefix(t.label)
-        by_label[label] = by_label.get(label, 0.0) + t.duration
-        if t.kind == "ctrl":
-            per_node_ctrl[t.node] = per_node_ctrl.get(t.node, 0.0) + t.duration
-    capacity = {
-        "core": sim.num_nodes * sim.cores_per_node * makespan,
-        "ctrl": sim.num_nodes * makespan,
-        "nic": sim.num_nodes * makespan,
-    }
-    return UtilizationReport(makespan=makespan, busy=busy, capacity=capacity,
-                             by_label=by_label, per_node_ctrl=per_node_ctrl)
-
-
-def simulation_metrics(sim: Simulation | GraphBuilder,
-                       metrics: MetricsRegistry,
+def simulation_metrics(sim: GraphBuilder, metrics: MetricsRegistry,
                        name_prefix: str = "sim") -> None:
     """Export a completed simulation's virtual-time buckets as metrics.
 
@@ -135,9 +104,9 @@ def simulation_metrics(sim: Simulation | GraphBuilder,
     virtual-second counters (``sim_busy_seconds_total`` per resource kind,
     ``sim_virtual_seconds_total`` per label phase) rather than wall-time
     histograms; ``name_prefix`` labels the run so several simulations can
-    share a registry.  Columnar graphs additionally export the batch
-    scheduler's run statistics as ``simulation_*`` gauges (tasks, edges,
-    waves, wave sizes) labelled with the engine that executed the run.
+    share a registry.  The batch scheduler's run statistics are exported
+    next to them as ``simulation_*`` gauges (tasks, edges, waves, wave
+    sizes) labelled with the engine that executed the run.
     """
     report = analyze_simulation(sim)
     lab = {"run": name_prefix}
@@ -151,7 +120,7 @@ def simulation_metrics(sim: Simulation | GraphBuilder,
                         **lab).inc(secs)
     for node, secs in report.per_node_ctrl.items():
         metrics.gauge("sim_ctrl_busy_seconds", node=node, **lab).set(secs)
-    stats = getattr(sim, "last_run_stats", None)
+    stats = sim.last_run_stats
     if stats:
         elab = {"run": name_prefix, "engine": stats.get("engine", "event")}
         for key in ("tasks", "edges", "waves", "max_wave_tasks",
@@ -182,7 +151,7 @@ def _graph_task_rows(g: GraphBuilder):
                int(g.server[uid]))
 
 
-def simulation_trace_events(sim: Simulation | GraphBuilder, tracer: Tracer,
+def simulation_trace_events(sim: GraphBuilder, tracer: Tracer,
                             name_prefix: str = "sim") -> int:
     """Export a completed simulation as virtual-time Chrome-trace events.
 
@@ -191,25 +160,12 @@ def simulation_trace_events(sim: Simulation | GraphBuilder, tracer: Tracer,
     microseconds 1:1 scaled by 1e6, so simulated and wall-clock timelines
     are directly comparable.  Returns the number of events emitted.
     """
-    if isinstance(sim, GraphBuilder):
-        if sim.finish is None or (sim.num_tasks
-                                  and float(sim.finish.min()) < 0):
-            raise ValueError("simulation has not been run")
-        rows = _graph_task_rows(sim)
-        cores = sim.cores_per_node
-    else:
-        def _sim_rows():
-            for t in sim.tasks.values():
-                if t.finish < 0:
-                    raise ValueError("simulation has not been run")
-                if t.kind == "none":
-                    continue
-                yield (t.uid, t.label, t.start, t.duration, t.kind, t.node,
-                       t.server)
-        rows = _sim_rows()
-        cores = sim.cores_per_node
+    if sim.finish is None or (sim.num_tasks and float(sim.finish.min()) < 0):
+        raise ValueError("simulation has not been run")
+    cores = sim.cores_per_node
     emitted = 0
     named: set[int] = set()
+    rows = _graph_task_rows(sim)
     for uid, label, start, duration, kind, node, server in rows:
         pid = PID_SIM_BASE + node
         if pid not in named:

@@ -6,7 +6,7 @@ asserts identical ``start``/``finish``/``server`` for every task.
 
 Why this is exact
 -----------------
-The oracle (``Simulation.run``) pops ``(ready_time, uid)`` keys from a
+The oracle (``GraphBuilder._run_event``) pops ``(ready_time, uid)`` keys from a
 heap.  With non-negative durations and edge latencies, a task released by
 a pop can never carry a smaller key than its releaser, so the pop
 sequence is exactly the total order by final ``(ready_time, uid)`` — the

@@ -11,8 +11,7 @@ from .intersection_exec import (IntersectionResult, compute_intersections,
                                 compute_intersections_sharded)
 from .mapping import BlockMapper, Mapper
 from .procs import ProcsUnavailableError, procs_available
-from .replay import LoopReplay, ReplayError, ReplayTrace
-from .window import CompiledWindow, compile_window
+from .window import CompiledWindow, LoopReplay, ReplayError, compile_window
 from .sequential import SequentialExecutor
 from .spmd import (DeadlockError, ReplicationDivergence, SPMDExecutor,
                    ShardExceptionGroup)
@@ -39,7 +38,6 @@ __all__ = [
     "CompiledWindow",
     "LoopReplay",
     "ReplayError",
-    "ReplayTrace",
     "ReplicationDivergence",
     "SCALAR_REDUCTIONS",
     "SPMDExecutor",

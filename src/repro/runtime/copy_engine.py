@@ -1,15 +1,14 @@
 """Fused copy engine: batched gather/scatter over coalesced slice runs.
 
-The interpreter (and the unfused replay trace) issues one numpy
-fancy-indexed assignment per field per non-empty ``(i, j)`` intersection
-pair.  That is exactly the regime the paper argues against in §3.2–§3.3:
+The interpreter issues one numpy fancy-indexed assignment per field per
+non-empty ``(i, j)`` intersection pair.  That is exactly the regime the paper argues against in §3.2–§3.3:
 copy *cost* is dominated by how the intersection-restricted data movement
 is issued, not by how much data moves.  This module is the issue side of
 that argument:
 
 * **Run coalescing.**  A lowered pair's slot arrays are usually long runs
   of consecutive slots (halo rows, block boundaries) broken at tile
-  seams; ``_as_index`` in :mod:`repro.runtime.replay` only catches the
+  seams; ``_as_index`` in :mod:`repro.runtime.window.ir` only catches the
   fully-contiguous case.  :func:`coalesce` lowers *any* slot array whose
   average run length clears :data:`MIN_AVG_RUN` to a list of slices, so
   the steady-state copy is a handful of contiguous memcpys instead of a
@@ -152,7 +151,7 @@ def joint_runs(src_ix: np.ndarray, dst_ix: np.ndarray):
 class FusedCopy:
     """All of one statement's pair copies into one destination instance.
 
-    Built once at trace-freeze time from the :class:`~repro.runtime.replay.
+    Built once at trace-freeze time from the :class:`~repro.runtime.window.
     PairCopy` objects of the capture iteration; every replay issues at
     most one gather and one scatter per field.  Aggregate accounting
     (``pair_count`` pairs, ``count`` elements, ``nbytes`` bytes) matches
@@ -364,7 +363,7 @@ class FusedBatch:
     """One statement's entire per-shard copy set, issued as a single op.
 
     Destination groups that fused become :class:`FusedCopy` items;
-    unfusable groups keep their original :class:`~repro.runtime.replay.
+    unfusable groups keep their original :class:`~repro.runtime.window.
     PairCopy` objects in capture order.  Batching the *issue* — one
     replay op, one trace span, one counter pass for the whole statement —
     is where the win lives when destination groups are small (one halo

@@ -55,7 +55,7 @@ class NetSendCopy:
     """One cross-rank pair copy lowered to a packed framed send.
 
     Duck-types :class:`~repro.runtime.window.ir.PairCopy` as far as the
-    recorder, the counter-delta computation, and the replay interpreter
+    recorder, the counter-delta computation, and the compiled window
     need: ``apply``/``count``/``nbytes``/``uid``/``group_key``/``ufunc``/
     ``lock``/``arrays``.  ``ufunc`` is always ``None`` — a reduction
     travels as its operand and is folded by the receiver.

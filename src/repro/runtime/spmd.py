@@ -73,7 +73,7 @@ from .collectives import SCALAR_REDUCTIONS, DynamicCollective
 from .copy_engine import disjoint_dst_colors
 from .events import Event, GlobalBarrier, Sequence
 from .intersection_exec import IntersectionResult, compute_intersections
-from .replay import LoopReplay, PairCopy, ReplayError
+from .window import LoopReplay, PairCopy, ReplayError
 from .sequential import SequentialExecutor
 
 __all__ = ["SPMDExecutor", "DeadlockError", "ReplicationDivergence",
@@ -155,7 +155,7 @@ class _ShardState:
     # is a rolling window over the shard's recent history, which is
     # exactly what a post-failure dump should show.
     flight: ShardRing = NULL_RING
-    # Steady-state trace capture & replay (repro.runtime.replay).
+    # Steady-state capture & replay (repro.runtime.window).
     replay_hits: int = 0
     replay_misses: int = 0
     # Iterations where a frozen trace existed but a hoisted guard failed,
@@ -169,12 +169,13 @@ class _ShardState:
     # copy stmt uid -> {(i, j): the pair's lowered PairCopy}, filled for
     # all of the shard's pairs the first time the statement is captured.
     # Instances, points and locks do not change within a run, so the
-    # second captured iteration reuses the lot; dropped at the freeze.
+    # second captured iteration reuses the lot; dropped at the end of any
+    # recorded iteration that leaves the loop holding a window.
     pair_copies: dict[int, dict[tuple[int, int], PairCopy]] = field(
         default_factory=dict)
     # Window compiler (repro.runtime.window): raw ops recorded per frozen
     # window, ops left after lowering, closures in compiled windows, and
-    # windows compiled to closures (0 with --jit off).
+    # windows compiled.
     window_ops_recorded: int = 0
     window_ops_lowered: int = 0
     window_closures: int = 0
@@ -192,7 +193,7 @@ class _ShardState:
         The per-program *plan* half of this state survives: ``epochs``
         (frozen window closures captured the dict object, and the sync
         sequences it indexes are monotone across runs), ``loop_replays``
-        (the frozen ``ReplayTrace``/``CompiledWindow`` plans themselves),
+        (the frozen ``CompiledWindow`` plans themselves),
         and ``capture_points``.  The per-run *data* half is replaced:
         ``scalars`` and ``metrics`` are swapped as whole objects (plan
         closures read them as attributes, never capture the old dicts)
@@ -227,39 +228,24 @@ class SPMDExecutor(SequentialExecutor):
     def __init__(self, num_shards: int, mode: str = "stepped", seed: int = 0,
                  instances=None, validate_replication: bool = True,
                  tracer: Tracer = NULL_TRACER, deadlock_timeout: float = 60.0,
-                 replay: str = "auto",
                  metrics: MetricsRegistry = NULL_METRICS,
-                 fuse_copies: str = "auto", jit: str = "auto",
                  window_dump_after: frozenset = frozenset(),
                  window_dump_sink=None, retain_plans: bool = False,
                  flight: bool | None = None,
                  flight_capacity: int = _flight.DEFAULT_CAPACITY,
-                 flight_dir: str | None = None,
-                 net_aggregate: str = "auto", net_worker=None):
+                 flight_dir: str | None = None, net_worker=None):
         super().__init__(instances=instances)
         from .backends import ensure_backend
         ensure_backend(mode)
-        if replay not in ("auto", "off", "force"):
-            raise ValueError(f"unknown replay mode {replay!r}")
-        if fuse_copies not in ("auto", "off"):
-            raise ValueError(f"unknown fuse_copies mode {fuse_copies!r}")
-        if jit not in ("auto", "off", "force"):
-            raise ValueError(f"unknown jit mode {jit!r}")
         if num_shards <= 0:
             raise ValueError("need at least one shard")
-        if net_aggregate not in ("auto", "off"):
-            raise ValueError(f"unknown net_aggregate mode {net_aggregate!r}")
         self.num_shards = num_shards
         self.mode = mode
         self.seed = seed
-        self.replay = replay
-        self.fuse_copies = fuse_copies
-        self.jit = jit
         # net mode: the launch-scoped comm context (set by the driver in
-        # each rank process for the span of a shard launch), aggregation
-        # switch, optional (rank, addrs) worker identity, and the
-        # per-rank transport stats funneled back after a launch.
-        self.net_aggregate = net_aggregate
+        # each rank process for the span of a shard launch), optional
+        # (rank, addrs) worker identity, and the per-rank transport stats
+        # funneled back after a launch.
         self.net_worker = net_worker
         self._net = None
         self.net_stats: dict[int, dict] = {}
@@ -851,7 +837,7 @@ class SPMDExecutor(SequentialExecutor):
         elif isinstance(stmt, ForRange):
             start = evaluate(stmt.start, state.scalars)
             stop = evaluate(stmt.stop, state.scalars)
-            if rec is None and self.replay != "off":
+            if rec is None:
                 # Outermost loop on this shard: the capture/replay window.
                 yield from self._replay_loop(
                     stmt, stmt.var, range(int(start), int(stop)), state, ctx)
@@ -867,7 +853,7 @@ class SPMDExecutor(SequentialExecutor):
                 state.scalars[stmt.var] = v
                 yield from self._shard_body(stmt.body, state, ctx, rec)
         elif isinstance(stmt, WhileLoop):
-            if rec is None and self.replay != "off":
+            if rec is None:
                 yield from self._replay_loop(
                     stmt, None, self._while_values(stmt, state), state, ctx)
                 return
@@ -915,7 +901,7 @@ class SPMDExecutor(SequentialExecutor):
             raise TypeError(
                 f"shard interpreter cannot execute {type(stmt).__name__}")
 
-    # -- steady-state trace capture & replay -----------------------------------
+    # -- steady-state capture & replay -----------------------------------------
     @staticmethod
     def _while_values(stmt: WhileLoop, state: _ShardState):
         while evaluate(stmt.cond, state.scalars):
@@ -926,16 +912,14 @@ class SPMDExecutor(SequentialExecutor):
                      ctx: "_EpochContext") -> Iterator[Event | None]:
         """Run an outermost loop, capturing and then replaying steady state.
 
-        Each iteration either replays the frozen trace (all guards hold) or
-        interprets under a fresh :class:`IterationRecorder`; the recorder
-        is discarded once a trace exists, so a guard miss costs only that
-        one interpreted iteration.
+        Each iteration either replays the frozen window (all guards hold)
+        or interprets under a fresh :class:`IterationRecorder`, so a guard
+        miss costs only that one interpreted iteration.
         """
         lr = state.loop_replays.get(stmt.uid)
         if lr is None:
             lr = state.loop_replays[stmt.uid] = LoopReplay(
-                stmt.uid, self.replay, jit=self.jit, var=var,
-                num_shards=ctx.num_shards)
+                stmt.uid, var=var, num_shards=ctx.num_shards)
         tracer = self.tracer
         flight = state.flight
         perf = time.perf_counter
@@ -958,7 +942,7 @@ class SPMDExecutor(SequentialExecutor):
                         yield from trace.replay(self, state)
                     flight.record(_flight.ITER, stmt.uid, tf, perf())
                     continue
-                # A frozen trace exists but a hoisted guard failed: fall
+                # A frozen window exists but a hoisted guard failed: fall
                 # back to interpretation for this iteration only.
                 state.replay_guard_fallbacks += 1
             state.replay_misses += 1
@@ -969,16 +953,18 @@ class SPMDExecutor(SequentialExecutor):
             # Stamped before end_iteration: a freeze records its own
             # COMPILE interval, which must not also count as capture.
             flight.record(_flight.CAPTURE, stmt.uid, tf, perf())
-            if lr.end_iteration(self, state):
-                # Frozen: the window kept what it needs of the lowered
-                # pairs, and no further capture will ask for them.
+            froze = lr.end_iteration(self, state)
+            if lr.trace is not None:
+                # The loop holds a window — frozen just now, or kept
+                # through this guard fallback: it has what it needs of the
+                # lowered pairs, and no further capture will ask for them.
                 state.pair_copies.clear()
-                if tracer.enabled:
-                    tracer.complete("replay:capture", t0,
-                                    tracer.now_us() - t0, cat="replay",
-                                    pid=PID_SPMD, tid=state.shard,
-                                    args={"loop": stmt.uid,
-                                          "iteration": lr.iterations_recorded})
+            if froze and tracer.enabled:
+                tracer.complete("replay:capture", t0,
+                                tracer.now_us() - t0, cat="replay",
+                                pid=PID_SPMD, tid=state.shard,
+                                args={"loop": stmt.uid,
+                                      "iteration": lr.iterations_recorded})
 
     def _shard_launch_stmt(self, stmt: IndexLaunch, state: _ShardState,
                            ctx: "_EpochContext",

@@ -1,7 +1,4 @@
-"""The whole-window JIT: compile frozen loop iterations to closures.
-
-This package is the staged successor of the monolithic
-``repro.runtime.replay`` module (which remains as a re-exporting shim):
+"""The window compiler: capture a loop iteration, lower it to closures.
 
 * :mod:`~repro.runtime.window.recorder` — op vocabulary and the
   iteration shadow recorder.
@@ -11,15 +8,13 @@ This package is the staged successor of the monolithic
   copies, batch sync, constant fold, fuse tasks).
 * :mod:`~repro.runtime.window.schedule` — phase fission: overlap compute
   with the p2p handshake.
-* :mod:`~repro.runtime.window.exec` — the compile driver, the
-  interpreted :class:`ReplayTrace`, the :class:`CompiledWindow`, and the
-  per-loop capture state machine.
+* :mod:`~repro.runtime.window.exec` — the pass list, the compile driver,
+  the :class:`CompiledWindow`, and the per-loop capture state machine.
 """
 
 from .exec import (
     CompiledWindow,
     LoopReplay,
-    ReplayTrace,
     WindowContext,
     compile_window,
 )
@@ -35,7 +30,7 @@ from .recorder import IterationRecorder, ReplayError
 
 __all__ = [
     "CompiledWindow", "FrozenView", "IterationRecorder", "LoopReplay",
-    "PairCopy", "ReplayError", "ReplayTrace", "WindowContext", "WindowIR",
+    "PairCopy", "ReplayError", "WindowContext", "WindowIR",
     "WindowVerifyError", "compile_window", "format_window",
     "window_summary",
 ]

@@ -1,46 +1,46 @@
 """Window execution: compile frozen iterations, replay them, fall back.
 
-:func:`compile_window` drives the window-compiler pipeline over one
-recorded iteration.  Tier A (``freeze-tasks`` → ``fuse-copies`` →
-``batch-sync``) always runs and yields the op list the interpreted
-:class:`ReplayTrace` executes; with the JIT engaged (``--jit auto`` /
-``force``) tier B (``constfold`` → ``batch-launch`` → ``fuse-tasks`` →
-``fission``) runs on
-top and the window is packaged into a :class:`CompiledWindow` — a
-handful of phase closures (compute, copy, advance, wait, barrier,
-collective) executed by all three drivers.
+A frozen loop holds exactly one thing: a :class:`CompiledWindow`.
+:func:`compile_window` runs the one window pipeline (:func:`window_passes`:
+``freeze-tasks`` → ``message-plan`` | ``fuse-copies`` → ``batch-sync`` →
+``constfold`` → ``batch-launch`` → ``fuse-tasks`` → ``fission``) over one
+recorded iteration and packages the result into a handful of phase
+closures (compute, copy, advance, wait, barrier, collective) executed by
+every driver.  The statement interpreter runs everything else: capture
+iterations, guard-miss iterations, and loops that cannot be frozen.
 
-Fallback semantics are unchanged from the interpreted replay layer: the
-hoisted guards are re-checked before every replayed iteration, a failed
-guard interprets that one iteration, and a fallback iteration that
-writes a constant-folded scalar *invalidates* the compiled window so the
-loop re-captures with the new value (a pure function of replicated
-control flow, so all shards invalidate at the same iteration).
+Fallback semantics: the hoisted guards are re-checked before every
+replayed iteration, a failed guard interprets that one iteration, and a
+fallback iteration that writes a constant-folded scalar *invalidates*
+the compiled window so the loop re-captures with the new value (a pure
+function of replicated control flow, so all shards invalidate at the
+same iteration).
 
-Yield exactness: the interpreted trace yields exactly what
-interpretation would.  A compiled window is a legal *coarsening* of that
-schedule — it skips yielding already-triggered events and collapses each
-launch's per-task preemption points into one compute closure — so the
-stepped driver crosses a compiled iteration in a handful of resumptions
-instead of hundreds.  Counters stay bit-identical by construction: the
+A compiled window is a legal *coarsening* of the interpreted schedule —
+it skips yielding already-triggered events and collapses each launch's
+per-task preemption points into one compute closure — so the stepped
+driver crosses a replayed iteration in a handful of resumptions instead
+of hundreds.  Counters stay bit-identical by construction: the
 per-window deltas are precomputed at compile time and applied once per
 replayed iteration.
+
+A pass that changes the window's visible effects fails the cross-pass
+verifier; the freeze then raises :class:`ReplayError` naming the shard,
+the loop and the pass, and the launch ends like any other shard failure.
 
 Plan/state separation (compile-once serve-many): everything in this
 module is a per-*program* plan, valid for as long as the executor's
 session (instances, sync objects, epoch dicts, shard states) is alive.
-:class:`ReplayTrace` is state-agnostic — it reads ``state.scalars`` /
-``state.epochs`` afresh on every call, so it replays correctly against
-any shard state of the same session.  :class:`CompiledWindow` is *bound*:
-its closures capture the exact ``_ShardState`` object (and its ``epochs``
-dict) they were built against, so a resident executor must reuse those
-state objects across runs — resetting per-run data in place via
-``_ShardState.reset_for_run`` — rather than rebuild them.  The binding is
-recorded at build time and checked on every replayed iteration; replaying
-a window against a different state raises :class:`ReplayError` instead of
-silently reading stale data.  Frozen plans therefore survive across runs
-(the basis of the ``repro serve`` plan cache), and a program/layout
-switch must drop them via the executor's session reset.
+A :class:`CompiledWindow` is *bound*: its closures capture the exact
+``_ShardState`` object (and its ``epochs`` dict) they were built
+against, so a resident executor must reuse those state objects across
+runs — resetting per-run data in place via ``_ShardState.reset_for_run``
+— rather than rebuild them.  The binding is recorded at build time and
+checked on every replayed iteration; replaying a window against a
+different state raises :class:`ReplayError` instead of silently reading
+stale data.  Frozen plans therefore survive across runs (the basis of
+the ``repro serve`` plan cache), and a program/layout switch must drop
+them via the executor's session reset.
 """
 
 from __future__ import annotations
@@ -80,8 +80,6 @@ from .recorder import (
     OP_MSG,
     OP_SETVAR,
     OP_TASK,
-    OP_VISIT,
-    OP_VISITS,
     OP_WAIT,
     OP_YIELD,
     IterationRecorder,
@@ -89,8 +87,8 @@ from .recorder import (
 )
 from .schedule import FissionPass
 
-__all__ = ["CompiledWindow", "LoopReplay", "ReplayTrace", "WindowContext",
-           "compile_window"]
+__all__ = ["CompiledWindow", "LoopReplay", "WindowContext",
+           "compile_window", "window_passes"]
 
 
 @dataclass
@@ -100,129 +98,6 @@ class WindowContext(PassContext):
 
     ex: Any = None
     state: Any = None
-
-
-class ReplayTrace:
-    """A frozen steady-state iteration: flat precompiled ops + guards.
-
-    This is the interpreted (``--jit off``) execution engine and the
-    yield-exact baseline the compiled window must match on counters."""
-
-    __slots__ = ("ops", "guards", "epoch_deltas", "folded")
-
-    def __init__(self, ops, guards, epoch_deltas, folded=frozenset()):
-        self.ops = ops
-        self.guards = guards
-        self.epoch_deltas = epoch_deltas
-        self.folded = folded
-
-    def guards_hold(self, scalars: dict[str, Any]) -> bool:
-        return guards_hold(self.guards, scalars)
-
-    def replay(self, ex, state) -> Iterator[Any]:
-        """One replayed iteration: yields what interpretation would (copy
-        windows regrouped into fused batches when fusion is on)."""
-        scalars = state.scalars
-        epochs = state.epochs
-        tracer = ex.tracer
-        traced = tracer.enabled
-        for op in self.ops:
-            k = op[0]
-            if k == OP_COPY:
-                # The span covers the whole op — apply plus per-pair
-                # accounting — so the copy bucket measures the true cost
-                # of *issuing* the pair, symmetrically with OP_FUSED.
-                pc = op[1]
-                t0 = tracer.now_us() if traced else 0
-                pc.apply()
-                state.pair_visits += 1
-                state.elements_copied += pc.count
-                state.copies_performed += 1
-                state.bytes_copied += pc.nbytes
-                if pc.ufunc is not None:
-                    if pc.lock is None:
-                        state.lockfree_folds += 1
-                    else:
-                        state.locked_folds += 1
-                if traced:
-                    tracer.complete("copy:pair", t0, tracer.now_us() - t0,
-                                    cat="copy", pid=PID_SPMD,
-                                    tid=state.shard, args={"uid": pc.uid})
-            elif k == OP_FUSED:
-                fb = op[1]
-                t0 = tracer.now_us() if traced else 0
-                fb.apply()
-                state.pair_visits += fb.pair_count
-                state.copies_performed += fb.pair_count
-                state.elements_copied += fb.count
-                state.bytes_copied += fb.nbytes
-                state.fused_copies += fb.n_fused
-                state.fused_pairs += fb.fused_pairs
-                state.lockfree_folds += fb.lockfree_folds
-                state.locked_folds += fb.locked_folds
-                if traced:
-                    tracer.complete("copy:fused", t0, tracer.now_us() - t0,
-                                    cat="copy", pid=PID_SPMD,
-                                    tid=state.shard,
-                                    args={"uid": fb.uid,
-                                          "pairs": fb.pair_count,
-                                          "groups": len(fb.items)})
-                    tracer.counter("bytes copied", float(state.bytes_copied),
-                                   pid=PID_SPMD, tid=state.shard)
-            elif k == OP_MSG:
-                ps = op[1]
-                t0 = tracer.now_us() if traced else 0
-                ps.apply()
-                state.pair_visits += ps.pair_count
-                state.copies_performed += ps.pair_count
-                state.elements_copied += ps.count
-                state.bytes_copied += ps.nbytes
-                if traced:
-                    tracer.complete("copy:msg", t0, tracer.now_us() - t0,
-                                    cat="copy", pid=PID_SPMD,
-                                    tid=state.shard,
-                                    args={"uid": ps.uid, "peer": ps.peer,
-                                          "pairs": ps.pair_count})
-            elif k == OP_VISITS:
-                state.pair_visits += op[1]
-            elif k == OP_WAIT:
-                yield op[1].event_for(epochs[op[2]] + op[3], op[4])
-            elif k == OP_ADV:
-                op[1].advance_to(epochs[op[2]] + op[3])
-            elif k == OP_ADVN:
-                advance_group(op[1], epochs[op[2]] + op[3])
-            elif k == OP_YIELD:
-                yield None
-            elif k == OP_TASK:
-                yield from op[1].run(ex, state)
-            elif k == OP_ASSIGN:
-                scalars[op[1]] = evaluate(op[2], scalars)
-            elif k == OP_SETVAR:
-                scalars[op[1]] = op[2]
-            elif k == OP_CONST:
-                scalars.update(op[1])
-            elif k == OP_FILL:
-                for arr, value in op[1]:
-                    arr[...] = value
-            elif k == OP_BARRIER:
-                yield op[1].arrive_and_wait_event(epochs[op[2]] + op[3],
-                                                  label=op[4])
-            elif k == OP_COLL:
-                coll, uid, stride, name = op[1], op[2], op[3], op[4]
-                g = epochs[uid] + stride
-                ev = coll.contribute(g,
-                                     state.pending_reductions.pop(name, None))
-                yield ev
-                scalars[name] = coll.result(g)
-            elif k == OP_MEGA:
-                # Mega-ops only exist on the JIT path, but stay
-                # interpretable for robustness.
-                op[1].run_compiled(state)
-                state.tasks_executed += op[1].tasks()
-            else:  # OP_VISIT
-                state.pair_visits += 1
-        for uid, d in self.epoch_deltas:
-            epochs[uid] = epochs.get(uid, 0) + d
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +153,9 @@ def _advn_thunk(state, seqs, uid, stride):
 class CompiledWindow:
     """One frozen iteration lowered to phase-scheduled closures.
 
-    Executed by the same generator protocol as :class:`ReplayTrace`, so
-    all three drivers run it unchanged; it yields only events that are
-    not already triggered (plus the window's recorded preemption points,
+    Executed by the generator protocol of the shard interpreter, so every
+    driver runs it unchanged; it yields only events that are not already
+    triggered (plus the window's recorded preemption points,
     collapsed), and applies the precomputed counter and epoch deltas once
     at the end of each replayed iteration.
     """
@@ -433,20 +308,36 @@ class CompiledWindow:
 # The compile driver and the per-loop capture state machine
 # ---------------------------------------------------------------------------
 
-def compile_window(ex, rec: IterationRecorder, state, *, jit: str = "off",
+def window_passes(ex) -> list:
+    """The window pipeline, in order.  The one choice in it is observed,
+    not configured: a launch with a net comm context aggregates its
+    cross-rank pair sends into per-peer packed messages (a FusedBatch
+    would bypass the wire path entirely); every other launch fuses each
+    copy statement's pairs into in-memory batches."""
+    if ex._net is not None:
+        from ..net.plan import MessagePlanPass
+        copies = MessagePlanPass()
+    else:
+        copies = FuseCopiesPass()
+    return [FreezeTasksPass(), copies, BatchSyncPass(), ConstFoldPass(),
+            BatchLaunchPass(), FuseTasksPass(), FissionPass()]
+
+
+def compile_window(ex, rec: IterationRecorder, state, *,
                    var: str | None = None, num_shards: int | None = None,
-                   uid: int = 0):
-    """Lower one recorded iteration; returns a :class:`CompiledWindow`
-    (JIT engaged) or an interpreted :class:`ReplayTrace`."""
+                   uid: int = 0) -> CompiledWindow:
+    """Lower one recorded iteration to a :class:`CompiledWindow`."""
     t_compile = time.perf_counter()
     wir = WindowIR(ops=list(rec.ops), guards=list(rec.guards),
                    epoch_base=rec.epoch_base, written=set(rec.written),
                    copy_ranges=rec.copy_ranges, loop_var=var)
+    deltas = ((loop_uid, g - rec.epoch_base.get(loop_uid, 0))
+              for loop_uid, g in state.epochs.items())
+    wir.epoch_deltas = tuple((loop_uid, d) for loop_uid, d in deltas if d)
     ctx = WindowContext(
         num_shards=num_shards or ex.num_shards,
         tracer=ex.tracer, metrics=state.metrics,
-        dump_after=getattr(ex, "window_dump_after", frozenset()),
-        dump_sink=getattr(ex, "window_dump_sink", None),
+        dump_after=ex.window_dump_after, dump_sink=ex.window_dump_sink,
         ex=ex, state=state)
     baseline = window_summary(wir)
     verified = list(wir.ops)
@@ -459,48 +350,19 @@ def compile_window(ex, rec: IterationRecorder, state, *, jit: str = "off",
         verify_window(w, baseline, stage)
         verified[:] = w.ops
 
-    pipeline_kw = dict(
-        span_prefix="window", cat="replay", pid=PID_SPMD, tid=state.shard,
-        metric_prefix="spmd_window_pass",
-        size_fn=lambda w: len(w.ops), verify_fn=verify,
-        dump_fn=format_window)
-    tier_a: list = [FreezeTasksPass()]
-    if getattr(ex, "_net", None) is not None:
-        # Net mode: cross-rank pair sends aggregate into per-peer packed
-        # messages instead of fusing into in-memory batches (a FusedBatch
-        # would bypass the wire path entirely).
-        if getattr(ex, "net_aggregate", "auto") != "off":
-            from ..net.plan import MessagePlanPass
-            tier_a.append(MessagePlanPass())
-    elif getattr(ex, "fuse_copies", "off") != "off":
-        tier_a.append(FuseCopiesPass())
-    tier_a.append(BatchSyncPass())
-    wir = run_pass_pipeline(wir, tier_a, ctx, **pipeline_kw)
-    deltas = []
-    for loop_uid, g in state.epochs.items():
-        d = g - rec.epoch_base.get(loop_uid, 0)
-        if d:
-            deltas.append((loop_uid, d))
-    wir.epoch_deltas = tuple(deltas)
-    state.window_ops_recorded += len(rec.ops)
-    if jit == "off":
-        state.window_ops_lowered += len(wir.ops)
-        return ReplayTrace(tuple(wir.ops), tuple(wir.guards),
-                           wir.epoch_deltas)
-    interpretable = (list(wir.ops), list(wir.guards))
     try:
         wir = run_pass_pipeline(
-            wir, [ConstFoldPass(), BatchLaunchPass(), FuseTasksPass(),
-                  FissionPass()],
-            ctx, **pipeline_kw)
+            wir, window_passes(ex), ctx,
+            span_prefix="window", cat="replay", pid=PID_SPMD,
+            tid=state.shard, metric_prefix="spmd_window_pass",
+            size_fn=lambda w: len(w.ops), verify_fn=verify,
+            dump_fn=format_window)
     except WindowVerifyError as exc:
-        # A lowering pass broke the window's visible effects.  ``force``
-        # surfaces the bug; ``auto`` degrades to the verified tier-A ops.
-        if jit == "force":
-            raise ReplayError(f"--jit force: {exc}") from None
-        ops, guards = interpretable
-        state.window_ops_lowered += len(ops)
-        return ReplayTrace(tuple(ops), tuple(guards), wir.epoch_deltas)
+        # A lowering pass broke the window's visible effects.  Nothing
+        # else could run this loop's steady state, so the shard fails.
+        raise ReplayError(
+            f"shard {state.shard}, loop {uid}: {exc}") from None
+    state.window_ops_recorded += len(rec.ops)
     state.window_ops_lowered += len(wir.ops)
     cw = CompiledWindow.build(wir, state, uid=uid)
     state.window_compiles += 1
@@ -515,29 +377,27 @@ def compile_window(ex, rec: IterationRecorder, state, *, jit: str = "off",
 class LoopReplay:
     """Capture state machine for one loop statement on one shard.
 
-    ``auto``  — freeze once two consecutive interpreted iterations produce
-    identical fingerprints; ``force`` — freeze after the first iteration
-    and raise :class:`ReplayError` if it cannot be frozen.  Once frozen,
-    the trace is permanent — a guard miss falls back to interpretation
-    for that iteration only — with one exception: a fallback iteration
-    that writes a scalar the window compiler constant-folded invalidates
-    the compiled window, and the loop re-captures with the new value.
-    The invalidation decision is a pure function of the replicated
-    control flow (the folded-name set and the fallback's write set), so
-    every shard invalidates and re-freezes at the same iterations.
+    The loop freezes once two consecutive interpreted iterations produce
+    identical fingerprints; an iteration (or a body) that cannot be frozen
+    keeps interpreting.  Once frozen, the window is permanent — a guard
+    miss falls back to interpretation for that iteration only — with one
+    exception: a fallback iteration that writes a scalar the window
+    compiler constant-folded invalidates the compiled window, and the
+    loop re-captures with the new value.  The invalidation decision is a
+    pure function of the replicated control flow (the folded-name set and
+    the fallback's write set), so every shard invalidates and re-freezes
+    at the same iterations.
     """
 
-    __slots__ = ("uid", "mode", "jit", "var", "num_shards", "trace",
+    __slots__ = ("uid", "var", "num_shards", "trace",
                  "iterations_recorded", "_prev", "_rec")
 
-    def __init__(self, uid: int, mode: str, jit: str = "off",
-                 var: str | None = None, num_shards: int | None = None):
+    def __init__(self, uid: int, var: str | None = None,
+                 num_shards: int | None = None):
         self.uid = uid
-        self.mode = mode
-        self.jit = jit
         self.var = var
         self.num_shards = num_shards
-        self.trace = None
+        self.trace: CompiledWindow | None = None
         self.iterations_recorded = 0
         self._prev = None
         self._rec: IterationRecorder | None = None
@@ -547,7 +407,7 @@ class LoopReplay:
         return self._rec
 
     def end_iteration(self, ex, state) -> bool:
-        """Returns True if this iteration was frozen into a trace."""
+        """Returns True if this iteration was frozen into a window."""
         rec, self._rec = self._rec, None
         self.iterations_recorded += 1
         if self.trace is not None:
@@ -558,24 +418,17 @@ class LoopReplay:
                 self.trace = None
                 self._prev = None
             else:
-                return False  # guard-fallback: keep the frozen trace
+                return False  # guard-fallback: keep the frozen window
         if rec.unfreezable:
-            if self.mode == "force":
-                raise ReplayError(
-                    f"--replay force: loop {self.uid} cannot be frozen — a "
-                    f"branch condition depends on a scalar written earlier "
-                    f"in the same iteration")
             self._prev = None
             return False
         fp = rec.fingerprint()
-        if self.mode == "force" or fp == self._prev:
+        if fp == self._prev:
             try:
                 self.trace = compile_window(
-                    ex, rec, state, jit=self.jit, var=self.var,
+                    ex, rec, state, var=self.var,
                     num_shards=self.num_shards, uid=self.uid)
-            except _Unfreezable as exc:
-                if self.mode == "force":
-                    raise ReplayError(f"--replay force: {exc}") from None
+            except _Unfreezable:
                 self._prev = None
                 return False
             state.capture_points[self.uid] = self.iterations_recorded

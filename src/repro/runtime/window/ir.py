@@ -17,7 +17,7 @@ compile time instead of corrupting a steady-state run.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -222,30 +222,10 @@ class _FrozenLaunch:
         self.reduce_name = reduce_name
         self.fold = fold
 
-    def run(self, ex, state) -> Iterator[None]:
-        task = self.task
-        reduce_name = self.reduce_name
-        partial = (state.pending_reductions.get(reduce_name)
-                   if reduce_name is not None else None)
-        for entry in self.entries:
-            if entry.exprs:
-                env = {**state.scalars, "i": entry.index}
-                args = entry.args
-                for pos, e in entry.exprs:
-                    args[pos] = evaluate(e, env)
-            result = task(*entry.args)
-            state.tasks_executed += 1
-            if reduce_name is not None and result is not None:
-                partial = (result if partial is None
-                           else self.fold(partial, result))
-            yield None  # preemption point: one point task executed
-        if reduce_name is not None and partial is not None:
-            state.pending_reductions[reduce_name] = partial
-
     def run_compiled(self, state) -> None:
-        """Non-generator variant for a compute phase: no preemption points,
-        no per-task counter bumps (the compiled window applies its counter
-        deltas once per replay)."""
+        """One compute-phase closure: no preemption points, no per-task
+        counter bumps (the compiled window applies its counter deltas once
+        per replay)."""
         task = self.task
         reduce_name = self.reduce_name
         scalars = state.scalars
@@ -475,13 +455,6 @@ class _BatchedLaunch:
         for arg in self.batched_args:
             if isinstance(arg, _BatchedView):
                 arg._writeback()
-
-    def run(self, ex, state) -> Iterator[None]:
-        # Interpreted fallback: batched ops only appear in compiled
-        # windows, but keep the trace-interpreter contract anyway.
-        self.run_compiled(state)
-        state.tasks_executed += len(self.entries)
-        yield None
 
     def entry_arrays(self, k: int) -> set[int]:
         return self.inner.entry_arrays(k)

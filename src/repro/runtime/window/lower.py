@@ -6,13 +6,14 @@ Each pass is a :class:`repro.core.passes.Pass` over a
 reports per-pass stats/metrics, verifies the window summary between
 passes, and honors dump-after hooks exactly like the front-end compiler.
 
-The pipeline (see :func:`repro.runtime.window.exec.compile_window`):
+The pipeline (see :func:`repro.runtime.window.exec.window_passes`):
 
 * ``freeze-tasks``  — lower recorded launches to frozen views/arg vectors.
 * ``fuse-copies``   — regroup each copy statement's handshake+pairs into
-  phases around one :class:`~repro.runtime.copy_engine.FusedBatch`.
+  phases around one :class:`~repro.runtime.copy_engine.FusedBatch` (net
+  launches run ``message-plan`` from :mod:`repro.runtime.net.plan` here).
 * ``batch-sync``    — collapse runs of same-channel-kind advances (and
-  empty-pair visits) into single vectorized ops; active even without JIT.
+  empty-pair visits) into single vectorized ops.
 * ``constfold``     — fold stable scalar reads into literal stores,
   guarded so an evolving scalar can never be frozen by mistake.
 * ``batch-launch``  — collapse a ``batchable`` task's frozen point tasks

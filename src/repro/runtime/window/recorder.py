@@ -53,8 +53,9 @@ OP_NAMES = ("assign", "setvar", "task", "fill", "adv", "wait", "copy",
 
 
 class ReplayError(RuntimeError):
-    """``--replay force`` / ``--jit force`` was requested on a loop that
-    cannot be frozen or lowered."""
+    """A frozen loop cannot run its window: a lowering pass failed the
+    window verifier, or the window met a shard state it was not built
+    for."""
 
 
 class IterationRecorder:

@@ -3,11 +3,10 @@
 Each entry owns one :class:`~repro.runtime.spmd.SPMDExecutor` built with
 ``retain_plans=True`` plus the compiled SPMD program it is resident for:
 after the entry's first run the executor holds the frozen
-``ReplayTrace``/``FusedBatch``/``CompiledWindow`` plans, the distributed
-instances, the warm ``SharedMemoryArena`` (procs), the intersection
-results, and the monotone sync state — so a cache hit skips compilation
-*and* capture and goes straight to replay against freshly loaded region
-data.
+``CompiledWindow`` plans, the distributed instances, the warm
+``SharedMemoryArena`` (procs), the intersection results, and the monotone
+sync state — so a cache hit skips compilation *and* capture and goes
+straight to replay against freshly loaded region data.
 
 Concurrency model:
 

@@ -247,9 +247,7 @@ class ServeEngine:
         executor = SPMDExecutor(
             num_shards=request.shards, mode=request.backend,
             seed=request.seed, instances=problem.fresh_instances(),
-            metrics=compile_metrics, replay=request.replay,
-            fuse_copies=request.fuse_copies, jit=request.jit,
-            retain_plans=True)
+            metrics=compile_metrics, retain_plans=True)
         entry.problem = problem
         entry.program = program
         entry.report = report

@@ -1,9 +1,9 @@
 """Request canonicalization and plan fingerprints for ``repro serve``.
 
-The whole control-replication pipeline — CR compile, trace capture,
-window JIT — depends only on the *structure* of the request: which app,
+The whole control-replication pipeline — CR compile, capture, window
+compile — depends only on the *structure* of the request: which app,
 the parameters that shape its control program and partitions, the shard
-count, the backend, and the optimization flags.  Region *data* never
+count, the backend, and the synchronization mode.  Region *data* never
 enters compilation, so two requests that agree on structure can share
 one compiled SPMD program and its frozen replay/window plans.
 
@@ -36,9 +36,6 @@ _BACKENDS = _backend_choices()
 _CHOICES = {
     "backend": _BACKENDS,
     "sync": ("p2p", "barrier"),
-    "replay": ("auto", "off", "force"),
-    "fuse_copies": ("auto", "off"),
-    "jit": ("auto", "off", "force"),
     "shape": ("star", "square"),
 }
 _INT_FIELDS = ("tiles", "steps", "shards", "seed")
@@ -61,9 +58,6 @@ class ServeRequest:
     shards: int = 4
     backend: str = "threaded"
     sync: str = "p2p"
-    replay: str = "auto"
-    fuse_copies: str = "auto"
-    jit: str = "auto"
     seed: int = 0
 
     @classmethod

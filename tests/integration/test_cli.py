@@ -20,6 +20,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["verify", "nbody"])
 
+    def test_removed_tier_flag_is_a_usage_error(self, capsys):
+        # No deprecated alias: the one steady-state form takes no switch.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "stencil", "--jit", "off"])
+        assert exc.value.code == 2
+        assert "--jit" in capsys.readouterr().err
+
 
 class TestCommands:
     @pytest.mark.parametrize("app", sorted(APP_FACTORIES))

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.machine import MachineModel, Simulation
+from repro.machine import GraphBuilder, MachineModel
 from repro.machine.execution_models import _collective_tree
 
 
@@ -12,11 +12,11 @@ class TestBandwidth:
     def test_nic_serializes_large_sends(self):
         """Many messages from one node: NIC occupancy adds up."""
         m = MachineModel()
-        sim = Simulation(2, 1)
+        sim = GraphBuilder(2, 1)
         per_msg = m.copy_seconds(1_000_000)  # 1 MB
         for _ in range(10):
             sim.add(per_msg, 0, kind="nic")
-        makespan = sim.run()
+        makespan = sim.run(engine="event")
         assert makespan == pytest.approx(10 * per_msg, rel=1e-6)
 
     def test_copy_seconds_formula(self):
@@ -28,10 +28,10 @@ class TestCollectiveTree:
     @pytest.mark.parametrize("nodes", [1, 2, 3, 8, 13, 64])
     def test_every_node_receives_result(self, nodes):
         m = MachineModel()
-        sim = Simulation(nodes, 1)
+        sim = GraphBuilder(nodes, 1)
         leaves = {n: sim.add(0.01, n) for n in range(nodes)}
         result = _collective_tree(sim, m, leaves, nodes)
-        sim.run()
+        sim.run(engine="event")
         assert sorted(result) == list(range(nodes))
         finishes = [sim.finish_of(result[n]) for n in range(nodes)]
         assert all(f >= 0.01 for f in finishes)
@@ -40,10 +40,10 @@ class TestCollectiveTree:
         m = MachineModel()
 
         def tree_time(nodes):
-            sim = Simulation(nodes, 1)
+            sim = GraphBuilder(nodes, 1)
             leaves = {n: sim.add(0.0, n) for n in range(nodes)}
             result = _collective_tree(sim, m, leaves, nodes)
-            sim.run()
+            sim.run(engine="event")
             return max(sim.finish_of(result[n]) for n in range(nodes))
 
         t8, t64, t512 = tree_time(8), tree_time(64), tree_time(512)
@@ -63,17 +63,17 @@ class TestPipelining:
     def test_ctrl_thread_runs_ahead_of_workers(self):
         """Deferred execution: launches pipeline ahead of slow tasks."""
         m = MachineModel()
-        sim = Simulation(1, 1)
+        sim = GraphBuilder(1, 1)
         finishes = []
         for _ in range(5):
             launch = sim.add(0.001, 0, kind="ctrl")
             finishes.append(sim.add(0.1, 0, kind="core", deps=[launch]))
-        makespan = sim.run()
+        makespan = sim.run(engine="event")
         # Control work (5ms) hides entirely behind 500ms of task work.
         assert makespan == pytest.approx(0.001 + 5 * 0.1, rel=1e-6)
 
     def test_many_tasks_scale(self):
-        sim = Simulation(8, 4)
+        sim = GraphBuilder(8, 4)
         prev = {}
         for step in range(5):
             cur = {}
@@ -81,4 +81,4 @@ class TestPipelining:
                 deps = [prev[t]] if t in prev else []
                 cur[t] = sim.add(0.01, t % 8, deps=deps)
             prev = cur
-        assert sim.run() == pytest.approx(5 * 2 * 0.01, rel=1e-6)
+        assert sim.run(engine="event") == pytest.approx(5 * 2 * 0.01, rel=1e-6)

@@ -2,51 +2,51 @@
 
 import pytest
 
-from repro.machine import MachineModel, Simulation
+from repro.machine import GraphBuilder, MachineModel
 from repro.machine.tracing import analyze_simulation
 
 
 class TestUtilization:
     def test_single_task(self):
-        sim = Simulation(1, 2)
+        sim = GraphBuilder(1, 2)
         sim.add(1.0, 0, label="work:phase1")
-        sim.run()
+        sim.run(engine="event")
         rep = analyze_simulation(sim)
         assert rep.makespan == pytest.approx(1.0)
         assert rep.utilization("core") == pytest.approx(0.5)  # 1 of 2 cores
         assert rep.by_label["work"] == pytest.approx(1.0)
 
     def test_ctrl_saturation_detection(self):
-        sim = Simulation(2, 1)
+        sim = GraphBuilder(2, 1)
         prev = None
         for _ in range(10):
             prev = sim.add(0.1, 0, kind="ctrl", deps=[prev] if prev else [])
-        sim.run()
+        sim.run(engine="event")
         rep = analyze_simulation(sim)
         assert rep.ctrl_saturated(0)
         assert not rep.ctrl_saturated(1)
 
     def test_unrun_simulation_rejected(self):
-        sim = Simulation(1, 1)
+        sim = GraphBuilder(1, 1)
         sim.add(1.0, 0)
         with pytest.raises(ValueError):
             analyze_simulation(sim)
 
     def test_format(self):
-        sim = Simulation(1, 1)
+        sim = GraphBuilder(1, 1)
         sim.add(0.5, 0, label="launch:tf")
         sim.add(0.25, 0, kind="nic", label="halo")
-        sim.run()
+        sim.run(engine="event")
         text = analyze_simulation(sim).format()
         assert "makespan" in text and "core" in text and "nic" in text
 
     def test_simulation_metrics_export(self):
         from repro.machine import simulation_metrics
         from repro.obs import MetricsRegistry, parse_prometheus_text
-        sim = Simulation(1, 2)
+        sim = GraphBuilder(1, 2)
         sim.add(1.0, 0, label="work:phase1")
         sim.add(0.25, 0, kind="nic", label="halo")
-        sim.run()
+        sim.run(engine="event")
         metrics = MetricsRegistry()
         simulation_metrics(sim, metrics, name_prefix="toy-cr")
         flat = metrics.flat()

@@ -13,7 +13,7 @@ mid-run.
 import numpy as np
 import pytest
 
-from repro.machine import GraphBuilder, Simulation, UnsupportedGraph
+from repro.machine import GraphBuilder, UnsupportedGraph
 from repro.machine.execution_models import (_noise, _noise_batch,
                                             simulate_mpi, simulate_regent_cr,
                                             simulate_regent_noncr)
@@ -63,14 +63,7 @@ def run_both(build):
 class TestRandomizedEquivalence:
     @pytest.mark.parametrize("seed", range(12))
     def test_vector_matches_event_and_legacy(self, seed):
-        gv, ge = run_both(lambda: random_graph(seed))
-        # ... and both match the classic per-object Simulation.
-        sim = ge.to_simulation()
-        assert sim.run() == ge.finish.max()
-        for uid, t in sim.tasks.items():
-            assert t.start == ge.start[uid]
-            assert t.finish == ge.finish[uid]
-            assert t.server == ge.server[uid]
+        run_both(lambda: random_graph(seed))
 
     def test_backward_add_deps_edges(self):
         # A consumer batch created *before* its producer batch: the edge
@@ -179,30 +172,28 @@ class TestDeadlockDiagnostics:
         assert "ring" in msg and "->" in msg
 
     def test_legacy_simulation_names_the_cycle(self):
-        sim = Simulation(1, 1)
-        a = sim.add(1.0, 0, deps=[2], label="x")
+        # Built with the scalar ``add`` (the per-object simulator's API).
+        sim = GraphBuilder(1, 1)
+        a = sim.add(1.0, 0, label="x")
         b = sim.add(1.0, 0, deps=[a], label="y")
-        sim.add(1.0, 0, deps=[b], label="z")
+        c = sim.add(1.0, 0, deps=[b], label="z")
+        sim.add_deps([a], [c])
         with pytest.raises(RuntimeError, match="deadlock") as exc:
-            sim.run()
+            sim.run(engine="event")
         msg = str(exc.value)
         assert "x" in msg and "->" in msg
 
     def test_duplicate_edge_keeps_first_latency(self):
-        # The oracle's release used first-match lookup; the latency-map
-        # rewrite and the columnar dedup must preserve that semantics.
-        def build(cls):
-            s = cls(1, 1)
+        # A release uses the first-listed latency of a repeated edge; the
+        # columnar dedup must preserve that in both engines.
+        def build():
+            s = GraphBuilder(1, 1)
             a = s.add(1.0, 0)
             s.add(1.0, 0, deps=[(a, 5.0), (a, 0.5)])
             return s
 
-        sim = build(Simulation)
-        assert sim.run() == 7.0  # 1 + 5 (first latency) + 1
-        g = build(GraphBuilder)
-        assert g.run("event") == 7.0
-        g2 = build(GraphBuilder)
-        assert g2.run("vector") == 7.0
+        assert build().run("event") == 7.0  # 1 + 5 (first latency) + 1
+        assert build().run("vector") == 7.0
 
 
 class TestConstructionValidation:

@@ -25,7 +25,7 @@ from repro.runtime.copy_engine import (
     fuse_group,
     joint_runs,
 )
-from repro.runtime.replay import PairCopy
+from repro.runtime.window import PairCopy
 from repro.tasks import R, Reduce, task
 
 ALL_MODES = ["stepped", "threaded"] + (["procs"] if procs_available() else [])
@@ -266,47 +266,36 @@ def counters(ex):
 class TestAppEquivalence:
     @pytest.mark.parametrize("mode", ALL_MODES)
     @pytest.mark.parametrize("app", sorted(APPS))
-    def test_fused_matches_unfused_and_interpretation(self, app, mode):
+    def test_fused_matches_unfused_and_interpretation(self, app, mode,
+                                                      interpret_only):
         make, exact = APPS[app]
-        runs = {}
-        for label, kw in (("fused", dict(replay="auto", fuse_copies="auto")),
-                          ("unfused", dict(replay="auto", fuse_copies="off")),
-                          ("interp", dict(replay="off", fuse_copies="off"))):
-            state, _, ex, _ = make().run_control_replicated(
-                4, mode=mode, **kw)
-            runs[label] = (state, counters(ex), ex)
-        # Aggregate copy accounting is *exactly* the interpreted accounting,
-        # for both the unfused and the fused replay.
-        assert runs["fused"][1] == runs["interp"][1]
-        assert runs["unfused"][1] == runs["interp"][1]
-        for key in runs["interp"][0]:
-            want = runs["interp"][0][key]
+        with interpret_only:
+            want, _, interp_ex, _ = make().run_control_replicated(
+                4, mode=mode)
+        fused, _, fused_ex, _ = make().run_control_replicated(4, mode=mode)
+        # Aggregate copy accounting is *exactly* the interpreted accounting.
+        assert counters(fused_ex) == counters(interp_ex)
+        for key in want:
             if exact:
-                assert np.array_equal(runs["fused"][0][key], want), key
-                assert np.array_equal(runs["unfused"][0][key], want), key
+                assert np.array_equal(fused[key], want[key]), key
             else:
                 # Reduction apps: overlapping cross-shard folds land in a
                 # schedule-dependent order (threaded/procs interleaving,
                 # and fusion regroups the handshake), so results can
                 # reassociate by ~1 ULP — compare to round-off, like the
                 # CLI equivalence check.
-                assert np.allclose(runs["fused"][0][key], want,
+                assert np.allclose(fused[key], want[key],
                                    rtol=RTOL, atol=ATOL), key
-                assert np.allclose(runs["unfused"][0][key], want,
-                                   rtol=RTOL, atol=ATOL), key
-        fused_ex = runs["fused"][2]
         assert fused_ex.fused_copies > 0
         assert fused_ex.fused_pairs >= fused_ex.fused_copies
-        # The non-fused configurations never build fused batches.
-        assert runs["unfused"][2].fused_copies == 0
-        assert runs["interp"][2].fused_copies == 0
+        # Interpretation never builds fused batches.
+        assert interp_ex.fused_copies == 0
 
     @pytest.mark.parametrize("app", sorted(APPS))
     def test_fused_matches_sequential(self, app):
         make, exact = APPS[app]
         seq_state, _, _ = make().run_sequential()
-        cr_state, _, ex, _ = make().run_control_replicated(
-            4, mode="stepped", replay="auto", fuse_copies="auto")
+        cr_state, _, ex, _ = make().run_control_replicated(4, mode="stepped")
         for key in seq_state:
             if exact:
                 assert np.array_equal(cr_state[key], seq_state[key]), key
@@ -336,8 +325,7 @@ class TestDivergenceStillDetected:
         seq.run(self._program_with_branch(fig2, steps, special))
         cprog, _ = control_replicate(
             self._program_with_branch(fig2, steps, special), num_shards=4)
-        spmd = SPMDExecutor(num_shards=4, instances=fig2.fresh_instances(),
-                            replay="auto", fuse_copies="auto")
+        spmd = SPMDExecutor(num_shards=4, instances=fig2.fresh_instances())
         spmd.run(cprog)
         assert np.array_equal(spmd.instances[fig2.A.uid].fields["v"],
                               seq.instances[fig2.A.uid].fields["v"])
@@ -408,8 +396,7 @@ class ReductionProgram:
     def run_spmd(self, mode="stepped", force_locked=False, seed=0):
         prog, _ = control_replicate(self.build(), num_shards=self.NT)
         ex = SPMDExecutor(num_shards=self.NT, mode=mode, seed=seed,
-                          instances=self.fresh_instances(),
-                          replay="auto", fuse_copies="auto")
+                          instances=self.fresh_instances())
         if force_locked:
             ex._force_locked_reductions = True
         ex.run(prog)

@@ -122,23 +122,23 @@ class TestApps:
 
 
 class TestAggregation:
-    def _msgs(self, steps, aggregate):
+    def _msgs(self, steps):
         from repro.apps.stencil import StencilProblem
         p = StencilProblem(n=48, radius=2, tiles=64, steps=steps)
         seq, _, _ = p.run_sequential()
-        cr, _, ex, _ = p.run_control_replicated(
-            4, mode="net", executor_kw={"net_aggregate": aggregate})
+        cr, _, ex, _ = p.run_control_replicated(4, mode="net")
         for k in seq:
             assert np.array_equal(cr[k], seq[k]), k
         return ex, sent(ex, "data", "msg")
 
-    def test_packed_sends_in_steady_state(self):
+    def test_packed_sends_in_steady_state(self, interpret_only):
         # Steady state via step differencing: the warm-up (interpreted)
-        # iterations send per-pair in both configurations.
-        _, on_6 = self._msgs(6, "auto")
-        ex, on_8 = self._msgs(8, "auto")
-        _, off_6 = self._msgs(6, "off")
-        _, off_8 = self._msgs(8, "off")
+        # iterations send per-pair, as every interpreted iteration does.
+        _, on_6 = self._msgs(6)
+        ex, on_8 = self._msgs(8)
+        with interpret_only:
+            _, off_6 = self._msgs(6)
+            _, off_8 = self._msgs(8)
         on_rate = (on_8 - on_6) / 2
         off_rate = (off_8 - off_6) / 2
         # 64 tiles on 4 ranks: 8 adjacent pairs per rank boundary fold
@@ -146,9 +146,10 @@ class TestAggregation:
         assert off_rate >= 5 * on_rate, (on_rate, off_rate)
         assert sent(ex, "msg") > 0  # the aggregated path actually ran
 
-    def test_aggregation_preserves_counters(self):
-        ex_on, _ = self._msgs(6, "auto")
-        ex_off, _ = self._msgs(6, "off")
+    def test_aggregation_preserves_counters(self, interpret_only):
+        ex_on, _ = self._msgs(6)
+        with interpret_only:
+            ex_off, _ = self._msgs(6)
         assert ex_on.elements_copied == ex_off.elements_copied
         assert ex_on.bytes_copied == ex_off.bytes_copied
         assert ex_on.pair_visits == ex_off.pair_visits

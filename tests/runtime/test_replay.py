@@ -10,7 +10,6 @@ from repro.core import ProgramBuilder, control_replicate
 from repro.core.ir import BinOp, Const, ScalarRef
 from repro.obs import Tracer
 from repro.runtime import (
-    ReplayError,
     ReplicationDivergence,
     SequentialExecutor,
     SPMDExecutor,
@@ -23,12 +22,12 @@ from tests.conftest import Fig2
 ALL_MODES = ["stepped", "threaded"] + (["procs"] if procs_available() else [])
 
 
-def run_pair(fig2, shards, replay, mode="stepped", **compile_kw):
+def run_pair(fig2, shards, mode="stepped", **compile_kw):
     seq = SequentialExecutor(instances=fig2.fresh_instances())
     seq.run(fig2.build())
     prog, _ = control_replicate(fig2.build(), num_shards=shards, **compile_kw)
     spmd = SPMDExecutor(num_shards=shards, mode=mode,
-                        instances=fig2.fresh_instances(), replay=replay)
+                        instances=fig2.fresh_instances())
     spmd.run(prog)
     return seq, spmd
 
@@ -37,54 +36,46 @@ class TestCaptureAndReplay:
     @pytest.mark.parametrize("shards", [1, 2, 3, 4])
     def test_auto_replays_steady_state(self, shards):
         fig2 = Fig2(steps=6)
-        seq, spmd = run_pair(fig2, shards, "auto")
+        seq, spmd = run_pair(fig2, shards)
         for uid in (fig2.A.uid, fig2.B.uid):
             assert np.array_equal(spmd.instances[uid].fields["v"],
                                   seq.instances[uid].fields["v"])
-        # auto captures after two identical interpreted iterations.
+        # A loop freezes after two identical interpreted iterations.
         assert spmd.replay_misses == 2 * shards
         assert spmd.replay_hits == (fig2.steps - 2) * shards
 
-    def test_force_freezes_after_first_iteration(self):
-        fig2 = Fig2(steps=6)
-        seq, spmd = run_pair(fig2, 4, "force")
-        assert np.array_equal(spmd.instances[fig2.A.uid].fields["v"],
-                              seq.instances[fig2.A.uid].fields["v"])
-        assert spmd.replay_misses == 4
-        assert spmd.replay_hits == (fig2.steps - 1) * 4
-
-    def test_off_never_replays(self):
-        fig2 = Fig2(steps=6)
-        _, spmd = run_pair(fig2, 4, "off")
-        assert spmd.replay_hits == 0
-        assert spmd.replay_misses == 0
-
     @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_replayed_state_identical_to_interpreted(self, mode):
+    def test_replayed_state_identical_to_interpreted(self, mode,
+                                                     interpret_only):
         fig2 = Fig2(steps=6)
-        results = {}
-        for replay in ("off", "auto"):
+
+        def run():
             prog, _ = control_replicate(fig2.build(), num_shards=4)
             ex = SPMDExecutor(num_shards=4, mode=mode,
-                              instances=fig2.fresh_instances(), replay=replay)
+                              instances=fig2.fresh_instances())
             ex.run(prog)
-            results[replay] = {uid: ex.instances[uid].fields["v"].copy()
-                               for uid in (fig2.A.uid, fig2.B.uid)}
-        for uid, arr in results["off"].items():
-            assert np.array_equal(arr, results["auto"][uid])
+            return ex
+
+        with interpret_only:
+            interp = run()
+        replayed = run()
+        assert interp.replay_hits == 0 < replayed.replay_hits
+        for uid in (fig2.A.uid, fig2.B.uid):
+            assert np.array_equal(interp.instances[uid].fields["v"],
+                                  replayed.instances[uid].fields["v"])
 
     def test_unoptimized_intersections_replay(self):
         # pairs_name is None: every (i, j) pair is visited, including empty
         # ones — replay must reproduce the empty-pair visit accounting.
         fig2 = Fig2(steps=6)
-        seq, spmd = run_pair(fig2, 3, "auto", optimize_intersection=False)
+        seq, spmd = run_pair(fig2, 3, optimize_intersection=False)
         assert np.array_equal(spmd.instances[fig2.A.uid].fields["v"],
                               seq.instances[fig2.A.uid].fields["v"])
         assert spmd.replay_hits > 0
 
     def test_barrier_sync_replay(self):
         fig2 = Fig2(steps=6)
-        seq, spmd = run_pair(fig2, 4, "auto", sync="barrier")
+        seq, spmd = run_pair(fig2, 4, sync="barrier")
         assert np.array_equal(spmd.instances[fig2.A.uid].fields["v"],
                               seq.instances[fig2.A.uid].fields["v"])
         assert spmd.replay_hits == 4 * 4
@@ -168,15 +159,6 @@ class TestGuardFallback:
         assert spmd.replay_hits == 0
         assert spmd.replay_misses == 5 * 4
 
-    def test_unfreezable_raises_under_force(self):
-        fig2 = Fig2(steps=1)
-        cprog, _ = control_replicate(self._unfreezable_program(fig2, 5),
-                                     num_shards=2)
-        spmd = SPMDExecutor(num_shards=2, instances=fig2.fresh_instances(),
-                            replay="force")
-        with pytest.raises(ReplayError):
-            spmd.run(cprog)
-
 
 class TestCounterParity:
     """Satellite: counters must match interpretation bit-for-bit."""
@@ -189,24 +171,26 @@ class TestCounterParity:
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     @pytest.mark.parametrize("app", sorted(APPS))
-    def test_counters_match_interpreted(self, app, mode):
+    def test_counters_match_interpreted(self, app, mode, interpret_only):
         p = self.APPS[app]()
-        totals = {}
-        for replay in ("off", "auto"):
-            _, _, ex, _ = p.run_control_replicated(4, mode=mode,
-                                                   replay=replay)
-            totals[replay] = (ex.tasks_executed, ex.pair_visits,
-                              ex.copies_performed, ex.elements_copied,
-                              ex.bytes_copied)
-        assert totals["off"] == totals["auto"]
-        assert totals["off"][2] > 0
+
+        def totals():
+            _, _, ex, _ = p.run_control_replicated(4, mode=mode)
+            return (ex.tasks_executed, ex.pair_visits, ex.copies_performed,
+                    ex.elements_copied, ex.bytes_copied), ex.replay_hits
+
+        with interpret_only:
+            interp, interp_hits = totals()
+        replayed, hits = totals()
+        assert interp_hits == 0 < hits
+        assert interp == replayed
+        assert interp[2] > 0
 
     def test_replay_counters_funnel_through_procs(self):
         if not procs_available():
             pytest.skip("fork unavailable")
         p = self.APPS["stencil"]()
-        _, _, ex, _ = p.run_control_replicated(4, mode="procs",
-                                               replay="auto")
+        _, _, ex, _ = p.run_control_replicated(4, mode="procs")
         steps = 5
         assert ex.replay_misses == 2 * 4
         assert ex.replay_hits == (steps - 2) * 4
@@ -248,10 +232,6 @@ class TestObservability:
                     if e.get("name") == "replay:capture"]
         assert len(captures) == 2  # one frozen window per shard
 
-    def test_invalid_replay_mode_rejected(self, fig2):
-        with pytest.raises(ValueError, match="replay"):
-            SPMDExecutor(num_shards=2, replay="always")
-
 
 class TestEvolvingScalars:
     def test_pennant_dt_collective_replays(self):
@@ -260,7 +240,7 @@ class TestEvolvingScalars:
         # re-evaluate scalar expressions and collective results per replay.
         p = PennantProblem(nx=8, ny=8, pieces=4, steps=6)
         seq_state, seq_scalars, _ = p.run_sequential()
-        st, scalars, ex, _ = p.run_control_replicated(4, replay="auto")
+        st, scalars, ex, _ = p.run_control_replicated(4)
         assert ex.replay_hits > 0
         assert scalars["dt"] == seq_scalars["dt"]
         for k in seq_state:

@@ -1,10 +1,10 @@
-"""Whole-window JIT: compiled windows must be invisible except for speed.
+"""The window compiler: compiled windows must be invisible except for speed.
 
 Covers the window-compiler pipeline end to end: sequential equivalence
-and counter parity across all four apps and all three backends with the
-JIT on/off, constant folding of stable scalars (and its refusal to
+and counter parity across all four apps and all three backends against
+the interpreter, constant folding of stable scalars (and its refusal to
 freeze evolving ones), invalidation when a guard-fallback iteration
-rewrites a folded scalar, the batched advance path, the one-sweep
+rewrites a folded scalar, the verifier's failure path, the batched advance path, the one-sweep
 fission pass against its pairwise-swap oracle, the cost of a freeze
 (footprint derivations, batched pair-copy lowering against the per-pair
 one, finished-run lifetime), and
@@ -13,6 +13,8 @@ spans, pass dumps).
 """
 
 import gc
+import multiprocessing
+import time
 import weakref
 from collections import Counter
 
@@ -24,7 +26,15 @@ from repro.apps.miniaero import MiniAeroProblem
 from repro.apps.pennant import PennantProblem
 from repro.apps.stencil import StencilProblem
 from repro.core import ProgramBuilder, control_replicate
-from repro.core.ir import BinOp, Const, PairwiseCopy, ScalarRef, walk
+from repro.core.ir import (
+    BinOp,
+    Const,
+    ForRange,
+    PairwiseCopy,
+    ScalarRef,
+    walk,
+)
+from repro.core.passes import Pass
 from repro.obs import MetricsRegistry, Tracer
 from repro.regions import (
     IntervalSet,
@@ -33,10 +43,12 @@ from repro.regions import (
     partition_block,
     region,
 )
+from repro.regions.shm import live_segment_count
 from repro.tasks import R, task
 from repro.runtime import (
     ReplayError,
     SequentialExecutor,
+    ShardExceptionGroup,
     SPMDExecutor,
     procs_available,
 )
@@ -75,48 +87,41 @@ def counters(ex):
 
 
 class TestAppEquivalence:
-    """The acceptance matrix: 4 apps x 3 backends, jit on vs off."""
+    """The acceptance matrix: 4 apps x 3 backends, window vs interpreter."""
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     @pytest.mark.parametrize("app", sorted(APPS))
-    def test_jit_matches_off_and_sequential(self, app, mode):
+    def test_jit_matches_off_and_sequential(self, app, mode, interpret_only):
         p = APPS[app]()
         seq_state, _, _ = p.run_sequential()
-        runs = {}
-        for jit in ("off", "auto"):
-            st, _, ex, _ = p.run_control_replicated(4, mode=mode, jit=jit)
-            runs[jit] = (st, ex)
+
+        def run():
+            st, _, ex, _ = p.run_control_replicated(4, mode=mode)
             for k in seq_state:
                 assert np.allclose(st[k], seq_state[k],
-                                   rtol=1e-11, atol=1e-13), (app, mode, jit, k)
+                                   rtol=1e-11, atol=1e-13), (app, mode, k)
+            return ex
+
+        with interpret_only:
+            interp = run()
+        compiled = run()
         # Exact counter parity: the compiled window applies precomputed
         # deltas, so the data-movement counters match interpretation
         # bit-for-bit — not just approximately.
-        assert counters(runs["off"][1]) == counters(runs["auto"][1])
-        assert runs["auto"][1].window_compiles > 0
-        assert runs["off"][1].window_compiles == 0
-
-    def test_force_compiles_every_window(self):
-        p = APPS["stencil"]()
-        st, _, ex, _ = p.run_control_replicated(4, jit="force")
-        seq_state, _, _ = p.run_sequential()
-        for k in seq_state:
-            assert np.allclose(st[k], seq_state[k], rtol=1e-11, atol=1e-13)
-        assert ex.window_compiles == 4  # one compiled window per shard
+        assert counters(interp) == counters(compiled)
+        assert compiled.window_compiles > 0
+        assert interp.window_compiles == 0
 
     def test_lowering_shrinks_the_window(self):
         p = APPS["stencil"]()
-        _, _, ex, _ = p.run_control_replicated(4, jit="auto")
+        _, _, ex, _ = p.run_control_replicated(4)
+        assert ex.window_compiles == 4  # one compiled window per shard
         assert 0 < ex.window_ops_lowered < ex.window_ops_recorded
         assert 0 < ex.window_closures < ex.window_ops_lowered
 
-    def test_invalid_jit_mode_rejected(self, fig2):
-        with pytest.raises(ValueError, match="jit"):
-            SPMDExecutor(num_shards=2, jit="always")
-
 
 class TestGuardFallback:
-    """A guard miss interprets one iteration, bit-identically, jit or not."""
+    """A guard miss interprets one iteration, bit-identically."""
 
     def _program_with_branch(self, fig2, steps, special):
         b = ProgramBuilder("fig2_branch")
@@ -129,24 +134,28 @@ class TestGuardFallback:
         return b.build()
 
     @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_fallback_bit_identical_across_jit_modes(self, mode):
+    def test_fallback_bit_identical_across_jit_modes(self, mode,
+                                                     interpret_only):
         fig2 = Fig2(steps=1)
         prog = self._program_with_branch(fig2, 6, 4)
         seq = SequentialExecutor(instances=fig2.fresh_instances())
         seq.run(self._program_with_branch(fig2, 6, 4))
-        states = {}
-        for jit in ("off", "auto"):
+
+        def run():
             cprog, _ = control_replicate(prog, num_shards=4)
             ex = SPMDExecutor(num_shards=4, mode=mode,
-                              instances=fig2.fresh_instances(), jit=jit)
+                              instances=fig2.fresh_instances())
             ex.run(cprog)
-            states[jit] = {uid: ex.instances[uid].fields["v"].copy()
-                           for uid in (fig2.A.uid, fig2.B.uid)}
-            assert ex.replay_guard_fallbacks == 4  # one per shard at t==4
-        for uid in states["off"]:
-            assert np.array_equal(states["off"][uid], states["auto"][uid])
-            assert np.array_equal(states["off"][uid],
-                                  seq.instances[uid].fields["v"])
+            return ex
+
+        with interpret_only:
+            interp = run()
+        compiled = run()
+        assert compiled.replay_guard_fallbacks == 4  # one per shard at t==4
+        for uid in (fig2.A.uid, fig2.B.uid):
+            want = seq.instances[uid].fields["v"]
+            assert np.array_equal(interp.instances[uid].fields["v"], want)
+            assert np.array_equal(compiled.instances[uid].fields["v"], want)
 
 
 class TestConstFold:
@@ -173,25 +182,18 @@ class TestConstFold:
         seq = SequentialExecutor(instances=fig2.fresh_instances())
         seq_scalars = seq.run(
             self._program_with_written_const(fig2, steps, special))
-        hits = {}
-        for jit in ("off", "auto"):
-            cprog, _ = control_replicate(prog, num_shards=4)
-            ex = SPMDExecutor(num_shards=4,
-                              instances=fig2.fresh_instances(), jit=jit)
-            scalars = ex.run(cprog)
-            assert scalars["c"] == seq_scalars["c"] == 8
-            assert scalars["d"] == seq_scalars["d"] == 9
-            assert np.array_equal(ex.instances[fig2.A.uid].fields["v"],
-                                  seq.instances[fig2.A.uid].fields["v"])
-            hits[jit] = (ex.replay_hits, ex.replay_misses)
-        # jit off: capture on 0-1, replay 2-3, guard miss at 4 (the trace
-        # stays valid — `c` only feeds the hoisted branch guard), replay
-        # 5-9: 7 hits / 3 misses per shard.
-        assert hits["off"] == (7 * 4, 3 * 4)
-        # jit auto: the fallback at t==4 rewrites folded `c`, dropping the
-        # compiled window; 5-6 re-capture, 7-9 replay the recompiled
-        # window: 5 hits / 5 misses per shard.
-        assert hits["auto"] == (5 * 4, 5 * 4)
+        cprog, _ = control_replicate(prog, num_shards=4)
+        ex = SPMDExecutor(num_shards=4, instances=fig2.fresh_instances())
+        scalars = ex.run(cprog)
+        assert scalars["c"] == seq_scalars["c"] == 8
+        assert scalars["d"] == seq_scalars["d"] == 9
+        assert np.array_equal(ex.instances[fig2.A.uid].fields["v"],
+                              seq.instances[fig2.A.uid].fields["v"])
+        # Capture on 0-1, replay 2-3; the fallback at t==4 rewrites folded
+        # `c`, dropping the compiled window; 5-6 re-capture, 7-9 replay
+        # the recompiled window: 5 hits / 5 misses per shard.
+        assert (ex.replay_hits, ex.replay_misses) == (5 * 4, 5 * 4)
+        assert ex.window_compiles == 2 * 4
 
     def test_evolving_scalar_not_frozen(self):
         # pennant's dt is rewritten by a min-collective every step; the
@@ -199,34 +201,74 @@ class TestConstFold:
         # replayed iteration would reuse a stale timestep.
         p = APPS["pennant"]()
         seq_state, seq_scalars, _ = p.run_sequential()
-        st, scalars, ex, _ = p.run_control_replicated(4, jit="force")
+        st, scalars, ex, _ = p.run_control_replicated(4)
         assert ex.replay_hits > 0
         assert ex.window_compiles >= 4
         assert scalars["dt"] == seq_scalars["dt"]
         for k in seq_state:
             assert np.allclose(st[k], seq_state[k], rtol=1e-11, atol=1e-13)
 
-    def test_force_surfaces_compile_errors(self):
-        # A program whose loop body cannot be frozen still raises under
-        # force with the JIT engaged (the pre-existing replay contract).
-        fig2 = Fig2(steps=1)
-        b = ProgramBuilder("fig2_unfreezable")
-        b.let("T", 5)
-        b.let("s", 0)
-        with b.for_range("t", 0, "T"):
-            b.assign("s", BinOp("+", ScalarRef("s"), Const(1)))
-            with b.if_stmt(BinOp("<", ScalarRef("s"), Const(100))):
-                b.launch(fig2.TF, fig2.I, fig2.PB, fig2.PA)
-            b.launch(fig2.TG, fig2.I, fig2.PA, fig2.QB)
-        cprog, _ = control_replicate(b.build(), num_shards=2)
-        ex = SPMDExecutor(num_shards=2, instances=fig2.fresh_instances(),
-                          replay="force", jit="force")
-        with pytest.raises(ReplayError):
-            ex.run(cprog)
+
+class _DropAdvance(Pass):
+    """Bad pass: loses one channel advance (a peer would wait forever)."""
+
+    name = "drop-advance"
+
+    def run(self, wir, ctx):
+        k = next(n for n, op in enumerate(wir.ops) if op[0] == OP_ADV)
+        wir.ops = wir.ops[:k] + wir.ops[k + 1:]
+        return wir
+
+
+class _DoubleBytes(Pass):
+    """Bad pass: one pair copy reports twice the bytes it moves."""
+
+    name = "double-bytes"
+
+    def run(self, wir, ctx):
+        k = next(n for n, op in enumerate(wir.ops) if op[0] == OP_COPY)
+        pc = wir.ops[k][1]
+        wir.ops = list(wir.ops)
+        wir.ops[k] = (OP_COPY, PairCopy(
+            pc.arrays, pc.src_ix, pc.dst_ix, pc.ufunc, pc.count,
+            2 * pc.nbytes, pc.uid, pc.group_key, pc.lock))
+        return wir
+
+
+class TestVerifierFailure:
+    """A pass that breaks the window fails the launch, by name, in time."""
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("bad", [_DropAdvance, _DoubleBytes])
+    def test_bad_pass_fails_the_launch(self, bad, mode, monkeypatch):
+        passes = window_exec.window_passes
+        monkeypatch.setattr(window_exec, "window_passes",
+                            lambda ex: [bad()] + passes(ex))
+        fig2 = Fig2(steps=6)
+        prog, _ = control_replicate(fig2.build(), num_shards=2)
+        loop = next(s.uid for s in walk(prog.body) if isinstance(s, ForRange))
+        timeout = 30.0
+        ex = SPMDExecutor(num_shards=2, mode=mode, deadlock_timeout=timeout,
+                          instances=fig2.fresh_instances())
+        t0 = time.perf_counter()
+        with pytest.raises((ReplayError, ShardExceptionGroup)) as exc_info:
+            ex.run(prog)
+        assert time.perf_counter() - t0 < timeout / 2
+        err = exc_info.value
+        errors = (err.exceptions if isinstance(err, ShardExceptionGroup)
+                  else [err])
+        for e in errors:
+            assert isinstance(e, ReplayError)
+            msg = str(e)
+            assert any(f"shard {x}," in msg for x in range(2)), msg
+            assert f"loop {loop}:" in msg and repr(bad.name) in msg, msg
+        assert ex.replay_hits == 0 and ex.window_compiles == 0
+        assert live_segment_count() == 0
+        assert multiprocessing.active_children() == []
 
 
 class TestAdvanceGroup:
-    """Satellite: batched generation bumps, on and off the JIT path."""
+    """Satellite: batched generation bumps."""
 
     def test_plain_sequences_all_advance(self):
         seqs = [Sequence() for _ in range(4)]
@@ -252,26 +294,6 @@ class TestAdvanceGroup:
     def test_empty_group_is_a_noop(self):
         advance_group([], 5)
 
-    def test_batched_advances_with_jit_off(self):
-        # The batch-sync pass runs in tier A, so even interpreted replay
-        # advances each copy statement's ack run in one bump; counters
-        # and state must still match the sequential executor exactly.
-        fig2 = Fig2(steps=6)
-        seq = SequentialExecutor(instances=fig2.fresh_instances())
-        seq.run(fig2.build())
-        metrics = MetricsRegistry()
-        prog, _ = control_replicate(fig2.build(), num_shards=4)
-        ex = SPMDExecutor(num_shards=4, instances=fig2.fresh_instances(),
-                          jit="off", metrics=metrics)
-        ex.run(prog)
-        assert np.array_equal(ex.instances[fig2.A.uid].fields["v"],
-                              seq.instances[fig2.A.uid].fields["v"])
-        batched = sum(
-            inst.value for name, labels, inst in metrics.items()
-            if name == "spmd_window_pass_stat_total"
-            and labels.get("stat") == "advances_batched")
-        assert batched > 0
-
 
 def _pass_stat(metrics, stat):
     return sum(inst.value for name, labels, inst in metrics.items()
@@ -282,22 +304,23 @@ def _pass_stat(metrics, stat):
 class TestBatchLaunch:
     """Tentpole lever: batchable point tasks lower to one body call."""
 
-    def _run_stencil(self, jit, tiles=16, shards=4):
+    def _run_stencil(self, tiles=16, shards=4):
         p = StencilProblem(n=24, radius=2, tiles=tiles, steps=6)
         metrics = MetricsRegistry()
         prog, _ = control_replicate(p.build_program(), num_shards=shards)
-        ex = SPMDExecutor(num_shards=shards, mode="stepped", jit=jit,
+        ex = SPMDExecutor(num_shards=shards, mode="stepped",
                           metrics=metrics, instances=p.fresh_instances())
         ex.run(prog)
         return p.extract_state(ex.instances), ex, metrics
 
-    def test_batched_stencil_bit_identical(self):
+    def test_batched_stencil_bit_identical(self, interpret_only):
         # Oversubscribed tiles (4 per shard) so batching actually fires:
         # the stencil body is coordinate-based, so one call over the
         # union of a shard's tiles must be bitwise equal to per-tile
         # calls — array_equal, not allclose.
-        st_off, ex_off, _ = self._run_stencil("off")
-        st_jit, ex_jit, metrics = self._run_stencil("auto")
+        with interpret_only:
+            st_off, ex_off, _ = self._run_stencil()
+        st_jit, ex_jit, metrics = self._run_stencil()
         for k in st_off:
             assert np.array_equal(st_off[k], st_jit[k]), k
         assert counters(ex_off) == counters(ex_jit)
@@ -308,18 +331,18 @@ class TestBatchLaunch:
     def test_single_tile_shards_not_batched(self):
         # One tile per shard: nothing to batch (a 1-entry launch pays no
         # per-tile dispatch), the pass must leave the launch alone.
-        _, ex, metrics = self._run_stencil("auto", tiles=4)
+        _, ex, metrics = self._run_stencil(tiles=4)
         assert ex.window_compiles == 4
         assert _pass_stat(metrics, "batched_launches") == 0
 
     def test_opt_in_only(self):
-        # Fig2's tasks never declared `batchable`; even jit=force must
-        # not batch them — the contract is the app author's promise.
+        # Fig2's tasks never declared `batchable`, so the pass must not
+        # batch them — the contract is the app author's promise.
         fig2 = Fig2(steps=6)
         metrics = MetricsRegistry()
         prog, _ = control_replicate(fig2.build(), num_shards=2)
         ex = SPMDExecutor(num_shards=2, instances=fig2.fresh_instances(),
-                          jit="force", metrics=metrics)
+                          metrics=metrics)
         ex.run(prog)
         assert ex.window_compiles == 2
         assert _pass_stat(metrics, "batched_launches") == 0
@@ -345,7 +368,7 @@ class TestBatchLaunch:
         seq_scalars = SequentialExecutor().run(build())
         metrics = MetricsRegistry()
         prog, _ = control_replicate(build(), num_shards=2)
-        ex = SPMDExecutor(num_shards=2, jit="force", metrics=metrics)
+        ex = SPMDExecutor(num_shards=2, metrics=metrics)
         scalars = ex.run(prog)
         assert scalars["lo"] == seq_scalars["lo"]
         assert ex.window_compiles == 2
@@ -421,7 +444,7 @@ class TestFission:
             return wir
 
         monkeypatch.setattr(FissionPass, "run", run)
-        APPS[app]().run_control_replicated(4, mode=mode, jit="auto")
+        APPS[app]().run_control_replicated(4, mode=mode)
         assert len(windows) >= 4  # one compiled window per shard
         moved = 0
         for before, protect, after, stats in windows:
@@ -508,7 +531,7 @@ class TestFreezeCost:
         monkeypatch.setattr(schedule, "op_arrays", counting)
         p = CircuitProblem(pieces=pieces, nodes_per_piece=20,
                            wires_per_piece=30, steps=4)
-        _, _, ex, _ = p.run_control_replicated(2, jit="auto")
+        _, _, ex, _ = p.run_control_replicated(2)
         assert ex.window_compiles == 2
         assert 0 < len(calls) <= 2 * ex.window_ops_lowered
 
@@ -555,6 +578,30 @@ class TestFreezeCost:
         for uid in (fig2.A.uid, fig2.B.uid):
             assert np.array_equal(ex.instances[uid].fields["v"],
                                   seq.instances[uid].fields["v"])
+        # A guard-fallback iteration runs under a recorder too: it may
+        # lower each copy statement it meets once more, and a loop that
+        # keeps its window must not keep those tables (a resident
+        # executor would hold them until its next run).
+        del batches[:]
+        fig2 = Fig2(steps=1)
+        prog, _ = control_replicate(
+            TestGuardFallback()._program_with_branch(fig2, 8, 5),
+            num_shards=2)
+        copies = sum(isinstance(s, PairwiseCopy) for s in walk(prog.body))
+        ex = SPMDExecutor(num_shards=2, instances=fig2.fresh_instances(),
+                          retain_plans=True)
+        try:
+            ex.run(prog)
+            assert ex.replay_guard_fallbacks == 2  # t == 5, on each shard
+            states = [st for sts in ex._resident_states.values()
+                      for st in sts]
+            assert len(states) == 2
+            assert all(st.pair_copies == {} for st in states)
+            # One capture and one fallback iteration lowered pairs.
+            assert max(Counter(batches).values()) <= 2 * 2
+            assert len(batches) <= copies * 2 * 2
+        finally:
+            ex.reset_session()
 
     @pytest.mark.parametrize("app", sorted(APPS))
     def test_batched_lowering_matches_per_pair(self, app, monkeypatch):
@@ -648,6 +695,7 @@ class TestObservability:
                      if e.get("name") == "replay:jit"]
         assert all(e.get("cat") == "jit" for e in jit_spans)
         assert all(e["args"]["closures"] > 0 for e in jit_spans)
+        assert _pass_stat(metrics, "advances_batched") > 0
         got = {name for name, _, _ in metrics.items()}
         assert "spmd_window_ops_total" in got
         assert "spmd_window_closures_total" in got
@@ -670,7 +718,7 @@ class TestObservability:
         if not procs_available():
             pytest.skip("fork unavailable")
         p = APPS["stencil"]()
-        _, _, ex, _ = p.run_control_replicated(4, mode="procs", jit="auto")
+        _, _, ex, _ = p.run_control_replicated(4, mode="procs")
         assert ex.window_compiles == 4
         assert ex.window_ops_recorded > ex.window_ops_lowered > 0
         assert ex.window_closures > 0

@@ -59,8 +59,7 @@ class TestFingerprint:
         implicit = ServeRequest.from_dict({"app": "stencil"})
         explicit = ServeRequest.from_dict(
             {"app": "stencil", "tiles": 4, "steps": 3, "shards": 4,
-             "backend": "threaded", "sync": "p2p", "replay": "auto",
-             "fuse_copies": "auto", "jit": "auto", "seed": 0})
+             "backend": "threaded", "sync": "p2p", "seed": 0})
         assert implicit.fingerprint() == explicit.fingerprint()
 
     def test_every_structural_field_perturbs_the_key(self):
@@ -68,8 +67,7 @@ class TestFingerprint:
         variants = [
             {"app": "circuit"}, {"tiles": 8}, {"steps": 7}, {"size": 32},
             {"shape": "square"}, {"shards": 2}, {"backend": "stepped"},
-            {"sync": "barrier"}, {"replay": "off"}, {"fuse_copies": "off"},
-            {"jit": "off"}, {"seed": 7},
+            {"sync": "barrier"}, {"seed": 7},
         ]
         seen = {base.fingerprint()}
         for change in variants:
@@ -323,6 +321,12 @@ class TestHTTPServer:
         base, _ = server
         assert self._post(base, "/run", {"app": "nope"})[0] == 400
         assert self._post(base, "/run", {"app": "stencil", "x": 1})[0] == 400
+        # The tier switches are gone, not defaulted: a body that still
+        # carries one is an unknown field, by name.
+        status, body = self._post(base, "/run",
+                                  {"app": "stencil", "jit": "off"})
+        assert status == 400
+        assert body["error"] == "unknown request field(s): jit"
         assert self._post(base, "/run",
                           {"app": "stencil", "shards": 64})[0] == 429
         assert self._post(base, "/frob", {})[0] == 404
