@@ -2,8 +2,10 @@
 
 For every application the compiled program's ``ComputeIntersections``
 statements are evaluated at 64 and 1024 pieces, timing the *shallow* phase
-(interval join / BVH candidate pairs) and the *complete* phase (exact
-element sets) separately — the two columns of the paper's Table 1.
+(the candidate pairs of one overlap join — the same join for structured
+and unstructured regions, where the paper uses a BVH for the former) and
+the *complete* phase (exact element sets) separately — the two columns of
+the paper's Table 1.
 
 Problem sizes per piece are reduced relative to the paper (this is a pure
 Python runtime; see EXPERIMENTS.md), so absolute times are not comparable;
@@ -83,7 +85,9 @@ def test_table1_intersections(benchmark, app, pieces):
         complete = sum(r.complete_seconds for r in results)
         return shallow, complete, sum(len(r.pairs) for r in results)
 
-    shallow, complete, npairs = benchmark.pedantic(run, rounds=3, iterations=1)
+    rounds = []
+    benchmark.pedantic(lambda: rounds.append(run()), rounds=3, iterations=1)
+    shallow, complete, npairs = min(rounds)  # best round, by shallow time
     record_bench("table1_intersections", op=f"{app}_intersections",
                  shards=pieces, backend="analysis",
                  seconds_per_iteration=shallow + complete,

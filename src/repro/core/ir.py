@@ -377,7 +377,7 @@ class PairwiseCopy(Stmt):
 class ComputeIntersections(Stmt):
     """``pairs = { i, j | dst[j] ∩ src[i] ≠ ∅ }`` (paper Fig. 4b line 5).
 
-    Evaluated with the shallow (interval join / BVH) pass followed by the
+    Evaluated with the shallow (interval join) pass followed by the
     complete pass; executors bind the result to ``name`` in the program
     environment.  Hoisted to program start by copy placement, as observed
     for all four evaluated applications (§3.3).

@@ -7,7 +7,6 @@ analyzable property — disjointness — drives the control replication
 compiler.
 """
 
-from .bvh import BVH, structured_intersection_pairs
 from .hierarchical import PrivateGhost, private_ghost_decomposition
 from .index_space import IndexSpace, ispace
 from .interval_join import shallow_intersection_pairs
@@ -40,7 +39,6 @@ from .region import (
 )
 
 __all__ = [
-    "BVH",
     "FieldSpace",
     "IndexSpace",
     "IntervalSet",
@@ -71,5 +69,4 @@ __all__ = [
     "reduction_identity",
     "region",
     "shallow_intersection_pairs",
-    "structured_intersection_pairs",
 ]

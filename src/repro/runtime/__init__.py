@@ -5,8 +5,7 @@ from .collectives import SCALAR_REDUCTIONS, DynamicCollective
 from .copy_engine import (FusedBatch, FusedCopy, disjoint_dst_colors,
                           fuse_group)
 from .dependence import DependenceAnalyzer, DependenceGraph, OpNode
-from .events import (Event, GlobalBarrier, PhaseBarrier, Sequence,
-                     advance_group)
+from .events import Event, GlobalBarrier, PhaseBarrier, Sequence
 from .intersection_exec import (IntersectionResult, compute_intersections,
                                 compute_intersections_sharded)
 from .mapping import BlockMapper, Mapper
@@ -44,7 +43,6 @@ __all__ = [
     "Sequence",
     "ShardExceptionGroup",
     "SequentialExecutor",
-    "advance_group",
     "compile_window",
     "compute_intersections",
     "compute_intersections_sharded",

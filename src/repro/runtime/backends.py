@@ -1,14 +1,20 @@
-"""The backend registry: one place that knows which SPMD drivers exist.
+"""The backend registry: one row per SPMD driver, and the row *is* the
+backend as far as the executor is concerned.
 
 Every consumer of "the list of backends" — the CLI's ``--backend``
 choices, the serve fingerprint, the executor's mode validation — reads
-this registry instead of repeating the literal tuple, so adding a
-backend is a one-line change here plus its driver.
+this registry instead of repeating the literal tuple, and the executor
+asks the row, never the name, for what differs between drivers: where
+instances live, whether shards outlive a launch, which lock a reduction
+fold needs, and the callable that runs a launch.  Adding a backend is
+its row here plus its driver.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import Callable
 
 __all__ = ["BACKENDS", "Backend", "backend_names", "ensure_backend"]
@@ -18,10 +24,12 @@ def _no_check() -> None:
     return None
 
 
-def _ensure_procs() -> None:
-    from .procs import ensure_procs_available
-
-    ensure_procs_available()
+def _lazy(module: str, name: str) -> Callable:
+    """``module.name``, imported at first call: the drivers pull in
+    multiprocessing and sockets, which most runs never need."""
+    def call(*args):
+        return getattr(import_module(module, __package__), name)(*args)
+    return call
 
 
 @dataclass(frozen=True)
@@ -30,23 +38,42 @@ class Backend:
 
     name: str
     description: str
+    # ``launch(ex, stmt, spec, states)`` runs one ShardLaunch to the end,
+    # leaving each shard's result in its state (repro.runtime.launch).
+    launch: Callable = field(repr=False)
     # Raises (e.g. ProcsUnavailableError) when the platform can't run it.
     ensure: Callable[[], None] = field(default=_no_check, repr=False)
+    # Partition instances are allocated in shared memory.
+    shared_instances: bool = False
+    # Shards live in the executor's process, so a resident executor's
+    # frozen plans and sync objects persist across runs; otherwise they
+    # die with each launch's children and are rebuilt per run.
+    resident: bool = True
+    # Lock factory for interfering reduction folds: producers are threads
+    # of one process unless the row says otherwise.
+    lock: Callable = field(default=threading.Lock, repr=False)
 
 
 BACKENDS: dict[str, Backend] = {
     b.name: b
     for b in (
         Backend("stepped",
-                "deterministic single-thread round-robin interpreter"),
-        Backend("threaded", "one OS thread per shard, in-memory handshakes"),
+                "deterministic single-thread round-robin interpreter",
+                launch=_lazy(".launch", "launch_stepped")),
+        Backend("threaded", "one OS thread per shard, in-memory handshakes",
+                launch=_lazy(".launch", "launch_threaded")),
         Backend("procs",
                 "one forked process per shard over shared-memory instances",
-                ensure=_ensure_procs),
+                launch=_lazy(".procs", "run_shard_launch_procs"),
+                ensure=_lazy(".launch", "ensure_procs_available"),
+                shared_instances=True, resident=False,
+                lock=_lazy(".procs", "shared_lock")),
         # The net driver's single-host shape needs fork too, but that
         # check lives in the driver at fork time so worker mode (no
         # fork) stays usable on fork-less platforms.
-        Backend("net", "one rank process per shard over a TCP peer mesh"),
+        Backend("net", "one rank process per shard over a TCP peer mesh",
+                launch=_lazy(".net.driver", "run_shard_launch_net"),
+                resident=False),
     )
 }
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import threading
 
-__all__ = ["Event", "Sequence", "PhaseBarrier", "GlobalBarrier",
-           "advance_group"]
+__all__ = ["Event", "Sequence", "PhaseBarrier", "GlobalBarrier"]
 
 
 class Event:
@@ -101,26 +100,6 @@ class Sequence:
             if n not in self._waiters:
                 self._waiters[n] = Event(label=label)
             return self._waiters[n]
-
-
-def advance_group(seqs, n: int) -> None:
-    """Advance a batch of sequences to generation ``n`` in one bump.
-
-    The replay layer records one ack advance per inbound pair at a copy
-    statement's entry; batching the run turns that into one call — and,
-    for sequence types that share a synchronization domain (the procs
-    backend's sync board, where every channel slot hangs off one shared
-    Condition), into a single lock acquisition and broadcast via their
-    ``advance_group_shared`` hook.
-    """
-    if not seqs:
-        return
-    shared = getattr(seqs[0], "advance_group_shared", None)
-    if shared is not None:
-        shared(seqs, n)
-        return
-    for seq in seqs:
-        seq.advance_to(n)
 
 
 class PhaseBarrier:

@@ -3,16 +3,20 @@
 The compiler defers the number, size, and extent of subregion
 intersections to runtime.  Evaluation is two-phase:
 
-* **shallow** — find the candidate pairs ``(i, j)`` whose subregions may
-  overlap: for unstructured regions the distinct label pairs of one
-  output-sensitive overlap join of the two sides' intervals
-  (:mod:`repro.regions.interval_join`), for structured ones a bounding
-  volume hierarchy; never all-pairs;
+* **shallow** — find the candidate pairs ``(i, j)`` whose subregions
+  overlap: the distinct label pairs of one output-sensitive overlap join
+  of the two sides' intervals (:mod:`repro.regions.interval_join`); never
+  all-pairs;
 * **complete** — compute the exact shared element set for each candidate
-  pair: the join's rows clipped and grouped by pair (unstructured), or a
-  per-pair ``&`` (structured).  After shard creation this runs per shard
-  over its owned sources, which is how the paper keeps it ``O(M^2)`` in
-  per-shard terms.
+  pair: the join's rows clipped and grouped by pair.  After shard
+  creation this runs per shard over its owned sources, which is how the
+  paper keeps it ``O(M^2)`` in per-shard terms.
+
+The paper uses an interval tree for unstructured regions and a bounding
+volume hierarchy for structured ones.  Here one join serves both: a
+subset of a structured index space *is* a linearised ``IntervalSet`` (one
+interval per row run), so the same join answers it — exactly, with no
+bounding-box false candidates to weed out afterwards.
 
 Timings of both phases are recorded — they are what Table 1 of the paper
 reports.
@@ -26,7 +30,6 @@ from dataclasses import field as dataclass_field
 
 import numpy as np
 
-from ..regions.bvh import structured_intersection_pairs
 from ..regions.interval_join import exact_intersections, overlap_join
 from ..regions.intervals import IntervalSet
 from ..regions.partition import Partition
@@ -97,24 +100,8 @@ def compute_intersections_sharded(src: Partition, dst: Partition,
     owner = np.array([owner_of_color(src.num_colors, num_shards, c)
                       for c in src.colors], dtype=np.int64)
     t0 = time.perf_counter()
-    shape = src.parent.ispace.shape
-    if shape is not None:
-        candidates = np.array(
-            structured_intersection_pairs(src_sets, dst_sets, shape),
-            dtype=np.int64).reshape(-1, 2)
-        i = candidates[:, 0]
-        num_candidates = candidates.shape[0]
-
-        def complete(rows):
-            return {(ci, cj): inter for ci, cj in candidates[rows].tolist()
-                    if (inter := src_sets[ci] & dst_sets[cj])}
-    else:
-        i, j, src_rows, dst_rows = overlap_join(src_sets, dst_sets)
-        num_candidates = np.unique(i * dst.num_colors + j).size
-
-        def complete(rows):
-            return exact_intersections(i[rows], j[rows], src_rows[rows],
-                                       dst_rows[rows])
+    i, j, src_rows, dst_rows = overlap_join(src_sets, dst_sets)
+    num_candidates = np.unique(i * dst.num_colors + j).size
     t1 = time.perf_counter()
 
     # Hand every shard the candidates of its owned source colors.
@@ -125,7 +112,9 @@ def compute_intersections_sharded(src: Partition, dst: Partition,
     per_shard: list[float] = []
     for s in range(num_shards):
         ts = time.perf_counter()
-        pairs.update(complete(by_owner[cuts[s]:cuts[s + 1]]))
+        rows = by_owner[cuts[s]:cuts[s + 1]]
+        pairs.update(exact_intersections(i[rows], j[rows], src_rows[rows],
+                                         dst_rows[rows]))
         per_shard.append(time.perf_counter() - ts)
     result = IntersectionResult(src=src, dst=dst, pairs=pairs,
                                 shallow_seconds=t1 - t0,

@@ -1,0 +1,573 @@
+"""A shard launch: spec → context → drive → funnel.
+
+How a ``ShardLaunch`` gets its synchronization objects, drives its
+shards, delivers a pair copy and returns each shard's result is decided
+here, once, for every backend:
+
+* :func:`launch_spec` walks the launch body a single time and names what
+  it needs: the partitions whose instances must exist, one channel per
+  (copy statement, intersection pair), one collective per
+  ``ScalarCollective``, one barrier per ``BarrierStmt`` tag plus a
+  ``pre:``/``post:`` pair per barrier-synchronized copy, and the
+  (reduction copy, destination colour) keys that need a fold lock.
+* :class:`CommContext` turns that spec into objects, in spec order.  The
+  class itself is the in-memory implementation (``stepped``/``threaded``);
+  :class:`repro.runtime.procs.BoardContext` puts the same objects in
+  shared memory and :class:`repro.runtime.net.sync.NetCommContext` on the
+  wire.  Besides the objects it owns *group advance* and *pair delivery*,
+  the two operations whose best form depends on the mechanism.
+* :func:`drive_shard` resumes one shard generator to its end on the
+  calling thread, blocking in :func:`wait_event` — the one wait loop
+  (20 ms poll, cancel token, deadlock deadline, flight/trace/histogram
+  record).  The thread driver, a forked ``procs`` child and a ``net``
+  rank all run it; :func:`drive_stepped` is the deterministic scheduler
+  over the same event objects.
+* :func:`fork_and_funnel` is the one fork/collect/join loop under
+  ``procs`` and ``net``: one child per shard runs a backend-supplied
+  body, ships :func:`child_payload` back over a pipe, and the parent
+  collects in *arrival* order so a rank that dies hard cancels the rest
+  at once, whichever rank it is.
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+import random
+import threading
+import time
+from dataclasses import dataclass, field
+from multiprocessing.connection import wait as wait_any
+from typing import Any, Callable, Iterator
+
+from ..core.ir import (BarrierStmt, FillReductionBuffer, IndexLaunch,
+                       PairwiseCopy, ScalarCollective, walk)
+from ..obs import PID_SPMD, clock_anchor, rebase_events
+from ..obs import flight as _flight
+from ..obs.flight import anchor_delta_s, flight_anchor
+from .collectives import DynamicCollective
+from .events import GlobalBarrier, Sequence
+
+__all__ = ["Channel", "CommContext", "DeadlockError", "LaunchSpec",
+           "ProcsUnavailableError", "ShardExceptionGroup", "drive_shard",
+           "drive_stepped", "drive_threaded", "ensure_procs_available",
+           "fork_and_funnel", "launch_spec", "procs_available", "wait_event"]
+
+
+class DeadlockError(RuntimeError):
+    """No shard can make progress — synchronization is inconsistent."""
+
+
+try:
+    _ExceptionGroupBase = ExceptionGroup  # noqa: F821 -- builtin on py3.11+
+except NameError:  # pragma: no cover -- py3.10 fallback
+    class _ExceptionGroupBase(Exception):
+        def __init__(self, message: str, exceptions):
+            super().__init__(message)
+            self.exceptions = tuple(exceptions)
+
+        def __str__(self) -> str:
+            return (f"{self.args[0]} "
+                    f"({len(self.exceptions)} sub-exception(s))")
+
+
+class ShardExceptionGroup(_ExceptionGroupBase):
+    """Several shards of one SPMD run failed independently."""
+
+
+class ProcsUnavailableError(RuntimeError):
+    """The platform lacks the ``fork`` start method the driver needs."""
+
+
+class _Cancelled(BaseException):
+    """Internal: a sibling shard failed; unwind this shard quietly."""
+
+
+def procs_available() -> bool:
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+def ensure_procs_available() -> None:
+    if not procs_available():
+        raise ProcsUnavailableError(
+            "the procs SPMD backend requires the 'fork' multiprocessing "
+            "start method (unavailable on this platform); use "
+            "mode='threaded' instead")
+
+
+def fork_context():
+    ensure_procs_available()
+    return multiprocessing.get_context("fork")
+
+
+# ---------------------------------------------------------------------------
+# Spec: what one launch needs
+# ---------------------------------------------------------------------------
+
+@dataclass
+class LaunchSpec:
+    """What one ``ShardLaunch`` touches and synchronizes on, in walk order."""
+
+    partitions: list = field(default_factory=list)
+    # Copy statements, and per copy uid its channel keys (``_copy_pairs``).
+    copies: list = field(default_factory=list)
+    pairs: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
+    collectives: list[tuple[int, str]] = field(default_factory=list)
+    # Barrier tag -> the copy statement whose ``post:`` barrier it is (its
+    # completion must also cover that statement's inbound payloads on a
+    # backend where data and barrier travel apart), else None.
+    barriers: dict[str, Any] = field(default_factory=dict)
+    # (reduction copy uid, dst colour): folds into one destination
+    # instance may need a lock; different destinations never contend.
+    reduction_dsts: list[tuple[int, int]] = field(default_factory=list)
+
+
+def launch_spec(stmt, copy_pairs: Callable) -> LaunchSpec:
+    """Derive the :class:`LaunchSpec` of ``stmt`` in one walk.
+
+    Deterministic in the statement order and ``copy_pairs(copy)`` order,
+    which is what lets forked ranks and independently started workers
+    number their channels identically without exchanging anything.
+    """
+    spec = LaunchSpec()
+    parts: dict[int, Any] = {}
+    for s in walk(stmt):
+        if isinstance(s, IndexLaunch):
+            for arg in s.region_args:
+                parts[arg.proj.partition.uid] = arg.proj.partition
+        elif isinstance(s, FillReductionBuffer):
+            parts[s.partition.uid] = s.partition
+        elif isinstance(s, PairwiseCopy):
+            parts[s.src.uid] = s.src
+            parts[s.dst.uid] = s.dst
+            spec.copies.append(s)
+            spec.pairs[s.uid] = copy_pairs(s)
+            if s.sync_mode == "barrier":
+                spec.barriers.setdefault(f"pre:{s.uid}", None)
+                spec.barriers.setdefault(f"post:{s.uid}", s)
+            if s.redop is not None:
+                spec.reduction_dsts.extend((s.uid, j) for j in s.dst.colors)
+        elif isinstance(s, ScalarCollective):
+            spec.collectives.append((s.uid, s.redop))
+        elif isinstance(s, BarrierStmt):
+            spec.barriers.setdefault(s.tag, None)
+    spec.partitions = list(parts.values())
+    return spec
+
+
+# ---------------------------------------------------------------------------
+# Context: the spec's objects, plus group advance and pair delivery
+# ---------------------------------------------------------------------------
+
+class Channel:
+    """The two monotone sequences of one (copy statement, pair) handshake."""
+
+    __slots__ = ("ready", "acked")
+
+    def __init__(self, ready, acked):
+        self.ready = ready
+        self.acked = acked
+
+
+class CommContext:
+    """The synchronization objects of one launch, built from its spec.
+
+    ``channels[copy uid][(i, j)]`` is a :class:`Channel`,
+    ``collectives[uid]`` and ``barriers[tag]`` the generational
+    all-reduce and barrier objects.  Subclasses override the three
+    factories (and the two operations below) and nothing else; this
+    class builds plain in-process objects.
+    """
+
+    # Whether some pair of this launch crosses ranks that share no memory
+    # (then pair delivery is a framed send, and a window plans messages
+    # instead of fusing in-memory copies).
+    has_remote = False
+
+    def __init__(self, spec: LaunchSpec, num_shards: int):
+        self.num_shards = num_shards
+        cid = 0
+        self.channels: dict[int, dict[tuple[int, int], Channel]] = {}
+        for stmt in spec.copies:
+            chans = self.channels[stmt.uid] = {}
+            for pair in spec.pairs[stmt.uid]:
+                chan = self._channel(stmt, pair, cid)
+                cid += 1
+                if chan is not None:
+                    chans[pair] = chan
+        self.collectives = {uid: self._collective(uid, redop)
+                            for uid, redop in spec.collectives}
+        self.barriers = {tag: self._barrier(tag, copy)
+                         for tag, copy in spec.barriers.items()}
+
+    # -- factories, called in spec order ----------------------------------
+    def _channel(self, stmt, pair, cid: int):
+        return Channel(Sequence(), Sequence())
+
+    def _collective(self, uid: int, redop: str):
+        return DynamicCollective(self.num_shards, redop)
+
+    def _barrier(self, tag: str, copy):
+        return GlobalBarrier(self.num_shards)
+
+    # -- operations -------------------------------------------------------
+    def advance_group(self, seqs, n: int) -> None:
+        """Advance a batch of this context's sequences to generation ``n``
+        (a copy statement's ack release burst, one per inbound pair)."""
+        for seq in seqs:
+            seq.advance_to(n)
+
+    def is_local(self, stmt, j: int) -> bool:
+        """Whether destination colour ``j`` of ``stmt`` is reachable by an
+        in-memory copy from the calling shard."""
+        return True
+
+    def send_pair(self, stmt, i: int, j: int, state, rec) -> None:
+        """Deliver one pair copy whose destination is not local."""
+        raise NotImplementedError("every pair of this context is local")
+
+
+# ---------------------------------------------------------------------------
+# Drive: one wait loop, one per-shard resume loop, two schedulers
+# ---------------------------------------------------------------------------
+
+def wait_kind(label: str) -> str:
+    """Classify an event label into a wait-histogram ``kind`` bucket."""
+    if label.startswith("barrier:"):
+        return "barrier"
+    if ":ack(" in label:
+        return "copy-ack"
+    if ":ready(" in label:
+        return "copy-ready"
+    if label.endswith(":pre") or label.endswith(":post"):
+        return "copy-barrier"
+    return "collective"
+
+
+def wait_event(ex, state, ev, cancel) -> None:
+    """Block the calling shard on one yielded event.
+
+    Polls so a sibling's failure (the cancel token) unblocks this shard
+    promptly instead of after the full deadlock timeout.
+    """
+    if ev.is_set():
+        return
+    tracer, metrics = ex.tracer, state.metrics
+    instrumented = tracer.enabled or metrics.enabled
+    t0 = time.perf_counter()
+    start = tracer.now_us() if instrumented else 0.0
+    deadline = time.monotonic() + ex.deadlock_timeout
+    while not ev.wait_blocking(timeout=0.02):
+        if cancel.is_set():
+            raise _Cancelled()
+        if time.monotonic() >= deadline:
+            raise DeadlockError(
+                f"shard {state.shard} blocked on {ev.label or 'event'} "
+                f"for {ex.deadlock_timeout}s")
+    state.flight.record(_flight.WAIT, 0, t0, time.perf_counter())
+    if instrumented:
+        label = ev.label or "event"
+        elapsed_us = tracer.now_us() - start
+        if tracer.enabled:
+            tracer.complete(f"wait:{label}", start, elapsed_us, cat="wait",
+                            pid=PID_SPMD, tid=state.shard)
+        if metrics.enabled:
+            metrics.histogram("spmd_wait_seconds", shard=state.shard,
+                              kind=wait_kind(label)).observe(elapsed_us / 1e6)
+
+
+def drive_shard(ex, gen: Iterator, state, cancel) -> BaseException | None:
+    """Run one shard's generator to its end on the calling thread.
+
+    Returns the shard's own failure (after setting ``cancel`` so siblings
+    unwind), or ``None`` — also when this shard was itself unwound by a
+    sibling's failure, which already recorded the primary error.
+    """
+    try:
+        for ev in gen:
+            if cancel.is_set():
+                raise _Cancelled()
+            if ev is not None:
+                wait_event(ex, state, ev, cancel)
+    except _Cancelled:
+        pass
+    except BaseException as exc:
+        cancel.set()
+        return exc
+    return None
+
+
+def raise_shard_errors(errors: list) -> None:
+    """Raise collected shard failures: the single error as itself, several
+    as one :class:`ShardExceptionGroup`."""
+    if len(errors) == 1:
+        raise errors[0]
+    if errors:
+        if not all(isinstance(e, Exception) for e in errors):
+            raise errors[0]  # e.g. KeyboardInterrupt: re-raise directly
+        raise ShardExceptionGroup(f"{len(errors)} shards failed", errors)
+
+
+def drive_threaded(ex, gens: list, states: list) -> None:
+    """One OS thread per shard, blocking waits."""
+    errors: list[BaseException] = []
+    lock = threading.Lock()
+    cancel = threading.Event()
+
+    def run(gen, state) -> None:
+        exc = drive_shard(ex, gen, state, cancel)
+        if exc is not None:
+            with lock:
+                errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(g, st), daemon=True)
+               for g, st in zip(gens, states)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    raise_shard_errors(errors)
+
+
+def drive_stepped(ex, gens: list, states: list) -> None:
+    """Interleave the shards deterministically-adversarially on one thread
+    under ``ex.seed``; nothing blocks, so a stall is a deadlock at once."""
+    ns = len(gens)
+    pending: list = [None] * ns
+    done = [False] * ns
+    rng = random.Random(ex.seed)
+    while not all(done):
+        runnable = [x for x in range(ns)
+                    if not done[x] and (pending[x] is None or pending[x].is_set())]
+        if not runnable:
+            blocked = [x for x in range(ns) if not done[x]]
+            raise DeadlockError(
+                f"shards {blocked} all blocked: missing or inconsistent "
+                f"synchronization")
+        x = rng.choice(runnable)
+        try:
+            pending[x] = next(gens[x])
+        except StopIteration:
+            done[x] = True
+            pending[x] = None
+
+
+def launch_in_memory(drive: Callable):
+    """The launch callable of a backend whose shards share this process."""
+    def launch(ex, stmt, spec: LaunchSpec, states: list) -> None:
+        # Sync state is monotone (sequences, barrier and collective
+        # generations), so a resident executor's frozen plans stay
+        # consistent across runs as long as the epoch dicts and these
+        # objects persist together.
+        ctx = ex._resident_ctx.get(stmt.uid)
+        if ctx is None:
+            ctx = CommContext(spec, len(states))
+            if ex.retain_plans:
+                ex._resident_ctx[stmt.uid] = ctx
+        drive(ex, [ex._shard_body(stmt.body, st, ctx) for st in states],
+              states)
+    return launch
+
+
+launch_stepped = launch_in_memory(drive_stepped)
+launch_threaded = launch_in_memory(drive_threaded)
+
+
+# ---------------------------------------------------------------------------
+# Funnel: fork one child per shard, collect what each ships back
+# ---------------------------------------------------------------------------
+
+def child_payload(ex, state, trace_base: int, anchor, flight_base: int,
+                  error, extras) -> dict:
+    """What a shard child ships back to the parent over its pipe."""
+    tracer = ex.tracer
+    return {
+        "scalars": state.scalars,
+        "counters": {name: getattr(state, name) for name in state.COUNTERS},
+        "capture_points": state.capture_points,
+        "metrics": (state.metrics.to_dict()
+                    if state.metrics.enabled else None),
+        "trace_events": tracer.events()[trace_base:] if tracer.enabled else [],
+        "clock_anchor": anchor,
+        "flight": (state.flight.export_since(flight_base)
+                   if state.flight.enabled else None),
+        "flight_anchor": flight_anchor() if state.flight.enabled else None,
+        "error": error,
+        "extras": extras,
+    }
+
+
+# Wall-clock anchors carry ~ms jitter; skew below this is fork preserving
+# the perf_counter base, and rebasing on it would only add that jitter.
+_REBASE_THRESHOLD_US = 2000.0
+
+
+def _rebased(payload: dict, parent_anchor: tuple[float, float] | None) -> list:
+    """A child's trace events, shifted onto the parent tracer's clock.
+
+    The skew between the two perf_counter-based tracer clocks is measured
+    through the shared wall clock (see :func:`repro.obs.clock_anchor`);
+    when it exceeds the anchors' own jitter the child's timestamps are
+    re-based so the merged timeline stays monotonic.
+    """
+    events = payload["trace_events"]
+    child_anchor = payload.get("clock_anchor")
+    if parent_anchor is None or child_anchor is None:
+        return events
+    child_wall, child_us = child_anchor
+    parent_wall, parent_us = parent_anchor
+    delta_us = (parent_us + (child_wall - parent_wall) * 1e6) - child_us
+    if abs(delta_us) <= _REBASE_THRESHOLD_US:
+        return events
+    return rebase_events(events, delta_us)
+
+
+def apply_payload(ex, st, payload: dict, parent_anchor,
+                  parent_flight_anchor) -> None:
+    """Restore one shard's state from its child's payload and funnel its
+    metrics / trace spans / flight records into the parent."""
+    st.scalars = payload["scalars"]
+    for name, value in payload["counters"].items():
+        setattr(st, name, value)
+    st.capture_points = payload["capture_points"]
+    if payload["metrics"] is not None:
+        # The parent's copy of the child registry never saw the child's
+        # increments (they happened post-fork); fold the shipped snapshot
+        # in so the executor's counter merge sees them.
+        st.metrics.merge(payload["metrics"])
+    if ex.tracer.enabled and payload["trace_events"]:
+        ex.tracer.ingest(_rebased(payload, parent_anchor))
+    if ex.flight is not None and payload["flight"] is not None:
+        # The wall-clock anchors repair a differing perf_counter base
+        # exactly as the span rebase above does.
+        delta = (anchor_delta_s(parent_flight_anchor,
+                                payload["flight_anchor"])
+                 if payload["flight_anchor"] else 0.0)
+        ex.flight.ring(st.shard).ingest(payload["flight"], delta)
+
+
+def _child_main(ex, state, body, noun: str, cancel, conn) -> None:
+    """Child-process entry point: run ``body``, ship the payload back."""
+    tracer = ex.tracer
+    trace_base = tracer.event_count() if tracer.enabled else 0
+    # Anchor this process's tracer clock against the shared wall clock so
+    # the parent can re-base our spans if its perf_counter origin differs
+    # (fork usually preserves it; re-created tracers do not).
+    anchor = clock_anchor(tracer) if tracer.enabled else None
+    # The forked copy of the shard's flight ring is process-private from
+    # here on; only this run's records ship back.
+    flight_base = state.flight.count if state.flight.enabled else 0
+    # Instances were materialized pre-fork; a lazily created one here
+    # would be process-private and silently wrong, so fail loudly instead.
+    ex._dist_frozen = True
+    error: BaseException | None = None
+    extras = None
+    try:
+        error, extras = body(state, cancel)
+    except BaseException as exc:  # the body's own set-up failed
+        error = exc
+        cancel.set()
+    payload = child_payload(ex, state, trace_base, anchor, flight_base,
+                            error, extras)
+    try:
+        conn.send(payload)
+    except Exception:
+        # The error (or a scalar) didn't pickle; degrade to its repr so the
+        # parent still learns what happened.
+        payload["error"] = RuntimeError(
+            f"{noun} {state.shard} failed with unpicklable state: {error!r}")
+        payload["scalars"] = {}
+        try:
+            conn.send(payload)
+        except Exception:  # pragma: no cover - pipe gone; parent sees EOF
+            pass
+    finally:
+        conn.close()
+
+
+def fork_and_funnel(ex, states: list, body: Callable, *, noun: str = "shard",
+                    on_forked: Callable | None = None,
+                    on_extras: Callable | None = None) -> None:
+    """Fork one child per shard state, run ``body(state, cancel) ->
+    (error, extras)`` in each, and funnel the results back.
+
+    ``states`` are updated in place from the child payloads so the
+    caller's scalar and counter merges run unchanged; ``on_extras(shard,
+    extras)`` receives whatever else a body returned.  ``on_forked()``
+    runs in the parent once every child has started (the ``net`` driver
+    drops its copies of the listening sockets there).  Requires ``fork``:
+    children inherit the compiled IR, the task closures, the evaluated
+    pair sets and the executor without pickling any of it.
+    """
+    mpctx = fork_context()
+    cancel = mpctx.Event()
+    parent_anchor = clock_anchor(ex.tracer) if ex.tracer.enabled else None
+    parent_flight_anchor = flight_anchor() if ex.flight is not None else None
+    procs: list = []
+    conns: list = []
+    errors: list[BaseException] = []
+    try:
+        for st in states:
+            parent_conn, child_conn = mpctx.Pipe(duplex=False)
+            p = mpctx.Process(target=_child_main,
+                              args=(ex, st, body, noun, cancel, child_conn),
+                              name=f"repro-{noun}-{st.shard}", daemon=True)
+            p.start()
+            child_conn.close()
+            procs.append(p)
+            conns.append(parent_conn)
+        if on_forked is not None:
+            on_forked()
+
+        # Collect in arrival order, over the pipes and the process
+        # sentinels: a child that exits without having reported cancels
+        # the others the moment it dies, whichever shard it is.  A child
+        # that deadlocks raises DeadlockError itself after
+        # ex.deadlock_timeout; the parent deadline is the backstop for one
+        # that neither reports nor exits.
+        deadline = time.monotonic() + ex.deadlock_timeout + 30.0
+        payloads: dict[int, dict] = {}
+        owed = dict(enumerate(conns))
+        while owed and (remaining := deadline - time.monotonic()) > 0:
+            wait_any([*owed.values(), *(procs[x].sentinel for x in owed)],
+                     remaining)
+            for x, conn in list(owed.items()):
+                exited = not procs[x].is_alive()  # read before the pipe
+                try:
+                    if conn.poll(0):
+                        payloads[x] = conn.recv()
+                    elif not exited:
+                        continue
+                except (EOFError, OSError):
+                    pass
+                del owed[x]
+                if x not in payloads:
+                    cancel.set()
+        if owed:
+            cancel.set()
+
+        for x, st in enumerate(states):
+            payload = payloads.get(x)
+            if payload is None:
+                procs[x].join(timeout=1.0)
+                code = procs[x].exitcode
+                errors.append(DeadlockError(
+                    f"{noun} {x} did not report within the deadlock window")
+                    if code is None else RuntimeError(
+                        f"{noun} {x} process died without reporting "
+                        f"(exit code {code})"))
+                continue
+            if payload["error"] is not None:
+                errors.append(payload["error"])
+            apply_payload(ex, st, payload, parent_anchor,
+                          parent_flight_anchor)
+            if on_extras is not None and payload["extras"] is not None:
+                on_extras(x, payload["extras"])
+    finally:
+        for conn in conns:
+            conn.close()
+        for p in procs:
+            p.join(timeout=5.0)
+            if p.is_alive():  # pragma: no cover - hard-hung child
+                p.terminate()
+                p.join(timeout=5.0)
+    raise_shard_errors(errors)

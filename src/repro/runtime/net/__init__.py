@@ -4,14 +4,13 @@ Layout:
 
 * :mod:`repro.runtime.net.frame` — the wire format (framed tagged values).
 * :mod:`repro.runtime.net.transport` — the full-mesh peer transport.
-* :mod:`repro.runtime.net.sync` — wire-backed channel endpoints, credit
-  windows, binomial-tree collectives, the per-launch comm context.
+* :mod:`repro.runtime.net.sync` — the launch's comm context on the wire:
+  channel endpoints, credit windows, binomial-tree collectives.
 * :mod:`repro.runtime.net.plan` — per-pair sends and the trace-frozen
   message-aggregation pass.
-* :mod:`repro.runtime.net.driver` — the fork-based multi-process driver
-  (single host) and the independent worker entrypoint (multi host).
+* :mod:`repro.runtime.net.driver` — the rank body, run under the shared
+  fork-and-funnel loop (single host) or inline as one worker (multi host).
 
-Kept import-light on purpose: the executor and the window compiler import
-submodules directly, and the driver pulls the executor back in, so the
-package root must not force that cycle at load time.
+Kept import-light on purpose: the backend registry imports the driver
+only when a ``net`` launch runs, so most runs never load the socket code.
 """

@@ -1,33 +1,29 @@
 """Socket-based SPMD driver: one rank process per shard over a TCP mesh.
 
-Two entry points share the rank body:
+Two shapes share the rank body (:func:`_run_rank`), chosen by whether
+the executor was given a worker identity:
 
-* :func:`run_shard_launch_net` — the CI / single-host shape.  The parent
-  pre-binds one listening socket per rank on ephemeral localhost ports
-  and forks (``fork``, never ``spawn`` — children must inherit the
-  compiled IR, the evaluated pair sets, and the executor without
-  pickling), so every child starts with the full address map and its own
-  already-listening socket: no rendezvous file, no port race.  Funneling
-  (scalars, counters, trace spans, flight records) reuses the procs
-  driver's pipe payload machinery verbatim.
+* fork mode — the CI / single-host shape.  The parent pre-binds one
+  listening socket per rank on ephemeral localhost ports and hands the
+  launch to :func:`repro.runtime.launch.fork_and_funnel`, so every child
+  starts with the full address map and its own already-listening socket:
+  no rendezvous file, no port race.
 
-* :func:`run_shard_launch_net_worker` — the multi-host shape behind
-  ``repro launch-worker``.  No fork: this process *is* one rank, binds
-  its own listener at the address the host file assigned it, and runs
-  only its shard inline.
+* worker mode — the multi-host shape behind ``repro launch-worker``
+  (``net_worker=(rank, addrs)``).  No fork: this process *is* one rank,
+  binds its own listener at the address the host file assigned it, and
+  runs only its shard inline.
 
-Unlike the procs driver there is no reduction-lock swap and no shared
-sync board: a remote pair's payload is applied on the consumer, in the
-consumer's own shard thread, at its ready-wait point in replicated
-program order (see :mod:`repro.runtime.net.sync`), so cross-rank folds
-are single-writer by construction and the in-memory handshake state
-stays process-private.
+There is no shared sync board and no cross-process fold lock: a remote
+pair's payload is applied on the consumer, in the consumer's own shard
+thread, at its ready-wait point in replicated program order (see
+:mod:`repro.runtime.net.sync`), so cross-rank folds are single-writer by
+construction and the in-memory handshake state stays process-private.
 
 Failure semantics: a failing rank sets the shared cancel flag (fork
 mode) and broadcasts an ``ERROR`` frame (both modes); sibling ranks trip
-their local failure event, unwind as cancelled, and report ``error:
-None`` — the parent then raises exactly the procs contract
-(single error, or :class:`~repro.runtime.spmd.ShardExceptionGroup`).
+their local failure event, unwind as cancelled, and report no error of
+their own.
 
 On success the final owned region state funnels up the binomial gather
 tree to rank 0 (each rank ships only the colors it owns), so the parent
@@ -39,19 +35,14 @@ from __future__ import annotations
 
 import socket
 import threading
-import time
 
-from ...core.ir import FillReductionBuffer, IndexLaunch, PairwiseCopy, walk
 from ...core.shards import shard_owned_colors
-from ...obs import clock_anchor
-from ...obs.flight import flight_anchor
-from ..procs import (_Cancelled, _apply_payload, _child_payload,
-                     _fork_context, _raise_shard_errors, _wait_event)
+from ..launch import drive_shard, fork_and_funnel
 from . import frame
-from .sync import NetCommContext, _NetEvent
+from .sync import NetCommContext
 from .transport import Transport, bind_listeners
 
-__all__ = ["run_shard_launch_net", "run_shard_launch_net_worker"]
+__all__ = ["run_shard_launch_net"]
 
 
 class _CancelUnion:
@@ -66,30 +57,16 @@ class _CancelUnion:
     def is_set(self) -> bool:
         return self._a.is_set() or self._b.is_set()
 
+    def set(self) -> None:
+        self._a.set()
 
-def _collect_owned(ex, stmt, ns: int, rank: int) -> dict:
+
+def _owned_state(ex, spec, ns: int, rank: int) -> dict:
     """This rank's final region state: every owned color of every
-    partition the launch touches, as ``(uid, color) -> {field: array}``.
-
-    Mirrors the partition discovery of ``_precreate_instances`` so the
-    gather covers exactly the instances the launch may have written.
-    """
-    parts: dict[int, object] = {}
-    for s in walk(stmt):
-        if isinstance(s, IndexLaunch):
-            for arg in s.region_args:
-                parts[arg.proj.partition.uid] = arg.proj.partition
-        elif isinstance(s, PairwiseCopy):
-            parts[s.src.uid] = s.src
-            parts[s.dst.uid] = s.dst
-        elif isinstance(s, FillReductionBuffer):
-            parts[s.partition.uid] = s.partition
+    partition the launch touches, as ``(uid, color) -> {field: array}``."""
     data: dict = {}
-    for p in parts.values():
-        owned = shard_owned_colors(p.num_colors, ns, rank)
-        for c in p.colors:
-            if c not in owned:
-                continue
+    for p in spec.partitions:
+        for c in shard_owned_colors(p.num_colors, ns, rank):
             inst = ex.dist.get((p.uid, c))
             if inst is not None:
                 data[(p.uid, c)] = dict(inst.fields)
@@ -105,100 +82,34 @@ def _apply_final_state(ex, final_state: dict) -> None:
             inst.fields[f][...] = arr
 
 
-def _run_rank(ex, stmt, st, ns: int, transport, cancel):
-    """Drive one rank's shard body over an established transport.
+def _run_rank(ex, stmt, spec, st, ns: int, transport, cancel):
+    """Drive one rank's shard body over a fresh transport.
 
     Returns ``(error, final_state, nctx)``; ``final_state`` is the
     merged gather on rank 0 and ``None`` elsewhere.  Shared by the fork
     child and the worker process.
     """
     rank = st.shard
-    tracer = ex.tracer
-    nctx = NetCommContext(ex, transport, stmt, ns)
+    nctx = NetCommContext(ex, transport, spec, ns)
     transport.connect_all()
     transport.start_receivers()
-    ex._net = nctx
-    cancel_u = _CancelUnion(cancel, nctx.failed)
-    error: BaseException | None = None
-    final_state = None
-    try:
-        for ev in ex._shard_body(stmt.body, st, nctx.ctx):
-            if cancel_u.is_set():
-                raise _Cancelled()
-            if ev is not None:
-                _wait_event(rank, ev, cancel_u, ex.deadlock_timeout,
-                            tracer, st.metrics, st.flight)
+    final = []
 
+    def body():
+        yield from ex._shard_body(stmt.body, st, nctx)
         # Funnel this rank's owned region state up the gather tree, then
         # hold everyone at the shutdown barrier so no rank closes its
         # sockets while a peer still needs them.
-        def gwait(tev) -> None:
-            _wait_event(rank, _NetEvent(tev, label="net:gather"), cancel_u,
-                        ex.deadlock_timeout, tracer, st.metrics, st.flight)
+        final.append((yield from nctx.tree.gather(
+            _owned_state(ex, spec, ns, rank))))
+        yield nctx.done_barrier.arrive_and_wait_event(1, label="net:done")
 
-        merged = nctx.tree.gather(_collect_owned(ex, stmt, ns, rank), gwait)
-        if rank == 0:
-            final_state = merged
-        _wait_event(rank, nctx.done_barrier.arrive_and_wait_event(
-            1, label="net:done"), cancel_u, ex.deadlock_timeout,
-            tracer, st.metrics, st.flight)
-    except _Cancelled:
-        pass  # a peer already recorded the primary error
-    except BaseException as exc:
-        error = exc
-        cancel.set()
-        wire = exc if isinstance(exc, Exception) else RuntimeError(repr(exc))
+    error = drive_shard(ex, body(), st, _CancelUnion(cancel, nctx.failed))
+    if error is not None:
+        wire = (error if isinstance(error, Exception)
+                else RuntimeError(repr(error)))
         transport.broadcast(frame.ERROR, wire)
-    finally:
-        ex._net = None
-    return error, final_state, nctx
-
-
-# ---------------------------------------------------------------------------
-# Fork mode (single host): one child process per rank
-# ---------------------------------------------------------------------------
-
-
-def _shard_main_net(ex, stmt, st, ns, listeners, addrs, cancel, conn) -> None:
-    """Child-process entry point: one rank of the TCP mesh."""
-    rank = st.shard
-    for r, lst in enumerate(listeners):
-        if r != rank:
-            lst.close()
-    tracer = ex.tracer
-    trace_base = tracer.event_count() if tracer.enabled else 0
-    anchor = clock_anchor(tracer) if tracer.enabled else None
-    flight_base = st.flight.count if st.flight.enabled else 0
-    # Instances were materialized pre-fork; a lazily created one here
-    # would be rank-private and silently wrong.
-    ex._dist_frozen = True
-    transport = Transport(rank, ns, listeners[rank], addrs)
-    error: BaseException | None = None
-    final_state = None
-    try:
-        error, final_state, _ = _run_rank(ex, stmt, st, ns, transport, cancel)
-    except BaseException as exc:  # transport setup failed
-        error = exc
-        cancel.set()
-    net_stats = transport.stats()
-    transport.close()
-    payload = _child_payload(ex, st, trace_base, anchor, flight_base, error)
-    payload["net"] = net_stats
-    if final_state is not None:
-        payload["final_state"] = final_state
-    try:
-        conn.send(payload)
-    except Exception:
-        payload["error"] = RuntimeError(
-            f"rank {rank} failed with unpicklable state: {error!r}")
-        payload["scalars"] = {}
-        payload.pop("final_state", None)
-        try:
-            conn.send(payload)
-        except Exception:  # pragma: no cover - pipe gone; parent sees EOF
-            pass
-    finally:
-        conn.close()
+    return error, (final[0] if final else None), nctx
 
 
 def _mirror_net_stats(ex, rank: int, net: dict) -> None:
@@ -214,91 +125,49 @@ def _mirror_net_stats(ex, rank: int, net: dict) -> None:
                       direction=direction).inc(n)
 
 
-def run_shard_launch_net(ex, stmt, states, ns: int) -> None:
-    """Fork one rank process per shard, meshed over localhost TCP."""
-    from ..spmd import DeadlockError
-
-    mpctx = _fork_context()
+def run_shard_launch_net(ex, stmt, spec, states) -> None:
+    """Run one launch over TCP: this process as one rank when the executor
+    carries a worker identity, else one forked rank per shard."""
+    if ex.net_worker is not None:
+        _run_worker(ex, stmt, spec, states)
+        return
+    ns = len(states)
     listeners, addrs = bind_listeners(ns)
-    cancel = mpctx.Event()
-    parent_anchor = clock_anchor(ex.tracer) if ex.tracer.enabled else None
-    parent_flight_anchor = flight_anchor() if ex.flight is not None else None
-    procs: list = []
-    conns: list = []
-    errors: list[BaseException] = []
-    final_state = None
-    try:
-        for st in states:
-            parent_conn, child_conn = mpctx.Pipe(duplex=False)
-            p = mpctx.Process(
-                target=_shard_main_net,
-                args=(ex, stmt, st, ns, listeners, addrs, cancel, child_conn),
-                name=f"repro-net-rank-{st.shard}", daemon=True)
-            p.start()
-            child_conn.close()
-            procs.append(p)
-            conns.append(parent_conn)
+    final_state = []
+
+    def close_listeners() -> None:
         for lst in listeners:
             lst.close()
 
-        # A rank that deadlocks raises DeadlockError itself after
-        # ex.deadlock_timeout; the parent deadline is the backstop for a
-        # rank that dies so hard it cannot even report.
-        deadline = time.monotonic() + ex.deadlock_timeout + 30.0
-        payloads: list = [None] * ns
-        for x, conn in enumerate(conns):
-            remaining = max(0.0, deadline - time.monotonic())
-            try:
-                if conn.poll(remaining):
-                    payloads[x] = conn.recv()
-            except (EOFError, OSError):
-                pass
-            if payloads[x] is None:
-                cancel.set()
-
-        for x, payload in enumerate(payloads):
-            if payload is None:
-                procs[x].join(timeout=1.0)
-                code = procs[x].exitcode
-                errors.append(DeadlockError(
-                    f"rank {x} did not report within the deadlock window")
-                    if code is None else RuntimeError(
-                        f"rank {x} process died without reporting "
-                        f"(exit code {code})"))
-                continue
-            if payload["error"] is not None:
-                errors.append(payload["error"])
-            _apply_payload(ex, states[x], payload, parent_anchor,
-                           parent_flight_anchor)
-            if payload.get("net") is not None:
-                _mirror_net_stats(ex, x, payload["net"])
-            if payload.get("final_state") is not None:
-                final_state = payload["final_state"]
-    finally:
-        for lst in listeners:
-            try:
+    def body(st, cancel):
+        rank = st.shard
+        for r, lst in enumerate(listeners):
+            if r != rank:
                 lst.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-        for conn in conns:
-            conn.close()
-        for p in procs:
-            p.join(timeout=5.0)
-            if p.is_alive():  # pragma: no cover - hard-hung rank
-                p.terminate()
-                p.join(timeout=5.0)
+        transport = Transport(rank, ns, listeners[rank], addrs)
+        try:
+            error, final, _ = _run_rank(ex, stmt, spec, st, ns, transport,
+                                        cancel)
+        finally:
+            net_stats = transport.stats()
+            transport.close()
+        return error, {"net": net_stats, "final_state": final}
 
-    if not errors and final_state is not None:
-        _apply_final_state(ex, final_state)
-    _raise_shard_errors(errors)
+    def on_extras(rank: int, extras: dict) -> None:
+        _mirror_net_stats(ex, rank, extras["net"])
+        if extras["final_state"] is not None:
+            final_state.append(extras["final_state"])
+
+    try:
+        fork_and_funnel(ex, states, body, noun="rank",
+                        on_forked=close_listeners, on_extras=on_extras)
+    finally:
+        close_listeners()
+    if final_state:
+        _apply_final_state(ex, final_state[0])
 
 
-# ---------------------------------------------------------------------------
-# Worker mode (multi host): this process is one rank
-# ---------------------------------------------------------------------------
-
-
-def run_shard_launch_net_worker(ex, stmt, states, ns: int) -> None:
+def _run_worker(ex, stmt, spec, states) -> None:
     """Run exactly one rank inline, per ``ex.net_worker = (rank, addrs)``.
 
     Every participating process rebuilds the same program (same app,
@@ -311,6 +180,7 @@ def run_shard_launch_net_worker(ex, stmt, states, ns: int) -> None:
     a full, consistent set.
     """
     rank, addrs = ex.net_worker
+    ns = len(states)
     if not 0 <= rank < ns:
         raise ValueError(f"worker rank {rank} out of range for {ns} shards")
     if len(addrs) != ns:
@@ -323,10 +193,9 @@ def run_shard_launch_net_worker(ex, stmt, states, ns: int) -> None:
     st = states[rank]
     ex._dist_frozen = True
     transport = Transport(rank, ns, lst, addrs)
-    cancel = threading.Event()
     try:
-        error, final_state, nctx = _run_rank(ex, stmt, st, ns, transport,
-                                             cancel)
+        error, final_state, nctx = _run_rank(ex, stmt, spec, st, ns,
+                                             transport, threading.Event())
     finally:
         ex._dist_frozen = False
         _mirror_net_stats(ex, rank, transport.stats())

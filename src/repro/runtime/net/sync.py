@@ -1,35 +1,22 @@
 """Distributed synchronization endpoints for the ``net`` backend.
 
-The shard interpreter and the frozen replay plans drive channel
-*endpoints* — objects with the :class:`~repro.runtime.events.Sequence`
-surface (``advance_to`` / ``event_for``).  The net backend swaps the
-in-memory endpoints of a cross-rank channel for wire-backed ones; the
-interpreter is unchanged:
-
-==============  ======================  ===================================
-channel role    in-memory endpoint      net endpoint
-==============  ======================  ===================================
-consumer ack    shared ``Sequence``     :class:`_TxSequence` — sends a
-                                        ``CREDIT`` frame to the producer
-producer's      the same ``Sequence``   credit mirror: a local ``Sequence``
-view of acks                            started at the window depth ``k``
-                                        and advanced to ``g - 1 + k`` when
-                                        ``CREDIT(g)`` arrives
-producer ready  shared ``Sequence``     :class:`_MirrorSequence` (no-op) —
-                                        the *data frame itself* carries
-                                        readiness
-consumer's      the same ``Sequence``   :class:`_RxReady` — triggers on
-view of ready                           frame arrival, applies the payload
-                                        in the consumer's shard thread
-==============  ======================  ===================================
+:class:`NetCommContext` is the launch context
+(:class:`repro.runtime.launch.CommContext`) of one rank: it turns the
+launch spec into channel *endpoints* — objects with the
+:class:`~repro.runtime.events.Sequence` surface (``advance_to`` /
+``event_for``) — so the shard interpreter and the frozen windows run
+unchanged.  A producer-is-consumer pair keeps plain in-memory sequences;
+a cross-rank pair gets one wire-backed endpoint per role (the table is in
+``docs/runtime.md``, "A shard launch"), and a pair between two other
+ranks gets none.
 
 The credit window generalizes the classic per-epoch handshake: because a
 remote payload is buffered on arrival and only *applied* at the
 consumer's own ready-wait point in replicated program order, the
 write-after-read hazard the in-memory handshake guards against cannot
 occur — credits exist purely to bound per-channel buffering.  Depth 1 is
-exactly the classic handshake; the default depth 2 lets a producer run
-one iteration ahead of its consumers' acks.
+exactly the classic handshake; depth 2 (``CREDIT_DEPTH``) lets a producer
+run one iteration ahead of its consumers' acks.
 
 Init/finalize-style synchronization — dynamic collectives, named
 barriers, the final state gather, the shutdown barrier — runs over a
@@ -40,34 +27,25 @@ O(log ranks) frames per rank per operation.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 
 import numpy as np
 
-from ...core.ir import BarrierStmt, PairwiseCopy, ScalarCollective, walk
 from ...core.shards import owner_of_color
 from ...obs import flight as _flight
 from ...regions.region import _REDUCTION_UFUNCS, reduction_identity
 from ..collectives import SCALAR_REDUCTIONS
 from ..events import Sequence
+from ..launch import Channel, CommContext
 from ..window.ir import _as_index
 from . import frame
 from .plan import NetSendCopy, _TxState
 
-__all__ = ["NetCommContext", "TreeComm", "DEFAULT_CREDIT_DEPTH"]
+__all__ = ["NetCommContext", "TreeComm", "CREDIT_DEPTH"]
 
-DEFAULT_CREDIT_DEPTH = 2
-
-
-def _credit_depth() -> int:
-    raw = os.environ.get("REPRO_NET_CREDIT_DEPTH", "")
-    try:
-        depth = int(raw) if raw else DEFAULT_CREDIT_DEPTH
-    except ValueError:
-        depth = DEFAULT_CREDIT_DEPTH
-    return max(1, depth)
+# Generations a producer may send ahead of its consumer's acks.
+CREDIT_DEPTH = 2
 
 
 # -- channel endpoints ------------------------------------------------------
@@ -110,36 +88,6 @@ class _TxSequence:
         if n > self._sent:
             self._sent = n
             self.transport.send(self.peer, frame.CREDIT, (self.chan_id, n))
-
-    # Batched ack advances (the replay layer's OP_ADVN) dispatch through
-    # this hook — see events.advance_group.  Plain function on purpose:
-    # looked up via getattr on the instance, it must not re-bind self.
-    advance_group_shared = staticmethod(
-        lambda seqs, n: _net_advance_group(seqs, n))
-
-
-def _net_advance_group(seqs, n: int) -> None:
-    """Advance a mixed batch of ack endpoints, coalescing wire credits.
-
-    All :class:`_TxSequence` members bound for the same peer collapse
-    into one ``CREDITN`` frame; local endpoints (a plain ``Sequence`` for
-    a producer-is-consumer pair) advance in place.
-    """
-    grouped: dict[tuple, list] = {}
-    for seq in seqs:
-        if type(seq) is _TxSequence:
-            if n > seq._sent:
-                seq._sent = n
-                grouped.setdefault((id(seq.transport), seq.peer),
-                                   (seq.transport, seq.peer, []))[2].append(
-                    seq.chan_id)
-        else:
-            seq.advance_to(n)
-    for transport, peer, cids in grouped.values():
-        if len(cids) == 1:
-            transport.send(peer, frame.CREDIT, (cids[0], n))
-        else:
-            transport.send(peer, frame.CREDITN, (tuple(cids), n))
 
 
 class _RxChannel:
@@ -416,17 +364,18 @@ class TreeComm:
             self._states.pop((key, gen), None)
 
     # -- final gather ------------------------------------------------------
-    def gather(self, data: dict, wait) -> dict | None:
+    def gather(self, data: dict):
         """Merge ``data`` with every child subtree's gather payload.
 
-        ``wait`` is a cancel-aware callable blocking on one
-        ``threading.Event`` (the driver supplies it so a dead sibling
-        cannot hang the gather).  Non-root ranks forward the merged dict
-        to their parent and return ``None``; the root returns it.
+        A generator in the shard interpreter's protocol: it yields the
+        event of each child it still waits for, so the rank's own drive
+        loop blocks on it (cancel-aware — a dead sibling cannot hang the
+        gather).  Non-root ranks forward the merged dict to their parent
+        and return ``None``; the root returns it.
         """
         merged = dict(data)
         for child in self.children:
-            wait(self._gather_evs[child])
+            yield _NetEvent(self._gather_evs[child], label="net:gather")
             merged.update(self._gather[child])
         if self.rank:
             self.transport.send(self.parent, frame.GATHER,
@@ -553,109 +502,38 @@ class _CopyPostBarrier:
 
 
 # -- the per-launch communication context -----------------------------------
-class _LocalChannel:
-    """Both endpoints of a producer-is-consumer pair: plain in-memory
-    sequences, exactly the threaded backend's channel."""
-
-    __slots__ = ("ready", "acked")
-
-    def __init__(self):
-        self.ready = Sequence()
-        self.acked = Sequence()
-
-
-class _NetChannel:
-    """A cross-rank channel: one wire-backed endpoint per role."""
-
-    __slots__ = ("ready", "acked")
-
-    def __init__(self, ready, acked):
-        self.ready = ready
-        self.acked = acked
-
-
-class NetCommContext:
+class NetCommContext(CommContext):
     """Everything one rank needs to run a shard launch over the wire.
 
-    Builds the channel endpoint matrix (deterministically — channel ids
-    are assigned in statement walk order crossed with pair-set order, so
-    forked ranks and independently started workers agree without any
-    exchanged spec), the tree endpoints for collectives and barriers, and
-    the receive-side plans; registers all frame handlers.  Construct
-    *before* ``transport.start_receivers()``.
+    Builds the channel endpoint matrix (channel ids are the spec's —
+    statement walk order crossed with pair-set order — so forked ranks
+    and independently started workers agree without any exchanged spec),
+    the tree endpoints for collectives and barriers, and the
+    receive-side plans; registers all frame handlers.  Construct *before*
+    ``transport.start_receivers()``.
     """
 
-    def __init__(self, ex, transport, stmt, ns: int):
+    def __init__(self, ex, transport, spec, ns: int):
         self.ex = ex
         self.transport = transport
         self.rank = transport.rank
-        self.ns = ns
-        self.depth = _credit_depth()
         self.tree = TreeComm(transport, ns)
         self.failed = threading.Event()
         self.failure: BaseException | None = None
-        self.copies: dict[int, PairwiseCopy] = {}
+        self.copies = {s.uid: s for s in spec.copies}
+        self.has_remote = any(
+            owner_of_color(s.src.num_colors, ns, i)
+            != owner_of_color(s.dst.num_colors, ns, j)
+            for s in spec.copies for (i, j) in spec.pairs[s.uid])
         self._chan_ids: dict[tuple[int, tuple[int, int]], int] = {}
         self._credit: dict[int, Sequence] = {}
         self._rx: dict[int, _RxChannel] = {}
         self._rx_by_pair: dict[tuple[int, tuple[int, int]], _RxChannel] = {}
+        self._inbound: dict[int, list[_RxChannel]] = {}
         self._send_copies: dict[int, NetSendCopy] = {}
         self._unpack_plans: dict = {}
         self.done_barrier = _NetBarrier(self.tree, "__done__")
-
-        me = self.rank
-        cid = 0
-        channels: dict[int, dict] = {}
-        collectives: dict[int, _NetCollective] = {}
-        barriers: dict[str, object] = {}
-        for s in walk(stmt):
-            if isinstance(s, PairwiseCopy):
-                self.copies[s.uid] = s
-                src_n = s.src.num_colors
-                dst_n = s.dst.num_colors
-                chans: dict[tuple[int, int], object] = {}
-                inbound: list[_RxChannel] = []
-                for pair in ex._copy_pairs(s):
-                    i, j = pair
-                    this = cid
-                    cid += 1
-                    producer = owner_of_color(src_n, ns, i)
-                    consumer = owner_of_color(dst_n, ns, j)
-                    if producer == me and consumer == me:
-                        chans[pair] = _LocalChannel()
-                    elif producer == me:
-                        self._chan_ids[(s.uid, pair)] = this
-                        mirror = Sequence(start=self.depth)
-                        self._credit[this] = mirror
-                        chans[pair] = _NetChannel(ready=_MirrorSequence(),
-                                                  acked=mirror)
-                    elif consumer == me:
-                        rx = _RxChannel(self, s, pair)
-                        self._rx[this] = rx
-                        self._rx_by_pair[(s.uid, pair)] = rx
-                        inbound.append(rx)
-                        chans[pair] = _NetChannel(
-                            ready=_RxReady(rx),
-                            acked=_TxSequence(transport, producer, this))
-                    # Pairs between two other ranks get no endpoints: the
-                    # interpreter only touches channels it produces into
-                    # or consumes from.
-                channels[s.uid] = chans
-                if s.sync_mode == "barrier":
-                    barriers.setdefault(
-                        f"pre:{s.uid}", _NetBarrier(self.tree, f"pre:{s.uid}"))
-                    barriers.setdefault(
-                        f"post:{s.uid}",
-                        _CopyPostBarrier(
-                            _NetBarrier(self.tree, f"post:{s.uid}"), inbound))
-            elif isinstance(s, ScalarCollective):
-                collectives[s.uid] = _NetCollective(self.tree, s.uid, s.redop)
-            elif isinstance(s, BarrierStmt):
-                barriers[s.tag] = _NetBarrier(self.tree, s.tag)
-
-        from ..spmd import _EpochContext
-        self.ctx = _EpochContext(channels=channels, collectives=collectives,
-                                 barriers=barriers, num_shards=ns)
+        super().__init__(spec, ns)
 
         transport.register(frame.DATA, self._on_data)
         transport.register(frame.MSG, self._on_msg)
@@ -666,43 +544,67 @@ class NetCommContext:
         transport.register(frame.GATHER, self.tree.on_gather)
         transport.register(frame.ERROR, self._on_error)
 
-    # -- frame handlers (receiver threads) ---------------------------------
-    def _on_data(self, peer: int, payload) -> None:
-        cid, gen, vals = payload
-        self._rx[cid].deliver(gen, vals)
+    # -- factories --------------------------------------------------------
+    def _channel(self, stmt, pair, cid: int):
+        i, j = pair
+        ns, me = self.num_shards, self.rank
+        producer = owner_of_color(stmt.src.num_colors, ns, i)
+        consumer = owner_of_color(stmt.dst.num_colors, ns, j)
+        if producer == me and consumer == me:
+            # Exactly the in-memory backends' channel.
+            return super()._channel(stmt, pair, cid)
+        if producer == me:
+            # ``ready`` is a no-op (the data frame itself carries
+            # readiness); ``acked`` mirrors the consumer's credits, started
+            # CREDIT_DEPTH generations ahead.
+            self._chan_ids[(stmt.uid, pair)] = cid
+            mirror = self._credit[cid] = Sequence(start=CREDIT_DEPTH)
+            return Channel(_MirrorSequence(), mirror)
+        if consumer == me:
+            rx = _RxChannel(self, stmt, pair)
+            self._rx[cid] = self._rx_by_pair[(stmt.uid, pair)] = rx
+            self._inbound.setdefault(stmt.uid, []).append(rx)
+            return Channel(_RxReady(rx),
+                           _TxSequence(self.transport, producer, cid))
+        # A pair between two other ranks: the interpreter only touches
+        # channels it produces into or consumes from.
+        return None
 
-    def _on_msg(self, peer: int, payload) -> None:
-        uid, members, gen, vals = payload
-        pp = _PackedPayload(uid, members, vals)
-        for pair in members:
-            self._rx_by_pair[(uid, pair)].deliver(gen, pp)
+    def _collective(self, uid: int, redop: str):
+        return _NetCollective(self.tree, uid, redop)
 
-    def _on_credit(self, peer: int, payload) -> None:
-        cid, gen = payload
-        self._credit[cid].advance_to(gen - 1 + self.depth)
+    def _barrier(self, tag: str, copy):
+        barrier = _NetBarrier(self.tree, tag)
+        if copy is None:
+            return barrier
+        return _CopyPostBarrier(barrier, self._inbound.get(copy.uid, []))
 
-    def _on_creditn(self, peer: int, payload) -> None:
-        cids, gen = payload
-        n = gen - 1 + self.depth
-        for cid in cids:
-            self._credit[cid].advance_to(n)
+    # -- operations (shard thread) ----------------------------------------
+    def advance_group(self, seqs, n: int) -> None:
+        """Advance a mixed batch of ack endpoints, coalescing wire credits:
+        all :class:`_TxSequence` members bound for one peer collapse into
+        one ``CREDITN`` frame; local endpoints advance in place."""
+        by_peer: dict[int, list[int]] = {}
+        for seq in seqs:
+            if type(seq) is _TxSequence:
+                if n > seq._sent:
+                    seq._sent = n
+                    by_peer.setdefault(seq.peer, []).append(seq.chan_id)
+            else:
+                seq.advance_to(n)
+        for peer, cids in by_peer.items():
+            if len(cids) == 1:
+                self.transport.send(peer, frame.CREDIT, (cids[0], n))
+            else:
+                self.transport.send(peer, frame.CREDITN, (tuple(cids), n))
 
-    def _on_error(self, peer: int, exc) -> None:
-        if not isinstance(exc, BaseException):
-            exc = RuntimeError(f"rank {peer} failed: {exc!r}")
-        self.failure = exc
-        self.failed.set()
-
-    # -- producer hook (shard thread) --------------------------------------
-    def is_local(self, stmt, j: int, ns: int) -> bool:
+    def is_local(self, stmt, j: int) -> bool:
         """Whether destination color ``j`` of ``stmt`` lives on this rank."""
-        return owner_of_color(stmt.dst.num_colors, ns, j) == self.rank
+        return (owner_of_color(stmt.dst.num_colors, self.num_shards, j)
+                == self.rank)
 
-    def pair_copy(self, stmt, i: int, j: int, state, rec, ns: int) -> bool:
-        """Intercept one producer-side pair copy; returns False for local
-        pairs (the in-memory path handles them)."""
-        if self.is_local(stmt, j, ns):
-            return False
+    def send_pair(self, stmt, i: int, j: int, state, rec) -> None:
+        """One producer-side cross-rank pair copy, as a framed send."""
         state.pair_visits += 1
         cid = self._chan_ids[(stmt.uid, (i, j))]
         sc = self._send_copies.get(cid)
@@ -721,7 +623,6 @@ class NetCommContext:
         state.bytes_copied += sc.nbytes
         state.flight.record(_flight.COPY, stmt.uid, t0, time.perf_counter(),
                             sc.nbytes)
-        return True
 
     def _build_send(self, stmt, i: int, j: int, cid: int) -> NetSendCopy:
         ex = self.ex
@@ -730,17 +631,37 @@ class NetCommContext:
         src_ix = _as_index(src_inst.localize(pts))
         srcs = tuple(src_inst.fields[f] for f in stmt.fields)
         count = int(pts.count)
-        peer = owner_of_color(stmt.dst.num_colors, self.ns, j)
-        tx = self._tx_state(cid)
-        return NetSendCopy(self.transport, peer, cid, tx, srcs, src_ix,
-                           (i, j), count, count * ex._field_width(stmt),
-                           stmt.uid)
+        peer = owner_of_color(stmt.dst.num_colors, self.num_shards, j)
+        return NetSendCopy(self.transport, peer, cid, _TxState(), srcs,
+                           src_ix, (i, j), count,
+                           count * ex._field_width(stmt), stmt.uid)
 
-    def _tx_state(self, cid: int) -> _TxState:
-        # One generation counter per channel, shared between the cached
-        # interpreted send and any packed send built from it.
-        sc = self._send_copies.get(cid)
-        return sc.tx if sc is not None else _TxState()
+    # -- frame handlers (receiver threads) ---------------------------------
+    def _on_data(self, peer: int, payload) -> None:
+        cid, gen, vals = payload
+        self._rx[cid].deliver(gen, vals)
+
+    def _on_msg(self, peer: int, payload) -> None:
+        uid, members, gen, vals = payload
+        pp = _PackedPayload(uid, members, vals)
+        for pair in members:
+            self._rx_by_pair[(uid, pair)].deliver(gen, pp)
+
+    def _on_credit(self, peer: int, payload) -> None:
+        cid, gen = payload
+        self._credit[cid].advance_to(gen - 1 + CREDIT_DEPTH)
+
+    def _on_creditn(self, peer: int, payload) -> None:
+        cids, gen = payload
+        n = gen - 1 + CREDIT_DEPTH
+        for cid in cids:
+            self._credit[cid].advance_to(n)
+
+    def _on_error(self, peer: int, exc) -> None:
+        if not isinstance(exc, BaseException):
+            exc = RuntimeError(f"rank {peer} failed: {exc!r}")
+        self.failure = exc
+        self.failed.set()
 
     # -- receive-side plans (shard thread) ---------------------------------
     def rx_plan(self, stmt, pair):

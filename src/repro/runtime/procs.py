@@ -5,79 +5,43 @@ gives each shard a real OS process, so replicated control flow and
 pure-Python task bodies genuinely run in parallel — the regime the
 paper's weak-scaling argument (§1, Fig. 1) is about.
 
-Design:
-
-* **fork, not spawn.**  Children must inherit the compiled IR, the task
-  closures, the evaluated intersection pair sets, and the executor itself
-  without pickling any of it, so the driver requires the ``fork`` start
-  method (available on the POSIX platforms this targets).  The shard
-  interpreter — the generator in :class:`~repro.runtime.spmd.SPMDExecutor`
-  that yields the :class:`~repro.runtime.events.Event`-shaped objects it
-  blocks on — is reused completely unchanged; only the event
-  implementations, the instance allocator, and this driver differ.
+The launch itself — fork, drive, funnel, failure containment — is
+:func:`repro.runtime.launch.fork_and_funnel`, shared with ``net``.
+What is specific to this backend:
 
 * **shared-memory instances.**  Every ``PhysicalInstance`` named by a
   partition is allocated from a :class:`~repro.regions.shm.SharedMemoryArena`
-  *before* the fork, so all shards map the same buffers and a pairwise
-  copy is a numpy fancy-indexed assignment between shared buffers: a true
-  zero-serialization memcpy between processes.
+  *before* the fork (the registry row says so), so all shards map the
+  same buffers and a pairwise copy is a numpy fancy-indexed assignment
+  between shared buffers: a true zero-serialization memcpy between
+  processes.  Reduction-fold locks are ``multiprocessing`` locks for the
+  same reason.
 
-* **one sync board.**  All synchronization state — the per-channel
-  ready/ack sequences of the §3.4 handshake, global-barrier generations,
-  and dynamic-collective slots (§4.4) — lives in flat ``ctypes`` arrays in
-  anonymous shared memory, guarded by a single ``multiprocessing``
-  condition variable.  Waiters re-check monotone predicates; every state
-  change notifies.  Collective values travel as float64 (double-buffered
-  by generation parity, which is safe because generation ``g+2``
-  contributions cannot begin until every shard has read generation ``g``).
-
-* **funneling.**  Each child ships its final scalar environment, copy
-  counters, task count, and trace spans back over a pipe, so ``--trace``
-  produces one merged Chrome-trace timeline exactly as the threaded
-  driver does, and replication validation sees every shard's scalars.
+* **one sync board.**  :class:`BoardContext` lays the launch spec's
+  objects out in flat ``ctypes`` arrays in anonymous shared memory —
+  per-channel ready/ack sequences of the §3.4 handshake in spec order,
+  global-barrier generations, dynamic-collective slots (§4.4) — guarded
+  by a single ``multiprocessing`` condition variable.  Waiters re-check
+  monotone predicates; every state change notifies.  Collective values
+  travel as float64 (double-buffered by generation parity, which is safe
+  because generation ``g+2`` contributions cannot begin until every
+  shard has read generation ``g``).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import time
 from typing import Any, Callable
 
 import numpy as np
 
-from ..core.ir import PairwiseCopy, ScalarCollective, BarrierStmt, walk
-from ..obs import NULL_METRICS, PID_SPMD, clock_anchor, rebase_events
-from ..obs import flight as _flight
-from ..obs.flight import NULL_RING, anchor_delta_s, flight_anchor
 from ..regions.region import reduction_identity
 from .collectives import SCALAR_REDUCTIONS
+from .launch import (Channel, CommContext, ProcsUnavailableError,
+                     drive_shard, ensure_procs_available, fork_and_funnel,
+                     fork_context, procs_available)
 
-__all__ = ["procs_available", "ensure_procs_available", "ProcsUnavailableError"]
-
-
-class ProcsUnavailableError(RuntimeError):
-    """The platform lacks the ``fork`` start method the driver needs."""
-
-
-class _Cancelled(BaseException):
-    """Internal: a sibling shard failed; unwind this shard quietly."""
-
-
-def procs_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def ensure_procs_available() -> None:
-    if not procs_available():
-        raise ProcsUnavailableError(
-            "the procs SPMD backend requires the 'fork' multiprocessing "
-            "start method (unavailable on this platform); use "
-            "mode='threaded' instead")
-
-
-def _fork_context():
-    ensure_procs_available()
-    return multiprocessing.get_context("fork")
+__all__ = ["procs_available", "ensure_procs_available", "ProcsUnavailableError",
+           "BoardContext"]
 
 
 # ---------------------------------------------------------------------------
@@ -136,29 +100,6 @@ class _BoardSequence:
     def event_for(self, n: int, label: str | None = None) -> _BoardEvent:
         arr, idx = self._arr, self._idx
         return _BoardEvent(self._cond, lambda: arr[idx] >= n, label)
-
-    @staticmethod
-    def advance_group_shared(seqs, n: int) -> None:
-        """Advance a batch of board sequences in one generation bump.
-
-        Every slot of one launch's sync board hangs off the same shared
-        Condition, so a batched ack release is a single lock round and a
-        single ``notify_all`` instead of one per channel.  Falls back to
-        per-sequence advances if the batch ever spans boards.
-        """
-        cond = seqs[0]._cond
-        if any(seq._cond is not cond for seq in seqs):
-            for seq in seqs:
-                seq.advance_to(n)
-            return
-        with cond:
-            changed = False
-            for seq in seqs:
-                if n > seq._arr[seq._idx]:
-                    seq._arr[seq._idx] = n
-                    changed = True
-            if changed:
-                cond.notify_all()
 
 
 class _BoardBarrier:
@@ -257,362 +198,72 @@ class _BoardCollective:
             return self._result[self._base + (generation & 1)]
 
 
-class _SyncBoard:
-    """All cross-process synchronization state for one shard launch."""
+class BoardContext(CommContext):
+    """One launch's sync objects on a shared board (see module docstring).
 
-    def __init__(self, mpctx, num_shards: int, num_channels: int,
-                 collective_specs: list[tuple[int, str]],
-                 barrier_tags: list[str]):
-        self.num_shards = num_shards
+    Slots are assigned in spec order — channel ``cid`` is slot ``cid`` of
+    the ready and acked arrays — and every object hangs off the one
+    Condition, created pre-fork so all children inherit it.
+    """
+
+    def __init__(self, spec, num_shards: int):
+        mpctx = fork_context()
         self._cond = mpctx.Condition()
-        n = max(1, num_channels)
+        n = max(1, sum(len(p) for p in spec.pairs.values()))
         self._chan_ready = mpctx.RawArray("q", n)
         self._chan_acked = mpctx.RawArray("q", n)
-        nb = max(1, len(barrier_tags))
-        self._bar_index = {tag: i for i, tag in enumerate(barrier_tags)}
+        nb = max(1, len(spec.barriers))
+        self._bar_index = {tag: i for i, tag in enumerate(spec.barriers)}
         self._bar_count = mpctx.RawArray("q", nb)
         self._bar_done = mpctx.RawArray("q", nb)
-        nc = max(1, len(collective_specs))
-        self._coll_index = {uid: (i, redop)
-                           for i, (uid, redop) in enumerate(collective_specs)}
+        nc = max(1, len(spec.collectives))
+        self._coll_index = {uid: i
+                            for i, (uid, _) in enumerate(spec.collectives)}
         self._coll_partial = mpctx.RawArray("d", 2 * nc)
         self._coll_has = mpctx.RawArray("b", 2 * nc)
         self._coll_arrived = mpctx.RawArray("q", 2 * nc)
         self._coll_result = mpctx.RawArray("d", 2 * nc)
         self._coll_done = mpctx.RawArray("q", nc)
+        super().__init__(spec, num_shards)
 
-    def ready_sequence(self, channel: int) -> _BoardSequence:
-        return _BoardSequence(self._cond, self._chan_ready, channel)
+    def _channel(self, stmt, pair, cid: int) -> Channel:
+        return Channel(_BoardSequence(self._cond, self._chan_ready, cid),
+                       _BoardSequence(self._cond, self._chan_acked, cid))
 
-    def acked_sequence(self, channel: int) -> _BoardSequence:
-        return _BoardSequence(self._cond, self._chan_acked, channel)
+    def _collective(self, uid: int, redop: str) -> _BoardCollective:
+        return _BoardCollective(self._cond, self._coll_partial, self._coll_has,
+                                self._coll_arrived, self._coll_result,
+                                self._coll_done, self._coll_index[uid],
+                                self.num_shards, redop)
 
-    def barrier(self, tag: str) -> _BoardBarrier:
+    def _barrier(self, tag: str, copy) -> _BoardBarrier:
         return _BoardBarrier(self._cond, self._bar_count, self._bar_done,
                              self._bar_index[tag], self.num_shards)
 
-    def collective(self, uid: int) -> _BoardCollective:
-        k, redop = self._coll_index[uid]
-        return _BoardCollective(self._cond, self._coll_partial, self._coll_has,
-                                self._coll_arrived, self._coll_result,
-                                self._coll_done, k, self.num_shards, redop)
+    def advance_group(self, seqs, n: int) -> None:
+        # Every slot hangs off the one Condition, so a batched ack release
+        # is a single lock round and a single notify_all.
+        with self._cond:
+            changed = False
+            for seq in seqs:
+                if n > seq._arr[seq._idx]:
+                    seq._arr[seq._idx] = n
+                    changed = True
+            if changed:
+                self._cond.notify_all()
 
 
-# ---------------------------------------------------------------------------
-# Shard child process
-# ---------------------------------------------------------------------------
-
-def _wait_event(shard: int, ev, cancel, timeout_s: float, tracer,
-                metrics=NULL_METRICS, flight=NULL_RING) -> None:
-    """Block on one yielded event, honouring cancellation and the
-    deadlock timeout; mirrors the threaded driver's wait loop."""
-    from .spmd import DeadlockError, wait_kind
-
-    if ev.is_set():
-        return
-    instrumented = tracer.enabled or metrics.enabled
-    t0 = time.perf_counter()
-    start = tracer.now_us() if instrumented else 0.0
-    deadline = time.monotonic() + timeout_s
-    while not ev.wait_blocking(timeout=0.02):
-        if cancel.is_set():
-            raise _Cancelled()
-        if time.monotonic() >= deadline:
-            raise DeadlockError(
-                f"shard {shard} blocked on {ev.label or 'event'} "
-                f"for {timeout_s}s")
-    flight.record(_flight.WAIT, 0, t0, time.perf_counter())
-    if instrumented:
-        label = ev.label or "event"
-        elapsed_us = tracer.now_us() - start
-        if tracer.enabled:
-            tracer.complete(f"wait:{label}", start, elapsed_us, cat="wait",
-                            pid=PID_SPMD, tid=shard)
-        if metrics.enabled:
-            metrics.histogram("spmd_wait_seconds", shard=shard,
-                              kind=wait_kind(label)).observe(elapsed_us / 1e6)
+def shared_lock():
+    """Reduction-fold lock factory: producers are separate processes."""
+    return fork_context().Lock()
 
 
-def _child_payload(ex, state, trace_base: int, anchor,
-                   flight_base: int, error) -> dict:
-    """The result dict a shard child ships back to the parent; shared by
-    the procs and net drivers so funneling stays format-identical."""
-    tracer = ex.tracer
-    return {
-        "shard": state.shard,
-        "scalars": state.scalars,
-        "pair_visits": state.pair_visits,
-        "elements_copied": state.elements_copied,
-        "copies_performed": state.copies_performed,
-        "bytes_copied": state.bytes_copied,
-        "replay_hits": state.replay_hits,
-        "replay_misses": state.replay_misses,
-        "replay_guard_fallbacks": state.replay_guard_fallbacks,
-        "fused_copies": state.fused_copies,
-        "fused_pairs": state.fused_pairs,
-        "lockfree_folds": state.lockfree_folds,
-        "locked_folds": state.locked_folds,
-        "capture_points": state.capture_points,
-        "tasks_executed": state.tasks_executed,
-        "window_ops_recorded": state.window_ops_recorded,
-        "window_ops_lowered": state.window_ops_lowered,
-        "window_closures": state.window_closures,
-        "window_compiles": state.window_compiles,
-        "metrics": (state.metrics.to_dict()
-                    if state.metrics.enabled else None),
-        "trace_events": tracer.events()[trace_base:] if tracer.enabled else [],
-        "clock_anchor": anchor,
-        "flight": (state.flight.export_since(flight_base)
-                   if state.flight.enabled else None),
-        "flight_anchor": flight_anchor() if state.flight.enabled else None,
-        "error": error,
-    }
+def run_shard_launch_procs(ex, stmt, spec, states) -> None:
+    """Fork one process per shard over a shared sync board."""
+    ctx = BoardContext(spec, len(states))
 
+    def body(state, cancel):
+        gen = ex._shard_body(stmt.body, state, ctx)
+        return drive_shard(ex, gen, state, cancel), None
 
-def _shard_main(ex, body, state, ctx, cancel, conn) -> None:
-    """Child-process entry point: drive one shard's generator to the end,
-    then ship scalars / counters / trace spans back to the parent."""
-    tracer = ex.tracer
-    trace_base = tracer.event_count() if tracer.enabled else 0
-    # Anchor this process's tracer clock against the shared wall clock so
-    # the parent can re-base our spans if its perf_counter origin differs
-    # (fork usually preserves it; spawn-like platforms and re-created
-    # tracers do not).
-    anchor = clock_anchor(tracer) if tracer.enabled else None
-    # The forked copy of the shard's flight ring is process-private from
-    # here on; remember where it stood so only this run's records ship
-    # back, with their own wall-clock anchor for the same rebase scheme.
-    flight_base = state.flight.count if state.flight.enabled else 0
-    # Instances must have been materialized (in shared memory) pre-fork;
-    # a lazily created one here would be process-private and silently
-    # wrong, so make dist_instance fail loudly instead.
-    ex._dist_frozen = True
-    error: BaseException | None = None
-    try:
-        for ev in ex._shard_body(body, state, ctx):
-            if cancel.is_set():
-                raise _Cancelled()
-            if ev is not None:
-                _wait_event(state.shard, ev, cancel, ex.deadlock_timeout,
-                            tracer, state.metrics, state.flight)
-    except _Cancelled:
-        pass  # a sibling already recorded the primary error
-    except BaseException as exc:
-        cancel.set()
-        error = exc
-    payload = _child_payload(ex, state, trace_base, anchor, flight_base,
-                             error)
-    try:
-        conn.send(payload)
-    except Exception:
-        # The error (or a scalar) didn't pickle; degrade to its repr so the
-        # parent still learns what happened.
-        payload["error"] = RuntimeError(
-            f"shard {state.shard} failed with unpicklable state: {error!r}")
-        payload["scalars"] = {}
-        try:
-            conn.send(payload)
-        except Exception:  # pragma: no cover - pipe gone; parent sees EOF
-            pass
-    finally:
-        conn.close()
-
-
-# ---------------------------------------------------------------------------
-# Parent-side driver
-# ---------------------------------------------------------------------------
-
-# Wall-clock anchors carry ~ms jitter; skew below this is fork preserving
-# the perf_counter base, and rebasing on it would only add that jitter.
-_REBASE_THRESHOLD_US = 2000.0
-
-
-def _rebased(payload: dict, parent_anchor: tuple[float, float] | None) -> list:
-    """A child's trace events, shifted onto the parent tracer's clock.
-
-    The skew between the two perf_counter-based tracer clocks is measured
-    through the shared wall clock (see :func:`repro.obs.clock_anchor`);
-    when it exceeds the anchors' own jitter the child's timestamps are
-    re-based so the merged timeline stays monotonic.
-    """
-    events = payload["trace_events"]
-    child_anchor = payload.get("clock_anchor")
-    if parent_anchor is None or child_anchor is None:
-        return events
-    child_wall, child_us = child_anchor
-    parent_wall, parent_us = parent_anchor
-    delta_us = (parent_us + (child_wall - parent_wall) * 1e6) - child_us
-    if abs(delta_us) <= _REBASE_THRESHOLD_US:
-        return events
-    return rebase_events(events, delta_us)
-
-
-def _apply_payload(ex, st, payload: dict, parent_anchor,
-                   parent_flight_anchor) -> None:
-    """Restore one shard's state from a child payload and funnel its
-    metrics / trace spans / flight records into the parent; shared by the
-    procs and net drivers."""
-    st.scalars = payload["scalars"]
-    st.pair_visits = payload["pair_visits"]
-    st.elements_copied = payload["elements_copied"]
-    st.copies_performed = payload["copies_performed"]
-    st.bytes_copied = payload["bytes_copied"]
-    st.replay_hits = payload["replay_hits"]
-    st.replay_misses = payload["replay_misses"]
-    st.replay_guard_fallbacks = payload["replay_guard_fallbacks"]
-    st.fused_copies = payload["fused_copies"]
-    st.fused_pairs = payload["fused_pairs"]
-    st.lockfree_folds = payload["lockfree_folds"]
-    st.locked_folds = payload["locked_folds"]
-    st.capture_points = payload["capture_points"]
-    st.tasks_executed = payload["tasks_executed"]
-    st.window_ops_recorded = payload["window_ops_recorded"]
-    st.window_ops_lowered = payload["window_ops_lowered"]
-    st.window_closures = payload["window_closures"]
-    st.window_compiles = payload["window_compiles"]
-    if payload["metrics"] is not None:
-        # The parent's copy of the child registry never saw the
-        # child's increments (they happened post-fork); fold the
-        # shipped snapshot in so _merge_counters sees them.
-        st.metrics.merge(payload["metrics"])
-    if ex.tracer.enabled and payload["trace_events"]:
-        ex.tracer.ingest(_rebased(payload, parent_anchor))
-    if ex.flight is not None and payload.get("flight") is not None:
-        # Funnel the child's ring records into the parent recorder;
-        # the wall-clock anchors repair a differing perf_counter
-        # base exactly as the span rebase above does.
-        delta = (anchor_delta_s(parent_flight_anchor,
-                                payload["flight_anchor"])
-                 if payload.get("flight_anchor") else 0.0)
-        ex.flight.ring(st.shard).ingest(payload["flight"], delta)
-
-
-def _raise_shard_errors(errors: list) -> None:
-    """Raise the collected shard failures with the drivers' shared
-    single-vs-group semantics."""
-    from .spmd import ShardExceptionGroup
-
-    if len(errors) == 1:
-        raise errors[0]
-    if errors:
-        if not all(isinstance(e, Exception) for e in errors):
-            raise errors[0]  # e.g. KeyboardInterrupt: re-raise directly
-        raise ShardExceptionGroup(f"{len(errors)} shards failed", errors)
-
-
-def run_shard_launch_procs(ex, stmt, states, ns: int) -> None:
-    """Fork ``ns`` shard processes for one ShardLaunch and collect results.
-
-    ``ex`` is the :class:`~repro.runtime.spmd.SPMDExecutor`; ``states`` are
-    its per-shard :class:`_ShardState` objects, updated in place from the
-    child payloads so the caller's scalar merge / counter merge code runs
-    unchanged.
-    """
-    from .spmd import (DeadlockError, ShardExceptionGroup, _Channel,
-                       _EpochContext)
-
-    mpctx = _fork_context()
-
-    # Assign one slot per (copy statement, pair) channel and one per
-    # barrier tag / collective uid, mirroring _shard_launch's threaded
-    # setup but on the shared board.
-    channel_pairs: dict[int, list[tuple[int, int]]] = {}
-    collective_specs: list[tuple[int, str]] = []
-    barrier_tags: list[str] = []
-    for s in walk(stmt):
-        if isinstance(s, PairwiseCopy):
-            channel_pairs[s.uid] = ex._copy_pairs(s)
-            if s.sync_mode == "barrier":
-                for tag in (f"pre:{s.uid}", f"post:{s.uid}"):
-                    if tag not in barrier_tags:
-                        barrier_tags.append(tag)
-        elif isinstance(s, ScalarCollective):
-            collective_specs.append((s.uid, s.redop))
-        elif isinstance(s, BarrierStmt):
-            if s.tag not in barrier_tags:
-                barrier_tags.append(s.tag)
-    num_channels = sum(len(p) for p in channel_pairs.values())
-    board = _SyncBoard(mpctx, ns, num_channels, collective_specs, barrier_tags)
-
-    channels: dict[int, dict[tuple[int, int], _Channel]] = {}
-    slot = 0
-    for uid, pairs in channel_pairs.items():
-        chans = {}
-        for p in pairs:
-            chans[p] = _Channel(ready=board.ready_sequence(slot),
-                                acked=board.acked_sequence(slot))
-            slot += 1
-        channels[uid] = chans
-    ctx = _EpochContext(
-        channels=channels,
-        collectives={uid: board.collective(uid) for uid, _ in collective_specs},
-        barriers={tag: board.barrier(tag) for tag in barrier_tags},
-        num_shards=ns)
-
-    # Reduction copies from different producer processes may fold into the
-    # same destination elements; the copy locks must therefore span
-    # processes for the duration of this launch.  Both the legacy global
-    # lock and the per-(stmt, dst color) table are rebuilt with mp locks
-    # before forking so every child inherits the same lock objects.
-    old_lock = ex._copy_lock
-    old_locks = ex._copy_locks
-    ex._copy_lock = mpctx.Lock()
-    ex._copy_locks = ex._build_reduction_locks(stmt, mpctx.Lock)
-    cancel = mpctx.Event()
-    parent_anchor = clock_anchor(ex.tracer) if ex.tracer.enabled else None
-    parent_flight_anchor = flight_anchor() if ex.flight is not None else None
-    procs: list = []
-    conns: list = []
-    errors: list[BaseException] = []
-    try:
-        for st in states:
-            parent_conn, child_conn = mpctx.Pipe(duplex=False)
-            p = mpctx.Process(target=_shard_main,
-                              args=(ex, stmt.body, st, ctx, cancel, child_conn),
-                              name=f"repro-shard-{st.shard}", daemon=True)
-            p.start()
-            child_conn.close()
-            procs.append(p)
-            conns.append(parent_conn)
-
-        # A child that deadlocks raises DeadlockError itself after
-        # ex.deadlock_timeout; the parent deadline is the backstop for a
-        # child that dies so hard it cannot even report.
-        deadline = time.monotonic() + ex.deadlock_timeout + 30.0
-        payloads: list[dict | None] = [None] * ns
-        for x, conn in enumerate(conns):
-            remaining = max(0.0, deadline - time.monotonic())
-            try:
-                if conn.poll(remaining):
-                    payloads[x] = conn.recv()
-            except (EOFError, OSError):
-                pass
-            if payloads[x] is None:
-                cancel.set()
-
-        for x, payload in enumerate(payloads):
-            if payload is None:
-                procs[x].join(timeout=1.0)
-                code = procs[x].exitcode
-                errors.append(DeadlockError(
-                    f"shard {x} did not report within the deadlock window")
-                    if code is None else RuntimeError(
-                        f"shard {x} process died without reporting "
-                        f"(exit code {code})"))
-                continue
-            if payload["error"] is not None:
-                errors.append(payload["error"])
-            _apply_payload(ex, states[x], payload, parent_anchor,
-                           parent_flight_anchor)
-    finally:
-        ex._copy_lock = old_lock
-        ex._copy_locks = old_locks
-        for conn in conns:
-            conn.close()
-        for p in procs:
-            p.join(timeout=5.0)
-            if p.is_alive():  # pragma: no cover - hard-hung child
-                p.terminate()
-                p.join(timeout=5.0)
-
-    _raise_shard_errors(errors)
+    fork_and_funnel(ex, states, body)

@@ -21,27 +21,30 @@ the functional equivalent of Legion phase barriers:
 * the consumer proceeds once every inbound channel is ``ready(g)``
   (read-after-write).
 
-Three drivers share one shard interpreter (a generator that yields the
-events it blocks on): a **stepped** driver interleaves shards
+Four drivers share one shard interpreter (a generator that yields the
+events it blocks on) and one launch path (:mod:`repro.runtime.launch`:
+spec → context → drive → funnel): a **stepped** driver interleaves shards
 deterministically-adversarially under a seeded RNG (used by the
 failure-injection tests — removing synchronization makes it observably
 wrong), a **threaded** driver runs each shard on an OS thread with
 blocking waits (numpy releases the GIL, so point tasks genuinely overlap),
-and a **procs** driver (:mod:`repro.runtime.procs`) forks each shard as an
-OS process over shared-memory instances, so even pure-Python task bodies
-run in parallel.
+a **procs** driver (:mod:`repro.runtime.procs`) forks each shard as an OS
+process over shared-memory instances, so even pure-Python task bodies run
+in parallel, and a **net** driver (:mod:`repro.runtime.net`) runs each
+shard as a rank on a TCP mesh with no shared memory at all.  What differs
+between them is a row of :data:`repro.runtime.backends.BACKENDS`; this
+module never asks which one it is running under.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import random
 import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Iterator
+from typing import Any, ClassVar, Iterator
 
 from ..core.ir import (
     BarrierStmt,
@@ -60,7 +63,6 @@ from ..core.ir import (
     Stmt,
     WhileLoop,
     evaluate,
-    walk,
 )
 from ..core.shards import owner_of_color, shard_owned_colors
 from ..obs import NULL_METRICS, NULL_TRACER, PID_SPMD, MetricsRegistry, Tracer
@@ -69,10 +71,13 @@ from ..obs.flight import NULL_RING, FlightRecorder, ShardRing, flight_enabled
 from ..regions.partition import Partition
 from ..regions.region import PhysicalInstance, reduction_identity
 from ..tasks.views import RegionView
-from .collectives import SCALAR_REDUCTIONS, DynamicCollective
+from .backends import ensure_backend
+from .collectives import SCALAR_REDUCTIONS
 from .copy_engine import disjoint_dst_colors
-from .events import Event, GlobalBarrier, Sequence
+from .events import Event
 from .intersection_exec import IntersectionResult, compute_intersections
+from .launch import (CommContext, DeadlockError, ShardExceptionGroup,
+                     launch_spec)
 from .window import LoopReplay, PairCopy, ReplayError
 from .sequential import SequentialExecutor
 
@@ -80,52 +85,44 @@ __all__ = ["SPMDExecutor", "DeadlockError", "ReplicationDivergence",
            "ReplayError", "ShardExceptionGroup"]
 
 
-class DeadlockError(RuntimeError):
-    """No shard can make progress — synchronization is inconsistent."""
-
-
 class ReplicationDivergence(RuntimeError):
     """Replicated scalar state diverged across shards (compiler bug)."""
 
 
-try:
-    _ExceptionGroupBase = ExceptionGroup  # noqa: F821 -- builtin on py3.11+
-except NameError:  # pragma: no cover -- py3.10 fallback
-    class _ExceptionGroupBase(Exception):
-        def __init__(self, message: str, exceptions):
-            super().__init__(message)
-            self.exceptions = tuple(exceptions)
-
-        def __str__(self) -> str:
-            return (f"{self.args[0]} "
-                    f"({len(self.exceptions)} sub-exception(s))")
-
-
-class ShardExceptionGroup(_ExceptionGroupBase):
-    """Several shards of one threaded SPMD run failed independently."""
-
-
-class _Cancelled(BaseException):
-    """Internal: a sibling shard failed; unwind this shard quietly."""
-
-
-def wait_kind(label: str) -> str:
-    """Classify an event label into a wait-histogram ``kind`` bucket."""
-    if label.startswith("barrier:"):
-        return "barrier"
-    if ":ack(" in label:
-        return "copy-ack"
-    if ":ready(" in label:
-        return "copy-ready"
-    if label.endswith(":pre") or label.endswith(":post"):
-        return "copy-barrier"
-    return "collective"
-
-
-@dataclass
-class _Channel:
-    ready: Sequence = field(default_factory=Sequence)
-    acked: Sequence = field(default_factory=Sequence)
+# The per-shard counters: field name -> (metric it mirrors into, labels).
+# This table is the only list of them — it drives a state's zeroing and
+# reset, the child -> parent payload of the forking backends, the
+# executor's totals (same attribute names) and the metric mirror; the hot
+# paths bump the fields directly (``state.x += 1``).  Copy counters
+# accumulate per shard (no shared lock on the copy path) and are merged
+# into the executor totals after the drivers run.
+COUNTERS: dict[str, tuple[str, dict[str, str]]] = {
+    "tasks_executed": ("spmd_tasks_total", {}),
+    "copies_performed": ("spmd_copies_total", {}),
+    "elements_copied": ("spmd_elements_copied_total", {}),
+    "bytes_copied": ("spmd_bytes_copied_total", {}),
+    # Copy pairs visited, including empty ones.
+    "pair_visits": ("spmd_pair_visits_total", {}),
+    # Steady-state capture & replay (repro.runtime.window): iterations
+    # replayed / interpreted, and of the latter those where a frozen
+    # window existed but a hoisted guard failed.
+    "replay_hits": ("spmd_replay_iterations_total", {"outcome": "hit"}),
+    "replay_misses": ("spmd_replay_iterations_total", {"outcome": "miss"}),
+    "replay_guard_fallbacks": ("spmd_replay_iterations_total",
+                               {"outcome": "guard_fallback"}),
+    # Fused copy engine (repro.runtime.copy_engine): batches applied under
+    # replay, pairs folded into them, and reduction-fold lock accounting.
+    "fused_copies": ("spmd_fused_copies_total", {}),
+    "fused_pairs": ("spmd_fused_pairs_total", {}),
+    "lockfree_folds": ("spmd_reduction_folds_total", {"path": "lockfree"}),
+    "locked_folds": ("spmd_reduction_folds_total", {"path": "locked"}),
+    # Window compiler: raw ops recorded per frozen window, ops left after
+    # lowering, closures in compiled windows, and windows compiled.
+    "window_ops_recorded": ("spmd_window_ops_total", {"stage": "recorded"}),
+    "window_ops_lowered": ("spmd_window_ops_total", {"stage": "lowered"}),
+    "window_closures": ("spmd_window_closures_total", {}),
+    "window_compiles": ("spmd_window_compiles_total", {}),
+}
 
 
 @dataclass
@@ -134,19 +131,6 @@ class _ShardState:
     scalars: dict[str, Any]
     epochs: dict[int, int] = field(default_factory=dict)
     pending_reductions: dict[str, Any] = field(default_factory=dict)
-    # Copy counters accumulate per-shard (no shared lock on the copy hot
-    # path) and are merged into the executor totals after the drivers run.
-    pair_visits: int = 0
-    elements_copied: int = 0
-    copies_performed: int = 0
-    bytes_copied: int = 0
-    tasks_executed: int = 0
-    # Fused copy engine (repro.runtime.copy_engine): batches applied under
-    # replay, pairs folded into them, and reduction-fold lock accounting.
-    fused_copies: int = 0
-    fused_pairs: int = 0
-    lockfree_folds: int = 0
-    locked_folds: int = 0
     # Per-shard metrics child; single-owner during the run, so instrument
     # updates take no lock.  Merged back by the executor after the join.
     metrics: MetricsRegistry = NULL_METRICS
@@ -155,12 +139,6 @@ class _ShardState:
     # is a rolling window over the shard's recent history, which is
     # exactly what a post-failure dump should show.
     flight: ShardRing = NULL_RING
-    # Steady-state capture & replay (repro.runtime.window).
-    replay_hits: int = 0
-    replay_misses: int = 0
-    # Iterations where a frozen trace existed but a hoisted guard failed,
-    # forcing interpretation (a subset of replay_misses).
-    replay_guard_fallbacks: int = 0
     # loop uid -> iteration index at which this shard froze its trace.
     # Capture decisions are replicated control flow, so all shards must
     # agree; validated after the launch like scalar state.
@@ -173,13 +151,14 @@ class _ShardState:
     # recorded iteration that leaves the loop holding a window.
     pair_copies: dict[int, dict[tuple[int, int], PairCopy]] = field(
         default_factory=dict)
-    # Window compiler (repro.runtime.window): raw ops recorded per frozen
-    # window, ops left after lowering, closures in compiled windows, and
-    # windows compiled.
-    window_ops_recorded: int = 0
-    window_ops_lowered: int = 0
-    window_closures: int = 0
-    window_compiles: int = 0
+    # One int attribute per row, zeroed at construction and per run.
+    COUNTERS: ClassVar[dict] = COUNTERS
+
+    def zero_counters(self) -> None:
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
+
+    __post_init__ = zero_counters
 
     def next_epoch(self, uid: int) -> int:
         g = self.epochs.get(uid, 0) + 1
@@ -204,22 +183,7 @@ class _ShardState:
         self.metrics = metrics
         self.pending_reductions.clear()
         self.pair_copies.clear()  # lowered per run, like the counters
-        self.pair_visits = 0
-        self.elements_copied = 0
-        self.copies_performed = 0
-        self.bytes_copied = 0
-        self.tasks_executed = 0
-        self.fused_copies = 0
-        self.fused_pairs = 0
-        self.lockfree_folds = 0
-        self.locked_folds = 0
-        self.replay_hits = 0
-        self.replay_misses = 0
-        self.replay_guard_fallbacks = 0
-        self.window_ops_recorded = 0
-        self.window_ops_lowered = 0
-        self.window_closures = 0
-        self.window_compiles = 0
+        self.zero_counters()
 
 
 class SPMDExecutor(SequentialExecutor):
@@ -235,33 +199,23 @@ class SPMDExecutor(SequentialExecutor):
                  flight_capacity: int = _flight.DEFAULT_CAPACITY,
                  flight_dir: str | None = None, net_worker=None):
         super().__init__(instances=instances)
-        from .backends import ensure_backend
-        ensure_backend(mode)
+        # The registry row answers everything that differs between
+        # drivers; ``mode`` stays as the name callers print and fingerprint.
+        self.backend = ensure_backend(mode)
         if num_shards <= 0:
             raise ValueError("need at least one shard")
         self.num_shards = num_shards
         self.mode = mode
         self.seed = seed
-        # net mode: the launch-scoped comm context (set by the driver in
-        # each rank process for the span of a shard launch), optional
-        # (rank, addrs) worker identity, and the per-rank transport stats
-        # funneled back after a launch.
+        # net backend: optional (rank, addrs) worker identity, and the
+        # per-rank transport stats funneled back after a launch.
         self.net_worker = net_worker
-        self._net = None
         self.net_stats: dict[int, dict] = {}
         self.window_dump_after = frozenset(window_dump_after)
         self.window_dump_sink = window_dump_sink
-        self.window_ops_recorded = 0
-        self.window_ops_lowered = 0
-        self.window_closures = 0
-        self.window_compiles = 0
-        self.replay_hits = 0
-        self.replay_misses = 0
-        self.replay_guard_fallbacks = 0
-        self.fused_copies = 0
-        self.fused_pairs = 0
-        self.lockfree_folds = 0
-        self.locked_folds = 0
+        # Run totals of the per-shard counters, under the same names.
+        for name in _ShardState.COUNTERS:
+            setattr(self, name, 0)
         self.validate_replication = validate_replication
         self.tracer = tracer
         self.metrics = metrics
@@ -286,16 +240,12 @@ class SPMDExecutor(SequentialExecutor):
         # loop is evaluated once rather than per epoch.
         self._isect_cache: dict[tuple[int, int], IntersectionResult] = {}
         self.intersections_computed = 0
-        self.elements_copied = 0
-        self.copies_performed = 0
-        self.pair_visits = 0  # copy pairs visited, including empty ones
-        self.bytes_copied = 0
         # Only reduction-operator copies still need locking: ufunc.at on a
-        # shared destination is not atomic across threads (the procs driver
-        # swaps in cross-process locks for the span of a shard launch).
+        # shared destination is not atomic across threads or processes.
         # _copy_locks holds one lock per (copy stmt uid, dst color), built
-        # per shard launch; _copy_lock is the legacy global fallback for
-        # copies that never went through a launch.  Destinations whose
+        # per shard launch with the backend's lock factory; _copy_lock is
+        # the fallback for main-level copies, which run sequentially and
+        # never went through a launch.  Destinations whose
         # inbound contributions are provably disjoint across producer
         # shards (_disjoint_cache, computed from the evaluated pair sets)
         # skip locking entirely unless _force_locked_reductions is set
@@ -305,8 +255,8 @@ class SPMDExecutor(SequentialExecutor):
         self._disjoint_cache: dict[tuple[int, int], frozenset] = {}
         self._field_widths: dict[int, int] = {}
         self._force_locked_reductions = False
-        # procs mode: instances live in shared memory so forked shard
-        # processes all map them; created lazily on first allocation.
+        # Backends with shared instances allocate them from this arena so
+        # forked shard processes all map them; created on first allocation.
         self._arena = None
         self._dist_frozen = False
         # Compile-once/serve-many (repro.serve): with retain_plans the
@@ -320,7 +270,7 @@ class SPMDExecutor(SequentialExecutor):
         self.retain_plans = retain_plans
         self._resident_program = None
         self._resident_states: dict[int, list[_ShardState]] = {}
-        self._resident_ctx: dict[int, _EpochContext] = {}
+        self._resident_ctx: dict[int, CommContext] = {}
         self._resident_locks: dict[int, dict[tuple[int, int], Any]] = {}
 
     def run(self, program):
@@ -429,7 +379,7 @@ class SPMDExecutor(SequentialExecutor):
 
     # -- distributed storage -----------------------------------------------
     def _instance_allocator(self):
-        if self.mode != "procs":
+        if not self.backend.shared_instances:
             return None
         if self._arena is None:
             from ..regions.shm import SharedMemoryArena
@@ -449,22 +399,6 @@ class SPMDExecutor(SequentialExecutor):
                                     allocator=self._instance_allocator())
             self.dist[key] = inst
         return inst
-
-    def _precreate_instances(self, stmt: ShardLaunch) -> None:
-        """Materialize every instance a shard might touch, before threads."""
-        parts: dict[int, Partition] = {}
-        for s in walk(stmt):
-            if isinstance(s, IndexLaunch):
-                for arg in s.region_args:
-                    parts[arg.proj.partition.uid] = arg.proj.partition
-            elif isinstance(s, PairwiseCopy):
-                parts[s.src.uid] = s.src
-                parts[s.dst.uid] = s.dst
-            elif isinstance(s, FillReductionBuffer):
-                parts[s.partition.uid] = s.partition
-        for p in parts.values():
-            for c in p.colors:
-                self.dist_instance(p, c)
 
     # -- main-level statements ----------------------------------------------
     def _stmt(self, stmt: Stmt) -> None:
@@ -520,28 +454,29 @@ class SPMDExecutor(SequentialExecutor):
     # -- shard launch ------------------------------------------------------------
     def _shard_launch(self, stmt: ShardLaunch) -> None:
         ns = stmt.num_shards or self.num_shards
-        self._precreate_instances(stmt)
-        # Plans persist only where they can: the procs driver forks fresh
-        # shard processes per launch, so their capture state dies with the
-        # children — a resident procs executor still reuses the compiled
-        # program, the warm arena, and the intersection results, but
-        # re-captures per run.
-        persistent = self.retain_plans and self.mode not in ("procs", "net")
-        # One lock per (reduction copy stmt, dst color): folds into
-        # different destination instances never contend.  The procs driver
-        # rebuilds this table with cross-process locks before forking.
-        # Resident launches must *reuse* the first launch's locks: frozen
-        # plans captured them, and an interpreted guard-fallback iteration
-        # must contend on the same lock objects the replaying shards hold.
-        if persistent:
-            locks = self._resident_locks.get(stmt.uid)
-            if locks is None:
-                locks = self._build_reduction_locks(stmt, threading.Lock)
+        backend = self.backend
+        spec = launch_spec(stmt, self._copy_pairs)
+        # Materialize every instance a shard might touch before any shard
+        # exists (and, for forked shards, where they all map it).
+        for part in spec.partitions:
+            for c in part.colors:
+                self.dist_instance(part, c)
+        # Plans persist only where they can: where a launch's shards die
+        # with it, a resident executor still reuses the compiled program,
+        # the warm arena and the intersection results, but re-captures
+        # per run.
+        persistent = self.retain_plans and backend.resident
+        # One lock per (reduction copy stmt, dst color), of the kind the
+        # backend's producers need.  Resident launches must *reuse* the
+        # first launch's locks: frozen plans captured them, and an
+        # interpreted guard-fallback iteration must contend on the same
+        # lock objects the replaying shards hold.
+        locks = self._resident_locks.get(stmt.uid) if persistent else None
+        if locks is None:
+            locks = {key: backend.lock() for key in spec.reduction_dsts}
+            if persistent:
                 self._resident_locks[stmt.uid] = locks
-            self._copy_locks = locks
-        else:
-            self._copy_locks = self._build_reduction_locks(stmt,
-                                                           threading.Lock)
+        self._copy_locks = locks
         states = self._resident_states.get(stmt.uid) if persistent else None
         if states is None:
             states = [_ShardState(shard=x, scalars=dict(self.scalars),
@@ -559,44 +494,7 @@ class SPMDExecutor(SequentialExecutor):
             self.tracer.name_process(PID_SPMD, "spmd executor")
             for x in range(ns):
                 self.tracer.name_thread(PID_SPMD, x, f"shard {x}")
-        if self.mode == "procs":
-            from .procs import run_shard_launch_procs
-            run_shard_launch_procs(self, stmt, states, ns)
-        elif self.mode == "net":
-            from .net.driver import (run_shard_launch_net,
-                                     run_shard_launch_net_worker)
-            if self.net_worker is not None:
-                run_shard_launch_net_worker(self, stmt, states, ns)
-            else:
-                run_shard_launch_net(self, stmt, states, ns)
-        else:
-            ctx = self._resident_ctx.get(stmt.uid) if persistent else None
-            if ctx is None:
-                channels = self._build_channels(stmt, ns)
-                collectives: dict[int, DynamicCollective] = {}
-                barriers: dict[str, GlobalBarrier] = {}
-                for s in walk(stmt):
-                    if isinstance(s, ScalarCollective):
-                        collectives[s.uid] = DynamicCollective(ns, s.redop)
-                    elif isinstance(s, BarrierStmt):
-                        barriers[s.tag] = GlobalBarrier(ns)
-                    elif (isinstance(s, PairwiseCopy)
-                            and s.sync_mode == "barrier"):
-                        barriers.setdefault(f"pre:{s.uid}", GlobalBarrier(ns))
-                        barriers.setdefault(f"post:{s.uid}", GlobalBarrier(ns))
-                ctx = _EpochContext(channels=channels, collectives=collectives,
-                                    barriers=barriers, num_shards=ns)
-                if persistent:
-                    # Sync state is monotone (sequences, barrier and
-                    # collective generations), so the frozen plans' epoch
-                    # strides stay consistent across runs as long as the
-                    # epoch dicts and these objects persist together.
-                    self._resident_ctx[stmt.uid] = ctx
-            gens = [self._shard_body(stmt.body, states[x], ctx) for x in range(ns)]
-            if self.mode == "threaded":
-                self._drive_threaded(gens, states)
-            else:
-                self._drive_stepped(gens)
+        backend.launch(self, stmt, spec, states)
         self._merge_scalars(states)
         self._merge_counters(states)
         if not persistent:
@@ -610,26 +508,10 @@ class SPMDExecutor(SequentialExecutor):
                                            "miss": float(self.replay_misses)},
                                 pid=PID_SPMD)
 
-    def _build_channels(self, stmt: ShardLaunch, ns: int):
-        channels: dict[int, dict[tuple[int, int], _Channel]] = {}
-        for s in walk(stmt):
-            if isinstance(s, PairwiseCopy):
-                channels[s.uid] = {p: _Channel() for p in self._copy_pairs(s)}
-        return channels
-
     def _copy_pairs(self, stmt: PairwiseCopy) -> list[tuple[int, int]]:
         if stmt.pairs_name is not None:
             return self.pair_sets[stmt.pairs_name].nonempty_pairs()
         return [(i, j) for i in stmt.src.colors for j in stmt.dst.colors]
-
-    @staticmethod
-    def _build_reduction_locks(stmt: ShardLaunch, factory):
-        locks: dict[tuple[int, int], Any] = {}
-        for s in walk(stmt):
-            if isinstance(s, PairwiseCopy) and s.redop is not None:
-                for j in s.dst.colors:
-                    locks[(s.uid, j)] = factory()
-        return locks
 
     def _disjoint_dst(self, stmt: PairwiseCopy, ns: int) -> frozenset:
         """Dst colors of ``stmt`` whose inbound reduction contributions are
@@ -663,56 +545,17 @@ class SPMDExecutor(SequentialExecutor):
     def _merge_counters(self, states: list[_ShardState]) -> None:
         m = self.metrics
         for st in states:
-            self.pair_visits += st.pair_visits
-            self.elements_copied += st.elements_copied
-            self.copies_performed += st.copies_performed
-            self.bytes_copied += st.bytes_copied
-            self.tasks_executed += st.tasks_executed
-            self.replay_hits += st.replay_hits
-            self.replay_misses += st.replay_misses
-            self.replay_guard_fallbacks += st.replay_guard_fallbacks
-            self.fused_copies += st.fused_copies
-            self.fused_pairs += st.fused_pairs
-            self.lockfree_folds += st.lockfree_folds
-            self.locked_folds += st.locked_folds
-            self.window_ops_recorded += st.window_ops_recorded
-            self.window_ops_lowered += st.window_ops_lowered
-            self.window_closures += st.window_closures
-            self.window_compiles += st.window_compiles
+            for name in st.COUNTERS:
+                setattr(self, name, getattr(self, name) + getattr(st, name))
             if not m.enabled:
                 continue
             # Funnel-back: fold the shard's lock-free child registry (wait
             # histograms, task timings) and mirror the scalar counters.
             if st.metrics is not m:
                 m.merge(st.metrics)
-            lab = {"shard": str(st.shard)}
-            m.counter("spmd_tasks_total", **lab).inc(st.tasks_executed)
-            m.counter("spmd_copies_total", **lab).inc(st.copies_performed)
-            m.counter("spmd_elements_copied_total", **lab).inc(
-                st.elements_copied)
-            m.counter("spmd_bytes_copied_total", **lab).inc(st.bytes_copied)
-            m.counter("spmd_pair_visits_total", **lab).inc(st.pair_visits)
-            m.counter("spmd_replay_iterations_total", outcome="hit",
-                      **lab).inc(st.replay_hits)
-            m.counter("spmd_replay_iterations_total", outcome="miss",
-                      **lab).inc(st.replay_misses)
-            m.counter("spmd_replay_iterations_total",
-                      outcome="guard_fallback",
-                      **lab).inc(st.replay_guard_fallbacks)
-            m.counter("spmd_fused_copies_total", **lab).inc(st.fused_copies)
-            m.counter("spmd_fused_pairs_total", **lab).inc(st.fused_pairs)
-            m.counter("spmd_reduction_folds_total", path="lockfree",
-                      **lab).inc(st.lockfree_folds)
-            m.counter("spmd_reduction_folds_total", path="locked",
-                      **lab).inc(st.locked_folds)
-            m.counter("spmd_window_ops_total", stage="recorded",
-                      **lab).inc(st.window_ops_recorded)
-            m.counter("spmd_window_ops_total", stage="lowered",
-                      **lab).inc(st.window_ops_lowered)
-            m.counter("spmd_window_closures_total", **lab).inc(
-                st.window_closures)
-            m.counter("spmd_window_compiles_total", **lab).inc(
-                st.window_compiles)
+            shard = str(st.shard)
+            for name, (metric, labels) in st.COUNTERS.items():
+                m.counter(metric, shard=shard, **labels).inc(getattr(st, name))
 
     def _merge_scalars(self, states: list[_ShardState]) -> None:
         if self.validate_replication and len(states) > 1:
@@ -734,102 +577,14 @@ class SPMDExecutor(SequentialExecutor):
                         f"{st.capture_points} != {ref_cp}")
         self.scalars.update(states[0].scalars)
 
-    # -- drivers --------------------------------------------------------------
-    def _drive_stepped(self, gens: list[Iterator[Event | None]]) -> None:
-        ns = len(gens)
-        pending: list[Event | None] = [None] * ns
-        done = [False] * ns
-        rng = random.Random(self.seed)
-        while not all(done):
-            runnable = [x for x in range(ns)
-                        if not done[x] and (pending[x] is None or pending[x].is_set())]
-            if not runnable:
-                blocked = [x for x in range(ns) if not done[x]]
-                raise DeadlockError(
-                    f"shards {blocked} all blocked: missing or inconsistent "
-                    f"synchronization")
-            x = rng.choice(runnable)
-            try:
-                pending[x] = next(gens[x])
-            except StopIteration:
-                done[x] = True
-                pending[x] = None
-
-    def _drive_threaded(self, gens: list[Iterator[Event | None]],
-                        states: list[_ShardState] | None = None) -> None:
-        errors: list[BaseException] = []
-        lock = threading.Lock()
-        cancel = threading.Event()
-        tracer = self.tracer
-        states = states or []
-
-        def wait(shard: int, ev: Event) -> None:
-            # Poll so a sibling's failure (the cancel token) unblocks this
-            # shard promptly instead of after the full deadlock timeout.
-            if ev.is_set():
-                return
-            has_state = shard < len(states)
-            metrics = states[shard].metrics if has_state else NULL_METRICS
-            flight = states[shard].flight if has_state else NULL_RING
-            instrumented = tracer.enabled or metrics.enabled
-            t0 = time.perf_counter()
-            start = tracer.now_us() if instrumented else 0.0
-            deadline = time.monotonic() + self.deadlock_timeout
-            while not ev.wait_blocking(timeout=0.02):
-                if cancel.is_set():
-                    raise _Cancelled()
-                if time.monotonic() >= deadline:
-                    raise DeadlockError(
-                        f"shard {shard} blocked on "
-                        f"{ev.label or 'event'} for {self.deadlock_timeout}s")
-            flight.record(_flight.WAIT, 0, t0, time.perf_counter())
-            if instrumented:
-                label = ev.label or "event"
-                elapsed_us = tracer.now_us() - start
-                if tracer.enabled:
-                    tracer.complete(f"wait:{label}", start, elapsed_us,
-                                    cat="wait", pid=PID_SPMD, tid=shard)
-                if metrics.enabled:
-                    metrics.histogram(
-                        "spmd_wait_seconds", shard=shard,
-                        kind=wait_kind(label)).observe(elapsed_us / 1e6)
-
-        def run(shard: int, gen: Iterator[Event | None]) -> None:
-            try:
-                for ev in gen:
-                    if cancel.is_set():
-                        raise _Cancelled()
-                    if ev is not None:
-                        wait(shard, ev)
-            except _Cancelled:
-                pass  # a sibling already recorded the primary error
-            except BaseException as exc:  # propagate to the launcher
-                with lock:
-                    errors.append(exc)
-                cancel.set()
-
-        threads = [threading.Thread(target=run, args=(x, g), daemon=True)
-                   for x, g in enumerate(gens)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if len(errors) == 1:
-            raise errors[0]
-        if errors:
-            if not all(isinstance(e, Exception) for e in errors):
-                raise errors[0]  # e.g. KeyboardInterrupt: re-raise directly
-            raise ShardExceptionGroup(
-                f"{len(errors)} shards failed", errors)
-
     # -- shard interpreter (a generator yielding blocking events) -------------
     def _shard_body(self, block: Block, state: _ShardState,
-                    ctx: "_EpochContext", rec=None) -> Iterator[Event | None]:
+                    ctx: CommContext, rec=None) -> Iterator[Event | None]:
         for stmt in block.stmts:
             yield from self._shard_stmt(stmt, state, ctx, rec)
 
     def _shard_stmt(self, stmt: Stmt, state: _ShardState,
-                    ctx: "_EpochContext", rec=None) -> Iterator[Event | None]:
+                    ctx: CommContext, rec=None) -> Iterator[Event | None]:
         if isinstance(stmt, ScalarAssign):
             if rec is not None:
                 rec.assign(stmt.uid, stmt.name, stmt.expr)
@@ -909,7 +664,7 @@ class SPMDExecutor(SequentialExecutor):
 
     def _replay_loop(self, stmt: Stmt, var: str | None, values,
                      state: _ShardState,
-                     ctx: "_EpochContext") -> Iterator[Event | None]:
+                     ctx: CommContext) -> Iterator[Event | None]:
         """Run an outermost loop, capturing and then replaying steady state.
 
         Each iteration either replays the frozen window (all guards hold)
@@ -918,8 +673,7 @@ class SPMDExecutor(SequentialExecutor):
         """
         lr = state.loop_replays.get(stmt.uid)
         if lr is None:
-            lr = state.loop_replays[stmt.uid] = LoopReplay(
-                stmt.uid, var=var, num_shards=ctx.num_shards)
+            lr = state.loop_replays[stmt.uid] = LoopReplay(stmt.uid, var, ctx)
         tracer = self.tracer
         flight = state.flight
         perf = time.perf_counter
@@ -967,7 +721,7 @@ class SPMDExecutor(SequentialExecutor):
                                       "iteration": lr.iterations_recorded})
 
     def _shard_launch_stmt(self, stmt: IndexLaunch, state: _ShardState,
-                           ctx: "_EpochContext",
+                           ctx: CommContext,
                            rec=None) -> Iterator[Event | None]:
         owned = shard_owned_colors(stmt.domain.size, ctx.num_shards, state.shard)
         if rec is not None:
@@ -1015,7 +769,7 @@ class SPMDExecutor(SequentialExecutor):
                 state.pending_reductions[stmt.reduce[1]] = partial
 
     def _shard_fill(self, stmt: FillReductionBuffer, state: _ShardState,
-                    ctx: "_EpochContext", rec=None) -> None:
+                    ctx: CommContext, rec=None) -> None:
         part = stmt.partition
         owned = shard_owned_colors(part.num_colors, ctx.num_shards, state.shard)
         fills = [] if rec is not None else None
@@ -1031,7 +785,7 @@ class SPMDExecutor(SequentialExecutor):
 
     # -- copies -----------------------------------------------------------------
     def _exec_copy(self, stmt: PairwiseCopy, state: _ShardState,
-                   ctx: "_EpochContext | None" = None,
+                   ctx: CommContext | None = None,
                    every_pair: bool = False,
                    rec=None) -> Iterator[Event | None]:
         pairs = self._copy_pairs(stmt)
@@ -1076,7 +830,8 @@ class SPMDExecutor(SequentialExecutor):
             my_pairs = [(i, j) for (i, j) in pairs
                         if owner_of_color(src_n, ns, i) == me]
         if rec is not None and stmt.uid not in state.pair_copies:
-            state.pair_copies[stmt.uid] = self._lower_pairs(stmt, my_pairs, ns)
+            state.pair_copies[stmt.uid] = self._lower_pairs(stmt, my_pairs,
+                                                            ctx)
         for (i, j) in my_pairs:
             if sync == "p2p":
                 # WAR: wait for the consumer to have arrived at epoch g
@@ -1086,7 +841,10 @@ class SPMDExecutor(SequentialExecutor):
                 if rec is not None:
                     rec.wait(stmt.uid, ("ack", i, j), seq, g, label)
                 yield seq.event_for(g, label=label)
-            self._do_pair_copy(stmt, i, j, state, rec, ns)
+            if ctx is not None and not ctx.is_local(stmt, j):
+                ctx.send_pair(stmt, i, j, state, rec)
+            else:
+                self._do_pair_copy(stmt, i, j, state, rec, ns)
             if sync == "p2p":
                 seq = chans[(i, j)].ready
                 if rec is not None:
@@ -1127,16 +885,16 @@ class SPMDExecutor(SequentialExecutor):
             return self.pair_sets[stmt.pairs_name].pairs[(i, j)]
         return stmt.src.subset(i) & stmt.dst.subset(j)
 
-    def _lower_pairs(self, stmt: PairwiseCopy, pairs, ns: int):
+    def _lower_pairs(self, stmt: PairwiseCopy, pairs, ctx: CommContext):
         """Lower, in one batch, every in-memory pair copy of ``stmt`` this
         shard produces; the capture iteration itself then runs the lowered
         copies, so the frozen form is exercised (and its localization
         validated) before any replay."""
-        net = self._net
+        ns = ctx.num_shards
         todo = {}
         for (i, j) in pairs:
-            if net is not None and not net.is_local(stmt, j, ns):
-                continue  # cross-rank pair, lowered to a framed send
+            if not ctx.is_local(stmt, j):
+                continue  # delivered by the context (a framed send)
             pts = self._pair_points(stmt, i, j)
             if pts:
                 lock = (self._reduction_lock(stmt, j, ns)
@@ -1148,9 +906,6 @@ class SPMDExecutor(SequentialExecutor):
 
     def _do_pair_copy(self, stmt: PairwiseCopy, i: int, j: int,
                       state: _ShardState, rec=None, ns: int = 1) -> None:
-        net = self._net
-        if net is not None and net.pair_copy(stmt, i, j, state, rec, ns):
-            return  # cross-rank pair, lowered to a framed send
         state.pair_visits += 1
         pts = self._pair_points(stmt, i, j)
         if not pts:
@@ -1198,11 +953,3 @@ class SPMDExecutor(SequentialExecutor):
                 state.lockfree_folds += 1
             else:
                 state.locked_folds += 1
-
-
-@dataclass
-class _EpochContext:
-    channels: dict[int, dict[tuple[int, int], _Channel]]
-    collectives: dict[int, DynamicCollective]
-    barriers: dict[str, GlobalBarrier]
-    num_shards: int

@@ -54,7 +54,6 @@ from ...core.ir import evaluate
 from ...core.passes import PassContext, run_pass_pipeline
 from ...obs import flight as _flight
 from ...obs.trace import PID_SPMD
-from ..events import advance_group
 from .ir import (
     WindowIR,
     WindowVerifyError,
@@ -93,11 +92,12 @@ __all__ = ["CompiledWindow", "LoopReplay", "WindowContext",
 
 @dataclass
 class WindowContext(PassContext):
-    """Pass context for the window pipeline: adds the executor and the
-    shard state the window is being compiled against."""
+    """Pass context for the window pipeline: adds the executor, the shard
+    state and the launch's comm context the window is compiled against."""
 
     ex: Any = None
     state: Any = None
+    comm: Any = None
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def _adv_thunk(state, seq, uid, stride):
     return run
 
 
-def _advn_thunk(state, seqs, uid, stride):
+def _advn_thunk(state, advance_group, seqs, uid, stride):
     epochs = state.epochs
 
     def run():
@@ -181,7 +181,11 @@ class CompiledWindow:
         self.bound_state = None
 
     @classmethod
-    def build(cls, wir: WindowIR, state, uid: int = 0) -> "CompiledWindow":
+    def build(cls, wir: WindowIR, state, comm,
+              uid: int = 0) -> "CompiledWindow":
+        # Bound once here, never looked up per op: a replayed OP_ADVN is
+        # one call into the launch context's group advance.
+        advance_group = comm.advance_group
         classified: list[tuple[str, Any]] = []
         for op in wir.ops:
             k = op[0]
@@ -206,7 +210,8 @@ class CompiledWindow:
                     ("advance", _adv_thunk(state, op[1], op[2], op[3])))
             elif k == OP_ADVN:
                 classified.append(
-                    ("advance", _advn_thunk(state, op[1], op[2], op[3])))
+                    ("advance", _advn_thunk(state, advance_group,
+                                            op[1], op[2], op[3])))
             elif k == OP_WAIT:
                 classified.append(("wait", (op[1], op[2], op[3], op[4])))
             elif k == OP_YIELD:
@@ -308,13 +313,13 @@ class CompiledWindow:
 # The compile driver and the per-loop capture state machine
 # ---------------------------------------------------------------------------
 
-def window_passes(ex) -> list:
+def window_passes(comm) -> list:
     """The window pipeline, in order.  The one choice in it is observed,
-    not configured: a launch with a net comm context aggregates its
-    cross-rank pair sends into per-peer packed messages (a FusedBatch
+    not configured: a launch whose context has remote pairs aggregates
+    its cross-rank pair sends into per-peer packed messages (a FusedBatch
     would bypass the wire path entirely); every other launch fuses each
     copy statement's pairs into in-memory batches."""
-    if ex._net is not None:
+    if comm.has_remote:
         from ..net.plan import MessagePlanPass
         copies = MessagePlanPass()
     else:
@@ -323,10 +328,10 @@ def window_passes(ex) -> list:
             BatchLaunchPass(), FuseTasksPass(), FissionPass()]
 
 
-def compile_window(ex, rec: IterationRecorder, state, *,
-                   var: str | None = None, num_shards: int | None = None,
-                   uid: int = 0) -> CompiledWindow:
-    """Lower one recorded iteration to a :class:`CompiledWindow`."""
+def compile_window(ex, rec: IterationRecorder, state, comm, *,
+                   var: str | None = None, uid: int = 0) -> CompiledWindow:
+    """Lower one recorded iteration to a :class:`CompiledWindow` bound to
+    ``state`` and to the launch context ``comm``."""
     t_compile = time.perf_counter()
     wir = WindowIR(ops=list(rec.ops), guards=list(rec.guards),
                    epoch_base=rec.epoch_base, written=set(rec.written),
@@ -335,10 +340,10 @@ def compile_window(ex, rec: IterationRecorder, state, *,
               for loop_uid, g in state.epochs.items())
     wir.epoch_deltas = tuple((loop_uid, d) for loop_uid, d in deltas if d)
     ctx = WindowContext(
-        num_shards=num_shards or ex.num_shards,
+        num_shards=comm.num_shards,
         tracer=ex.tracer, metrics=state.metrics,
         dump_after=ex.window_dump_after, dump_sink=ex.window_dump_sink,
-        ex=ex, state=state)
+        ex=ex, state=state, comm=comm)
     baseline = window_summary(wir)
     verified = list(wir.ops)
 
@@ -352,7 +357,7 @@ def compile_window(ex, rec: IterationRecorder, state, *,
 
     try:
         wir = run_pass_pipeline(
-            wir, window_passes(ex), ctx,
+            wir, window_passes(comm), ctx,
             span_prefix="window", cat="replay", pid=PID_SPMD,
             tid=state.shard, metric_prefix="spmd_window_pass",
             size_fn=lambda w: len(w.ops), verify_fn=verify,
@@ -364,7 +369,7 @@ def compile_window(ex, rec: IterationRecorder, state, *,
             f"shard {state.shard}, loop {uid}: {exc}") from None
     state.window_ops_recorded += len(rec.ops)
     state.window_ops_lowered += len(wir.ops)
-    cw = CompiledWindow.build(wir, state, uid=uid)
+    cw = CompiledWindow.build(wir, state, comm, uid=uid)
     state.window_compiles += 1
     state.window_closures += cw.num_closures
     # A window compile is exactly the kind of rare, expensive, should-not-
@@ -389,14 +394,13 @@ class LoopReplay:
     at the same iterations.
     """
 
-    __slots__ = ("uid", "var", "num_shards", "trace",
+    __slots__ = ("uid", "var", "comm", "trace",
                  "iterations_recorded", "_prev", "_rec")
 
-    def __init__(self, uid: int, var: str | None = None,
-                 num_shards: int | None = None):
+    def __init__(self, uid: int, var: str | None, comm):
         self.uid = uid
         self.var = var
-        self.num_shards = num_shards
+        self.comm = comm  # the launch context its windows bind to
         self.trace: CompiledWindow | None = None
         self.iterations_recorded = 0
         self._prev = None
@@ -426,8 +430,7 @@ class LoopReplay:
         if fp == self._prev:
             try:
                 self.trace = compile_window(
-                    ex, rec, state, var=self.var,
-                    num_shards=self.num_shards, uid=self.uid)
+                    ex, rec, state, self.comm, var=self.var, uid=self.uid)
             except _Unfreezable:
                 self._prev = None
                 return False

@@ -174,11 +174,10 @@ class BatchSyncPass(Pass):
 
     A run of ``OP_ADV`` ops with equal ``(uid, stride, kind)`` — the ack
     release burst at a copy statement's entry, one op per owned inbound
-    pair — becomes a single ``OP_ADVN`` executed by
-    :func:`repro.runtime.events.advance_group` (one lock round per shared
-    sync board in the procs backend).  Runs of ``OP_VISIT`` likewise
-    become one ``OP_VISITS``.  This pass runs even when the JIT is off:
-    the interpreter executes both batched ops with identical counters.
+    pair — becomes a single ``OP_ADVN`` executed by the launch context's
+    ``advance_group`` (one lock round on the procs board, one ``CREDITN``
+    frame per peer on net).  Runs of ``OP_VISIT`` likewise become one
+    ``OP_VISITS``.
     """
 
     name = "batch-sync"

@@ -1,0 +1,305 @@
+"""The one launch path under the four backends (``repro.runtime.launch``).
+
+What the refactor moved and nothing else exercised: the launch spec and
+the three contexts built from it agree; the counter table is the only
+list of counters; a rank that dies hard is reported when it dies,
+whichever rank it is; and worker mode (``repro launch-worker``) runs.
+"""
+
+import argparse
+import json
+import multiprocessing
+import os
+import socket
+import subprocess
+import sys
+import time
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+import repro
+from repro.cli import APP_FACTORIES
+from repro.core import ProgramBuilder, control_replicate
+from repro.core.ir import BarrierStmt, PairwiseCopy, ScalarCollective, walk
+from repro.core.shards import owner_of_color
+from repro.obs import MetricsRegistry
+from repro.regions.shm import live_segment_count
+from repro.runtime import SPMDExecutor, procs_available, spmd
+from repro.runtime.launch import CommContext
+from repro.tasks import R, RW, task
+
+from tests.conftest import Fig2
+
+needs_fork = pytest.mark.skipif(
+    not procs_available(),
+    reason="fork start method unavailable on this platform")
+
+APPS = ["stencil", "circuit", "pennant", "miniaero"]
+
+
+def app_problem(app, steps=3):
+    return APP_FACTORIES[app](argparse.Namespace(
+        app=app, tiles=4, steps=steps, size=None, shape="star"))
+
+
+def fake_transport(rank):
+    return SimpleNamespace(rank=rank,
+                           register=lambda kind, handler: None,
+                           send=lambda peer, kind, payload: None)
+
+
+@needs_fork
+class TestSpecParity:
+    """One spec per launch; every backend turns the same spec into its
+    objects, so independently built contexts agree key for key."""
+
+    @pytest.mark.parametrize("sync", ["p2p", "barrier"])
+    @pytest.mark.parametrize("app", APPS)
+    def test_contexts_agree_with_the_spec(self, app, sync, monkeypatch):
+        from repro.runtime.net.sync import NetCommContext
+        from repro.runtime.procs import BoardContext
+        seen = []
+        derive = spmd.launch_spec
+
+        def recording(stmt, copy_pairs):
+            spec = derive(stmt, copy_pairs)
+            seen.append((stmt, spec))
+            return spec
+
+        monkeypatch.setattr(spmd, "launch_spec", recording)
+        ns = 2
+        _, _, ex, _ = app_problem(app).run_control_replicated(ns, sync=sync)
+        (launch, spec), = seen
+
+        # The spec against an independent reading of the statement list.
+        stmts = list(walk(launch))
+        copies = [s for s in stmts if isinstance(s, PairwiseCopy)]
+        assert [s.uid for s in spec.copies] == [s.uid for s in copies]
+        assert spec.pairs == {s.uid: ex._copy_pairs(s) for s in copies}
+        assert spec.collectives == [(s.uid, s.redop) for s in stmts
+                                    if isinstance(s, ScalarCollective)]
+        tags = {s.tag for s in stmts if isinstance(s, BarrierStmt)}
+        for s in copies:
+            if s.sync_mode == "barrier":
+                tags |= {f"pre:{s.uid}", f"post:{s.uid}"}
+        assert set(spec.barriers) == tags
+        assert sync == "p2p" or any(t.startswith("post:") for t in tags)
+        assert spec.reduction_dsts == [(s.uid, j) for s in copies
+                                       if s.redop is not None
+                                       for j in s.dst.colors]
+
+        def keys(ctx):
+            return ({uid: set(chans) for uid, chans in ctx.channels.items()},
+                    set(ctx.collectives), set(ctx.barriers))
+
+        want = ({uid: set(pairs) for uid, pairs in spec.pairs.items()},
+                {uid for uid, _ in spec.collectives}, tags)
+        memory, board = CommContext(spec, ns), BoardContext(spec, ns)
+        assert keys(memory) == keys(board) == want
+        # Board slots are the spec's channel order.
+        slots = [board.channels[s.uid][p].ready._idx
+                 for s in copies for p in spec.pairs[s.uid]]
+        assert slots == list(range(len(slots)))
+
+        ranks = [NetCommContext(ex, fake_transport(r), spec, ns)
+                 for r in range(ns)]
+        for r, ctx in enumerate(ranks):
+            chans, colls, bars = keys(ctx)
+            assert (colls, bars) == want[1:]
+            for s in copies:
+                mine = {(i, j) for (i, j) in spec.pairs[s.uid]
+                        if r in (owner_of_color(s.src.num_colors, ns, i),
+                                 owner_of_color(s.dst.num_colors, ns, j))}
+                assert chans[s.uid] == mine
+        # Both ends of a cross-rank channel number it identically without
+        # having exchanged anything.
+        crossing = 0
+        for s in copies:
+            for pair in spec.pairs[s.uid]:
+                prod = owner_of_color(s.src.num_colors, ns, pair[0])
+                cons = owner_of_color(s.dst.num_colors, ns, pair[1])
+                if prod != cons:
+                    crossing += 1
+                    assert (ranks[prod]._chan_ids[(s.uid, pair)]
+                            == ranks[cons].channels[s.uid][pair].acked.chan_id)
+        assert crossing and all(ctx.has_remote for ctx in ranks)
+        assert not memory.has_remote and not board.has_remote
+
+
+@needs_fork
+class TestCounterTable:
+    def test_a_new_row_round_trips_on_procs(self, fig2, monkeypatch):
+        """A counter exists by being a row of the table: zeroing, the
+        child -> parent payload, the executor total and the metric mirror
+        all follow, with the name spelled nowhere else."""
+        class Counted(spmd._ShardState):
+            COUNTERS = {**spmd._ShardState.COUNTERS,
+                        "epochs_taken": ("spmd_epochs_taken_total",
+                                         {"kind": "test"})}
+
+            def next_epoch(self, uid):
+                self.epochs_taken += 1  # bumped in the forked child
+                return super().next_epoch(uid)
+
+        monkeypatch.setattr(spmd, "_ShardState", Counted)
+        metrics = MetricsRegistry()
+        prog, _ = control_replicate(fig2.build(), num_shards=2)
+        ex = SPMDExecutor(num_shards=2, mode="procs", metrics=metrics,
+                          instances=fig2.fresh_instances())
+        assert ex.epochs_taken == 0
+        ex.run(prog)
+        # Only the interpreted iterations take epochs one by one.
+        assert ex.epochs_taken > 0 and ex.replay_misses > 0
+        flat = metrics.flat()
+        mirrored = sum(v for k, v in flat.items()
+                       if k.startswith("spmd_epochs_taken_total{")
+                       and 'kind="test"' in k)
+        assert mirrored == ex.epochs_taken
+
+        st = Counted(shard=0, scalars={})
+        st.epochs_taken = st.tasks_executed = 5
+        st.reset_for_run({}, metrics)
+        assert st.epochs_taken == 0 and st.tasks_executed == 0
+
+
+def _dying_program(fig2, steps, victim_point, at_call):
+    """Fig. 2 with a TF that hard-exits the process owning
+    ``victim_point`` on its ``at_call``-th execution there."""
+    calls = [0]
+
+    @task(privileges=[RW("v"), R("v")], name="TF_dies")
+    def tf_dies(Bv, Av):
+        if victim_point in set(Av.points):
+            calls[0] += 1  # process-private after the fork
+            if calls[0] == at_call:
+                os._exit(3)
+        Bv.write("v")[:] = np.sin(Av.read("v")) + 1.0
+
+    b = ProgramBuilder("dies")
+    b.let("T", steps)
+    with b.for_range("t", 0, "T"):
+        b.launch(tf_dies, fig2.I, fig2.PB, fig2.PA)
+        b.launch(fig2.TG, fig2.I, fig2.PA, fig2.QB)
+    return b.build()
+
+
+@needs_fork
+class TestDeadRank:
+    """First cell of the fault matrix: a rank that dies without reporting
+    ends the run when it dies — not after the survivors' deadlock
+    timeout — with an error naming it, and leaves nothing behind."""
+
+    @pytest.mark.parametrize("victim", [0, 1])
+    @pytest.mark.parametrize("mode", ["procs", "net"])
+    def test_reported_when_it_dies(self, mode, victim, monkeypatch):
+        from repro.runtime.net import driver
+        bound = []
+        bind = driver.bind_listeners
+
+        def recording(ns):
+            listeners, addrs = bind(ns)
+            bound.extend(addrs)
+            return listeners, addrs
+
+        monkeypatch.setattr(driver, "bind_listeners", recording)
+        fig2 = Fig2(steps=30)
+        # Two captured iterations, then the tenth replayed one.
+        prog, _ = control_replicate(
+            _dying_program(fig2, 30, victim_point=(fig2.n - 1) * victim,
+                           at_call=12),
+            num_shards=2)
+        ex = SPMDExecutor(num_shards=2, mode=mode, deadlock_timeout=30.0,
+                          instances=fig2.fresh_instances())
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError) as exc_info:
+            ex.run(prog)
+        assert time.perf_counter() - t0 < 5.0
+        # One error, the dead rank's: survivors unwound as cancelled and
+        # contributed no DeadlockError of their own.
+        noun = "rank" if mode == "net" else "shard"
+        assert str(exc_info.value) == (
+            f"{noun} {victim} process died without reporting (exit code 3)")
+        assert multiprocessing.active_children() == []
+        assert live_segment_count() == 0
+        assert len(bound) == (2 if mode == "net" else 0)
+        for addr in bound:
+            with pytest.raises(OSError):
+                socket.create_connection(addr, timeout=1.0).close()
+
+
+def _free_ports(n):
+    socks = [socket.socket() for _ in range(n)]
+    try:
+        for s in socks:
+            s.bind(("127.0.0.1", 0))
+        return [s.getsockname()[1] for s in socks]
+    finally:
+        for s in socks:
+            s.close()
+
+
+# Rank 0 of a worker-mode launch, in its own interpreter: statement and
+# partition uids are process-local counters and travel on the wire, so a
+# worker must build its program in the same order `repro launch-worker`
+# does (problem, then the replicated run) — which a pytest process that
+# has built other programs cannot.  Prints one JSON line.
+_RANK0 = """
+import argparse, json, sys
+import numpy as np
+from repro.cli import APP_FACTORIES, _worker_addrs
+app, steps, hosts = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+problem = APP_FACTORIES[app](argparse.Namespace(
+    app=app, tiles=4, steps=steps, size=None, shape="star"))
+state, _, ex, _ = problem.run_control_replicated(
+    2, mode="net",
+    executor_kw={"net_worker": (0, _worker_addrs(argparse.Namespace(hosts=hosts))),
+                 "deadlock_timeout": 30.0})
+seq, _, _ = problem.run_sequential()
+print(json.dumps({
+    "bitwise": all(np.array_equal(state[k], seq[k]) for k in seq),
+    "close": all(np.allclose(state[k], seq[k], rtol=1e-11, atol=1e-13)
+                 for k in seq),
+    "ranks": sorted(ex.net_stats),
+    "data_sent": ex.net_stats[0]["messages_sent"].get("data", 0),
+    "replay_hits": ex.replay_hits}))
+"""
+
+
+class TestWorkerMode:
+    """``repro launch-worker``: every rank is its own process that
+    rebuilds the program; no fork anywhere."""
+
+    @pytest.mark.parametrize("app", ["stencil", "circuit"])
+    def test_cli_worker_meshes_with_an_in_process_rank0(self, app, tmp_path):
+        steps = 6
+        hosts = tmp_path / "hosts"
+        hosts.write_text("".join(f"127.0.0.1:{port}\n"
+                                 for port in _free_ports(2)))
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        procs = [subprocess.Popen(
+            cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True) for cmd in (
+            [sys.executable, "-c", _RANK0, app, str(steps), str(hosts)],
+            [sys.executable, "-m", "repro", "launch-worker", app,
+             "--rank", "1", "--shards", "2", "--steps", str(steps),
+             "--hosts", str(hosts)])]
+        try:
+            outs = [p.communicate(timeout=90) for p in procs]
+        finally:
+            for p in procs:
+                if p.poll() is None:
+                    p.kill()
+                    p.wait(timeout=10)
+        for p, (out, err) in zip(procs, outs):
+            assert p.returncode == 0, err
+        assert f"{app}: rank 1/2 done" in outs[1][0]
+        # Rank 0 installed the gathered final state of both ranks:
+        # stencil bit-for-bit, circuit at `repro run`'s tolerance.
+        rank0 = json.loads(outs[0][0].splitlines()[-1])
+        assert rank0["close"] and (rank0["bitwise"] or app != "stencil")
+        assert rank0["ranks"] == [0] and rank0["data_sent"] > 0
+        assert rank0["replay_hits"] == steps - 2

@@ -169,7 +169,7 @@ class TestClockRebase:
         assert events[0]["ts"] == 100.0
 
     def test_rebased_ignores_fork_preserved_skew(self):
-        from repro.runtime.procs import _rebased
+        from repro.runtime.launch import _rebased
         # Same wall instant, near-identical tracer clocks: fork preserved
         # the base, so the events must pass through unshifted.
         payload = {"trace_events": [{"ph": "X", "ts": 5.0, "dur": 1.0}],
@@ -178,7 +178,7 @@ class TestClockRebase:
         assert out[0]["ts"] == 5.0
 
     def test_rebased_shifts_large_skew(self):
-        from repro.runtime.procs import _rebased
+        from repro.runtime.launch import _rebased
         # The child's tracer clock reads 1s behind the parent's at the
         # same wall instant: shift its spans forward by that second.
         payload = {"trace_events": [{"ph": "X", "ts": 5.0, "dur": 1.0}],
@@ -187,7 +187,7 @@ class TestClockRebase:
         assert out[0]["ts"] == pytest.approx(5.0 + 1e6)
 
     def test_rebased_without_anchor_is_identity(self):
-        from repro.runtime.procs import _rebased
+        from repro.runtime.launch import _rebased
         payload = {"trace_events": [{"ph": "X", "ts": 5.0, "dur": 1.0}],
                    "clock_anchor": None}
         assert _rebased(payload, None) == payload["trace_events"]

@@ -11,6 +11,7 @@ from repro.runtime import (
     SequentialExecutor,
     SPMDExecutor,
 )
+from repro.runtime.launch import CommContext
 from repro.tasks import R, RW, task
 
 
@@ -171,7 +172,7 @@ class TestDriverMachinery:
 
 
 class TestDeadlockDetection:
-    def test_inconsistent_sync_deadlocks(self, fig2):
+    def test_inconsistent_sync_deadlocks(self, fig2, monkeypatch):
         """Making one shard wait for a generation nobody produces must be
         detected by the stepped driver rather than hanging."""
         from repro.core import walk, PairwiseCopy, control_replicate
@@ -181,18 +182,15 @@ class TestDeadlockDetection:
 
         # Sabotage: intercept channel construction so the ready sequence of
         # one channel can never advance (a lost message).
-        orig = ex._build_channels
+        orig = CommContext._channel
 
-        def broken(stmt, ns):
-            channels = orig(stmt, ns)
-            for chans in channels.values():
-                for ch in chans.values():
-                    ch.ready.advance_to = lambda n: None  # drop the signal
-                    break
-                break
-            return channels
+        def broken(self, stmt, pair, cid):
+            ch = orig(self, stmt, pair, cid)
+            if cid == 0:
+                ch.ready.advance_to = lambda n: None  # drop the signal
+            return ch
 
-        ex._build_channels = broken
+        monkeypatch.setattr(CommContext, "_channel", broken)
         with pytest.raises(DeadlockError):
             ex.run(prog)
 
@@ -305,23 +303,21 @@ class TestErrorPaths:
             ex.run(prog)
         assert _time.perf_counter() - t0 < 10.0
 
-    def test_deadlock_timeout_names_the_event(self, fig2):
+    def test_deadlock_timeout_names_the_event(self, fig2, monkeypatch):
         """A genuinely stuck shard reports what it was waiting for."""
         from repro.core import control_replicate
         prog, _ = control_replicate(fig2.build(), num_shards=2)
         ex = SPMDExecutor(num_shards=2, mode="threaded",
                           instances=fig2.fresh_instances(),
                           deadlock_timeout=0.2)
-        broken = ex._build_channels
+        orig = CommContext._channel
 
-        def never_ready(stmt, ns):
-            chans = broken(stmt, ns)
-            for per_pair in chans.values():
-                for ch in per_pair.values():
-                    ch.ready.advance_to = lambda n: None  # drop releases
-            return chans
+        def never_ready(self, stmt, pair, cid):
+            ch = orig(self, stmt, pair, cid)
+            ch.ready.advance_to = lambda n: None  # drop releases
+            return ch
 
-        ex._build_channels = never_ready
+        monkeypatch.setattr(CommContext, "_channel", never_ready)
         with pytest.raises(Exception) as exc_info:
             ex.run(prog)
         exc = exc_info.value

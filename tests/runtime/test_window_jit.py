@@ -17,6 +17,7 @@ import multiprocessing
 import time
 import weakref
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,7 +53,8 @@ from repro.runtime import (
     SPMDExecutor,
     procs_available,
 )
-from repro.runtime.events import Sequence, advance_group
+from repro.runtime.events import Sequence
+from repro.runtime.launch import CommContext, LaunchSpec
 from repro.runtime.window import exec as window_exec
 from repro.runtime.window import schedule
 from repro.runtime.window.ir import PairCopy, WindowIR, _as_index, op_arrays
@@ -267,32 +269,89 @@ class TestVerifierFailure:
         assert multiprocessing.active_children() == []
 
 
+def _one_copy_spec():
+    """A hand-built launch spec: one copy statement over 4 x 4 colours.
+    Under two shards, colours 0-1 live on rank 0 and 2-3 on rank 1, so
+    seen from rank 0 the pairs are, in order: local, three inbound from
+    rank 1, one outbound."""
+    part = SimpleNamespace(num_colors=4)
+    stmt = SimpleNamespace(uid=7, src=part, dst=part)
+    pairs = [(0, 0), (2, 0), (2, 1), (3, 0), (0, 2)]
+    return LaunchSpec(copies=[stmt], pairs={7: pairs}), pairs
+
+
 class TestAdvanceGroup:
-    """Satellite: batched generation bumps."""
+    """Satellite: batched generation bumps, one implementation per launch
+    context (the replayed ``OP_ADVN`` calls whichever it was bound to)."""
 
     def test_plain_sequences_all_advance(self):
-        seqs = [Sequence() for _ in range(4)]
+        spec, pairs = _one_copy_spec()
+        ctx = CommContext(spec, 2)
+        seqs = [ctx.channels[7][p].acked for p in pairs]
         events = [s.event_for(3) for s in seqs]
-        advance_group(seqs, 3)
+        ctx.advance_group(seqs, 3)
         assert all(ev.is_set() for ev in events)
         assert all(s.value == 3 for s in seqs)
 
+    @pytest.mark.skipif(not procs_available(), reason="needs fork")
     def test_shared_domain_hook_dispatches(self):
-        calls = []
+        """The board's channels share one Condition: a batch is one lock
+        round and one broadcast, and a repeat of it wakes nobody."""
+        from repro.runtime.procs import BoardContext
+        spec, pairs = _one_copy_spec()
+        ctx = BoardContext(spec, 2)
+        rounds = Counter()
+        cond = ctx._cond
 
-        class Board(Sequence):
-            def advance_group_shared(self, seqs, n):
-                calls.append((tuple(seqs), n))
-                for s in seqs:
-                    Sequence.advance_to(s, n)
+        class Counting:
+            def __enter__(self):
+                rounds["lock"] += 1
+                return cond.__enter__()
 
-        seqs = [Board() for _ in range(3)]
-        advance_group(seqs, 2)
-        assert calls == [(tuple(seqs), 2)]
+            def __exit__(self, *exc):
+                return cond.__exit__(*exc)
+
+            def notify_all(self):
+                rounds["notify"] += 1
+                cond.notify_all()
+
+        seqs = [ctx.channels[7][p].acked for p in pairs]
+        ctx._cond = Counting()
+        ctx.advance_group(seqs, 2)
+        assert rounds == {"lock": 1, "notify": 1}
+        ctx.advance_group(seqs, 2)
+        assert rounds == {"lock": 2, "notify": 1}
+        ctx._cond = cond
         assert all(s.value == 2 for s in seqs)
+        assert all(ctx.channels[7][p].ready.value == 0 for p in pairs)
+
+    def test_net_coalesces_whichever_pair_sorts_first(self):
+        """One CREDITN per peer even when the batch *starts* with a
+        rank-local pair (the dispatch used to look at ``seqs[0]`` only)."""
+        from repro.runtime.net import frame
+        from repro.runtime.net.sync import NetCommContext
+        spec, pairs = _one_copy_spec()
+        sent = []
+        transport = SimpleNamespace(
+            rank=0, register=lambda kind, handler: None,
+            send=lambda peer, kind, payload: sent.append(
+                (peer, kind, payload)))
+        ctx = NetCommContext(None, transport, spec, 2)
+        inbound = [(0, 0), (2, 0), (2, 1), (3, 0)]  # consumed by rank 0
+        seqs = [ctx.channels[7][p].acked for p in inbound]
+        assert type(seqs[0]) is Sequence  # local pair first
+        ctx.advance_group(seqs, 4)
+        # Channel ids are positions in the spec's pair order.
+        assert sent == [(1, frame.CREDITN, ((1, 2, 3), 4))]
+        assert seqs[0].value == 4
+        ctx.advance_group(seqs, 4)  # already granted: nothing on the wire
+        assert len(sent) == 1
+        ctx.advance_group(seqs[:2], 5)  # a single remote member: CREDIT
+        assert sent[1] == (1, frame.CREDIT, (1, 5))
 
     def test_empty_group_is_a_noop(self):
-        advance_group([], 5)
+        spec, _ = _one_copy_spec()
+        CommContext(spec, 2).advance_group([], 5)
 
 
 def _pass_stat(metrics, stat):
