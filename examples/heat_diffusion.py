@@ -53,30 +53,42 @@ def main():
                               for c in P_OLD.colors],
                       disjoint=False, name="Ghost")
 
-    @task(privileges=[RW("u"), R("u"), R("u")])
-    def diffuse(NEW, OLD, HALO):
-        pts = NEW.points
-        x, y = np.unravel_index(pts, (N, N))
-        views = [(OLD, OLD.read("u")), (HALO, HALO.read("u"))]
-
-        def sample(xx, yy):
+    # The mesh never changes, so where each point's four neighbours live —
+    # which view (own tile or halo), which slot, or off the grid — is
+    # worked out once by an inspector and handed to the body as ``plan``.
+    # The runtime decides when: once per tile, never per step.
+    def plan_diffuse(NEW, OLD, HALO):
+        x, y = np.unravel_index(NEW.points, (N, N))
+        plan = []
+        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            xx, yy = x + dx, y + dy
             m = (xx >= 0) & (xx < N) & (yy >= 0) & (yy < N)
             ids = np.ravel_multi_index((np.clip(xx, 0, N - 1),
                                         np.clip(yy, 0, N - 1)), (N, N))
-            out = np.zeros(pts.shape[0])
-            found = np.zeros(pts.shape[0], dtype=bool)
-            for view, arr in views:
+            found = np.zeros(x.shape[0], dtype=bool)
+            legs = []
+            for view in (OLD, HALO):
                 slots, ok = view.maybe_localize(ids)
                 take = ok & ~found & m
-                out[take] = arr[slots[take]]
+                legs.append((np.flatnonzero(take), slots[take]))
                 found |= ok & m
-            center = OLD.read("u")
-            out[~m] = center[~m]  # insulated boundary
+            plan.append((legs, np.flatnonzero(~m)))
+        return plan
+
+    @task(privileges=[RW("u"), R("u"), R("u")], inspect=plan_diffuse)
+    def diffuse(NEW, OLD, HALO, *, plan):
+        center = OLD.read("u")
+        fields = (center, HALO.read("u"))
+
+        def sample(legs, off_grid):
+            out = np.zeros(center.shape[0])
+            for arr, (positions, slots) in zip(fields, legs):
+                out[positions] = arr[slots]
+            out[off_grid] = center[off_grid]  # insulated boundary
             return out
 
-        center = OLD.read("u")
-        lap = (sample(x + 1, y) + sample(x - 1, y)
-               + sample(x, y + 1) + sample(x, y - 1) - 4.0 * center)
+        east, west, north, south = (sample(*side) for side in plan)
+        lap = east + west + north + south - 4.0 * center
         NEW.write("u")[:] = center + ALPHA * lap
 
     @task(privileges=[RW("u"), R("u")])

@@ -78,60 +78,89 @@ def make_circuit_graph(pieces=4, nodes_per_piece=40, wires_per_piece=60,
 
 
 def _make_tasks(graph: CircuitGraph, dt: float):
+    """The three point tasks.  Mesh topology is constant, so everything a
+    body needs to know about *where* its nodes live — which of the
+    private/shared/ghost views of a §4.5 region tree holds each wire
+    endpoint, at which slot — is an inspector plan; the bodies only move
+    field values along it."""
     in_node, out_node = graph.in_node, graph.out_node
 
-    def lookup(views, ids):
-        """Gather a field value for global node ids across several views."""
-        out = np.zeros(ids.shape[0])
-        found = np.zeros(ids.shape[0], dtype=bool)
-        for view, arr in views:
-            slots, ok = view.maybe_localize(ids)
-            take = ok & ~found
-            out[take] = arr[slots[take]]
-            found |= ok
-        if not found.all():
-            raise IndexError("node id not present in any view")
-        return out
+    def plan_currents(W, PRIV, SHR, GHOST):
+        """Per endpoint array, each wire's node as an index into the three
+        views' values laid end to end — the first view that contains the
+        node wins."""
+        views = (PRIV, SHR, GHOST)
+        offsets = np.cumsum([0] + [view.n for view in views[:-1]])
+        plan = []
+        for ends in (in_node, out_node):
+            ids = ends[W.points]
+            index = np.full(ids.shape[0], -1)
+            for view, offset in zip(views, offsets):
+                slots, ok = view.maybe_localize(ids)
+                take = ok & (index < 0)
+                index[take] = offset + slots[take]
+            if (index < 0).any():
+                raise IndexError("node id not present in any view")
+            plan.append(index)
+        return plan
 
     @task(privileges=[RW("current", "resistance"), R("voltage"), R("voltage"),
                       R("voltage")],
-          name="calc_new_currents")
-    def calc_new_currents(W, PRIV, SHR, GHOST):
-        wids = W.points
-        views = [(PRIV, PRIV.read("voltage")), (SHR, SHR.read("voltage")),
-                 (GHOST, GHOST.read("voltage"))]
-        v_in = lookup(views, in_node[wids])
-        v_out = lookup(views, out_node[wids])
+          name="calc_new_currents", inspect=plan_currents)
+    def calc_new_currents(W, PRIV, SHR, GHOST, *, plan):
+        volts = np.concatenate([view.read("voltage")
+                                for view in (PRIV, SHR, GHOST)])
+        v_in, v_out = (volts[index] for index in plan)
         W.write("current")[:] = (v_in - v_out) / W.read("resistance")
+
+    def plan_charge(W, PRIV, SHR, GHOST):
+        """Per endpoint array, where each wire's contribution goes: the
+        private slots, then (only if some wire is left over) the shared
+        ones, then (likewise) the ghost ones; ``None`` marks a view the
+        body must not touch at all."""
+        wids = W.points
+        legs = []
+        for ends in (in_node, out_node):
+            ids = ends[wids]
+            slots, ok = PRIV.maybe_localize(ids)
+            shared = ghost = None
+            rem = np.flatnonzero(~ok)
+            if rem.size:
+                s_slots, s_ok = SHR.maybe_localize(ids[rem])
+                shared = (rem[s_ok], s_slots[s_ok])
+                rem2 = rem[~s_ok]
+                if rem2.size:
+                    ghost = (rem2, GHOST.localize(ids[rem2]))
+            legs.append(((np.flatnonzero(ok), slots[ok]), shared, ghost))
+        return legs
 
     @task(privileges=[R("current"), RW("charge"), Reduce("+", "charge"),
                       Reduce("+", "charge")],
-          name="distribute_charge")
-    def distribute_charge(W, PRIV, SHR, GHOST):
-        wids = W.points
+          name="distribute_charge", inspect=plan_charge)
+    def distribute_charge(W, PRIV, SHR, GHOST, *, plan):
         cur = W.read("current")
         priv_charge = PRIV.write("charge")
-        for ids, sign in ((in_node[wids], -dt), (out_node[wids], dt)):
+        # In-node contributions fold before out-node ones, wire order
+        # within each: the fold order is part of the result's bits.
+        for sign, (private, shared, ghost) in zip((-dt, dt), plan):
             vals = sign * cur
-            slots, ok = PRIV.maybe_localize(ids)
-            np.add.at(priv_charge, slots[ok], vals[ok])
-            rem = ~ok
-            if rem.any():
-                s_slots, s_ok = SHR.maybe_localize(ids[rem])
-                SHR.reduce("charge", s_slots[s_ok], vals[rem][s_ok], "+")
-                rem2 = np.flatnonzero(rem)[~s_ok]
-                if rem2.size:
-                    g_slots = GHOST.localize(ids[rem2])
-                    GHOST.reduce("charge", g_slots, vals[rem2], "+")
+            np.add.at(priv_charge, private[1], vals[private[0]])
+            if shared is not None:
+                SHR.reduce("charge", shared[1], vals[shared[0]], "+")
+            if ghost is not None:
+                GHOST.reduce("charge", ghost[1], vals[ghost[0]], "+")
+
+    def plan_voltage(PRIV, SHR):
+        return [(graph.capacitance[view.points],
+                 1.0 - graph.leakage[view.points]) for view in (PRIV, SHR)]
 
     @task(privileges=[RW("voltage", "charge"), RW("voltage", "charge")],
-          name="update_voltage")
-    def update_voltage(PRIV, SHR):
-        for view in (PRIV, SHR):
+          name="update_voltage", inspect=plan_voltage)
+    def update_voltage(PRIV, SHR, *, plan):
+        for view, (capacitance, retained) in zip((PRIV, SHR), plan):
             v = view.write("voltage")
             q = view.write("charge")
-            nids = view.points
-            v[:] = (v + q / graph.capacitance[nids]) * (1.0 - graph.leakage[nids])
+            v[:] = (v + q / capacitance) * retained
             q[:] = 0.0
 
     return calc_new_currents, distribute_charge, update_voltage

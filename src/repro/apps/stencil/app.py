@@ -76,37 +76,69 @@ def make_stencil_tasks(n: int, radius: int, shape: str = "star"):
     """
     weights = stencil_offsets(shape, radius)
 
-    # Batchable: every access is by global grid coordinate (unravel the
-    # point ids, scatter into a dense window, gather by offset), so one
-    # call over the union of a shard's tiles computes bit-identical
-    # per-point results — the interior mask discards the clip artifacts.
-    @task(privileges=[RW("v"), R("v"), R("v")], name="stencil",
-          batchable=True)
-    def stencil_task(OUT, IN, GHOST):
-        opts = OUT.points
-        ox, oy = np.unravel_index(opts, (n, n))
-        # Dense local window covering tile plus (plus-shaped) halo.
-        chunks_x, chunks_y, chunks_v = [], [], []
-        for view in (IN, GHOST):
-            px, py = np.unravel_index(view.points, (n, n))
-            chunks_x.append(px)
-            chunks_y.append(py)
-            chunks_v.append(view.read("v"))
-        ix = np.concatenate(chunks_x)
-        iy = np.concatenate(chunks_y)
-        iv = np.concatenate(chunks_v)
-        wx0, wy0 = int(ix.min()), int(iy.min())
-        win = np.zeros((int(ix.max()) - wx0 + 1, int(iy.max()) - wy0 + 1))
-        win[ix - wx0, iy - wy0] = iv
+    def unravel(points):
+        return np.unravel_index(points, (n, n))
+
+    def extent(coords):
+        """``(origin, length)`` of the window side that holds every
+        coordinate array of ``coords``, each widened by its padding."""
+        lo = min(int(c.min()) - pad for c, pad in coords if c.size)
+        hi = max(int(c.max()) + pad for c, pad in coords if c.size)
+        return lo, hi - lo + 1
+
+    def plan_stencil(OUT, IN, GHOST):
+        """Everything about a call that its point sets decide: a dense
+        window over the tile(s) plus halo, where ``IN`` and ``GHOST`` land
+        in it, and where each ``OUT`` point sits in the window's
+        (H-2r) x (W-2r) core, over which the body sums by dense slices."""
+        if not OUT.n:
+            return None
+        ox, oy = unravel(OUT.points)
+        ix, iy = unravel(IN.points)
+        gx, gy = unravel(GHOST.points)
+        # The core must hold every OUT point, the window every input.
+        x0, height = extent(((ox, radius), (ix, 0), (gx, 0)))
+        y0, width = extent(((oy, radius), (iy, 0), (gy, 0)))
+        core = width - 2 * radius
+        index = np.int32 if height * width < 2 ** 31 else np.int64
         interior = ((ox >= radius) & (ox < n - radius)
                     & (oy >= radius) & (oy < n - radius))
-        acc = np.zeros(opts.shape[0])
+        win = np.zeros((height, width))
+        acc = np.empty((height - 2 * radius, core))
+        return (win, acc, np.empty_like(acc),
+                ((ix - x0) * width + (iy - y0)).astype(index),
+                ((gx - x0) * width + (gy - y0)).astype(index),
+                ((ox - x0 - radius) * core + (oy - y0 - radius)).astype(index),
+                None if interior.all()
+                else np.flatnonzero(interior).astype(index))
+
+    # Batchable: every access is by global grid coordinate (the plan
+    # places points in the window by their unravelled coordinates), so one
+    # call over the union of a shard's tiles computes bit-identical
+    # per-point results.  Points outside the grid interior read window
+    # cells no input wrote; the interior selection discards them.
+    @task(privileges=[RW("v"), R("v"), R("v")], name="stencil",
+          batchable=True, inspect=plan_stencil)
+    def stencil_task(OUT, IN, GHOST, *, plan):
+        if plan is None:
+            return
+        win, acc, term, in_cells, ghost_cells, out_cells, interior = plan
+        # Cells no input covers keep the 0.0 they were allocated with.
+        cells = win.reshape(-1)
+        cells[in_cells] = IN.read("v")
+        cells[ghost_cells] = GHOST.read("v")
+        height, width = win.shape
+        acc[...] = 0.0
         for dx, dy, w in weights:
-            xs = np.clip(ox + dx - wx0, 0, win.shape[0] - 1)
-            ys = np.clip(oy + dy - wy0, 0, win.shape[1] - 1)
-            acc += w * win[xs, ys]
+            np.multiply(win[radius + dx:height - radius + dx,
+                            radius + dy:width - radius + dy], w, out=term)
+            acc += term
+        vals = acc.reshape(-1)[out_cells]
         out = OUT.write("v")
-        out[interior] += acc[interior]
+        if interior is None:
+            out += vals
+        else:
+            out[interior] += vals[interior]
 
     @task(privileges=[RW("v")], name="increment", batchable=True)
     def increment_task(IN):

@@ -302,6 +302,14 @@ class IndexLaunch(Stmt):
     def scalar_args(self) -> tuple[ScalarArg, ...]:
         return tuple(a for a in self.args if isinstance(a, ScalarArg))
 
+    def point_args(self, index: int, scalars: Mapping[str, Any]) -> list:
+        """Point task ``index``'s arguments in signature order: each region
+        argument's subregion, each scalar evaluated with ``i`` bound."""
+        env = {**scalars, "i": index}
+        return [a.proj.partition[a.proj.color_for(index)]
+                if isinstance(a, RegionArg) else evaluate(a.expr, env)
+                for a in self.args]
+
     def privilege_pairs(self):
         """Yield ``(privilege, proj)`` for each region argument."""
         return tuple(zip(self.task.privileges, (a.proj for a in self.region_args)))

@@ -221,14 +221,16 @@ class PhysicalInstance:
     def field_view(self, fname: str, points: IntervalSet):
         """Return ``(array, writeback)`` exposing ``points`` of a field.
 
-        When the requested points are a single contiguous run of this
-        instance's points, the array is a true numpy slice view (zero copy,
-        writes land directly) and ``writeback`` is ``None``.  Otherwise the
-        array is a gathered copy and ``writeback()`` scatters it back —
-        callers with write privileges must invoke it after mutating.
+        When the requested points are exactly this instance's points
+        (however many runs they form — every distributed instance of a 2-D
+        tile), or a single contiguous run of them, the array is the field
+        array or a true numpy slice view of it (zero copy, writes land
+        directly) and ``writeback`` is ``None``.  Otherwise the array is
+        a gathered copy and ``writeback()`` scatters it back — callers
+        with write privileges must invoke it after mutating.
         """
         arr = self.fields[fname]
-        if points.num_intervals == 1 and self.index_set == points:
+        if points is self.index_set or points == self.index_set:
             return arr, None
         if points.num_intervals == 1:
             lo, hi = points.bounds

@@ -15,7 +15,7 @@ from typing import Any, Mapping
 
 from ..regions.region import PhysicalInstance, Region
 from ..tasks.checking import check_subtask_call, task_context
-from ..tasks.views import RegionView
+from ..tasks.task import call_task
 from ..core.ir import (
     Block,
     ForRange,
@@ -44,6 +44,9 @@ class SequentialExecutor:
         self.scalars: dict[str, Any] = {}
         self.check_legality = check_legality
         self.tasks_executed = 0
+        # Inspector plans (Task.bound) of the calls this executor itself
+        # interprets, one per distinct (task, argument regions).
+        self._plans: dict[tuple, Any] = {}
 
     # -- storage ---------------------------------------------------------
     def root_instance(self, region: Region) -> PhysicalInstance:
@@ -112,36 +115,18 @@ class SequentialExecutor:
             self.scalars[stmt.reduce[1]] = partial
 
     def _run_point_task(self, stmt: IndexLaunch, index: int) -> Any:
-        views: list[RegionView] = []
-        regions: list[Region] = []
-        args: list[Any] = []
-        for arg in stmt.args:
-            if hasattr(arg, "proj"):
-                subregion = arg.proj.partition[arg.proj.color_for(index)]
-                view = RegionView(subregion, self.root_instance(subregion),
-                                  stmt.task.privileges[len(views)])
-                views.append(view)
-                regions.append(subregion)
-                args.append(view)
-            else:
-                args.append(evaluate(arg.expr, {**self.scalars, "i": index}))
-        check_subtask_call(stmt.task, regions)
-        with task_context(stmt.task, regions):
-            result = stmt.task(*args)
-        for v in views:
-            v.finalize()
-        self.tasks_executed += 1
-        return result
+        return self._call(stmt.task, stmt.point_args(index, self.scalars))
 
     def _single_call(self, stmt: SingleCall) -> None:
-        views = [RegionView(r, self.root_instance(r), p)
-                 for r, p in zip(stmt.regions, stmt.task.privileges)]
         scalar_vals = [evaluate(e, self.scalars) for e in stmt.scalars]
-        check_subtask_call(stmt.task, stmt.regions)
-        with task_context(stmt.task, stmt.regions):
-            result = stmt.task(*views, *scalar_vals)
-        for v in views:
-            v.finalize()
-        self.tasks_executed += 1
+        result = self._call(stmt.task, [*stmt.regions, *scalar_vals])
         if stmt.result is not None:
             self.scalars[stmt.result] = result
+
+    def _call(self, task, args: list) -> Any:
+        regions = [a for a in args if isinstance(a, Region)]
+        check_subtask_call(task, regions)
+        with task_context(task, regions):
+            result = call_task(task, args, self.root_instance, self._plans)
+        self.tasks_executed += 1
+        return result

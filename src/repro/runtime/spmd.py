@@ -70,7 +70,7 @@ from ..obs import flight as _flight
 from ..obs.flight import NULL_RING, FlightRecorder, ShardRing, flight_enabled
 from ..regions.partition import Partition
 from ..regions.region import PhysicalInstance, reduction_identity
-from ..tasks.views import RegionView
+from ..tasks.task import call_task
 from .backends import ensure_backend
 from .collectives import SCALAR_REDUCTIONS
 from .copy_engine import disjoint_dst_colors
@@ -151,6 +151,11 @@ class _ShardState:
     # recorded iteration that leaves the loop holding a window.
     pair_copies: dict[int, dict[tuple[int, int], PairCopy]] = field(
         default_factory=dict)
+    # Inspector plans (Task.bound) of this shard's interpreted point tasks,
+    # so captured and guard-fallback iterations inspect once.  A freeze
+    # hands each frozen entry its plan from here; released with
+    # ``pair_copies``, and for the same reason.
+    plans: dict[tuple, Any] = field(default_factory=dict)
     # One int attribute per row, zeroed at construction and per run.
     COUNTERS: ClassVar[dict] = COUNTERS
 
@@ -364,6 +369,7 @@ class SPMDExecutor(SequentialExecutor):
         self._copy_locks.clear()
         self._disjoint_cache.clear()
         self._field_widths.clear()
+        self._plans.clear()
         self._resident_program = None
         self._resident_states.clear()
         self._resident_ctx.clear()
@@ -399,6 +405,10 @@ class SPMDExecutor(SequentialExecutor):
                                     allocator=self._instance_allocator())
             self.dist[key] = inst
         return inst
+
+    def region_instance(self, region) -> PhysicalInstance:
+        """The distributed instance of a partition's subregion."""
+        return self.dist_instance(region.parent_partition, region.color)
 
     # -- main-level statements ----------------------------------------------
     def _stmt(self, stmt: Stmt) -> None:
@@ -711,8 +721,10 @@ class SPMDExecutor(SequentialExecutor):
             if lr.trace is not None:
                 # The loop holds a window — frozen just now, or kept
                 # through this guard fallback: it has what it needs of the
-                # lowered pairs, and no further capture will ask for them.
+                # lowered pairs and inspector plans, and no further capture
+                # will ask for them.
                 state.pair_copies.clear()
+                state.plans.clear()
             if froze and tracer.enabled:
                 tracer.complete("replay:capture", t0,
                                 tracer.now_us() - t0, cat="replay",
@@ -733,33 +745,22 @@ class SPMDExecutor(SequentialExecutor):
                                              task=stmt.task.name)
                      if state.metrics.enabled else None)
         for i in owned:
-            views: list[RegionView] = []
-            args: list[Any] = []
-            for arg in stmt.args:
-                if hasattr(arg, "proj"):
-                    part = arg.proj.partition
-                    color = arg.proj.color_for(i)
-                    view = RegionView(part[color], self.dist_instance(part, color),
-                                      stmt.task.privileges[len(views)])
-                    views.append(view)
-                    args.append(view)
-                else:
-                    args.append(evaluate(arg.expr, {**state.scalars, "i": i}))
+            args = stmt.point_args(i, state.scalars)
             t0 = time.perf_counter()
             try:
                 with self.tracer.span(f"task:{stmt.task.name}", cat="task",
                                       pid=PID_SPMD, tid=state.shard,
                                       args={"color": i, "uid": stmt.uid}):
-                    result = stmt.task(*args)
+                    result = call_task(stmt.task, args, self.region_instance,
+                                       state.plans)
             finally:
-                # Recorded even when the task raises: the failing task is
-                # the record the post-mortem flight dump exists to show.
+                # Recorded even when the task (or its inspector) raises:
+                # the failing task is the record the post-mortem flight
+                # dump exists to show.
                 t1 = time.perf_counter()
                 state.flight.record(_flight.TASK, stmt.uid, t0, t1)
             if task_hist is not None:
                 task_hist.observe(t1 - t0)
-            for v in views:
-                v.finalize()
             state.tasks_executed += 1
             if stmt.reduce is not None and result is not None:
                 partial = result if partial is None else fold(partial, result)

@@ -104,15 +104,19 @@ class WindowContext(PassContext):
 # Compiled windows
 # ---------------------------------------------------------------------------
 
-_PH_RUN = 0      # (kind, (span_name, cat, thunks))
+_PH_RUN = 0      # (kind, (span_name, cat, flight_slot, thunks))
 _PH_WAIT = 1     # (kind, ((seq, uid, stride, label), ...))
 _PH_YIELD = 2    # (kind, None)
 _PH_BARRIER = 3  # (kind, (bar, uid, stride, label))
 _PH_COLL = 4     # (kind, (coll, uid, stride, name))
 
-_RUN_LABELS = {"compute": ("jit:compute", "task"),
-               "copy": ("jit:copy", "copy"),
-               "advance": (None, None)}
+# Per run of thunks: tracer span name and category, and which of the
+# iteration's two aggregated flight records (see CompiledWindow.replay)
+# its time goes to; advances are neither spanned nor recorded.
+_RUN_LABELS = {"compute": ("jit:compute", "task", 0),
+               "copy": ("jit:copy", "copy", 1),
+               "advance": (None, None, -1)}
+_FLIGHT_KINDS = (_flight.TASK, _flight.COPY)
 
 
 def _assign_thunk(state, name, expr):
@@ -230,9 +234,8 @@ class CompiledWindow:
             while j < n and classified[j][0] == kind:
                 j += 1
             if kind in ("compute", "copy", "advance"):
-                name, cat = _RUN_LABELS[kind]
                 thunks = tuple(p for _, p in classified[i:j])
-                phases.append((_PH_RUN, (name, cat, thunks)))
+                phases.append((_PH_RUN, (*_RUN_LABELS[kind], thunks)))
             elif kind == "wait":
                 phases.append((_PH_WAIT,
                                tuple(p for _, p in classified[i:j])))
@@ -260,20 +263,31 @@ class CompiledWindow:
         epochs = state.epochs
         tracer = ex.tracer
         traced = tracer.enabled
+        perf = time.perf_counter
+        # Where the iteration's compute and copy time went, for the flight
+        # recorder: per kind, when its first phase began and how long all
+        # of its phases ran — two clock reads a phase, two records an
+        # iteration however many phases an unfused window has.
+        began, busy = [0.0, 0.0], [0.0, 0.0]
         t_start = tracer.now_us() if traced else 0.0
         for kind, payload in self.phases:
             if kind == _PH_RUN:
-                name, cat, thunks = payload
-                if traced and name is not None:
-                    t0 = tracer.now_us()
+                name, cat, slot, thunks = payload
+                if slot < 0:
                     for fn in thunks:
                         fn()
+                    continue
+                tf = perf()
+                t0 = tracer.now_us() if traced else 0.0
+                for fn in thunks:
+                    fn()
+                if traced:
                     tracer.complete(name, t0, tracer.now_us() - t0, cat=cat,
                                     pid=PID_SPMD, tid=state.shard,
                                     args={"loop": self.uid})
-                else:
-                    for fn in thunks:
-                        fn()
+                if not busy[slot]:
+                    began[slot] = tf
+                busy[slot] += perf() - tf
             elif kind == _PH_WAIT:
                 for seq, uid, stride, label in payload:
                     ev = seq.event_for(epochs[uid] + stride, label)
@@ -299,6 +313,12 @@ class CompiledWindow:
             setattr(state, name, getattr(state, name) + d)
         for uid, d in self.epoch_deltas:
             epochs[uid] = epochs.get(uid, 0) + d
+        # One aggregated TASK and one COPY record: the interval starts with
+        # the kind's first phase and is as long as all of them together.
+        for slot, nbytes in ((0, 0), (1, self.bytes_delta)):
+            if busy[slot]:
+                state.flight.record(_FLIGHT_KINDS[slot], self.uid, began[slot],
+                                    began[slot] + busy[slot], nbytes)
         if traced:
             tracer.complete("replay:jit", t_start, tracer.now_us() - t_start,
                             cat="jit", pid=PID_SPMD, tid=state.shard,

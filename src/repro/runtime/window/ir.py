@@ -201,12 +201,14 @@ class PairCopy:
 
 
 class _TaskEntry:
-    """One point task: prebuilt argument vector + dynamic scalar positions."""
+    """One point task: the body bound at freeze (``Task.bound``: its plan
+    rides along), prebuilt argument vector, dynamic scalar positions."""
 
-    __slots__ = ("index", "args", "exprs")
+    __slots__ = ("index", "fn", "args", "exprs")
 
-    def __init__(self, index: int, args: list, exprs: tuple):
+    def __init__(self, index: int, fn, args: list, exprs: tuple):
         self.index = index
+        self.fn = fn
         self.args = args
         self.exprs = exprs  # ((position, expr), ...) re-evaluated per replay
 
@@ -226,7 +228,6 @@ class _FrozenLaunch:
         """One compute-phase closure: no preemption points, no per-task
         counter bumps (the compiled window applies its counter deltas once
         per replay)."""
-        task = self.task
         reduce_name = self.reduce_name
         scalars = state.scalars
         partial = (state.pending_reductions.get(reduce_name)
@@ -237,7 +238,7 @@ class _FrozenLaunch:
                 args = entry.args
                 for pos, e in entry.exprs:
                     args[pos] = evaluate(e, env)
-            result = task(*entry.args)
+            result = entry.fn(*entry.args)
             if reduce_name is not None and result is not None:
                 partial = (result if partial is None
                            else self.fold(partial, result))
@@ -292,7 +293,7 @@ class _MegaLaunch:
                     args = entry.args
                     for pos, e in entry.exprs:
                         args[pos] = evaluate(e, env)
-                result = fl.task(*entry.args)
+                result = entry.fn(*entry.args)
                 if fl.reduce_name is not None and result is not None:
                     p = partials[li]
                     partials[li] = (result if p is None
@@ -322,15 +323,17 @@ class _BatchedView:
     per-point tasks' separate backing arrays are the only reason a copy
     is needed at all.  The point order is the entry order, so slots are
     *not* globally sorted: a batchable body must treat ``points`` as an
-    unordered set (coordinate-based access only, no ``localize``).
+    unordered set (coordinate-based access only, no ``localize``) — the
+    slot-based geometry accessors raise, naming that contract.
     """
 
     __slots__ = ("privilege", "region", "views", "points", "_parts",
-                 "_scratch", "_loaded", "_written")
+                 "_scratch", "_loaded", "_written", "_task_name")
 
-    def __init__(self, views, privilege):
+    def __init__(self, views, privilege, task_name: str):
         self.views = tuple(views)
         self.privilege = privilege
+        self._task_name = task_name
         self.region = views[0].region  # representative, for error messages
         pts = [v.points for v in views]
         self.points = np.concatenate(pts) if pts else np.empty(0, np.int64)
@@ -344,6 +347,23 @@ class _BatchedView:
     @property
     def n(self) -> int:
         return self.points.shape[0]
+
+    def _unordered(self, what: str):
+        raise TypeError(
+            f"task {self._task_name} is declared batchable, but its body or "
+            f"inspector used {what} on a batched view: the points of "
+            f"several point tasks are concatenated unsorted, so a batchable "
+            f"task may address them by coordinate only (Task.batchable)")
+
+    @property
+    def index_set(self):
+        self._unordered("index_set")
+
+    def localize(self, global_ids):
+        self._unordered("localize()")
+
+    def maybe_localize(self, global_ids):
+        self._unordered("maybe_localize()")
 
     def _buf(self, field: str) -> np.ndarray:
         if field not in self._loaded:
@@ -406,10 +426,13 @@ class _BatchedLaunch:
     position becomes a :class:`_BatchedView` over the owned points, so a
     steady-state iteration pays the task body's fixed numpy cost once
     per shard instead of once per tile.  ``entries`` keeps the original
-    per-point entries for counter deltas and footprint queries.
+    per-point entries for counter deltas and footprint queries only:
+    their bodies — and with them the per-point plans — are dropped, and
+    the task's inspector runs once more, over the batched views.
     """
 
-    __slots__ = ("task", "entries", "inner", "batched_args")
+    __slots__ = ("task", "fn", "entries", "inner", "batched_args",
+                 "_views")
 
     def __init__(self, fl: _FrozenLaunch):
         self.task = fl.task
@@ -420,10 +443,15 @@ class _BatchedLaunch:
         for pos in range(nargs):
             col = [e.args[pos] for e in fl.entries]
             if isinstance(col[0], FrozenView):
-                args.append(_BatchedView(col, col[0].privilege))
+                args.append(_BatchedView(col, col[0].privilege, fl.task.name))
             else:
                 args.append(col[0])  # static scalar, equal across entries
         self.batched_args = tuple(args)
+        self._views = tuple(a for a in args if isinstance(a, _BatchedView))
+        for e in fl.entries:
+            e.fn = None
+        # The batch plan belongs to this entry alone: a throwaway memo.
+        self.fn = fl.task.bound(self._views, {})
 
     @classmethod
     def lower(cls, fl: _FrozenLaunch) -> "_BatchedLaunch | None":
@@ -448,13 +476,11 @@ class _BatchedLaunch:
         return cls(fl)
 
     def run_compiled(self, state) -> None:
-        for arg in self.batched_args:
-            if isinstance(arg, _BatchedView):
-                arg._reset()
-        self.task(*self.batched_args)
-        for arg in self.batched_args:
-            if isinstance(arg, _BatchedView):
-                arg._writeback()
+        for view in self._views:
+            view._reset()
+        self.fn(*self.batched_args)
+        for view in self._views:
+            view._writeback()
 
     def entry_arrays(self, k: int) -> set[int]:
         return self.inner.entry_arrays(k)
@@ -463,20 +489,23 @@ class _BatchedLaunch:
         return self.inner.arrays()
 
 
-def _freeze_launch(ex, stmt: IndexLaunch, owned) -> _FrozenLaunch:
-    privileges = stmt.task.privileges
+def _freeze_launch(ex, stmt: IndexLaunch, owned, plans: dict) -> _FrozenLaunch:
+    """``plans`` is the shard's inspector memo: the capture iterations ran
+    every one of these point tasks, so each entry finds its plan there."""
+    task = stmt.task
+    privileges = task.privileges
     entries = []
     for i in owned:
         args: list[Any] = []
         exprs: list[tuple[int, Expr]] = []
-        nviews = 0
+        views: list[FrozenView] = []
         for arg in stmt.args:
             if hasattr(arg, "proj"):
                 part = arg.proj.partition
                 color = arg.proj.color_for(i)
                 view = FrozenView(part[color], ex.dist_instance(part, color),
-                                  privileges[nviews])
-                nviews += 1
+                                  privileges[len(views)])
+                views.append(view)
                 args.append(view)
             else:
                 e = arg.expr
@@ -485,12 +514,13 @@ def _freeze_launch(ex, stmt: IndexLaunch, owned) -> _FrozenLaunch:
                     args.append(None)
                 else:
                     args.append(evaluate(e, _EMPTY_ENV))
-        entries.append(_TaskEntry(i, args, tuple(exprs)))
+        entries.append(_TaskEntry(i, task.bound(views, plans), args,
+                                  tuple(exprs)))
     reduce_name = fold = None
     if stmt.reduce is not None:
         fold = SCALAR_REDUCTIONS[stmt.reduce[0]]
         reduce_name = stmt.reduce[1]
-    return _FrozenLaunch(stmt.task, tuple(entries), reduce_name, fold)
+    return _FrozenLaunch(task, tuple(entries), reduce_name, fold)
 
 
 def guards_hold(guards, scalars: dict[str, Any]) -> bool:

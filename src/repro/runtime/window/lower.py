@@ -64,8 +64,8 @@ class FreezeTasksPass(Pass):
     establishes = ("frozen",)
 
     def run(self, wir: WindowIR, ctx) -> WindowIR:
-        ex = ctx.ex
-        wir.ops = [(OP_TASK, _freeze_launch(ex, op[1], op[2]))
+        ex, plans = ctx.ex, ctx.state.plans
+        wir.ops = [(OP_TASK, _freeze_launch(ex, op[1], op[2], plans))
                    if op[0] == OP_TASK else op
                    for op in wir.ops]
         return wir

@@ -2,10 +2,11 @@
 
 from .checking import TaskContext, check_subtask_call, current_context, task_context
 from .privileges import NO_ACCESS, Privilege, PrivilegeError, R, Reduce, RW
-from .task import Task, task
-from .views import RegionView
+from .task import Task, call_task, task
+from .views import GeometryView, RegionView
 
 __all__ = [
+    "GeometryView",
     "NO_ACCESS",
     "Privilege",
     "PrivilegeError",
@@ -15,6 +16,7 @@ __all__ = [
     "RegionView",
     "Task",
     "TaskContext",
+    "call_task",
     "check_subtask_call",
     "current_context",
     "task",

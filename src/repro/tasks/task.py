@@ -5,17 +5,28 @@ parameters (paper §2.1, Fig. 2).  Region parameters come first in the
 signature, one per privilege; any remaining parameters are scalars passed
 by value.  Tasks may return a scalar (a future); index launches can fold
 returned scalars with an associative reduction operator (paper §4.4).
+
+A task may also declare an *inspector* (``@task(..., inspect=fn)``): the
+loop-invariant half of an inspector–executor split.  ``fn(*views)`` sees
+the geometry of the region arguments and nothing else, and its result —
+the *plan*: index arrays, routing tables, scratch buffers — is handed to
+the body as keyword-only ``plan`` on every call.  When it runs is the
+runtime's business, never the app's: once per distinct (task, argument
+regions), through the memo the caller of :meth:`Task.bound` owns.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Sequence
 
+from ..regions.region import PhysicalInstance, Region
 from .privileges import Privilege
+from .views import GeometryView, RegionView
 
-__all__ = ["Task", "task"]
+__all__ = ["Task", "call_task", "task"]
 
 _counter = itertools.count()
 
@@ -37,10 +48,31 @@ class Task:
     # the tasks one by one.  The window compiler uses this to lower a
     # frozen index launch to a single kernel-body call per shard.
     batchable: bool = False
+    # ``inspect(*views) -> plan``: see the module docstring.  May depend
+    # only on view geometry and on constants it closes over.
+    inspect: Callable[..., Any] | None = None
 
     @property
     def num_region_args(self) -> int:
         return len(self.privileges)
+
+    def bound(self, views: Sequence[Any], plans: dict) -> Callable[..., Any]:
+        """The body every executor calls for ``views``: ``fn`` itself, or
+        ``fn`` with its plan bound when the task has an inspector.
+
+        ``plans`` memoises the inspector per (task, argument regions).  A
+        plan may own scratch, so the memo belongs to exactly one thread
+        of control (an executor, a shard state) and is never shared.
+        """
+        if self.inspect is None:
+            return self.fn
+        key = (self.uid, *(v.region.uid for v in views))
+        try:
+            plan = plans[key]
+        except KeyError:
+            plan = plans[key] = self.inspect(
+                *(GeometryView(v, self.name) for v in views))
+        return partial(self.fn, plan=plan)
 
     def __call__(self, *args, **kwargs):
         """Direct invocation — used by executors after views are built."""
@@ -58,8 +90,9 @@ class Task:
 
 
 def task(privileges: Sequence[Privilege], name: str | None = None,
-         leaf: bool = True,
-         batchable: bool = False) -> Callable[[Callable[..., Any]], Task]:
+         leaf: bool = True, batchable: bool = False,
+         inspect: Callable[..., Any] | None = None,
+         ) -> Callable[[Callable[..., Any]], Task]:
     """Decorator declaring a task.
 
     Example::
@@ -67,11 +100,45 @@ def task(privileges: Sequence[Privilege], name: str | None = None,
         @task(privileges=[RW("b"), R("a")])
         def TF(B, A):
             B.write("b")[:] = f(A.read("a"))
+
+    With an inspector the pointer chasing is hoisted out of the body::
+
+        def route(B, A):
+            return A.localize(h[B.points])
+
+        @task(privileges=[RW("b"), R("a")], inspect=route)
+        def TG(B, A, *, plan):
+            B.write("b")[:] = A.read("a")[plan]
     """
     privs = tuple(privileges)
 
     def decorate(fn: Callable[..., Any]) -> Task:
         return Task(fn=fn, privileges=privs, name=name or fn.__name__,
-                    leaf=leaf, batchable=batchable)
+                    leaf=leaf, batchable=batchable, inspect=inspect)
 
     return decorate
+
+
+def call_task(task: Task, args: Sequence[Any],
+              instance_of: Callable[[Region], PhysicalInstance],
+              plans: dict) -> Any:
+    """Run one task call the way every interpreting executor does.
+
+    ``args`` is the call's argument list in signature order, region
+    arguments still as :class:`Region` objects: each becomes a
+    privilege-checked view of ``instance_of(region)``, the body (with its
+    plan, see :meth:`Task.bound`) runs, and gathered copies of written
+    fields are scattered back.
+    """
+    views: list[RegionView] = []
+    call_args = list(args)
+    for pos, arg in enumerate(call_args):
+        if isinstance(arg, Region):
+            view = RegionView(arg, instance_of(arg),
+                              task.privileges[len(views)])
+            views.append(view)
+            call_args[pos] = view
+    result = task.bound(views, plans)(*call_args)
+    for view in views:
+        view.finalize()
+    return result

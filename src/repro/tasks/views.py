@@ -11,18 +11,13 @@ instance (paper §4.3).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from ..regions.intervals import IntervalSet
 from ..regions.region import PhysicalInstance, Region, apply_reduction
 from .privileges import Privilege, PrivilegeError
 
-if TYPE_CHECKING:  # pragma: no cover
-    pass
-
-__all__ = ["RegionView"]
+__all__ = ["GeometryView", "RegionView"]
 
 
 class RegionView:
@@ -140,3 +135,59 @@ class RegionView:
 
     def __repr__(self) -> str:
         return f"RegionView({self.region.name}, {self.privilege})"
+
+
+class GeometryView:
+    """What a task's inspector sees of one argument: geometry, never data.
+
+    A plan is built once and reused for every later call on the same
+    regions, so anything it derived from field values would go stale
+    without a trace.  Wrapping the view makes that unrepresentable:
+    ``points``/``n``/``index_set``/``localize``/``maybe_localize`` pass
+    through to the wrapped view, every data accessor raises.
+    """
+
+    __slots__ = ("_view", "_task_name")
+
+    def __init__(self, view, task_name: str):
+        self._view = view
+        self._task_name = task_name
+
+    @property
+    def region(self) -> Region:
+        return self._view.region
+
+    @property
+    def n(self) -> int:
+        return self._view.n
+
+    @property
+    def index_set(self) -> IntervalSet:
+        return self._view.index_set
+
+    @property
+    def points(self) -> np.ndarray:
+        return self._view.points
+
+    def localize(self, global_ids: np.ndarray) -> np.ndarray:
+        return self._view.localize(global_ids)
+
+    def maybe_localize(self, global_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._view.maybe_localize(global_ids)
+
+    def _no_data(self, what: str, field: str):
+        raise PrivilegeError(
+            f"inspector of task {self._task_name} sees geometry only; "
+            f"cannot {what} field {field!r} of {self.region.name}")
+
+    def read(self, field: str):
+        self._no_data("read", field)
+
+    def write(self, field: str):
+        self._no_data("write", field)
+
+    def reduce(self, field: str, slots, values, redop: str) -> None:
+        self._no_data(f"reduce({redop})", field)
+
+    def __repr__(self) -> str:
+        return f"GeometryView({self.region.name})"

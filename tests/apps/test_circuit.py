@@ -76,3 +76,43 @@ class TestFunctional:
         _, report = control_replicate(p.build_program(), num_shards=2)
         assert report.fragments[0].reduction_copies >= 2
         assert report.fragments[0].reduction_temps
+
+
+class TestInspectorPlan:
+    """Planning the private/shared/ghost routing must not move a bit: the
+    checksums are of the bodies as they were before they had inspectors
+    (``maybe_localize`` per view per endpoint on every call)."""
+
+    RECORDED = {  # seed -> sha256[:16] of (voltage, current)
+        "sequential": {0: ("a79088f220b34356", "c948c27a2b240093"),
+                       1: ("21b7d9132ba66212", "16044eb217ecc88b"),
+                       2: ("1847dfd06952d605", "f33357493acd26d0")},
+        "stepped": {0: ("7dd90d937f981c1a", "c60316cd16eeec6f"),
+                    1: ("21b7d9132ba66212", "349deacb6d0cf755"),
+                    2: ("286a02fa35a905bc", "aa7ff7d9cbac7bd9")},
+    }
+
+    @staticmethod
+    def _digest(state):
+        import hashlib
+        return tuple(hashlib.sha256(state[f].tobytes()).hexdigest()[:16]
+                     for f in ("voltage", "current"))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_state_equals_the_unplanned_bodies(self, seed):
+        p = CircuitProblem(pieces=4, nodes_per_piece=40, wires_per_piece=60,
+                           steps=5, seed=seed)
+        seq, _, _ = p.run_sequential()
+        assert self._digest(seq) == self.RECORDED["sequential"][seed]
+        cr, _, ex, _ = p.run_control_replicated(2, mode="stepped")
+        assert ex.replay_hits == 6
+        assert self._digest(cr) == self.RECORDED["stepped"][seed]
+
+    def test_bodies_do_no_lookups(self):
+        import inspect
+        calc, dist, update = CircuitProblem().tasks
+        for t in (calc, dist, update):
+            assert t.inspect is not None
+            body = inspect.getsource(t.fn)
+            for name in ("searchsorted", "localize", "unravel", "clip"):
+                assert name not in body

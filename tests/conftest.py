@@ -1,4 +1,7 @@
-"""Shared fixtures: the paper's Figure 2 program and variants."""
+"""Shared fixtures: the paper's Figure 2 program and variants, and the
+interpreter as the reference executor."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -60,3 +63,15 @@ class Fig2:
 @pytest.fixture
 def fig2():
     return Fig2()
+
+
+@pytest.fixture
+def interpret_only():
+    """``with interpret_only:`` — no loop freezes, so every iteration runs
+    through the statement interpreter (forked shards inherit the patch)."""
+    from repro.runtime.window import LoopReplay
+
+    def never_freeze(self, ex, state):
+        self.iterations_recorded += 1
+        return False
+    return mock.patch.object(LoopReplay, "end_iteration", never_freeze)

@@ -13,6 +13,7 @@ from repro.regions import (
     ispace,
     lca_may_alias,
     partition_block,
+    partition_blocks_nd,
     partition_by_image,
     partition_from_subsets,
     reduction_identity,
@@ -208,6 +209,30 @@ class TestPhysicalInstance:
         assert inst.fields["a"][1] == 0.0  # not yet written back
         wb()
         assert inst.fields["a"][[1, 5, 9]].tolist() == [2.5, 2.5, 2.5]
+
+
+    def test_field_view_exact_cover_with_many_runs_is_zero_copy(self):
+        # A distributed instance of a 2-D tile covers its region exactly
+        # but in one run per grid row: still the array itself.
+        reg = region(ispace(shape=(6, 6)), {"a": np.float64}, name="G")
+        tile = partition_blocks_nd(reg, (2, 2))[1]
+        assert tile.index_set.num_intervals == 3
+        inst = PhysicalInstance(tile)
+        # An equal set that is not the same object, as a view passes it.
+        pts = IntervalSet.from_indices(tile.index_set.to_indices())
+        for points in (tile.index_set, pts):
+            arr, wb = inst.field_view("a", points)
+            assert wb is None
+            assert np.shares_memory(arr, inst.fields["a"])
+            assert arr.shape == inst.fields["a"].shape
+        # A strict subset (also three runs) still gets a gathered copy.
+        sub = tile.index_set - IntervalSet.from_indices([int(pts.to_indices()[0])])
+        arr, wb = inst.field_view("a", sub)
+        assert wb is not None
+        assert not np.shares_memory(arr, inst.fields["a"])
+        arr[:] = 4.0
+        wb()
+        assert inst.fields["a"].tolist() == [0.0] + [4.0] * 8
 
 
 class TestReductions:
