@@ -51,7 +51,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.shards import owner_of_color
-from ..regions.intervals import IntervalSet
+from ..regions.intervals import IntervalSet, stack_intervals
 
 __all__ = ["FusedBatch", "FusedCopy", "fuse_group", "coalesce",
            "joint_runs", "uniform_runs", "disjoint_dst_colors",
@@ -440,17 +440,31 @@ def disjoint_dst_colors(pairs, pts_of, src_num_colors: int,
     decision is a pure function of the evaluated pair sets, hence
     identical on every shard and in every forked process.
     """
-    by_dst: dict[int, dict[int, list]] = {}
-    for (i, j) in pairs:
-        pts = pts_of(i, j)
-        if pts:
-            owner = owner_of_color(src_num_colors, num_shards, i)
-            by_dst.setdefault(j, {}).setdefault(owner, []).append(pts)
-    out = set()
-    for j, per_owner in by_dst.items():
-        # Each producer shard's contribution to j; they are pairwise
-        # disjoint iff their union is as large as all of them together.
-        sets = [IntervalSet.union_all(parts) for parts in per_owner.values()]
-        if IntervalSet.union_all(sets).count == sum(s.count for s in sets):
-            out.add(j)
-    return frozenset(out)
+    live = [(i, j, pts) for (i, j) in pairs if (pts := pts_of(i, j))]
+    if not live:
+        return frozenset()
+    ivals, pair = stack_intervals([pts for _, _, pts in live])
+    dst = np.array([j for _, j, _ in live])[pair]
+    owner = np.array([owner_of_color(src_num_colors, num_shards, i)
+                      for i, _, _ in live])[pair]
+    ndst = int(dst.max()) + 1
+    ivals = ivals - ivals[:, 0].min()  # every lo >= 0
+    span = int(ivals[:, 1].max()) + 1
+
+    def union_counts(group: np.ndarray, ngroups: int) -> np.ndarray:
+        # Points in the union of each group's intervals, all groups in one
+        # normalization: group g lives in its own stretch [g*span, (g+1)*span).
+        # With 0 <= lo < hi <= span - 1 a shifted interval stays inside its
+        # stretch (so `// span` recovers the group) and ends at least one
+        # point short of the next one, so the normalization, which joins
+        # abutting intervals, never merges across groups.
+        u = IntervalSet(ivals + (group * span)[:, None]).intervals
+        return np.bincount(u[:, 0] // span, weights=u[:, 1] - u[:, 0],
+                           minlength=ngroups)
+
+    # A destination's producer shards contribute pairwise disjoint sets iff
+    # their union is as large as all of them together.
+    per_owner = union_counts(dst * num_shards + owner, ndst * num_shards)
+    together = per_owner.reshape(ndst, num_shards).sum(axis=1)
+    ok = (union_counts(dst, ndst) == together) & (together > 0)
+    return frozenset(np.flatnonzero(ok).tolist())

@@ -158,14 +158,23 @@ def launch_spec(stmt, copy_pairs: Callable) -> LaunchSpec:
 # Context: the spec's objects, plus group advance and pair delivery
 # ---------------------------------------------------------------------------
 
-class Channel:
-    """The two monotone sequences of one (copy statement, pair) handshake."""
+# What marks a channel's two wait labels (``copy<uid>:ack(i,j)``); written
+# by CommContext, read back by wait_kind.
+_ACK, _READY = ":ack(", ":ready("
 
-    __slots__ = ("ready", "acked")
+
+class Channel:
+    """The two monotone sequences of one (copy statement, pair) handshake,
+    and the labels a wait on either carries: formatted once, when the
+    context creates the channel, and read from here by the interpreter,
+    the recorder and so by every frozen window."""
+
+    __slots__ = ("ready", "acked", "ack_label", "ready_label")
 
     def __init__(self, ready, acked):
         self.ready = ready
         self.acked = acked
+        self.ack_label = self.ready_label = None
 
 
 class CommContext:
@@ -178,11 +187,6 @@ class CommContext:
     class builds plain in-process objects.
     """
 
-    # Whether some pair of this launch crosses ranks that share no memory
-    # (then pair delivery is a framed send, and a window plans messages
-    # instead of fusing in-memory copies).
-    has_remote = False
-
     def __init__(self, spec: LaunchSpec, num_shards: int):
         self.num_shards = num_shards
         cid = 0
@@ -193,6 +197,9 @@ class CommContext:
                 chan = self._channel(stmt, pair, cid)
                 cid += 1
                 if chan is not None:
+                    i, j = pair
+                    chan.ack_label = f"copy{stmt.uid}{_ACK}{i},{j})"
+                    chan.ready_label = f"copy{stmt.uid}{_READY}{i},{j})"
                     chans[pair] = chan
         self.collectives = {uid: self._collective(uid, redop)
                             for uid, redop in spec.collectives}
@@ -234,9 +241,9 @@ def wait_kind(label: str) -> str:
     """Classify an event label into a wait-histogram ``kind`` bucket."""
     if label.startswith("barrier:"):
         return "barrier"
-    if ":ack(" in label:
+    if _ACK in label:
         return "copy-ack"
-    if ":ready(" in label:
+    if _READY in label:
         return "copy-ready"
     if label.endswith(":pre") or label.endswith(":post"):
         return "copy-barrier"

@@ -1,4 +1,4 @@
-"""Message plans: remote pair sends and their trace-frozen aggregation.
+"""Message plans: remote pair sends and their aggregation at freeze.
 
 The interpreted path lowers each cross-rank pair copy to a
 :class:`NetSendCopy` — the net backend's stand-in for the in-memory
@@ -11,26 +11,24 @@ send carries no reduction lock: the write-after-read hazard the local
 handshake guards against cannot occur when the write happens at the
 reader's own program point.
 
-At window freeze the :class:`MessagePlanPass` rewrites each copy
-statement's op window: every ``OP_COPY`` whose payload is a
-:class:`NetSendCopy` to the same destination rank is folded into one
-``OP_MSG`` carrying a :class:`PackedSend` — all member pairs' fields
-concatenated into a single framed buffer, placed at the *last* member's
-position so every member's credit wait has already run.  Steady-state
-iterations therefore send O(neighbor ranks) messages per statement
-instead of O(pairwise intersections).
+At window freeze the ``fuse-copies`` pass
+(:mod:`repro.runtime.window.lower`) — the same pass on every backend —
+folds one statement's :class:`NetSendCopy` ops to one destination rank
+into one ``OP_MSG`` carrying a :class:`PackedSend`: all member pairs'
+fields concatenated into a single framed buffer.  A statement runs, and
+is recorded, with every credit wait ahead of its first send, so where the
+message sits among the statement's copies protects no ordering.
+Steady-state iterations therefore send O(neighbor ranks) messages per
+statement instead of O(pairwise intersections).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ...core.passes import Pass
-from ...core.shards import owner_of_color
-from ..window.recorder import OP_COPY, OP_MSG
 from .frame import DATA, MSG
 
-__all__ = ["MessagePlanPass", "NetSendCopy", "PackedSend", "_TxState"]
+__all__ = ["NetSendCopy", "PackedSend", "_TxState"]
 
 
 class _TxState:
@@ -122,67 +120,3 @@ class PackedSend:
         self.transport.send(
             self.peer, MSG,
             (self.uid, tuple(m.pair for m in self.members), gen, vals))
-
-
-def _plan_segment(seg):
-    """Aggregate one copy window's remote sends per destination rank.
-
-    Returns the rewritten segment, or ``None`` when nothing aggregates
-    (fewer than two remote sends to any one rank).  All handshake ops
-    (credit waits, advances, visits, yields) are kept in place; only the
-    member ``OP_COPY`` ops are removed, with one ``OP_MSG`` at the last
-    member's position — after every member's credit wait has run.
-    """
-    by_peer: dict[int, list[int]] = {}
-    for n, op in enumerate(seg):
-        if op[0] == OP_COPY and type(op[1]) is NetSendCopy:
-            by_peer.setdefault(op[1].peer, []).append(n)
-    drop: set[int] = set()
-    replace: dict[int, tuple] = {}
-    for idxs in by_peer.values():
-        if len(idxs) < 2:
-            continue
-        ps = PackedSend(seg[n][1] for n in idxs)
-        replace[idxs[-1]] = (OP_MSG, ps)
-        drop.update(idxs[:-1])
-    if not replace:
-        return None
-    return [replace.get(n, op) for n, op in enumerate(seg) if n not in drop]
-
-
-class MessagePlanPass(Pass):
-    """Fold each statement's per-rank remote sends into packed transfers.
-
-    The net-mode counterpart of ``fuse-copies`` (local pairs stay
-    individual ``PairCopy`` ops — they are in-memory assignments and gain
-    nothing from batching here).  Also populates ``wir.copy_protect``
-    exactly as ``fuse-copies`` does, since the fission pass needs the
-    consumer-side destination footprints either way.
-    """
-
-    name = "message-plan"
-    establishes = ("messages-planned",)
-
-    def run(self, wir, ctx):
-        ex, me, ns = ctx.ex, ctx.state.shard, ctx.num_shards
-        for stmt, a, b in reversed(wir.copy_ranges):
-            if b <= a:
-                continue
-            if stmt.uid not in wir.copy_protect:
-                protect: set[int] = set()
-                dst_n = stmt.dst.num_colors
-                for j in {j for (_, j) in ex._copy_pairs(stmt)
-                          if owner_of_color(dst_n, ns, j) == me}:
-                    inst = ex.dist_instance(stmt.dst, j)
-                    protect.update(id(arr) for arr in inst.fields.values())
-                wir.copy_protect[stmt.uid] = frozenset(protect)
-            seg = _plan_segment(wir.ops[a:b])
-            if seg is None:
-                continue
-            wir.ops[a:b] = seg
-        return wir
-
-    def stats(self, wir) -> dict[str, float]:
-        packed = [op[1] for op in wir.ops if op[0] == OP_MSG]
-        return {"packed_sends": len(packed),
-                "packed_pairs": sum(ps.pair_count for ps in packed)}

@@ -474,13 +474,18 @@ class _CopyPostEvent:
         return True
 
     def wait_blocking(self, timeout: float | None = None) -> bool:
+        # The barrier, then each arrival still outstanding, all inside the
+        # caller's timeout; every one of them has an event to block on.
         deadline = (None if timeout is None
                     else time.monotonic() + timeout)
-        while not self.is_set():
-            if deadline is not None and time.monotonic() >= deadline:
+        waits = [self.inner] + [chan.arrived.event_for(self.g)
+                                for chan in self.rx]
+        for ev in waits:
+            left = (None if deadline is None
+                    else max(0.0, deadline - time.monotonic()))
+            if not ev.wait_blocking(left):
                 return False
-            time.sleep(0.001)
-        return True
+        return self.is_set()
 
 
 class _CopyPostBarrier:
@@ -521,10 +526,6 @@ class NetCommContext(CommContext):
         self.failed = threading.Event()
         self.failure: BaseException | None = None
         self.copies = {s.uid: s for s in spec.copies}
-        self.has_remote = any(
-            owner_of_color(s.src.num_colors, ns, i)
-            != owner_of_color(s.dst.num_colors, ns, j)
-            for s in spec.copies for (i, j) in spec.pairs[s.uid])
         self._chan_ids: dict[tuple[int, tuple[int, int]], int] = {}
         self._credit: dict[int, Sequence] = {}
         self._rx: dict[int, _RxChannel] = {}
@@ -611,7 +612,7 @@ class NetCommContext(CommContext):
         if sc is None:
             sc = self._send_copies[cid] = self._build_send(stmt, i, j, cid)
         if rec is not None:
-            rec.copy(stmt.uid, i, j, sc)
+            rec.copy(sc)
         t0 = time.perf_counter()
         sc.apply()
         # An empty pair still counts as a performed copy here (unlike the

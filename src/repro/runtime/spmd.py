@@ -21,6 +21,11 @@ the functional equivalent of Legion phase barriers:
 * the consumer proceeds once every inbound channel is ``ready(g)``
   (read-after-write).
 
+A shard runs one statement's handshake in phases — all its acks, all its
+ack waits, its copies, all its ready advances, all its ready waits — the
+order a compiled window keeps, so interpreter and window are one schedule
+(``_exec_copy``; docs/runtime.md, "Capture and freeze").
+
 Four drivers share one shard interpreter (a generator that yields the
 events it blocks on) and one launch path (:mod:`repro.runtime.launch`:
 spec → context → drive → funnel): a **stepped** driver interleaves shards
@@ -44,7 +49,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, ClassVar, Iterator
+from typing import Any, ClassVar, Iterator, NamedTuple
 
 from ..core.ir import (
     BarrierStmt,
@@ -64,7 +69,7 @@ from ..core.ir import (
     WhileLoop,
     evaluate,
 )
-from ..core.shards import owner_of_color, shard_owned_colors
+from ..core.shards import shard_owned_colors
 from ..obs import NULL_METRICS, NULL_TRACER, PID_SPMD, MetricsRegistry, Tracer
 from ..obs import flight as _flight
 from ..obs.flight import NULL_RING, FlightRecorder, ShardRing, flight_enabled
@@ -125,6 +130,22 @@ COUNTERS: dict[str, tuple[str, dict[str, str]]] = {
 }
 
 
+class _CopySchedule(NamedTuple):
+    """One shard's side of one copy statement, loop-invariant for the
+    launch: the pairs it produces as ``(i, j, in-memory?)``, and what each
+    handshake phase touches — the sequences it advances as tuples, the
+    ones it waits on as ``(sequence, label)`` tuples, in the shapes the
+    recorder stores — or, in barrier mode, ``(tag, barrier, label)`` for
+    ``pre`` and ``post``."""
+
+    copies: tuple
+    ack_advances: tuple = ()
+    ack_waits: tuple = ()
+    ready_advances: tuple = ()
+    ready_waits: tuple = ()
+    barriers: tuple = ()
+
+
 @dataclass
 class _ShardState:
     shard: int
@@ -146,11 +167,15 @@ class _ShardState:
     loop_replays: dict[int, LoopReplay] = field(default_factory=dict)
     # copy stmt uid -> {(i, j): the pair's lowered PairCopy}, filled for
     # all of the shard's pairs the first time the statement is captured.
-    # Instances, points and locks do not change within a run, so the
-    # second captured iteration reuses the lot; dropped at the end of any
-    # recorded iteration that leaves the loop holding a window.
+    # Instances, points and locks do not change within a run, so a later
+    # recorded iteration (a loop with guards needs two to freeze) reuses
+    # the lot; dropped at the end of any recorded iteration that leaves
+    # the loop holding a window.
     pair_copies: dict[int, dict[tuple[int, int], PairCopy]] = field(
         default_factory=dict)
+    # copy stmt uid -> this shard's _CopySchedule of it.  Part of the plan
+    # half: it names the launch context's channels, like a frozen window.
+    copy_schedules: dict[int, "_CopySchedule"] = field(default_factory=dict)
     # Inspector plans (Task.bound) of this shard's interpreted point tasks,
     # so captured and guard-fallback iterations inspect once.  A freeze
     # hands each frozen entry its plan from here; released with
@@ -439,8 +464,8 @@ class SPMDExecutor(SequentialExecutor):
             # Possible if placement hoisted a copy out of the whole fragment;
             # at main level it is sequential, no synchronization needed.
             state = _ShardState(shard=0, scalars=self.scalars)
-            for _ in self._exec_copy(stmt, state, every_pair=True):
-                pass
+            for (i, j) in self._copy_pairs(stmt):
+                self._do_pair_copy(stmt, i, j, state)
             self._merge_counters([state])
         else:
             super()._stmt(stmt)
@@ -643,7 +668,7 @@ class SPMDExecutor(SequentialExecutor):
                 rec.yield_none()
             yield None
         elif isinstance(stmt, PairwiseCopy):
-            yield from self._exec_copy(stmt, state, ctx=ctx, rec=rec)
+            yield from self._exec_copy(stmt, state, ctx, rec)
         elif isinstance(stmt, BarrierStmt):
             g = state.next_epoch(stmt.uid)
             bar = ctx.barriers[stmt.tag]
@@ -785,116 +810,135 @@ class SPMDExecutor(SequentialExecutor):
             rec.fill(stmt.uid, fills)
 
     # -- copies -----------------------------------------------------------------
-    def _exec_copy(self, stmt: PairwiseCopy, state: _ShardState,
-                   ctx: CommContext | None = None,
-                   every_pair: bool = False,
-                   rec=None) -> Iterator[Event | None]:
+    def _copy_schedule(self, stmt: PairwiseCopy, state: _ShardState,
+                       ctx: CommContext) -> "_CopySchedule":
+        """This shard's side of ``stmt``, resolved once per launch."""
+        sched = state.copy_schedules.get(stmt.uid)
+        if sched is not None:
+            return sched
+        me, ns, uid = state.shard, ctx.num_shards, stmt.uid
+        src_n, dst_n = stmt.src.num_colors, stmt.dst.num_colors
         pairs = self._copy_pairs(stmt)
-        me = state.shard
-        ns = ctx.num_shards if ctx is not None else 1
-        src_n = stmt.src.num_colors
-        dst_n = stmt.dst.num_colors
-        chans = ctx.channels[stmt.uid] if ctx is not None else {}
-        g = state.next_epoch(stmt.uid)
-        sync = stmt.sync_mode if not every_pair else "none"
+        produced = shard_owned_colors(src_n, ns, me)
+        if stmt.pairs_name is not None:
+            # Cached per shard slice inside the pair set — avoids
+            # re-filtering the full pair list.
+            mine = self.pair_sets[stmt.pairs_name].src_pairs(tuple(produced))
+        else:
+            mine = [pair for pair in pairs if pair[0] in produced]
+        copies = tuple((i, j, ctx.is_local(stmt, j)) for (i, j) in mine)
+        if stmt.sync_mode == "p2p":
+            chans = ctx.channels[uid]
+            out = [chans[pair] for pair in mine]
+            consumed = shard_owned_colors(dst_n, ns, me)
+            inbound = [chans[pair] for pair in pairs if pair[1] in consumed]
+            sched = _CopySchedule(
+                copies,
+                ack_advances=tuple(c.acked for c in inbound),
+                ack_waits=tuple((c.acked, c.ack_label) for c in out),
+                ready_advances=tuple(c.ready for c in out),
+                ready_waits=tuple((c.ready, c.ready_label) for c in inbound))
+        elif stmt.sync_mode == "barrier":
+            sched = _CopySchedule(copies, barriers=tuple(
+                (tag, ctx.barriers[f"{tag}:{uid}"], f"copy{uid}:{tag}")
+                for tag in ("pre", "post")))
+        else:
+            sched = _CopySchedule(copies)
+        state.copy_schedules[uid] = sched
+        return sched
+
+    def _exec_copy(self, stmt: PairwiseCopy, state: _ShardState,
+                   ctx: CommContext, rec=None) -> Iterator[Event | None]:
+        """One copy statement, in the phase order a compiled window keeps:
+        all ack advances, all ack waits, the copies in pair order, all ready
+        advances, one preemption point, all ready waits (barrier mode: pre,
+        copies, the preemption point, post).  Every shard, interpreting or
+        replaying, makes all of its ack advances at statement entry and
+        before its first wait, so no wait here can be part of a cycle.  An
+        event that is already set is not yielded."""
+        uid, ns = stmt.uid, ctx.num_shards
+        sched = self._copy_schedule(stmt, state, ctx)
+        g = state.next_epoch(uid)
         bytes_before = state.bytes_copied
-        if rec is not None:
-            rec.copy_begin(stmt)
 
-        if sync == "barrier":
-            bar = ctx.barriers[f"pre:{stmt.uid}"]
-            label = f"copy{stmt.uid}:pre"
+        def arrive(tag, bar, label):
             if rec is not None:
-                rec.barrier(stmt.uid, "pre", bar, g, label)
-            yield bar.arrive_and_wait_event(g, label=label)
+                rec.barrier(uid, tag, bar, g, label)
+            return bar.arrive_and_wait_event(g, label=label)
 
-        if sync == "p2p":
+        if sched.barriers:
+            ev = arrive(*sched.barriers[0])
+            if not ev.is_set():
+                yield ev
+        if sched.ack_advances:
             # Consumer side first: arrival at this statement in epoch g means
             # every read of the epoch g-1 data precedes this point in the
             # replicated program order — the write-after-read release.
-            for (i, j) in pairs:
-                if owner_of_color(dst_n, ns, j) == me:
-                    seq = chans[(i, j)].acked
-                    if rec is not None:
-                        rec.advance(stmt.uid, ("ack", i, j), seq, g)
-                    seq.advance_to(g)
-
-        # Producer side: perform owned copies.
-        if every_pair:
-            my_pairs = pairs
-        elif stmt.pairs_name is not None:
-            # Cached per shard slice inside the pair set — avoids
-            # re-filtering the full pair list every iteration.
-            my_pairs = self.pair_sets[stmt.pairs_name].src_pairs(
-                tuple(shard_owned_colors(src_n, ns, me)))
-        else:
-            my_pairs = [(i, j) for (i, j) in pairs
-                        if owner_of_color(src_n, ns, i) == me]
-        if rec is not None and stmt.uid not in state.pair_copies:
-            state.pair_copies[stmt.uid] = self._lower_pairs(stmt, my_pairs,
-                                                            ctx)
-        for (i, j) in my_pairs:
-            if sync == "p2p":
-                # WAR: wait for the consumer to have arrived at epoch g
-                # before overwriting its instance with epoch g data.
-                seq = chans[(i, j)].acked
-                label = f"copy{stmt.uid}:ack({i},{j})"
-                if rec is not None:
-                    rec.wait(stmt.uid, ("ack", i, j), seq, g, label)
-                yield seq.event_for(g, label=label)
-            if ctx is not None and not ctx.is_local(stmt, j):
-                ctx.send_pair(stmt, i, j, state, rec)
-            else:
-                self._do_pair_copy(stmt, i, j, state, rec, ns)
-            if sync == "p2p":
-                seq = chans[(i, j)].ready
-                if rec is not None:
-                    rec.advance(stmt.uid, ("rdy", i, j), seq, g)
-                seq.advance_to(g)
             if rec is not None:
-                rec.yield_none()
-            yield None
+                rec.advance_group(uid, "ack", sched.ack_advances, g)
+            ctx.advance_group(sched.ack_advances, g)
+        if sched.ack_waits:
+            # WAR: each consumer must have arrived at epoch g before its
+            # instance is overwritten with epoch g data.
+            if rec is not None:
+                rec.wait_group(uid, "ack", sched.ack_waits, g)
+            for seq, label in sched.ack_waits:
+                ev = seq.event_for(g, label)
+                if not ev.is_set():
+                    yield ev
 
+        if rec is not None:
+            if uid not in state.pair_copies:
+                state.pair_copies[uid] = self._lower_pairs(stmt, sched.copies,
+                                                           ns)
+            rec.copy_begin(stmt)
+        for (i, j, local) in sched.copies:
+            if local:
+                self._do_pair_copy(stmt, i, j, state, rec, ns)
+            else:
+                ctx.send_pair(stmt, i, j, state, rec)
+        if rec is not None:
+            rec.copy_end(g)
         # One cumulative "bytes copied" sample per statement execution (not
         # per pair) keeps Chrome counter tracks readable at large pair
-        # counts; the running value — and hence the final total — is the
-        # same either way.
+        # counts; the final total is the same either way.
         if self.tracer.enabled and state.bytes_copied != bytes_before:
             self.tracer.counter("bytes copied", float(state.bytes_copied),
                                 pid=PID_SPMD, tid=state.shard)
-
-        if sync == "p2p":
-            for (i, j) in pairs:
-                if owner_of_color(dst_n, ns, j) == me:
-                    seq = chans[(i, j)].ready
-                    label = f"copy{stmt.uid}:ready({i},{j})"
-                    if rec is not None:
-                        rec.wait(stmt.uid, ("rdy", i, j), seq, g, label)
-                    yield seq.event_for(g, label=label)
-        elif sync == "barrier":
-            bar = ctx.barriers[f"post:{stmt.uid}"]
-            label = f"copy{stmt.uid}:post"
+        if sched.ready_advances:
             if rec is not None:
-                rec.barrier(stmt.uid, "post", bar, g, label)
-            yield bar.arrive_and_wait_event(g, label=label)
+                rec.advance_group(uid, "rdy", sched.ready_advances, g)
+            ctx.advance_group(sched.ready_advances, g)
+        if sched.copies:
+            if rec is not None:
+                rec.yield_none()
+            yield None  # preemption point: this shard's copies are issued
 
-        if rec is not None:
-            rec.copy_end()
+        if sched.ready_waits:
+            if rec is not None:
+                rec.wait_group(uid, "rdy", sched.ready_waits, g)
+            for seq, label in sched.ready_waits:
+                ev = seq.event_for(g, label)
+                if not ev.is_set():
+                    yield ev
+        if sched.barriers:
+            ev = arrive(*sched.barriers[1])
+            if not ev.is_set():
+                yield ev
 
     def _pair_points(self, stmt: PairwiseCopy, i: int, j: int):
         if stmt.pairs_name is not None:
             return self.pair_sets[stmt.pairs_name].pairs[(i, j)]
         return stmt.src.subset(i) & stmt.dst.subset(j)
 
-    def _lower_pairs(self, stmt: PairwiseCopy, pairs, ctx: CommContext):
+    def _lower_pairs(self, stmt: PairwiseCopy, copies, ns: int):
         """Lower, in one batch, every in-memory pair copy of ``stmt`` this
         shard produces; the capture iteration itself then runs the lowered
         copies, so the frozen form is exercised (and its localization
         validated) before any replay."""
-        ns = ctx.num_shards
         todo = {}
-        for (i, j) in pairs:
-            if not ctx.is_local(stmt, j):
+        for (i, j, local) in copies:
+            if not local:
                 continue  # delivered by the context (a framed send)
             pts = self._pair_points(stmt, i, j)
             if pts:
@@ -908,41 +952,38 @@ class SPMDExecutor(SequentialExecutor):
     def _do_pair_copy(self, stmt: PairwiseCopy, i: int, j: int,
                       state: _ShardState, rec=None, ns: int = 1) -> None:
         state.pair_visits += 1
-        pts = self._pair_points(stmt, i, j)
-        if not pts:
-            if rec is not None:
-                rec.visit(stmt.uid, i, j)
-            return
-        lock = (self._reduction_lock(stmt, j, ns)
-                if stmt.redop is not None else None)
-        pc = None
         if rec is not None:
-            pc = state.pair_copies[stmt.uid][(i, j)]
-            rec.copy(stmt.uid, i, j, pc)
+            # Under a recorder the lowered form runs (_lower_pairs resolved
+            # its points and lock; an empty pair has no entry).
+            pc = state.pair_copies[stmt.uid].get((i, j))
+            if pc is None:
+                rec.visit()
+                return
+            rec.copy(pc)
+            n, lock, apply = pc.count, pc.lock, pc.apply
         else:
-            dst_inst = self.dist_instance(stmt.dst, j)
-            src_inst = self.dist_instance(stmt.src, i)
+            pts = self._pair_points(stmt, i, j)
+            if not pts:
+                return
+            n = int(pts.count)
+            # Reduction applies from different producers may touch the same
+            # destination elements, and ufunc.at is not atomic across
+            # threads; None marks a disjoint-producer destination.
+            lock = (self._reduction_lock(stmt, j, ns)
+                    if stmt.redop is not None else None)
+            apply = partial(self.dist_instance(stmt.dst, j).copy_from,
+                            self.dist_instance(stmt.src, i), pts, stmt.fields,
+                            redop=stmt.redop)
         t0 = time.perf_counter()
         with self.tracer.span(f"copy:{stmt.src.name}->{stmt.dst.name}",
                               cat="copy", pid=PID_SPMD, tid=state.shard,
                               args={"pair": [i, j], "uid": stmt.uid,
-                                    "elements": len(pts)}):
-            if pc is not None:
-                pc.apply()
-                n = pc.count
-            elif stmt.redop is None:
-                n = dst_inst.copy_from(src_inst, pts, stmt.fields)
-            elif lock is None:
-                # Disjoint-producer destination: contention-free fold.
-                n = dst_inst.copy_from(src_inst, pts, stmt.fields,
-                                       redop=stmt.redop)
+                                    "elements": n}):
+            if rec is not None or lock is None:
+                apply()  # a PairCopy takes its own lock
             else:
-                # Reduction applies from different producers may touch the
-                # same destination elements; ufunc.at is not atomic across
-                # threads.
                 with lock:
-                    n = dst_inst.copy_from(src_inst, pts, stmt.fields,
-                                           redop=stmt.redop)
+                    apply()
         state.elements_copied += n
         state.copies_performed += 1
         nbytes = n * self._field_width(stmt)

@@ -5,7 +5,7 @@
 * :mod:`~repro.runtime.window.ir` — the window IR: frozen views and
   launches, pair copies, footprints, and the cross-pass verifier.
 * :mod:`~repro.runtime.window.lower` — lowering passes (freeze, fuse
-  copies, batch sync, constant fold, fuse tasks).
+  copies, constant fold, batch and fuse tasks).
 * :mod:`~repro.runtime.window.schedule` — phase fission: overlap compute
   with the p2p handshake.
 * :mod:`~repro.runtime.window.exec` — the pass list, the compile driver,

@@ -2,12 +2,18 @@
 
 A frozen loop holds exactly one thing: a :class:`CompiledWindow`.
 :func:`compile_window` runs the one window pipeline (:func:`window_passes`:
-``freeze-tasks`` → ``message-plan`` | ``fuse-copies`` → ``batch-sync`` →
-``constfold`` → ``batch-launch`` → ``fuse-tasks`` → ``fission``) over one
+``freeze-tasks`` → ``fuse-copies`` → ``constfold`` → ``batch-launch`` →
+``fuse-tasks`` → ``fission``, the same on every backend) over one
 recorded iteration and packages the result into a handful of phase
 closures (compute, copy, advance, wait, barrier, collective) executed by
 every driver.  The statement interpreter runs everything else: capture
 iterations, guard-miss iterations, and loops that cannot be frozen.
+
+When a loop freezes is :class:`LoopReplay`'s decision and is observed, not
+configured: at the first interpreted iteration that recorded no guard —
+its schedule is then a function of the program and the pair sets alone —
+or, when guards were recorded, at the second of two consecutive
+iterations with equal fingerprints.
 
 Fallback semantics: the hoisted guards are re-checked before every
 replayed iteration, a failed guard interprets that one iteration, and a
@@ -16,11 +22,13 @@ the compiled window so the loop re-captures with the new value (a pure
 function of replicated control flow, so all shards invalidate at the
 same iteration).
 
-A compiled window is a legal *coarsening* of the interpreted schedule —
-it skips yielding already-triggered events and collapses each launch's
-per-task preemption points into one compute closure — so the stepped
-driver crosses a replayed iteration in a handful of resumptions instead
-of hundreds.  Counters stay bit-identical by construction: the
+A compiled window is a legal *coarsening* of the interpreted schedule.  A
+copy statement already runs in the window's phase order when interpreted
+(``SPMDExecutor._exec_copy``), yielding only events that are not yet
+triggered; the window also collapses each launch's per-task preemption
+points into one compute closure and runs adjacent statements' phases
+back to back, so the stepped driver crosses a replayed iteration in a
+handful of resumptions.  Counters stay bit-identical by construction: the
 per-window deltas are precomputed at compile time and applied once per
 replayed iteration.
 
@@ -63,10 +71,9 @@ from .ir import (
     verify_window,
     window_summary,
 )
-from .lower import BatchLaunchPass, BatchSyncPass, ConstFoldPass, \
-    FreezeTasksPass, FuseCopiesPass, FuseTasksPass
+from .lower import BatchLaunchPass, ConstFoldPass, FreezeTasksPass, \
+    FuseCopiesPass, FuseTasksPass
 from .recorder import (
-    OP_ADV,
     OP_ADVN,
     OP_ASSIGN,
     OP_BARRIER,
@@ -79,7 +86,7 @@ from .recorder import (
     OP_MSG,
     OP_SETVAR,
     OP_TASK,
-    OP_WAIT,
+    OP_WAITN,
     OP_YIELD,
     IterationRecorder,
     ReplayError,
@@ -135,14 +142,6 @@ def _fill_thunk(fills):
     def run():
         for arr, value in fills:
             arr[...] = value
-    return run
-
-
-def _adv_thunk(state, seq, uid, stride):
-    epochs = state.epochs
-
-    def run():
-        seq.advance_to(epochs[uid] + stride)
     return run
 
 
@@ -209,23 +208,21 @@ class CompiledWindow:
                 classified.append(("compute", _fill_thunk(op[1])))
             elif k in (OP_COPY, OP_FUSED, OP_MSG):
                 classified.append(("copy", op[1].apply))
-            elif k == OP_ADV:
-                classified.append(
-                    ("advance", _adv_thunk(state, op[1], op[2], op[3])))
             elif k == OP_ADVN:
                 classified.append(
                     ("advance", _advn_thunk(state, advance_group,
                                             op[1], op[2], op[3])))
-            elif k == OP_WAIT:
-                classified.append(("wait", (op[1], op[2], op[3], op[4])))
+            elif k == OP_WAITN:
+                classified.extend(("wait", (seq, op[2], op[3], label))
+                                  for seq, label in op[1])
             elif k == OP_YIELD:
                 classified.append(("yield", None))
             elif k == OP_BARRIER:
                 classified.append(("barrier", (op[1], op[2], op[3], op[4])))
             elif k == OP_COLL:
                 classified.append(("coll", (op[1], op[2], op[3], op[4])))
-            # OP_VISIT / OP_VISITS: pure counter bumps, precomputed in the
-            # window's counter deltas — no runtime op at all.
+            # OP_VISITS: a pure counter bump, precomputed in the window's
+            # counter deltas — no runtime op at all.
         phases: list[tuple[int, Any]] = []
         i, n = 0, len(classified)
         while i < n:
@@ -333,18 +330,9 @@ class CompiledWindow:
 # The compile driver and the per-loop capture state machine
 # ---------------------------------------------------------------------------
 
-def window_passes(comm) -> list:
-    """The window pipeline, in order.  The one choice in it is observed,
-    not configured: a launch whose context has remote pairs aggregates
-    its cross-rank pair sends into per-peer packed messages (a FusedBatch
-    would bypass the wire path entirely); every other launch fuses each
-    copy statement's pairs into in-memory batches."""
-    if comm.has_remote:
-        from ..net.plan import MessagePlanPass
-        copies = MessagePlanPass()
-    else:
-        copies = FuseCopiesPass()
-    return [FreezeTasksPass(), copies, BatchSyncPass(), ConstFoldPass(),
+def window_passes() -> list:
+    """The window pipeline, in order; the same on every backend."""
+    return [FreezeTasksPass(), FuseCopiesPass(), ConstFoldPass(),
             BatchLaunchPass(), FuseTasksPass(), FissionPass()]
 
 
@@ -377,7 +365,7 @@ def compile_window(ex, rec: IterationRecorder, state, comm, *,
 
     try:
         wir = run_pass_pipeline(
-            wir, window_passes(comm), ctx,
+            wir, window_passes(), ctx,
             span_prefix="window", cat="replay", pid=PID_SPMD,
             tid=state.shard, metric_prefix="spmd_window_pass",
             size_fn=lambda w: len(w.ops), verify_fn=verify,
@@ -402,10 +390,16 @@ def compile_window(ex, rec: IterationRecorder, state, comm, *,
 class LoopReplay:
     """Capture state machine for one loop statement on one shard.
 
-    The loop freezes once two consecutive interpreted iterations produce
-    identical fingerprints; an iteration (or a body) that cannot be frozen
-    keeps interpreting.  Once frozen, the window is permanent — a guard
-    miss falls back to interpretation for that iteration only — with one
+    The loop freezes at the first interpreted iteration that leaves nothing
+    to observe: one that recorded no guard (no ``if``, ``while`` or inner
+    loop bound was evaluated, so its schedule is a function of the program
+    and the launch's pair sets alone), or the second of two consecutive
+    ones with identical fingerprints when guards were recorded.  An
+    iteration (or a body) that cannot be frozen keeps interpreting; a
+    guard-free body whose compile failed is not compiled again (every
+    iteration of it records the same ops).  Once frozen, the window is
+    permanent — a guard miss falls back to interpretation for that
+    iteration only — with one
     exception: a fallback iteration that writes a scalar the window
     compiler constant-folded invalidates the compiled window, and the
     loop re-captures with the new value.  The invalidation decision is a
@@ -414,7 +408,7 @@ class LoopReplay:
     at the same iterations.
     """
 
-    __slots__ = ("uid", "var", "comm", "trace",
+    __slots__ = ("uid", "var", "comm", "trace", "unfreezable",
                  "iterations_recorded", "_prev", "_rec")
 
     def __init__(self, uid: int, var: str | None, comm):
@@ -422,6 +416,7 @@ class LoopReplay:
         self.var = var
         self.comm = comm  # the launch context its windows bind to
         self.trace: CompiledWindow | None = None
+        self.unfreezable = False  # a guard-free body failed to compile
         self.iterations_recorded = 0
         self._prev = None
         self._rec: IterationRecorder | None = None
@@ -443,18 +438,20 @@ class LoopReplay:
                 self._prev = None
             else:
                 return False  # guard-fallback: keep the frozen window
-        if rec.unfreezable:
+        if rec.unfreezable or self.unfreezable:
             self._prev = None
             return False
-        fp = rec.fingerprint()
-        if fp == self._prev:
-            try:
-                self.trace = compile_window(
-                    ex, rec, state, self.comm, var=self.var, uid=self.uid)
-            except _Unfreezable:
-                self._prev = None
+        if rec.guards:
+            fp = rec.fingerprint()
+            if fp != self._prev:
+                self._prev = fp
                 return False
-            state.capture_points[self.uid] = self.iterations_recorded
-            return True
-        self._prev = fp
-        return False
+        try:
+            self.trace = compile_window(
+                ex, rec, state, self.comm, var=self.var, uid=self.uid)
+        except _Unfreezable:
+            self._prev = None
+            self.unfreezable = not rec.guards
+            return False
+        state.capture_points[self.uid] = self.iterations_recorded
+        return True

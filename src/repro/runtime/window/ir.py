@@ -33,7 +33,6 @@ from ...tasks.views import RegionView
 from ..collectives import SCALAR_REDUCTIONS
 from ..copy_engine import FusedCopy
 from .recorder import (
-    OP_ADV,
     OP_ADVN,
     OP_ASSIGN,
     OP_BARRIER,
@@ -47,9 +46,8 @@ from .recorder import (
     OP_NAMES,
     OP_SETVAR,
     OP_TASK,
-    OP_VISIT,
     OP_VISITS,
-    OP_WAIT,
+    OP_WAITN,
     OP_YIELD,
 )
 
@@ -566,9 +564,8 @@ class WindowIR:
 # ---------------------------------------------------------------------------
 
 # Op kinds that touch no instance array: sync, scalar, visit, yield.
-_NO_ARRAYS = frozenset({OP_ADV, OP_ADVN, OP_WAIT, OP_BARRIER, OP_COLL,
-                        OP_ASSIGN, OP_SETVAR, OP_CONST, OP_VISIT, OP_VISITS,
-                        OP_YIELD})
+_NO_ARRAYS = frozenset({OP_ADVN, OP_WAITN, OP_BARRIER, OP_COLL, OP_ASSIGN,
+                        OP_SETVAR, OP_CONST, OP_VISITS, OP_YIELD})
 _EMPTY_FOOTPRINT: frozenset[int] = frozenset()
 
 
@@ -630,11 +627,13 @@ def window_summary(wir: WindowIR):
     syncs: list[tuple] = []
     for op in wir.ops:
         k = op[0]
-        if k == OP_ADV:
-            key = id(op[1])
-            advs[key] = max(advs.get(key, op[3]), op[3])
-        elif k == OP_WAIT:
-            waits.setdefault(id(op[1]), []).append(op[3])
+        if k == OP_ADVN:
+            for seq in op[1]:
+                key = id(seq)
+                advs[key] = max(advs.get(key, op[3]), op[3])
+        elif k == OP_WAITN:
+            for seq, _ in op[1]:
+                waits.setdefault(id(seq), []).append(op[3])
         elif k == OP_COPY:
             pc = op[1]
             d["pair_visits"] += 1
@@ -644,12 +643,6 @@ def window_summary(wir: WindowIR):
             if pc.ufunc is not None:
                 key = "lockfree_folds" if pc.lock is None else "locked_folds"
                 d[key] += 1
-        elif k == OP_VISIT:
-            d["pair_visits"] += 1
-        elif k == OP_ADVN:
-            for seq in op[1]:
-                key = id(seq)
-                advs[key] = max(advs.get(key, op[3]), op[3])
         elif k == OP_FUSED:
             fb = op[1]
             d["pair_visits"] += fb.pair_count
@@ -731,9 +724,7 @@ def format_window(wir: WindowIR) -> str:
         elif k == OP_MEGA:
             detail = ("+".join(fl.task.name for fl in op[1].launches)
                       + f" x{op[1].n_points}")
-        elif k in (OP_ADV, OP_WAIT):
-            detail = f"uid={op[2]} stride={op[3]} kind={op[-1]}"
-        elif k == OP_ADVN:
+        elif k in (OP_ADVN, OP_WAITN):
             detail = (f"uid={op[2]} stride={op[3]} kind={op[4]} "
                       f"n={len(op[1])}")
         elif k == OP_COPY:

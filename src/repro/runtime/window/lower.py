@@ -1,4 +1,4 @@
-"""Window lowering passes: freeze, fuse copies, batch sync, fold, fuse tasks.
+"""Window lowering passes: freeze, fuse copies, fold, batch and fuse tasks.
 
 Each pass is a :class:`repro.core.passes.Pass` over a
 :class:`~repro.runtime.window.ir.WindowIR`, run by the shared
@@ -6,14 +6,15 @@ Each pass is a :class:`repro.core.passes.Pass` over a
 reports per-pass stats/metrics, verifies the window summary between
 passes, and honors dump-after hooks exactly like the front-end compiler.
 
-The pipeline (see :func:`repro.runtime.window.exec.window_passes`):
+The pipeline (see :func:`repro.runtime.window.exec.window_passes`; the
+last pass, ``fission``, is :mod:`repro.runtime.window.schedule`):
 
 * ``freeze-tasks``  — lower recorded launches to frozen views/arg vectors.
-* ``fuse-copies``   — regroup each copy statement's handshake+pairs into
-  phases around one :class:`~repro.runtime.copy_engine.FusedBatch` (net
-  launches run ``message-plan`` from :mod:`repro.runtime.net.plan` here).
-* ``batch-sync``    — collapse runs of same-channel-kind advances (and
-  empty-pair visits) into single vectorized ops.
+* ``fuse-copies``   — swap each copy statement's recorded run of lowered
+  copies for its fused forms: one
+  :class:`~repro.runtime.copy_engine.FusedBatch` over the in-memory pairs
+  and, on ``net``, one packed message per peer rank.  The handshake
+  around them was recorded in phase form and is left alone.
 * ``constfold``     — fold stable scalar reads into literal stores,
   guarded so an evolving scalar can never be frozen by mistake.
 * ``batch-launch``  — collapse a ``batchable`` task's frozen point tasks
@@ -28,28 +29,21 @@ from ...core.ir import ScalarRef, evaluate
 from ...core.passes import Pass
 from ...core.shards import owner_of_color
 from ..copy_engine import FusedBatch, FusedCopy, fuse_group
-from .ir import WindowIR, _BatchedLaunch, _freeze_launch
+from .ir import PairCopy, WindowIR, _BatchedLaunch, _freeze_launch
 from .recorder import (
-    OP_ADV,
-    OP_ADVN,
     OP_ASSIGN,
-    OP_BARRIER,
     OP_COLL,
     OP_CONST,
     OP_COPY,
-    OP_FILL,
     OP_FUSED,
     OP_MEGA,
+    OP_MSG,
     OP_SETVAR,
     OP_TASK,
-    OP_VISIT,
-    OP_VISITS,
-    OP_WAIT,
-    OP_YIELD,
 )
 
-__all__ = ["FreezeTasksPass", "FuseCopiesPass", "BatchSyncPass",
-           "ConstFoldPass", "BatchLaunchPass", "FuseTasksPass"]
+__all__ = ["FreezeTasksPass", "FuseCopiesPass", "ConstFoldPass",
+           "BatchLaunchPass", "FuseTasksPass"]
 
 
 class FreezeTasksPass(Pass):
@@ -74,57 +68,37 @@ class FreezeTasksPass(Pass):
         return {"launches": sum(1 for op in wir.ops if op[0] == OP_TASK)}
 
 
-def _fuse_segment(seg):
-    """Rewrite one copy-statement op window into its fused form.
-
-    The interpreted window interleaves the p2p handshake with the pair
-    copies (wait ack → copy → advance ready, per pair).  The fused window
-    regroups it conservatively into phases — all ack advances, all ack
-    waits, the fused applies, all ready advances, one preemption yield,
-    all ready waits — which is deadlock-free because every shard (fused
-    or interpreted) performs *all* of its ack advances unconditionally at
-    statement entry, before its first wait.  Returns ``None`` to leave
-    the window unfused (no copies, or an unrecognized op shape).
-    """
-    pre, post = [], []
-    ack_advs, ack_waits, rdy_advs, rdy_waits = [], [], [], []
-    pcs, nvisits, nyields = [], 0, 0
-    for op in seg:
-        k = op[0]
-        if k == OP_COPY:
-            pcs.append(op[1])
-        elif k == OP_YIELD:
-            nyields += 1
-        elif k == OP_VISIT:
-            nvisits += 1
-        elif k == OP_ADV and len(op) == 5:
-            (ack_advs if op[4] == "ack" else rdy_advs).append(op)
-        elif k == OP_WAIT and len(op) == 6:
-            (ack_waits if op[5] == "ack" else rdy_waits).append(op)
-        elif k == OP_BARRIER:
-            (pre if op[4].endswith(":pre") else post).append(op)
-        else:
-            return None  # unexpected op inside a copy window: keep as-is
-    if not pcs:
-        return None
-    groups: dict[int, list] = {}
+def _fuse_copies(pcs) -> list:
+    """The fused ops of one statement's lowered copies, recorded pair
+    order kept within each: the cross-rank sends first — two or more to
+    one peer as one packed message, a lone one as it is — so the wire is
+    busy while the in-memory pairs, grouped by destination instance,
+    apply as one batch.  Any order is legal: the statement ran, and was
+    recorded, with every ack wait ahead of its first copy."""
+    local: dict[int, list] = {}
+    remote: dict[int, list] = {}
     for pc in pcs:
-        groups.setdefault(pc.group_key, []).append(pc)
-    items = [item for group in groups.values() for item in fuse_group(group)]
-    out = pre + ack_advs + ack_waits
-    out.append((OP_FUSED, FusedBatch(items)))
-    if nvisits:
-        out.append((OP_VISITS, nvisits))
-    out.extend(rdy_advs)
-    if nyields:
-        out.append((OP_YIELD,))
-    out.extend(rdy_waits)
-    out.extend(post)
+        if type(pc) is PairCopy:
+            local.setdefault(pc.group_key, []).append(pc)
+        else:
+            remote.setdefault(pc.peer, []).append(pc)
+    out = []
+    if remote:
+        from ..net.plan import NetSendCopy, PackedSend  # only `net` has any
+        for sends in remote.values():
+            if any(type(pc) is not NetSendCopy for pc in sends):
+                raise TypeError(f"fuse-copies: not a lowered copy: {sends!r}")
+            out.append((OP_MSG, PackedSend(sends)) if len(sends) > 1
+                       else (OP_COPY, sends[0]))
+    if local:
+        out.append((OP_FUSED, FusedBatch(
+            [item for group in local.values() for item in fuse_group(group)])))
     return out
 
 
 class FuseCopiesPass(Pass):
-    """Batch each copy statement's pair copies into one fused apply.
+    """Batch each copy statement's pair copies into one fused apply (and,
+    across ranks, one message per peer).
 
     Also builds ``wir.copy_protect`` — per copy uid, the ids of this
     shard's owned destination-instance arrays — which the fission pass
@@ -138,11 +112,9 @@ class FuseCopiesPass(Pass):
         state = ctx.state
         hist = (state.metrics.histogram("spmd_fused_batch_pairs",
                                         shard=state.shard)
-                if state is not None and state.metrics.enabled else None)
+                if state.metrics.enabled else None)
         ex, me, ns = ctx.ex, state.shard, ctx.num_shards
         for stmt, a, b in reversed(wir.copy_ranges):
-            if b <= a:
-                continue
             if stmt.uid not in wir.copy_protect:
                 protect: set[int] = set()
                 dst_n = stmt.dst.num_colors
@@ -151,75 +123,22 @@ class FuseCopiesPass(Pass):
                     inst = ex.dist_instance(stmt.dst, j)
                     protect.update(id(arr) for arr in inst.fields.values())
                 wir.copy_protect[stmt.uid] = frozenset(protect)
-            seg = _fuse_segment(wir.ops[a:b])
-            if seg is None:
+            if b <= a:
                 continue
-            wir.ops[a:b] = seg
-            if hist is not None:
-                for op in seg:
-                    if op[0] == OP_FUSED:
-                        for item in op[1].items:
-                            if isinstance(item, FusedCopy):
-                                hist.observe(item.pair_count)
+            wir.ops[a:b] = seg = _fuse_copies([op[1] for op in wir.ops[a:b]])
+            if hist is not None and seg[-1][0] == OP_FUSED:
+                for item in seg[-1][1].items:
+                    if isinstance(item, FusedCopy):
+                        hist.observe(item.pair_count)
         return wir
 
     def stats(self, wir: WindowIR) -> dict[str, float]:
         batches = [op[1] for op in wir.ops if op[0] == OP_FUSED]
+        packed = [op[1] for op in wir.ops if op[0] == OP_MSG]
         return {"batches": len(batches),
-                "fused_pairs": sum(fb.fused_pairs for fb in batches)}
-
-
-class BatchSyncPass(Pass):
-    """Collapse same-channel-kind advance runs into one generation bump.
-
-    A run of ``OP_ADV`` ops with equal ``(uid, stride, kind)`` — the ack
-    release burst at a copy statement's entry, one op per owned inbound
-    pair — becomes a single ``OP_ADVN`` executed by the launch context's
-    ``advance_group`` (one lock round on the procs board, one ``CREDITN``
-    frame per peer on net).  Runs of ``OP_VISIT`` likewise become one
-    ``OP_VISITS``.
-    """
-
-    name = "batch-sync"
-    establishes = ("sync-batched",)
-
-    def run(self, wir: WindowIR, ctx) -> WindowIR:
-        out: list = []
-        self._batched = 0
-        ops = wir.ops
-        n = len(ops)
-        i = 0
-        while i < n:
-            op = ops[i]
-            k = op[0]
-            if k == OP_ADV:
-                key = (op[2], op[3], op[4])
-                j = i + 1
-                while (j < n and ops[j][0] == OP_ADV
-                       and (ops[j][2], ops[j][3], ops[j][4]) == key):
-                    j += 1
-                if j - i > 1:
-                    seqs = tuple(ops[m][1] for m in range(i, j))
-                    out.append((OP_ADVN, seqs, op[2], op[3], op[4]))
-                    self._batched += j - i
-                else:
-                    out.append(op)
-                i = j
-            elif k == OP_VISIT:
-                j = i + 1
-                while j < n and ops[j][0] == OP_VISIT:
-                    j += 1
-                out.append((OP_VISITS, j - i) if j - i > 1 else op)
-                i = j
-            else:
-                out.append(op)
-                i += 1
-        wir.ops = out
-        return wir
-
-    def stats(self, wir: WindowIR) -> dict[str, float]:
-        return {"advances_batched": getattr(self, "_batched", 0),
-                "groups": sum(1 for op in wir.ops if op[0] == OP_ADVN)}
+                "fused_pairs": sum(fb.fused_pairs for fb in batches),
+                "packed_sends": len(packed),
+                "packed_pairs": sum(ps.pair_count for ps in packed)}
 
 
 class ConstFoldPass(Pass):

@@ -5,9 +5,14 @@ view construction, instance resolution, intersection slicing, channel
 epoch bookkeeping — on every iteration of the replicated control loop,
 even though in steady state the loop body produces an identical schedule
 each time step.  While a loop interprets, an :class:`IterationRecorder`
-shadows the event stream, keying every statement execution (stmt uid,
-channel epoch deltas, copy pairs and sizes).  The recorded op list is the
-input of the window compiler (:mod:`repro.runtime.window.exec`).
+shadows the event stream: one op and one fingerprint key per statement
+execution, except that a copy statement — which the interpreter runs in
+phases — is one op per phase plus its lowered copies, under one key.  A
+recorded iteration is therefore ``copies + a constant × statements`` ops
+long, which is what every later walk of it (each pass, each verifier
+run) costs.  The recorded op list is the input of the window compiler
+(:mod:`repro.runtime.window.exec`); the guards it collected decide when
+the loop freezes.
 
 Generation-bearing ops store a *stride* (recorded generation minus the
 loop-entry epoch of that statement uid) instead of the absolute
@@ -23,33 +28,34 @@ from ...core.ir import Expr, IndexLaunch
 
 __all__ = [
     "IterationRecorder", "ReplayError",
-    "OP_ASSIGN", "OP_SETVAR", "OP_TASK", "OP_FILL", "OP_ADV", "OP_WAIT",
-    "OP_COPY", "OP_BARRIER", "OP_COLL", "OP_VISIT", "OP_YIELD", "OP_FUSED",
-    "OP_VISITS", "OP_ADVN", "OP_MEGA", "OP_CONST", "OP_MSG", "OP_NAMES",
+    "OP_ASSIGN", "OP_SETVAR", "OP_TASK", "OP_FILL", "OP_ADVN", "OP_WAITN",
+    "OP_COPY", "OP_BARRIER", "OP_COLL", "OP_VISITS", "OP_YIELD", "OP_FUSED",
+    "OP_MEGA", "OP_CONST", "OP_MSG", "OP_NAMES",
 ]
 
 # Op kinds of a recorded/lowered window (first element of every op tuple).
+# A copy statement is recorded the way it ran (SPMDExecutor._exec_copy), one
+# op a phase: ADVN ack, WAITN ack, its COPYs, VISITS, ADVN rdy, YIELD,
+# WAITN rdy — or BARRIER pre, COPYs, VISITS, YIELD, BARRIER post.
 OP_ASSIGN = 0    # (k, name, expr)                   scalars[name] = eval(expr)
 OP_SETVAR = 1    # (k, name, value)                  nested loop variable
 OP_TASK = 2      # (k, frozen_launch)                point tasks of one launch
 OP_FILL = 3      # (k, fills)                        reduction-buffer fills
-OP_ADV = 4       # (k, seq, uid, stride, kind)       advance channel sequence
-OP_WAIT = 5      # (k, seq, uid, stride, label, kind) yield channel event
+OP_ADVN = 4      # (k, seqs, uid, stride, kind)      advance a phase's channels
+OP_WAITN = 5     # (k, ((seq, label), ...), uid, stride, kind)  and wait on them
 OP_COPY = 6      # (k, paircopy)                     precompiled pairwise copy
 OP_BARRIER = 7   # (k, barrier, uid, stride, label)  arrive-and-wait
 OP_COLL = 8      # (k, coll, uid, stride, name)      dynamic collective
-OP_VISIT = 9     # (k,)                              empty-pair visit counter
+OP_VISITS = 9    # (k, n)                            empty-pair visit counter
 OP_YIELD = 10    # (k,)                              interpreter preemption pt
 OP_FUSED = 11    # (k, fusedbatch)                   one statement's fused copies
-OP_VISITS = 12   # (k, n)                            batched empty-pair visits
-OP_ADVN = 13     # (k, seqs, uid, stride, kind)      batched channel advances
-OP_MEGA = 14     # (k, mega_launch)                  fused adjacent launches
-OP_CONST = 15    # (k, ((name, value), ...))         folded scalar stores
-OP_MSG = 16      # (k, packedsend)                   one aggregated net transfer
+OP_MEGA = 12     # (k, mega_launch)                  fused adjacent launches
+OP_CONST = 13    # (k, ((name, value), ...))         folded scalar stores
+OP_MSG = 14      # (k, packedsend)                   one aggregated net transfer
 
-OP_NAMES = ("assign", "setvar", "task", "fill", "adv", "wait", "copy",
-            "barrier", "coll", "visit", "yield", "fused", "visits", "advn",
-            "mega", "const", "msg")
+OP_NAMES = ("assign", "setvar", "task", "fill", "advn", "waitn", "copy",
+            "barrier", "coll", "visits", "yield", "fused", "mega", "const",
+            "msg")
 
 
 class ReplayError(RuntimeError):
@@ -62,7 +68,7 @@ class IterationRecorder:
     """Shadows one interpreted loop iteration: ops, schedule keys, guards."""
 
     __slots__ = ("epoch_base", "ops", "keys", "guards", "written",
-                 "unfreezable", "copy_ranges")
+                 "unfreezable", "copy_ranges", "_visits")
 
     def __init__(self, epochs: dict[int, int]):
         self.epoch_base = dict(epochs)
@@ -71,9 +77,10 @@ class IterationRecorder:
         self.guards: list[tuple[Expr, Any, bool]] = []
         self.written: set[str] = set()
         self.unfreezable = False
-        # [stmt, first_op_index, one_past_last] per PairwiseCopy execution;
-        # the fuse-copies pass rewrites exactly these op windows.
+        # [stmt, first_copy_op, one_past_last] per PairwiseCopy execution:
+        # the run of OP_COPYs the fuse-copies pass swaps for fused forms.
         self.copy_ranges: list[list] = []
+        self._visits = 0
 
     def _stride(self, uid: int, g: int) -> int:
         return g - self.epoch_base.get(uid, 0)
@@ -110,31 +117,35 @@ class IterationRecorder:
         self.ops.append((OP_FILL, tuple(fills)))
         self.keys.append(("f", uid))
 
-    def copy(self, uid: int, i: int, j: int, pc) -> None:
-        self.ops.append((OP_COPY, pc))
-        self.keys.append(("c", uid, i, j, pc.count))
-
     def copy_begin(self, stmt) -> None:
-        """Open a copy-statement window (closed by :meth:`copy_end`)."""
+        """Open a statement's run of copies (closed by :meth:`copy_end`)."""
         self.copy_ranges.append([stmt, len(self.ops), -1])
+        self._visits = 0
 
-    def copy_end(self) -> None:
-        self.copy_ranges[-1][2] = len(self.ops)
+    def copy(self, pc) -> None:
+        self.ops.append((OP_COPY, pc))
 
-    def visit(self, uid: int, i: int, j: int) -> None:
-        self.ops.append((OP_VISIT,))
-        self.keys.append(("pv", uid, i, j))
+    def visit(self) -> None:
+        self._visits += 1
+
+    def copy_end(self, g: int) -> None:
+        """One fingerprint key for the whole statement: its pair sets and
+        lowered copies are fixed for the launch, so (uid, stride, how many
+        pairs copied and how many were empty) names its schedule."""
+        rng = self.copy_ranges[-1]
+        stmt, first = rng[0], rng[1]
+        rng[2] = len(self.ops)
+        if self._visits:
+            self.ops.append((OP_VISITS, self._visits))
+        self.keys.append(("c", stmt.uid, self._stride(stmt.uid, g),
+                          rng[2] - first, self._visits))
 
     # -- synchronization ----------------------------------------------------
-    def advance(self, uid: int, tag, seq, g: int) -> None:
-        stride = self._stride(uid, g)
-        self.ops.append((OP_ADV, seq, uid, stride, tag[0]))
-        self.keys.append(("adv", uid, tag, stride))
+    def advance_group(self, uid: int, kind: str, seqs, g: int) -> None:
+        self.ops.append((OP_ADVN, seqs, uid, self._stride(uid, g), kind))
 
-    def wait(self, uid: int, tag, seq, g: int, label: str) -> None:
-        stride = self._stride(uid, g)
-        self.ops.append((OP_WAIT, seq, uid, stride, label, tag[0]))
-        self.keys.append(("w", uid, tag, stride))
+    def wait_group(self, uid: int, kind: str, waits, g: int) -> None:
+        self.ops.append((OP_WAITN, waits, uid, self._stride(uid, g), kind))
 
     def barrier(self, uid: int, tag: str, bar, g: int, label: str) -> None:
         stride = self._stride(uid, g)

@@ -1,8 +1,8 @@
 """Window phase scheduling: fission compute from the p2p handshake.
 
-The fused copy layout (``fuse-copies``) already groups one statement's
-handshake into phases; this pass moves those phases across *statement*
-boundaries so local compute overlaps the neighbor handshake:
+A copy statement is recorded with its handshake already in phases, one op
+each; this pass moves those ops across *statement* boundaries so local
+compute overlaps the neighbor handshake:
 
 * **ack advances** (write-after-read releases) hoist *backward* past any
   op whose array footprint does not touch the channel's protected
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from ...core.passes import Pass
 from .ir import WindowIR, op_arrays
-from .recorder import OP_ADV, OP_ADVN, OP_BARRIER, OP_COLL, OP_WAIT
+from .recorder import OP_ADVN, OP_BARRIER, OP_COLL, OP_WAITN
 
 __all__ = ["FissionPass"]
 
@@ -93,11 +93,11 @@ class FissionPass(Pass):
         protect = wir.copy_protect
 
         def ack_advance(op):
-            if op[0] in (OP_ADV, OP_ADVN) and op[-1] == "ack":
+            if op[0] == OP_ADVN and op[4] == "ack":
                 return protect.get(op[2])
 
         def ready_wait(op):
-            if op[0] == OP_WAIT and op[5] == "rdy":
+            if op[0] == OP_WAITN and op[4] == "rdy":
                 return protect.get(op[2])
 
         items = [(op, op_arrays(op)) for op in wir.ops]

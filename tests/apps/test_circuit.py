@@ -6,6 +6,8 @@ import pytest
 from repro.apps.circuit import CircuitGraph, CircuitProblem
 from repro.core import InitCopy, PairwiseCopy, walk
 
+from tests.conftest import interpreted_iterations
+
 
 class TestGraph:
     def test_shapes(self):
@@ -105,7 +107,7 @@ class TestInspectorPlan:
         seq, _, _ = p.run_sequential()
         assert self._digest(seq) == self.RECORDED["sequential"][seed]
         cr, _, ex, _ = p.run_control_replicated(2, mode="stepped")
-        assert ex.replay_hits == 6
+        assert ex.replay_hits == (p.steps - interpreted_iterations()) * 2
         assert self._digest(cr) == self.RECORDED["stepped"][seed]
 
     def test_bodies_do_no_lookups(self):

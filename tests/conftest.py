@@ -60,6 +60,14 @@ class Fig2:
         return {self.A.uid: ia, self.B.uid: ib}
 
 
+def interpreted_iterations(guards: bool = False) -> int:
+    """How many iterations a loop interprets before it holds a window: a
+    body that evaluates no guard freezes at its first, one with an ``if``,
+    a ``while`` or an inner loop bound needs two with equal fingerprints.
+    Every count assertion that depends on it reads it from here."""
+    return 2 if guards else 1
+
+
 @pytest.fixture
 def fig2():
     return Fig2()

@@ -236,6 +236,43 @@ class TestDisjointDstColors:
                                   src_num_colors=2, num_shards=1)
         assert out == frozenset({0})
 
+    def test_matches_the_per_destination_unions(self):
+        # The loop the array form replaced, kept as its oracle: per
+        # destination, union each producer shard's parts, then all of them.
+        from repro.core.shards import owner_of_color
+
+        def per_destination(pairs, pts_of, src_n, ns):
+            by_dst = {}
+            for (i, j) in pairs:
+                if pts_of(i, j):
+                    by_dst.setdefault(j, {}).setdefault(
+                        owner_of_color(src_n, ns, i), []).append(pts_of(i, j))
+            out = set()
+            for j, per_owner in by_dst.items():
+                sets = [IntervalSet.union_all(p) for p in per_owner.values()]
+                if (IntervalSet.union_all(sets).count
+                        == sum(s.count for s in sets)):
+                    out.add(j)
+            return frozenset(out)
+
+        rng = np.random.default_rng(7)
+        disjoint = overlapping = 0
+        for _ in range(200):
+            src_n, dst_n = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+            ns = int(rng.integers(1, src_n + 1))
+            pts = {(i, j): IntervalSet.from_indices(
+                       rng.choice(40, int(rng.integers(0, 4)), replace=False))
+                   for i in range(src_n) for j in range(dst_n)
+                   if rng.random() < 0.7}
+            got = disjoint_dst_colors(list(pts), lambda i, j: pts[(i, j)],
+                                      src_n, ns)
+            assert got == per_destination(list(pts),
+                                          lambda i, j: pts[(i, j)], src_n, ns)
+            live = {j for (_, j), p in pts.items() if p}
+            disjoint += len(got)
+            overlapping += len(live - got)
+        assert disjoint > 50 and overlapping > 50
+
     def test_empty_pairs_ignored(self):
         pts = {(0, 0): iset(0), (1, 0): iset()}
         out = disjoint_dst_colors(list(pts), lambda i, j: pts[(i, j)],

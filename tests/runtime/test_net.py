@@ -22,6 +22,8 @@ from repro.runtime import (
 )
 from repro.tasks import RW, task
 
+from tests.conftest import interpreted_iterations
+
 pytestmark = pytest.mark.skipif(
     not procs_available(),
     reason="fork start method unavailable on this platform")
@@ -155,6 +157,70 @@ class TestAggregation:
         assert ex_on.pair_visits == ex_off.pair_visits
 
 
+class TestWindowShape:
+    def test_one_fused_and_one_msg_op_per_copy_statement(self):
+        """net runs the same ``fuse-copies`` as every backend: of a copy
+        statement's pairs the rank-local ones become one fused batch and
+        the cross-rank ones one packed message per peer (the 96x96 /
+        16-tile halo stencil used to freeze into 97 closures a rank, its
+        20 rank-local pairs of 24 unfused)."""
+        from repro.apps.stencil import StencilProblem
+        from repro.core.ir import PairwiseCopy, walk
+        from repro.core.shards import owner_of_color
+        from repro.obs import MetricsRegistry
+        ns = 2
+        p = StencilProblem(n=96, radius=2, tiles=16, steps=4)
+        seq, _, _ = p.run_sequential()
+        metrics = MetricsRegistry()
+        prog, _ = control_replicate(p.build_program(), num_shards=ns)
+        ex = SPMDExecutor(num_shards=ns, mode="net", metrics=metrics,
+                          instances=p.fresh_instances())
+        ex.run(prog)
+        cr = p.extract_state(ex.instances)
+        for k in seq:
+            assert np.array_equal(cr[k], seq[k]), k
+        copies = [s for s in walk(prog.body) if isinstance(s, PairwiseCopy)]
+        pairs = [(owner_of_color(s.src.num_colors, ns, i),
+                  owner_of_color(s.dst.num_colors, ns, j))
+                 for s in copies for (i, j) in ex._copy_pairs(s)]
+        crossing = sum(a != b for a, b in pairs)
+
+        def stat(name):
+            return sum(inst.value for metric, labels, inst in metrics.items()
+                       if metric == "spmd_window_pass_stat_total"
+                       and labels.get("stat") == name)
+
+        assert ex.window_compiles == ns and 0 < crossing < len(pairs)
+        assert stat("batches") == stat("packed_sends") == len(copies) * ns
+        assert stat("packed_pairs") == crossing
+        assert ex.fused_pairs > 0  # the rank-local pairs, batched
+        assert ex.window_closures <= 10 * ns
+        # Still one message a rank a replayed iteration.
+        assert sent(ex, "msg") == ns * (p.steps - interpreted_iterations())
+
+
+class TestBarrierCopyWait:
+    def test_post_barrier_wait_never_sleeps(self, monkeypatch):
+        """A barrier-mode copy on net waits for the post barrier and then
+        for each inbound arrival on that arrival's own event — not in 1 ms
+        sleeps.  No timing: any sleep, in any rank, fails the run."""
+        import time
+        from repro.apps.stencil import StencilProblem
+
+        def no_sleep(seconds):
+            raise AssertionError(f"time.sleep({seconds}) in a net run")
+
+        p = StencilProblem(n=24, radius=2, tiles=4, steps=5)
+        seq, _, _ = p.run_sequential()
+        monkeypatch.setattr(time, "sleep", no_sleep)  # forked ranks inherit
+        cr, _, ex, _ = p.run_control_replicated(4, mode="net",
+                                                sync="barrier")
+        monkeypatch.undo()
+        assert ex.replay_hits > 0 and sent(ex, "data", "msg") > 0
+        for k in seq:
+            assert np.array_equal(cr[k], seq[k]), k
+
+
 class TestFailure:
     def _failing_problem(self):
         U = ispace(size=16, name="U")
@@ -214,14 +280,18 @@ class TestCreditDepth:
 
 class TestCreditCoalescing:
     """Every rank's batched ack release is one credit frame per peer per
-    copy statement per replayed iteration — also on a rank whose first
-    inbound pair of a statement is rank-local (group advance used to
-    dispatch on the batch's first member, so that rank sent one CREDIT
-    per pair: 160 and 540 frames from rank 0 in the two runs below)."""
+    copy statement per iteration, interpreted or replayed — also on a rank
+    whose first inbound pair of a statement is rank-local (group advance
+    used to dispatch on the batch's first member, so that rank sent one
+    CREDIT per pair: 160 and 540 frames from rank 0 in the two runs
+    below).  Data goes pair by pair while interpreting and as one packed
+    message per statement and peer once the window is frozen."""
 
+    # What rank 0 sends per iteration: CREDITN frames (every iteration),
+    # DATA frames (an interpreted one), MSG frames (a replayed one).
     @pytest.mark.parametrize("app, sent_by_rank0", [
-        ("stencil", {"credit": 8, "creditn": 38, "data": 8, "msg": 38}),
-        ("pennant", {"credit": 54, "creditn": 72, "data": 26, "msg": 36}),
+        ("stencil", {"creditn": 1, "data": 4, "msg": 1}),
+        ("pennant", {"creditn": 4, "data": 13, "msg": 2}),
     ])
     def test_one_credit_frame_per_statement_per_iteration(self, app,
                                                           sent_by_rank0):
@@ -243,7 +313,8 @@ class TestCreditCoalescing:
         for k in seq:
             assert np.allclose(cr[k], seq[k], rtol=1e-11, atol=1e-13), k
         hits, misses = ex.replay_hits // ns, ex.replay_misses // ns
-        assert hits == p.steps - 2 and misses == 2
+        captured = interpreted_iterations()
+        assert hits == p.steps - captured and misses == captured
         copies = [s for s in walk(prog.body) if isinstance(s, PairwiseCopy)]
         for r in range(ns):
             # Remote pairs rank r consumes, per copy statement.
@@ -252,9 +323,11 @@ class TestCreditCoalescing:
                            for (i, j) in ex._copy_pairs(s)) for s in copies]
             msgs = ex.net_stats[r]["messages_sent"]
             credits = msgs.get("credit", 0) + msgs.get("creditn", 0)
-            # Interpreted iterations ack pair by pair; replayed ones once
-            # per statement (one peer here).
-            assert credits <= (misses * sum(inbound)
-                               + hits * sum(n > 0 for n in inbound))
+            # Once per statement with remote inbound pairs (one peer here).
+            assert credits <= p.steps * sum(n > 0 for n in inbound)
+        want = {"credit": 0,
+                "creditn": p.steps * sent_by_rank0["creditn"],
+                "data": misses * sent_by_rank0["data"],
+                "msg": hits * sent_by_rank0["msg"]}
         got = ex.net_stats[0]["messages_sent"]
-        assert {k: got.get(k, 0) for k in sent_by_rank0} == sent_by_rank0
+        assert {k: got.get(k, 0) for k in want} == want

@@ -17,7 +17,7 @@ from repro.runtime import (
 )
 from repro.runtime.spmd import _ShardState
 
-from tests.conftest import Fig2
+from tests.conftest import Fig2, interpreted_iterations
 
 ALL_MODES = ["stepped", "threaded"] + (["procs"] if procs_available() else [])
 
@@ -40,9 +40,10 @@ class TestCaptureAndReplay:
         for uid in (fig2.A.uid, fig2.B.uid):
             assert np.array_equal(spmd.instances[uid].fields["v"],
                                   seq.instances[uid].fields["v"])
-        # A loop freezes after two identical interpreted iterations.
-        assert spmd.replay_misses == 2 * shards
-        assert spmd.replay_hits == (fig2.steps - 2) * shards
+        # A guard-free loop freezes at its first interpreted iteration.
+        captured = interpreted_iterations()
+        assert spmd.replay_misses == captured * shards
+        assert spmd.replay_hits == (fig2.steps - captured) * shards
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_replayed_state_identical_to_interpreted(self, mode,
@@ -78,7 +79,7 @@ class TestCaptureAndReplay:
         seq, spmd = run_pair(fig2, 4, sync="barrier")
         assert np.array_equal(spmd.instances[fig2.A.uid].fields["v"],
                               seq.instances[fig2.A.uid].fields["v"])
-        assert spmd.replay_hits == 4 * 4
+        assert spmd.replay_hits == (fig2.steps - interpreted_iterations()) * 4
 
     def test_while_loop_replays(self):
         fig2 = Fig2(steps=1)
@@ -102,8 +103,9 @@ class TestCaptureAndReplay:
         # The while condition is a hoisted guard over `t`, which changes
         # every iteration — but `t` is written *after* the launches by the
         # loop-counter assign, which replays before the next guard check.
-        assert spmd.replay_hits == 4 * 4
-        assert spmd.replay_misses == 2 * 4
+        captured = interpreted_iterations()
+        assert spmd.replay_hits == (6 - captured) * 4
+        assert spmd.replay_misses == captured * 4
 
 
 class TestGuardFallback:
@@ -191,9 +193,9 @@ class TestCounterParity:
             pytest.skip("fork unavailable")
         p = self.APPS["stencil"]()
         _, _, ex, _ = p.run_control_replicated(4, mode="procs")
-        steps = 5
-        assert ex.replay_misses == 2 * 4
-        assert ex.replay_hits == (steps - 2) * 4
+        steps, captured = 5, interpreted_iterations()
+        assert ex.replay_misses == captured * 4
+        assert ex.replay_hits == (steps - captured) * 4
 
 
 class TestDivergence:
