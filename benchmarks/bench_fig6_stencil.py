@@ -12,19 +12,12 @@ from repro.analysis import run_figure
 from repro.apps.stencil.perf import figure6_spec
 
 
-# Wall time of this sweep on the pre-vectorization event-heap simulator,
-# kept so bench-report shows the wave scheduler's speedup as a column.
-EVENT_BASELINE_SECONDS = 38.6559920159998
-
-
 def test_figure6_weak_scaling(benchmark, machine):
     spec = figure6_spec(machine, max_nodes=1024)
     data = run_once(benchmark, lambda: run_figure(spec),
                     record={"bench": "fig6_stencil", "op": "weak_scaling_sweep",
                             "shards": 1024, "backend": "simulator",
-                            "engine": "vector",
-                            "baseline_seconds_per_iteration":
-                                EVENT_BASELINE_SECONDS})
+                            "engine": "vector"})
     print()
     print(data.format_table())
     cr = data.efficiency_at_max("Regent (with CR)")

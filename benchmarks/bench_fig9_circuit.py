@@ -11,20 +11,13 @@ from repro.analysis import run_figure
 from repro.apps.circuit.perf import figure9_spec
 
 
-# Wall time of this sweep on the pre-vectorization event-heap simulator,
-# kept so bench-report shows the wave scheduler's speedup as a column.
-EVENT_BASELINE_SECONDS = 47.2509995370001
-
-
 def test_figure9_weak_scaling(benchmark, machine):
     spec = figure9_spec(machine, max_nodes=1024)
     data = run_once(benchmark, lambda: run_figure(spec),
                     record={"bench": "fig9_circuit",
                             "op": "weak_scaling_sweep",
                             "shards": 1024, "backend": "simulator",
-                            "engine": "vector",
-                            "baseline_seconds_per_iteration":
-                                EVENT_BASELINE_SECONDS})
+                            "engine": "vector"})
     print()
     print(data.format_table())
     cr = data.efficiency_at_max("Regent (with CR)")

@@ -1,6 +1,5 @@
 """Evaluation harness: weak-scaling sweeps and figure/table formatting."""
 
-from .bench_report import bench_report, format_bench_table, load_bench_records
 from .export import to_csv, to_gnuplot
 from .crossover import collapse_point, crossover_point, predicted_saturation_nodes
 from .weak_scaling import (
@@ -13,9 +12,6 @@ from .weak_scaling import (
 )
 
 __all__ = [
-    "bench_report",
-    "format_bench_table",
-    "load_bench_records",
     "collapse_point",
     "crossover_point",
     "predicted_saturation_nodes",

@@ -17,8 +17,6 @@ Commands:
   each shard's wall time into compute/copy/sync-wait/launch/replay
   buckets, extract the critical path, and report parallel efficiency
   (human table + JSON report + Prometheus text export);
-* ``bench-report`` — merge all ``benchmarks/BENCH_*.json`` files into one
-  perf-trajectory table;
 * ``serve``   — run a resident compile-once/serve-many HTTP server: each
   structurally distinct request (app, sizes, shards, backend, sync mode)
   is compiled once, and every later identical request reuses the cached
@@ -49,7 +47,6 @@ Examples::
     python -m repro figure 8 --max-nodes 64
     python -m repro simulate pennant --nodes 16 --model cr --trace sim.json
     python -m repro profile --app stencil --backend procs --shards 2
-    python -m repro bench-report
 """
 
 from __future__ import annotations
@@ -242,13 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "profile_<app>_<backend>.prom)")
     pr.add_argument("--trace", metavar="OUT.json", default=None,
                     help="also keep the raw Chrome-trace timeline")
-
-    b = sub.add_parser("bench-report",
-                       help="merge benchmarks/BENCH_*.json into one "
-                            "trajectory table")
-    b.add_argument("--bench-dir", default="benchmarks",
-                   help="directory holding BENCH_*.json files "
-                        "(default: ./benchmarks)")
 
     sv = sub.add_parser(
         "serve",
@@ -589,12 +579,6 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def cmd_bench_report(args) -> int:
-    from .analysis import bench_report
-    print(bench_report(args.bench_dir))
-    return 0
-
-
 def cmd_serve(args) -> int:
     from .serve import ServeEngine, create_server
     engine = ServeEngine(workers=args.workers, cache_size=args.cache_size,
@@ -762,7 +746,6 @@ def main(argv: list[str] | None = None) -> int:
         "figure": cmd_figure,
         "simulate": cmd_simulate,
         "profile": cmd_profile,
-        "bench-report": cmd_bench_report,
         "serve": cmd_serve,
         "top": cmd_top,
         "launch-worker": cmd_launch_worker,

@@ -40,7 +40,7 @@ def stack_intervals(sets: Sequence["IntervalSet"]) -> tuple[np.ndarray, np.ndarr
 
 
 def _normalize_pairs(pairs: np.ndarray) -> np.ndarray:
-    """Sort, drop empty intervals, and coalesce adjacent/overlapping ones."""
+    """Sort, drop empty intervals, and merge adjacent/overlapping ones."""
     if pairs.size == 0:
         return pairs.reshape(0, 2)
     pairs = pairs[pairs[:, 1] > pairs[:, 0]]

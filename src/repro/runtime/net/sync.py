@@ -36,9 +36,9 @@ from ...core.shards import owner_of_color
 from ...obs import flight as _flight
 from ...regions.region import _REDUCTION_UFUNCS, reduction_identity
 from ..collectives import SCALAR_REDUCTIONS
+from ..copy_engine import _as_index
 from ..events import Sequence
 from ..launch import Channel, CommContext
-from ..window.ir import _as_index
 from . import frame
 from .plan import NetSendCopy, _TxState
 
@@ -123,7 +123,7 @@ class _RxChannel:
 
     def plan(self):
         # Shard thread, built lazily on first arrival: destination
-        # localization resolved once, like PairCopy.build on the sender.
+        # localization resolved once, like PairCopy.build_many on the sender.
         if self._plan is None:
             self._plan = self.nctx.rx_plan(self.stmt, self.pair)
         return self._plan

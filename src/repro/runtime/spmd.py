@@ -708,7 +708,7 @@ class SPMDExecutor(SequentialExecutor):
         """
         lr = state.loop_replays.get(stmt.uid)
         if lr is None:
-            lr = state.loop_replays[stmt.uid] = LoopReplay(stmt.uid, var, ctx)
+            lr = state.loop_replays[stmt.uid] = LoopReplay(stmt.uid, ctx)
         tracer = self.tracer
         flight = state.flight
         perf = time.perf_counter

@@ -4,8 +4,8 @@
   iteration shadow recorder.
 * :mod:`~repro.runtime.window.ir` — the window IR: frozen views and
   launches, pair copies, footprints, and the cross-pass verifier.
-* :mod:`~repro.runtime.window.lower` — lowering passes (freeze, fuse
-  copies, constant fold, batch and fuse tasks).
+* :mod:`~repro.runtime.window.lower` — lowering passes (freeze tasks,
+  fuse copies, batch launches).
 * :mod:`~repro.runtime.window.schedule` — phase fission: overlap compute
   with the p2p handshake.
 * :mod:`~repro.runtime.window.exec` — the pass list, the compile driver,

@@ -2,12 +2,12 @@
 
 A frozen loop holds exactly one thing: a :class:`CompiledWindow`.
 :func:`compile_window` runs the one window pipeline (:func:`window_passes`:
-``freeze-tasks`` → ``fuse-copies`` → ``constfold`` → ``batch-launch`` →
-``fuse-tasks`` → ``fission``, the same on every backend) over one
-recorded iteration and packages the result into a handful of phase
-closures (compute, copy, advance, wait, barrier, collective) executed by
-every driver.  The statement interpreter runs everything else: capture
-iterations, guard-miss iterations, and loops that cannot be frozen.
+``freeze-tasks`` → ``fuse-copies`` → ``batch-launch`` → ``fission``, the
+same on every backend) over one recorded iteration and packages the
+result into a handful of phase closures (compute, copy, advance, wait,
+barrier, collective) executed by every driver.  The statement
+interpreter runs everything else: capture iterations, guard-miss
+iterations, and loops that cannot be frozen.
 
 When a loop freezes is :class:`LoopReplay`'s decision and is observed, not
 configured: at the first interpreted iteration that recorded no guard —
@@ -16,11 +16,10 @@ or, when guards were recorded, at the second of two consecutive
 iterations with equal fingerprints.
 
 Fallback semantics: the hoisted guards are re-checked before every
-replayed iteration, a failed guard interprets that one iteration, and a
-fallback iteration that writes a constant-folded scalar *invalidates*
-the compiled window so the loop re-captures with the new value (a pure
-function of replicated control flow, so all shards invalidate at the
-same iteration).
+replayed iteration, and a failed guard interprets that one iteration.
+The window is kept whatever the fallback wrote: a replayed scalar
+assignment evaluates its expression, so later replays read the new
+values.
 
 A compiled window is a legal *coarsening* of the interpreted schedule.  A
 copy statement already runs in the window's phase order when interpreted
@@ -71,18 +70,15 @@ from .ir import (
     verify_window,
     window_summary,
 )
-from .lower import BatchLaunchPass, ConstFoldPass, FreezeTasksPass, \
-    FuseCopiesPass, FuseTasksPass
+from .lower import BatchLaunchPass, FreezeTasksPass, FuseCopiesPass
 from .recorder import (
     OP_ADVN,
     OP_ASSIGN,
     OP_BARRIER,
     OP_COLL,
-    OP_CONST,
     OP_COPY,
     OP_FILL,
     OP_FUSED,
-    OP_MEGA,
     OP_MSG,
     OP_SETVAR,
     OP_TASK,
@@ -132,9 +128,9 @@ def _assign_thunk(state, name, expr):
     return run
 
 
-def _const_thunk(state, pairs):
+def _setvar_thunk(state, name, value):
     def run():
-        state.scalars.update(pairs)
+        state.scalars[name] = value
     return run
 
 
@@ -163,16 +159,15 @@ class CompiledWindow:
     at the end of each replayed iteration.
     """
 
-    __slots__ = ("uid", "phases", "guards", "folded", "epoch_deltas",
+    __slots__ = ("uid", "phases", "guards", "epoch_deltas",
                  "counter_deltas", "bytes_delta", "num_closures",
                  "bound_state", "__weakref__")
 
-    def __init__(self, uid, phases, guards, folded, epoch_deltas,
-                 deltas, num_closures):
+    def __init__(self, uid, phases, guards, epoch_deltas, deltas,
+                 num_closures):
         self.uid = uid
         self.phases = phases
         self.guards = guards
-        self.folded = folded
         self.epoch_deltas = epoch_deltas
         self.counter_deltas = tuple((k, v) for k, v in deltas.items() if v)
         self.bytes_delta = deltas.get("bytes_copied", 0)
@@ -192,18 +187,16 @@ class CompiledWindow:
         classified: list[tuple[str, Any]] = []
         for op in wir.ops:
             k = op[0]
-            if k in (OP_TASK, OP_MEGA):
+            if k == OP_TASK:
                 fl = op[1]
                 classified.append(
                     ("compute", (lambda f=fl: f.run_compiled(state))))
             elif k == OP_ASSIGN:
                 classified.append(("compute",
                                    _assign_thunk(state, op[1], op[2])))
-            elif k == OP_CONST:
-                classified.append(("compute", _const_thunk(state, op[1])))
             elif k == OP_SETVAR:
                 classified.append(("compute",
-                                   _const_thunk(state, ((op[1], op[2]),))))
+                                   _setvar_thunk(state, op[1], op[2])))
             elif k == OP_FILL:
                 classified.append(("compute", _fill_thunk(op[1])))
             elif k in (OP_COPY, OP_FUSED, OP_MSG):
@@ -243,8 +236,8 @@ class CompiledWindow:
                     phases.append((_PH_BARRIER if kind == "barrier"
                                    else _PH_COLL, p))
             i = j
-        cw = cls(uid, tuple(phases), tuple(wir.guards), wir.folded,
-                 wir.epoch_deltas, window_summary(wir)[0], len(phases))
+        cw = cls(uid, tuple(phases), tuple(wir.guards), wir.epoch_deltas,
+                 window_summary(wir)[0], len(phases))
         cw.bound_state = state
         return cw
 
@@ -332,18 +325,17 @@ class CompiledWindow:
 
 def window_passes() -> list:
     """The window pipeline, in order; the same on every backend."""
-    return [FreezeTasksPass(), FuseCopiesPass(), ConstFoldPass(),
-            BatchLaunchPass(), FuseTasksPass(), FissionPass()]
+    return [FreezeTasksPass(), FuseCopiesPass(), BatchLaunchPass(),
+            FissionPass()]
 
 
 def compile_window(ex, rec: IterationRecorder, state, comm, *,
-                   var: str | None = None, uid: int = 0) -> CompiledWindow:
+                   uid: int = 0) -> CompiledWindow:
     """Lower one recorded iteration to a :class:`CompiledWindow` bound to
     ``state`` and to the launch context ``comm``."""
     t_compile = time.perf_counter()
     wir = WindowIR(ops=list(rec.ops), guards=list(rec.guards),
-                   epoch_base=rec.epoch_base, written=set(rec.written),
-                   copy_ranges=rec.copy_ranges, loop_var=var)
+                   copy_ranges=rec.copy_ranges)
     deltas = ((loop_uid, g - rec.epoch_base.get(loop_uid, 0))
               for loop_uid, g in state.epochs.items())
     wir.epoch_deltas = tuple((loop_uid, d) for loop_uid, d in deltas if d)
@@ -398,22 +390,15 @@ class LoopReplay:
     iteration (or a body) that cannot be frozen keeps interpreting; a
     guard-free body whose compile failed is not compiled again (every
     iteration of it records the same ops).  Once frozen, the window is
-    permanent — a guard miss falls back to interpretation for that
-    iteration only — with one
-    exception: a fallback iteration that writes a scalar the window
-    compiler constant-folded invalidates the compiled window, and the
-    loop re-captures with the new value.  The invalidation decision is a
-    pure function of the replicated control flow (the folded-name set and
-    the fallback's write set), so every shard invalidates and re-freezes
-    at the same iterations.
+    permanent: a guard miss falls back to interpretation for that
+    iteration only, whatever the iteration writes.
     """
 
-    __slots__ = ("uid", "var", "comm", "trace", "unfreezable",
+    __slots__ = ("uid", "comm", "trace", "unfreezable",
                  "iterations_recorded", "_prev", "_rec")
 
-    def __init__(self, uid: int, var: str | None, comm):
+    def __init__(self, uid: int, comm):
         self.uid = uid
-        self.var = var
         self.comm = comm  # the launch context its windows bind to
         self.trace: CompiledWindow | None = None
         self.unfreezable = False  # a guard-free body failed to compile
@@ -430,14 +415,7 @@ class LoopReplay:
         rec, self._rec = self._rec, None
         self.iterations_recorded += 1
         if self.trace is not None:
-            if self.trace.folded & rec.written:
-                # A guard-fallback iteration rewrote a constant-folded
-                # scalar: the compiled window's literals are stale.
-                # Drop it and restart capture.
-                self.trace = None
-                self._prev = None
-            else:
-                return False  # guard-fallback: keep the frozen window
+            return False  # guard-fallback: keep the frozen window
         if rec.unfreezable or self.unfreezable:
             self._prev = None
             return False
@@ -447,8 +425,8 @@ class LoopReplay:
                 self._prev = fp
                 return False
         try:
-            self.trace = compile_window(
-                ex, rec, state, self.comm, var=self.var, uid=self.uid)
+            self.trace = compile_window(ex, rec, state, self.comm,
+                                        uid=self.uid)
         except _Unfreezable:
             self._prev = None
             self.unfreezable = not rec.guards

@@ -4,8 +4,8 @@ A :class:`WindowIR` is one recorded loop iteration in flight through the
 window-compiler passes (:mod:`repro.runtime.window.lower` and
 :mod:`repro.runtime.window.schedule`): a flat op list (see
 :mod:`repro.runtime.window.recorder` for the vocabulary) plus the guard
-set, epoch bases, and per-pass side tables (folded scalar names, per-uid
-protected-array footprints).
+set, the per-iteration epoch deltas, and the per-uid protected-array
+footprints the fuse-copies pass records for fission.
 
 The structural verifier (:func:`window_summary` / :func:`verify_window`)
 runs after every pass that changed the op list: it recomputes the
@@ -31,17 +31,15 @@ from ...regions.region import (
 from ...tasks.privileges import PrivilegeError
 from ...tasks.views import RegionView
 from ..collectives import SCALAR_REDUCTIONS
-from ..copy_engine import FusedCopy
+from ..copy_engine import FusedCopy, _as_index
 from .recorder import (
     OP_ADVN,
     OP_ASSIGN,
     OP_BARRIER,
     OP_COLL,
-    OP_CONST,
     OP_COPY,
     OP_FILL,
     OP_FUSED,
-    OP_MEGA,
     OP_MSG,
     OP_NAMES,
     OP_SETVAR,
@@ -96,13 +94,6 @@ class FrozenView(RegionView):
         return f"FrozenView({self.region.name}, {self.privilege})"
 
 
-def _as_index(slots: np.ndarray):
-    """Lower a sorted slot array to a slice when it is contiguous."""
-    if slots.size and int(slots[-1]) - int(slots[0]) == slots.size - 1:
-        return slice(int(slots[0]), int(slots[-1]) + 1)
-    return slots
-
-
 def _pair_indices(insts, pair: np.ndarray, ivals: np.ndarray, spans) -> list:
     """Per pair ``p``, the local index of its points in ``insts[p]``; row
     ``k`` of ``ivals`` belongs to pair ``pair[k]``, whose slots are
@@ -142,12 +133,6 @@ class PairCopy:
         self.uid = uid
         self.group_key = group_key
         self.lock = lock
-
-    @classmethod
-    def build(cls, stmt, src_inst, dst_inst, pts, lock=None,
-              width=None) -> "PairCopy":
-        return cls.build_many(stmt, [(src_inst, dst_inst, pts, lock)],
-                              width)[0]
 
     @classmethod
     def build_many(cls, stmt, pairs, width=None) -> list["PairCopy"]:
@@ -243,71 +228,10 @@ class _FrozenLaunch:
         if reduce_name is not None and partial is not None:
             state.pending_reductions[reduce_name] = partial
 
-    def entry_arrays(self, k: int) -> set[int]:
-        """ids of the instance arrays point task ``k`` can touch."""
-        ids: set[int] = set()
-        for a in self.entries[k].args:
-            if isinstance(a, FrozenView):
-                for arr, _ in a._cache.values():
-                    ids.add(id(arr))
-        return ids
-
     def arrays(self) -> set[int]:
-        ids: set[int] = set()
-        for k in range(len(self.entries)):
-            ids |= self.entry_arrays(k)
-        return ids
-
-
-class _MegaLaunch:
-    """Adjacent index launches fused into one per-index sweep.
-
-    Legal only when the launches share the same owned index tuple and the
-    fuse-tasks pass proved their per-index array footprints pairwise
-    disjoint across distinct indices, so running ``l1(i), l2(i), l1(j),
-    l2(j), ...`` observes the same values as ``l1(*) then l2(*)``.  Per
-    index, launch order (and each launch's scalar-reduction fold order)
-    is preserved bit-exactly; the win is cache locality — a tile's
-    arrays stay hot across every fused kernel body.
-    """
-
-    __slots__ = ("launches", "n_points")
-
-    def __init__(self, launches):
-        self.launches = tuple(launches)
-        self.n_points = len(self.launches[0].entries)
-
-    def run_compiled(self, state) -> None:
-        scalars = state.scalars
-        pending = state.pending_reductions
-        partials = [pending.get(fl.reduce_name)
-                    if fl.reduce_name is not None else None
-                    for fl in self.launches]
-        for k in range(self.n_points):
-            for li, fl in enumerate(self.launches):
-                entry = fl.entries[k]
-                if entry.exprs:
-                    env = {**scalars, "i": entry.index}
-                    args = entry.args
-                    for pos, e in entry.exprs:
-                        args[pos] = evaluate(e, env)
-                result = entry.fn(*entry.args)
-                if fl.reduce_name is not None and result is not None:
-                    p = partials[li]
-                    partials[li] = (result if p is None
-                                    else fl.fold(p, result))
-        for li, fl in enumerate(self.launches):
-            if fl.reduce_name is not None and partials[li] is not None:
-                pending[fl.reduce_name] = partials[li]
-
-    def tasks(self) -> int:
-        return sum(len(fl.entries) for fl in self.launches)
-
-    def arrays(self) -> set[int]:
-        ids: set[int] = set()
-        for fl in self.launches:
-            ids |= fl.arrays()
-        return ids
+        """ids of the instance arrays the launch's point tasks can touch."""
+        return {id(arr) for entry in self.entries for a in entry.args
+                if isinstance(a, FrozenView) for arr, _ in a._cache.values()}
 
 
 class _BatchedView:
@@ -424,7 +348,7 @@ class _BatchedLaunch:
     position becomes a :class:`_BatchedView` over the owned points, so a
     steady-state iteration pays the task body's fixed numpy cost once
     per shard instead of once per tile.  ``entries`` keeps the original
-    per-point entries for counter deltas and footprint queries only:
+    per-point entries for counter deltas and the footprint only:
     their bodies — and with them the per-point plans — are dropped, and
     the task's inspector runs once more, over the batched views.
     """
@@ -480,9 +404,6 @@ class _BatchedLaunch:
         for view in self._views:
             view._writeback()
 
-    def entry_arrays(self, k: int) -> set[int]:
-        return self.inner.entry_arrays(k)
-
     def arrays(self) -> set[int]:
         return self.inner.arrays()
 
@@ -536,21 +457,13 @@ def guards_hold(guards, scalars: dict[str, Any]) -> bool:
 class WindowIR:
     """One recorded loop iteration in flight through the window passes."""
 
-    __slots__ = ("ops", "guards", "epoch_base", "written", "copy_ranges",
-                 "loop_var", "folded", "copy_protect", "epoch_deltas",
-                 "invariants")
+    __slots__ = ("ops", "guards", "copy_ranges", "copy_protect",
+                 "epoch_deltas", "invariants")
 
-    def __init__(self, ops, guards, epoch_base, written, copy_ranges,
-                 loop_var=None):
+    def __init__(self, ops, guards, copy_ranges):
         self.ops: list = ops
         self.guards: list = guards
-        self.epoch_base: dict[int, int] = epoch_base
-        self.written: set[str] = written
         self.copy_ranges = copy_ranges
-        self.loop_var = loop_var
-        # Names constant-folded out of the op stream; writing one of them
-        # on a fallback iteration invalidates the compiled window.
-        self.folded: frozenset[str] = frozenset()
         # uid -> frozenset of array ids the uid's inbound copies protect
         # (this shard's owned destination instances); the fission pass
         # uses it to move handshake ops past unrelated compute.
@@ -565,7 +478,7 @@ class WindowIR:
 
 # Op kinds that touch no instance array: sync, scalar, visit, yield.
 _NO_ARRAYS = frozenset({OP_ADVN, OP_WAITN, OP_BARRIER, OP_COLL, OP_ASSIGN,
-                        OP_SETVAR, OP_CONST, OP_VISITS, OP_YIELD})
+                        OP_SETVAR, OP_VISITS, OP_YIELD})
 _EMPTY_FOOTPRINT: frozenset[int] = frozenset()
 
 
@@ -580,7 +493,7 @@ def op_arrays(op) -> frozenset[int] | None:
     k = op[0]
     if k in _NO_ARRAYS:
         return _EMPTY_FOOTPRINT
-    if (k == OP_TASK and len(op) == 2) or k == OP_MEGA:
+    if k == OP_TASK and len(op) == 2:
         return frozenset(op[1].arrays())
     if k == OP_COPY:
         pc = op[1]
@@ -590,7 +503,7 @@ def op_arrays(op) -> frozenset[int] | None:
         ids: set[int] = set()
         for item in op[1].items:
             if isinstance(item, FusedCopy):
-                for arr in item.dst_arrays or ():
+                for arr in item.dst_arrays:
                     ids.add(id(arr))
                 for arr in item.src_arrays or ():
                     ids.add(id(arr))
@@ -670,8 +583,6 @@ def window_summary(wir: WindowIR):
             # Pre-freeze shape is (k, stmt, owned); frozen is (k, launch).
             d["tasks_executed"] += (len(op[2]) if len(op) == 3
                                     else len(op[1].entries))
-        elif k == OP_MEGA:
-            d["tasks_executed"] += op[1].tasks()
         elif k == OP_BARRIER:
             syncs.append(("barrier", id(op[1]), op[2], op[3]))
         elif k == OP_COLL:
@@ -713,17 +624,13 @@ def verify_window(wir: WindowIR, baseline, stage: str) -> None:
 
 def format_window(wir: WindowIR) -> str:
     """Render the window op list for ``--dump-after``-style inspection."""
-    lines = [f"window: {len(wir.ops)} ops, {len(wir.guards)} guards, "
-             f"folded={sorted(wir.folded)}"]
+    lines = [f"window: {len(wir.ops)} ops, {len(wir.guards)} guards"]
     for n, op in enumerate(wir.ops):
         k = op[0]
         name = OP_NAMES[k] if k < len(OP_NAMES) else f"op{k}"
         if k == OP_TASK:
             detail = (f"stmt uid={op[1].uid} owned={op[2]}" if len(op) == 3
                       else f"{op[1].task.name} x{len(op[1].entries)}")
-        elif k == OP_MEGA:
-            detail = ("+".join(fl.task.name for fl in op[1].launches)
-                      + f" x{op[1].n_points}")
         elif k in (OP_ADVN, OP_WAITN):
             detail = (f"uid={op[2]} stride={op[3]} kind={op[4]} "
                       f"n={len(op[1])}")
@@ -736,8 +643,6 @@ def format_window(wir: WindowIR) -> str:
             ps = op[1]
             detail = (f"uid={ps.uid} peer={ps.peer} pairs={ps.pair_count} "
                       f"count={ps.count}")
-        elif k == OP_CONST:
-            detail = " ".join(f"{n}={v!r}" for n, v in op[1])
         elif k in (OP_ASSIGN, OP_SETVAR):
             detail = f"{op[1]} = {op[2]!r}"
         elif k == OP_BARRIER:

@@ -1,4 +1,4 @@
-"""Window lowering passes: freeze, fuse copies, fold, batch and fuse tasks.
+"""Window lowering passes: freeze tasks, fuse copies, batch launches.
 
 Each pass is a :class:`repro.core.passes.Pass` over a
 :class:`~repro.runtime.window.ir.WindowIR`, run by the shared
@@ -15,35 +15,23 @@ last pass, ``fission``, is :mod:`repro.runtime.window.schedule`):
   :class:`~repro.runtime.copy_engine.FusedBatch` over the in-memory pairs
   and, on ``net``, one packed message per peer rank.  The handshake
   around them was recorded in phase form and is left alone.
-* ``constfold``     — fold stable scalar reads into literal stores,
-  guarded so an evolving scalar can never be frozen by mistake.
 * ``batch-launch``  — collapse a ``batchable`` task's frozen point tasks
   into ONE kernel-body call over concatenated views (opt-in per task).
-* ``fuse-tasks``    — interleave adjacent launches over the same owned
-  slice into one per-index mega-op when footprints are provably disjoint.
+
+Scalar statements are not lowered: a replayed ``assign`` evaluates its
+expression and a ``setvar`` stores its recorded value, so a guard-fallback
+iteration that writes a scalar leaves the window valid.
 """
 
 from __future__ import annotations
 
-from ...core.ir import ScalarRef, evaluate
 from ...core.passes import Pass
 from ...core.shards import owner_of_color
 from ..copy_engine import FusedBatch, FusedCopy, fuse_group
 from .ir import PairCopy, WindowIR, _BatchedLaunch, _freeze_launch
-from .recorder import (
-    OP_ASSIGN,
-    OP_COLL,
-    OP_CONST,
-    OP_COPY,
-    OP_FUSED,
-    OP_MEGA,
-    OP_MSG,
-    OP_SETVAR,
-    OP_TASK,
-)
+from .recorder import OP_COPY, OP_FUSED, OP_MSG, OP_TASK
 
-__all__ = ["FreezeTasksPass", "FuseCopiesPass", "ConstFoldPass",
-           "BatchLaunchPass", "FuseTasksPass"]
+__all__ = ["FreezeTasksPass", "FuseCopiesPass", "BatchLaunchPass"]
 
 
 class FreezeTasksPass(Pass):
@@ -141,88 +129,6 @@ class FuseCopiesPass(Pass):
                 "packed_pairs": sum(ps.pair_count for ps in packed)}
 
 
-class ConstFoldPass(Pass):
-    """Fold stable scalar reads into literal stores.
-
-    A name is *stable* when the window never writes it (not assigned, not
-    a collective result) and it is not the loop variable — so its value
-    at every replayed iteration equals its compile-time value, protected
-    by an equality guard added here.  ``OP_SETVAR`` values (nested loop
-    variables) are literal by construction.  Foldable ``OP_ASSIGN`` ops
-    become literal stores, and runs of literal stores merge into a single
-    ``OP_CONST``.  Every store is kept (dynamic ops and the final scalar
-    environment read through ``state.scalars``); only the evaluation is
-    hoisted to compile time.  Writing a folded name on a guard-fallback
-    iteration invalidates the window (see ``LoopReplay.end_iteration``).
-    """
-
-    name = "constfold"
-    establishes = ("constfolded",)
-
-    def run(self, wir: WindowIR, ctx) -> WindowIR:
-        scalars = ctx.state.scalars
-        unstable = set(wir.written)
-        if wir.loop_var is not None:
-            unstable.add(wir.loop_var)
-        local: dict[str, object] = {}   # known iteration-invariant values
-        folded: set[str] = set()        # stable names consumed by folds
-        out: list = []
-        pending: list[tuple[str, object]] = []  # literal-store run
-
-        def flush():
-            if pending:
-                # Last store per name wins within an uninterrupted run.
-                out.append((OP_CONST, tuple(dict(pending).items())))
-                pending.clear()
-
-        self._folded_assigns = 0
-        for op in wir.ops:
-            k = op[0]
-            if k == OP_SETVAR:
-                local[op[1]] = op[2]
-                pending.append((op[1], op[2]))
-                continue
-            if k == OP_ASSIGN:
-                name, expr = op[1], op[2]
-                env: dict[str, object] = {}
-                foldable = True
-                for ref in expr.refs():
-                    if ref in local:
-                        env[ref] = local[ref]
-                    elif ref not in unstable and ref in scalars:
-                        env[ref] = scalars[ref]
-                        folded.add(ref)
-                    else:
-                        foldable = False
-                        break
-                if foldable:
-                    value = evaluate(expr, env)
-                    local[name] = value
-                    pending.append((name, value))
-                    self._folded_assigns += 1
-                else:
-                    local.pop(name, None)
-                    flush()
-                    out.append(op)
-                continue
-            if k == OP_COLL:
-                local.pop(op[4], None)
-            flush()
-            out.append(op)
-        flush()
-        # Guard every consumed stable name: if it drifts, replay falls
-        # back to interpretation instead of using a stale fold.
-        for name in sorted(folded):
-            wir.guards.append((ScalarRef(name), scalars[name], False))
-        wir.folded = frozenset(folded)
-        wir.ops = out
-        return wir
-
-    def stats(self, wir: WindowIR) -> dict[str, float]:
-        return {"folded_assigns": getattr(self, "_folded_assigns", 0),
-                "guarded_names": len(wir.folded)}
-
-
 class BatchLaunchPass(Pass):
     """Collapse a batchable launch's point tasks into one body call.
 
@@ -235,9 +141,7 @@ class BatchLaunchPass(Pass):
     once per shard instead of once per tile.  Launches that fold a
     scalar reduction, carry per-point dynamic arguments, or differ in
     static scalars across points are left alone —
-    :meth:`_BatchedLaunch.lower` returns ``None`` for those.  Runs
-    before ``fuse-tasks`` so mega-op interleaving cannot swallow the
-    launches this pass targets.
+    :meth:`_BatchedLaunch.lower` returns ``None`` for those.
     """
 
     name = "batch-launch"
@@ -261,71 +165,3 @@ class BatchLaunchPass(Pass):
     def stats(self, wir: WindowIR) -> dict[str, float]:
         return {"batched_launches": getattr(self, "_batched_launches", 0),
                 "batched_tasks": getattr(self, "_batched_tasks", 0)}
-
-
-class FuseTasksPass(Pass):
-    """Interleave adjacent launches over the same slice into mega-ops.
-
-    Two consecutive frozen launches fuse when they cover the same owned
-    index tuple and, for every pair of *distinct* indices, their instance
-    arrays are disjoint — then per-index interleaving ``l1(i), l2(i)``
-    preserves the original all-of-l1-then-all-of-l2 semantics (any i≠j
-    pair commutes, and per-index order is unchanged).  Launches folding
-    into the same scalar reduction are never fused: interleaving would
-    permute the fold order.
-    """
-
-    name = "fuse-tasks"
-    establishes = ("tasks-fused",)
-
-    @staticmethod
-    def _can_fuse(a, b) -> bool:
-        if isinstance(a, _BatchedLaunch) or isinstance(b, _BatchedLaunch):
-            return False  # batched launches have no per-index execution
-        ea, eb = a.entries, b.entries
-        if len(ea) != len(eb) or not ea:
-            return False
-        if any(x.index != y.index for x, y in zip(ea, eb)):
-            return False
-        if (a.reduce_name is not None and a.reduce_name == b.reduce_name):
-            return False
-        fp_a = [a.entry_arrays(k) for k in range(len(ea))]
-        fp_b = [b.entry_arrays(k) for k in range(len(eb))]
-        for i in range(len(ea)):
-            for j in range(len(ea)):
-                if i != j and fp_b[i] & fp_a[j]:
-                    return False
-        return True
-
-    def run(self, wir: WindowIR, ctx) -> WindowIR:
-        from .ir import _MegaLaunch
-        out: list = []
-        run: list = []  # pending fusable _FrozenLaunch run
-        self._fused_launches = 0
-
-        def flush():
-            if len(run) > 1:
-                out.append((OP_MEGA, _MegaLaunch(run)))
-                self._fused_launches += len(run)
-            elif run:
-                out.append((OP_TASK, run[0]))
-            run.clear()
-
-        for op in wir.ops:
-            if op[0] == OP_TASK:
-                fl = op[1]
-                # Interleaving moves fl(i) before *every* earlier launch's
-                # (j > i) tasks, so fl must commute with the whole run.
-                if run and not all(self._can_fuse(prev, fl) for prev in run):
-                    flush()
-                run.append(fl)
-            else:
-                flush()
-                out.append(op)
-        flush()
-        wir.ops = out
-        return wir
-
-    def stats(self, wir: WindowIR) -> dict[str, float]:
-        return {"mega_ops": sum(1 for op in wir.ops if op[0] == OP_MEGA),
-                "fused_launches": getattr(self, "_fused_launches", 0)}

@@ -30,13 +30,15 @@ __all__ = [
     "IterationRecorder", "ReplayError",
     "OP_ASSIGN", "OP_SETVAR", "OP_TASK", "OP_FILL", "OP_ADVN", "OP_WAITN",
     "OP_COPY", "OP_BARRIER", "OP_COLL", "OP_VISITS", "OP_YIELD", "OP_FUSED",
-    "OP_MEGA", "OP_CONST", "OP_MSG", "OP_NAMES",
+    "OP_MSG", "OP_NAMES",
 ]
 
 # Op kinds of a recorded/lowered window (first element of every op tuple).
 # A copy statement is recorded the way it ran (SPMDExecutor._exec_copy), one
 # op a phase: ADVN ack, WAITN ack, its COPYs, VISITS, ADVN rdy, YIELD,
-# WAITN rdy — or BARRIER pre, COPYs, VISITS, YIELD, BARRIER post.
+# WAITN rdy — or BARRIER pre, COPYs, VISITS, YIELD, BARRIER post.  FUSED
+# and MSG are what the fuse-copies pass makes of a statement's COPYs; every
+# other kind is recorded (a TASK's launch is frozen, maybe batched, in place).
 OP_ASSIGN = 0    # (k, name, expr)                   scalars[name] = eval(expr)
 OP_SETVAR = 1    # (k, name, value)                  nested loop variable
 OP_TASK = 2      # (k, frozen_launch)                point tasks of one launch
@@ -49,13 +51,10 @@ OP_COLL = 8      # (k, coll, uid, stride, name)      dynamic collective
 OP_VISITS = 9    # (k, n)                            empty-pair visit counter
 OP_YIELD = 10    # (k,)                              interpreter preemption pt
 OP_FUSED = 11    # (k, fusedbatch)                   one statement's fused copies
-OP_MEGA = 12     # (k, mega_launch)                  fused adjacent launches
-OP_CONST = 13    # (k, ((name, value), ...))         folded scalar stores
-OP_MSG = 14      # (k, packedsend)                   one aggregated net transfer
+OP_MSG = 12      # (k, packedsend)                   one aggregated net transfer
 
 OP_NAMES = ("assign", "setvar", "task", "fill", "advn", "waitn", "copy",
-            "barrier", "coll", "visits", "yield", "fused", "mega", "const",
-            "msg")
+            "barrier", "coll", "visits", "yield", "fused", "msg")
 
 
 class ReplayError(RuntimeError):

@@ -162,34 +162,6 @@ class TestProfileCommand:
         assert json.loads(trace.read_text())["traceEvents"]
 
 
-class TestBenchReportCommand:
-    def test_merges_bench_files(self, tmp_path, capsys):
-        rows = [{"op": "steady_state_iteration", "shards": 2,
-                 "backend": "threaded", "seconds_per_iteration": 0.004,
-                 "replay_speedup": 2.5}]
-        (tmp_path / "BENCH_fig6_stencil.json").write_text(json.dumps(rows))
-        (tmp_path / "BENCH_broken.json").write_text("{not json")
-        rc = main(["bench-report", "--bench-dir", str(tmp_path)])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "fig6_stencil" in out and "steady_state_iteration" in out
-        # *_speedup extras render in the dedicated speedup column.
-        assert "2.50x" in out
-        assert "replay_speedup" not in out
-        assert "unreadable" in out  # broken file reported, not fatal
-
-    def test_empty_dir(self, tmp_path, capsys):
-        rc = main(["bench-report", "--bench-dir", str(tmp_path)])
-        assert rc == 0
-        assert "no BENCH_" in capsys.readouterr().out
-
-    def test_repo_bench_dir_parses(self, capsys):
-        """The checked-in benchmarks/ directory renders without error."""
-        rc = main(["bench-report"])
-        assert rc == 0
-        assert "bench" in capsys.readouterr().out
-
-
 class TestExplainCommand:
     def test_explain_shard(self, capsys):
         rc = main(["explain", "circuit", "--steps", "2", "--shards", "2",

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.circuit import CircuitProblem
 from repro.apps.miniaero import MiniAeroProblem
@@ -18,12 +20,10 @@ from repro.regions import (
 )
 from repro.runtime import SequentialExecutor, SPMDExecutor, procs_available
 from repro.runtime.copy_engine import (
-    MIN_AVG_RUN,
+    FusedBatch,
     FusedCopy,
-    coalesce,
     disjoint_dst_colors,
     fuse_group,
-    joint_runs,
 )
 from repro.runtime.window import PairCopy
 from repro.tasks import R, Reduce, task
@@ -34,56 +34,6 @@ ALL_MODES = ["stepped", "threaded"] + (["procs"] if procs_available() else [])
 # regroups the p2p handshake, which can reorder *overlapping* cross-shard
 # reduction folds and shift results by ~1 ULP; everything else is exact.
 RTOL, ATOL = 1e-11, 1e-13
-
-
-# -- index-plan unit tests ---------------------------------------------------
-
-class TestCoalesce:
-    def test_empty(self):
-        assert coalesce(np.array([], dtype=np.int64)) == slice(0, 0)
-
-    def test_contiguous_is_a_slice(self):
-        assert coalesce(np.arange(5, 12)) == slice(5, 12)
-
-    def test_long_runs_lower_to_slices(self):
-        ix = np.concatenate([np.arange(0, 8), np.arange(20, 28),
-                             np.arange(40, 52)])
-        runs = coalesce(ix)
-        assert runs == [(0, 8, 0), (20, 28, 8), (40, 52, 16)]
-        # Reconstruct: scattering buf through the runs equals fancy writes.
-        buf = np.random.default_rng(0).standard_normal(ix.size)
-        want = np.zeros(60)
-        want[ix] = buf
-        got = np.zeros(60)
-        for start, stop, off in runs:
-            got[start:stop] = buf[off:off + (stop - start)]
-        assert np.array_equal(got, want)
-
-    def test_short_runs_keep_fancy_index(self):
-        ix = np.arange(0, 40, 2)  # run length 1 everywhere
-        assert coalesce(ix) is None
-        assert MIN_AVG_RUN > 1  # the threshold that rejected it
-
-
-class TestJointRuns:
-    def test_both_contiguous(self):
-        runs = joint_runs(np.arange(3, 9), np.arange(10, 16))
-        assert runs == [(3, 10, 6)]
-
-    def test_break_in_either_side_splits(self):
-        src = np.array([0, 1, 2, 3, 10, 11, 12, 13])
-        dst = np.arange(8)
-        assert joint_runs(src, dst) == [(0, 0, 4), (10, 4, 4)]
-        assert joint_runs(dst, src) == [(0, 0, 4), (4, 10, 4)]
-
-    def test_fragmented_returns_none(self):
-        src = np.arange(0, 40, 2)
-        dst = np.arange(20)
-        assert joint_runs(src, dst) is None
-
-    def test_empty(self):
-        assert joint_runs(np.array([], dtype=np.int64),
-                          np.array([], dtype=np.int64)) == []
 
 
 # -- FusedCopy plan unit tests -----------------------------------------------
@@ -100,6 +50,54 @@ def make_pc(dst, src, dst_ix, src_ix, redop=False, uid=7):
 def apply_each(pcs):
     for pc in pcs:
         pc.apply()
+
+
+GROUP_SIZE = 24  # slots per instance; six disjoint blocks of four
+
+
+@st.composite
+def destination_groups(draw):
+    """One copy statement's pairs into one destination instance: 1-6
+    pairs from 1-3 source instances, 1-2 fields, plain or ``+``, slots
+    disjoint across pairs (each pair in its own block of four, the blocks
+    in random order) or anywhere, each side a slice or a sorted array.
+    Returns a factory of fresh ``(arrays, pcs)`` and the pair count."""
+    nfields = draw(st.integers(1, 2))
+    nsrc = draw(st.integers(1, 3))
+    elem = draw(st.sampled_from([(), (2,)]))
+    ufunc = draw(st.sampled_from([None, np.add]))
+    disjoint = draw(st.booleans())
+    blocks = draw(st.permutations(range(GROUP_SIZE // 4)))
+    seed = draw(st.integers(0, 2**32 - 1))
+
+    def side(lo, hi, n):
+        if draw(st.booleans()):
+            start = draw(st.integers(lo, hi - n))
+            return slice(start, start + n)
+        return np.array(sorted(draw(st.lists(
+            st.integers(lo, hi - 1), min_size=n, max_size=n, unique=True))),
+            dtype=np.int64)
+
+    specs = []
+    for p in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 4))
+        lo, hi = ((4 * blocks[p], 4 * blocks[p] + 4) if disjoint
+                  else (0, GROUP_SIZE))
+        specs.append((draw(st.integers(0, nsrc - 1)),
+                      side(0, GROUP_SIZE, n), side(lo, hi, n), n))
+
+    def make():
+        rng = np.random.default_rng(seed)
+        insts = [[rng.standard_normal((GROUP_SIZE, *elem))
+                  for _ in range(nfields)] for _ in range(nsrc + 1)]
+        dst = insts[-1]
+        width = nfields * dst[0].itemsize * int(np.prod(elem, dtype=int))
+        pcs = [PairCopy(tuple(zip(dst, insts[s])), src_ix, dst_ix, ufunc,
+                        n, n * width, uid=7, group_key=id(dst[0]))
+               for s, src_ix, dst_ix, n in specs]
+        return dst, pcs
+
+    return make, len(specs)
 
 
 class TestFusedCopyBuild:
@@ -124,22 +122,21 @@ class TestFusedCopyBuild:
         pcs_fused = [make_pc(dst_fused, self.src, np.arange(0, 8), np.arange(8, 16)),
                      make_pc(dst_fused, self.src, np.arange(8, 16), np.arange(16, 24))]
         fc = self._check_equiv(pcs_seq, pcs_fused, dst_fused, dst_seq)
-        # The two pairs are jointly contiguous: one run covering both.
-        assert fc.runs == [(8, 0, 16)]
+        # Both concatenated sides are one run: the copy is two slices.
+        assert (fc.src_sel, fc.dst_sel) == (slice(8, 24), slice(0, 16))
         assert fc.pair_count == 2 and fc.count == 16
         assert fc.nbytes == 16 * 8
 
-    def test_single_source_uniform_lattice_uses_strided_views(self):
-        # Stride-2 singletons are a regular lattice: the rectangle plan
-        # (strided views, no index arrays) must kick in.
+    def test_single_source_lattice_uses_index_arrays(self):
+        # Stride-2 singletons are a regular lattice, and a lattice is not
+        # a run: the one plan gathers and scatters through the arrays.
         dst_seq, dst_fused = self.dst0.copy(), self.dst0.copy()
         scattered = np.arange(0, 40, 2)
         pcs_seq = [make_pc(dst_seq, self.src, scattered, scattered + 1)]
         pcs_fused = [make_pc(dst_fused, self.src, scattered, scattered + 1)]
         fc = self._check_equiv(pcs_seq, pcs_fused, dst_fused, dst_seq)
-        assert fc.runs is None and fc.view_pairs is not None
-        dv, sv = fc.view_pairs[0]
-        assert dv.shape == (20, 1) and sv is not None
+        assert np.array_equal(fc.dst_sel, scattered)
+        assert np.array_equal(fc.src_sel, scattered + 1)
 
     def test_single_source_irregular_keeps_fancy_index(self):
         dst_seq, dst_fused = self.dst0.copy(), self.dst0.copy()
@@ -149,8 +146,8 @@ class TestFusedCopyBuild:
         pcs_seq = [make_pc(dst_seq, self.src, dst_ix, src_ix)]
         pcs_fused = [make_pc(dst_fused, self.src, dst_ix, src_ix)]
         fc = self._check_equiv(pcs_seq, pcs_fused, dst_fused, dst_seq)
-        assert fc.runs is None and fc.view_pairs is None
-        assert fc.src_sel is not None and fc.dst_sel is not None
+        assert isinstance(fc.src_sel, np.ndarray)
+        assert isinstance(fc.dst_sel, np.ndarray)
 
     def test_overwrite_with_cross_pair_dups_is_unfusable(self):
         dst_seq, dst_fused = self.dst0.copy(), self.dst0.copy()
@@ -195,9 +192,8 @@ class TestFusedCopyBuild:
                      make_pc(dst_fused, self.src2, np.arange(8, 16), np.arange(0, 8))]
         fc = self._check_equiv(pcs_seq, pcs_fused, dst_fused, dst_seq)
         assert fc.gathers is not None and len(fc.gathers) == 2
-        # Contiguous destination: the scatter is one strided-view write.
-        assert fc.dst_views is not None
-        assert fc.dst_views[0].shape == (1, 16)
+        # Contiguous destination: the scatter is one slice write.
+        assert fc.dst_sel == slice(0, 16)
 
     def test_slice_index_inputs_accepted(self):
         dst_seq, dst_fused = self.dst0.copy(), self.dst0.copy()
@@ -209,6 +205,21 @@ class TestFusedCopyBuild:
         pc_seq.apply()
         fc.apply()
         assert np.array_equal(dst_fused, dst_seq)
+
+    @given(destination_groups())
+    @settings(max_examples=300, deadline=None)
+    def test_fused_group_equals_its_pairs_in_order(self, group):
+        make, npairs = group
+        seq_arrays, seq_pcs = make()
+        fused_arrays, fused_pcs = make()
+        apply_each(seq_pcs)
+        batch = FusedBatch(fuse_group(fused_pcs))
+        batch.apply()
+        for got, want in zip(fused_arrays, seq_arrays):
+            assert np.array_equal(got, want)
+        assert batch.pair_count == npairs
+        assert batch.count == sum(pc.count for pc in seq_pcs)
+        assert batch.nbytes == sum(pc.nbytes for pc in seq_pcs)
 
 
 def iset(*idx):
