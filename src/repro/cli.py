@@ -183,11 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("figure", help="run one of the paper's figures")
     f.add_argument("number", choices=sorted(FIGURES))
     f.add_argument("--max-nodes", type=int, default=64)
-    f.add_argument("--engine", choices=["auto", "vector", "event"],
-                   default="auto",
-                   help="simulator engine: the vectorized wave scheduler, "
-                        "the classic event heap, or auto (vector with "
-                        "event fallback; the two are schedule-identical)")
     f.add_argument("--csv", action="store_true",
                    help="emit machine-readable CSV instead of the table")
     f.add_argument("--trace", metavar="OUT.json", default=None,
@@ -202,9 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("app", choices=sorted(APP_FACTORIES))
     s.add_argument("--nodes", type=int, default=4)
     s.add_argument("--model", choices=["cr", "noncr", "mpi"], default="cr")
-    s.add_argument("--engine", choices=["auto", "vector", "event"],
-                   default="auto",
-                   help="simulator engine (see `figure --engine`)")
     s.add_argument("--trace", metavar="OUT.json", default=None,
                    help="write the virtual-time schedule as a Chrome trace")
     s.add_argument("--metrics", metavar="OUT.prom", default=None,
@@ -445,7 +437,7 @@ def cmd_figure(args) -> int:
     from .machine.model import PIZ_DAINT
     mod_name, fn_name = FIGURES[args.number]
     spec_fn = getattr(importlib.import_module(mod_name), fn_name)
-    spec = spec_fn(PIZ_DAINT, max_nodes=args.max_nodes, engine=args.engine)
+    spec = spec_fn(PIZ_DAINT, max_nodes=args.max_nodes)
     tracer = None
     if args.trace:
         from .obs import Tracer
@@ -506,8 +498,7 @@ def cmd_simulate(args) -> int:
     sims = []
     model_fn = {"cr": simulate_regent_cr, "noncr": simulate_regent_noncr,
                 "mpi": simulate_mpi}[args.model]
-    result = model_fn(workload, machine, args.nodes,
-                      on_complete=sims.append, engine=args.engine)
+    result = model_fn(workload, machine, args.nodes, on_complete=sims.append)
     print(f"{args.app} / {args.model} on {args.nodes} node(s): "
           f"{result.seconds_per_step * 1e3:.3f} ms/step, "
           f"{result.num_sim_tasks} sim tasks, "

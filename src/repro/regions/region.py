@@ -9,7 +9,11 @@ together with a field space — it carries no storage.  Storage lives in
   (writes to a subregion are immediately visible through the parent).
 * In the **distributed-memory** implementation produced by control
   replication, each subregion gets its *own* instance and the compiler
-  makes all coherence copies explicit (paper §3, opening).
+  makes all coherence copies explicit (paper §3, opening).  The SPMD
+  executor hands each instance its rows of a per-shard block through the
+  ``allocator=`` protocol: the colours one shard owns sit consecutively,
+  in colour order, in one array per field, and no two instances share
+  memory.
 
 Both implementations are provided here; the functional executors pick one.
 """

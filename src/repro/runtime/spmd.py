@@ -7,7 +7,10 @@ replicas of the control flow, each owning a block of every launch domain.
 
 Storage follows the distributed-memory implementation of region semantics:
 every subregion named by a partition has its own physical instance; all
-coherence traffic is the compiler-inserted copies.
+coherence traffic is the compiler-inserted copies.  The instances of the
+colours one shard owns are consecutive slices of one block per field, so
+a batched launch over them reads and writes the block in place
+(``dist_instance``; docs/runtime.md, "Point-task batching").
 
 Synchronization of producer-issued copies uses per-channel (copy
 statement × intersection pair) handshakes built from monotone sequences —
@@ -50,6 +53,8 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, ClassVar, Iterator, NamedTuple
+
+import numpy as np
 
 from ..core.ir import (
     BarrierStmt,
@@ -166,7 +171,7 @@ class _ShardState:
     capture_points: dict[int, int] = field(default_factory=dict)
     loop_replays: dict[int, LoopReplay] = field(default_factory=dict)
     # copy stmt uid -> {(i, j): the pair's lowered PairCopy}, filled for
-    # all of the shard's pairs the first time the statement is captured.
+    # all of the shard's pairs the first time the statement runs.
     # Instances, points and locks do not change within a run, so a later
     # recorded iteration (a loop with guards needs two to freeze) reuses
     # the lot; dropped at the end of any recorded iteration that leaves
@@ -264,6 +269,9 @@ class SPMDExecutor(SequentialExecutor):
                            else os.environ.get("REPRO_FLIGHT_DIR") or None)
         self.deadlock_timeout = deadlock_timeout
         self.dist: dict[tuple[int, int], PhysicalInstance] = {}
+        # (partition uid, color) -> (the owning shard's field blocks, lo,
+        # hi): the colour's instance arrays are rows lo:hi of the blocks.
+        self._block_rows: dict[tuple[int, int], tuple[dict, int, int]] = {}
         self.pair_sets: dict[str, IntersectionResult] = {}
         # Loop-invariant ComputeIntersections statements hit this cache,
         # keyed on partition identity, so an intersection inside a time
@@ -389,6 +397,7 @@ class SPMDExecutor(SequentialExecutor):
         when ``run()`` sees a different program than the resident one.
         """
         self.dist.clear()
+        self._block_rows.clear()
         self.pair_sets.clear()
         self._isect_cache.clear()
         self._copy_locks.clear()
@@ -411,25 +420,47 @@ class SPMDExecutor(SequentialExecutor):
     # -- distributed storage -----------------------------------------------
     def _instance_allocator(self):
         if not self.backend.shared_instances:
-            return None
+            return np.zeros
         if self._arena is None:
             from ..regions.shm import SharedMemoryArena
             self._arena = SharedMemoryArena()
         return self._arena.allocate
 
     def dist_instance(self, part: Partition, color: int) -> PhysicalInstance:
-        key = (part.uid, color)
-        inst = self.dist.get(key)
+        inst = self.dist.get((part.uid, color))
         if inst is None:
             if self._dist_frozen:
                 raise RuntimeError(
                     f"instance for ({part.name}, {color}) requested inside a "
                     f"shard process but was not materialized pre-fork — it "
                     f"would be process-private and silently wrong")
-            inst = PhysicalInstance(part[color],
-                                    allocator=self._instance_allocator())
-            self.dist[key] = inst
+            self._allocate_partition(part)
+            inst = self.dist[(part.uid, color)]
         return inst
+
+    def _allocate_partition(self, part: Partition) -> None:
+        """Allocate every colour's instance of ``part`` at once: the colours
+        shard ``x`` owns are consecutive slices, in colour order, of one
+        block per field from the backend's allocator, so a batched launch
+        over them is a view of the block (:meth:`block_rows`)."""
+        alloc = self._instance_allocator()
+        fspace = part.parent.fspace
+        for x in range(self.num_shards):
+            colors = shard_owned_colors(part.num_colors, self.num_shards, x)
+            ends = np.cumsum([0] + [part[c].volume for c in colors]).tolist()
+            blocks = {f: alloc((ends[-1], *eshape), dtype)
+                      for f, (dtype, eshape) in fspace.items()}
+            for c, lo, hi in zip(colors, ends, ends[1:]):
+                # PhysicalInstance allocates its fields in fspace order.
+                rows = iter([block[lo:hi] for block in blocks.values()])
+                self.dist[(part.uid, c)] = PhysicalInstance(
+                    part[c], allocator=lambda *_: next(rows))
+                self._block_rows[(part.uid, c)] = (blocks, lo, hi)
+
+    def block_rows(self, region) -> tuple[dict, int, int]:
+        """``(blocks, lo, hi)``: the distributed instance of ``region`` (a
+        partition's subregion) holds rows ``lo:hi`` of ``blocks[field]``."""
+        return self._block_rows[(region.parent_partition.uid, region.color)]
 
     def region_instance(self, region) -> PhysicalInstance:
         """The distributed instance of a partition's subregion."""
@@ -464,7 +495,9 @@ class SPMDExecutor(SequentialExecutor):
             # Possible if placement hoisted a copy out of the whole fragment;
             # at main level it is sequential, no synchronization needed.
             state = _ShardState(shard=0, scalars=self.scalars)
-            for (i, j) in self._copy_pairs(stmt):
+            copies = [(i, j, True) for (i, j) in self._copy_pairs(stmt)]
+            state.pair_copies[stmt.uid] = self._lower_pairs(stmt, copies, 1)
+            for (i, j, _) in copies:
                 self._do_pair_copy(stmt, i, j, state)
             self._merge_counters([state])
         else:
@@ -887,14 +920,13 @@ class SPMDExecutor(SequentialExecutor):
                 if not ev.is_set():
                     yield ev
 
+        if uid not in state.pair_copies:
+            state.pair_copies[uid] = self._lower_pairs(stmt, sched.copies, ns)
         if rec is not None:
-            if uid not in state.pair_copies:
-                state.pair_copies[uid] = self._lower_pairs(stmt, sched.copies,
-                                                           ns)
             rec.copy_begin(stmt)
         for (i, j, local) in sched.copies:
             if local:
-                self._do_pair_copy(stmt, i, j, state, rec, ns)
+                self._do_pair_copy(stmt, i, j, state, rec)
             else:
                 ctx.send_pair(stmt, i, j, state, rec)
         if rec is not None:
@@ -933,9 +965,10 @@ class SPMDExecutor(SequentialExecutor):
 
     def _lower_pairs(self, stmt: PairwiseCopy, copies, ns: int):
         """Lower, in one batch, every in-memory pair copy of ``stmt`` this
-        shard produces; the capture iteration itself then runs the lowered
-        copies, so the frozen form is exercised (and its localization
-        validated) before any replay."""
+        shard produces.  The interpreter only ever runs lowered copies —
+        in a capture iteration, outside any loop, or at main level — so
+        the frozen form is exercised (and its localization validated)
+        before any replay."""
         todo = {}
         for (i, j, local) in copies:
             if not local:
@@ -950,48 +983,30 @@ class SPMDExecutor(SequentialExecutor):
             stmt, list(todo.values()), width=self._field_width(stmt))))
 
     def _do_pair_copy(self, stmt: PairwiseCopy, i: int, j: int,
-                      state: _ShardState, rec=None, ns: int = 1) -> None:
+                      state: _ShardState, rec=None) -> None:
+        """Run the pair's lowered copy (``_lower_pairs`` resolved its
+        points and lock; an empty pair has no entry)."""
         state.pair_visits += 1
-        if rec is not None:
-            # Under a recorder the lowered form runs (_lower_pairs resolved
-            # its points and lock; an empty pair has no entry).
-            pc = state.pair_copies[stmt.uid].get((i, j))
-            if pc is None:
+        pc = state.pair_copies[stmt.uid].get((i, j))
+        if pc is None:
+            if rec is not None:
                 rec.visit()
-                return
+            return
+        if rec is not None:
             rec.copy(pc)
-            n, lock, apply = pc.count, pc.lock, pc.apply
-        else:
-            pts = self._pair_points(stmt, i, j)
-            if not pts:
-                return
-            n = int(pts.count)
-            # Reduction applies from different producers may touch the same
-            # destination elements, and ufunc.at is not atomic across
-            # threads; None marks a disjoint-producer destination.
-            lock = (self._reduction_lock(stmt, j, ns)
-                    if stmt.redop is not None else None)
-            apply = partial(self.dist_instance(stmt.dst, j).copy_from,
-                            self.dist_instance(stmt.src, i), pts, stmt.fields,
-                            redop=stmt.redop)
         t0 = time.perf_counter()
         with self.tracer.span(f"copy:{stmt.src.name}->{stmt.dst.name}",
                               cat="copy", pid=PID_SPMD, tid=state.shard,
                               args={"pair": [i, j], "uid": stmt.uid,
-                                    "elements": n}):
-            if rec is not None or lock is None:
-                apply()  # a PairCopy takes its own lock
-            else:
-                with lock:
-                    apply()
-        state.elements_copied += n
+                                    "elements": pc.count}):
+            pc.apply()  # takes the pair's fold lock, if it has one
+        state.elements_copied += pc.count
         state.copies_performed += 1
-        nbytes = n * self._field_width(stmt)
-        state.bytes_copied += nbytes
+        state.bytes_copied += pc.nbytes
         state.flight.record(_flight.COPY, stmt.uid, t0, time.perf_counter(),
-                            nbytes)
-        if stmt.redop is not None:
-            if lock is None:
+                            pc.nbytes)
+        if pc.ufunc is not None:
+            if pc.lock is None:
                 state.lockfree_folds += 1
             else:
                 state.locked_folds += 1

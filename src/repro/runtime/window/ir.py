@@ -239,32 +239,27 @@ class _BatchedView:
 
     Presents one argument position of a *batchable* task (see
     ``Task.batchable``) as a single view over the concatenation of the
-    per-point view point sets.  Field data is staged into a reusable
-    scratch buffer before each kernel-body call and scattered back to
-    the per-tile instance arrays for written fields afterwards — the
-    per-point tasks' separate backing arrays are the only reason a copy
-    is needed at all.  The point order is the entry order, so slots are
+    per-point view point sets.  The views' instances are consecutive
+    slices of one shard-contiguous block per field (the executor's
+    ``block_rows``), so each field is the one block slice that spans
+    them: the body reads and writes the instances in place, and a call
+    stages nothing.  The point order is the entry order, so slots are
     *not* globally sorted: a batchable body must treat ``points`` as an
     unordered set (coordinate-based access only, no ``localize``) — the
     slot-based geometry accessors raise, naming that contract.
     """
 
-    __slots__ = ("privilege", "region", "views", "points", "_parts",
-                 "_scratch", "_loaded", "_written", "_task_name")
+    __slots__ = ("privilege", "region", "views", "points", "_arrays",
+                 "_task_name")
 
-    def __init__(self, views, privilege, task_name: str):
+    def __init__(self, views, arrays: dict[str, np.ndarray], privilege,
+                 task_name: str):
         self.views = tuple(views)
         self.privilege = privilege
         self._task_name = task_name
         self.region = views[0].region  # representative, for error messages
-        pts = [v.points for v in views]
-        self.points = np.concatenate(pts) if pts else np.empty(0, np.int64)
-        offs = np.cumsum([0] + [p.shape[0] for p in pts])
-        self._parts = tuple((int(offs[i]), int(offs[i + 1]))
-                            for i in range(len(views)))
-        self._scratch: dict[str, np.ndarray] = {}
-        self._loaded: set[str] = set()
-        self._written: set[str] = set()
+        self.points = np.concatenate([v.points for v in views])
+        self._arrays = arrays
 
     @property
     def n(self) -> int:
@@ -287,57 +282,42 @@ class _BatchedView:
     def maybe_localize(self, global_ids):
         self._unordered("maybe_localize()")
 
-    def _buf(self, field: str) -> np.ndarray:
-        if field not in self._loaded:
-            buf = self._scratch.get(field)
-            if buf is None:
-                ref = self.views[0]._cache[field][0]
-                buf = np.empty((self.n,) + ref.shape[1:], dtype=ref.dtype)
-                self._scratch[field] = buf
-            for (a, b), v in zip(self._parts, self.views):
-                buf[a:b] = v._cache[field][0]
-            self._loaded.add(field)
-        return self._scratch[field]
-
     def read(self, field: str) -> np.ndarray:
         if not self.privilege.allows_read(field):
             raise PrivilegeError(
                 f"task holds {self.privilege} on {self.region.name}; "
                 f"cannot read field {field!r}")
-        return self._buf(field)
+        return self._arrays[field]
 
     def write(self, field: str) -> np.ndarray:
         if not self.privilege.allows_write(field):
             raise PrivilegeError(
                 f"task holds {self.privilege} on {self.region.name}; "
                 f"cannot write field {field!r}")
-        self._written.add(field)
-        return self._buf(field)
+        return self._arrays[field]
 
     def reduce(self, field: str, slots, values, redop: str) -> None:
         if not self.privilege.allows_reduce(field, redop):
             raise PrivilegeError(
                 f"task holds {self.privilege} on {self.region.name}; "
                 f"cannot reduce({redop}) field {field!r}")
-        self._written.add(field)
-        apply_reduction(self._buf(field), slots, values, redop)
-
-    def finalize(self) -> None:
-        pass  # writeback is driven by the batched launch, not the task
-
-    def _reset(self) -> None:
-        self._loaded.clear()
-        self._written.clear()
-
-    def _writeback(self) -> None:
-        for field in self._written:
-            buf = self._scratch[field]
-            for (a, b), v in zip(self._parts, self.views):
-                v._cache[field][0][...] = buf[a:b]
+        apply_reduction(self._arrays[field], slots, values, redop)
 
     def __repr__(self) -> str:
         return (f"_BatchedView({self.region.name} x{len(self.views)}, "
                 f"{self.privilege})")
+
+
+def _spanning_rows(views, block_rows) -> dict[str, np.ndarray] | None:
+    """``{field: rows}`` of the one block whose adjacent slices the views'
+    instances are, in view order; None when they are not."""
+    blocks, lo, hi = block_rows(views[0].region)
+    for v in views[1:]:
+        other, start, stop = block_rows(v.region)
+        if other is not blocks or start != hi:
+            return None
+        hi = stop
+    return {f: block[lo:hi] for f, block in blocks.items()}
 
 
 class _BatchedLaunch:
@@ -353,34 +333,29 @@ class _BatchedLaunch:
     the task's inspector runs once more, over the batched views.
     """
 
-    __slots__ = ("task", "fn", "entries", "inner", "batched_args",
-                 "_views")
+    __slots__ = ("task", "fn", "entries", "inner", "batched_args")
 
-    def __init__(self, fl: _FrozenLaunch):
+    def __init__(self, fl: _FrozenLaunch, args: list):
         self.task = fl.task
         self.entries = fl.entries
         self.inner = fl
-        nargs = len(fl.entries[0].args)
-        args: list[Any] = []
-        for pos in range(nargs):
-            col = [e.args[pos] for e in fl.entries]
-            if isinstance(col[0], FrozenView):
-                args.append(_BatchedView(col, col[0].privilege, fl.task.name))
-            else:
-                args.append(col[0])  # static scalar, equal across entries
         self.batched_args = tuple(args)
-        self._views = tuple(a for a in args if isinstance(a, _BatchedView))
         for e in fl.entries:
             e.fn = None
         # The batch plan belongs to this entry alone: a throwaway memo.
-        self.fn = fl.task.bound(self._views, {})
+        self.fn = fl.task.bound(
+            [a for a in args if isinstance(a, _BatchedView)], {})
 
     @classmethod
-    def lower(cls, fl: _FrozenLaunch) -> "_BatchedLaunch | None":
+    def lower(cls, fl: _FrozenLaunch, block_rows) -> "_BatchedLaunch | None":
         """The batched form of ``fl``, or None when batching is illegal:
         the task did not opt in, the launch folds a scalar reduction
         (batching would regroup the fold), a point carries dynamic
-        arguments, or static scalars differ across points."""
+        arguments, static scalars differ across points, or one argument
+        position's instances are not adjacent slices of one block in
+        entry order (a shard whose colours straddle two of the executor's
+        blocks) — such a launch runs per point.  ``block_rows`` is the
+        executor's :meth:`~repro.runtime.spmd.SPMDExecutor.block_rows`."""
         if (not fl.task.batchable or fl.reduce_name is not None
                 or len(fl.entries) < 2):
             return None
@@ -388,21 +363,25 @@ class _BatchedLaunch:
         for e in fl.entries:
             if e.exprs or len(e.args) != nargs:
                 return None
+        args: list[Any] = []
         for pos in range(nargs):
             col = [e.args[pos] for e in fl.entries]
             if isinstance(col[0], FrozenView):
-                if not all(isinstance(a, FrozenView) for a in col):
+                arrays = (_spanning_rows(col, block_rows)
+                          if all(isinstance(a, FrozenView) for a in col)
+                          else None)
+                if arrays is None:
                     return None
+                args.append(_BatchedView(col, arrays, col[0].privilege,
+                                         fl.task.name))
             elif any(a != col[0] for a in col[1:]):
                 return None
-        return cls(fl)
+            else:
+                args.append(col[0])  # static scalar, equal across entries
+        return cls(fl, args)
 
     def run_compiled(self, state) -> None:
-        for view in self._views:
-            view._reset()
         self.fn(*self.batched_args)
-        for view in self._views:
-            view._writeback()
 
     def arrays(self) -> set[int]:
         return self.inner.arrays()

@@ -16,7 +16,8 @@ last pass, ``fission``, is :mod:`repro.runtime.window.schedule`):
   and, on ``net``, one packed message per peer rank.  The handshake
   around them was recorded in phase form and is left alone.
 * ``batch-launch``  — collapse a ``batchable`` task's frozen point tasks
-  into ONE kernel-body call over concatenated views (opt-in per task).
+  into ONE kernel-body call over views of the shard's blocks (opt-in
+  per task).
 
 Scalar statements are not lowered: a replayed ``assign`` evaluates its
 expression and a ``setvar`` stores its recorded value, so a guard-fallback
@@ -136,12 +137,13 @@ class BatchLaunchPass(Pass):
     author's promise that the body is coordinate-based — see
     :class:`repro.tasks.task.Task`) is lowered to a
     :class:`~repro.runtime.window.ir._BatchedLaunch`: each view argument
-    position becomes one concatenated view over every owned point's
-    slice, and a steady-state replay pays the body's fixed numpy cost
-    once per shard instead of once per tile.  Launches that fold a
-    scalar reduction, carry per-point dynamic arguments, or differ in
-    static scalars across points are left alone —
-    :meth:`_BatchedLaunch.lower` returns ``None`` for those.
+    position becomes one view of the shard-contiguous block rows that
+    hold every owned point's instance, and a steady-state replay pays the
+    body's fixed numpy cost once per shard instead of once per tile.
+    Launches that fold a scalar reduction, carry per-point dynamic
+    arguments, differ in static scalars across points, or whose
+    instances are not adjacent rows of one block in entry order are
+    left alone — :meth:`_BatchedLaunch.lower` returns ``None`` for those.
     """
 
     name = "batch-launch"
@@ -153,7 +155,7 @@ class BatchLaunchPass(Pass):
         out: list = []
         for op in wir.ops:
             if op[0] == OP_TASK:
-                bl = _BatchedLaunch.lower(op[1])
+                bl = _BatchedLaunch.lower(op[1], ctx.ex.block_rows)
                 if bl is not None:
                     self._batched_launches += 1
                     self._batched_tasks += len(bl.entries)

@@ -6,22 +6,25 @@ Two budgets are pinned here, both against the fig-6 stencil hot loop:
   and a metrics registry unconditionally (the null-object pattern keeps
   the code branch-free); the per-touch price of :data:`NULL_TRACER` /
   :data:`NULL_METRICS` times the touches per steady-state iteration must
-  stay under 5% of the measured per-iteration wall time.
+  stay under 5% of the measured per-iteration wall time (the median
+  replayed iteration, as the run's own flight records time it).
 * **Always-on flight recorder** — unlike the tracer, the flight rings
   record on every production run; the per-record price times the records
   one steady-state iteration emits (counted from a real run) must also
   stay under 5% of the iteration.
 """
 
+import functools
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro.apps.stencil import StencilProblem
 from repro.core import control_replicate
 from repro.obs import NULL_METRICS, NULL_TRACER, PID_SPMD, Tracer
-from repro.obs.flight import TASK, ShardRing
+from repro.obs.flight import ITER, TASK, ShardRing
 from repro.runtime import SPMDExecutor
 
 SHARDS = 2
@@ -35,39 +38,51 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _run(steps: int, tracer=None):
+def _run(steps: int, tracer=None) -> SPMDExecutor:
     p = StencilProblem(n=128, radius=2, tiles=4, steps=steps)
     prog, _ = control_replicate(p.build_program(), num_shards=SHARDS)
     kw = {"tracer": tracer} if tracer is not None else {}
     ex = SPMDExecutor(num_shards=SHARDS, mode="threaded",
-                      instances=p.fresh_instances(), **kw)
-    t0 = time.perf_counter()
+                      instances=p.fresh_instances(), flight=True, **kw)
     ex.run(prog)
-    return time.perf_counter() - t0, tracer
+    return ex
 
 
+@functools.cache
 def _per_iteration_seconds() -> float:
-    """Steady-state slope, nulls in place (the production default).
+    """Steady-state step time, nulls in place (the production default):
+    the median replayed-iteration (``ITER``) flight record over every
+    shard of a few runs.
 
-    Noise only ever adds to a run, so the fastest of a few runs is the
-    estimate of each length, and the slope is taken between the two
-    estimates — not the least of several noisy differences, which picks
-    the most negative noise.
+    Each iteration is timed by the run itself, so a slow run shifts a
+    few samples of the median rather than the whole estimate — as it did
+    the slope between a short and a long run's wall times.
     """
-    runs = [(_run(STEPS_LO)[0], _run(STEPS_HI)[0]) for _ in range(5)]
-    lo, hi = (min(times) for times in zip(*runs))
-    slope = (hi - lo) / (STEPS_HI - STEPS_LO)
-    assert slope > 0, (
-        f"{STEPS_HI} steps ran no slower than {STEPS_LO} "
-        f"({hi * 1e3:.2f} ms vs {lo * 1e3:.2f} ms): no slope to budget against")
-    return slope
+    iters, tasks, hits = [], [], 0
+    for _ in range(3):
+        ex = _run(STEPS_HI)
+        hits += ex.replay_hits
+        for shard in ex.flight.shards():
+            snap = ex.flight.ring(shard).snapshot()
+            span = snap["t1"] - snap["t0"]
+            iters.extend(span[snap["kind"] == ITER])
+            tasks.extend(span[snap["kind"] == TASK])
+    step = float(np.median(iters))
+    # Plausible before it is divided by: one record per replayed
+    # iteration, and a step lasts at least as long as its point tasks.
+    assert hits > 0 and len(iters) == hits, (len(iters), hits)
+    assert 0 < float(np.median(tasks)) <= step, (
+        f"median step {step * 1e3:.3f} ms is shorter than the median task "
+        f"record {float(np.median(tasks)) * 1e3:.3f} ms")
+    return step
 
 
 def _touches_per_iteration() -> float:
     """How many instrumented spans one steady-state iteration emits."""
     counts = {}
     for steps in (STEPS_LO, STEPS_HI):
-        _, tracer = _run(steps, tracer=Tracer())
+        tracer = Tracer()
+        _run(steps, tracer=tracer)
         counts[steps] = sum(1 for ev in tracer.events()
                             if ev.get("ph") == "X"
                             and ev.get("pid") == PID_SPMD)
@@ -89,14 +104,8 @@ def _null_touch_seconds(n: int = 50_000) -> float:
 
 def _records_per_iteration() -> float:
     """How many flight records one steady-state iteration emits."""
-    counts = {}
-    for steps in (STEPS_LO, STEPS_HI):
-        p = StencilProblem(n=128, radius=2, tiles=4, steps=steps)
-        prog, _ = control_replicate(p.build_program(), num_shards=SHARDS)
-        ex = SPMDExecutor(num_shards=SHARDS, mode="threaded",
-                          instances=p.fresh_instances(), flight=True)
-        ex.run(prog)
-        counts[steps] = ex.flight.records_total()
+    counts = {steps: _run(steps).flight.records_total()
+              for steps in (STEPS_LO, STEPS_HI)}
     return (counts[STEPS_HI] - counts[STEPS_LO]) / (STEPS_HI - STEPS_LO)
 
 

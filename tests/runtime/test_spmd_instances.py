@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import ProgramBuilder, control_replicate
+from repro.core.shards import shard_owned_colors
 from repro.regions import PhysicalInstance, ispace, partition_block, region
-from repro.runtime import SPMDExecutor
+from repro.runtime import SPMDExecutor, procs_available
 from repro.tasks import R, RW, task
 
 
@@ -36,6 +37,40 @@ class TestInstances:
             inst = ex.dist[(P.uid, c)]
             assert inst.num_points == 4
             assert np.all(inst.fields["v"] == 1.0)
+
+    @pytest.mark.parametrize(
+        "mode", ["stepped"] + (["procs"] if procs_available() else []))
+    def test_shard_colours_are_slices_of_one_block(self, mode):
+        """A shard's colours of P are adjacent slices, in colour order, of
+        one array per field; no array is shared across shards."""
+        Rg = region(ispace(size=24), {"v": np.float64, "w": np.int32},
+                    name="RB")
+        P = partition_block(Rg, 6, name="PB")
+        b = ProgramBuilder()
+        b.launch(incr, ispace(size=6), P)
+        prog, _ = control_replicate(b.build(), num_shards=2)
+        ex = SPMDExecutor(num_shards=2, mode=mode,
+                          instances={Rg.uid: PhysicalInstance(Rg)})
+        ex.run(prog)
+        assert np.all(ex.instances[Rg.uid].fields["v"] == 1.0)
+        owned = [shard_owned_colors(6, 2, x) for x in range(2)]
+        shard_blocks = []
+        for colors in owned:
+            blocks, lo, _ = ex.block_rows(P[colors[0]])
+            assert lo == 0
+            for field, block in blocks.items():
+                arrs = [ex.dist[(P.uid, c)].fields[field] for c in colors]
+                assert block.shape[0] == sum(a.shape[0] for a in arrs)
+                assert arrs[0].ctypes.data == block.ctypes.data
+                for a, nxt in zip(arrs, arrs[1:]):
+                    assert a.ctypes.data + a.nbytes == nxt.ctypes.data
+                assert all(np.shares_memory(a, block) for a in arrs)
+            for c in colors:
+                assert ex.block_rows(P[c])[0] is blocks
+            shard_blocks.append(blocks)
+        for field in ("v", "w"):
+            assert not np.shares_memory(shard_blocks[0][field],
+                                        shard_blocks[1][field])
 
     def test_instances_reused_across_fragment_reexecution(self, env):
         """Running two fragments over the same partitions reuses storage

@@ -57,7 +57,13 @@ from repro.runtime.events import Sequence
 from repro.runtime.launch import CommContext, LaunchSpec
 from repro.runtime.window import exec as window_exec
 from repro.runtime.window import schedule
-from repro.runtime.window.ir import PairCopy, WindowIR, _as_index, op_arrays
+from repro.runtime.window.ir import (
+    PairCopy,
+    WindowIR,
+    _as_index,
+    _BatchedView,
+    op_arrays,
+)
 from repro.runtime.window.recorder import (
     OP_ADVN,
     OP_BARRIER,
@@ -371,12 +377,13 @@ def _pass_stat(metrics, stat):
 class TestBatchLaunch:
     """Tentpole lever: batchable point tasks lower to one body call."""
 
-    def _run_stencil(self, tiles=16, shards=4):
+    def _run_stencil(self, tiles=16, shards=4, executor_shards=None):
         p = StencilProblem(n=24, radius=2, tiles=tiles, steps=6)
         metrics = MetricsRegistry()
         prog, _ = control_replicate(p.build_program(), num_shards=shards)
-        ex = SPMDExecutor(num_shards=shards, mode="stepped",
-                          metrics=metrics, instances=p.fresh_instances())
+        ex = SPMDExecutor(num_shards=executor_shards or shards,
+                          mode="stepped", metrics=metrics,
+                          instances=p.fresh_instances())
         ex.run(prog)
         return p.extract_state(ex.instances), ex, metrics
 
@@ -394,6 +401,55 @@ class TestBatchLaunch:
         # 2 launches x 4 shards batched, 4 point tasks each.
         assert _pass_stat(metrics, "batched_launches") == 8
         assert _pass_stat(metrics, "batched_tasks") == 32
+
+    def test_batched_body_works_on_the_instances(self, monkeypatch):
+        # A shard's colours are adjacent rows of one block per field, so
+        # the arrays a batched body reads and writes are views of the
+        # distributed instances — the same array object on every call,
+        # nothing staged into a per-call buffer.
+        seen = []
+
+        def spy(accessor):
+            def wrapper(view, field):
+                arr = accessor(view, field)
+                seen.append((view, field, arr))
+                return arr
+            return wrapper
+
+        monkeypatch.setattr(_BatchedView, "read", spy(_BatchedView.read))
+        monkeypatch.setattr(_BatchedView, "write", spy(_BatchedView.write))
+        _, ex, metrics = self._run_stencil()
+        assert _pass_stat(metrics, "batched_launches") == 8
+        assert {field for _, field, _ in seen} == {"v"}
+        same = {}
+        for view, field, arr in seen:
+            assert same.setdefault((id(view), field), arr) is arr
+            assert arr.shape[0] == sum(v.n for v in view.views)
+            for v in view.views:
+                inst = ex.dist[(v.region.parent_partition.uid,
+                                v.region.color)]
+                assert np.shares_memory(arr, inst.fields[field])
+        # OUT, IN and GHOST of the stencil, IN of the increment, per shard.
+        assert len(same) == 4 * 4
+
+    def test_straddling_shard_runs_per_point(self, interpret_only):
+        # Compiled for 3 shards, run by a 2-shard executor: the executor's
+        # blocks hold colours 0-5 and 6-11, so launch shard 1 (colours
+        # 4-7) straddles both.  Its launches run per point; shards 0 and 2
+        # still batch, and the state is the interpreter's, bit for bit.
+        with interpret_only:
+            st_off, ex_off, _ = self._run_stencil(tiles=12, shards=3,
+                                                  executor_shards=2)
+        st, ex, metrics = self._run_stencil(tiles=12, shards=3,
+                                            executor_shards=2)
+        for k in st_off:
+            assert np.array_equal(st_off[k], st[k]), k
+        assert counters(ex_off) == counters(ex)
+        assert ex.window_compiles == 3
+        assert _pass_stat(metrics, "batched_launches") == 2 * 2
+        assert _pass_stat(metrics, "batched_tasks") == 2 * 2 * 4
+        _, _, aligned = self._run_stencil(tiles=12, shards=3)
+        assert _pass_stat(aligned, "batched_launches") == 2 * 3
 
     def test_single_tile_shards_not_batched(self):
         # One tile per shard: nothing to batch (a 1-entry launch pays no
