@@ -480,7 +480,7 @@ def cmd_simulate(args) -> int:
         simulate_mpi,
         simulate_regent_cr,
         simulate_regent_noncr,
-        simulation_trace_events,
+        trace_simulation,
     )
     from .obs import Tracer
     machine = PIZ_DAINT
@@ -514,8 +514,8 @@ def cmd_simulate(args) -> int:
               f"({stats.get('tasks', 0)} tasks, {stats.get('edges', 0)} "
               f"edges{extra})")
     if tracer is not None:
-        n = simulation_trace_events(sims[0], tracer,
-                                    name_prefix=f"{args.app}-{args.model}")
+        n = trace_simulation(sims[0], tracer,
+                             name_prefix=f"{args.app}-{args.model}")
         out = resolve_trace_path(args.trace)
         tracer.write(out)
         print(f"-- trace: {n} events -> {out}")

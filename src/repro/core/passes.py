@@ -358,8 +358,6 @@ def default_passes(optimize_placement: bool = True,
 # ---------------------------------------------------------------------------
 
 def run_pass_pipeline(ir, passes: Sequence[Pass], ctx: PassContext, *,
-                      span_prefix: str = "pass", cat: str = "compiler",
-                      pid: int = PID_COMPILER, tid: int = 0,
                       metric_prefix: str = "compiler_pass",
                       size_fn: Callable | None = None,
                       verify_fn: Callable | None = None,
@@ -368,15 +366,16 @@ def run_pass_pipeline(ir, passes: Sequence[Pass], ctx: PassContext, *,
 
     This is the pass-running loop factored out of :class:`PassManager` so
     other pipelines (the runtime window compiler in
-    :mod:`repro.runtime.window`) get the same per-pass timing, spans,
-    metrics, verifier hooks, and ``dump-after`` rendering over their own
-    IR type.  ``verify_fn(ir, stage)`` runs after each pass when
-    ``ctx.verify``; ``dump_fn(ir) -> str`` renders the IR for dumps;
-    ``size_fn(ir) -> int`` feeds the ``<metric_prefix>_ir_stmts`` gauge.
+    :mod:`repro.runtime.window`) get the same per-pass timing, metrics,
+    verifier hooks, and ``dump-after`` rendering over their own IR type;
+    ``ctx.tracer`` gets a ``pass:<name>`` span per pass.
+    ``verify_fn(ir, stage)`` runs after each pass when ``ctx.verify``;
+    ``dump_fn(ir) -> str`` renders the IR for dumps; ``size_fn(ir) -> int``
+    feeds the ``<metric_prefix>_ir_stmts`` gauge.
     """
     for p in passes:
-        with ctx.tracer.span(f"{span_prefix}:{p.name}", cat=cat,
-                             pid=pid, tid=tid):
+        with ctx.tracer.span(f"pass:{p.name}", cat="compiler",
+                             pid=PID_COMPILER):
             t0 = time.perf_counter()
             ir = p.run(ir, ctx)
             elapsed = time.perf_counter() - t0
@@ -442,9 +441,7 @@ class PassManager:
             return format_pipeline_ir(ir)
 
         ir = run_pass_pipeline(
-            PipelineIR(program=program), self.passes, ctx,
-            span_prefix="pass", cat="compiler", pid=PID_COMPILER, tid=0,
-            metric_prefix="compiler_pass", size_fn=ir_size,
+            PipelineIR(program=program), self.passes, ctx, size_fn=ir_size,
             verify_fn=lambda ir, stage: verify_ir(ir, stage=stage),
             dump_fn=dump_fn)
         report = CompilationReport(

@@ -14,7 +14,7 @@ from .patterns import (halo_edges_2d, halo_edges_2d_flat, halo_edges_3d,
                        halo_edges_3d_flat, random_graph_edges,
                        random_graph_edges_flat)
 from .tracing import (UtilizationReport, analyze_simulation,
-                      simulation_metrics, simulation_trace_events)
+                      simulation_metrics, trace_simulation)
 from .vector_sim import run_vectorized
 from .workload import AppWorkload, PhaseSpec, flatten_edge_map
 
@@ -32,7 +32,7 @@ __all__ = [
     "flatten_edge_map",
     "run_vectorized",
     "simulation_metrics",
-    "simulation_trace_events",
+    "trace_simulation",
     "simulate_mpi",
     "simulate_regent_cr",
     "simulate_dependence_graph",

@@ -351,41 +351,66 @@ class GraphBuilder:
         lo, hi = self.dep_indptr[uid], self.dep_indptr[uid + 1]
         return self.dep_uids[lo:hi].tolist()
 
+    def dependents_csr(self):
+        """Per producer, its consumers and edge latencies: the CSR
+        ``(succ, lat, indptr)`` transpose of the dependency arrays."""
+        n = self._n
+        order = np.argsort(self.dep_uids, kind="stable")
+        succ = np.repeat(np.arange(n, dtype=np.int64),
+                         np.diff(self.dep_indptr))[order]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.dep_uids, minlength=n), out=indptr[1:])
+        return succ, self.dep_lats[order], indptr
+
+    def idle_pools(self) -> dict:
+        """Per resource kind, every server's free time, all at zero."""
+        return {KIND_CORE: np.zeros((self.num_nodes, self.cores_per_node)),
+                KIND_CTRL: np.zeros((self.num_nodes, 1)),
+                KIND_NIC: np.zeros((self.num_nodes, 1))}
+
     def _run_event(self) -> float:
         """The heap oracle reading columnar arrays (reference engine)."""
-        import heapq
         n = self._n
         if n == 0:
             self.last_run_stats = {"engine": "event", "tasks": 0, "edges": 0}
             return 0.0
-        dep_indptr = self.dep_indptr
-        indeg = np.diff(dep_indptr).astype(np.int64)
-        # Dependents CSR: per producer, its (consumer, latency) edges.
-        m = self.dep_uids.shape[0]
-        order = np.argsort(self.dep_uids, kind="stable")
-        out_succ = np.repeat(np.arange(n, dtype=np.int64),
-                             np.diff(dep_indptr))[order].tolist()
-        out_lat = self.dep_lats[order].tolist()
-        out_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.dep_uids, minlength=n),
-                  out=out_indptr[1:])
-        out_indptr = out_indptr.tolist()
+        indeg = np.diff(self.dep_indptr).astype(np.int64)
+        completed = self.run_heap(np.zeros(n), indeg,
+                                  np.flatnonzero(indeg == 0),
+                                  self.idle_pools(), self.dependents_csr())
+        self.last_run_stats = {"engine": "event", "tasks": n,
+                               "edges": self.dep_uids.shape[0],
+                               "waves": completed}
+        if completed != n:
+            self._raise_deadlock(self.finish >= 0)
+        return max(0.0, float(self.finish.max()))
+
+    def run_heap(self, ready: np.ndarray, indeg: np.ndarray,
+                 frontier: np.ndarray, free: dict, csr) -> int:
+        """The oracle's pop loop, from a given scheduler state.
+
+        ``ready``/``indeg`` per task, the ``frontier`` of tasks whose
+        dependencies are all scheduled, each pool's server free times
+        (:meth:`idle_pools` layout) and the :meth:`dependents_csr`: the
+        initial state of a run, or a mid-run state of the vector engine
+        handing off.  Pops ``(ready, uid)`` keys, places each task on its
+        pool's first free server, writes ``start``/``finish``/``server``,
+        and returns how many tasks it scheduled.
+        """
+        import heapq
+        succ_l, lat_l, iptr = (a.tolist() for a in csr)
         dur = self.duration.tolist()
         node = self.node.tolist()
         kind = self.kind.tolist()
-        start = self.start
-        finish = self.finish
-        server = self.server
-        core_free = [[0.0] * self.cores_per_node
-                     for _ in range(self.num_nodes)]
-        ctrl_free = [0.0] * self.num_nodes
-        nic_free = [0.0] * self.num_nodes
-        ready = [0.0] * n
-        heap = [(0.0, int(u)) for u in np.flatnonzero(indeg == 0)]
+        ready_l = ready.tolist()
+        indeg_l = indeg.tolist()
+        core_free = [row.tolist() for row in free[KIND_CORE]]
+        ctrl_free = free[KIND_CTRL][:, 0].tolist()
+        nic_free = free[KIND_NIC][:, 0].tolist()
+        start, finish, server = self.start, self.finish, self.server
+        heap = [(ready_l[u], u) for u in frontier.tolist()]
         heapq.heapify(heap)
-        indeg = indeg.tolist()
-        completed = 0
-        makespan = 0.0
+        done = 0
         while heap:
             rt, uid = heapq.heappop(heap)
             k = kind[uid]
@@ -394,10 +419,10 @@ class GraphBuilder:
             if k == KIND_NONE:
                 s, sv = rt, 0
             elif k == KIND_CORE:
-                free = core_free[nd]
-                sv = min(range(len(free)), key=free.__getitem__)
-                s = max(rt, free[sv])
-                free[sv] = s + d
+                row = core_free[nd]
+                sv = min(range(len(row)), key=row.__getitem__)
+                s = max(rt, row[sv])
+                row[sv] = s + d
             elif k == KIND_CTRL:
                 sv = 0
                 s = max(rt, ctrl_free[nd])
@@ -410,19 +435,13 @@ class GraphBuilder:
             start[uid] = s
             finish[uid] = f
             server[uid] = sv
-            if f > makespan:
-                makespan = f
-            completed += 1
-            for e in range(out_indptr[uid], out_indptr[uid + 1]):
-                succ = out_succ[e]
-                cand = f + out_lat[e]
-                if cand > ready[succ]:
-                    ready[succ] = cand
-                indeg[succ] -= 1
-                if indeg[succ] == 0:
-                    heapq.heappush(heap, (ready[succ], succ))
-        self.last_run_stats = {"engine": "event", "tasks": n, "edges": m,
-                               "waves": completed}
-        if completed != n:
-            self._raise_deadlock(self.finish >= 0)
-        return makespan
+            done += 1
+            for e in range(iptr[uid], iptr[uid + 1]):
+                succ = succ_l[e]
+                cand = f + lat_l[e]
+                if cand > ready_l[succ]:
+                    ready_l[succ] = cand
+                indeg_l[succ] -= 1
+                if indeg_l[succ] == 0:
+                    heapq.heappush(heap, (ready_l[succ], succ))
+        return done

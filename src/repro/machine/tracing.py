@@ -24,7 +24,7 @@ from ..obs import PID_SIM_BASE, MetricsRegistry, Tracer
 from .graph import KIND_CTRL, KIND_NONE, KINDS, GraphBuilder
 
 __all__ = ["UtilizationReport", "analyze_simulation",
-           "simulation_trace_events", "simulation_metrics"]
+           "trace_simulation", "simulation_metrics"]
 
 
 @dataclass
@@ -151,8 +151,8 @@ def _graph_task_rows(g: GraphBuilder):
                int(g.server[uid]))
 
 
-def simulation_trace_events(sim: GraphBuilder, tracer: Tracer,
-                            name_prefix: str = "sim") -> int:
+def trace_simulation(sim: GraphBuilder, tracer: Tracer,
+                     name_prefix: str = "sim") -> int:
     """Export a completed simulation as virtual-time Chrome-trace events.
 
     Each node becomes a viewer process (``PID_SIM_BASE + node``) whose rows

@@ -64,70 +64,6 @@ _DEGEN_WAVES = 16
 _DEGEN_TASKS = 64
 
 
-def _finish_with_heap(g: GraphBuilder, ready: np.ndarray, indeg: np.ndarray,
-                      frontier: np.ndarray, free: dict,
-                      start: np.ndarray, finish: np.ndarray,
-                      server: np.ndarray, out_succ: np.ndarray,
-                      out_lat: np.ndarray, out_indptr: np.ndarray) -> int:
-    """Exact heap continuation from a mid-run wave-scheduler state.
-
-    The committed prefix equals the oracle's first pops, so (ready pools,
-    in-degrees, frontier) is a reachable oracle state; resuming the heap
-    loop from it yields the oracle's remaining schedule.  Eagerly-resolved
-    "none" tasks are already final — they hold no resources, so skipping
-    their (later) pops changes nothing.  Returns tasks scheduled here.
-    """
-    import heapq
-    dur = g.duration.tolist()
-    node = g.node.tolist()
-    kind = g.kind.tolist()
-    ready_l = ready.tolist()
-    indeg_l = indeg.tolist()
-    succ_l = out_succ.tolist()
-    lat_l = out_lat.tolist()
-    iptr = out_indptr.tolist()
-    core_free = [row.tolist() for row in free[KIND_CORE]]
-    ctrl_free = free[KIND_CTRL][:, 0].tolist()
-    nic_free = free[KIND_NIC][:, 0].tolist()
-    heap = [(ready_l[u], u) for u in frontier.tolist()]
-    heapq.heapify(heap)
-    done = 0
-    while heap:
-        rt, uid = heapq.heappop(heap)
-        k = kind[uid]
-        nd = node[uid]
-        d = dur[uid]
-        if k == KIND_NONE:
-            s, sv = rt, 0
-        elif k == KIND_CORE:
-            row = core_free[nd]
-            sv = min(range(len(row)), key=row.__getitem__)
-            s = max(rt, row[sv])
-            row[sv] = s + d
-        elif k == KIND_CTRL:
-            sv = 0
-            s = max(rt, ctrl_free[nd])
-            ctrl_free[nd] = s + d
-        else:
-            sv = 0
-            s = max(rt, nic_free[nd])
-            nic_free[nd] = s + d
-        f = s + d
-        start[uid] = s
-        finish[uid] = f
-        server[uid] = sv
-        done += 1
-        for e in range(iptr[uid], iptr[uid + 1]):
-            succ = succ_l[e]
-            cand = f + lat_l[e]
-            if cand > ready_l[succ]:
-                ready_l[succ] = cand
-            indeg_l[succ] -= 1
-            if indeg_l[succ] == 0:
-                heapq.heappush(heap, (ready_l[succ], succ))
-    return done
-
-
 def _gather_edges(uids: np.ndarray, out_indptr: np.ndarray,
                   out_counts: np.ndarray):
     """Concatenated CSR ranges (edge indices, repeated sources)."""
@@ -222,24 +158,15 @@ def run_vectorized(g: GraphBuilder) -> float:
     if g.dep_lats.shape[0] and float(g.dep_lats.min()) < 0.0:
         raise UnsupportedGraph("vector engine requires edge latencies >= 0")
 
-    # Dependents CSR (producer -> consumers, carrying edge latencies).
     m = g.dep_uids.shape[0]
     indeg = np.diff(g.dep_indptr).astype(np.int64)
-    order = np.argsort(g.dep_uids, kind="stable")
-    out_succ = np.repeat(np.arange(n, dtype=np.int64), indeg)[order]
-    out_lat = g.dep_lats[order]
-    out_counts = np.bincount(g.dep_uids, minlength=n).astype(np.int64)
-    out_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(out_counts, out=out_indptr[1:])
+    csr = out_succ, out_lat, out_indptr = g.dependents_csr()
+    out_counts = np.diff(out_indptr)
 
     ready = np.zeros(n)
     start, finish, server = g.start, g.finish, g.server
     num_nodes = g.num_nodes
-    free = {
-        KIND_CORE: np.zeros((num_nodes, g.cores_per_node)),
-        KIND_CTRL: np.zeros((num_nodes, 1)),
-        KIND_NIC: np.zeros((num_nodes, 1)),
-    }
+    free = g.idle_pools()
 
     scheduled = 0
     waves = 0
@@ -350,9 +277,12 @@ def run_vectorized(g: GraphBuilder) -> float:
         window_waves += 1
         if window_waves == _DEGEN_WAVES:
             if window_committed < _DEGEN_TASKS and frontier.shape[0]:
-                handed = _finish_with_heap(
-                    g, ready, indeg, frontier, free, start, finish, server,
-                    out_succ, out_lat, out_indptr)
+                # The committed prefix equals the oracle's first pops, so
+                # this is a reachable oracle state: the oracle's own loop
+                # resumed from it yields the rest of its schedule.  Eagerly
+                # resolved "none" tasks are final already and hold no
+                # resources, so skipping their pops changes nothing.
+                handed = g.run_heap(ready, indeg, frontier, free, csr)
                 scheduled += handed
                 frontier = _EMPTY
                 if scheduled != n:

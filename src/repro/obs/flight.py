@@ -1,42 +1,43 @@
-"""Always-on flight recorder: bounded per-shard rings of compact events.
+"""The shard runtime's one timeline: bounded per-shard rings of compact events.
 
-The tracer (:mod:`repro.obs.trace`) answers "when did things happen" on
-runs the user remembered to instrument; the flight recorder answers the
-same question for the run that just *failed*, because it is always on.
-Every SPMD driver writes compact records — ``(kind, stmt uid, t_start,
+Every SPMD driver writes each event once — ``(kind, stmt uid, t_start,
 t_end, bytes)`` — into a fixed-size numpy ring per shard, so the cost is
-a handful of array stores per steady-state iteration (bounded well under
-the 5% overhead budget ``tests/obs/test_overhead.py`` pins) and memory
-is bounded no matter how long the process lives.
+a handful of array stores per record (bounded well under the 5% overhead
+budget ``tests/obs/test_overhead.py`` pins) and memory is bounded no
+matter how long the process lives.  The rings are always on; everything
+that shows where a run's time went reads them.
 
 Rings are single-writer: each shard (thread or forked process) owns its
-ring for the duration of a run, so records take no lock.  The procs
-driver ships each child ring back over the existing result pipe
-(:meth:`ShardRing.export_since` / :meth:`ShardRing.ingest`) with the
-same wall-clock anchor scheme the tracer uses for span rebasing.
+ring for the duration of a run, so records take no lock.  The forking
+drivers ship each child ring back over the existing result pipe
+(:meth:`ShardRing.export_since` / :meth:`ShardRing.ingest`), rebased
+through a wall-clock anchor (:func:`flight_anchor`).
 
-On demand — or automatically when a run dies with a
-``ShardExceptionGroup`` or a serve job fails — the recorder dumps the
-last N seconds as a standard Chrome trace (:meth:`FlightRecorder.
-to_chrome`), viewable in ``chrome://tracing`` / Perfetto like every
-other timeline this repo produces.
+There is one exporter, :func:`chrome_trace`: a standard Chrome trace of
+the rings' rows under ``PID_SPMD``, one thread row per shard.  It names
+each row from the uid -> statement table the executor fills from the
+launch spec (:attr:`FlightRecorder.names`), so the rows carry the
+tracer's span names and categories (``task:<task>``, ``copy:<src>-><dst>``,
+``wait:…``, ``replay:iteration``, …) and :func:`repro.obs.build_profile`
+reads them directly.  Failure dumps, ``/debug/flight`` and a
+:class:`~repro.obs.trace.Tracer` the executor was given
+(:meth:`~repro.obs.trace.Tracer.attach`) all render through it.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from typing import Any, Iterable
 
 import numpy as np
 
+from .trace import PID_SPMD
+
 __all__ = [
     "ITER", "CAPTURE", "TASK", "COPY", "WAIT", "REQUEST", "COMPILE",
-    "KIND_NAMES",
-    "DEFAULT_CAPACITY", "PID_FLIGHT", "ShardRing", "NULL_RING",
-    "FlightRecorder", "flight_enabled", "flight_anchor", "anchor_delta_s",
-    "chrome_trace",
+    "DEFAULT_CAPACITY", "ShardRing", "NULL_RING", "FlightRecorder",
+    "flight_anchor", "anchor_delta_s", "chrome_trace",
 ]
 
 # Record kinds.  Iteration-shaped records (ITER = a replayed steady-state
@@ -50,33 +51,28 @@ WAIT = 5
 REQUEST = 6
 COMPILE = 7
 
-KIND_NAMES = {ITER: "iter", CAPTURE: "capture", TASK: "task",
-              COPY: "copy", WAIT: "wait", REQUEST: "request",
-              COMPILE: "compile"}
+# Record kind -> (row name, category) of its Chrome row.  A TASK, COPY or
+# WAIT row is named after the statement its uid names in the recorder's
+# table instead, when it names one: a TASK or COPY record of a compiled
+# window carries its loop's uid, which names no statement.
+_ROWS = {ITER: ("replay:iteration", "jit"),
+         CAPTURE: ("replay:capture", "replay"),
+         COMPILE: ("window:compile", "replay"),
+         TASK: ("jit:compute", "task"),
+         COPY: ("jit:copy", "copy"),
+         WAIT: ("wait:event", "wait"),
+         REQUEST: ("request", "serve")}
 
 # Iteration-window kinds, used by the skew/drift analyzers.
 WINDOW_KINDS = (ITER, CAPTURE)
 
-DEFAULT_CAPACITY = 4096
-
-# Chrome-trace process row for flight events (compiler=0, SPMD spans=1,
-# simulator=100+node — see repro.obs.trace).
-PID_FLIGHT = 2
+# A few thousand iterations of any app at a handful of records each; the
+# pages of a ring nobody writes cost no memory.
+DEFAULT_CAPACITY = 1 << 16
 
 # Anchor skew below this is fork preserving the perf_counter base (the
-# wall-clock anchors themselves carry ~ms jitter); same threshold as the
-# tracer's span rebase path.
+# wall-clock anchors themselves carry ~ms jitter).
 _REBASE_THRESHOLD_S = 2e-3
-
-
-def flight_enabled() -> bool:
-    """Whether the always-on recorder is active (env ``REPRO_FLIGHT``).
-
-    On by default; ``REPRO_FLIGHT=off`` (or ``0``/``false``) disables it
-    for A/B overhead measurements.
-    """
-    return os.environ.get("REPRO_FLIGHT", "on").lower() not in (
-        "0", "off", "false", "no")
 
 
 class ShardRing:
@@ -212,8 +208,7 @@ NULL_RING = _NullRing()
 def flight_anchor() -> tuple[float, float]:
     """A ``(wall_clock_s, perf_counter_s)`` pair naming the same instant.
 
-    The flight-ring analogue of :func:`repro.obs.trace.clock_anchor`:
-    records carry raw ``perf_counter`` seconds, and a forked child whose
+    Records carry raw ``perf_counter`` seconds; a forked child whose
     ``perf_counter`` base differs from the parent's is rebased through
     the shared wall clock (:func:`anchor_delta_s`).
     """
@@ -232,7 +227,10 @@ class FlightRecorder:
 
     ``ring(shard)`` lazily creates one :class:`ShardRing` per shard;
     negative shard ids are reserved for non-shard rows (serve requests
-    record into ``ring(-1)``).
+    record into ``ring(-1)``).  ``names`` maps a statement uid to the
+    name its rows carry (``task:<task>``, ``copy:<src>-><dst>``,
+    ``barrier:<tag>``, ``collective:<scalar>``); the executor fills it
+    from each launch spec.
     """
 
     def __init__(self, num_shards: int = 0,
@@ -240,6 +238,7 @@ class FlightRecorder:
         self.capacity = int(capacity)
         self._rings: dict[int, ShardRing] = {
             s: ShardRing(self.capacity) for s in range(num_shards)}
+        self.names: dict[int, str] = {}
 
     # -- ring access -------------------------------------------------------
     def ring(self, shard: int) -> ShardRing:
@@ -268,50 +267,77 @@ class FlightRecorder:
 
 
 def chrome_trace(recorders: Iterable[FlightRecorder],
-                 last_s: float | None = None) -> dict[str, Any]:
-    """One Chrome-trace object over several recorders' live windows.
+                 last_s: float | None = None,
+                 origin: float | None = None) -> dict[str, Any]:
+    """One Chrome-trace object over several recorders' live records.
 
-    Timestamps are rebased so the earliest surviving record sits at
-    ``ts=0``; ``last_s`` keeps only records whose end falls within that
-    many seconds of the newest record across all recorders.
+    Timestamps are microseconds after ``origin``, a ``perf_counter``
+    reading (a tracer passes its own epoch), by default the earliest
+    surviving record; ``last_s`` keeps only records whose end falls
+    within that many seconds of the newest record across all recorders.
+    Besides one ``X`` row per record (see ``_ROWS``), each shard gets a
+    cumulative ``bytes copied`` counter track and each recorder one
+    ``replay`` hit/miss sample.  A ring that overwrote records gets a
+    ``flight:dropped`` instant carrying the count, so a view or a
+    profile never silently covers only the tail.
     """
-    snaps: list[tuple[int, dict[str, np.ndarray]]] = []
+    snaps = []
     t_min, t_max = np.inf, -np.inf
     for rec in recorders:
         for shard in rec.shards():
-            snap = rec.ring(shard).snapshot()
-            if snap["t0"].size == 0:
-                continue
-            snaps.append((shard, snap))
-            t_min = min(t_min, float(snap["t0"].min()))
-            t_max = max(t_max, float(snap["t1"].max()))
+            ring = rec.ring(shard)
+            snap = ring.snapshot()
+            if snap["t0"].size:
+                snaps.append((rec, shard, ring.dropped, snap))
+                t_min = min(t_min, float(snap["t0"].min()))
+                t_max = max(t_max, float(snap["t1"].max()))
     events: list[dict[str, Any]] = [
-        {"name": "process_name", "ph": "M", "pid": PID_FLIGHT, "tid": 0,
-         "args": {"name": "flight recorder"}}]
+        {"name": "process_name", "ph": "M", "pid": PID_SPMD, "tid": 0,
+         "args": {"name": "spmd executor"}}]
     if not snaps:
         return {"traceEvents": events, "displayTimeUnit": "ms"}
+    origin = t_min if origin is None else origin
     cutoff = -np.inf if last_s is None else t_max - float(last_s)
     named: set[int] = set()
-    for shard, snap in snaps:
+    replays: dict[int, list[int]] = {}
+    for rec, shard, dropped, snap in snaps:
         if shard not in named:
             named.add(shard)
             row = "serve" if shard < 0 else f"shard {shard}"
             events.append({"name": "thread_name", "ph": "M",
-                           "pid": PID_FLIGHT, "tid": shard,
+                           "pid": PID_SPMD, "tid": shard,
                            "args": {"name": row}})
         keep = snap["t1"] >= cutoff
-        kinds = snap["kind"][keep]
-        uids = snap["uid"][keep]
-        t0s = (snap["t0"][keep] - t_min) * 1e6
-        durs = (snap["t1"][keep] - snap["t0"][keep]) * 1e6
-        sizes = snap["nbytes"][keep]
-        for k, u, ts, dur, nb in zip(kinds, uids, t0s, durs, sizes):
-            name = KIND_NAMES.get(int(k), str(int(k)))
-            ev: dict[str, Any] = {"name": name, "cat": "flight", "ph": "X",
-                                  "ts": float(ts), "dur": float(dur),
-                                  "pid": PID_FLIGHT, "tid": shard,
-                                  "args": {"uid": int(u)}}
-            if nb:
-                ev["args"]["bytes"] = int(nb)
+        kinds = snap["kind"][keep].tolist()
+        t0s = ((snap["t0"][keep] - origin) * 1e6).tolist()
+        t1s = ((snap["t1"][keep] - origin) * 1e6).tolist()
+        if dropped and t0s:
+            events.append({"name": "flight:dropped", "ph": "i", "s": "t",
+                           "ts": t0s[0], "pid": PID_SPMD, "tid": shard,
+                           "args": {"dropped": dropped}})
+        replay = replays.setdefault(id(rec), [0, 0])
+        replay[0] += kinds.count(ITER)
+        replay[1] += kinds.count(CAPTURE)
+        copied = 0
+        for k, u, ts, te, nb in zip(kinds, snap["uid"][keep].tolist(), t0s,
+                                    t1s, snap["nbytes"][keep].tolist()):
+            name, cat = _ROWS[k]
+            stmt = rec.names.get(u) if k in (TASK, COPY, WAIT) else None
+            if stmt is not None:
+                name = f"wait:{stmt}" if k == WAIT else stmt
+            ev = {"name": name, "cat": cat, "ph": "X", "ts": ts,
+                  "dur": te - ts, "pid": PID_SPMD, "tid": shard,
+                  "args": {"uid": u}}
             events.append(ev)
+            if nb:
+                ev["args"]["bytes"] = nb
+                copied += nb
+                events.append({"name": "bytes copied", "ph": "C", "ts": te,
+                               "pid": PID_SPMD, "tid": shard,
+                               "args": {"value": float(copied)}})
+    for hits, misses in replays.values():
+        if hits or misses:
+            events.append({"name": "replay", "ph": "C",
+                           "ts": (t_max - origin) * 1e6, "pid": PID_SPMD,
+                           "tid": 0, "args": {"hit": hits, "miss": misses}})
     return {"traceEvents": events, "displayTimeUnit": "ms"}

@@ -1,24 +1,26 @@
 """Post-run profile analysis: where did each shard's time go?
 
-Input is the merged span timeline a :class:`~repro.obs.trace.Tracer`
-collected from one SPMD run (any backend — the procs driver funnels its
-children's spans into the same timeline).  This module turns it into the
-attribution the paper's evaluation argues from:
+Input is the shard rows of one SPMD run (any backend) as Chrome trace
+events: the flight rings rendered by :func:`repro.obs.flight.chrome_trace`
+— what a :class:`~repro.obs.trace.Tracer` the executor was given shows,
+or ``ex.flight.to_chrome()["traceEvents"]`` of any run.  This module
+turns them into the attribution the paper's evaluation argues from:
 
-* **Wall-time buckets per shard.**  Shard spans nest (a ``replay``
-  iteration contains the waits its replayed copies block on; a capture
-  span contains the tasks it records), so spans are first flattened into
+* **Wall-time buckets per shard.**  Shard rows nest (a
+  ``replay:iteration`` contains the compute and copy phases of its
+  window and the waits they block on; a ``replay:capture`` contains the
+  tasks and copies it interprets), so rows are first flattened into
   non-overlapping *segments* — each instant of a shard's timeline is
-  attributed to the deepest active span.  Segment self-times then sum
-  into six buckets: ``compute`` (point tasks), ``copy`` (pairwise
-  copies), ``sync_wait`` (blocked on channels / barriers / collectives),
-  ``replay`` (replay-engine dispatch and capture overhead), ``jit``
-  (compiled-window closure dispatch — the self-time of ``replay:jit``
-  spans around the compute/copy work they drive), and ``launch``
-  (everything between spans: the interpreter walking the IR, resolving
-  instances, issuing work — the per-statement overhead control
-  replication exists to amortize).  By construction the buckets sum
-  exactly to the shard's wall time.
+  attributed to the deepest active row.  Segment self-times then sum
+  into six buckets: ``compute`` (point tasks and window compute phases),
+  ``copy`` (pairwise copies and window copy phases), ``sync_wait``
+  (blocked on channels / barriers / collectives, and on ``stepped``
+  descheduled while another shard ran), ``replay`` (capture and window
+  compile), ``jit`` (compiled-window closure dispatch — the self-time of
+  ``replay:iteration``), and ``launch`` (everything between rows: the
+  interpreter walking the IR outside any loop, the per-statement
+  overhead control replication amortizes).  By construction the buckets
+  sum exactly to the shard's wall time.
 
 * **Critical path.**  Segments form a DAG: program order within a shard,
   plus release edges into each ``sync_wait`` segment from the segment
@@ -308,6 +310,9 @@ class ProfileReport:
     copy_table: list[dict[str, Any]] = field(default_factory=list)
     intersections: dict[str, Any] = field(default_factory=dict)
     compiler_passes: list[dict[str, Any]] = field(default_factory=list)
+    # Records the rings overwrote before they were read: a profile with
+    # any covers only the tail of the run.
+    dropped_records: int = 0
 
     @property
     def critical_path(self) -> Chain | None:
@@ -338,6 +343,7 @@ class ProfileReport:
             "copy_table": list(self.copy_table),
             "intersections": dict(self.intersections),
             "compiler": {"passes": list(self.compiler_passes)},
+            "dropped_records": self.dropped_records,
         }
 
     def export_metrics(self, metrics: MetricsRegistry) -> None:
@@ -368,6 +374,9 @@ class ProfileReport:
     def format(self) -> str:
         lines = [f"profile: {self.app} on {self.backend} "
                  f"x {self.num_shards} shard(s)"]
+        if self.dropped_records:
+            lines.append(f"  {self.dropped_records} flight records were "
+                         f"overwritten: this covers only the run's tail")
         if self.t_seq_s is not None and self.t_spmd_s is not None:
             eff = self.parallel_efficiency
             lines.append(
@@ -451,19 +460,23 @@ def build_profile(events: Iterable[dict[str, Any]], *,
                   compile_report: Any | None = None,
                   metrics: MetricsRegistry | None = None,
                   top_k: int = 3) -> ProfileReport:
-    """Analyze one run's span timeline into a :class:`ProfileReport`."""
+    """Analyze one run's timeline into a :class:`ProfileReport`."""
+    events = list(events)
     segments = flatten_spans(events)
     shards = attribute_shards(segments)
     if not shards:
         raise ValueError(
-            "no shard spans found in the trace: run with an enabled tracer "
-            "(the profiler needs the repro.obs timeline as input)")
+            "no shard spans found in the trace: pass a tracer the executor "
+            "was given, or the executor's flight.to_chrome() rows")
     chains = critical_chains(segments, top_k=top_k)
     t_spmd_s = max(a.wall_s for a in shards)
     report = ProfileReport(app=app, backend=backend, num_shards=num_shards,
                            shards=shards, chains=chains, t_seq_s=t_seq_s,
                            t_spmd_s=t_spmd_s,
-                           copy_table=_copy_table_from_metrics(metrics))
+                           copy_table=_copy_table_from_metrics(metrics),
+                           dropped_records=sum(
+                               ev["args"]["dropped"] for ev in events
+                               if ev.get("name") == "flight:dropped"))
     if executor is not None:
         report.replay = {
             "hits": int(getattr(executor, "replay_hits", 0)),

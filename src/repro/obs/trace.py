@@ -7,7 +7,7 @@ discrete-event machine simulator — and serializes them in the Chrome
 
 Two time bases coexist in one trace:
 
-* **wall-clock** events (compiler passes, shard threads) are stamped with
+* **wall-clock** events (compiler passes, shard rows) are stamped with
   :func:`time.perf_counter` relative to the tracer's creation;
 * **virtual-time** events (the machine simulator) are injected directly
   via :meth:`Tracer.complete` with simulated timestamps.
@@ -16,6 +16,12 @@ Both kinds start near zero, so a functional run and a simulated run of
 the same program are diffable side by side in a single viewer.  Layers
 are separated by process id (see the ``PID_*`` constants); within a
 layer, the thread id is the shard / node resource.
+
+The shard runtime emits nothing into a tracer while it runs: its one
+timeline is the flight rings (:mod:`repro.obs.flight`).  An executor
+given a tracer attaches its recorder (:meth:`Tracer.attach`), and the
+tracer renders the rings' rows under ``PID_SPMD`` whenever its events
+are read or written.
 
 Call sites take a tracer parameter defaulting to :data:`NULL_TRACER`, a
 no-op instance, so the hot paths carry no conditional logic.
@@ -29,8 +35,7 @@ import time
 from contextlib import contextmanager, nullcontext
 from typing import Any, Iterator
 
-__all__ = ["Tracer", "NULL_TRACER", "PID_COMPILER", "PID_SPMD", "PID_SIM_BASE",
-           "clock_anchor", "rebase_events"]
+__all__ = ["Tracer", "NULL_TRACER", "PID_COMPILER", "PID_SPMD", "PID_SIM_BASE"]
 
 # Process-id convention: one "process" per system layer in the viewer.
 PID_COMPILER = 0   # compiler passes
@@ -49,6 +54,7 @@ class Tracer:
         self._t0 = time.perf_counter()
         self._lock = threading.Lock()
         self._events: list[dict[str, Any]] = []
+        self._recorders: list = []
 
     # -- clock -------------------------------------------------------------
     def now_us(self) -> float:
@@ -112,31 +118,27 @@ class Tracer:
         self._emit({"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
                     "args": {"name": name}})
 
+    def attach(self, recorder) -> None:
+        """Show a :class:`~repro.obs.flight.FlightRecorder`'s rings on this
+        timeline, rendered when the events are read: a traced run does no
+        more work while it runs than an untraced one."""
+        with self._lock:
+            self._recorders.append(recorder)
+
     # -- export ------------------------------------------------------------
     @property
     def enabled(self) -> bool:
         return True
 
     def events(self) -> list[dict[str, Any]]:
+        from .flight import chrome_trace
         with self._lock:
-            return list(self._events)
-
-    def event_count(self) -> int:
-        with self._lock:
-            return len(self._events)
-
-    def ingest(self, events: list[dict[str, Any]]) -> None:
-        """Merge events collected elsewhere into this timeline.
-
-        The procs SPMD driver uses this to funnel per-shard spans back to
-        the parent: a forked child inherits the tracer (same ``_t0``, and
-        ``perf_counter`` is system-wide monotonic on the platforms that
-        support fork), records its spans locally, and ships the new events
-        over a pipe at exit — so ``--trace`` produces one merged timeline
-        no matter which driver ran the shards.
-        """
-        with self._lock:
-            self._events.extend(events)
+            events = list(self._events)
+            recorders = list(self._recorders)
+        if recorders:
+            events += chrome_trace(recorders,
+                                   origin=self._t0)["traceEvents"]
+        return events
 
     def chrome_trace(self) -> dict[str, Any]:
         """The complete Chrome-trace JSON object."""
@@ -145,39 +147,6 @@ class Tracer:
     def write(self, path: str) -> None:
         with open(path, "w") as fh:
             json.dump(self.chrome_trace(), fh)
-
-
-def clock_anchor(tracer: "Tracer") -> tuple[float, float]:
-    """A ``(wall_clock_s, tracer_us)`` pair naming the same instant.
-
-    Two processes that each take an anchor can compute the skew between
-    their tracer clocks through the shared wall clock: if the child's
-    anchor says "wall time W was tracer time C" and the parent's says
-    "wall time W' was tracer time P", the child's events sit
-    ``(P + (W - W') * 1e6) - C`` µs off the parent's timeline.  On
-    platforms where fork preserves the ``perf_counter`` base the skew is
-    ~0 and no rebasing happens; on platforms where each process gets its
-    own base (or when a tracer is re-created child-side) the skew is the
-    full base offset and :func:`rebase_events` repairs it.
-    """
-    return (time.time(), tracer.now_us())
-
-
-def rebase_events(events: list[dict[str, Any]],
-                  delta_us: float) -> list[dict[str, Any]]:
-    """Shift timestamped events by ``delta_us`` onto another clock base.
-
-    Durations are untouched (both clocks tick at wall rate); shifted
-    timestamps are clamped at zero so wall-clock jitter in the anchors
-    can never push an event before the trace origin.  Metadata events
-    ("M"), which carry no ``ts``, pass through unchanged.
-    """
-    out = []
-    for ev in events:
-        if "ts" in ev:
-            ev = {**ev, "ts": max(0.0, ev["ts"] + delta_us)}
-        out.append(ev)
-    return out
 
 
 class _NullTracer(Tracer):
@@ -191,9 +160,6 @@ class _NullTracer(Tracer):
         return False
 
     def _emit(self, event: dict[str, Any]) -> None:
-        pass
-
-    def ingest(self, events: list[dict[str, Any]]) -> None:
         pass
 
     def span(self, name: str, cat: str = "", pid: int = 0, tid: int = 0,

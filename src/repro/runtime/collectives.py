@@ -37,7 +37,10 @@ class DynamicCollective:
     keeps the internal dicts at O(live generations), not O(total).  Each
     shard must read :meth:`result` exactly once per generation it
     contributed to — which is exactly what the shard interpreter does.
+    ``label`` names its completion events (the launch context sets it).
     """
+
+    label: str | None = None
 
     def __init__(self, num_shards: int, redop: str):
         if redop not in SCALAR_REDUCTIONS:
@@ -54,7 +57,7 @@ class DynamicCollective:
 
     def _event(self, generation: int) -> Event:
         if generation not in self._events:
-            self._events[generation] = Event()
+            self._events[generation] = Event(label=self.label)
         return self._events[generation]
 
     def contribute(self, generation: int, value: Any | None) -> Event:

@@ -18,10 +18,11 @@ here, once, for every backend:
   the two operations whose best form depends on the mechanism.
 * :func:`drive_shard` resumes one shard generator to its end on the
   calling thread, blocking in :func:`wait_event` — the one wait loop
-  (20 ms poll, cancel token, deadlock deadline, flight/trace/histogram
-  record).  The thread driver, a forked ``procs`` child and a ``net``
-  rank all run it; :func:`drive_stepped` is the deterministic scheduler
-  over the same event objects.
+  (20 ms poll, cancel token, deadlock deadline, flight WAIT record and
+  wait histogram).  The thread driver, a forked ``procs`` child and a
+  ``net`` rank all run it; :func:`drive_stepped` is the deterministic
+  scheduler over the same event objects, and records the turns a shard
+  spends descheduled as its WAITs.
 * :func:`fork_and_funnel` is the one fork/collect/join loop under
   ``procs`` and ``net``: one child per shard runs a backend-supplied
   body, ships :func:`child_payload` back over a pipe, and the parent
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import multiprocessing
 import random
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -41,7 +43,6 @@ from typing import Any, Callable, Iterator
 
 from ..core.ir import (BarrierStmt, FillReductionBuffer, IndexLaunch,
                        PairwiseCopy, ScalarCollective, walk)
-from ..obs import PID_SPMD, clock_anchor, rebase_events
 from ..obs import flight as _flight
 from ..obs.flight import anchor_delta_s, flight_anchor
 from .collectives import DynamicCollective
@@ -119,6 +120,8 @@ class LaunchSpec:
     # (reduction copy uid, dst colour): folds into one destination
     # instance may need a lock; different destinations never contend.
     reduction_dsts: list[tuple[int, int]] = field(default_factory=list)
+    # Statement uid -> the name its flight rows carry (FlightRecorder.names).
+    names: dict[int, str] = field(default_factory=dict)
 
 
 def launch_spec(stmt, copy_pairs: Callable) -> LaunchSpec:
@@ -132,6 +135,7 @@ def launch_spec(stmt, copy_pairs: Callable) -> LaunchSpec:
     parts: dict[int, Any] = {}
     for s in walk(stmt):
         if isinstance(s, IndexLaunch):
+            spec.names[s.uid] = f"task:{s.task.name}"
             for arg in s.region_args:
                 parts[arg.proj.partition.uid] = arg.proj.partition
         elif isinstance(s, FillReductionBuffer):
@@ -141,6 +145,7 @@ def launch_spec(stmt, copy_pairs: Callable) -> LaunchSpec:
             parts[s.dst.uid] = s.dst
             spec.copies.append(s)
             spec.pairs[s.uid] = copy_pairs(s)
+            spec.names[s.uid] = f"copy:{s.src.name}->{s.dst.name}"
             if s.sync_mode == "barrier":
                 spec.barriers.setdefault(f"pre:{s.uid}", None)
                 spec.barriers.setdefault(f"post:{s.uid}", s)
@@ -148,8 +153,10 @@ def launch_spec(stmt, copy_pairs: Callable) -> LaunchSpec:
                 spec.reduction_dsts.extend((s.uid, j) for j in s.dst.colors)
         elif isinstance(s, ScalarCollective):
             spec.collectives.append((s.uid, s.redop))
+            spec.names[s.uid] = f"collective:{s.name}"
         elif isinstance(s, BarrierStmt):
             spec.barriers.setdefault(s.tag, None)
+            spec.names[s.uid] = f"barrier:{s.tag}"
     spec.partitions = list(parts.values())
     return spec
 
@@ -161,6 +168,17 @@ def launch_spec(stmt, copy_pairs: Callable) -> LaunchSpec:
 # What marks a channel's two wait labels (``copy<uid>:ack(i,j)``); written
 # by CommContext, read back by wait_kind.
 _ACK, _READY = ":ack(", ":ready("
+
+# Every wait label of a statement starts ``<word><uid>:`` — ``copy7:…``,
+# ``barrier9:<tag>``, ``coll12:<redop>`` — and a WAIT record carries that
+# uid (0 for a label that names none, such as the net driver's own waits).
+_LABEL_UID = re.compile(r"[a-z]+(\d+):")
+
+
+def label_uid(label: str | None) -> int:
+    """The statement uid a wait label names, else 0."""
+    m = _LABEL_UID.match(label or "")
+    return int(m.group(1)) if m else 0
 
 
 class Channel:
@@ -201,8 +219,10 @@ class CommContext:
                     chan.ack_label = f"copy{stmt.uid}{_ACK}{i},{j})"
                     chan.ready_label = f"copy{stmt.uid}{_READY}{i},{j})"
                     chans[pair] = chan
-        self.collectives = {uid: self._collective(uid, redop)
-                            for uid, redop in spec.collectives}
+        self.collectives = {}
+        for uid, redop in spec.collectives:
+            coll = self.collectives[uid] = self._collective(uid, redop)
+            coll.label = f"coll{uid}:{redop}"
         self.barriers = {tag: self._barrier(tag, copy)
                          for tag, copy in spec.barriers.items()}
 
@@ -239,7 +259,7 @@ class CommContext:
 
 def wait_kind(label: str) -> str:
     """Classify an event label into a wait-histogram ``kind`` bucket."""
-    if label.startswith("barrier:"):
+    if label.startswith("barrier"):
         return "barrier"
     if _ACK in label:
         return "copy-ack"
@@ -258,10 +278,7 @@ def wait_event(ex, state, ev, cancel) -> None:
     """
     if ev.is_set():
         return
-    tracer, metrics = ex.tracer, state.metrics
-    instrumented = tracer.enabled or metrics.enabled
     t0 = time.perf_counter()
-    start = tracer.now_us() if instrumented else 0.0
     deadline = time.monotonic() + ex.deadlock_timeout
     while not ev.wait_blocking(timeout=0.02):
         if cancel.is_set():
@@ -270,16 +287,12 @@ def wait_event(ex, state, ev, cancel) -> None:
             raise DeadlockError(
                 f"shard {state.shard} blocked on {ev.label or 'event'} "
                 f"for {ex.deadlock_timeout}s")
-    state.flight.record(_flight.WAIT, 0, t0, time.perf_counter())
-    if instrumented:
-        label = ev.label or "event"
-        elapsed_us = tracer.now_us() - start
-        if tracer.enabled:
-            tracer.complete(f"wait:{label}", start, elapsed_us, cat="wait",
-                            pid=PID_SPMD, tid=state.shard)
-        if metrics.enabled:
-            metrics.histogram("spmd_wait_seconds", shard=state.shard,
-                              kind=wait_kind(label)).observe(elapsed_us / 1e6)
+    t1 = time.perf_counter()
+    state.flight.record(_flight.WAIT, label_uid(ev.label), t0, t1)
+    if state.metrics.enabled:
+        state.metrics.histogram(
+            "spmd_wait_seconds", shard=state.shard,
+            kind=wait_kind(ev.label or "event")).observe(t1 - t0)
 
 
 def drive_shard(ex, gen: Iterator, state, cancel) -> BaseException | None:
@@ -337,10 +350,17 @@ def drive_threaded(ex, gens: list, states: list) -> None:
 
 def drive_stepped(ex, gens: list, states: list) -> None:
     """Interleave the shards deterministically-adversarially on one thread
-    under ``ex.seed``; nothing blocks, so a stall is a deadlock at once."""
+    under ``ex.seed``; nothing blocks, so a stall is a deadlock at once.
+
+    A shard resumed after another one ran was descheduled from its last
+    yield until now: that gap is its WAIT record, so the shard's other
+    records never include another shard's turns."""
     ns = len(gens)
     pending: list = [None] * ns
     done = [False] * ns
+    yielded: list = [None] * ns  # when each shard last yielded
+    last = None
+    perf = time.perf_counter
     rng = random.Random(ex.seed)
     while not all(done):
         runnable = [x for x in range(ns)
@@ -351,11 +371,17 @@ def drive_stepped(ex, gens: list, states: list) -> None:
                 f"shards {blocked} all blocked: missing or inconsistent "
                 f"synchronization")
         x = rng.choice(runnable)
+        if x != last and yielded[x] is not None:
+            states[x].flight.record(
+                _flight.WAIT, label_uid(getattr(pending[x], "label", None)),
+                yielded[x], perf())
+        last = x
         try:
             pending[x] = next(gens[x])
         except StopIteration:
             done[x] = True
             pending[x] = None
+        yielded[x] = perf()
 
 
 def launch_in_memory(drive: Callable):
@@ -383,18 +409,14 @@ launch_threaded = launch_in_memory(drive_threaded)
 # Funnel: fork one child per shard, collect what each ships back
 # ---------------------------------------------------------------------------
 
-def child_payload(ex, state, trace_base: int, anchor, flight_base: int,
-                  error, extras) -> dict:
+def child_payload(state, flight_base: int, error, extras) -> dict:
     """What a shard child ships back to the parent over its pipe."""
-    tracer = ex.tracer
     return {
         "scalars": state.scalars,
         "counters": {name: getattr(state, name) for name in state.COUNTERS},
         "capture_points": state.capture_points,
         "metrics": (state.metrics.to_dict()
                     if state.metrics.enabled else None),
-        "trace_events": tracer.events()[trace_base:] if tracer.enabled else [],
-        "clock_anchor": anchor,
         "flight": (state.flight.export_since(flight_base)
                    if state.flight.enabled else None),
         "flight_anchor": flight_anchor() if state.flight.enabled else None,
@@ -403,35 +425,9 @@ def child_payload(ex, state, trace_base: int, anchor, flight_base: int,
     }
 
 
-# Wall-clock anchors carry ~ms jitter; skew below this is fork preserving
-# the perf_counter base, and rebasing on it would only add that jitter.
-_REBASE_THRESHOLD_US = 2000.0
-
-
-def _rebased(payload: dict, parent_anchor: tuple[float, float] | None) -> list:
-    """A child's trace events, shifted onto the parent tracer's clock.
-
-    The skew between the two perf_counter-based tracer clocks is measured
-    through the shared wall clock (see :func:`repro.obs.clock_anchor`);
-    when it exceeds the anchors' own jitter the child's timestamps are
-    re-based so the merged timeline stays monotonic.
-    """
-    events = payload["trace_events"]
-    child_anchor = payload.get("clock_anchor")
-    if parent_anchor is None or child_anchor is None:
-        return events
-    child_wall, child_us = child_anchor
-    parent_wall, parent_us = parent_anchor
-    delta_us = (parent_us + (child_wall - parent_wall) * 1e6) - child_us
-    if abs(delta_us) <= _REBASE_THRESHOLD_US:
-        return events
-    return rebase_events(events, delta_us)
-
-
-def apply_payload(ex, st, payload: dict, parent_anchor,
-                  parent_flight_anchor) -> None:
+def apply_payload(ex, st, payload: dict, parent_anchor) -> None:
     """Restore one shard's state from its child's payload and funnel its
-    metrics / trace spans / flight records into the parent."""
+    metrics and flight records into the parent."""
     st.scalars = payload["scalars"]
     for name, value in payload["counters"].items():
         setattr(st, name, value)
@@ -441,25 +437,16 @@ def apply_payload(ex, st, payload: dict, parent_anchor,
         # increments (they happened post-fork); fold the shipped snapshot
         # in so the executor's counter merge sees them.
         st.metrics.merge(payload["metrics"])
-    if ex.tracer.enabled and payload["trace_events"]:
-        ex.tracer.ingest(_rebased(payload, parent_anchor))
     if ex.flight is not None and payload["flight"] is not None:
-        # The wall-clock anchors repair a differing perf_counter base
-        # exactly as the span rebase above does.
-        delta = (anchor_delta_s(parent_flight_anchor,
-                                payload["flight_anchor"])
-                 if payload["flight_anchor"] else 0.0)
-        ex.flight.ring(st.shard).ingest(payload["flight"], delta)
+        # The wall-clock anchors repair a child perf_counter base that
+        # differs from the parent's.
+        ex.flight.ring(st.shard).ingest(
+            payload["flight"],
+            anchor_delta_s(parent_anchor, payload["flight_anchor"]))
 
 
 def _child_main(ex, state, body, noun: str, cancel, conn) -> None:
     """Child-process entry point: run ``body``, ship the payload back."""
-    tracer = ex.tracer
-    trace_base = tracer.event_count() if tracer.enabled else 0
-    # Anchor this process's tracer clock against the shared wall clock so
-    # the parent can re-base our spans if its perf_counter origin differs
-    # (fork usually preserves it; re-created tracers do not).
-    anchor = clock_anchor(tracer) if tracer.enabled else None
     # The forked copy of the shard's flight ring is process-private from
     # here on; only this run's records ship back.
     flight_base = state.flight.count if state.flight.enabled else 0
@@ -473,8 +460,7 @@ def _child_main(ex, state, body, noun: str, cancel, conn) -> None:
     except BaseException as exc:  # the body's own set-up failed
         error = exc
         cancel.set()
-    payload = child_payload(ex, state, trace_base, anchor, flight_base,
-                            error, extras)
+    payload = child_payload(state, flight_base, error, extras)
     try:
         conn.send(payload)
     except Exception:
@@ -507,8 +493,7 @@ def fork_and_funnel(ex, states: list, body: Callable, *, noun: str = "shard",
     """
     mpctx = fork_context()
     cancel = mpctx.Event()
-    parent_anchor = clock_anchor(ex.tracer) if ex.tracer.enabled else None
-    parent_flight_anchor = flight_anchor() if ex.flight is not None else None
+    parent_anchor = flight_anchor()
     procs: list = []
     conns: list = []
     errors: list[BaseException] = []
@@ -565,8 +550,7 @@ def fork_and_funnel(ex, states: list, body: Callable, *, noun: str = "shard",
                 continue
             if payload["error"] is not None:
                 errors.append(payload["error"])
-            apply_payload(ex, st, payload, parent_anchor,
-                          parent_flight_anchor)
+            apply_payload(ex, st, payload, parent_anchor)
             if on_extras is not None and payload["extras"] is not None:
                 on_extras(x, payload["extras"])
     finally:

@@ -404,7 +404,7 @@ class _NetCollective:
     rank re-reads the identical wire value — the replication-divergence
     validator compares these scalars across shards."""
 
-    __slots__ = ("tree", "key")
+    __slots__ = ("tree", "key", "label")
 
     def __init__(self, tree: TreeComm, uid: int, redop: str):
         self.tree = tree
@@ -414,7 +414,7 @@ class _NetCollective:
     def contribute(self, generation: int, value) -> _NetEvent:
         v = None if value is None else float(value)
         return _NetEvent(self.tree.contribute(self.key, generation, v),
-                         label=self.key)
+                         label=self.label)
 
     def result(self, generation: int):
         return self.tree.result(self.key, generation)

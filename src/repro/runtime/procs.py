@@ -148,7 +148,7 @@ class _BoardCollective:
     """
 
     __slots__ = ("_cond", "_partial", "_has", "_arrived", "_result", "_done",
-                 "_base", "_k", "_participants", "redop", "_fold")
+                 "_base", "_k", "_participants", "redop", "_fold", "label")
 
     def __init__(self, cond, partial, has, arrived, result, done,
                  k: int, participants: int, redop: str):
@@ -191,7 +191,7 @@ class _BoardCollective:
                 self._arrived[s] = got
         done, k = self._done, self._k
         return _BoardEvent(self._cond, lambda: done[k] >= generation,
-                           label=f"collective:g{generation}")
+                           label=self.label)
 
     def result(self, generation: int) -> float:
         with self._cond:

@@ -75,9 +75,9 @@ from ..core.ir import (
     evaluate,
 )
 from ..core.shards import shard_owned_colors
-from ..obs import NULL_METRICS, NULL_TRACER, PID_SPMD, MetricsRegistry, Tracer
+from ..obs import NULL_METRICS, NULL_TRACER, MetricsRegistry, Tracer
 from ..obs import flight as _flight
-from ..obs.flight import NULL_RING, FlightRecorder, ShardRing, flight_enabled
+from ..obs.flight import NULL_RING, FlightRecorder, ShardRing
 from ..regions.partition import Partition
 from ..regions.region import PhysicalInstance, reduction_identity
 from ..tasks.task import call_task
@@ -230,7 +230,7 @@ class SPMDExecutor(SequentialExecutor):
                  metrics: MetricsRegistry = NULL_METRICS,
                  window_dump_after: frozenset = frozenset(),
                  window_dump_sink=None, retain_plans: bool = False,
-                 flight: bool | None = None,
+                 flight: bool = True,
                  flight_capacity: int = _flight.DEFAULT_CAPACITY,
                  flight_dir: str | None = None, net_worker=None):
         super().__init__(instances=instances)
@@ -254,17 +254,17 @@ class SPMDExecutor(SequentialExecutor):
         self.validate_replication = validate_replication
         self.tracer = tracer
         self.metrics = metrics
-        # Always-on flight recorder: one bounded ring per shard, written
-        # by every driver.  Default follows the REPRO_FLIGHT env switch
-        # (on unless explicitly disabled); explicit flight=True/False
-        # overrides it.  REPRO_FLIGHT_DIR (or flight_dir=) names where
-        # failure dumps land; without it the Chrome trace is attached to
-        # the raised ShardExceptionGroup but not written to disk.
-        if flight is None:
-            flight = flight_enabled()
+        # The shard runtime's one timeline: one bounded ring per shard,
+        # written by every driver.  A tracer shows the rings' rows, so an
+        # executor that has one always records.  REPRO_FLIGHT_DIR (or
+        # flight_dir=) names where failure dumps land; without it the
+        # Chrome trace is attached to the raised ShardExceptionGroup but
+        # not written to disk.
         self.flight: FlightRecorder | None = (
             FlightRecorder(num_shards, capacity=flight_capacity)
-            if flight else None)
+            if flight or tracer.enabled else None)
+        if tracer.enabled:
+            tracer.attach(self.flight)
         self.flight_dir = (flight_dir if flight_dir is not None
                            else os.environ.get("REPRO_FLIGHT_DIR") or None)
         self.deadlock_timeout = deadlock_timeout
@@ -556,12 +556,9 @@ class SPMDExecutor(SequentialExecutor):
             for st in states:
                 st.reset_for_run(dict(self.scalars), self.metrics.child())
         if self.flight is not None:
+            self.flight.names.update(spec.names)
             for st in states:
                 st.flight = self.flight.ring(st.shard)
-        if self.tracer.enabled:
-            self.tracer.name_process(PID_SPMD, "spmd executor")
-            for x in range(ns):
-                self.tracer.name_thread(PID_SPMD, x, f"shard {x}")
         backend.launch(self, stmt, spec, states)
         self._merge_scalars(states)
         self._merge_counters(states)
@@ -571,10 +568,6 @@ class SPMDExecutor(SequentialExecutor):
             # instances instead of a later pass of the cyclic gc.
             for st in states:
                 st.loop_replays.clear()
-        if self.tracer.enabled:
-            self.tracer.counter("replay", {"hit": float(self.replay_hits),
-                                           "miss": float(self.replay_misses)},
-                                pid=PID_SPMD)
 
     def _copy_pairs(self, stmt: PairwiseCopy) -> list[tuple[int, int]]:
         if stmt.pairs_name is not None:
@@ -705,7 +698,7 @@ class SPMDExecutor(SequentialExecutor):
         elif isinstance(stmt, BarrierStmt):
             g = state.next_epoch(stmt.uid)
             bar = ctx.barriers[stmt.tag]
-            label = f"barrier:{stmt.tag}"
+            label = f"barrier{stmt.uid}:{stmt.tag}"
             if rec is not None:
                 rec.barrier(stmt.uid, stmt.tag, bar, g, label)
             yield bar.arrive_and_wait_event(g, label=label)
@@ -742,7 +735,6 @@ class SPMDExecutor(SequentialExecutor):
         lr = state.loop_replays.get(stmt.uid)
         if lr is None:
             lr = state.loop_replays[stmt.uid] = LoopReplay(stmt.uid, ctx)
-        tracer = self.tracer
         flight = state.flight
         perf = time.perf_counter
         for v in values:
@@ -753,15 +745,7 @@ class SPMDExecutor(SequentialExecutor):
                 if trace.guards_hold(state.scalars):
                     state.replay_hits += 1
                     tf = perf()
-                    if tracer.enabled:
-                        t0 = tracer.now_us()
-                        yield from trace.replay(self, state)
-                        tracer.complete("replay:iteration", t0,
-                                        tracer.now_us() - t0, cat="replay",
-                                        pid=PID_SPMD, tid=state.shard,
-                                        args={"loop": stmt.uid})
-                    else:
-                        yield from trace.replay(self, state)
+                    yield from trace.replay(state)
                     flight.record(_flight.ITER, stmt.uid, tf, perf())
                     continue
                 # A frozen window exists but a hoisted guard failed: fall
@@ -770,12 +754,11 @@ class SPMDExecutor(SequentialExecutor):
             state.replay_misses += 1
             rec = lr.begin_iteration(state.epochs)
             tf = perf()
-            t0 = tracer.now_us() if tracer.enabled else 0.0
             yield from self._shard_body(stmt.body, state, ctx, rec)
             # Stamped before end_iteration: a freeze records its own
             # COMPILE interval, which must not also count as capture.
             flight.record(_flight.CAPTURE, stmt.uid, tf, perf())
-            froze = lr.end_iteration(self, state)
+            lr.end_iteration(self, state)
             if lr.trace is not None:
                 # The loop holds a window — frozen just now, or kept
                 # through this guard fallback: it has what it needs of the
@@ -783,12 +766,6 @@ class SPMDExecutor(SequentialExecutor):
                 # will ask for them.
                 state.pair_copies.clear()
                 state.plans.clear()
-            if froze and tracer.enabled:
-                tracer.complete("replay:capture", t0,
-                                tracer.now_us() - t0, cat="replay",
-                                pid=PID_SPMD, tid=state.shard,
-                                args={"loop": stmt.uid,
-                                      "iteration": lr.iterations_recorded})
 
     def _shard_launch_stmt(self, stmt: IndexLaunch, state: _ShardState,
                            ctx: CommContext,
@@ -806,11 +783,8 @@ class SPMDExecutor(SequentialExecutor):
             args = stmt.point_args(i, state.scalars)
             t0 = time.perf_counter()
             try:
-                with self.tracer.span(f"task:{stmt.task.name}", cat="task",
-                                      pid=PID_SPMD, tid=state.shard,
-                                      args={"color": i, "uid": stmt.uid}):
-                    result = call_task(stmt.task, args, self.region_instance,
-                                       state.plans)
+                result = call_task(stmt.task, args, self.region_instance,
+                                   state.plans)
             finally:
                 # Recorded even when the task (or its inspector) raises:
                 # the failing task is the record the post-mortem flight
@@ -892,7 +866,6 @@ class SPMDExecutor(SequentialExecutor):
         uid, ns = stmt.uid, ctx.num_shards
         sched = self._copy_schedule(stmt, state, ctx)
         g = state.next_epoch(uid)
-        bytes_before = state.bytes_copied
 
         def arrive(tag, bar, label):
             if rec is not None:
@@ -931,12 +904,6 @@ class SPMDExecutor(SequentialExecutor):
                 ctx.send_pair(stmt, i, j, state, rec)
         if rec is not None:
             rec.copy_end(g)
-        # One cumulative "bytes copied" sample per statement execution (not
-        # per pair) keeps Chrome counter tracks readable at large pair
-        # counts; the final total is the same either way.
-        if self.tracer.enabled and state.bytes_copied != bytes_before:
-            self.tracer.counter("bytes copied", float(state.bytes_copied),
-                                pid=PID_SPMD, tid=state.shard)
         if sched.ready_advances:
             if rec is not None:
                 rec.advance_group(uid, "rdy", sched.ready_advances, g)
@@ -995,11 +962,7 @@ class SPMDExecutor(SequentialExecutor):
         if rec is not None:
             rec.copy(pc)
         t0 = time.perf_counter()
-        with self.tracer.span(f"copy:{stmt.src.name}->{stmt.dst.name}",
-                              cat="copy", pid=PID_SPMD, tid=state.shard,
-                              args={"pair": [i, j], "uid": stmt.uid,
-                                    "elements": pc.count}):
-            pc.apply()  # takes the pair's fold lock, if it has one
+        pc.apply()  # takes the pair's fold lock, if it has one
         state.elements_copied += pc.count
         state.copies_performed += 1
         state.bytes_copied += pc.nbytes

@@ -60,7 +60,6 @@ from typing import Any, Iterator
 from ...core.ir import evaluate
 from ...core.passes import PassContext, run_pass_pipeline
 from ...obs import flight as _flight
-from ...obs.trace import PID_SPMD
 from .ir import (
     WindowIR,
     WindowVerifyError,
@@ -107,19 +106,16 @@ class WindowContext(PassContext):
 # Compiled windows
 # ---------------------------------------------------------------------------
 
-_PH_RUN = 0      # (kind, (span_name, cat, flight_slot, thunks))
+_PH_RUN = 0      # (kind, (flight_kind, nbytes, thunks))
 _PH_WAIT = 1     # (kind, ((seq, uid, stride, label), ...))
 _PH_YIELD = 2    # (kind, None)
 _PH_BARRIER = 3  # (kind, (bar, uid, stride, label))
 _PH_COLL = 4     # (kind, (coll, uid, stride, name))
 
-# Per run of thunks: tracer span name and category, and which of the
-# iteration's two aggregated flight records (see CompiledWindow.replay)
-# its time goes to; advances are neither spanned nor recorded.
-_RUN_LABELS = {"compute": ("jit:compute", "task", 0),
-               "copy": ("jit:copy", "copy", 1),
-               "advance": (None, None, -1)}
-_FLIGHT_KINDS = (_flight.TASK, _flight.COPY)
+# The flight record each run of thunks writes per replay: one TASK per
+# compute phase, one COPY (with the phase's bytes) per copy phase; an
+# advance phase writes none.
+_RUN_KINDS = {"compute": _flight.TASK, "copy": _flight.COPY, "advance": 0}
 
 
 def _assign_thunk(state, name, expr):
@@ -156,12 +152,13 @@ class CompiledWindow:
     driver runs it unchanged; it yields only events that are not already
     triggered (plus the window's recorded preemption points,
     collapsed), and applies the precomputed counter and epoch deltas once
-    at the end of each replayed iteration.
+    at the end of each replayed iteration.  Each compute and copy phase
+    writes its own flight record, under the loop's uid.
     """
 
     __slots__ = ("uid", "phases", "guards", "epoch_deltas",
-                 "counter_deltas", "bytes_delta", "num_closures",
-                 "bound_state", "__weakref__")
+                 "counter_deltas", "num_closures", "bound_state",
+                 "__weakref__")
 
     def __init__(self, uid, phases, guards, epoch_deltas, deltas,
                  num_closures):
@@ -170,7 +167,6 @@ class CompiledWindow:
         self.guards = guards
         self.epoch_deltas = epoch_deltas
         self.counter_deltas = tuple((k, v) for k, v in deltas.items() if v)
-        self.bytes_delta = deltas.get("bytes_copied", 0)
         self.num_closures = num_closures
         # The shard state whose scalars/epochs the phase closures captured.
         # A resident executor reuses that state across runs; replaying
@@ -200,7 +196,7 @@ class CompiledWindow:
             elif k == OP_FILL:
                 classified.append(("compute", _fill_thunk(op[1])))
             elif k in (OP_COPY, OP_FUSED, OP_MSG):
-                classified.append(("copy", op[1].apply))
+                classified.append(("copy", op[1]))
             elif k == OP_ADVN:
                 classified.append(
                     ("advance", _advn_thunk(state, advance_group,
@@ -223,9 +219,14 @@ class CompiledWindow:
             j = i + 1
             while j < n and classified[j][0] == kind:
                 j += 1
-            if kind in ("compute", "copy", "advance"):
-                thunks = tuple(p for _, p in classified[i:j])
-                phases.append((_PH_RUN, (*_RUN_LABELS[kind], thunks)))
+            if kind in _RUN_KINDS:
+                thunks = [p for _, p in classified[i:j]]
+                nbytes = 0
+                if kind == "copy":
+                    nbytes = sum(c.nbytes for c in thunks)
+                    thunks = [c.apply for c in thunks]
+                phases.append((_PH_RUN,
+                               (_RUN_KINDS[kind], nbytes, tuple(thunks))))
             elif kind == "wait":
                 phases.append((_PH_WAIT,
                                tuple(p for _, p in classified[i:j])))
@@ -244,40 +245,25 @@ class CompiledWindow:
     def guards_hold(self, scalars: dict[str, Any]) -> bool:
         return guards_hold(self.guards, scalars)
 
-    def replay(self, ex, state) -> Iterator[Any]:
+    def replay(self, state) -> Iterator[Any]:
         if state is not self.bound_state:
             raise ReplayError(
                 f"compiled window for loop {self.uid} replayed against a "
                 f"shard state it was not built for; resident executors must "
                 f"reuse shard states (reset_for_run), not rebuild them")
         epochs = state.epochs
-        tracer = ex.tracer
-        traced = tracer.enabled
-        perf = time.perf_counter
-        # Where the iteration's compute and copy time went, for the flight
-        # recorder: per kind, when its first phase began and how long all
-        # of its phases ran — two clock reads a phase, two records an
-        # iteration however many phases an unfused window has.
-        began, busy = [0.0, 0.0], [0.0, 0.0]
-        t_start = tracer.now_us() if traced else 0.0
+        record, loop, perf = state.flight.record, self.uid, time.perf_counter
         for kind, payload in self.phases:
             if kind == _PH_RUN:
-                name, cat, slot, thunks = payload
-                if slot < 0:
+                flight_kind, nbytes, thunks = payload
+                if not flight_kind:
                     for fn in thunks:
                         fn()
                     continue
-                tf = perf()
-                t0 = tracer.now_us() if traced else 0.0
+                t0 = perf()
                 for fn in thunks:
                     fn()
-                if traced:
-                    tracer.complete(name, t0, tracer.now_us() - t0, cat=cat,
-                                    pid=PID_SPMD, tid=state.shard,
-                                    args={"loop": self.uid})
-                if not busy[slot]:
-                    began[slot] = tf
-                busy[slot] += perf() - tf
+                record(flight_kind, loop, t0, perf(), nbytes)
             elif kind == _PH_WAIT:
                 for seq, uid, stride, label in payload:
                     ev = seq.event_for(epochs[uid] + stride, label)
@@ -303,20 +289,6 @@ class CompiledWindow:
             setattr(state, name, getattr(state, name) + d)
         for uid, d in self.epoch_deltas:
             epochs[uid] = epochs.get(uid, 0) + d
-        # One aggregated TASK and one COPY record: the interval starts with
-        # the kind's first phase and is as long as all of them together.
-        for slot, nbytes in ((0, 0), (1, self.bytes_delta)):
-            if busy[slot]:
-                state.flight.record(_FLIGHT_KINDS[slot], self.uid, began[slot],
-                                    began[slot] + busy[slot], nbytes)
-        if traced:
-            tracer.complete("replay:jit", t_start, tracer.now_us() - t_start,
-                            cat="jit", pid=PID_SPMD, tid=state.shard,
-                            args={"loop": self.uid,
-                                  "closures": self.num_closures})
-            if self.bytes_delta:
-                tracer.counter("bytes copied", float(state.bytes_copied),
-                               pid=PID_SPMD, tid=state.shard)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +312,7 @@ def compile_window(ex, rec: IterationRecorder, state, comm, *,
               for loop_uid, g in state.epochs.items())
     wir.epoch_deltas = tuple((loop_uid, d) for loop_uid, d in deltas if d)
     ctx = WindowContext(
-        num_shards=comm.num_shards,
-        tracer=ex.tracer, metrics=state.metrics,
+        num_shards=comm.num_shards, metrics=state.metrics,
         dump_after=ex.window_dump_after, dump_sink=ex.window_dump_sink,
         ex=ex, state=state, comm=comm)
     baseline = window_summary(wir)
@@ -357,9 +328,7 @@ def compile_window(ex, rec: IterationRecorder, state, comm, *,
 
     try:
         wir = run_pass_pipeline(
-            wir, window_passes(), ctx,
-            span_prefix="window", cat="replay", pid=PID_SPMD,
-            tid=state.shard, metric_prefix="spmd_window_pass",
+            wir, window_passes(), ctx, metric_prefix="spmd_window_pass",
             size_fn=lambda w: len(w.ops), verify_fn=verify,
             dump_fn=format_window)
     except WindowVerifyError as exc:
@@ -410,26 +379,25 @@ class LoopReplay:
         self._rec = IterationRecorder(epochs)
         return self._rec
 
-    def end_iteration(self, ex, state) -> bool:
-        """Returns True if this iteration was frozen into a window."""
+    def end_iteration(self, ex, state) -> None:
+        """Freeze the loop into a window if this iteration allows it."""
         rec, self._rec = self._rec, None
         self.iterations_recorded += 1
         if self.trace is not None:
-            return False  # guard-fallback: keep the frozen window
+            return  # guard-fallback: keep the frozen window
         if rec.unfreezable or self.unfreezable:
             self._prev = None
-            return False
+            return
         if rec.guards:
             fp = rec.fingerprint()
             if fp != self._prev:
                 self._prev = fp
-                return False
+                return
         try:
             self.trace = compile_window(ex, rec, state, self.comm,
                                         uid=self.uid)
         except _Unfreezable:
             self._prev = None
             self.unfreezable = not rec.guards
-            return False
+            return
         state.capture_points[self.uid] = self.iterations_recorded
-        return True

@@ -43,7 +43,7 @@ from typing import Any
 import numpy as np
 
 from ..obs import flight as _flight
-from ..obs.flight import FlightRecorder, chrome_trace, flight_enabled
+from ..obs.flight import FlightRecorder, chrome_trace
 from ..obs.metrics import (SERVE_LATENCY_BUCKETS, Histogram, MetricsRegistry,
                            scrape_payload)
 from .cache import PlanCache
@@ -135,7 +135,7 @@ class ServeEngine:
         self._closed = False
         # Engine-level flight ring: one REQUEST span per job (shard -1 in
         # the merged trace), alongside the per-executor shard rings.
-        self.flight = FlightRecorder() if flight_enabled() else None
+        self.flight = FlightRecorder()
         self.flight_dir = (
             flight_dir if flight_dir is not None
             else os.environ.get("REPRO_FLIGHT_DIR")
@@ -220,11 +220,10 @@ class ServeEngine:
                 self._count_request(job.request.app, "error")
             finally:
                 t1 = time.perf_counter()
-                if self.flight is not None:
-                    # uid = the numeric job id, so a REQUEST span in the
-                    # merged trace points back at /jobs/<id>.
-                    self.flight.ring(-1).record(
-                        _flight.REQUEST, int(job.id[1:]), t0, t1)
+                # uid = the numeric job id, so a REQUEST span in the
+                # merged trace points back at /jobs/<id>.
+                self.flight.ring(-1).record(
+                    _flight.REQUEST, int(job.id[1:]), t0, t1)
                 self._recent.appendleft({
                     "trace_id": job.trace_id, "job": job.id,
                     "app": job.request.app, "backend": job.request.backend,
@@ -303,7 +302,7 @@ class ServeEngine:
             # failure, attached to the exception and written to
             # ``flight_dir`` so the trace survives the discard.
             ex_failed = entry.executor
-            if ex_failed is not None and getattr(ex_failed, "flight", None):
+            if ex_failed is not None:
                 ex_failed.flight_dir = self.flight_dir
                 job.flight_path = ex_failed.dump_flight(exc)
             # The entry's plans may be half-built or inconsistent; drop
@@ -354,11 +353,8 @@ class ServeEngine:
     def flight_trace(self, last_s: float | None = None) -> dict:
         """One merged Chrome trace: engine REQUEST spans + every resident
         executor's shard rings (``/debug/flight``)."""
-        recorders = [ex.flight for ex in self.cache.executors()
-                     if getattr(ex, "flight", None) is not None]
-        if self.flight is not None:
-            recorders.append(self.flight)
-        return chrome_trace(recorders, last_s=last_s)
+        recorders = [ex.flight for ex in self.cache.executors()]
+        return chrome_trace([*recorders, self.flight], last_s=last_s)
 
     def _endpoint_latency(self) -> dict[str, dict[str, float]]:
         # Merge lock held.  One row per endpoint label of the HTTP
@@ -392,10 +388,8 @@ class ServeEngine:
             "plan_cache": self.cache.stats(),
             "endpoints": endpoints,
             "flight": {
-                "enabled": self.flight is not None,
                 "dir": self.flight_dir,
-                "requests_recorded": (self.flight.records_total()
-                                      if self.flight is not None else 0),
+                "requests_recorded": self.flight.records_total(),
             },
         }
 
@@ -413,13 +407,11 @@ class ServeEngine:
             # common serve deployment is one resident app, and the
             # /debug/flight trace keeps the full per-executor story.
             for ex in executors:
-                rec = getattr(ex, "flight", None)
-                if rec is not None and rec.records_total():
-                    export_skew_metrics(rec, self.metrics)
-                    export_drift_metrics(rec, self.metrics)
-            if self.flight is not None:
-                self.metrics.gauge("flight_serve_requests_recorded").set(
-                    self.flight.records_total())
+                if ex.flight.records_total():
+                    export_skew_metrics(ex.flight, self.metrics)
+                    export_drift_metrics(ex.flight, self.metrics)
+            self.metrics.gauge("flight_serve_requests_recorded").set(
+                self.flight.records_total())
             return scrape_payload(self.metrics)
 
     def shutdown(self, timeout: float = 10.0) -> None:

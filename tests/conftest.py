@@ -81,5 +81,4 @@ def interpret_only():
 
     def never_freeze(self, ex, state):
         self.iterations_recorded += 1
-        return False
     return mock.patch.object(LoopReplay, "end_iteration", never_freeze)

@@ -1,8 +1,16 @@
-"""Flight recorder: ring mechanics, driver wiring, failure dumps, drift.
+"""Flight recorder: ring mechanics, driver wiring, failure dumps, drift,
+and the rings as the shard runtime's one timeline.
 
 The acceptance-critical properties:
 
 * every SPMD driver records into the always-on rings by default;
+* on every app and backend, a shard's TASK, COPY and WAIT records are
+  pairwise disjoint and lie inside the iteration record around them, so
+  flattening the rendered rows gives true buckets; on ``stepped`` a
+  shard's descheduled turns are its WAITs, so its other records never
+  contain another shard's work;
+* a tracer shows the rows through the one exporter, under the tracer's
+  span names, and a profile can be built from any run's rings;
 * a ``ShardExceptionGroup`` automatically carries a parseable Chrome
   trace of the final window (``exc.flight_trace`` / ``exc.flight_path``);
 * ``drift_efficiency_ratio`` (measured / machine-model predicted
@@ -15,8 +23,12 @@ import threading
 import numpy as np
 import pytest
 
+from repro.apps.circuit import CircuitProblem
+from repro.apps.miniaero import MiniAeroProblem
+from repro.apps.pennant import PennantProblem
 from repro.apps.stencil import StencilProblem
 from repro.core import ProgramBuilder, control_replicate
+from repro.obs import PID_SPMD, Tracer, build_profile
 from repro.obs.drift import analyze_drift, export_drift_metrics
 from repro.obs.flight import (
     CAPTURE,
@@ -31,12 +43,22 @@ from repro.obs.flight import (
     ShardRing,
     anchor_delta_s,
     chrome_trace,
-    flight_enabled,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.skew import analyze_skew, export_skew_metrics
 from repro.runtime import SPMDExecutor, procs_available
 from repro.tasks import R, RW, task
+
+MODES = ["stepped", "threaded"] + (["procs", "net"] if procs_available()
+                                   else [])
+
+APPS = {
+    "stencil": lambda: StencilProblem(n=24, radius=2, tiles=4, steps=4),
+    "circuit": lambda: CircuitProblem(pieces=4, nodes_per_piece=25,
+                                      wires_per_piece=40, steps=4),
+    "pennant": lambda: PennantProblem(nx=8, ny=8, pieces=4, steps=4),
+    "miniaero": lambda: MiniAeroProblem(shape=(6, 6, 6), tiles=4, steps=4),
+}
 
 
 def run_stencil(mode, steps=14, shards=2, **kw):
@@ -158,6 +180,119 @@ class TestChromeExport:
         assert json.loads(json.dumps(trace))  # JSON-serializable end to end
 
 
+class TestRowRendering:
+    def _recorder(self):
+        rec = FlightRecorder(num_shards=1)
+        rec.names.update({10: "task:TF", 11: "copy:A->B"})
+        ring = rec.ring(0)
+        ring.record(CAPTURE, 5, 0.0, 1.0)
+        ring.record(TASK, 10, 0.1, 0.2)
+        ring.record(COPY, 11, 0.3, 0.4, nbytes=64)
+        ring.record(WAIT, 11, 0.5, 0.6)
+        ring.record(COMPILE, 5, 1.0, 1.5)
+        ring.record(ITER, 5, 2.0, 3.0)
+        ring.record(TASK, 5, 2.1, 2.2)
+        ring.record(COPY, 5, 2.3, 2.4, nbytes=32)
+        ring.record(WAIT, 0, 2.5, 2.6)
+        return rec
+
+    def test_rows_take_the_tracer_names_and_categories(self):
+        trace = self._recorder().to_chrome()["traceEvents"]
+        rows = [(e["name"], e["cat"]) for e in trace if e["ph"] == "X"]
+        assert rows == [
+            ("replay:capture", "replay"), ("task:TF", "task"),
+            ("copy:A->B", "copy"), ("wait:copy:A->B", "wait"),
+            ("window:compile", "replay"), ("replay:iteration", "jit"),
+            ("jit:compute", "task"), ("jit:copy", "copy"),
+            ("wait:event", "wait")]
+        assert all(e["pid"] == PID_SPMD for e in trace)
+        copied = [e["args"]["value"] for e in trace
+                  if e["name"] == "bytes copied"]
+        assert copied == [64.0, 96.0]  # cumulative per shard
+        (replay,) = [e for e in trace if e["name"] == "replay"]
+        assert replay["args"] == {"hit": 1, "miss": 1}
+
+    def test_tracer_renders_attached_rings_on_its_clock(self):
+        rec = FlightRecorder(num_shards=1)
+        tracer = Tracer()
+        tracer.attach(rec)
+        assert not [e for e in tracer.events() if e["ph"] == "X"]
+        t0 = tracer._t0
+        rec.ring(0).record(ITER, 1, t0 + 1.0, t0 + 2.0)
+        (row,) = [e for e in tracer.events() if e["ph"] == "X"]
+        assert row["ts"] == pytest.approx(1e6)
+        assert row["dur"] == pytest.approx(1e6)
+
+    def test_overflow_is_reported_not_silent(self):
+        rec = FlightRecorder(num_shards=1, capacity=4)
+        for i in range(10):
+            rec.ring(0).record(ITER, 1, float(i), i + 0.5)
+        events = rec.to_chrome()["traceEvents"]
+        (mark,) = [e for e in events if e["name"] == "flight:dropped"]
+        assert mark["args"]["dropped"] == 6
+        report = build_profile(events, num_shards=1)
+        assert report.dropped_records == 6
+        assert "overwritten" in report.format()
+
+
+def _check_nesting(snap):
+    """Inside every ITER/CAPTURE record, the shard's TASK, COPY and WAIT
+    records lie within it; all of them are pairwise disjoint."""
+    kind = snap["kind"]
+    windows = np.isin(kind, (ITER, CAPTURE))
+    inner = np.isin(kind, (TASK, COPY, WAIT))
+    assert windows.any() and inner.any()
+    t0, t1 = snap["t0"][inner], snap["t1"][inner]
+    order = np.argsort(t0, kind="stable")
+    t0, t1 = t0[order], t1[order]
+    assert np.all(t0[1:] >= t1[:-1]), "overlapping TASK/COPY/WAIT records"
+    for w0, w1 in zip(snap["t0"][windows], snap["t1"][windows]):
+        overlapping = (t0 < w1) & (t1 > w0)
+        assert np.all((t0[overlapping] >= w0) & (t1[overlapping] <= w1))
+
+
+class TestOneTimeline:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("app", sorted(APPS))
+    def test_records_nest_and_profile_sums(self, app, mode):
+        tracer = Tracer()
+        _, _, ex, _ = APPS[app]().run_control_replicated(
+            2, mode=mode, tracer=tracer)
+        for shard in (0, 1):
+            _check_nesting(ex.flight.ring(shard).snapshot())
+        events = tracer.events()
+        names = {e["name"] for e in events if e.get("pid") == PID_SPMD}
+        assert {"replay:capture", "replay:iteration"} <= names
+        report = build_profile(events, num_shards=2, executor=ex)
+        assert len(report.shards) == 2
+        for a in report.shards:
+            assert sum(a.buckets.values()) == pytest.approx(a.wall_s,
+                                                            rel=0.02)
+        assert report.critical_path and report.critical_path.steps
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_stepped_turns_of_other_shards_are_waits(self, seed):
+        p = APPS["circuit"]()
+        _, _, ex, _ = p.run_control_replicated(2, mode="stepped", seed=seed)
+        snaps = [ex.flight.ring(s).snapshot() for s in (0, 1)]
+        for x, mine in enumerate(snaps):
+            theirs = snaps[1 - x]
+            work = np.isin(theirs["kind"], (TASK, COPY))
+            r0, r1 = theirs["t0"][work], theirs["t1"][work]
+            waits = mine["kind"] == WAIT
+            w0, w1 = mine["t0"][waits], mine["t1"][waits]
+            windows = np.isin(mine["kind"], (ITER, CAPTURE))
+            for s0, s1 in zip(mine["t0"][windows], mine["t1"][windows]):
+                inside = (r0 < s1) & (r1 > s0)
+                for a, b in zip(r0[inside], r1[inside]):
+                    assert np.any((w0 <= a) & (b <= w1)), (
+                        f"seed {seed}: shard {1 - x}'s record [{a}, {b}] "
+                        f"lies in shard {x}'s iteration outside its waits")
+        report = build_profile(ex.flight.to_chrome()["traceEvents"],
+                               num_shards=2, executor=ex)
+        assert all(a.buckets["sync_wait"] > 0 for a in report.shards)
+
+
 class TestDriverWiring:
     @pytest.mark.parametrize("mode", ["stepped", "threaded"])
     def test_drivers_record_by_default(self, mode):
@@ -204,12 +339,6 @@ class TestDriverWiring:
 
     def test_flight_kwarg_off_disables_recording(self):
         ex = run_stencil("stepped", flight=False)
-        assert ex.flight is None
-
-    def test_env_gate_disables_by_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLIGHT", "off")
-        assert not flight_enabled()
-        ex = run_stencil("stepped", steps=4)
         assert ex.flight is None
 
     def test_rings_survive_across_runs_in_one_executor(self):
@@ -259,7 +388,9 @@ class TestFailureDump:
         assert path and path.startswith(str(tmp_path))
         with open(path) as fh:
             trace = json.load(fh)
-        assert any(e.get("cat") == "flight" for e in trace["traceEvents"])
+        # The failing point task is a row named after its launch.
+        assert any(e.get("name") == "task:flight_boom"
+                   for e in trace["traceEvents"])
 
 
 class TestSkewAndDrift:

@@ -1,20 +1,15 @@
 """The instrumentation budget: observability must be near-free.
 
-Two budgets are pinned here, both against the fig-6 stencil hot loop:
-
-* **Null instrumentation** — every hot-path call site touches a tracer
-  and a metrics registry unconditionally (the null-object pattern keeps
-  the code branch-free); the per-touch price of :data:`NULL_TRACER` /
-  :data:`NULL_METRICS` times the touches per steady-state iteration must
-  stay under 5% of the measured per-iteration wall time (the median
-  replayed iteration, as the run's own flight records time it).
-* **Always-on flight recorder** — unlike the tracer, the flight rings
-  record on every production run; the per-record price times the records
-  one steady-state iteration emits (counted from a real run) must also
-  stay under 5% of the iteration.
+The flight rings are the shard runtime's one timeline and record on every
+run — a tracer only renders them afterwards — so their cost is the whole
+price of runtime observability.  Pinned against the fig-6 stencil hot
+loop: the per-record price (clock reads included) times the records one
+steady-state iteration emits (counted from a real run: one per compute
+and copy phase of the window, plus its ITER and WAITs) must stay under 5%
+of the iteration (the median replayed iteration, as the run's own flight
+records time it).
 """
 
-import functools
 import os
 import time
 
@@ -23,7 +18,6 @@ import pytest
 
 from repro.apps.stencil import StencilProblem
 from repro.core import control_replicate
-from repro.obs import NULL_METRICS, NULL_TRACER, PID_SPMD, Tracer
 from repro.obs.flight import ITER, TASK, ShardRing
 from repro.runtime import SPMDExecutor
 
@@ -38,20 +32,17 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _run(steps: int, tracer=None) -> SPMDExecutor:
+def _run(steps: int) -> SPMDExecutor:
     p = StencilProblem(n=128, radius=2, tiles=4, steps=steps)
     prog, _ = control_replicate(p.build_program(), num_shards=SHARDS)
-    kw = {"tracer": tracer} if tracer is not None else {}
     ex = SPMDExecutor(num_shards=SHARDS, mode="threaded",
-                      instances=p.fresh_instances(), flight=True, **kw)
+                      instances=p.fresh_instances(), flight=True)
     ex.run(prog)
     return ex
 
 
-@functools.cache
 def _per_iteration_seconds() -> float:
-    """Steady-state step time, nulls in place (the production default):
-    the median replayed-iteration (``ITER``) flight record over every
+    """Steady-state step time: the median replayed-iteration (``ITER``) flight record over every
     shard of a few runs.
 
     Each iteration is timed by the run itself, so a slow run shifts a
@@ -75,31 +66,6 @@ def _per_iteration_seconds() -> float:
         f"median step {step * 1e3:.3f} ms is shorter than the median task "
         f"record {float(np.median(tasks)) * 1e3:.3f} ms")
     return step
-
-
-def _touches_per_iteration() -> float:
-    """How many instrumented spans one steady-state iteration emits."""
-    counts = {}
-    for steps in (STEPS_LO, STEPS_HI):
-        tracer = Tracer()
-        _run(steps, tracer=tracer)
-        counts[steps] = sum(1 for ev in tracer.events()
-                            if ev.get("ph") == "X"
-                            and ev.get("pid") == PID_SPMD)
-    return (counts[STEPS_HI] - counts[STEPS_LO]) / (STEPS_HI - STEPS_LO)
-
-
-def _null_touch_seconds(n: int = 50_000) -> float:
-    """Per-touch cost of one fully-null instrumentation site."""
-    t0 = time.perf_counter()
-    for i in range(n):
-        # The shape of a hot-loop site: a null span plus the registry
-        # enabled-check and a null instrument call.
-        with NULL_TRACER.span("task:stencil", cat="task", args={"uid": i}):
-            if NULL_METRICS.enabled:
-                pass
-            NULL_METRICS.counter("spmd_tasks_total", shard=0).inc()
-    return (time.perf_counter() - t0) / n
 
 
 def _records_per_iteration() -> float:
@@ -138,23 +104,3 @@ def test_flight_recorder_under_five_percent():
         f"always-on flight recording costs {frac * 100:.2f}% of a "
         f"steady-state iteration ({overhead * 1e6:.1f} µs of "
         f"{per_iter * 1e3:.3f} ms); budget is 5%")
-
-
-@pytest.mark.skipif(_usable_cpus() < 2,
-                    reason="needs >= 2 CPUs for a stable threaded measurement")
-def test_null_observability_under_five_percent():
-    per_iter = _per_iteration_seconds()
-    touches = _touches_per_iteration()
-    per_touch = min(_null_touch_seconds() for _ in range(3))
-    # 2x headroom on the touch count: metrics-only sites (wait
-    # histograms, task timers) that emit no span still pay the null fee.
-    overhead = 2.0 * touches * per_touch
-    frac = overhead / per_iter
-    print(f"\nsteady state {per_iter * 1e3:.3f} ms/iter, "
-          f"{touches:.0f} spans/iter, null touch {per_touch * 1e9:.0f} ns "
-          f"-> overhead {frac * 100:.2f}% of iteration")
-    assert touches > 0, "trace shows no steady-state spans"
-    assert frac < 0.05, (
-        f"null observability costs {frac * 100:.2f}% of a steady-state "
-        f"iteration ({overhead * 1e6:.1f} µs of {per_iter * 1e3:.3f} ms); "
-        f"budget is 5%")

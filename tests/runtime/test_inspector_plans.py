@@ -227,7 +227,7 @@ class TestBatchableContract:
 class TestWindowFlightCoverage:
     def test_task_copy_wait_cover_a_replayed_iteration(self):
         # The flight recorder sees inside the compiled window: per shard,
-        # the aggregated TASK and COPY records of each replayed iteration
+        # the per-phase TASK and COPY records of each replayed iteration
         # plus its WAITs account for (nearly) all of its ITER time.
         p = StencilProblem(n=384, radius=2, tiles=8, steps=12)
         ex, _ = run_cr(p, 2, "threaded", flight=True)
@@ -242,6 +242,6 @@ class TestWindowFlightCoverage:
                           for k in (fl.TASK, fl.COPY, fl.WAIT))
             assert covered >= 0.9 * dur[iters].sum(), (
                 shard, covered, dur[iters].sum())
-            # Aggregated COPY records carry the phase's bytes.
+            # A copy phase's record carries the phase's bytes.
             copies = inside & (snap["kind"] == fl.COPY)
             assert copies.any() and (snap["nbytes"][copies] > 0).all()

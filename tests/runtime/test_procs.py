@@ -152,46 +152,8 @@ class TestErrorPropagation:
 
 
 class TestClockRebase:
-    """Child tracer timestamps are re-based onto the parent's clock when
-    the two perf_counter bases differ (fork preserves the base; re-created
-    tracers and spawn-like platforms do not)."""
-
-    def test_rebase_events_shifts_and_clamps(self):
-        from repro.obs import rebase_events
-        events = [{"ph": "X", "ts": 100.0, "dur": 50.0, "name": "a"},
-                  {"ph": "X", "ts": 2.0, "dur": 1.0, "name": "b"},
-                  {"ph": "M", "name": "process_name"}]
-        out = rebase_events(events, -10.0)
-        assert out[0]["ts"] == 90.0 and out[0]["dur"] == 50.0
-        assert out[1]["ts"] == 0.0  # clamped, never negative
-        assert out[2] == {"ph": "M", "name": "process_name"}  # untouched
-        # Input list is not mutated.
-        assert events[0]["ts"] == 100.0
-
-    def test_rebased_ignores_fork_preserved_skew(self):
-        from repro.runtime.launch import _rebased
-        # Same wall instant, near-identical tracer clocks: fork preserved
-        # the base, so the events must pass through unshifted.
-        payload = {"trace_events": [{"ph": "X", "ts": 5.0, "dur": 1.0}],
-                   "clock_anchor": (1000.0, 500.0)}
-        out = _rebased(payload, parent_anchor=(1000.0, 499.0))
-        assert out[0]["ts"] == 5.0
-
-    def test_rebased_shifts_large_skew(self):
-        from repro.runtime.launch import _rebased
-        # The child's tracer clock reads 1s behind the parent's at the
-        # same wall instant: shift its spans forward by that second.
-        payload = {"trace_events": [{"ph": "X", "ts": 5.0, "dur": 1.0}],
-                   "clock_anchor": (1000.0, 500.0)}
-        out = _rebased(payload, parent_anchor=(1000.0, 500.0 + 1e6))
-        assert out[0]["ts"] == pytest.approx(5.0 + 1e6)
-
-    def test_rebased_without_anchor_is_identity(self):
-        from repro.runtime.launch import _rebased
-        payload = {"trace_events": [{"ph": "X", "ts": 5.0, "dur": 1.0}],
-                   "clock_anchor": None}
-        assert _rebased(payload, None) == payload["trace_events"]
-        assert _rebased(payload, (0.0, 0.0)) == payload["trace_events"]
+    """Child flight records land on the parent's clock: the rows a tracer
+    renders from the funneled rings start after its epoch."""
 
     def test_funneled_trace_has_no_negative_times(self, fig2):
         from repro.obs import PID_SPMD, Tracer

@@ -8,8 +8,8 @@ verifier's failure path, the batched advance path, the one-sweep
 fission pass against its pairwise-swap oracle, the cost of a freeze
 (footprint derivations, batched pair-copy lowering against the per-pair
 one, finished-run lifetime), and
-the observability surface (``spmd_window_*`` metrics, ``replay:jit``
-spans, pass dumps).
+the observability surface (``spmd_window_*`` metrics, the
+``replay:iteration`` rows a tracer renders, pass dumps).
 """
 
 import gc
@@ -36,7 +36,7 @@ from repro.core.ir import (
     walk,
 )
 from repro.core.passes import Pass
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import PID_SPMD, MetricsRegistry, Tracer
 from repro.regions import (
     IntervalSet,
     PhysicalInstance,
@@ -848,17 +848,29 @@ class TestObservability:
         ex = SPMDExecutor(num_shards=2, instances=fig2.fresh_instances(),
                           tracer=tracer, metrics=metrics)
         ex.run(prog)
-        spans = Counter(e.get("name") for e in tracer.events())
-        assert "replay:jit" in spans
-        # One span per pass per compiled window (one window per shard).
+        # Every replayed iteration is a replay:iteration row per shard,
+        # category jit (its self time is closure dispatch), holding the
+        # window's per-phase compute/copy rows under the loop's uid.
+        rows = [e for e in tracer.events()
+                if e.get("ph") == "X" and e["pid"] == PID_SPMD]
+        iters = [e for e in rows if e["name"] == "replay:iteration"]
+        assert len(iters) == ex.replay_hits > 0
+        assert all(e["cat"] == "jit" for e in iters)
+        loops = {e["args"]["uid"] for e in iters}
+        phases = Counter(e["name"] for e in rows
+                         if e["args"]["uid"] in loops)
+        assert phases["jit:compute"] and phases["jit:copy"]
+        # The window passes run without a tracer: one run of each per
+        # compiled window (one window per shard), counted in metrics.
         passes = [p.name for p in window_exec.window_passes()]
         assert passes == ["freeze-tasks", "fuse-copies", "batch-launch",
                           "fission"]
-        assert all(spans[f"window:{name}"] == 2 for name in passes)
-        jit_spans = [e for e in tracer.events()
-                     if e.get("name") == "replay:jit"]
-        assert all(e.get("cat") == "jit" for e in jit_spans)
-        assert all(e["args"]["closures"] > 0 for e in jit_spans)
+        runs = {labels["pass"]: inst.value
+                for name, labels, inst in metrics.items()
+                if name == "spmd_window_pass_runs_total"}
+        assert runs == {name: 2 for name in passes}
+        assert not any(e["name"].startswith("window:")
+                       and e["name"] != "window:compile" for e in rows)
         assert _pass_stat(metrics, "batches") > 0
         got = {name for name, _, _ in metrics.items()}
         assert "spmd_window_ops_total" in got

@@ -433,7 +433,8 @@ class TestHTTPServer:
         spans = [e for e in trace["traceEvents"] if e.get("ph") == "X"]
         names = {e["name"] for e in spans}
         assert "request" in names          # the engine's REQUEST row
-        assert names & {"iter", "capture"}  # the executor's shard rings
+        # The executor's shard rings, under the tracer's row names.
+        assert names & {"replay:iteration", "replay:capture"}
         rows = {e["args"]["name"] for e in trace["traceEvents"]
                 if e.get("ph") == "M" and e["name"] == "thread_name"}
         assert "serve" in rows
@@ -455,7 +456,8 @@ class TestHTTPServer:
         assert path.startswith(str(tmp_path))
         with open(path) as fh:
             trace = json.load(fh)
-        assert any(e.get("cat") == "flight" for e in trace["traceEvents"])
+        assert any(e.get("cat") in ("jit", "replay")
+                   for e in trace["traceEvents"])
         # The dump also shows up on the /debug/requests row for the job.
         rows = json.loads(self._get(base, "/debug/requests")[1])["requests"]
         failed = [r for r in rows if r["status"] == "error"]
