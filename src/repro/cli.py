@@ -676,13 +676,15 @@ def cmd_explain(args) -> int:
     transformed, _ = control_replicate(problem.build_program(),
                                        num_shards=args.shards)
     print(explain_shard(transformed, args.shard))
+    me = args.shard
     comm = shard_communication_summary(transformed)
-    inbound = sum(v for (s, d), v in comm.items()
-                  if d == args.shard and s != args.shard)
-    outbound = sum(v for (s, d), v in comm.items()
-                   if s == args.shard and d != args.shard)
-    local = comm.get((args.shard, args.shard), 0)
-    print(f"-- channels: {outbound} outbound, {inbound} inbound, {local} local")
+    out = [t for (p, q), t in comm.items() if p == me != q]
+    into = [t for (p, q), t in comm.items() if q == me != p]
+    local = comm[(me, me)].pairs if (me, me) in comm else 0
+    print(f"-- channels: {sum(t.channels for t in out)} outbound / "
+          f"{sum(t.channels for t in into)} inbound "
+          f"({sum(t.pairs for t in out)} / {sum(t.pairs for t in into)} "
+          f"pairs), {local} local pairs")
     return 0
 
 

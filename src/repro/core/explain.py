@@ -10,6 +10,8 @@ it generated is the productivity claim of the paper made tangible.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .ir import (
     BarrierStmt,
     Block,
@@ -28,9 +30,20 @@ from .ir import (
     format_stmts,
     walk,
 )
-from .shards import owner_of_color, shard_owned_colors
+from .shards import channel_keys, owner_of_color, shard_owned_colors
 
-__all__ = ["explain_shard", "shard_communication_summary", "format_pipeline_ir"]
+__all__ = ["explain_shard", "shard_communication_summary", "format_pipeline_ir",
+           "Traffic"]
+
+
+class Traffic(NamedTuple):
+    """What one (producer shard, consumer shard) exchanges per epoch of
+    the loop body: the handshake channels the runtime builds for it (one
+    per copy statement with a pair between them, none from a shard to
+    itself) and the intersection pairs those channels carry."""
+
+    channels: int
+    pairs: int
 
 
 def _copy_pairs(stmt: PairwiseCopy) -> list[tuple[int, int]]:
@@ -77,11 +90,12 @@ def _fmt(stmt: Stmt, shard: int, ns: int, lines: list[str], depth: int) -> None:
                  if owner_of_color(stmt.src.num_colors, ns, i) == shard]
         recvs = [(i, j) for (i, j) in pairs
                  if owner_of_color(stmt.dst.num_colors, ns, j) == shard]
+        chans = [k for k in channel_keys(stmt, pairs, ns) if shard in k]
         op = f" ({stmt.redop}=)" if stmt.redop else ""
         lines.append(
             f"{pad}copy{op} {stmt.src.name} -> {stmt.dst.name} "
             f"[{stmt.sync_mode}]: produce {sends or 'nothing'}, "
-            f"consume {recvs or 'nothing'}")
+            f"consume {recvs or 'nothing'}; channels {chans}")
     elif isinstance(stmt, FillReductionBuffer):
         owned = list(shard_owned_colors(stmt.partition.num_colors, ns, shard))
         lines.append(f"{pad}fill {stmt.partition.name}{owned} with "
@@ -139,13 +153,18 @@ def explain_shard(program: Program, shard: int,
     return "\n".join(out)
 
 
-def shard_communication_summary(program: Program,
-                                num_shards: int | None = None) -> dict[tuple[int, int], int]:
-    """Shard-to-shard channel counts: ``(producer, consumer) -> #pairs``.
+def shard_communication_summary(
+        program: Program,
+        num_shards: int | None = None) -> dict[tuple[int, int], Traffic]:
+    """Shard-to-shard traffic: ``(producer, consumer) -> Traffic``, the
+    channels from ``channel_keys`` (what the runtime builds) and the pairs
+    they carry.
 
-    Self-channels (local copies) are included with key ``(s, s)``.
+    A shard's copies into itself are included under ``(s, s)``, with
+    pairs and no channel.
     """
-    out: dict[tuple[int, int], int] = {}
+    channels: dict[tuple[int, int], int] = {}
+    pairs: dict[tuple[int, int], int] = {}
     for sl in (s for s in walk(program.body) if isinstance(s, ShardLaunch)):
         ns = sl.num_shards or num_shards
         if not ns:
@@ -153,8 +172,11 @@ def shard_communication_summary(program: Program,
         for stmt in walk(sl):
             if not isinstance(stmt, PairwiseCopy):
                 continue
-            for (i, j) in _copy_pairs(stmt):
-                src = owner_of_color(stmt.src.num_colors, ns, i)
-                dst = owner_of_color(stmt.dst.num_colors, ns, j)
-                out[(src, dst)] = out.get((src, dst), 0) + 1
-    return out
+            stmt_pairs = _copy_pairs(stmt)
+            for key in channel_keys(stmt, stmt_pairs, ns):
+                channels[key] = channels.get(key, 0) + 1
+            for (i, j) in stmt_pairs:
+                key = (owner_of_color(stmt.src.num_colors, ns, i),
+                       owner_of_color(stmt.dst.num_colors, ns, j))
+                pairs[key] = pairs.get(key, 0) + 1
+    return {key: Traffic(channels.get(key, 0), n) for key, n in pairs.items()}

@@ -15,7 +15,8 @@ from __future__ import annotations
 from ..regions.index_space import IndexSpace
 from .ir import Block, ShardLaunch, Stmt
 
-__all__ = ["create_shards", "shard_owned_colors", "owner_of_color"]
+__all__ = ["channel_keys", "create_shards", "shard_owned_colors",
+           "owner_of_color"]
 
 
 def shard_owned_colors(domain_size: int, num_shards: int, shard: int) -> range:
@@ -36,6 +37,28 @@ def owner_of_color(domain_size: int, num_shards: int, color: int) -> int:
     while color < shard_owned_colors(domain_size, num_shards, shard).start:
         shard -= 1
     return shard
+
+
+def channel_keys(stmt, pairs, ns: int) -> list[tuple[int, int]]:
+    """The handshake channels of copy statement ``stmt`` under ``ns``
+    shards: the distinct ``(producer shard, consumer shard)`` of its
+    ``pairs`` whose two shards differ, in pair order.
+
+    At most ``ns * (ns - 1)`` of them, whatever the pair count.  A shard's
+    own pairs get none: its copies into itself already sit between its
+    reads of the old data and of the new one in its own program order.
+    A pure function of the statement, the pair set and ``ns``, so every
+    rank numbers the channels alike without exchanging anything.
+    """
+    src_n, dst_n = stmt.src.num_colors, stmt.dst.num_colors
+    src_owner = [owner_of_color(src_n, ns, c) for c in range(src_n)]
+    dst_owner = [owner_of_color(dst_n, ns, c) for c in range(dst_n)]
+    keys: dict[tuple[int, int], None] = {}
+    for i, j in pairs:
+        p, q = src_owner[i], dst_owner[j]
+        if p != q:
+            keys[(p, q)] = None
+    return list(keys)
 
 
 def create_shards(body: list[Stmt], launch_domains: list[IndexSpace],

@@ -6,7 +6,8 @@ here, once, for every backend:
 
 * :func:`launch_spec` walks the launch body a single time and names what
   it needs: the partitions whose instances must exist, one channel per
-  (copy statement, intersection pair), one collective per
+  (copy statement, producer shard, consumer shard) that some pair of the
+  statement crosses (:func:`channel_keys`), one collective per
   ``ScalarCollective``, one barrier per ``BarrierStmt`` tag plus a
   ``pre:``/``post:`` pair per barrier-synchronized copy, and the
   (reduction copy, destination colour) keys that need a fold lock.
@@ -14,8 +15,9 @@ here, once, for every backend:
   class itself is the in-memory implementation (``stepped``/``threaded``);
   :class:`repro.runtime.procs.BoardContext` puts the same objects in
   shared memory and :class:`repro.runtime.net.sync.NetCommContext` on the
-  wire.  Besides the objects it owns *group advance* and *pair delivery*,
-  the two operations whose best form depends on the mechanism.
+  wire.  Besides the objects it owns *group advance* and *remote
+  delivery*, the two operations whose best form depends on the
+  mechanism.
 * :func:`drive_shard` resumes one shard generator to its end on the
   calling thread, blocking in :func:`wait_event` — the one wait loop
   (20 ms poll, cancel token, deadlock deadline, flight WAIT record and
@@ -43,12 +45,14 @@ from typing import Any, Callable, Iterator
 
 from ..core.ir import (BarrierStmt, FillReductionBuffer, IndexLaunch,
                        PairwiseCopy, ScalarCollective, walk)
+from ..core.shards import channel_keys
 from ..obs import flight as _flight
 from ..obs.flight import anchor_delta_s, flight_anchor
 from .collectives import DynamicCollective
 from .events import GlobalBarrier, Sequence
 
 __all__ = ["Channel", "CommContext", "DeadlockError", "LaunchSpec",
+           "channel_keys",
            "ProcsUnavailableError", "ShardExceptionGroup", "drive_shard",
            "drive_stepped", "drive_threaded", "ensure_procs_available",
            "fork_and_funnel", "launch_spec", "procs_available", "wait_event"]
@@ -109,9 +113,9 @@ class LaunchSpec:
     """What one ``ShardLaunch`` touches and synchronizes on, in walk order."""
 
     partitions: list = field(default_factory=list)
-    # Copy statements, and per copy uid its channel keys (``_copy_pairs``).
+    # Copy statements, and per copy uid its channel keys (channel_keys).
     copies: list = field(default_factory=list)
-    pairs: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
+    channels: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
     collectives: list[tuple[int, str]] = field(default_factory=list)
     # Barrier tag -> the copy statement whose ``post:`` barrier it is (its
     # completion must also cover that statement's inbound payloads on a
@@ -124,8 +128,9 @@ class LaunchSpec:
     names: dict[int, str] = field(default_factory=dict)
 
 
-def launch_spec(stmt, copy_pairs: Callable) -> LaunchSpec:
-    """Derive the :class:`LaunchSpec` of ``stmt`` in one walk.
+def launch_spec(stmt, copy_pairs: Callable, num_shards: int) -> LaunchSpec:
+    """Derive the :class:`LaunchSpec` of ``stmt`` over ``num_shards`` in
+    one walk.
 
     Deterministic in the statement order and ``copy_pairs(copy)`` order,
     which is what lets forked ranks and independently started workers
@@ -144,7 +149,7 @@ def launch_spec(stmt, copy_pairs: Callable) -> LaunchSpec:
             parts[s.src.uid] = s.src
             parts[s.dst.uid] = s.dst
             spec.copies.append(s)
-            spec.pairs[s.uid] = copy_pairs(s)
+            spec.channels[s.uid] = channel_keys(s, copy_pairs(s), num_shards)
             spec.names[s.uid] = f"copy:{s.src.name}->{s.dst.name}"
             if s.sync_mode == "barrier":
                 spec.barriers.setdefault(f"pre:{s.uid}", None)
@@ -165,8 +170,8 @@ def launch_spec(stmt, copy_pairs: Callable) -> LaunchSpec:
 # Context: the spec's objects, plus group advance and pair delivery
 # ---------------------------------------------------------------------------
 
-# What marks a channel's two wait labels (``copy<uid>:ack(i,j)``); written
-# by CommContext, read back by wait_kind.
+# What marks a channel's two wait labels (``copy<uid>:ack(p,q)``, p and q
+# shards); written by CommContext, read back by wait_kind.
 _ACK, _READY = ":ack(", ":ready("
 
 # Every wait label of a statement starts ``<word><uid>:`` — ``copy7:…``,
@@ -182,10 +187,10 @@ def label_uid(label: str | None) -> int:
 
 
 class Channel:
-    """The two monotone sequences of one (copy statement, pair) handshake,
-    and the labels a wait on either carries: formatted once, when the
-    context creates the channel, and read from here by the interpreter,
-    the recorder and so by every frozen window."""
+    """The two monotone sequences of one (copy statement, producer shard,
+    consumer shard) handshake, and the labels a wait on either carries:
+    formatted once, when the context creates the channel, and read from
+    here by the interpreter, the recorder and so by every frozen window."""
 
     __slots__ = ("ready", "acked", "ack_label", "ready_label")
 
@@ -198,10 +203,11 @@ class Channel:
 class CommContext:
     """The synchronization objects of one launch, built from its spec.
 
-    ``channels[copy uid][(i, j)]`` is a :class:`Channel`,
-    ``collectives[uid]`` and ``barriers[tag]`` the generational
-    all-reduce and barrier objects.  Subclasses override the three
-    factories (and the two operations below) and nothing else; this
+    ``channels[copy uid][(p, q)]`` is the :class:`Channel` from producer
+    shard ``p`` to consumer shard ``q`` (one per spec channel key, in
+    spec order), ``collectives[uid]`` and ``barriers[tag]`` the
+    generational all-reduce and barrier objects.  Subclasses override the
+    three factories (and the operations below) and nothing else; this
     class builds plain in-process objects.
     """
 
@@ -211,14 +217,14 @@ class CommContext:
         self.channels: dict[int, dict[tuple[int, int], Channel]] = {}
         for stmt in spec.copies:
             chans = self.channels[stmt.uid] = {}
-            for pair in spec.pairs[stmt.uid]:
-                chan = self._channel(stmt, pair, cid)
+            for key in spec.channels[stmt.uid]:
+                chan = self._channel(stmt, key, cid)
                 cid += 1
                 if chan is not None:
-                    i, j = pair
-                    chan.ack_label = f"copy{stmt.uid}{_ACK}{i},{j})"
-                    chan.ready_label = f"copy{stmt.uid}{_READY}{i},{j})"
-                    chans[pair] = chan
+                    p, q = key
+                    chan.ack_label = f"copy{stmt.uid}{_ACK}{p},{q})"
+                    chan.ready_label = f"copy{stmt.uid}{_READY}{p},{q})"
+                    chans[key] = chan
         self.collectives = {}
         for uid, redop in spec.collectives:
             coll = self.collectives[uid] = self._collective(uid, redop)
@@ -227,7 +233,7 @@ class CommContext:
                          for tag, copy in spec.barriers.items()}
 
     # -- factories, called in spec order ----------------------------------
-    def _channel(self, stmt, pair, cid: int):
+    def _channel(self, stmt, key, cid: int):
         return Channel(Sequence(), Sequence())
 
     def _collective(self, uid: int, redop: str):
@@ -239,7 +245,7 @@ class CommContext:
     # -- operations -------------------------------------------------------
     def advance_group(self, seqs, n: int) -> None:
         """Advance a batch of this context's sequences to generation ``n``
-        (a copy statement's ack release burst, one per inbound pair)."""
+        (one handshake phase of a copy statement: one per peer shard)."""
         for seq in seqs:
             seq.advance_to(n)
 
@@ -248,8 +254,9 @@ class CommContext:
         in-memory copy from the calling shard."""
         return True
 
-    def send_pair(self, stmt, i: int, j: int, state, rec) -> None:
-        """Deliver one pair copy whose destination is not local."""
+    def send_pairs(self, stmt, peer: int, pairs, state, rec) -> None:
+        """Deliver all of ``stmt``'s pair copies from the calling shard to
+        shard ``peer``, whose destinations are not local, as one send."""
         raise NotImplementedError("every pair of this context is local")
 
 

@@ -6,8 +6,8 @@ Layout:
 * :mod:`repro.runtime.net.transport` — the full-mesh peer transport.
 * :mod:`repro.runtime.net.sync` — the launch's comm context on the wire:
   channel endpoints, credit windows, binomial-tree collectives.
-* :mod:`repro.runtime.net.plan` — per-pair sends and the packed message
-  ``fuse-copies`` aggregates them into at freeze.
+* :mod:`repro.runtime.net.plan` — a copy statement's pairs to one peer
+  rank as one packed message, interpreted or replayed.
 * :mod:`repro.runtime.net.driver` — the rank body, run under the shared
   fork-and-funnel loop (single host) or inline as one worker (multi host).
 

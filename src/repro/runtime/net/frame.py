@@ -24,23 +24,22 @@ import struct
 import numpy as np
 
 MAGIC = b"RN"
-VERSION = 1
+# 2: a copy statement's data is one MSG per (statement, peer), acked by
+# one CREDIT per (statement, peer).
+VERSION = 2
 
 # Frame kinds.
 HELLO = 1      # rank handshake right after connect
-DATA = 2       # one per-pair copy payload (un-aggregated path)
-MSG = 3        # one packed per-(stmt, src, dst) aggregated payload
-CREDIT = 4     # consumer ack for one channel
-CREDITN = 5    # batched consumer acks (one per peer per window batch)
+MSG = 3        # one copy statement's pairs to one peer: (uid, gen, vals)
+CREDIT = 4     # consumer ack of one channel: (channel id, gen)
 COLL = 6       # collective contribution flowing up the binomial tree
 COLLR = 7      # collective result flowing back down
 GATHER = 8     # final region state flowing up to rank 0
 ERROR = 9      # a rank died; payload is the exception
 
 KIND_NAMES = {
-    HELLO: "hello", DATA: "data", MSG: "msg", CREDIT: "credit",
-    CREDITN: "creditn", COLL: "coll", COLLR: "collr", GATHER: "gather",
-    ERROR: "error",
+    HELLO: "hello", MSG: "msg", CREDIT: "credit", COLL: "coll",
+    COLLR: "collr", GATHER: "gather", ERROR: "error",
 }
 
 _HEADER = struct.Struct(">2sBBI")

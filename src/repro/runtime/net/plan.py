@@ -1,122 +1,66 @@
-"""Message plans: remote pair sends and their aggregation at freeze.
+"""Send plans: one copy statement's pairs to one peer rank, as one message.
 
-The interpreted path lowers each cross-rank pair copy to a
-:class:`NetSendCopy` — the net backend's stand-in for the in-memory
-:class:`~repro.runtime.window.ir.PairCopy`: the gather index is resolved
-once against the producer's source instance and every ``apply`` packs the
-pair's fields into one ``DATA`` frame.  The payload is applied on the
-*consumer*, in its own shard thread at its ready-wait point in replicated
-program order (see :mod:`repro.runtime.net.sync`), which is why a remote
-send carries no reduction lock: the write-after-read hazard the local
-handshake guards against cannot occur when the write happens at the
-reader's own program point.
+A copy statement hands the context all of its cross-rank pairs to one
+peer rank at once (``CommContext.send_pairs``); the net context lowers
+the group, the first time it sees it, to a :class:`PackedSend` — the net
+backend's stand-in for the in-memory
+:class:`~repro.runtime.window.ir.PairCopy`: every member pair's gather
+index is resolved once against the producer's source instance, and every
+``apply`` ships all members' fields concatenated as one ``MSG`` frame.
+The interpreter and a frozen window run the same object, so a statement
+sends exactly one message per peer rank per epoch either way.
 
-At window freeze the ``fuse-copies`` pass
-(:mod:`repro.runtime.window.lower`) — the same pass on every backend —
-folds one statement's :class:`NetSendCopy` ops to one destination rank
-into one ``OP_MSG`` carrying a :class:`PackedSend`: all member pairs'
-fields concatenated into a single framed buffer.  A statement runs, and
-is recorded, with every credit wait ahead of its first send, so where the
-message sits among the statement's copies protects no ordering.
-Steady-state iterations therefore send O(neighbor ranks) messages per
-statement instead of O(pairwise intersections).
+The payload is applied on the *consumer*, in its own shard thread at its
+ready-wait point in replicated program order (see
+:mod:`repro.runtime.net.sync`), which is why a send carries no reduction
+lock: the write-after-read hazard the local handshake guards against
+cannot occur when the write happens at the reader's own program point.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .frame import DATA, MSG
+from .frame import MSG
 
-__all__ = ["NetSendCopy", "PackedSend", "_TxState"]
-
-
-class _TxState:
-    """Producer-side generation counter of one channel.
-
-    Every statement execution sends exactly once per remote pair (the
-    interpreted per-pair send, or the packed send bumping every member),
-    so the wire generation always equals the consumer's statement epoch.
-    """
-
-    __slots__ = ("gen",)
-
-    def __init__(self) -> None:
-        self.gen = 0
-
-    def bump(self) -> int:
-        self.gen += 1
-        return self.gen
-
-
-class NetSendCopy:
-    """One cross-rank pair copy lowered to a packed framed send.
-
-    Duck-types :class:`~repro.runtime.window.ir.PairCopy` as far as the
-    recorder, the counter-delta computation, and the compiled window
-    need: ``apply``/``count``/``nbytes``/``uid``/``group_key``/``ufunc``/
-    ``lock``/``arrays``.  ``ufunc`` is always ``None`` — a reduction
-    travels as its operand and is folded by the receiver.
-    """
-
-    __slots__ = ("transport", "peer", "chan_id", "tx", "srcs", "src_ix",
-                 "pair", "count", "nbytes", "uid", "group_key", "ufunc",
-                 "lock", "arrays")
-
-    def __init__(self, transport, peer, chan_id, tx, srcs, src_ix,
-                 pair, count, nbytes, uid):
-        self.transport = transport
-        self.peer = peer
-        self.chan_id = chan_id
-        self.tx = tx
-        self.srcs = srcs
-        self.src_ix = src_ix
-        self.pair = pair
-        self.count = count
-        self.nbytes = nbytes
-        self.uid = uid
-        self.group_key = peer
-        self.ufunc = None
-        self.lock = None
-        # Footprint view for op_arrays: a send only reads its sources.
-        self.arrays = tuple((src, src) for src in srcs)
-
-    def apply(self) -> None:
-        gen = self.tx.bump()
-        ix = self.src_ix
-        self.transport.send(self.peer, DATA,
-                            (self.chan_id, gen, [src[ix] for src in self.srcs]))
+__all__ = ["PackedSend"]
 
 
 class PackedSend:
-    """All of one statement's pair copies to one rank, as one message.
+    """All of one statement's pair copies from this rank to one peer rank.
 
-    Bumps every member channel's generation in lockstep (the consumer
-    waits each member's arrival at its own epoch) and ships the members'
-    fields concatenated in recorded member order, so the receiver's
-    unpack — applied member-by-member in the same order — observes
-    exactly the values and ordering of the per-pair form.
+    ``gathers`` holds ``(source field arrays, source index)`` per
+    non-empty member pair, in pair order; the receiver's unpack plan
+    lists the same pairs in the same order, so the frame carries only
+    the statement uid, the generation and one buffer per field.  Every
+    apply bumps the generation, so the wire generation always equals the
+    consumer's statement epoch.  ``pair_count`` counts empty members too:
+    each is a visited and performed pair copy, as the window counts it.
     """
 
-    __slots__ = ("transport", "peer", "uid", "members", "pair_count",
-                 "count", "nbytes")
+    __slots__ = ("transport", "peer", "uid", "gathers", "pair_count",
+                 "count", "nbytes", "gen")
 
-    def __init__(self, members) -> None:
-        self.members = tuple(members)
-        first = self.members[0]
-        self.transport = first.transport
-        self.peer = first.peer
-        self.uid = first.uid
-        self.pair_count = len(self.members)
-        self.count = sum(m.count for m in self.members)
-        self.nbytes = sum(m.nbytes for m in self.members)
+    def __init__(self, transport, peer: int, uid: int, gathers,
+                 pair_count: int, count: int, nbytes: int) -> None:
+        self.transport = transport
+        self.peer = peer
+        self.uid = uid
+        self.gathers = tuple(gathers)
+        self.pair_count = pair_count
+        self.count = count
+        self.nbytes = nbytes
+        self.gen = 0
 
     def apply(self) -> None:
-        gen = 0
-        for m in self.members:
-            gen = m.tx.bump()
-        vals = [np.concatenate([m.srcs[f][m.src_ix] for m in self.members])
-                for f in range(len(self.members[0].srcs))]
-        self.transport.send(
-            self.peer, MSG,
-            (self.uid, tuple(m.pair for m in self.members), gen, vals))
+        self.gen += 1
+        gathers = self.gathers
+        if len(gathers) == 1:
+            srcs, ix = gathers[0]
+            vals = [src[ix] for src in srcs]
+        elif gathers:
+            vals = [np.concatenate([srcs[f][ix] for srcs, ix in gathers])
+                    for f in range(len(gathers[0][0]))]
+        else:
+            vals = []
+        self.transport.send(self.peer, MSG, (self.uid, self.gen, vals))

@@ -5,11 +5,14 @@
 launch spec into channel *endpoints* — objects with the
 :class:`~repro.runtime.events.Sequence` surface (``advance_to`` /
 ``event_for``) — so the shard interpreter and the frozen windows run
-unchanged.  A producer-is-consumer pair keeps plain in-memory sequences;
-a cross-rank pair gets one wire-backed endpoint per role (the table is in
-``docs/runtime.md``, "A shard launch"), and a pair between two other
-ranks gets none.
+unchanged.  A channel is one (copy statement, producer rank, consumer
+rank); this rank gets one wire-backed endpoint per role it plays in it
+(the table is in ``docs/runtime.md``, "A shard launch"), and a channel
+between two other ranks gets none.  Its pairs to itself need no channel.
 
+Per (statement, peer) the wire then carries one ``MSG`` frame from
+producer to consumer (all the statement's pairs between the two, see
+:mod:`repro.runtime.net.plan`) and one ``CREDIT`` frame back, per epoch.
 The credit window generalizes the classic per-epoch handshake: because a
 remote payload is buffered on arrival and only *applied* at the
 consumer's own ready-wait point in replicated program order, the
@@ -40,7 +43,7 @@ from ..copy_engine import _as_index
 from ..events import Sequence
 from ..launch import Channel, CommContext
 from . import frame
-from .plan import NetSendCopy, _TxState
+from .plan import PackedSend
 
 __all__ = ["NetCommContext", "TreeComm", "CREDIT_DEPTH"]
 
@@ -52,7 +55,7 @@ CREDIT_DEPTH = 2
 class _MirrorSequence:
     """The producer's no-op ``ready`` endpoint of a remote channel.
 
-    The data frame itself carries readiness to the consumer, so the
+    The ``MSG`` frame itself carries readiness to the consumer, so the
     producer's ready advance has nothing left to do.  One instance per
     channel (never shared) so identity-keyed window summaries treat the
     channels as distinct.
@@ -91,7 +94,8 @@ class _TxSequence:
 
 
 class _RxChannel:
-    """Consumer-side state of one inbound channel.
+    """Consumer-side state of one inbound channel: one copy statement's
+    messages from one producer rank.
 
     The receiver thread *delivers* (buffers the payload, then advances
     ``arrived``); the shard thread *applies* at its own ready-wait point,
@@ -101,49 +105,43 @@ class _RxChannel:
     remote reductions need no locks and remote pairs no WAR handshake.
     """
 
-    __slots__ = ("nctx", "stmt", "pair", "arrived", "applied", "pending",
-                 "_lock", "_plan")
+    __slots__ = ("nctx", "stmt", "producer", "arrived", "applied",
+                 "pending", "_lock", "_plan")
 
-    def __init__(self, nctx, stmt, pair):
+    def __init__(self, nctx, stmt, producer: int):
         self.nctx = nctx
         self.stmt = stmt
-        self.pair = pair
+        self.producer = producer
         self.arrived = Sequence()
         self.applied = 0          # shard-thread-only watermark
-        self.pending: dict[int, object] = {}
+        self.pending: dict[int, list] = {}
         self._lock = threading.Lock()
         self._plan = None
 
-    def deliver(self, gen: int, payload) -> None:
+    def deliver(self, gen: int, vals) -> None:
         # Receiver thread.  Store under the lock *before* advancing so a
         # shard thread woken by the arrival always finds the payload.
         with self._lock:
-            self.pending[gen] = payload
+            self.pending[gen] = vals
         self.arrived.advance_to(gen)
 
-    def plan(self):
-        # Shard thread, built lazily on first arrival: destination
-        # localization resolved once, like PairCopy.build_many on the sender.
-        if self._plan is None:
-            self._plan = self.nctx.rx_plan(self.stmt, self.pair)
-        return self._plan
-
     def apply_up_to(self, g: int) -> None:
-        # Shard thread only.
+        # Shard thread only.  The unpack plan is built on first use:
+        # destination localization resolved once, like the sender's
+        # gathers.
+        if self._plan is None:
+            self._plan = self.nctx.rx_plan(self.stmt, self.producer)
+        ufunc, plan = self._plan
         while self.applied < g:
             gen = self.applied + 1
             with self._lock:
-                payload = self.pending.pop(gen)
-            if type(payload) is _PackedPayload:
-                payload.apply(self.nctx)
-            else:
-                arrs, dst_ix, ufunc = self.plan()
-                if ufunc is None:
-                    for arr, vals in zip(arrs, payload):
-                        arr[dst_ix] = vals
-                else:
-                    for arr, vals in zip(arrs, payload):
-                        ufunc.at(arr, dst_ix, vals)
+                vals = self.pending.pop(gen)
+            for arrs, dst_ix, sl in plan:
+                for arr, v in zip(arrs, vals):
+                    if ufunc is None:
+                        arr[dst_ix] = v[sl]
+                    else:
+                        ufunc.at(arr, dst_ix, v[sl])
             self.applied = gen
 
 
@@ -189,39 +187,6 @@ class _RxReady:
 
     def event_for(self, n: int, label: str | None = None) -> _RxEvent:
         return _RxEvent(self.chan, n, label)
-
-
-class _PackedPayload:
-    """One received aggregated transfer, shared by all its member channels.
-
-    Delivered to *every* member channel at the same generation; whichever
-    member's ready-wait the shard thread reaches first applies the whole
-    message (safe — the consumer acked all of the statement's inbound
-    pairs at statement entry, before any ready wait), and the flag makes
-    the remaining members' applies no-ops.
-    """
-
-    __slots__ = ("uid", "members", "vals", "done")
-
-    def __init__(self, uid: int, members, vals):
-        self.uid = uid
-        self.members = members
-        self.vals = vals
-        self.done = False
-
-    def apply(self, nctx) -> None:
-        # Shard thread only (called from _RxChannel.apply_up_to).
-        if self.done:
-            return
-        self.done = True
-        for arrs, dst_ix, sl, ufunc in nctx.unpack_plan(self.uid,
-                                                        self.members):
-            if ufunc is None:
-                for f, arr in enumerate(arrs):
-                    arr[dst_ix] = self.vals[f][sl]
-            else:
-                for f, arr in enumerate(arrs):
-                    ufunc.at(arr, dst_ix, self.vals[f][sl])
 
 
 # -- tree collectives -------------------------------------------------------
@@ -510,11 +475,11 @@ class _CopyPostBarrier:
 class NetCommContext(CommContext):
     """Everything one rank needs to run a shard launch over the wire.
 
-    Builds the channel endpoint matrix (channel ids are the spec's —
-    statement walk order crossed with pair-set order — so forked ranks
-    and independently started workers agree without any exchanged spec),
-    the tree endpoints for collectives and barriers, and the
-    receive-side plans; registers all frame handlers.  Construct *before*
+    Builds the channel endpoints (channel ids are the spec's — statement
+    walk order crossed with channel-key order — so forked ranks and
+    independently started workers agree without any exchanged spec), the
+    tree endpoints for collectives and barriers, and the send and
+    receive plans; registers all frame handlers.  Construct *before*
     ``transport.start_receivers()``.
     """
 
@@ -525,49 +490,39 @@ class NetCommContext(CommContext):
         self.tree = TreeComm(transport, ns)
         self.failed = threading.Event()
         self.failure: BaseException | None = None
-        self.copies = {s.uid: s for s in spec.copies}
-        self._chan_ids: dict[tuple[int, tuple[int, int]], int] = {}
+        # Channel id -> this producer's credit mirror of it.
         self._credit: dict[int, Sequence] = {}
-        self._rx: dict[int, _RxChannel] = {}
-        self._rx_by_pair: dict[tuple[int, tuple[int, int]], _RxChannel] = {}
+        # (copy uid, producer rank) -> its inbound channel on this rank.
+        self._rx: dict[tuple[int, int], _RxChannel] = {}
         self._inbound: dict[int, list[_RxChannel]] = {}
-        self._send_copies: dict[int, NetSendCopy] = {}
-        self._unpack_plans: dict = {}
+        # (copy uid, consumer rank) -> the lowered send.
+        self._sends: dict[tuple[int, int], PackedSend] = {}
         self.done_barrier = _NetBarrier(self.tree, "__done__")
         super().__init__(spec, ns)
 
-        transport.register(frame.DATA, self._on_data)
         transport.register(frame.MSG, self._on_msg)
         transport.register(frame.CREDIT, self._on_credit)
-        transport.register(frame.CREDITN, self._on_creditn)
         transport.register(frame.COLL, self.tree.on_coll)
         transport.register(frame.COLLR, self.tree.on_collr)
         transport.register(frame.GATHER, self.tree.on_gather)
         transport.register(frame.ERROR, self._on_error)
 
     # -- factories --------------------------------------------------------
-    def _channel(self, stmt, pair, cid: int):
-        i, j = pair
-        ns, me = self.num_shards, self.rank
-        producer = owner_of_color(stmt.src.num_colors, ns, i)
-        consumer = owner_of_color(stmt.dst.num_colors, ns, j)
-        if producer == me and consumer == me:
-            # Exactly the in-memory backends' channel.
-            return super()._channel(stmt, pair, cid)
-        if producer == me:
-            # ``ready`` is a no-op (the data frame itself carries
+    def _channel(self, stmt, key, cid: int):
+        producer, consumer = key
+        if producer == self.rank:
+            # ``ready`` is a no-op (the MSG frame itself carries
             # readiness); ``acked`` mirrors the consumer's credits, started
             # CREDIT_DEPTH generations ahead.
-            self._chan_ids[(stmt.uid, pair)] = cid
             mirror = self._credit[cid] = Sequence(start=CREDIT_DEPTH)
             return Channel(_MirrorSequence(), mirror)
-        if consumer == me:
-            rx = _RxChannel(self, stmt, pair)
-            self._rx[cid] = self._rx_by_pair[(stmt.uid, pair)] = rx
+        if consumer == self.rank:
+            rx = self._rx[(stmt.uid, producer)] = _RxChannel(
+                self, stmt, producer)
             self._inbound.setdefault(stmt.uid, []).append(rx)
             return Channel(_RxReady(rx),
                            _TxSequence(self.transport, producer, cid))
-        # A pair between two other ranks: the interpreter only touches
+        # A channel between two other ranks: the interpreter only touches
         # channels it produces into or consumes from.
         return None
 
@@ -581,82 +536,53 @@ class NetCommContext(CommContext):
         return _CopyPostBarrier(barrier, self._inbound.get(copy.uid, []))
 
     # -- operations (shard thread) ----------------------------------------
-    def advance_group(self, seqs, n: int) -> None:
-        """Advance a mixed batch of ack endpoints, coalescing wire credits:
-        all :class:`_TxSequence` members bound for one peer collapse into
-        one ``CREDITN`` frame; local endpoints advance in place."""
-        by_peer: dict[int, list[int]] = {}
-        for seq in seqs:
-            if type(seq) is _TxSequence:
-                if n > seq._sent:
-                    seq._sent = n
-                    by_peer.setdefault(seq.peer, []).append(seq.chan_id)
-            else:
-                seq.advance_to(n)
-        for peer, cids in by_peer.items():
-            if len(cids) == 1:
-                self.transport.send(peer, frame.CREDIT, (cids[0], n))
-            else:
-                self.transport.send(peer, frame.CREDITN, (tuple(cids), n))
-
     def is_local(self, stmt, j: int) -> bool:
         """Whether destination color ``j`` of ``stmt`` lives on this rank."""
         return (owner_of_color(stmt.dst.num_colors, self.num_shards, j)
                 == self.rank)
 
-    def send_pair(self, stmt, i: int, j: int, state, rec) -> None:
-        """One producer-side cross-rank pair copy, as a framed send."""
-        state.pair_visits += 1
-        cid = self._chan_ids[(stmt.uid, (i, j))]
-        sc = self._send_copies.get(cid)
-        if sc is None:
-            sc = self._send_copies[cid] = self._build_send(stmt, i, j, cid)
+    def send_pairs(self, stmt, peer: int, pairs, state, rec) -> None:
+        """All of ``stmt``'s pair copies from this rank to ``peer``, as one
+        ``MSG`` frame."""
+        ps = self._sends.get((stmt.uid, peer))
+        if ps is None:
+            ps = self._sends[(stmt.uid, peer)] = self._build_send(
+                stmt, peer, pairs)
         if rec is not None:
-            rec.copy(sc)
+            rec.send(ps)
         t0 = time.perf_counter()
-        sc.apply()
-        # An empty pair still counts as a performed copy here (unlike the
-        # in-memory path's early return): the empty frame must replay so
-        # the consumer's arrival sequence advances, and interpretation
-        # must match what its own recorded OP_COPY will count.
-        state.elements_copied += sc.count
-        state.copies_performed += 1
-        state.bytes_copied += sc.nbytes
+        ps.apply()
+        # An empty member still counts as a performed copy here (unlike
+        # the in-memory path's early return), exactly as the window
+        # counts the recorded send.
+        state.pair_visits += ps.pair_count
+        state.copies_performed += ps.pair_count
+        state.elements_copied += ps.count
+        state.bytes_copied += ps.nbytes
         state.flight.record(_flight.COPY, stmt.uid, t0, time.perf_counter(),
-                            sc.nbytes)
+                            ps.nbytes)
 
-    def _build_send(self, stmt, i: int, j: int, cid: int) -> NetSendCopy:
+    def _build_send(self, stmt, peer: int, pairs) -> PackedSend:
         ex = self.ex
-        pts = ex._pair_points(stmt, i, j)
-        src_inst = ex.dist_instance(stmt.src, i)
-        src_ix = _as_index(src_inst.localize(pts))
-        srcs = tuple(src_inst.fields[f] for f in stmt.fields)
-        count = int(pts.count)
-        peer = owner_of_color(stmt.dst.num_colors, self.num_shards, j)
-        return NetSendCopy(self.transport, peer, cid, _TxState(), srcs,
-                           src_ix, (i, j), count,
-                           count * ex._field_width(stmt), stmt.uid)
+        gathers, count = [], 0
+        for i, j in pairs:
+            pts = ex._pair_points(stmt, i, j)
+            if pts:
+                src_inst = ex.dist_instance(stmt.src, i)
+                gathers.append((tuple(src_inst.fields[f] for f in stmt.fields),
+                                _as_index(src_inst.localize(pts))))
+                count += int(pts.count)
+        return PackedSend(self.transport, peer, stmt.uid, gathers, len(pairs),
+                          count, count * ex._field_width(stmt))
 
     # -- frame handlers (receiver threads) ---------------------------------
-    def _on_data(self, peer: int, payload) -> None:
-        cid, gen, vals = payload
-        self._rx[cid].deliver(gen, vals)
-
     def _on_msg(self, peer: int, payload) -> None:
-        uid, members, gen, vals = payload
-        pp = _PackedPayload(uid, members, vals)
-        for pair in members:
-            self._rx_by_pair[(uid, pair)].deliver(gen, pp)
+        uid, gen, vals = payload
+        self._rx[(uid, peer)].deliver(gen, vals)
 
     def _on_credit(self, peer: int, payload) -> None:
         cid, gen = payload
         self._credit[cid].advance_to(gen - 1 + CREDIT_DEPTH)
-
-    def _on_creditn(self, peer: int, payload) -> None:
-        cids, gen = payload
-        n = gen - 1 + CREDIT_DEPTH
-        for cid in cids:
-            self._credit[cid].advance_to(n)
 
     def _on_error(self, peer: int, exc) -> None:
         if not isinstance(exc, BaseException):
@@ -665,28 +591,27 @@ class NetCommContext(CommContext):
         self.failed.set()
 
     # -- receive-side plans (shard thread) ---------------------------------
-    def rx_plan(self, stmt, pair):
-        i, j = pair
-        pts = self.ex._pair_points(stmt, i, j)
-        dst_inst = self.ex.dist_instance(stmt.dst, j)
-        dst_ix = _as_index(dst_inst.localize(pts))
-        arrs = tuple(dst_inst.fields[f] for f in stmt.fields)
-        ufunc = (None if stmt.redop is None
-                 else _REDUCTION_UFUNCS[stmt.redop])
-        return arrs, dst_ix, ufunc
-
-    def unpack_plan(self, uid: int, members):
-        key = (uid, members)
-        plan = self._unpack_plans.get(key)
-        if plan is None:
-            stmt = self.copies[uid]
-            plan = []
-            off = 0
-            for pair in members:
-                chan = self._rx_by_pair[(uid, pair)]
-                arrs, dst_ix, ufunc = chan.plan()
-                cnt = int(self.ex._pair_points(stmt, *pair).count)
-                plan.append((arrs, dst_ix, slice(off, off + cnt), ufunc))
-                off += cnt
-            self._unpack_plans[key] = plan
-        return plan
+    def rx_plan(self, stmt, producer: int):
+        """``(ufunc, [(dst field arrays, dst index, value slice), ...])``
+        for ``stmt``'s messages from ``producer``: its non-empty pairs into
+        this rank, in pair order — the order the producer's
+        :class:`PackedSend` gathers them in, since both filter the same
+        pair list."""
+        ex, ns = self.ex, self.num_shards
+        src_n, dst_n = stmt.src.num_colors, stmt.dst.num_colors
+        plan, off = [], 0
+        for i, j in ex._copy_pairs(stmt):
+            if (owner_of_color(dst_n, ns, j) != self.rank
+                    or owner_of_color(src_n, ns, i) != producer):
+                continue
+            pts = ex._pair_points(stmt, i, j)
+            if not pts:
+                continue
+            dst_inst = ex.dist_instance(stmt.dst, j)
+            cnt = int(pts.count)
+            plan.append((tuple(dst_inst.fields[f] for f in stmt.fields),
+                         _as_index(dst_inst.localize(pts)),
+                         slice(off, off + cnt)))
+            off += cnt
+        ufunc = None if stmt.redop is None else _REDUCTION_UFUNCS[stmt.redop]
+        return ufunc, plan

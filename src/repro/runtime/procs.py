@@ -19,7 +19,8 @@ What is specific to this backend:
 
 * **one sync board.**  :class:`BoardContext` lays the launch spec's
   objects out in flat ``ctypes`` arrays in anonymous shared memory —
-  per-channel ready/ack sequences of the §3.4 handshake in spec order,
+  the ready/ack sequences of the §3.4 handshake, one slot pair per
+  (copy statement, producer shard, consumer shard) channel in spec order,
   global-barrier generations, dynamic-collective slots (§4.4) — guarded
   by a single ``multiprocessing`` condition variable.  Waiters re-check
   monotone predicates; every state change notifies.  Collective values
@@ -202,14 +203,15 @@ class BoardContext(CommContext):
     """One launch's sync objects on a shared board (see module docstring).
 
     Slots are assigned in spec order — channel ``cid`` is slot ``cid`` of
-    the ready and acked arrays — and every object hangs off the one
-    Condition, created pre-fork so all children inherit it.
+    the ready and acked arrays, sized by the spec's channel keys (at most
+    ``ns * (ns - 1)`` per copy statement) — and every object hangs off the
+    one Condition, created pre-fork so all children inherit it.
     """
 
     def __init__(self, spec, num_shards: int):
         mpctx = fork_context()
         self._cond = mpctx.Condition()
-        n = max(1, sum(len(p) for p in spec.pairs.values()))
+        n = max(1, sum(len(keys) for keys in spec.channels.values()))
         self._chan_ready = mpctx.RawArray("q", n)
         self._chan_acked = mpctx.RawArray("q", n)
         nb = max(1, len(spec.barriers))
@@ -226,7 +228,7 @@ class BoardContext(CommContext):
         self._coll_done = mpctx.RawArray("q", nc)
         super().__init__(spec, num_shards)
 
-    def _channel(self, stmt, pair, cid: int) -> Channel:
+    def _channel(self, stmt, key, cid: int) -> Channel:
         return Channel(_BoardSequence(self._cond, self._chan_ready, cid),
                        _BoardSequence(self._cond, self._chan_acked, cid))
 

@@ -12,22 +12,25 @@ colours one shard owns are consecutive slices of one block per field, so
 a batched launch over them reads and writes the block in place
 (``dist_instance``; docs/runtime.md, "Point-task batching").
 
-Synchronization of producer-issued copies uses per-channel (copy
-statement × intersection pair) handshakes built from monotone sequences —
-the functional equivalent of Legion phase barriers:
+Synchronization of producer-issued copies uses one handshake per (copy
+statement, producer shard, consumer shard) that some intersection pair
+crosses (``core.shards.channel_keys``), built from monotone sequences — the
+functional equivalent of Legion phase barriers:
 
 * the consumer, on reaching the copy statement in epoch ``g``, *acks*
   generation ``g-1`` of each inbound channel (all its reads of the old
   data precede this point in replicated program order);
-* the producer waits for ``ack(g-1)`` (write-after-read), performs the
-  copy, and advances ``ready`` to ``g``;
+* the producer waits for ``ack(g-1)`` (write-after-read), performs all
+  its copies to that consumer, and advances ``ready`` to ``g``;
 * the consumer proceeds once every inbound channel is ``ready(g)``
   (read-after-write).
 
 A shard runs one statement's handshake in phases — all its acks, all its
 ack waits, its copies, all its ready advances, all its ready waits — the
 order a compiled window keeps, so interpreter and window are one schedule
-(``_exec_copy``; docs/runtime.md, "Capture and freeze").
+(``_exec_copy``; docs/runtime.md, "Capture and freeze").  Under that order
+one channel per shard pair orders exactly what one per intersection pair
+did, and the pairs a shard copies into itself need none.
 
 Four drivers share one shard interpreter (a generator that yields the
 events it blocks on) and one launch path (:mod:`repro.runtime.launch`:
@@ -74,7 +77,7 @@ from ..core.ir import (
     WhileLoop,
     evaluate,
 )
-from ..core.shards import shard_owned_colors
+from ..core.shards import owner_of_color, shard_owned_colors
 from ..obs import NULL_METRICS, NULL_TRACER, MetricsRegistry, Tracer
 from ..obs import flight as _flight
 from ..obs.flight import NULL_RING, FlightRecorder, ShardRing
@@ -137,13 +140,14 @@ COUNTERS: dict[str, tuple[str, dict[str, str]]] = {
 
 class _CopySchedule(NamedTuple):
     """One shard's side of one copy statement, loop-invariant for the
-    launch: the pairs it produces as ``(i, j, in-memory?)``, and what each
-    handshake phase touches — the sequences it advances as tuples, the
-    ones it waits on as ``(sequence, label)`` tuples, in the shapes the
-    recorder stores — or, in barrier mode, ``(tag, barrier, label)`` for
-    ``pre`` and ``post``."""
+    launch: the pairs it copies in memory as ``(i, j)``, the ones it sends
+    as ``(peer, pairs)`` groups, and what each handshake phase touches —
+    the sequences it advances as tuples, the ones it waits on as
+    ``(sequence, label)`` tuples, in the shapes the recorder stores — or,
+    in barrier mode, ``(tag, barrier, label)`` for ``pre`` and ``post``."""
 
     copies: tuple
+    sends: tuple = ()
     ack_advances: tuple = ()
     ack_waits: tuple = ()
     ready_advances: tuple = ()
@@ -495,9 +499,9 @@ class SPMDExecutor(SequentialExecutor):
             # Possible if placement hoisted a copy out of the whole fragment;
             # at main level it is sequential, no synchronization needed.
             state = _ShardState(shard=0, scalars=self.scalars)
-            copies = [(i, j, True) for (i, j) in self._copy_pairs(stmt)]
-            state.pair_copies[stmt.uid] = self._lower_pairs(stmt, copies, 1)
-            for (i, j, _) in copies:
+            pairs = self._copy_pairs(stmt)
+            state.pair_copies[stmt.uid] = self._lower_pairs(stmt, pairs, 1)
+            for (i, j) in pairs:
                 self._do_pair_copy(stmt, i, j, state)
             self._merge_counters([state])
         else:
@@ -523,7 +527,7 @@ class SPMDExecutor(SequentialExecutor):
     def _shard_launch(self, stmt: ShardLaunch) -> None:
         ns = stmt.num_shards or self.num_shards
         backend = self.backend
-        spec = launch_spec(stmt, self._copy_pairs)
+        spec = launch_spec(stmt, self._copy_pairs, ns)
         # Materialize every instance a shard might touch before any shard
         # exists (and, for forked shards, where they all map it).
         for part in spec.partitions:
@@ -825,41 +829,49 @@ class SPMDExecutor(SequentialExecutor):
             return sched
         me, ns, uid = state.shard, ctx.num_shards, stmt.uid
         src_n, dst_n = stmt.src.num_colors, stmt.dst.num_colors
-        pairs = self._copy_pairs(stmt)
         produced = shard_owned_colors(src_n, ns, me)
         if stmt.pairs_name is not None:
             # Cached per shard slice inside the pair set — avoids
             # re-filtering the full pair list.
             mine = self.pair_sets[stmt.pairs_name].src_pairs(tuple(produced))
         else:
-            mine = [pair for pair in pairs if pair[0] in produced]
-        copies = tuple((i, j, ctx.is_local(stmt, j)) for (i, j) in mine)
+            mine = [pair for pair in self._copy_pairs(stmt)
+                    if pair[0] in produced]
+        copies, sends = [], {}
+        for (i, j) in mine:
+            if ctx.is_local(stmt, j):
+                copies.append((i, j))
+            else:
+                sends.setdefault(owner_of_color(dst_n, ns, j), []).append(
+                    (i, j))
+        copies = tuple(copies)
+        sends = tuple((peer, tuple(group)) for peer, group in sends.items())
         if stmt.sync_mode == "p2p":
-            chans = ctx.channels[uid]
-            out = [chans[pair] for pair in mine]
-            consumed = shard_owned_colors(dst_n, ns, me)
-            inbound = [chans[pair] for pair in pairs if pair[1] in consumed]
+            chans = ctx.channels[uid].items()
+            out = [c for (p, _), c in chans if p == me]
+            inbound = [c for (_, q), c in chans if q == me]
             sched = _CopySchedule(
-                copies,
+                copies, sends,
                 ack_advances=tuple(c.acked for c in inbound),
                 ack_waits=tuple((c.acked, c.ack_label) for c in out),
                 ready_advances=tuple(c.ready for c in out),
                 ready_waits=tuple((c.ready, c.ready_label) for c in inbound))
         elif stmt.sync_mode == "barrier":
-            sched = _CopySchedule(copies, barriers=tuple(
+            sched = _CopySchedule(copies, sends, barriers=tuple(
                 (tag, ctx.barriers[f"{tag}:{uid}"], f"copy{uid}:{tag}")
                 for tag in ("pre", "post")))
         else:
-            sched = _CopySchedule(copies)
+            sched = _CopySchedule(copies, sends)
         state.copy_schedules[uid] = sched
         return sched
 
     def _exec_copy(self, stmt: PairwiseCopy, state: _ShardState,
                    ctx: CommContext, rec=None) -> Iterator[Event | None]:
         """One copy statement, in the phase order a compiled window keeps:
-        all ack advances, all ack waits, the copies in pair order, all ready
-        advances, one preemption point, all ready waits (barrier mode: pre,
-        copies, the preemption point, post).  Every shard, interpreting or
+        all ack advances, all ack waits, one send per peer shard then the
+        in-memory copies in pair order, all ready advances, one preemption
+        point, all ready waits (barrier mode: pre, sends and copies, the
+        preemption point, post).  Every shard, interpreting or
         replaying, makes all of its ack advances at statement entry and
         before its first wait, so no wait here can be part of a cycle.  An
         event that is already set is not yielded."""
@@ -897,18 +909,17 @@ class SPMDExecutor(SequentialExecutor):
             state.pair_copies[uid] = self._lower_pairs(stmt, sched.copies, ns)
         if rec is not None:
             rec.copy_begin(stmt)
-        for (i, j, local) in sched.copies:
-            if local:
-                self._do_pair_copy(stmt, i, j, state, rec)
-            else:
-                ctx.send_pair(stmt, i, j, state, rec)
+        for peer, pairs in sched.sends:
+            ctx.send_pairs(stmt, peer, pairs, state, rec)
+        for (i, j) in sched.copies:
+            self._do_pair_copy(stmt, i, j, state, rec)
         if rec is not None:
             rec.copy_end(g)
         if sched.ready_advances:
             if rec is not None:
                 rec.advance_group(uid, "rdy", sched.ready_advances, g)
             ctx.advance_group(sched.ready_advances, g)
-        if sched.copies:
+        if sched.copies or sched.sends:
             if rec is not None:
                 rec.yield_none()
             yield None  # preemption point: this shard's copies are issued
@@ -931,15 +942,13 @@ class SPMDExecutor(SequentialExecutor):
         return stmt.src.subset(i) & stmt.dst.subset(j)
 
     def _lower_pairs(self, stmt: PairwiseCopy, copies, ns: int):
-        """Lower, in one batch, every in-memory pair copy of ``stmt`` this
-        shard produces.  The interpreter only ever runs lowered copies —
-        in a capture iteration, outside any loop, or at main level — so
-        the frozen form is exercised (and its localization validated)
-        before any replay."""
+        """Lower, in one batch, every in-memory pair copy ``(i, j)`` of
+        ``stmt`` this shard produces.  The interpreter only ever runs
+        lowered copies — in a capture iteration, outside any loop, or at
+        main level — so the frozen form is exercised (and its localization
+        validated) before any replay."""
         todo = {}
-        for (i, j, local) in copies:
-            if not local:
-                continue  # delivered by the context (a framed send)
+        for (i, j) in copies:
             pts = self._pair_points(stmt, i, j)
             if pts:
                 lock = (self._reduction_lock(stmt, j, ns)

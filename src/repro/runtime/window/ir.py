@@ -495,7 +495,7 @@ def op_arrays(op) -> frozenset[int] | None:
                     ids.add(id(src))
         return frozenset(ids)
     if k == OP_MSG:
-        return frozenset(id(src) for m in op[1].members for src in m.srcs)
+        return frozenset(id(src) for srcs, _ in op[1].gathers for src in srcs)
     if k == OP_FILL:
         return frozenset(id(arr) for arr, _ in op[1])
     return None
@@ -546,11 +546,10 @@ def window_summary(wir: WindowIR):
             d["lockfree_folds"] += fb.lockfree_folds
             d["locked_folds"] += fb.locked_folds
         elif k == OP_MSG:
-            # One packed transfer stands in for its member pair copies;
-            # the sender counts each member exactly as interpretation
-            # counted the per-pair sends it replaced.  Remote sends carry
-            # no reduction fold (folds happen receiver-side), so the fold
-            # counters stay untouched — matching the per-pair form.
+            # One send carries all of a statement's pairs to one peer;
+            # each counts as a visited and performed pair copy.  Remote
+            # sends carry no reduction fold (folds happen receiver-side),
+            # so the fold counters stay untouched.
             ps = op[1]
             d["pair_visits"] += ps.pair_count
             d["copies_performed"] += ps.pair_count

@@ -11,10 +11,10 @@ last pass, ``fission``, is :mod:`repro.runtime.window.schedule`):
 
 * ``freeze-tasks``  — lower recorded launches to frozen views/arg vectors.
 * ``fuse-copies``   — swap each copy statement's recorded run of lowered
-  copies for its fused forms: one
-  :class:`~repro.runtime.copy_engine.FusedBatch` over the in-memory pairs
-  and, on ``net``, one packed message per peer rank.  The handshake
-  around them was recorded in phase form and is left alone.
+  in-memory copies for one
+  :class:`~repro.runtime.copy_engine.FusedBatch`, after its sends (one
+  packed message per peer rank on ``net``, recorded as such).  The
+  handshake around them was recorded in phase form and is left alone.
 * ``batch-launch``  — collapse a ``batchable`` task's frozen point tasks
   into ONE kernel-body call over views of the shard's blocks (opt-in
   per task).
@@ -29,7 +29,7 @@ from __future__ import annotations
 from ...core.passes import Pass
 from ...core.shards import owner_of_color
 from ..copy_engine import FusedBatch, FusedCopy, fuse_group
-from .ir import PairCopy, WindowIR, _BatchedLaunch, _freeze_launch
+from .ir import WindowIR, _BatchedLaunch, _freeze_launch
 from .recorder import OP_COPY, OP_FUSED, OP_MSG, OP_TASK
 
 __all__ = ["FreezeTasksPass", "FuseCopiesPass", "BatchLaunchPass"]
@@ -57,28 +57,17 @@ class FreezeTasksPass(Pass):
         return {"launches": sum(1 for op in wir.ops if op[0] == OP_TASK)}
 
 
-def _fuse_copies(pcs) -> list:
-    """The fused ops of one statement's lowered copies, recorded pair
-    order kept within each: the cross-rank sends first — two or more to
-    one peer as one packed message, a lone one as it is — so the wire is
-    busy while the in-memory pairs, grouped by destination instance,
-    apply as one batch.  Any order is legal: the statement ran, and was
-    recorded, with every ack wait ahead of its first copy."""
+def _fuse_copies(ops) -> list:
+    """The fused ops of one statement's recorded sends and copies: the
+    sends (one per peer rank) first, so the wire is busy while the
+    in-memory pairs, grouped by destination instance in recorded pair
+    order, apply as one batch.  Any order is legal: the statement ran,
+    and was recorded, with every ack wait ahead of its first copy."""
+    out = [op for op in ops if op[0] == OP_MSG]
     local: dict[int, list] = {}
-    remote: dict[int, list] = {}
-    for pc in pcs:
-        if type(pc) is PairCopy:
-            local.setdefault(pc.group_key, []).append(pc)
-        else:
-            remote.setdefault(pc.peer, []).append(pc)
-    out = []
-    if remote:
-        from ..net.plan import NetSendCopy, PackedSend  # only `net` has any
-        for sends in remote.values():
-            if any(type(pc) is not NetSendCopy for pc in sends):
-                raise TypeError(f"fuse-copies: not a lowered copy: {sends!r}")
-            out.append((OP_MSG, PackedSend(sends)) if len(sends) > 1
-                       else (OP_COPY, sends[0]))
+    for op in ops:
+        if op[0] == OP_COPY:
+            local.setdefault(op[1].group_key, []).append(op[1])
     if local:
         out.append((OP_FUSED, FusedBatch(
             [item for group in local.values() for item in fuse_group(group)])))
@@ -86,8 +75,8 @@ def _fuse_copies(pcs) -> list:
 
 
 class FuseCopiesPass(Pass):
-    """Batch each copy statement's pair copies into one fused apply (and,
-    across ranks, one message per peer).
+    """Batch each copy statement's in-memory pair copies into one fused
+    apply.
 
     Also builds ``wir.copy_protect`` — per copy uid, the ids of this
     shard's owned destination-instance arrays — which the fission pass
@@ -114,7 +103,7 @@ class FuseCopiesPass(Pass):
                 wir.copy_protect[stmt.uid] = frozenset(protect)
             if b <= a:
                 continue
-            wir.ops[a:b] = seg = _fuse_copies([op[1] for op in wir.ops[a:b]])
+            wir.ops[a:b] = seg = _fuse_copies(wir.ops[a:b])
             if hist is not None and seg[-1][0] == OP_FUSED:
                 for item in seg[-1][1].items:
                     if isinstance(item, FusedCopy):

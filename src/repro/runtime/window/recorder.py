@@ -35,10 +35,11 @@ __all__ = [
 
 # Op kinds of a recorded/lowered window (first element of every op tuple).
 # A copy statement is recorded the way it ran (SPMDExecutor._exec_copy), one
-# op a phase: ADVN ack, WAITN ack, its COPYs, VISITS, ADVN rdy, YIELD,
-# WAITN rdy — or BARRIER pre, COPYs, VISITS, YIELD, BARRIER post.  FUSED
-# and MSG are what the fuse-copies pass makes of a statement's COPYs; every
-# other kind is recorded (a TASK's launch is frozen, maybe batched, in place).
+# op a phase: ADVN ack, WAITN ack, its MSGs (one per peer shard, on a
+# backend that sends) and COPYs, VISITS, ADVN rdy, YIELD, WAITN rdy — or
+# BARRIER pre, MSGs, COPYs, VISITS, YIELD, BARRIER post.  FUSED is what the
+# fuse-copies pass makes of a statement's COPYs; every other kind is
+# recorded (a TASK's launch is frozen, maybe batched, in place).
 OP_ASSIGN = 0    # (k, name, expr)                   scalars[name] = eval(expr)
 OP_SETVAR = 1    # (k, name, value)                  nested loop variable
 OP_TASK = 2      # (k, frozen_launch)                point tasks of one launch
@@ -51,7 +52,7 @@ OP_COLL = 8      # (k, coll, uid, stride, name)      dynamic collective
 OP_VISITS = 9    # (k, n)                            empty-pair visit counter
 OP_YIELD = 10    # (k,)                              interpreter preemption pt
 OP_FUSED = 11    # (k, fusedbatch)                   one statement's fused copies
-OP_MSG = 12      # (k, packedsend)                   one aggregated net transfer
+OP_MSG = 12      # (k, packedsend)                   one statement's send to a peer
 
 OP_NAMES = ("assign", "setvar", "task", "fill", "advn", "waitn", "copy",
             "barrier", "coll", "visits", "yield", "fused", "msg")
@@ -77,7 +78,7 @@ class IterationRecorder:
         self.written: set[str] = set()
         self.unfreezable = False
         # [stmt, first_copy_op, one_past_last] per PairwiseCopy execution:
-        # the run of OP_COPYs the fuse-copies pass swaps for fused forms.
+        # the run of OP_MSGs and OP_COPYs the fuse-copies pass rewrites.
         self.copy_ranges: list[list] = []
         self._visits = 0
 
@@ -123,6 +124,9 @@ class IterationRecorder:
 
     def copy(self, pc) -> None:
         self.ops.append((OP_COPY, pc))
+
+    def send(self, ps) -> None:
+        self.ops.append((OP_MSG, ps))
 
     def visit(self) -> None:
         self._visits += 1

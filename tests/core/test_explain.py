@@ -63,7 +63,24 @@ class TestCommunicationSummary:
     def test_counts_positive(self, fig2):
         prog, _ = control_replicate(fig2.build(), num_shards=2)
         comm = shard_communication_summary(prog)
-        assert comm and all(v > 0 for v in comm.values())
+        assert comm and all(t.pairs > 0 for t in comm.values())
+
+    def test_channels_are_the_runtimes(self):
+        """One channel per copy statement and shard pair it crosses, none
+        for a shard's own pairs — the keys the runtime builds."""
+        from repro.apps.circuit import CircuitProblem
+        from repro.core.ir import PairwiseCopy, ShardLaunch, walk
+        p = CircuitProblem(pieces=8, nodes_per_piece=10, wires_per_piece=20,
+                           steps=1)
+        prog, _ = control_replicate(p.build_program(), num_shards=2)
+        comm = shard_communication_summary(prog)
+        launch = next(s for s in walk(prog.body) if isinstance(s, ShardLaunch))
+        copies = sum(isinstance(s, PairwiseCopy) for s in walk(launch))
+        assert comm[(0, 0)].channels == comm[(1, 1)].channels == 0
+        for key in ((0, 1), (1, 0)):
+            assert 0 < comm[key].channels <= copies < comm[key].pairs
+        text = explain_shard(prog, 0)
+        assert "channels [(0, 1), (1, 0)]" in text
 
 
 class TestExplainControlFlow:

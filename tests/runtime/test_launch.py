@@ -27,7 +27,7 @@ from repro.core.shards import owner_of_color
 from repro.obs import MetricsRegistry
 from repro.regions.shm import live_segment_count
 from repro.runtime import SPMDExecutor, procs_available, spmd
-from repro.runtime.launch import CommContext
+from repro.runtime.launch import CommContext, channel_keys
 from repro.tasks import R, RW, task
 
 from tests.conftest import Fig2, interpreted_iterations
@@ -63,8 +63,8 @@ class TestSpecParity:
         seen = []
         derive = spmd.launch_spec
 
-        def recording(stmt, copy_pairs):
-            spec = derive(stmt, copy_pairs)
+        def recording(stmt, copy_pairs, num_shards):
+            spec = derive(stmt, copy_pairs, num_shards)
             seen.append((stmt, spec))
             return spec
 
@@ -77,7 +77,17 @@ class TestSpecParity:
         stmts = list(walk(launch))
         copies = [s for s in stmts if isinstance(s, PairwiseCopy)]
         assert [s.uid for s in spec.copies] == [s.uid for s in copies]
-        assert spec.pairs == {s.uid: ex._copy_pairs(s) for s in copies}
+        assert spec.channels == {s.uid: channel_keys(s, ex._copy_pairs(s), ns)
+                                 for s in copies}
+        for s in copies:
+            # A channel is a distinct (producer shard, consumer shard) of
+            # the statement's pairs, never a shard with itself.
+            crossing = {(owner_of_color(s.src.num_colors, ns, i),
+                         owner_of_color(s.dst.num_colors, ns, j))
+                        for (i, j) in ex._copy_pairs(s)}
+            keys = spec.channels[s.uid]
+            assert len(keys) == len(set(keys)) <= ns * (ns - 1)
+            assert set(keys) == {(p, q) for (p, q) in crossing if p != q}
         assert spec.collectives == [(s.uid, s.redop) for s in stmts
                                     if isinstance(s, ScalarCollective)]
         tags = {s.tag for s in stmts if isinstance(s, BarrierStmt)}
@@ -91,17 +101,17 @@ class TestSpecParity:
                                        for j in s.dst.colors]
 
         def keys(ctx):
-            return ({uid: set(chans) for uid, chans in ctx.channels.items()},
+            return ({uid: list(chans) for uid, chans in ctx.channels.items()},
                     set(ctx.collectives), set(ctx.barriers))
 
-        want = ({uid: set(pairs) for uid, pairs in spec.pairs.items()},
-                {uid for uid, _ in spec.collectives}, tags)
+        want = (spec.channels, {uid for uid, _ in spec.collectives}, tags)
         memory, board = CommContext(spec, ns), BoardContext(spec, ns)
         assert keys(memory) == keys(board) == want
-        # Board slots are the spec's channel order.
-        slots = [board.channels[s.uid][p].ready._idx
-                 for s in copies for p in spec.pairs[s.uid]]
+        # Board slots are 0..n-1 in the spec's channel order.
+        slots = [board.channels[s.uid][k].ready._idx
+                 for s in copies for k in spec.channels[s.uid]]
         assert slots == list(range(len(slots)))
+        assert len(board._chan_ready) == max(1, len(slots))
 
         ranks = [NetCommContext(ex, fake_transport(r), spec, ns)
                  for r in range(ns)]
@@ -109,30 +119,24 @@ class TestSpecParity:
             chans, colls, bars = keys(ctx)
             assert (colls, bars) == want[1:]
             for s in copies:
-                mine = {(i, j) for (i, j) in spec.pairs[s.uid]
-                        if r in (owner_of_color(s.src.num_colors, ns, i),
-                                 owner_of_color(s.dst.num_colors, ns, j))}
-                assert chans[s.uid] == mine
+                assert chans[s.uid] == [k for k in spec.channels[s.uid]
+                                        if r in k]
         # Both ends of a cross-rank channel number it identically without
-        # having exchanged anything.
-        crossing = 0
+        # having exchanged anything: the consumer credits the id under
+        # which the producer keeps its credit mirror.
+        assert any(spec.channels.values())
         for s in copies:
-            for pair in spec.pairs[s.uid]:
-                prod = owner_of_color(s.src.num_colors, ns, pair[0])
-                cons = owner_of_color(s.dst.num_colors, ns, pair[1])
-                if prod != cons:
-                    crossing += 1
-                    assert (ranks[prod]._chan_ids[(s.uid, pair)]
-                            == ranks[cons].channels[s.uid][pair].acked.chan_id)
-        assert crossing
+            for (p, q) in spec.channels[s.uid]:
+                cid = ranks[q].channels[s.uid][(p, q)].acked.chan_id
+                assert (ranks[p]._credit[cid]
+                        is ranks[p].channels[s.uid][(p, q)].acked)
         # Whichever context built a channel, it labelled its two waits,
-        # once, with the text flight dumps and DeadlockErrors have always
-        # carried.
+        # once, with the shard pair it connects.
         for ctx in (memory, board, *ranks):
             for s in copies:
-                for (i, j), chan in ctx.channels[s.uid].items():
-                    assert chan.ack_label == f"copy{s.uid}:ack({i},{j})"
-                    assert chan.ready_label == f"copy{s.uid}:ready({i},{j})"
+                for (p, q), chan in ctx.channels[s.uid].items():
+                    assert chan.ack_label == f"copy{s.uid}:ack({p},{q})"
+                    assert chan.ready_label == f"copy{s.uid}:ready({p},{q})"
 
 
 @needs_fork
@@ -269,7 +273,7 @@ print(json.dumps({
     "close": all(np.allclose(state[k], seq[k], rtol=1e-11, atol=1e-13)
                  for k in seq),
     "ranks": sorted(ex.net_stats),
-    "data_sent": ex.net_stats[0]["messages_sent"].get("data", 0),
+    "msgs_sent": ex.net_stats[0]["messages_sent"].get("msg", 0),
     "replay_hits": ex.replay_hits}))
 """
 
@@ -308,5 +312,5 @@ class TestWorkerMode:
         # stencil bit-for-bit, circuit at `repro run`'s tolerance.
         rank0 = json.loads(outs[0][0].splitlines()[-1])
         assert rank0["close"] and (rank0["bitwise"] or app != "stencil")
-        assert rank0["ranks"] == [0] and rank0["data_sent"] > 0
+        assert rank0["ranks"] == [0] and rank0["msgs_sent"] > 0
         assert rank0["replay_hits"] == steps - interpreted_iterations()

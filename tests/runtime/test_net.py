@@ -5,8 +5,8 @@ backend must be observationally identical to the other drivers: same
 region state as sequential (bitwise for stencil/circuit/miniaero,
 round-off for PENNANT's ``+``-reduction fields, exactly as for threaded
 and procs), same invariant copy counters, same error propagation — plus
-its own property: at trace freeze, per-pair sends to one destination
-rank aggregate into single packed messages.
+its own property: a copy statement's pairs to one destination rank
+travel as one message, acknowledged by one credit, per iteration.
 """
 
 import numpy as np
@@ -126,32 +126,46 @@ class TestApps:
 class TestAggregation:
     def _msgs(self, steps):
         from repro.apps.stencil import StencilProblem
+        from repro.core.ir import PairwiseCopy, walk
         p = StencilProblem(n=48, radius=2, tiles=64, steps=steps)
         seq, _, _ = p.run_sequential()
-        cr, _, ex, _ = p.run_control_replicated(4, mode="net")
+        prog, _ = control_replicate(p.build_program(), num_shards=4)
+        ex = SPMDExecutor(num_shards=4, mode="net",
+                          instances=p.fresh_instances())
+        ex.run(prog)
+        cr = p.extract_state(ex.instances)
         for k in seq:
             assert np.array_equal(cr[k], seq[k]), k
-        return ex, sent(ex, "data", "msg")
+        copies = [s for s in walk(prog.body) if isinstance(s, PairwiseCopy)]
+        return ex, sent(ex, "msg"), copies
 
     def test_packed_sends_in_steady_state(self, interpret_only):
-        # Steady state via step differencing: the warm-up (interpreted)
-        # iterations send per-pair, as every interpreted iteration does.
-        _, on_6 = self._msgs(6)
-        ex, on_8 = self._msgs(8)
+        # Per-iteration rates via step differencing: one message per
+        # (copy statement, producer rank, consumer rank), interpreted or
+        # replayed — the interpreter hands the context a peer's pairs as
+        # one group, so capture iterations send packed too.
+        from repro.core.shards import owner_of_color
+        from repro.runtime.launch import channel_keys
+        _, on_6, _ = self._msgs(6)
+        ex, on_8, copies = self._msgs(8)
         with interpret_only:
-            _, off_6 = self._msgs(6)
-            _, off_8 = self._msgs(8)
-        on_rate = (on_8 - on_6) / 2
-        off_rate = (off_8 - off_6) / 2
-        # 64 tiles on 4 ranks: 8 adjacent pairs per rank boundary fold
-        # into one packed message per direction -> 8x, comfortably >= 5x.
-        assert off_rate >= 5 * on_rate, (on_rate, off_rate)
-        assert sent(ex, "msg") > 0  # the aggregated path actually ran
+            _, off_6, _ = self._msgs(6)
+            _, off_8, _ = self._msgs(8)
+        channels = sum(len(channel_keys(s, ex._copy_pairs(s), 4))
+                       for s in copies)
+        assert (on_8 - on_6) / 2 == (off_8 - off_6) / 2 == channels
+        assert on_8 == off_8 == 8 * channels
+        # 64 tiles on 4 ranks: 8 adjacent pairs per rank boundary share
+        # one message per direction -> 8x fewer than pairs, >= 5x.
+        crossing = sum(owner_of_color(s.src.num_colors, 4, i)
+                       != owner_of_color(s.dst.num_colors, 4, j)
+                       for s in copies for (i, j) in ex._copy_pairs(s))
+        assert crossing >= 5 * channels, (crossing, channels)
 
     def test_aggregation_preserves_counters(self, interpret_only):
-        ex_on, _ = self._msgs(6)
+        ex_on, _, _ = self._msgs(6)
         with interpret_only:
-            ex_off, _ = self._msgs(6)
+            ex_off, _, _ = self._msgs(6)
         assert ex_on.elements_copied == ex_off.elements_copied
         assert ex_on.bytes_copied == ex_off.bytes_copied
         assert ex_on.pair_visits == ex_off.pair_visits
@@ -160,10 +174,10 @@ class TestAggregation:
 class TestWindowShape:
     def test_one_fused_and_one_msg_op_per_copy_statement(self):
         """net runs the same ``fuse-copies`` as every backend: of a copy
-        statement's pairs the rank-local ones become one fused batch and
-        the cross-rank ones one packed message per peer (the 96x96 /
-        16-tile halo stencil used to freeze into 97 closures a rank, its
-        20 rank-local pairs of 24 unfused)."""
+        statement's pairs the rank-local ones become one fused batch, and
+        the cross-rank ones were recorded as one packed message per peer
+        (the 96x96 / 16-tile halo stencil used to freeze into 97 closures
+        a rank, its 20 rank-local pairs of 24 unfused)."""
         from repro.apps.stencil import StencilProblem
         from repro.core.ir import PairwiseCopy, walk
         from repro.core.shards import owner_of_color
@@ -195,8 +209,9 @@ class TestWindowShape:
         assert stat("packed_pairs") == crossing
         assert ex.fused_pairs > 0  # the rank-local pairs, batched
         assert ex.window_closures <= 10 * ns
-        # Still one message a rank a replayed iteration.
-        assert sent(ex, "msg") == ns * (p.steps - interpreted_iterations())
+        # One message a rank a copy statement an iteration, interpreted
+        # or replayed.
+        assert sent(ex, "msg") == ns * len(copies) * p.steps
 
 
 class TestBarrierCopyWait:
@@ -216,7 +231,7 @@ class TestBarrierCopyWait:
         cr, _, ex, _ = p.run_control_replicated(4, mode="net",
                                                 sync="barrier")
         monkeypatch.undo()
-        assert ex.replay_hits > 0 and sent(ex, "data", "msg") > 0
+        assert ex.replay_hits > 0 and sent(ex, "msg") > 0
         for k in seq:
             assert np.array_equal(cr[k], seq[k]), k
 
@@ -279,26 +294,17 @@ class TestCreditDepth:
 
 
 class TestCreditCoalescing:
-    """Every rank's batched ack release is one credit frame per peer per
-    copy statement per iteration, interpreted or replayed — also on a rank
-    whose first inbound pair of a statement is rank-local (group advance
-    used to dispatch on the batch's first member, so that rank sent one
-    CREDIT per pair: 160 and 540 frames from rank 0 in the two runs
-    below).  Data goes pair by pair while interpreting and as one packed
-    message per statement and peer once the window is frozen."""
+    """Per copy statement, per iteration, interpreted or replayed, a rank
+    sends each peer it consumes from exactly one ``CREDIT`` and each peer
+    it produces into exactly one ``MSG``: the channels are shard pairs,
+    so there is nothing left to coalesce."""
 
-    # What rank 0 sends per iteration: CREDITN frames (every iteration),
-    # DATA frames (an interpreted one), MSG frames (a replayed one).
-    @pytest.mark.parametrize("app, sent_by_rank0", [
-        ("stencil", {"creditn": 1, "data": 4, "msg": 1}),
-        ("pennant", {"creditn": 4, "data": 13, "msg": 2}),
-    ])
-    def test_one_credit_frame_per_statement_per_iteration(self, app,
-                                                          sent_by_rank0):
+    @pytest.mark.parametrize("app", ["stencil", "pennant"])
+    def test_one_credit_frame_per_statement_per_iteration(self, app):
         from repro.apps.pennant import PennantProblem
         from repro.apps.stencil import StencilProblem
         from repro.core.ir import PairwiseCopy, walk
-        from repro.core.shards import owner_of_color
+        from repro.runtime.launch import channel_keys
         ns = 2
         if app == "stencil":
             p = StencilProblem(n=96, radius=2, tiles=16, steps=40)
@@ -316,18 +322,11 @@ class TestCreditCoalescing:
         captured = interpreted_iterations()
         assert hits == p.steps - captured and misses == captured
         copies = [s for s in walk(prog.body) if isinstance(s, PairwiseCopy)]
+        keys = [k for s in copies
+                for k in channel_keys(s, ex._copy_pairs(s), ns)]
         for r in range(ns):
-            # Remote pairs rank r consumes, per copy statement.
-            inbound = [sum(owner_of_color(s.dst.num_colors, ns, j) == r
-                           != owner_of_color(s.src.num_colors, ns, i)
-                           for (i, j) in ex._copy_pairs(s)) for s in copies]
-            msgs = ex.net_stats[r]["messages_sent"]
-            credits = msgs.get("credit", 0) + msgs.get("creditn", 0)
-            # Once per statement with remote inbound pairs (one peer here).
-            assert credits <= p.steps * sum(n > 0 for n in inbound)
-        want = {"credit": 0,
-                "creditn": p.steps * sent_by_rank0["creditn"],
-                "data": misses * sent_by_rank0["data"],
-                "msg": hits * sent_by_rank0["msg"]}
-        got = ex.net_stats[0]["messages_sent"]
-        assert {k: got.get(k, 0) for k in want} == want
+            want = {"credit": p.steps * sum(cons == r for _, cons in keys),
+                    "msg": p.steps * sum(prod == r for prod, _ in keys)}
+            got = ex.net_stats[r]["messages_sent"]
+            assert want["credit"] and want["msg"]
+            assert {k: got.get(k, 0) for k in want} == want, r

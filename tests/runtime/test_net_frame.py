@@ -18,8 +18,8 @@ from repro.runtime.net import frame
 from repro.runtime.net.frame import (FrameError, decode_frame, encode_frame,
                                      read_frame)
 
-KINDS = [frame.HELLO, frame.DATA, frame.MSG, frame.CREDIT, frame.CREDITN,
-         frame.COLL, frame.COLLR, frame.GATHER, frame.ERROR]
+KINDS = [frame.HELLO, frame.MSG, frame.CREDIT, frame.COLL, frame.COLLR,
+         frame.GATHER, frame.ERROR]
 
 
 def random_scalar(rng: random.Random):
@@ -86,33 +86,39 @@ class TestRoundTrip:
             assert_same(payload, got)
 
     def test_data_payload_shape(self):
-        # The exact tuple the DATA path ships: (chan_id, gen, [field vals]).
-        vals = [np.arange(8, dtype=np.float64), np.ones(8) * 0.1]
-        kind, (cid, gen, got) = decode_frame(
-            encode_frame(frame.DATA, (7, 42, vals)))
-        assert (kind, cid, gen) == (frame.DATA, 7, 42)
+        # The exact tuple a send ships: (uid, gen, [one buffer per field]),
+        # fields of different dtypes side by side.
+        vals = [np.arange(8, dtype=np.float64), np.ones(8, dtype=np.int32)]
+        kind, (uid, gen, got) = decode_frame(
+            encode_frame(frame.MSG, (7, 42, vals)))
+        assert (kind, uid, gen) == (frame.MSG, 7, 42)
         for a, b in zip(vals, got):
+            assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
 
     def test_msg_payload_shape(self):
-        # The packed-send tuple: (uid, members, gen, [concatenated vals]).
-        members = ((0, 3), (1, 3), (2, 3))
+        # A statement's pairs to one peer travel concatenated: the frame
+        # names no pair, the receiver's plan slices the buffer.
         vals = [np.linspace(0.0, 1.0, 12)]
-        _, (uid, got_members, gen, got_vals) = decode_frame(
-            encode_frame(frame.MSG, (9, members, 5, vals)))
+        payload = (9, 5, vals)
+        _, got = decode_frame(encode_frame(frame.MSG, payload))
+        assert type(got) is tuple and len(got) == 3
+        uid, gen, got_vals = got
         assert uid == 9 and gen == 5
-        assert got_members == members  # tuples survive, not lists
         np.testing.assert_array_equal(got_vals[0], vals[0])
+        # A statement whose every pair to the peer is empty still sends.
+        assert decode_frame(encode_frame(frame.MSG, (9, 6, [])))[1] == (
+            9, 6, [])
 
     def test_redop_operand_roundoff_free(self):
         # Reduction operands travel as raw float64 buffers: bitwise.
         ops = np.array([0.1, -1e308, 5e-324, 3.0], dtype=np.float64)
-        _, (cid, gen, [got]) = decode_frame(
-            encode_frame(frame.DATA, (0, 1, [ops])))
+        _, (uid, gen, [got]) = decode_frame(
+            encode_frame(frame.MSG, (0, 1, [ops])))
         assert got.tobytes() == ops.tobytes()
 
     def test_decoded_arrays_writable(self):
-        _, got = decode_frame(encode_frame(frame.DATA, np.zeros(4)))
+        _, got = decode_frame(encode_frame(frame.MSG, np.zeros(4)))
         got += 1.0  # receiver folds in place; a read-only view would break
         np.testing.assert_array_equal(got, np.ones(4))
 
@@ -143,7 +149,7 @@ class TestRejection:
             decode_frame(b"RN")
 
     def test_truncated_payload(self):
-        buf = encode_frame(frame.DATA, (1, 2, [np.arange(16.0)]))
+        buf = encode_frame(frame.MSG, (1, 2, [np.arange(16.0)]))
         rng = random.Random(7)
         for _ in range(20):
             cut = rng.randint(frame._HEADER.size, len(buf) - 1)
@@ -174,7 +180,7 @@ class TestSocketFraming:
         a, b = socket.socketpair()
         try:
             frames = [(frame.CREDIT, (3, 9)),
-                      (frame.DATA, (0, 1, [np.arange(5.0)])),
+                      (frame.MSG, (0, 1, [np.arange(5.0)])),
                       (frame.COLL, ("c:7", 2, 1, 0.5))]
             for kind, payload in frames:
                 a.sendall(encode_frame(kind, payload))
@@ -191,7 +197,7 @@ class TestSocketFraming:
     def test_mid_frame_eof_raises(self):
         a, b = socket.socketpair()
         try:
-            buf = encode_frame(frame.DATA, (0, 1, [np.arange(64.0)]))
+            buf = encode_frame(frame.MSG, (0, 1, [np.arange(64.0)]))
             a.sendall(buf[:len(buf) // 2])
             a.close()
             with pytest.raises(FrameError, match="mid-frame"):

@@ -184,8 +184,8 @@ class TestDeadlockDetection:
         # one channel can never advance (a lost message).
         orig = CommContext._channel
 
-        def broken(self, stmt, pair, cid):
-            ch = orig(self, stmt, pair, cid)
+        def broken(self, stmt, key, cid):
+            ch = orig(self, stmt, key, cid)
             if cid == 0:
                 ch.ready.advance_to = lambda n: None  # drop the signal
             return ch
@@ -193,6 +193,35 @@ class TestDeadlockDetection:
         monkeypatch.setattr(CommContext, "_channel", broken)
         with pytest.raises(DeadlockError):
             ex.run(prog)
+
+
+    @pytest.mark.parametrize("app", ["stencil", "circuit"])
+    def test_one_lost_shard_pair_channel_deadlocks(self, app, monkeypatch):
+        """Seeded mutant: channel 0 — one (copy statement, producer shard,
+        consumer shard) handshake, standing for every pair between the
+        two shards — never becomes ready.  Its consumer must block on it
+        for good, and the stepped driver must say so."""
+        from repro.apps.circuit import CircuitProblem
+        from repro.apps.stencil import StencilProblem
+        p = (StencilProblem(n=24, radius=2, tiles=4, steps=3)
+             if app == "stencil" else
+             CircuitProblem(pieces=4, nodes_per_piece=25, wires_per_piece=40,
+                            steps=3))
+        orig = CommContext._channel
+        lost = []
+
+        def never_ready(self, stmt, key, cid):
+            ch = orig(self, stmt, key, cid)
+            if cid == 0:
+                assert key[0] != key[1]  # a cross-shard channel
+                lost.append(ch.ready_label)
+                ch.ready.advance_to = lambda n: None
+            return ch
+
+        monkeypatch.setattr(CommContext, "_channel", never_ready)
+        with pytest.raises(DeadlockError):
+            p.run_control_replicated(2, mode="stepped")
+        assert len(lost) == 1
 
 
 class TestErrorPaths:
@@ -312,8 +341,8 @@ class TestErrorPaths:
                           deadlock_timeout=0.2)
         orig = CommContext._channel
 
-        def never_ready(self, stmt, pair, cid):
-            ch = orig(self, stmt, pair, cid)
+        def never_ready(self, stmt, key, cid):
+            ch = orig(self, stmt, key, cid)
             ch.ready.advance_to = lambda n: None  # drop releases
             return ch
 

@@ -54,7 +54,7 @@ from repro.runtime import (
     procs_available,
 )
 from repro.runtime.events import Sequence
-from repro.runtime.launch import CommContext, LaunchSpec
+from repro.runtime.launch import CommContext, LaunchSpec, channel_keys
 from repro.runtime.window import exec as window_exec
 from repro.runtime.window import schedule
 from repro.runtime.window.ir import (
@@ -284,14 +284,17 @@ class TestVerifierFailure:
 
 
 def _one_copy_spec():
-    """A hand-built launch spec: one copy statement over 4 x 4 colours.
-    Under two shards, colours 0-1 live on rank 0 and 2-3 on rank 1, so
-    seen from rank 0 the pairs are, in order: local, three inbound from
-    rank 1, one outbound."""
-    part = SimpleNamespace(num_colors=4)
+    """A hand-built launch spec: one copy statement over 6 x 6 colours.
+    Under three shards, colours 0-1 live on shard 0, 2-3 on shard 1 and
+    4-5 on shard 2, so seen from shard 0 the pairs are, in order: local,
+    two inbound from shard 1, one inbound from shard 2, two outbound."""
+    part = SimpleNamespace(num_colors=6)
     stmt = SimpleNamespace(uid=7, src=part, dst=part)
-    pairs = [(0, 0), (2, 0), (2, 1), (3, 0), (0, 2)]
-    return LaunchSpec(copies=[stmt], pairs={7: pairs}), pairs
+    pairs = [(0, 0), (2, 0), (3, 1), (4, 0), (0, 2), (1, 4)]
+    keys = channel_keys(stmt, pairs, 3)
+    # One channel per shard pair, in pair order; none for the local pair.
+    assert keys == [(1, 0), (2, 0), (0, 1), (0, 2)]
+    return LaunchSpec(copies=[stmt], channels={7: keys}), keys
 
 
 class TestAdvanceGroup:
@@ -299,9 +302,10 @@ class TestAdvanceGroup:
     context (the replayed ``OP_ADVN`` calls whichever it was bound to)."""
 
     def test_plain_sequences_all_advance(self):
-        spec, pairs = _one_copy_spec()
-        ctx = CommContext(spec, 2)
-        seqs = [ctx.channels[7][p].acked for p in pairs]
+        spec, keys = _one_copy_spec()
+        ctx = CommContext(spec, 3)
+        assert list(ctx.channels[7]) == keys
+        seqs = [ctx.channels[7][k].acked for k in keys]
         events = [s.event_for(3) for s in seqs]
         ctx.advance_group(seqs, 3)
         assert all(ev.is_set() for ev in events)
@@ -312,8 +316,9 @@ class TestAdvanceGroup:
         """The board's channels share one Condition: a batch is one lock
         round and one broadcast, and a repeat of it wakes nobody."""
         from repro.runtime.procs import BoardContext
-        spec, pairs = _one_copy_spec()
-        ctx = BoardContext(spec, 2)
+        spec, keys = _one_copy_spec()
+        ctx = BoardContext(spec, 3)
+        assert len(ctx._chan_acked) == len(keys)
         rounds = Counter()
         cond = ctx._cond
 
@@ -329,7 +334,7 @@ class TestAdvanceGroup:
                 rounds["notify"] += 1
                 cond.notify_all()
 
-        seqs = [ctx.channels[7][p].acked for p in pairs]
+        seqs = [ctx.channels[7][k].acked for k in keys]
         ctx._cond = Counting()
         ctx.advance_group(seqs, 2)
         assert rounds == {"lock": 1, "notify": 1}
@@ -337,35 +342,33 @@ class TestAdvanceGroup:
         assert rounds == {"lock": 2, "notify": 1}
         ctx._cond = cond
         assert all(s.value == 2 for s in seqs)
-        assert all(ctx.channels[7][p].ready.value == 0 for p in pairs)
+        assert all(ctx.channels[7][k].ready.value == 0 for k in keys)
 
-    def test_net_coalesces_whichever_pair_sorts_first(self):
-        """One CREDITN per peer even when the batch *starts* with a
-        rank-local pair (the dispatch used to look at ``seqs[0]`` only)."""
+    def test_net_sends_one_credit_per_peer(self):
+        """A consumer's ack release is one CREDIT per producer shard, the
+        two pairs shard 1 sends it included."""
         from repro.runtime.net import frame
         from repro.runtime.net.sync import NetCommContext
-        spec, pairs = _one_copy_spec()
+        spec, keys = _one_copy_spec()
         sent = []
         transport = SimpleNamespace(
             rank=0, register=lambda kind, handler: None,
             send=lambda peer, kind, payload: sent.append(
                 (peer, kind, payload)))
-        ctx = NetCommContext(None, transport, spec, 2)
-        inbound = [(0, 0), (2, 0), (2, 1), (3, 0)]  # consumed by rank 0
-        seqs = [ctx.channels[7][p].acked for p in inbound]
-        assert type(seqs[0]) is Sequence  # local pair first
-        ctx.advance_group(seqs, 4)
-        # Channel ids are positions in the spec's pair order.
-        assert sent == [(1, frame.CREDITN, ((1, 2, 3), 4))]
-        assert seqs[0].value == 4
-        ctx.advance_group(seqs, 4)  # already granted: nothing on the wire
-        assert len(sent) == 1
-        ctx.advance_group(seqs[:2], 5)  # a single remote member: CREDIT
-        assert sent[1] == (1, frame.CREDIT, (1, 5))
+        ctx = NetCommContext(None, transport, spec, 3)
+        assert list(ctx.channels[7]) == keys  # every key names shard 0
+        inbound = [ctx.channels[7][k].acked for k in keys if k[1] == 0]
+        ctx.advance_group(inbound, 4)
+        # Channel ids are positions in the spec's channel order.
+        assert sent == [(1, frame.CREDIT, (0, 4)), (2, frame.CREDIT, (1, 4))]
+        ctx.advance_group(inbound, 4)  # already granted: nothing on the wire
+        assert len(sent) == 2
+        ctx.advance_group(inbound[1:], 5)
+        assert sent[2:] == [(2, frame.CREDIT, (1, 5))]
 
     def test_empty_group_is_a_noop(self):
         spec, _ = _one_copy_spec()
-        CommContext(spec, 2).advance_group([], 5)
+        CommContext(spec, 3).advance_group([], 5)
 
 
 def _pass_stat(metrics, stat):
@@ -694,6 +697,67 @@ class TestFreezeCost:
         copies = ex.copies_performed // p.steps  # of one iteration
         assert copies > 40 * statements  # the bound below is about pairs
         assert ex.window_ops_recorded <= copies + 8 * statements * 2
+
+    @pytest.mark.parametrize("pieces", [24, 96])
+    def test_handshake_touches_shard_pairs_not_pairs(self, pieces,
+                                                     monkeypatch):
+        # Deterministic stand-ins for the handshake's cost: a window's
+        # advance and wait ops name at most one sequence per peer shard
+        # and phase, and an interpreted copy statement advances at most
+        # one sequence per peer shard and direction — whatever the number
+        # of intersection pairs.
+        ns = 2
+        ops = []
+        build = window_exec.CompiledWindow.build.__func__
+
+        def recording(cls, wir, state, comm, uid=0):
+            ops.append(list(wir.ops))
+            return build(cls, wir, state, comm, uid)
+
+        monkeypatch.setattr(window_exec.CompiledWindow, "build",
+                            classmethod(recording))
+        advances = [0]
+        advance_to = Sequence.advance_to
+
+        def counting(self, n):
+            advances[0] += 1
+            return advance_to(self, n)
+
+        monkeypatch.setattr(Sequence, "advance_to", counting)
+        per_stmt = []
+        exec_copy = SPMDExecutor._exec_copy
+
+        def measured(self, stmt, state, ctx, rec=None):
+            # Only this statement's own turns: under the stepped driver
+            # the other shard runs between two of its resumptions.
+            gen, n = exec_copy(self, stmt, state, ctx, rec), 0
+            while True:
+                before = advances[0]
+                try:
+                    ev = next(gen)
+                except StopIteration:
+                    n += advances[0] - before
+                    break
+                n += advances[0] - before
+                yield ev
+            per_stmt.append(n)
+
+        monkeypatch.setattr(SPMDExecutor, "_exec_copy", measured)
+        p = CircuitProblem(pieces=pieces, nodes_per_piece=20,
+                           wires_per_piece=30, steps=4)
+        _, _, ex, _ = p.run_control_replicated(ns)
+        prog, _ = control_replicate(p.build_program(), num_shards=ns)
+        loop = next(s for s in walk(prog.body) if isinstance(s, ForRange))
+        copies = sum(isinstance(s, PairwiseCopy) for s in walk(loop.body))
+        pairs = ex.copies_performed // p.steps  # of one iteration
+        assert copies and pairs > 10 * copies * 4 * (ns - 1)
+        assert len(ops) == ex.window_compiles == ns
+        for window in ops:
+            named = sum(len(op[1]) for op in window
+                        if op[0] in (OP_ADVN, OP_WAITN))
+            assert 0 < named <= 4 * copies * (ns - 1)
+        assert len(per_stmt) == copies * ns * interpreted_iterations()
+        assert 0 < max(per_stmt) <= 2 * (ns - 1)
 
     def test_pair_copies_lowered_once_per_run(self, monkeypatch):
         batches, lowered = [], []
