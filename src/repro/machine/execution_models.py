@@ -55,10 +55,6 @@ class StepResult:
         return points_per_node / self.seconds_per_step
 
 
-def _tile_node(tile: int, tiles: int, nodes: int) -> int:
-    return tile * nodes // tiles
-
-
 def _tile_nodes(tiles_arr: np.ndarray, tiles: int, nodes: int) -> np.ndarray:
     return tiles_arr * np.int64(nodes) // np.int64(tiles)
 
@@ -360,13 +356,10 @@ def simulate_regent_noncr(workload: AppWorkload, machine: MachineModel,
 
 
 def simulate_mpi(workload: AppWorkload, machine: MachineModel, nodes: int,
-                 omp_efficiency: float = 1.0,
-                 omp_fork_join: float = 0.0,
                  on_complete: Callable[[GraphBuilder], None] | None = None,
                  engine: str = "auto") -> StepResult:
     """MPI (rank per tile).  ``tiles_per_node`` selects the configuration:
-    cores-per-node tiles = rank/core, one tile = rank/node (+OpenMP), with
-    ``omp_efficiency``/``omp_fork_join`` modelling the threaded runtime."""
+    cores-per-node tiles = rank/core, one tile = rank/node (+OpenMP)."""
     tiles = workload.num_tiles(nodes)
     ranks = tiles
     # A rank spanning the whole node via threads stalls if *any* of its
@@ -395,9 +388,8 @@ def simulate_mpi(workload: AppWorkload, machine: MachineModel, nodes: int,
             if barrier_dep is not None:
                 parts.append((t_arr, np.full(tiles, barrier_dep,
                                              dtype=np.int64), no_lat))
-            dur = (phase.task_seconds / omp_efficiency + omp_fork_join
-                   + _noise_batch(workload, t_arr, _step, pi,
-                                  noise_scale, delay_scale))
+            dur = phase.task_seconds + _noise_batch(
+                workload, t_arr, _step, pi, noise_scale, delay_scale)
             rows, tgts, lats = _merge_deps(*parts)
             prev_uids = g.add_batch(dur, node_of, kind="core", dep_rows=rows,
                                     dep_targets=tgts, dep_lats=lats,

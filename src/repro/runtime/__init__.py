@@ -3,7 +3,7 @@
 from .backends import BACKENDS, Backend, backend_names, ensure_backend
 from .collectives import SCALAR_REDUCTIONS, DynamicCollective
 from .copy_engine import (FusedBatch, FusedCopy, disjoint_dst_colors,
-                          fuse_group)
+                          fuse_group, lower_copy)
 from .dependence import DependenceAnalyzer, DependenceGraph, OpNode
 from .events import Event, GlobalBarrier, PhaseBarrier, Sequence
 from .intersection_exec import (IntersectionResult, compute_intersections,
@@ -48,5 +48,6 @@ __all__ = [
     "compute_intersections_sharded",
     "disjoint_dst_colors",
     "fuse_group",
+    "lower_copy",
     "procs_available",
 ]

@@ -1,21 +1,29 @@
-"""Fused copy engine: one gather/scatter per field per destination.
+"""The copy plan: one statement's pairs, lowered once, applied as one batch.
 
-The interpreter issues one numpy fancy-indexed assignment per field per
-non-empty ``(i, j)`` intersection pair.  That is exactly the regime the
-paper argues against in §3.2–§3.3: copy *cost* is dominated by how the
-intersection-restricted data movement is issued, not by how much data
-moves.  This module is the issue side of that argument:
+The paper (§3.2–§3.3) moves only ``dst[j] ∩ src[i]``, computed once per
+shard and issued every epoch, and argues that copy *cost* is dominated by
+how that intersection-restricted movement is issued, not by how much data
+moves.  This module owns the issue side, once for every consumer of it:
 
-* **Pair fusion.**  At trace-freeze time the :class:`PairCopy` objects of
-  one ``PairwiseCopy`` statement are grouped by destination instance
-  (:func:`fuse_group`) and fused into one :class:`FusedCopy`.  Its plan is
-  the one every pair already has, over the whole group: each side's
-  slots concatenated in pair order and lowered by :func:`_as_index` — a
-  slice when they form one increasing run, else the index array.  A group
-  with a single source instance copies directly; one with several gathers
-  each pair into a preallocated staging buffer first.  Either way a
-  replay issues one scatter per field per destination instead of
-  ``pairs × fields`` numpy calls.
+* **One lowering.**  :func:`lower_copy` localizes all of a shard's
+  ``(src_inst, dst_inst, pts, lock)`` pairs of one ``PairwiseCopy``
+  statement in one stacked call (:func:`localize`), groups them by
+  destination instance in pair order, and lowers each group
+  (:func:`fuse_group`) to :class:`FusedCopy` items of one
+  :class:`FusedBatch`.  The executor builds the batch the first time the
+  shard runs the statement in a launch and keeps it for the launch: the
+  interpreter applies it, the iteration recorder stores it as the
+  statement's one ``fused`` op, and a compiled window replays that same
+  object.  The ``net`` backend's send gathers and receive scatters come
+  from the same :func:`localize`.
+
+* **Pair fusion.**  A :class:`FusedCopy`'s plan is the one every pair
+  already has, over the whole group: each side's slots concatenated in
+  pair order and lowered by :func:`_as_index` — a slice when they form one
+  increasing run, else the index array.  A group with a single source
+  instance copies directly; one with several gathers each pair into a
+  preallocated staging buffer first.  Either way one scatter per field per
+  destination replaces ``pairs × fields`` numpy calls.
 
 * **Reduction semantics.**  ``ufunc.at`` applies its updates in index
   order, so folding the concatenated (pair-ordered) index array is
@@ -25,7 +33,7 @@ moves.  This module is the issue side of that argument:
   faster and — elementwise on disjoint slots — exactly the same float
   operations.  Plain (overwrite) groups whose destination slots repeat
   across pairs are *not* fused: last-writer-wins order across pairs is
-  only guaranteed by applying them in sequence.
+  only guaranteed by applying them in sequence, one item a pair.
 
 * **Producer disjointness.**  :func:`disjoint_dst_colors` decides, from
   the evaluated intersection pair sets alone (a pure function of the
@@ -41,9 +49,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.shards import owner_of_color
-from ..regions.intervals import IntervalSet, stack_intervals
+from ..regions.intervals import IntervalSet, expand_ranges, stack_intervals
+from ..regions.region import _REDUCTION_UFUNCS, localize_stacked
 
-__all__ = ["FusedBatch", "FusedCopy", "fuse_group", "disjoint_dst_colors"]
+__all__ = ["FusedBatch", "FusedCopy", "disjoint_dst_colors", "fuse_group",
+           "localize", "lower_copy"]
 
 
 def _as_index(slots: np.ndarray):
@@ -65,21 +75,39 @@ def _as_fancy(ix) -> np.ndarray:
     return np.asarray(ix, dtype=np.int64)
 
 
+def localize(insts, sets) -> list[np.ndarray]:
+    """Per pair ``p``, the local slots of the non-empty point set
+    ``sets[p]`` in ``insts[p]``, in point order.
+
+    Every pair is localized in one stacked call
+    (:func:`~repro.regions.region.localize_stacked`), interval by
+    interval; no point array is materialized.  The arrays are views of one
+    slot array."""
+    if not sets:
+        return []
+    ivals, pair = stack_intervals(sets)
+    distinct = {id(x): x for x in insts}
+    position = {key: n for n, key in enumerate(distinct)}
+    which = np.array([position[id(x)] for x in insts])
+    slots = expand_ranges(*localize_stacked(
+        list(distinct.values()), which[pair], ivals))
+    ends = np.cumsum([pts.count for pts in sets]).tolist()
+    return [slots[s:e] for s, e in zip([0] + ends[:-1], ends)]
+
+
 def _joined(ixs) -> np.ndarray:
     """One side of a fused group: its pairs' slots in pair order."""
     return np.concatenate([_as_fancy(ix) for ix in ixs])
 
 
 class FusedCopy:
-    """All of one statement's pair copies into one destination instance.
+    """Some of one statement's pair copies into one destination instance.
 
-    Built once at trace-freeze time from the :class:`~repro.runtime.window.
-    PairCopy` objects of the capture iteration; every replay issues one
-    scatter per field, fed by one gather (single source instance) or by
-    one gather per pair into a staging buffer (several).  Aggregate
-    accounting (``pair_count`` pairs, ``count`` elements, ``nbytes``
-    bytes) matches what the per-pair interpretation would have recorded
-    exactly.
+    Every apply issues one scatter per field, fed by one gather (single
+    source instance) or by one gather per pair into a staging buffer
+    (several).  Aggregate accounting (``pair_count`` pairs, ``count``
+    elements, ``nbytes`` bytes) matches what the pairs applied one by one
+    would move exactly.
     """
 
     __slots__ = ("uid", "ufunc", "lock", "count", "nbytes", "pair_count",
@@ -104,31 +132,33 @@ class FusedCopy:
         self.bufs = None         # per-field staging buffers, len == count
 
     @classmethod
-    def build(cls, pcs) -> "FusedCopy | None":
-        """Fuse the pair copies ``pcs`` (same statement, same destination
-        instance, capture pair order).  Returns ``None`` when fusion
-        cannot preserve semantics (overwrite copies with destination
-        slots repeating across pairs)."""
-        first = pcs[0]
-        dst_ix = _joined(pc.dst_ix for pc in pcs)
+    def build(cls, dsts, members, ufunc, lock, uid: int,
+              width: int) -> "FusedCopy | None":
+        """Fuse ``members`` — ``(src field arrays, src slots, dst slots,
+        count)`` per pair, in pair order, each side a slot array or slice
+        — into the destination field arrays ``dsts``.  Returns ``None``
+        when fusion cannot preserve semantics (overwrite copies with
+        destination slots repeating across pairs)."""
+        dst_ix = _joined(m[2] for m in members)
         count = int(dst_ix.size)
         has_dups = bool(np.unique(dst_ix).size < count)
-        if has_dups and first.ufunc is None:
+        if has_dups and ufunc is None and len(members) > 1:
             return None  # last-writer-wins needs per-pair ordering
-        fc = cls(uid=first.uid, ufunc=first.ufunc, lock=first.lock,
-                 count=count, nbytes=sum(pc.nbytes for pc in pcs),
-                 pair_count=len(pcs))
-        fc.dst_arrays = tuple(d for d, _ in first.arrays)
+        fc = cls(uid=uid, ufunc=ufunc, lock=lock, count=count,
+                 nbytes=count * width, pair_count=len(members))
+        fc.dst_arrays = tuple(dsts)
         fc.dst_sel = _as_index(dst_ix)
         fc.has_dups = has_dups
-        if all(pc.arrays[0][1] is first.arrays[0][1] for pc in pcs):
-            fc.src_arrays = tuple(s for _, s in first.arrays)
-            fc.src_sel = _as_index(_joined(pc.src_ix for pc in pcs))
+        first = members[0][0]
+        if all(m[0][0] is first[0] for m in members):
+            fc.src_arrays = tuple(first)
+            fc.src_sel = _as_index(_joined(m[1] for m in members))
             return fc
-        offsets = np.cumsum([0] + [pc.count for pc in pcs]).tolist()
-        fc.gathers = tuple((offset, pc.count, pc.src_ix,
-                            tuple(s for _, s in pc.arrays))
-                           for offset, pc in zip(offsets, pcs))
+        offsets = np.cumsum([0] + [m[3] for m in members]).tolist()
+        fc.gathers = tuple((offset, n, _as_index(_as_fancy(src_ix)),
+                            tuple(srcs))
+                           for offset, (srcs, src_ix, _, n)
+                           in zip(offsets, members))
         fc.bufs = tuple(np.empty((count, *d.shape[1:]), dtype=d.dtype)
                         for d in fc.dst_arrays)
         return fc
@@ -137,6 +167,8 @@ class FusedCopy:
         if self.lock is None:
             self._apply()
         else:
+            # Reduction folds from different producers may target the same
+            # destination elements; ufunc.at is not atomic across threads.
             with self.lock:
                 self._apply()
 
@@ -158,71 +190,100 @@ class FusedCopy:
 
 
 class FusedBatch:
-    """One statement's entire per-shard copy set, issued as a single op.
+    """One statement's entire per-shard in-memory copy set, as one op.
 
-    Destination groups that fused become :class:`FusedCopy` items;
-    unfusable groups keep their original :class:`~repro.runtime.window.
-    PairCopy` objects in capture order.  Batching the *issue* — one
-    replay op, one trace span, one counter pass for the whole statement —
-    is where the win lives when destination groups are small (one halo
-    pair per neighbor): the per-pair dispatch overhead the interpreter
-    pays disappears even when no numpy calls could be merged.  Aggregate
-    accounting over the batch matches per-pair interpretation exactly.
+    ``items`` are the :class:`FusedCopy` plans of its destination groups,
+    in order; ``visits`` counts the statement's in-memory pairs of this
+    shard, empty ones included.  Batching the *issue* — one op, one flight
+    record, one counter pass for the whole statement — is where the win
+    lives when destination groups are small (one halo pair per neighbor):
+    the per-pair dispatch overhead disappears even when no numpy calls
+    could be merged.
     """
 
-    __slots__ = ("uid", "items", "_ops", "pair_count", "count", "nbytes",
-                 "n_fused", "fused_pairs", "lockfree_folds", "locked_folds")
+    __slots__ = ("uid", "items", "visits", "pair_count", "count", "nbytes",
+                 "lockfree_folds", "locked_folds", "_ops")
 
-    def __init__(self, items):
+    def __init__(self, uid: int, items, visits: int):
+        self.uid = uid
         self.items = tuple(items)
         self._ops = tuple(it.apply for it in self.items)
-        self.uid = items[0].uid
-        self.pair_count = self.count = self.nbytes = 0
-        self.n_fused = self.fused_pairs = 0
-        self.lockfree_folds = self.locked_folds = 0
-        for it in self.items:
-            if isinstance(it, FusedCopy):
-                self.pair_count += it.pair_count
-                self.n_fused += 1
-                self.fused_pairs += it.pair_count
-            else:
-                self.pair_count += 1
-            self.count += it.count
-            self.nbytes += it.nbytes
-            if it.ufunc is not None:
-                if it.lock is None:
-                    self.lockfree_folds += 1
-                else:
-                    self.locked_folds += 1
+        self.visits = visits
+        self.pair_count = sum(it.pair_count for it in self.items)
+        self.count = sum(it.count for it in self.items)
+        self.nbytes = sum(it.nbytes for it in self.items)
+        folds = [it.lock is None for it in self.items if it.ufunc is not None]
+        self.lockfree_folds = sum(folds)
+        self.locked_folds = len(folds) - self.lockfree_folds
+
+    def counter_deltas(self) -> tuple[tuple[str, int], ...]:
+        """The shard counters one apply adds, by name: the interpreter
+        bumps them per execution, a compiled window once per replay."""
+        return (("pair_visits", self.visits),
+                ("copies_performed", self.pair_count),
+                ("elements_copied", self.count),
+                ("bytes_copied", self.nbytes),
+                ("fused_copies", len(self.items)),
+                ("fused_pairs", self.pair_count),
+                ("lockfree_folds", self.lockfree_folds),
+                ("locked_folds", self.locked_folds))
 
     def apply(self) -> None:
         for op in self._ops:
             op()
 
 
-def fuse_group(pcs) -> "list":
-    """Lower one destination group to its cheapest fused form.
+def fuse_group(dsts, members, ufunc, lock, uid: int,
+               width: int) -> list[FusedCopy]:
+    """Lower one destination group (:meth:`FusedCopy.build` arguments) to
+    its cheapest form, the items to apply in order.
 
     Multi-pair groups concatenate into a single :class:`FusedCopy` when
     that reduces numpy work: always for a shared source instance, and for
     reductions from any sources (one staged ``ufunc.at`` beats one per
     pair).  Plain copies from *different* source instances gain nothing
-    from staging — it moves the data twice — so each pair keeps its own
-    direct plan, applied in capture order (which also preserves
-    last-writer-wins when destination slots repeat across pairs).
-    Returns the list of objects to apply, in order."""
-    first = pcs[0]
-    if len(pcs) > 1:
-        single_src = all(pc.arrays[0][1] is first.arrays[0][1] for pc in pcs)
-        if single_src or first.ufunc is not None:
-            fc = FusedCopy.build(pcs)
+    from staging — it moves the data twice — so each pair becomes its own
+    single-pair item, applied in pair order (which also preserves
+    last-writer-wins when destination slots repeat across pairs)."""
+    if len(members) > 1:
+        first = members[0][0][0]
+        if ufunc is not None or all(m[0][0] is first for m in members):
+            fc = FusedCopy.build(dsts, members, ufunc, lock, uid, width)
             if fc is not None:
                 return [fc]
-    out = []
-    for pc in pcs:
-        fc = FusedCopy.build([pc])
-        out.append(pc if fc is None else fc)
-    return out
+    return [FusedCopy.build(dsts, [m], ufunc, lock, uid, width)
+            for m in members]
+
+
+def lower_copy(stmt, pairs, width: int, visits: int) -> FusedBatch:
+    """The one lowering of a copy statement's in-memory pairs on a shard.
+
+    ``pairs`` is a sequence of ``(src_inst, dst_inst, pts, lock)`` with
+    non-empty ``pts``, in pair order; ``visits`` counts the shard's pairs
+    of the statement, empty ones included; ``width`` is the bytes per
+    element of the copied fields.  Both sides of every pair are localized
+    in one stacked call each, the pairs grouped by destination instance in
+    order of first appearance (pair order inside a group), and each group
+    lowered by :func:`fuse_group`.
+    """
+    ufunc = None if stmt.redop is None else _REDUCTION_UFUNCS[stmt.redop]
+    groups: dict[int, tuple] = {}
+    if pairs:
+        srcs, dsts, sets, locks = zip(*pairs)
+        src_ixs = localize(srcs, sets)
+        dst_ixs = localize(dsts, sets)
+        for src, dst, pts, lock, src_ix, dst_ix in zip(
+                srcs, dsts, sets, locks, src_ixs, dst_ixs):
+            group = groups.get(id(dst))
+            if group is None:
+                group = groups[id(dst)] = (
+                    tuple(dst.fields[f] for f in stmt.fields), lock, [])
+            group[2].append((tuple(src.fields[f] for f in stmt.fields),
+                             src_ix, dst_ix, int(pts.count)))
+    return FusedBatch(stmt.uid, [
+        item for dst_arrays, lock, members in groups.values()
+        for item in fuse_group(dst_arrays, members, ufunc, lock, stmt.uid,
+                               width)], visits)
 
 
 def disjoint_dst_colors(pairs, pts_of, src_num_colors: int,

@@ -2,11 +2,13 @@
 
 A copy statement hands the context all of its cross-rank pairs to one
 peer rank at once (``CommContext.send_pairs``); the net context lowers
-the group, the first time it sees it, to a :class:`PackedSend` — the net
-backend's stand-in for the in-memory
-:class:`~repro.runtime.window.ir.PairCopy`: every member pair's gather
-index is resolved once against the producer's source instance, and every
-``apply`` ships all members' fields concatenated as one ``MSG`` frame.
+the group, the first time it sees it, to a :class:`PackedSend` — the
+cross-rank half of the statement's copy plan, beside the in-memory
+:class:`~repro.runtime.copy_engine.FusedBatch`: every member pair's gather
+index is resolved once against the producer's source instance, by the
+same stacked :func:`~repro.runtime.copy_engine.localize` that lowers the
+batch (and the consumer's unpack plan), and every ``apply`` ships all
+members' fields concatenated as one ``MSG`` frame.
 The interpreter and a frozen window run the same object, so a statement
 sends exactly one message per peer rank per epoch either way.
 

@@ -39,7 +39,7 @@ from ...core.shards import owner_of_color
 from ...obs import flight as _flight
 from ...regions.region import _REDUCTION_UFUNCS, reduction_identity
 from ..collectives import SCALAR_REDUCTIONS
-from ..copy_engine import _as_index
+from ..copy_engine import _as_index, localize
 from ..events import Sequence
 from ..launch import Channel, CommContext
 from . import frame
@@ -563,17 +563,26 @@ class NetCommContext(CommContext):
                             ps.nbytes)
 
     def _build_send(self, stmt, peer: int, pairs) -> PackedSend:
-        ex = self.ex
-        gathers, count = [], 0
-        for i, j in pairs:
-            pts = ex._pair_points(stmt, i, j)
-            if pts:
-                src_inst = ex.dist_instance(stmt.src, i)
-                gathers.append((tuple(src_inst.fields[f] for f in stmt.fields),
-                                _as_index(src_inst.localize(pts))))
-                count += int(pts.count)
+        """The gathers of ``stmt``'s non-empty ``pairs`` to ``peer``, in
+        pair order, localized in one call."""
+        insts, sets = self._live(stmt, stmt.src, pairs, 0)
+        gathers = [(tuple(inst.fields[f] for f in stmt.fields), _as_index(ix))
+                   for inst, ix in zip(insts, localize(insts, sets))]
+        count = sum(int(pts.count) for pts in sets)
         return PackedSend(self.transport, peer, stmt.uid, gathers, len(pairs),
-                          count, count * ex._field_width(stmt))
+                          count, count * self.ex._field_width(stmt))
+
+    def _live(self, stmt, part, pairs, side: int):
+        """``(instances, point sets)`` of the non-empty ``pairs``, in pair
+        order: each one's instance of ``part`` at the pair's source
+        (``side`` 0) or destination (1) colour."""
+        ex, insts, sets = self.ex, [], []
+        for pair in pairs:
+            pts = ex._pair_points(stmt, *pair)
+            if pts:
+                insts.append(ex.dist_instance(part, pair[side]))
+                sets.append(pts)
+        return insts, sets
 
     # -- frame handlers (receiver threads) ---------------------------------
     def _on_msg(self, peer: int, payload) -> None:
@@ -596,22 +605,19 @@ class NetCommContext(CommContext):
         for ``stmt``'s messages from ``producer``: its non-empty pairs into
         this rank, in pair order — the order the producer's
         :class:`PackedSend` gathers them in, since both filter the same
-        pair list."""
-        ex, ns = self.ex, self.num_shards
+        pair list and localize through the same
+        :func:`~repro.runtime.copy_engine.localize`."""
+        ns = self.num_shards
         src_n, dst_n = stmt.src.num_colors, stmt.dst.num_colors
+        pairs = [(i, j) for i, j in self.ex._copy_pairs(stmt)
+                 if owner_of_color(dst_n, ns, j) == self.rank
+                 and owner_of_color(src_n, ns, i) == producer]
+        insts, sets = self._live(stmt, stmt.dst, pairs, 1)
         plan, off = [], 0
-        for i, j in ex._copy_pairs(stmt):
-            if (owner_of_color(dst_n, ns, j) != self.rank
-                    or owner_of_color(src_n, ns, i) != producer):
-                continue
-            pts = ex._pair_points(stmt, i, j)
-            if not pts:
-                continue
-            dst_inst = ex.dist_instance(stmt.dst, j)
+        for inst, pts, ix in zip(insts, sets, localize(insts, sets)):
             cnt = int(pts.count)
-            plan.append((tuple(dst_inst.fields[f] for f in stmt.fields),
-                         _as_index(dst_inst.localize(pts)),
-                         slice(off, off + cnt)))
+            plan.append((tuple(inst.fields[f] for f in stmt.fields),
+                         _as_index(ix), slice(off, off + cnt)))
             off += cnt
         ufunc = None if stmt.redop is None else _REDUCTION_UFUNCS[stmt.redop]
         return ufunc, plan

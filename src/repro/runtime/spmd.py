@@ -86,12 +86,12 @@ from ..regions.region import PhysicalInstance, reduction_identity
 from ..tasks.task import call_task
 from .backends import ensure_backend
 from .collectives import SCALAR_REDUCTIONS
-from .copy_engine import disjoint_dst_colors
+from .copy_engine import FusedBatch, disjoint_dst_colors, lower_copy
 from .events import Event
 from .intersection_exec import IntersectionResult, compute_intersections
 from .launch import (CommContext, DeadlockError, ShardExceptionGroup,
                      launch_spec)
-from .window import LoopReplay, PairCopy, ReplayError
+from .window import LoopReplay, ReplayError
 from .sequential import SequentialExecutor
 
 __all__ = ["SPMDExecutor", "DeadlockError", "ReplicationDivergence",
@@ -123,8 +123,9 @@ COUNTERS: dict[str, tuple[str, dict[str, str]]] = {
     "replay_misses": ("spmd_replay_iterations_total", {"outcome": "miss"}),
     "replay_guard_fallbacks": ("spmd_replay_iterations_total",
                                {"outcome": "guard_fallback"}),
-    # Fused copy engine (repro.runtime.copy_engine): batches applied under
-    # replay, pairs folded into them, and reduction-fold lock accounting.
+    # Copy plan (repro.runtime.copy_engine): fused items applied, pairs
+    # in them, and reduction-fold lock accounting — interpreted or
+    # replayed, every applied batch counts.
     "fused_copies": ("spmd_fused_copies_total", {}),
     "fused_pairs": ("spmd_fused_pairs_total", {}),
     "lockfree_folds": ("spmd_reduction_folds_total", {"path": "lockfree"}),
@@ -140,14 +141,18 @@ COUNTERS: dict[str, tuple[str, dict[str, str]]] = {
 
 class _CopySchedule(NamedTuple):
     """One shard's side of one copy statement, loop-invariant for the
-    launch: the pairs it copies in memory as ``(i, j)``, the ones it sends
-    as ``(peer, pairs)`` groups, and what each handshake phase touches —
-    the sequences it advances as tuples, the ones it waits on as
-    ``(sequence, label)`` tuples, in the shapes the recorder stores — or,
-    in barrier mode, ``(tag, barrier, label)`` for ``pre`` and ``post``."""
+    launch: its in-memory pairs lowered to one
+    :class:`~repro.runtime.copy_engine.FusedBatch`, the pairs it sends as
+    ``(peer, pairs)`` groups, the ids of the arrays its handshake protects
+    (its owned destination instances: fission's footprint), and what each
+    handshake phase touches — the sequences it advances as tuples, the
+    ones it waits on as ``(sequence, label)`` tuples, in the shapes the
+    recorder stores — or, in barrier mode, ``(tag, barrier, label)`` for
+    ``pre`` and ``post``."""
 
-    copies: tuple
+    batch: FusedBatch
     sends: tuple = ()
+    protect: frozenset = frozenset()
     ack_advances: tuple = ()
     ack_waits: tuple = ()
     ready_advances: tuple = ()
@@ -174,21 +179,16 @@ class _ShardState:
     # agree; validated after the launch like scalar state.
     capture_points: dict[int, int] = field(default_factory=dict)
     loop_replays: dict[int, LoopReplay] = field(default_factory=dict)
-    # copy stmt uid -> {(i, j): the pair's lowered PairCopy}, filled for
-    # all of the shard's pairs the first time the statement runs.
-    # Instances, points and locks do not change within a run, so a later
-    # recorded iteration (a loop with guards needs two to freeze) reuses
-    # the lot; dropped at the end of any recorded iteration that leaves
-    # the loop holding a window.
-    pair_copies: dict[int, dict[tuple[int, int], PairCopy]] = field(
-        default_factory=dict)
-    # copy stmt uid -> this shard's _CopySchedule of it.  Part of the plan
-    # half: it names the launch context's channels, like a frozen window.
+    # copy stmt uid -> this shard's _CopySchedule of it, built the first
+    # time the statement runs.  Part of the plan half: it names the launch
+    # context's channels and holds the statement's one lowered batch,
+    # which every interpreted iteration applies and a frozen window
+    # replays.
     copy_schedules: dict[int, "_CopySchedule"] = field(default_factory=dict)
     # Inspector plans (Task.bound) of this shard's interpreted point tasks,
     # so captured and guard-fallback iterations inspect once.  A freeze
-    # hands each frozen entry its plan from here; released with
-    # ``pair_copies``, and for the same reason.
+    # hands each frozen entry its plan from here; dropped at the end of
+    # any recorded iteration that leaves the loop holding a window.
     plans: dict[tuple, Any] = field(default_factory=dict)
     # One int attribute per row, zeroed at construction and per run.
     COUNTERS: ClassVar[dict] = COUNTERS
@@ -221,7 +221,6 @@ class _ShardState:
         self.scalars = scalars
         self.metrics = metrics
         self.pending_reductions.clear()
-        self.pair_copies.clear()  # lowered per run, like the counters
         self.zero_counters()
 
 
@@ -499,10 +498,8 @@ class SPMDExecutor(SequentialExecutor):
             # Possible if placement hoisted a copy out of the whole fragment;
             # at main level it is sequential, no synchronization needed.
             state = _ShardState(shard=0, scalars=self.scalars)
-            pairs = self._copy_pairs(stmt)
-            state.pair_copies[stmt.uid] = self._lower_pairs(stmt, pairs, 1)
-            for (i, j) in pairs:
-                self._do_pair_copy(stmt, i, j, state)
+            self._apply_batch(
+                self._lower_copy(stmt, self._copy_pairs(stmt), 1), state)
             self._merge_counters([state])
         else:
             super()._stmt(stmt)
@@ -766,9 +763,7 @@ class SPMDExecutor(SequentialExecutor):
             if lr.trace is not None:
                 # The loop holds a window — frozen just now, or kept
                 # through this guard fallback: it has what it needs of the
-                # lowered pairs and inspector plans, and no further capture
-                # will ask for them.
-                state.pair_copies.clear()
+                # inspector plans, and no further capture will ask for them.
                 state.plans.clear()
 
     def _shard_launch_stmt(self, stmt: IndexLaunch, state: _ShardState,
@@ -844,24 +839,29 @@ class SPMDExecutor(SequentialExecutor):
             else:
                 sends.setdefault(owner_of_color(dst_n, ns, j), []).append(
                     (i, j))
-        copies = tuple(copies)
+        batch = self._lower_copy(stmt, copies, ns)
+        if state.metrics.enabled:
+            hist = state.metrics.histogram("spmd_fused_batch_pairs",
+                                           shard=me)
+            for item in batch.items:
+                hist.observe(item.pair_count)
         sends = tuple((peer, tuple(group)) for peer, group in sends.items())
         if stmt.sync_mode == "p2p":
             chans = ctx.channels[uid].items()
             out = [c for (p, _), c in chans if p == me]
             inbound = [c for (_, q), c in chans if q == me]
             sched = _CopySchedule(
-                copies, sends,
+                batch, sends, self._owned_dst_arrays(stmt, ns, me),
                 ack_advances=tuple(c.acked for c in inbound),
                 ack_waits=tuple((c.acked, c.ack_label) for c in out),
                 ready_advances=tuple(c.ready for c in out),
                 ready_waits=tuple((c.ready, c.ready_label) for c in inbound))
         elif stmt.sync_mode == "barrier":
-            sched = _CopySchedule(copies, sends, barriers=tuple(
+            sched = _CopySchedule(batch, sends, barriers=tuple(
                 (tag, ctx.barriers[f"{tag}:{uid}"], f"copy{uid}:{tag}")
                 for tag in ("pre", "post")))
         else:
-            sched = _CopySchedule(copies, sends)
+            sched = _CopySchedule(batch, sends)
         state.copy_schedules[uid] = sched
         return sched
 
@@ -869,12 +869,12 @@ class SPMDExecutor(SequentialExecutor):
                    ctx: CommContext, rec=None) -> Iterator[Event | None]:
         """One copy statement, in the phase order a compiled window keeps:
         all ack advances, all ack waits, one send per peer shard then the
-        in-memory copies in pair order, all ready advances, one preemption
-        point, all ready waits (barrier mode: pre, sends and copies, the
-        preemption point, post).  Every shard, interpreting or
-        replaying, makes all of its ack advances at statement entry and
-        before its first wait, so no wait here can be part of a cycle.  An
-        event that is already set is not yielded."""
+        in-memory batch, all ready advances, one preemption point, all
+        ready waits (barrier mode: pre, sends and batch, the preemption
+        point, post).  Every shard, interpreting or replaying, makes all
+        of its ack advances at statement entry and before its first wait,
+        so no wait here can be part of a cycle.  An event that is already
+        set is not yielded."""
         uid, ns = stmt.uid, ctx.num_shards
         sched = self._copy_schedule(stmt, state, ctx)
         g = state.next_epoch(uid)
@@ -905,21 +905,16 @@ class SPMDExecutor(SequentialExecutor):
                 if not ev.is_set():
                     yield ev
 
-        if uid not in state.pair_copies:
-            state.pair_copies[uid] = self._lower_pairs(stmt, sched.copies, ns)
-        if rec is not None:
-            rec.copy_begin(stmt)
         for peer, pairs in sched.sends:
             ctx.send_pairs(stmt, peer, pairs, state, rec)
-        for (i, j) in sched.copies:
-            self._do_pair_copy(stmt, i, j, state, rec)
         if rec is not None:
-            rec.copy_end(g)
+            rec.fused(uid, g, sched.batch, sched.protect)
+        self._apply_batch(sched.batch, state)
         if sched.ready_advances:
             if rec is not None:
                 rec.advance_group(uid, "rdy", sched.ready_advances, g)
             ctx.advance_group(sched.ready_advances, g)
-        if sched.copies or sched.sends:
+        if sched.batch.visits or sched.sends:
             if rec is not None:
                 rec.yield_none()
             yield None  # preemption point: this shard's copies are issued
@@ -941,44 +936,39 @@ class SPMDExecutor(SequentialExecutor):
             return self.pair_sets[stmt.pairs_name].pairs[(i, j)]
         return stmt.src.subset(i) & stmt.dst.subset(j)
 
-    def _lower_pairs(self, stmt: PairwiseCopy, copies, ns: int):
-        """Lower, in one batch, every in-memory pair copy ``(i, j)`` of
-        ``stmt`` this shard produces.  The interpreter only ever runs
-        lowered copies — in a capture iteration, outside any loop, or at
-        main level — so the frozen form is exercised (and its localization
-        validated) before any replay."""
-        todo = {}
+    def _owned_dst_arrays(self, stmt: PairwiseCopy, ns: int,
+                          me: int) -> frozenset:
+        """ids of the field arrays of every destination instance of
+        ``stmt`` that shard ``me`` owns and some pair writes."""
+        dst_n = stmt.dst.num_colors
+        return frozenset(
+            id(arr) for j in {j for (_, j) in self._copy_pairs(stmt)}
+            if owner_of_color(dst_n, ns, j) == me
+            for arr in self.dist_instance(stmt.dst, j).fields.values())
+
+    def _lower_copy(self, stmt: PairwiseCopy, copies, ns: int) -> FusedBatch:
+        """The :class:`~repro.runtime.copy_engine.FusedBatch` of the
+        in-memory pairs ``copies`` — ``(i, j)``, empty ones included — of
+        ``stmt``: their points, instances and fold locks resolved, and all
+        of them lowered in one call."""
+        pairs = []
         for (i, j) in copies:
             pts = self._pair_points(stmt, i, j)
             if pts:
                 lock = (self._reduction_lock(stmt, j, ns)
                         if stmt.redop is not None else None)
-                todo[(i, j)] = (self.dist_instance(stmt.src, i),
-                                self.dist_instance(stmt.dst, j), pts, lock)
-        return dict(zip(todo, PairCopy.build_many(
-            stmt, list(todo.values()), width=self._field_width(stmt))))
+                pairs.append((self.dist_instance(stmt.src, i),
+                              self.dist_instance(stmt.dst, j), pts, lock))
+        return lower_copy(stmt, pairs, self._field_width(stmt), len(copies))
 
-    def _do_pair_copy(self, stmt: PairwiseCopy, i: int, j: int,
-                      state: _ShardState, rec=None) -> None:
-        """Run the pair's lowered copy (``_lower_pairs`` resolved its
-        points and lock; an empty pair has no entry)."""
-        state.pair_visits += 1
-        pc = state.pair_copies[stmt.uid].get((i, j))
-        if pc is None:
-            if rec is not None:
-                rec.visit()
-            return
-        if rec is not None:
-            rec.copy(pc)
-        t0 = time.perf_counter()
-        pc.apply()  # takes the pair's fold lock, if it has one
-        state.elements_copied += pc.count
-        state.copies_performed += 1
-        state.bytes_copied += pc.nbytes
-        state.flight.record(_flight.COPY, stmt.uid, t0, time.perf_counter(),
-                            pc.nbytes)
-        if pc.ufunc is not None:
-            if pc.lock is None:
-                state.lockfree_folds += 1
-            else:
-                state.locked_folds += 1
+    @staticmethod
+    def _apply_batch(batch: FusedBatch, state: _ShardState) -> None:
+        """Apply a statement's batch (each item takes its fold lock, if it
+        has one) and count it: one COPY flight record when it moves data."""
+        if batch.items:
+            t0 = time.perf_counter()
+            batch.apply()
+            state.flight.record(_flight.COPY, batch.uid, t0,
+                                time.perf_counter(), batch.nbytes)
+        for name, n in batch.counter_deltas():
+            setattr(state, name, getattr(state, name) + n)

@@ -3,9 +3,9 @@
 * :mod:`~repro.runtime.window.recorder` — op vocabulary and the
   iteration shadow recorder.
 * :mod:`~repro.runtime.window.ir` — the window IR: frozen views and
-  launches, pair copies, footprints, and the cross-pass verifier.
+  launches, footprints, and the cross-pass verifier.
 * :mod:`~repro.runtime.window.lower` — lowering passes (freeze tasks,
-  fuse copies, batch launches).
+  batch launches).
 * :mod:`~repro.runtime.window.schedule` — phase fission: overlap compute
   with the p2p handshake.
 * :mod:`~repro.runtime.window.exec` — the pass list, the compile driver,
@@ -20,7 +20,6 @@ from .exec import (
 )
 from .ir import (
     FrozenView,
-    PairCopy,
     WindowIR,
     WindowVerifyError,
     format_window,
@@ -30,7 +29,7 @@ from .recorder import IterationRecorder, ReplayError
 
 __all__ = [
     "CompiledWindow", "FrozenView", "IterationRecorder", "LoopReplay",
-    "PairCopy", "ReplayError", "WindowContext", "WindowIR",
+    "ReplayError", "WindowContext", "WindowIR",
     "WindowVerifyError", "compile_window", "format_window",
     "window_summary",
 ]

@@ -2,8 +2,8 @@
 
 A frozen loop holds exactly one thing: a :class:`CompiledWindow`.
 :func:`compile_window` runs the one window pipeline (:func:`window_passes`:
-``freeze-tasks`` → ``fuse-copies`` → ``batch-launch`` → ``fission``, the
-same on every backend) over one recorded iteration and packages the
+``freeze-tasks`` → ``batch-launch`` → ``fission``, the same on every
+backend) over one recorded iteration and packages the
 result into a handful of phase closures (compute, copy, advance, wait,
 barrier, collective) executed by every driver.  The statement
 interpreter runs everything else: capture iterations, guard-miss
@@ -69,13 +69,12 @@ from .ir import (
     verify_window,
     window_summary,
 )
-from .lower import BatchLaunchPass, FreezeTasksPass, FuseCopiesPass
+from .lower import BatchLaunchPass, FreezeTasksPass
 from .recorder import (
     OP_ADVN,
     OP_ASSIGN,
     OP_BARRIER,
     OP_COLL,
-    OP_COPY,
     OP_FILL,
     OP_FUSED,
     OP_MSG,
@@ -195,7 +194,7 @@ class CompiledWindow:
                                    _setvar_thunk(state, op[1], op[2])))
             elif k == OP_FILL:
                 classified.append(("compute", _fill_thunk(op[1])))
-            elif k in (OP_COPY, OP_FUSED, OP_MSG):
+            elif k == OP_MSG or (k == OP_FUSED and op[1].items):
                 classified.append(("copy", op[1]))
             elif k == OP_ADVN:
                 classified.append(
@@ -210,8 +209,8 @@ class CompiledWindow:
                 classified.append(("barrier", (op[1], op[2], op[3], op[4])))
             elif k == OP_COLL:
                 classified.append(("coll", (op[1], op[2], op[3], op[4])))
-            # OP_VISITS: a pure counter bump, precomputed in the window's
-            # counter deltas — no runtime op at all.
+            # A FUSED batch of empty pairs only is a pure counter bump,
+            # precomputed in the window's counter deltas: no runtime op.
         phases: list[tuple[int, Any]] = []
         i, n = 0, len(classified)
         while i < n:
@@ -297,8 +296,7 @@ class CompiledWindow:
 
 def window_passes() -> list:
     """The window pipeline, in order; the same on every backend."""
-    return [FreezeTasksPass(), FuseCopiesPass(), BatchLaunchPass(),
-            FissionPass()]
+    return [FreezeTasksPass(), BatchLaunchPass(), FissionPass()]
 
 
 def compile_window(ex, rec: IterationRecorder, state, comm, *,
@@ -307,7 +305,7 @@ def compile_window(ex, rec: IterationRecorder, state, comm, *,
     ``state`` and to the launch context ``comm``."""
     t_compile = time.perf_counter()
     wir = WindowIR(ops=list(rec.ops), guards=list(rec.guards),
-                   copy_ranges=rec.copy_ranges)
+                   copy_protect=rec.copy_protect)
     deltas = ((loop_uid, g - rec.epoch_base.get(loop_uid, 0))
               for loop_uid, g in state.epochs.items())
     wir.epoch_deltas = tuple((loop_uid, d) for loop_uid, d in deltas if d)

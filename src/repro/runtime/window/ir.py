@@ -1,11 +1,14 @@
-"""The window IR: frozen views, launches, pair copies, and the verifier.
+"""The window IR: frozen views and launches, footprints, the verifier.
 
 A :class:`WindowIR` is one recorded loop iteration in flight through the
 window-compiler passes (:mod:`repro.runtime.window.lower` and
 :mod:`repro.runtime.window.schedule`): a flat op list (see
 :mod:`repro.runtime.window.recorder` for the vocabulary) plus the guard
 set, the per-iteration epoch deltas, and the per-uid protected-array
-footprints the fuse-copies pass records for fission.
+footprints the recorder took from each copy statement's schedule, for
+fission.  A copy statement's data movement is already in its final form
+when recorded — the shard's :class:`~repro.runtime.copy_engine.FusedBatch`
+and its sends — so no pass rewrites it.
 
 The structural verifier (:func:`window_summary` / :func:`verify_window`)
 runs after every pass that changed the op list: it recomputes the
@@ -22,35 +25,27 @@ from typing import Any
 import numpy as np
 
 from ...core.ir import Expr, IndexLaunch, evaluate
-from ...regions.intervals import expand_ranges, stack_intervals
-from ...regions.region import (
-    _REDUCTION_UFUNCS,
-    apply_reduction,
-    localize_stacked,
-)
+from ...regions.region import apply_reduction
 from ...tasks.privileges import PrivilegeError
 from ...tasks.views import RegionView
 from ..collectives import SCALAR_REDUCTIONS
-from ..copy_engine import FusedCopy, _as_index
 from .recorder import (
     OP_ADVN,
     OP_ASSIGN,
     OP_BARRIER,
     OP_COLL,
-    OP_COPY,
     OP_FILL,
     OP_FUSED,
     OP_MSG,
     OP_NAMES,
     OP_SETVAR,
     OP_TASK,
-    OP_VISITS,
     OP_WAITN,
     OP_YIELD,
 )
 
 __all__ = [
-    "FrozenView", "PairCopy", "WindowIR", "WindowVerifyError",
+    "FrozenView", "WindowIR", "WindowVerifyError",
     "format_window", "guards_hold", "op_arrays",
     "verify_window", "window_summary",
 ]
@@ -92,95 +87,6 @@ class FrozenView(RegionView):
 
     def __repr__(self) -> str:
         return f"FrozenView({self.region.name}, {self.privilege})"
-
-
-def _pair_indices(insts, pair: np.ndarray, ivals: np.ndarray, spans) -> list:
-    """Per pair ``p``, the local index of its points in ``insts[p]``; row
-    ``k`` of ``ivals`` belongs to pair ``pair[k]``, whose slots are
-    ``spans[pair[k]]`` of the stacked slot array."""
-    distinct = {id(x): x for x in insts}
-    position = {key: n for n, key in enumerate(distinct)}
-    which = np.array([position[id(x)] for x in insts])
-    slots = expand_ranges(*localize_stacked(
-        list(distinct.values()), which[pair], ivals))
-    return [_as_index(slots[s:e]) for s, e in spans]
-
-
-class PairCopy:
-    """One pairwise copy lowered to cached index arrays / slice tuples.
-
-    Localization (interval by interval, for all of a copy statement's pairs
-    at once) runs once at capture; every replay is a plain numpy fancy-indexed
-    assignment — or ``ufunc.at`` under the pair's reduction lock for
-    reduction copies — between the pre-resolved instance buffers.  The
-    lock is resolved at build time from the executor's per-destination
-    lock table; ``None`` means the destination's inbound contributions
-    are provably disjoint across producer shards and the fold is applied
-    lock-free.
-    """
-
-    __slots__ = ("arrays", "src_ix", "dst_ix", "ufunc", "count", "nbytes",
-                 "uid", "group_key", "lock")
-
-    def __init__(self, arrays, src_ix, dst_ix, ufunc, count, nbytes,
-                 uid=0, group_key=0, lock=None):
-        self.arrays = arrays
-        self.src_ix = src_ix
-        self.dst_ix = dst_ix
-        self.ufunc = ufunc
-        self.count = count
-        self.nbytes = nbytes
-        self.uid = uid
-        self.group_key = group_key
-        self.lock = lock
-
-    @classmethod
-    def build_many(cls, stmt, pairs, width=None) -> list["PairCopy"]:
-        """Lower all of a copy statement's pairs in one call.
-
-        ``pairs`` is a sequence of ``(src_inst, dst_inst, pts, lock)`` with
-        non-empty ``pts``.  Both sides of every pair are localized together
-        (:func:`~repro.regions.region.localize_stacked`), interval by
-        interval; no point array is materialized.
-        """
-        if not pairs:
-            return []
-        srcs, dsts, sets, locks = zip(*pairs)
-        ivals, pair = stack_intervals(sets)
-        # Where each pair's slots begin and end in the stacked slot arrays.
-        ends = np.cumsum([pts.count for pts in sets]).tolist()
-        spans = list(zip([0] + ends[:-1], ends))
-        src_ixs = _pair_indices(srcs, pair, ivals, spans)
-        dst_ixs = _pair_indices(dsts, pair, ivals, spans)
-        if width is None:
-            width = sum(dsts[0].fields[f].dtype.itemsize for f in stmt.fields)
-        ufunc = None if stmt.redop is None else _REDUCTION_UFUNCS[stmt.redop]
-        out = []
-        for src_inst, dst_inst, pts, lock, src_ix, dst_ix in zip(
-                srcs, dsts, sets, locks, src_ixs, dst_ixs):
-            arrays = tuple((dst_inst.fields[f], src_inst.fields[f])
-                           for f in stmt.fields)
-            out.append(cls(arrays, src_ix, dst_ix, ufunc, pts.count,
-                           pts.count * width, uid=stmt.uid,
-                           group_key=id(dst_inst), lock=lock))
-        return out
-
-    def apply(self) -> None:
-        src_ix, dst_ix = self.src_ix, self.dst_ix
-        if self.ufunc is None:
-            for dst, src in self.arrays:
-                dst[dst_ix] = src[src_ix]
-        elif self.lock is None:
-            # Disjoint-producer destination: no other shard can fold into
-            # these elements concurrently.
-            for dst, src in self.arrays:
-                self.ufunc.at(dst, dst_ix, src[src_ix])
-        else:
-            # Reduction folds from different producers may target the same
-            # destination elements; ufunc.at is not atomic across threads.
-            with self.lock:
-                for dst, src in self.arrays:
-                    self.ufunc.at(dst, dst_ix, src[src_ix])
 
 
 class _TaskEntry:
@@ -436,17 +342,17 @@ def guards_hold(guards, scalars: dict[str, Any]) -> bool:
 class WindowIR:
     """One recorded loop iteration in flight through the window passes."""
 
-    __slots__ = ("ops", "guards", "copy_ranges", "copy_protect",
-                 "epoch_deltas", "invariants")
+    __slots__ = ("ops", "guards", "copy_protect", "epoch_deltas",
+                 "invariants")
 
-    def __init__(self, ops, guards, copy_ranges):
+    def __init__(self, ops, guards, copy_protect=None):
         self.ops: list = ops
         self.guards: list = guards
-        self.copy_ranges = copy_ranges
         # uid -> frozenset of array ids the uid's inbound copies protect
         # (this shard's owned destination instances); the fission pass
         # uses it to move handshake ops past unrelated compute.
-        self.copy_protect: dict[int, frozenset[int]] = {}
+        self.copy_protect: dict[int, frozenset[int]] = (
+            {} if copy_protect is None else copy_protect)
         self.epoch_deltas: tuple = ()
         self.invariants: set[str] = set()
 
@@ -455,9 +361,9 @@ class WindowIR:
 # Footprints, counter deltas, and the structural verifier
 # ---------------------------------------------------------------------------
 
-# Op kinds that touch no instance array: sync, scalar, visit, yield.
+# Op kinds that touch no instance array: sync, scalar, yield.
 _NO_ARRAYS = frozenset({OP_ADVN, OP_WAITN, OP_BARRIER, OP_COLL, OP_ASSIGN,
-                        OP_SETVAR, OP_VISITS, OP_YIELD})
+                        OP_SETVAR, OP_YIELD})
 _EMPTY_FOOTPRINT: frozenset[int] = frozenset()
 
 
@@ -474,25 +380,13 @@ def op_arrays(op) -> frozenset[int] | None:
         return _EMPTY_FOOTPRINT
     if k == OP_TASK and len(op) == 2:
         return frozenset(op[1].arrays())
-    if k == OP_COPY:
-        pc = op[1]
-        return frozenset(i for pair in pc.arrays for i in
-                         (id(pair[0]), id(pair[1])))
     if k == OP_FUSED:
         ids: set[int] = set()
         for item in op[1].items:
-            if isinstance(item, FusedCopy):
-                for arr in item.dst_arrays:
-                    ids.add(id(arr))
-                for arr in item.src_arrays or ():
-                    ids.add(id(arr))
-                for gather in item.gathers or ():
-                    for arr in gather[3]:
-                        ids.add(id(arr))
-            else:  # PairCopy
-                for dst, src in item.arrays:
-                    ids.add(id(dst))
-                    ids.add(id(src))
+            ids.update(map(id, item.dst_arrays))
+            ids.update(map(id, item.src_arrays or ()))
+            for gather in item.gathers or ():
+                ids.update(map(id, gather[3]))
         return frozenset(ids)
     if k == OP_MSG:
         return frozenset(id(src) for srcs, _ in op[1].gathers for src in srcs)
@@ -526,25 +420,9 @@ def window_summary(wir: WindowIR):
         elif k == OP_WAITN:
             for seq, _ in op[1]:
                 waits.setdefault(id(seq), []).append(op[3])
-        elif k == OP_COPY:
-            pc = op[1]
-            d["pair_visits"] += 1
-            d["elements_copied"] += pc.count
-            d["copies_performed"] += 1
-            d["bytes_copied"] += pc.nbytes
-            if pc.ufunc is not None:
-                key = "lockfree_folds" if pc.lock is None else "locked_folds"
-                d[key] += 1
         elif k == OP_FUSED:
-            fb = op[1]
-            d["pair_visits"] += fb.pair_count
-            d["copies_performed"] += fb.pair_count
-            d["elements_copied"] += fb.count
-            d["bytes_copied"] += fb.nbytes
-            d["fused_copies"] += fb.n_fused
-            d["fused_pairs"] += fb.fused_pairs
-            d["lockfree_folds"] += fb.lockfree_folds
-            d["locked_folds"] += fb.locked_folds
+            for name, n in op[1].counter_deltas():
+                d[name] += n
         elif k == OP_MSG:
             # One send carries all of a statement's pairs to one peer;
             # each counts as a visited and performed pair copy.  Remote
@@ -555,8 +433,6 @@ def window_summary(wir: WindowIR):
             d["copies_performed"] += ps.pair_count
             d["elements_copied"] += ps.count
             d["bytes_copied"] += ps.nbytes
-        elif k == OP_VISITS:
-            d["pair_visits"] += op[1]
         elif k == OP_TASK:
             # Pre-freeze shape is (k, stmt, owned); frozen is (k, launch).
             d["tasks_executed"] += (len(op[2]) if len(op) == 3
@@ -572,19 +448,10 @@ class WindowVerifyError(RuntimeError):
     """A window pass changed the window's externally visible effects."""
 
 
-# Counters every lowering must preserve exactly.  The fused-copy-engine
-# counters (fused_copies/fused_pairs and the fold-path split) are
-# representation-dependent by design — interpretation of unfused pairs
-# reports zero fused batches — so the cross-pass diff excludes them; the
-# app-equivalence tests pin them per execution mode instead.
-_INVARIANT_COUNTERS = ("pair_visits", "elements_copied", "copies_performed",
-                       "bytes_copied", "tasks_executed")
-
-
 def verify_window(wir: WindowIR, baseline, stage: str) -> None:
     counters, advs, waits, syncs = window_summary(wir)
     base_counters, base_advs, base_waits, base_syncs = baseline
-    diff = {k: (base_counters[k], counters[k]) for k in _INVARIANT_COUNTERS
+    diff = {k: (base_counters[k], counters[k]) for k in counters
             if counters[k] != base_counters[k]}
     if diff:
         raise WindowVerifyError(
@@ -612,11 +479,10 @@ def format_window(wir: WindowIR) -> str:
         elif k in (OP_ADVN, OP_WAITN):
             detail = (f"uid={op[2]} stride={op[3]} kind={op[4]} "
                       f"n={len(op[1])}")
-        elif k == OP_COPY:
-            detail = f"uid={op[1].uid} count={op[1].count}"
         elif k == OP_FUSED:
             fb = op[1]
-            detail = f"uid={fb.uid} pairs={fb.pair_count} groups={len(fb.items)}"
+            detail = (f"uid={fb.uid} pairs={fb.pair_count} "
+                      f"groups={len(fb.items)} visits={fb.visits}")
         elif k == OP_MSG:
             ps = op[1]
             detail = (f"uid={ps.uid} peer={ps.peer} pairs={ps.pair_count} "
@@ -627,8 +493,6 @@ def format_window(wir: WindowIR) -> str:
             detail = f"uid={op[2]} stride={op[3]} label={op[4]}"
         elif k == OP_COLL:
             detail = f"uid={op[2]} stride={op[3]} name={op[4]}"
-        elif k == OP_VISITS:
-            detail = f"n={op[1]}"
         else:
             detail = ""
         lines.append(f"  [{n:3d}] {name:<8} {detail}".rstrip())

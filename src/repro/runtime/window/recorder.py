@@ -7,12 +7,14 @@ even though in steady state the loop body produces an identical schedule
 each time step.  While a loop interprets, an :class:`IterationRecorder`
 shadows the event stream: one op and one fingerprint key per statement
 execution, except that a copy statement — which the interpreter runs in
-phases — is one op per phase plus its lowered copies, under one key.  A
-recorded iteration is therefore ``copies + a constant × statements`` ops
-long, which is what every later walk of it (each pass, each verifier
-run) costs.  The recorded op list is the input of the window compiler
-(:mod:`repro.runtime.window.exec`); the guards it collected decide when
-the loop freezes.
+phases — is one op per phase under one key.  Its data movement is one op
+too: the statement's :class:`~repro.runtime.copy_engine.FusedBatch`, the
+very object the interpreter just applied (plus one send per peer rank on
+a backend that sends).  A recorded iteration is therefore ``a constant ×
+statements`` ops long whatever the number of intersection pairs, and no
+pass needs to shrink it.  The recorded op list is the input of the window
+compiler (:mod:`repro.runtime.window.exec`); the guards it collected
+decide when the loop freezes.
 
 Generation-bearing ops store a *stride* (recorded generation minus the
 loop-entry epoch of that statement uid) instead of the absolute
@@ -29,33 +31,29 @@ from ...core.ir import Expr, IndexLaunch
 __all__ = [
     "IterationRecorder", "ReplayError",
     "OP_ASSIGN", "OP_SETVAR", "OP_TASK", "OP_FILL", "OP_ADVN", "OP_WAITN",
-    "OP_COPY", "OP_BARRIER", "OP_COLL", "OP_VISITS", "OP_YIELD", "OP_FUSED",
-    "OP_MSG", "OP_NAMES",
+    "OP_BARRIER", "OP_COLL", "OP_YIELD", "OP_FUSED", "OP_MSG", "OP_NAMES",
 ]
 
 # Op kinds of a recorded/lowered window (first element of every op tuple).
 # A copy statement is recorded the way it ran (SPMDExecutor._exec_copy), one
 # op a phase: ADVN ack, WAITN ack, its MSGs (one per peer shard, on a
-# backend that sends) and COPYs, VISITS, ADVN rdy, YIELD, WAITN rdy — or
-# BARRIER pre, MSGs, COPYs, VISITS, YIELD, BARRIER post.  FUSED is what the
-# fuse-copies pass makes of a statement's COPYs; every other kind is
-# recorded (a TASK's launch is frozen, maybe batched, in place).
+# backend that sends) and its FUSED batch, ADVN rdy, YIELD, WAITN rdy — or
+# BARRIER pre, MSGs, FUSED, YIELD, BARRIER post.  Every kind is recorded;
+# the passes freeze (maybe batch) a TASK's launch in place and reorder.
 OP_ASSIGN = 0    # (k, name, expr)                   scalars[name] = eval(expr)
 OP_SETVAR = 1    # (k, name, value)                  nested loop variable
 OP_TASK = 2      # (k, frozen_launch)                point tasks of one launch
 OP_FILL = 3      # (k, fills)                        reduction-buffer fills
 OP_ADVN = 4      # (k, seqs, uid, stride, kind)      advance a phase's channels
 OP_WAITN = 5     # (k, ((seq, label), ...), uid, stride, kind)  and wait on them
-OP_COPY = 6      # (k, paircopy)                     precompiled pairwise copy
-OP_BARRIER = 7   # (k, barrier, uid, stride, label)  arrive-and-wait
-OP_COLL = 8      # (k, coll, uid, stride, name)      dynamic collective
-OP_VISITS = 9    # (k, n)                            empty-pair visit counter
-OP_YIELD = 10    # (k,)                              interpreter preemption pt
-OP_FUSED = 11    # (k, fusedbatch)                   one statement's fused copies
-OP_MSG = 12      # (k, packedsend)                   one statement's send to a peer
+OP_BARRIER = 6   # (k, barrier, uid, stride, label)  arrive-and-wait
+OP_COLL = 7      # (k, coll, uid, stride, name)      dynamic collective
+OP_YIELD = 8     # (k,)                              interpreter preemption pt
+OP_FUSED = 9     # (k, fusedbatch)                   one statement's local copies
+OP_MSG = 10      # (k, packedsend)                   one statement's send to a peer
 
-OP_NAMES = ("assign", "setvar", "task", "fill", "advn", "waitn", "copy",
-            "barrier", "coll", "visits", "yield", "fused", "msg")
+OP_NAMES = ("assign", "setvar", "task", "fill", "advn", "waitn", "barrier",
+            "coll", "yield", "fused", "msg")
 
 
 class ReplayError(RuntimeError):
@@ -68,7 +66,7 @@ class IterationRecorder:
     """Shadows one interpreted loop iteration: ops, schedule keys, guards."""
 
     __slots__ = ("epoch_base", "ops", "keys", "guards", "written",
-                 "unfreezable", "copy_ranges", "_visits")
+                 "unfreezable", "copy_protect")
 
     def __init__(self, epochs: dict[int, int]):
         self.epoch_base = dict(epochs)
@@ -77,10 +75,9 @@ class IterationRecorder:
         self.guards: list[tuple[Expr, Any, bool]] = []
         self.written: set[str] = set()
         self.unfreezable = False
-        # [stmt, first_copy_op, one_past_last] per PairwiseCopy execution:
-        # the run of OP_MSGs and OP_COPYs the fuse-copies pass rewrites.
-        self.copy_ranges: list[list] = []
-        self._visits = 0
+        # copy uid -> the array ids its handshake protects (the fission
+        # pass's footprint), as the statement's schedule names them.
+        self.copy_protect: dict[int, frozenset[int]] = {}
 
     def _stride(self, uid: int, g: int) -> int:
         return g - self.epoch_base.get(uid, 0)
@@ -117,31 +114,19 @@ class IterationRecorder:
         self.ops.append((OP_FILL, tuple(fills)))
         self.keys.append(("f", uid))
 
-    def copy_begin(self, stmt) -> None:
-        """Open a statement's run of copies (closed by :meth:`copy_end`)."""
-        self.copy_ranges.append([stmt, len(self.ops), -1])
-        self._visits = 0
-
-    def copy(self, pc) -> None:
-        self.ops.append((OP_COPY, pc))
-
     def send(self, ps) -> None:
         self.ops.append((OP_MSG, ps))
 
-    def visit(self) -> None:
-        self._visits += 1
-
-    def copy_end(self, g: int) -> None:
-        """One fingerprint key for the whole statement: its pair sets and
-        lowered copies are fixed for the launch, so (uid, stride, how many
-        pairs copied and how many were empty) names its schedule."""
-        rng = self.copy_ranges[-1]
-        stmt, first = rng[0], rng[1]
-        rng[2] = len(self.ops)
-        if self._visits:
-            self.ops.append((OP_VISITS, self._visits))
-        self.keys.append(("c", stmt.uid, self._stride(stmt.uid, g),
-                          rng[2] - first, self._visits))
+    def fused(self, uid: int, g: int, batch, protect) -> None:
+        """A copy statement's in-memory batch (after its sends), and the
+        arrays its handshake protects.  One fingerprint key for the whole
+        statement: its batch and sends are fixed for the launch, so (uid,
+        stride) names its schedule.  A shard with no in-memory pair of the
+        statement records no op for it."""
+        self.copy_protect[uid] = protect
+        if batch.visits:
+            self.ops.append((OP_FUSED, batch))
+        self.keys.append(("c", uid, self._stride(uid, g)))
 
     # -- synchronization ----------------------------------------------------
     def advance_group(self, uid: int, kind: str, seqs, g: int) -> None:

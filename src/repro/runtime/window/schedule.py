@@ -18,7 +18,7 @@ only move later, so any schedule the original (deadlock-free) window
 admitted is still admitted.  Barriers, collectives and ops of unknown
 footprint are scheduling fences; footprints come from
 :func:`repro.runtime.window.ir.op_arrays`, with the per-uid protected
-sets recorded by the fuse-copies pass.
+sets the recorder took from each copy statement's schedule.
 
 Each motion is one linear sweep.  A moved op has an empty footprint, so
 it is never what stops another moved op: the ops that stay keep their

@@ -15,6 +15,7 @@ from repro.runtime import SequentialExecutor, SPMDExecutor, procs_available
 from repro.runtime.spmd import COUNTERS
 from repro.runtime.window import exec as window_exec
 from repro.runtime.window.ir import _Unfreezable
+from repro.runtime.window.recorder import OP_FUSED
 
 from tests.conftest import Fig2, interpreted_iterations
 
@@ -157,14 +158,16 @@ APPS = {
 EXACT = {"stencil", "miniaero"}  # bit-identical to sequential; else round-off
 
 # Counters that describe the form an iteration ran in (interpreted or
-# replayed, in-memory batch or message), not what it did.
-FORM = {"replay_hits", "replay_misses", "fused_copies", "fused_pairs",
-        "lockfree_folds", "locked_folds", "window_ops_recorded",
+# replayed), not what it did.  The copy-engine counters are not among
+# them: both forms apply the same lowered batches.
+FORM = {"replay_hits", "replay_misses", "window_ops_recorded",
         "window_ops_lowered", "window_closures", "window_compiles"}
-# Of those, what a net window counts differently: cross-rank pairs are
-# messages, not fused in-memory batches, and fold on the receiver; and a
-# statement's pairs to one peer are recorded as one send.
-NET_FORM = FORM - {"replay_hits", "replay_misses", "window_compiles"}
+# What a net run counts differently from the shared-memory backends:
+# cross-rank pairs are messages, not fused in-memory items, and fold on
+# the receiver; and a statement's pairs to one peer are recorded as one
+# send.
+NET_FORM = {"fused_copies", "fused_pairs", "lockfree_folds", "locked_folds",
+            "window_ops_recorded", "window_ops_lowered", "window_closures"}
 
 
 class TestInterpreterIsTheWindow:
@@ -211,3 +214,56 @@ class TestInterpreterIsTheWindow:
                 assert ({k: v for k, v in got.items() if k not in skip}
                         == {k: v for k, v in ref.items() if k not in skip}), (
                     form, mode, seed)
+
+
+class TestOneCopyPlan:
+    """A copy statement lowers once, to the batch the interpreter applies
+    and the window replays: the recorded window is already the lowered
+    one, whatever the number of intersection pairs."""
+
+    @pytest.mark.parametrize("mode", BACKENDS)
+    @pytest.mark.parametrize("app", sorted(APPS))
+    def test_recorded_ops_are_the_lowered_ops(self, app, mode):
+        _, _, ex, _ = APPS[app]().run_control_replicated(2, mode=mode)
+        assert ex.window_compiles == 2
+        assert ex.window_ops_recorded == ex.window_ops_lowered > 0
+
+    def test_window_size_does_not_grow_with_pairs(self):
+        got = {}
+        for pieces in (24, 96):
+            p = CircuitProblem(pieces=pieces, nodes_per_piece=20,
+                               wires_per_piece=30, steps=4)
+            _, _, ex, _ = p.run_control_replicated(2)
+            assert ex.window_compiles == 2
+            got[pieces] = (ex.window_ops_recorded, ex.window_ops_lowered)
+        assert got[24] == got[96] and got[24][0] == got[24][1]
+
+    @pytest.mark.parametrize("mode", ["stepped", "threaded"])
+    @pytest.mark.parametrize("app", ["circuit", "stencil"])
+    def test_interpreter_and_window_apply_one_batch(self, app, mode,
+                                                    monkeypatch):
+        applied, replayed = {}, {}
+        apply = SPMDExecutor._apply_batch
+
+        def recording(batch, state):
+            applied.setdefault((state.shard, batch.uid), []).append(batch)
+            apply(batch, state)
+
+        monkeypatch.setattr(SPMDExecutor, "_apply_batch",
+                            staticmethod(recording))
+        build = window_exec.CompiledWindow.build.__func__
+
+        def tracking(cls, wir, state, comm, uid=0):
+            for op in wir.ops:
+                if op[0] == OP_FUSED:
+                    replayed.setdefault((state.shard, op[1].uid),
+                                        []).append(op[1])
+            return build(cls, wir, state, comm, uid)
+
+        monkeypatch.setattr(window_exec.CompiledWindow, "build",
+                            classmethod(tracking))
+        APPS[app]().run_control_replicated(2, mode=mode)
+        assert replayed and set(replayed) <= set(applied)
+        for key, batches in applied.items():
+            assert all(b is batches[0] for b in batches), key
+            assert all(b is batches[0] for b in replayed.get(key, ())), key

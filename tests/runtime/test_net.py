@@ -172,17 +172,33 @@ class TestAggregation:
 
 
 class TestWindowShape:
-    def test_one_fused_and_one_msg_op_per_copy_statement(self):
-        """net runs the same ``fuse-copies`` as every backend: of a copy
-        statement's pairs the rank-local ones become one fused batch, and
-        the cross-rank ones were recorded as one packed message per peer
-        (the 96x96 / 16-tile halo stencil used to freeze into 97 closures
-        a rank, its 20 rank-local pairs of 24 unfused)."""
+    def test_one_fused_and_one_msg_op_per_copy_statement(self, monkeypatch):
+        """A copy statement is recorded the same way on net as on every
+        backend: its rank-local pairs as the one fused batch it lowered
+        to, its cross-rank ones as one packed message per peer (the 96x96
+        / 16-tile halo stencil used to freeze into 97 closures a rank, its
+        20 rank-local pairs of 24 unfused)."""
         from repro.apps.stencil import StencilProblem
         from repro.core.ir import PairwiseCopy, walk
         from repro.core.shards import owner_of_color
         from repro.obs import MetricsRegistry
+        from repro.runtime.window import exec as window_exec
+        from repro.runtime.window.recorder import OP_FUSED, OP_MSG
         ns = 2
+        build = window_exec.CompiledWindow.build.__func__
+
+        def counting(cls, wir, state, comm, uid=0):
+            # Counted through the rank's metrics, which funnel back.
+            for op in wir.ops:
+                if op[0] in (OP_FUSED, OP_MSG):
+                    kind = "fused" if op[0] == OP_FUSED else "msg"
+                    state.metrics.counter("test_copy_ops", kind=kind).inc()
+                    state.metrics.counter("test_copy_pairs", kind=kind).inc(
+                        op[1].pair_count)
+            return build(cls, wir, state, comm, uid)
+
+        monkeypatch.setattr(window_exec.CompiledWindow, "build",
+                            classmethod(counting))  # forked ranks inherit
         p = StencilProblem(n=96, radius=2, tiles=16, steps=4)
         seq, _, _ = p.run_sequential()
         metrics = MetricsRegistry()
@@ -199,19 +215,94 @@ class TestWindowShape:
                  for s in copies for (i, j) in ex._copy_pairs(s)]
         crossing = sum(a != b for a, b in pairs)
 
-        def stat(name):
+        def stat(name, kind):
             return sum(inst.value for metric, labels, inst in metrics.items()
-                       if metric == "spmd_window_pass_stat_total"
-                       and labels.get("stat") == name)
+                       if metric == name and labels.get("kind") == kind)
 
         assert ex.window_compiles == ns and 0 < crossing < len(pairs)
-        assert stat("batches") == stat("packed_sends") == len(copies) * ns
-        assert stat("packed_pairs") == crossing
+        assert (stat("test_copy_ops", "fused") == stat("test_copy_ops", "msg")
+                == len(copies) * ns)
+        assert stat("test_copy_pairs", "msg") == crossing
+        assert stat("test_copy_pairs", "fused") == len(pairs) - crossing
         assert ex.fused_pairs > 0  # the rank-local pairs, batched
         assert ex.window_closures <= 10 * ns
         # One message a rank a copy statement an iteration, interpreted
         # or replayed.
         assert sent(ex, "msg") == ns * len(copies) * p.steps
+
+
+class TestSharedLocalization:
+    @pytest.mark.parametrize("app", ["circuit", "stencil"])
+    def test_send_and_receive_plans_match_per_pair_localize(self, app):
+        """The gathers of a :class:`PackedSend` and the scatters of
+        ``rx_plan`` come from the copy engine's stacked ``localize``; each
+        equals the pair's own ``inst.localize(pts)``, in pair order, and
+        the receiver's value slices tile the message."""
+        from types import SimpleNamespace
+
+        from repro.apps.circuit import CircuitProblem
+        from repro.apps.stencil import StencilProblem
+        from repro.core.ir import PairwiseCopy, ShardLaunch, walk
+        from repro.core.shards import owner_of_color
+        from repro.runtime.copy_engine import _as_fancy
+        from repro.runtime.launch import launch_spec
+        from repro.runtime.net.sync import NetCommContext
+        ns = 2
+        p = (CircuitProblem(pieces=4, nodes_per_piece=25, wires_per_piece=40,
+                            steps=2) if app == "circuit"
+             else StencilProblem(n=24, radius=2, tiles=4, steps=2))
+        prog, _ = control_replicate(p.build_program(), num_shards=ns)
+        ex = SPMDExecutor(num_shards=ns, instances=p.fresh_instances())
+        ex.run(prog)  # evaluates the pair sets, allocates the instances
+        launch = next(s for s in walk(prog.body) if isinstance(s, ShardLaunch))
+        spec = launch_spec(launch, ex._copy_pairs, ns)
+        copies = [s for s in walk(prog.body) if isinstance(s, PairwiseCopy)]
+        checked = 0
+        for rank in range(ns):
+            transport = SimpleNamespace(rank=rank, register=lambda *a: None)
+            ctx = NetCommContext(ex, transport, spec, ns)
+            for stmt in copies:
+                for peer in range(ns):
+                    if peer == rank:
+                        continue
+                    # Sent from `rank` to `peer`, in pair order.
+                    out = [(i, j) for i, j in ex._copy_pairs(stmt)
+                           if owner_of_color(stmt.src.num_colors, ns, i)
+                           == rank
+                           and owner_of_color(stmt.dst.num_colors, ns, j)
+                           == peer]
+                    live = [(i, j, ex._pair_points(stmt, i, j))
+                            for i, j in out if ex._pair_points(stmt, i, j)]
+                    ps = ctx._build_send(stmt, peer, out)
+                    assert ps.pair_count == len(out)
+                    assert len(ps.gathers) == len(live)
+                    for (srcs, ix), (i, _, pts) in zip(ps.gathers, live):
+                        inst = ex.dist_instance(stmt.src, i)
+                        assert all(a is inst.fields[f]
+                                   for a, f in zip(srcs, stmt.fields))
+                        assert np.array_equal(_as_fancy(ix),
+                                              inst.localize(pts))
+                        checked += 1
+                    # Received by `rank` from `peer`, in the same order.
+                    back = [(i, j, ex._pair_points(stmt, i, j))
+                            for i, j in ex._copy_pairs(stmt)
+                            if owner_of_color(stmt.src.num_colors, ns, i)
+                            == peer
+                            and owner_of_color(stmt.dst.num_colors, ns, j)
+                            == rank and ex._pair_points(stmt, i, j)]
+                    _, plan = ctx.rx_plan(stmt, peer)
+                    assert len(plan) == len(back)
+                    off = 0
+                    for (dsts, ix, sl), (_, j, pts) in zip(plan, back):
+                        inst = ex.dist_instance(stmt.dst, j)
+                        assert all(a is inst.fields[f]
+                                   for a, f in zip(dsts, stmt.fields))
+                        assert np.array_equal(_as_fancy(ix),
+                                              inst.localize(pts))
+                        assert sl == slice(off, off + pts.count)
+                        off += pts.count
+                        checked += 1
+        assert checked > 0
 
 
 class TestBarrierCopyWait:

@@ -6,8 +6,9 @@ the interpreter, scalar writes (an evolving scalar is never frozen, and a
 guard-fallback iteration that writes one keeps the window), the
 verifier's failure path, the batched advance path, the one-sweep
 fission pass against its pairwise-swap oracle, the cost of a freeze
-(footprint derivations, batched pair-copy lowering against the per-pair
-one, finished-run lifetime), and
+(footprint derivations, one copy lowering per statement and shard, the
+stacked localization against the per-pair one, finished-run lifetime),
+and
 the observability surface (``spmd_window_*`` metrics, the
 ``replay:iteration`` rows a tracer renders, pass dumps).
 """
@@ -53,14 +54,14 @@ from repro.runtime import (
     SPMDExecutor,
     procs_available,
 )
+from repro.runtime import copy_engine, spmd
+from repro.runtime.copy_engine import FusedBatch, FusedCopy, _as_index
 from repro.runtime.events import Sequence
 from repro.runtime.launch import CommContext, LaunchSpec, channel_keys
 from repro.runtime.window import exec as window_exec
 from repro.runtime.window import schedule
 from repro.runtime.window.ir import (
-    PairCopy,
     WindowIR,
-    _as_index,
     _BatchedView,
     op_arrays,
 )
@@ -68,7 +69,7 @@ from repro.runtime.window.recorder import (
     OP_ADVN,
     OP_BARRIER,
     OP_COLL,
-    OP_COPY,
+    OP_FUSED,
     OP_WAITN,
 )
 from repro.runtime.window.schedule import FissionPass
@@ -122,11 +123,13 @@ class TestAppEquivalence:
     def test_lowering_shrinks_the_window(self):
         # The circuit, not the stencil: with a handshake recorded one op a
         # phase the stencil window has no two adjacent same-kind ops left
-        # for `CompiledWindow.build` to merge (28 ops, 28 closures).
+        # for `CompiledWindow.build` to merge (28 ops, 28 closures).  The
+        # passes only freeze, batch and reorder, so what shrinks is the
+        # closure count: copies are recorded in their final form.
         p = APPS["circuit"]()
         _, _, ex, _ = p.run_control_replicated(4)
         assert ex.window_compiles == 4  # one compiled window per shard
-        assert 0 < ex.window_ops_lowered < ex.window_ops_recorded
+        assert 0 < ex.window_ops_lowered == ex.window_ops_recorded
         assert 0 < ex.window_closures < ex.window_ops_lowered
 
 
@@ -237,17 +240,18 @@ class _DropAdvance(Pass):
 
 
 class _DoubleBytes(Pass):
-    """Bad pass: one pair copy reports twice the bytes it moves."""
+    """Bad pass: one copy batch reports twice the bytes it moves."""
 
     name = "double-bytes"
 
     def run(self, wir, ctx):
-        k = next(n for n, op in enumerate(wir.ops) if op[0] == OP_COPY)
-        pc = wir.ops[k][1]
+        k = next(n for n, op in enumerate(wir.ops)
+                 if op[0] == OP_FUSED and op[1].items)
+        fb = wir.ops[k][1]
+        fb = FusedBatch(fb.uid, fb.items, fb.visits)
+        fb.nbytes *= 2
         wir.ops = list(wir.ops)
-        wir.ops[k] = (OP_COPY, PairCopy(
-            pc.arrays, pc.src_ix, pc.dst_ix, pc.ufunc, pc.count,
-            2 * pc.nbytes, pc.uid, pc.group_key, pc.lock))
+        wir.ops[k] = (OP_FUSED, fb)
         return wir
 
 
@@ -542,10 +546,16 @@ def bubble_fission(ops, protect):
 
 
 def run_fission(ops, protect):
-    wir = WindowIR(ops=list(ops), guards=[], copy_ranges=[])
-    wir.copy_protect = protect
+    wir = WindowIR(ops=list(ops), guards=[], copy_protect=protect)
     fission = FissionPass()
     return fission.run(wir, None).ops, fission.stats(wir)
+
+
+def copy_op(dst, src):
+    """A one-pair copy batch, ``src[0]`` into ``dst[0]``."""
+    slot = np.zeros(1, dtype=np.int64)
+    fc = FusedCopy.build((dst,), [((src,), slot, slot, 1)], None, None, 0, 8)
+    return (OP_FUSED, FusedBatch(0, [fc], 1))
 
 
 def same_ops(got, want):
@@ -601,7 +611,7 @@ class TestFission:
                 return (OP_ADVN, ("s", "t"), uid, 1, "ack")
             if r < 0.85:
                 x, y = rng.sample(arrays, 2)
-                return (OP_COPY, PairCopy(((x, y),), 0, 0, None, 1, 8))
+                return copy_op(x, y)
             if r < 0.9:
                 return (OP_BARRIER, "bar", uid, 1, "barrier:x")
             return (99, "unknown") if r < 0.95 else (OP_COLL, "c", uid, 1, "n")
@@ -625,7 +635,7 @@ class TestFission:
         # op_arrays promises that what it does not model is never crossed:
         # an op kind from the future, and a launch not yet frozen.
         a = np.zeros(2)
-        copy = (OP_COPY, PairCopy(((a, a),), 0, 0, None, 1, 8))
+        copy = copy_op(a, a)
         ack = (OP_ADVN, ("seq",), 1, 1, "ack")
         rdy = (OP_WAITN, (("seq", "w"),), 1, 1, "rdy")
         protect = {1: frozenset({id(a)})}
@@ -761,20 +771,20 @@ class TestFreezeCost:
 
     def test_pair_copies_lowered_once_per_run(self, monkeypatch):
         batches, lowered = [], []
-        pointwise = Counter()  # per-pair work done inside a batch
-        build_many = PairCopy.build_many.__func__
+        pointwise = Counter()  # per-pair work done inside a lowering
+        lower = spmd.lower_copy
 
-        def counting(cls, stmt, pairs, width=None):
+        def counting(stmt, pairs, width, visits):
             batches.append(stmt.uid)
             lowered.extend((stmt.uid, id(src), id(dst))
                            for src, dst, _, _ in pairs)
             pointwise["on"] += 1
             try:
-                return build_many(cls, stmt, pairs, width)
+                return lower(stmt, pairs, width, visits)
             finally:
                 pointwise["on"] -= 1
 
-        monkeypatch.setattr(PairCopy, "build_many", classmethod(counting))
+        monkeypatch.setattr(spmd, "lower_copy", counting)
         for cls, name in ((IntervalSet, "to_indices"),
                           (PhysicalInstance, "localize")):
             def counted(self, *args, _fn=getattr(cls, name)):
@@ -792,8 +802,7 @@ class TestFreezeCost:
         # The captured iterations of each shard (one: the body has no guard).
         assert ex.replay_misses == interpreted_iterations() * 2
         first = len(lowered)
-        # One batch per copy statement per shard lowered every pair once;
-        # any further captured iteration would reuse them all.
+        # One lowering per copy statement per shard, every pair once.
         assert first > 0 and len(set(lowered)) == first
         assert 0 < len(batches) <= copies * 2
         assert pointwise["calls"] == 0
@@ -803,11 +812,12 @@ class TestFreezeCost:
         for uid in (fig2.A.uid, fig2.B.uid):
             assert np.array_equal(ex.instances[uid].fields["v"],
                                   seq.instances[uid].fields["v"])
-        # A guard-fallback iteration runs under a recorder too: it may
-        # lower each copy statement it meets once more, and a loop that
-        # keeps its window must not keep those tables (a resident
-        # executor would hold them until its next run).
-        del batches[:]
+        # A guard-fallback iteration runs under a recorder too, with the
+        # batches its launch lowered: after the freeze, a statement that
+        # already ran lowers nothing on a miss (the one inside the branch
+        # lowers at its first run), in this run or in a resident
+        # executor's next one.
+        del batches[:], lowered[:]
         fig2 = Fig2(steps=1)
         prog, _ = control_replicate(
             TestGuardFallback()._program_with_branch(fig2, 8, 5),
@@ -815,66 +825,84 @@ class TestFreezeCost:
         copies = sum(isinstance(s, PairwiseCopy) for s in walk(prog.body))
         ex = SPMDExecutor(num_shards=2, instances=fig2.fresh_instances(),
                           retain_plans=True)
+        ran, misses = set(), []
+        exec_copy = SPMDExecutor._exec_copy
+
+        def watching(self, stmt, state, ctx, rec=None):
+            frozen = any(lr.trace is not None
+                         for lr in state.loop_replays.values())
+            again = (state.shard, stmt.uid) in ran
+            ran.add((state.shard, stmt.uid))
+            gen, before = exec_copy(self, stmt, state, ctx, rec), len(batches)
+            # A statement lowers, if at all, before its first yield: no
+            # other shard has run in between.
+            ev = next(gen, gen)
+            if frozen and again:
+                misses.append(len(batches) - before)
+            while ev is not gen:
+                yield ev
+                ev = next(gen, gen)
+
+        monkeypatch.setattr(SPMDExecutor, "_exec_copy", watching)
         try:
             ex.run(prog)
             assert ex.replay_guard_fallbacks == 2  # t == 5, on each shard
-            states = [st for sts in ex._resident_states.values()
-                      for st in sts]
-            assert len(states) == 2
-            assert all(st.pair_copies == {} for st in states)
-            # One capture and one fallback iteration lowered pairs.
-            assert max(Counter(batches).values()) <= 2 * 2
-            assert len(batches) <= copies * 2 * 2
+            assert len(set(lowered)) == len(lowered)
+            assert len(batches) == copies * 2
+            ex.run(prog)
+            assert ex.replay_guard_fallbacks == 2 * 2
+            assert misses and misses == [0] * len(misses)
+            assert len(batches) == copies * 2
         finally:
             ex.reset_session()
 
     @pytest.mark.parametrize("app", sorted(APPS))
     def test_batched_lowering_matches_per_pair(self, app, monkeypatch):
-        # The lowering build_many replaced, pair by pair and point by point.
-        def per_pair(stmt, src_inst, dst_inst, pts, lock):
-            points = pts.to_indices()
-            width = sum(dst_inst.fields[f].dtype.itemsize for f in stmt.fields)
-            return (_as_index(src_inst.localize(points)),
-                    _as_index(dst_inst.localize(points)),
-                    int(pts.count), int(pts.count) * width, lock)
-
-        def same_index(got, want):
-            if isinstance(want, slice):
-                return type(got) is slice and got == want
-            return (type(got) is np.ndarray and got.dtype == want.dtype
-                    and np.array_equal(got, want))
-
+        # The stacked localization against each pair's own, point by point.
         checked = Counter()
-        build_many = PairCopy.build_many.__func__
+        stacked = copy_engine.localize
 
-        def checking(cls, stmt, pairs, width=None):
-            out = build_many(cls, stmt, pairs, width)
-            assert len(out) == len(pairs)
-            for pc, (src_inst, dst_inst, pts, lock) in zip(out, pairs):
-                src_ix, dst_ix, count, nbytes, lock = per_pair(
-                    stmt, src_inst, dst_inst, pts, lock)
-                assert same_index(pc.src_ix, src_ix)
-                assert same_index(pc.dst_ix, dst_ix)
-                assert (pc.count, pc.nbytes) == (count, nbytes)
-                assert type(pc.count) is int and type(pc.nbytes) is int
-                assert pc.lock is lock and pc.uid == stmt.uid
-                assert pc.group_key == id(dst_inst)
-                assert all(d is dst_inst.fields[f] and s is src_inst.fields[f]
-                           for f, (d, s) in zip(stmt.fields, pc.arrays))
-                checked["slices" if isinstance(src_ix, slice)
+        def checking(insts, sets):
+            out = stacked(insts, sets)
+            assert len(out) == len(sets)
+            for inst, pts, got in zip(insts, sets, out):
+                want = inst.localize(pts.to_indices())
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                checked["slices" if isinstance(_as_index(want), slice)
                         else "arrays"] += 1
-            if len(pairs) > 1:  # the one-pair entry point is the same code
-                one = build_many(cls, stmt, pairs[-1:], width)[0]
-                assert same_index(one.src_ix, out[-1].src_ix)
-                assert same_index(one.dst_ix, out[-1].dst_ix)
+            if len(sets) > 1:  # one pair alone localizes the same
+                assert np.array_equal(stacked(insts[-1:], sets[-1:])[0],
+                                      out[-1])
             return out
 
-        monkeypatch.setattr(PairCopy, "build_many", classmethod(checking))
+        monkeypatch.setattr(copy_engine, "localize", checking)
+        batches = []
+        lower = spmd.lower_copy
+
+        def recording(stmt, pairs, width, visits):
+            batch = lower(stmt, pairs, width, visits)
+            batches.append((stmt, pairs, width, visits, batch))
+            return batch
+
+        monkeypatch.setattr(spmd, "lower_copy", recording)
         # Threaded, so that reduction pairs carry real locks.
         APPS[app]().run_control_replicated(2, mode="threaded")
         assert checked["slices"] + checked["arrays"] > 0
         if app in ("circuit", "pennant"):
             assert checked["arrays"] > 0  # unstructured: gathers, not slices
+        for stmt, pairs, width, visits, batch in batches:
+            if pairs:
+                assert width == sum(pairs[0][1].fields[f].dtype.itemsize
+                                    for f in stmt.fields)
+            count = sum(int(pts.count) for _, _, pts, _ in pairs)
+            assert (batch.uid, batch.visits) == (stmt.uid, visits)
+            assert (batch.pair_count, batch.count) == (len(pairs), count)
+            assert batch.nbytes == count * width
+            assert type(batch.count) is int and type(batch.nbytes) is int
+            lock = {id(dst.fields[stmt.fields[0]]): lk
+                    for _, dst, _, lk in pairs}
+            assert all(item.lock is lock[id(item.dst_arrays[0])]
+                       and item.uid == stmt.uid for item in batch.items)
 
     @pytest.mark.parametrize("mode", ["stepped", "threaded"])
     def test_finished_run_frees_its_windows_without_gc(self, mode,
@@ -927,15 +955,14 @@ class TestObservability:
         # The window passes run without a tracer: one run of each per
         # compiled window (one window per shard), counted in metrics.
         passes = [p.name for p in window_exec.window_passes()]
-        assert passes == ["freeze-tasks", "fuse-copies", "batch-launch",
-                          "fission"]
+        assert passes == ["freeze-tasks", "batch-launch", "fission"]
         runs = {labels["pass"]: inst.value
                 for name, labels, inst in metrics.items()
                 if name == "spmd_window_pass_runs_total"}
         assert runs == {name: 2 for name in passes}
         assert not any(e["name"].startswith("window:")
                        and e["name"] != "window:compile" for e in rows)
-        assert _pass_stat(metrics, "batches") > 0
+        assert _pass_stat(metrics, "launches") > 0
         got = {name for name, _, _ in metrics.items()}
         assert "spmd_window_ops_total" in got
         assert "spmd_window_closures_total" in got
@@ -960,5 +987,5 @@ class TestObservability:
         p = APPS["stencil"]()
         _, _, ex, _ = p.run_control_replicated(4, mode="procs")
         assert ex.window_compiles == 4
-        assert ex.window_ops_recorded > ex.window_ops_lowered > 0
+        assert ex.window_ops_recorded == ex.window_ops_lowered > 0
         assert ex.window_closures > 0
