@@ -33,6 +33,7 @@ from .passes import (
     PassContext,
     PassManager,
     default_passes,
+    export_pass_metrics,
 )
 
 __all__ = ["CompilationReport", "FragmentReport", "control_replicate"]
@@ -53,14 +54,17 @@ def control_replicate(program: Program, num_shards: int | None = None,
     ``"barrier"`` (the naive Fig. 4c form).  The two ``optimize_*`` flags
     exist for ablation studies; disabling them preserves semantics.
 
-    ``tracer`` records per-pass spans, ``metrics`` per-pass time / IR-size
-    / rewrite-count instruments, ``verify`` runs the inter-pass IR
-    verifier (on by default), and ``dump_after`` names passes whose output
-    IR is rendered through ``dump_sink`` (or printed).
+    ``tracer`` records per-pass spans, ``metrics`` receives the report's
+    per-pass time / IR-size / rewrite-count instruments
+    (``compiler_pass_*``), ``verify`` runs the inter-pass IR verifier (on
+    by default), and ``dump_after`` names passes whose output IR is
+    rendered through ``dump_sink`` (or printed).
     """
     pm = PassManager(default_passes(optimize_placement=optimize_placement,
                                     optimize_intersection=optimize_intersection))
     ctx = PassContext(num_shards=num_shards, sync=sync, tracer=tracer,
-                      metrics=metrics, verify=verify,
-                      dump_after=frozenset(dump_after), dump_sink=dump_sink)
-    return pm.run(program, ctx)
+                      verify=verify, dump_after=frozenset(dump_after),
+                      dump_sink=dump_sink)
+    program, report = pm.run(program, ctx)
+    export_pass_metrics(metrics, "compiler_pass", report.passes)
+    return program, report

@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from ..obs import NULL_METRICS, NULL_TRACER, PID_COMPILER, MetricsRegistry, Tracer
+from ..obs import NULL_TRACER, PID_COMPILER, MetricsRegistry, Tracer
 from ..regions.partition import Partition
 from .copy_placement import PlacementStats, place_copies
 from .data_replication import replicate_data
@@ -42,7 +42,8 @@ from .verify import verify_ir
 __all__ = [
     "CompilationReport", "FragmentReport", "FragmentIR", "PipelineIR",
     "Pass", "PassContext", "PassManager", "PassTiming",
-    "PASS_NAMES", "default_passes", "ir_size", "run_pass_pipeline",
+    "PASS_NAMES", "default_passes", "export_pass_metrics", "ir_size",
+    "run_pass_pipeline",
 ]
 
 
@@ -67,11 +68,13 @@ class FragmentReport:
 
 @dataclass
 class PassTiming:
-    """Wall time and summary stats of one pass over the whole program."""
+    """Wall time, summary stats and output IR size of one pass."""
 
     name: str
     seconds: float
     stats: dict[str, float] = field(default_factory=dict)
+    # The pipeline's size_fn of the pass's output IR.
+    ir_stmts: int = 0
 
     def format(self) -> str:
         extra = " ".join(f"{k}={v:g}" for k, v in self.stats.items())
@@ -179,7 +182,6 @@ class PassContext:
     num_shards: int | None = None
     sync: str = "p2p"
     tracer: Tracer = NULL_TRACER
-    metrics: MetricsRegistry = NULL_METRICS
     verify: bool = True
     dump_after: frozenset[str] = frozenset()
     dump_sink: Callable[[str, str], None] | None = None
@@ -358,20 +360,21 @@ def default_passes(optimize_placement: bool = True,
 # ---------------------------------------------------------------------------
 
 def run_pass_pipeline(ir, passes: Sequence[Pass], ctx: PassContext, *,
-                      metric_prefix: str = "compiler_pass",
-                      size_fn: Callable | None = None,
+                      size_fn: Callable,
                       verify_fn: Callable | None = None,
                       dump_fn: Callable | None = None):
     """Run ``passes`` over any IR with the shared pass-manager protocol.
 
     This is the pass-running loop factored out of :class:`PassManager` so
     other pipelines (the runtime window compiler in
-    :mod:`repro.runtime.window`) get the same per-pass timing, metrics,
-    verifier hooks, and ``dump-after`` rendering over their own IR type;
-    ``ctx.tracer`` gets a ``pass:<name>`` span per pass.
-    ``verify_fn(ir, stage)`` runs after each pass when ``ctx.verify``;
-    ``dump_fn(ir) -> str`` renders the IR for dumps; ``size_fn(ir) -> int``
-    feeds the ``<metric_prefix>_ir_stmts`` gauge.
+    :mod:`repro.runtime.window`) get the same per-pass timing, verifier
+    hooks, and ``dump-after`` rendering over their own IR type;
+    ``ctx.tracer`` gets a ``pass:<name>`` span per pass.  Each pass
+    appends one :class:`PassTiming` to ``ctx.timings`` — the record a
+    caller exports with :func:`export_pass_metrics`; the loop itself
+    writes no metric.  ``verify_fn(ir, stage)`` runs after each pass when
+    ``ctx.verify``; ``dump_fn(ir) -> str`` renders the IR for dumps;
+    ``size_fn(ir) -> int`` gives the timing's ``ir_stmts``.
     """
     for p in passes:
         with ctx.tracer.span(f"pass:{p.name}", cat="compiler",
@@ -382,20 +385,8 @@ def run_pass_pipeline(ir, passes: Sequence[Pass], ctx: PassContext, *,
         invariants = getattr(ir, "invariants", None)
         if invariants is not None:
             invariants.update(p.establishes)
-        stats = p.stats(ir)
-        ctx.timings.append(PassTiming(p.name, elapsed, stats))
-        if ctx.metrics.enabled:
-            m = ctx.metrics
-            m.counter(f"{metric_prefix}_seconds_total",
-                      **{"pass": p.name}).inc(elapsed)
-            m.counter(f"{metric_prefix}_runs_total",
-                      **{"pass": p.name}).inc()
-            if size_fn is not None:
-                m.gauge(f"{metric_prefix}_ir_stmts",
-                        **{"pass": p.name}).set(size_fn(ir))
-            for key, value in stats.items():
-                m.counter(f"{metric_prefix}_stat_total",
-                          **{"pass": p.name, "stat": key}).inc(value)
+        ctx.timings.append(PassTiming(p.name, elapsed, p.stats(ir),
+                                      size_fn(ir)))
         if ctx.verify and verify_fn is not None:
             verify_fn(ir, p.name)
         if p.name in ctx.dump_after:
@@ -405,6 +396,24 @@ def run_pass_pipeline(ir, passes: Sequence[Pass], ctx: PassContext, *,
             else:
                 print(f"== IR after pass {p.name} ==\n{text}")
     return ir
+
+
+def export_pass_metrics(registry: MetricsRegistry, prefix: str,
+                        timings: Sequence[PassTiming]) -> None:
+    """Write pass timings into ``registry``: per pass
+    ``<prefix>_seconds_total``, ``<prefix>_runs_total``, the
+    ``<prefix>_ir_stmts`` gauge and ``<prefix>_stat_total{pass,stat}``.
+    The compiler exports its report as ``compiler_pass``, the executor its
+    shards' window compiles as ``spmd_window_pass``."""
+    for t in timings:
+        registry.counter(f"{prefix}_seconds_total",
+                         **{"pass": t.name}).inc(t.seconds)
+        registry.counter(f"{prefix}_runs_total", **{"pass": t.name}).inc()
+        registry.gauge(f"{prefix}_ir_stmts",
+                       **{"pass": t.name}).set(t.ir_stmts)
+        for key, value in t.stats.items():
+            registry.counter(f"{prefix}_stat_total",
+                             **{"pass": t.name, "stat": key}).inc(value)
 
 
 def ir_size(ir: "PipelineIR | Program") -> int:

@@ -5,7 +5,12 @@ t_end, bytes)`` — into a fixed-size numpy ring per shard, so the cost is
 a handful of array stores per record (bounded well under the 5% overhead
 budget ``tests/obs/test_overhead.py`` pins) and memory is bounded no
 matter how long the process lives.  The rings are always on; everything
-that shows where a run's time went reads them.
+that shows where a run's time went reads them — the Chrome rows below,
+the profiler, and the metrics registry, whose ``spmd_task_seconds`` and
+``spmd_wait_seconds`` histograms the executor fills from each launch's
+records after the shards have joined (no shard holds a registry).  The
+histograms therefore cover what the ring retained: ``flight_dropped_total``
+says when a ring overflowed.
 
 Rings are single-writer: each shard (thread or forked process) owns its
 ring for the duration of a run, so records take no lock.  The forking

@@ -13,21 +13,22 @@ Design points, mirroring the tracer:
   singletons, so instrumented hot paths carry no conditional logic and
   near-zero cost when metrics are off.
 
-* **Per-shard child registries.**  A shard (thread or forked process)
-  records into its own :meth:`MetricsRegistry.child` — instruments are
-  single-owner during the run, so increments take no lock — and the
-  parent merges the child back after the shards have joined
-  (:meth:`MetricsRegistry.merge`).  The procs backend ships the child as
-  a plain dict (:meth:`to_dict`) over its result pipe and merges on
-  funnel-back.
+* **Filled from records, never from a shard.**  No shard (thread, forked
+  process or rank) holds a registry.  The executor fills its own once
+  per launch, in the parent, from what the run keeps anyway: the flight
+  rings (task and wait histograms), the per-shard counter table and the
+  window pass timings (``SPMDExecutor._export_metrics``); the compiler
+  exports its report's pass timings the same way
+  (:func:`repro.core.passes.export_pass_metrics`).
 
-* **Exports.**  :meth:`to_dict` / :meth:`from_dict` round-trip through
-  JSON for machine-readable reports; :meth:`prometheus_text` renders the
-  standard Prometheus text exposition format (counters get a ``_total``
-  check only by convention of the caller's naming; histograms expand to
-  ``_bucket``/``_sum``/``_count`` series), and
-  :func:`parse_prometheus_text` parses it back — the round-trip the
-  profiler's tests assert.
+* **Exports.**  :meth:`prometheus_text` renders the standard Prometheus
+  text exposition format (counters get a ``_total`` check only by
+  convention of the caller's naming; histograms expand to
+  ``_bucket``/``_sum``/``_count`` series), :meth:`flat` gives the same
+  samples as a dict, and :func:`parse_prometheus_text` parses the text
+  back — the round-trip the profiler's tests assert.
+  :meth:`MetricsRegistry.merge` folds one registry into another (the
+  serve engine merges each request's registry into its own).
 
 Instrument identity is ``(name, sorted label items)``; lookups get-or-
 create under a lock, so grab instruments once outside loops when a path
@@ -39,6 +40,8 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from typing import Any, Iterator
+
+import numpy as np
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "NULL_METRICS",
@@ -114,6 +117,15 @@ class Histogram:
         self.sum += value
         self.count += 1
 
+    def observe_many(self, values: np.ndarray) -> None:
+        """:meth:`observe` each value of a 1-D array, in one numpy pass."""
+        slots = np.searchsorted(self.bounds, values, side="left")
+        for i, c in enumerate(np.bincount(
+                slots, minlength=len(self.counts)).tolist()):
+            self.counts[i] += c
+        self.sum += float(values.sum())
+        self.count += len(values)
+
     def merge(self, other: "Histogram") -> None:
         if other.bounds != self.bounds:
             raise ValueError("cannot merge histograms with different bounds")
@@ -170,6 +182,9 @@ class _NullHistogram(Histogram):
     __slots__ = ()
 
     def observe(self, value: float) -> None:
+        pass
+
+    def observe_many(self, values: np.ndarray) -> None:
         pass
 
 
@@ -233,22 +248,11 @@ class MetricsRegistry:
         return h
 
     # -- aggregation --------------------------------------------------------
-    def child(self) -> "MetricsRegistry":
-        """A registry for one shard to record into without locks.
-
-        The child is an independent registry; only the creating shard
-        touches its instruments (lock-free increments), and the parent
-        absorbs it with :meth:`merge` after the shard has joined.
-        """
-        return MetricsRegistry()
-
-    def merge(self, other: "MetricsRegistry | dict") -> None:
-        """Fold another registry (or its :meth:`to_dict` form) into this one.
+    def merge(self, other: "MetricsRegistry") -> None:
+        """Fold another registry into this one.
 
         Counters and histograms add; gauges take the merged-in value.
         """
-        if isinstance(other, dict):
-            other = MetricsRegistry.from_dict(other)
         with other._lock:
             items = list(other._metrics.items())
         for (name, lkey), inst in items:
@@ -259,43 +263,12 @@ class MetricsRegistry:
                 mine = self._get(type(inst), name, labels)
             mine.merge(inst)
 
-    # -- transport / export -------------------------------------------------
+    # -- export -------------------------------------------------------------
     def items(self) -> Iterator[tuple[str, dict[str, str], Any]]:
         with self._lock:
             entries = sorted(self._metrics.items())
         for (name, lkey), inst in entries:
             yield name, dict(lkey), inst
-
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-serializable snapshot (the procs funnel payload)."""
-        out = []
-        for name, labels, inst in self.items():
-            row: dict[str, Any] = {"name": name, "labels": labels,
-                                   "type": inst.kind}
-            if isinstance(inst, Histogram):
-                row.update(bounds=list(inst.bounds), counts=list(inst.counts),
-                           sum=inst.sum, count=inst.count)
-            else:
-                row["value"] = inst.value
-            out.append(row)
-        return {"metrics": out}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "MetricsRegistry":
-        reg = cls()
-        for row in data.get("metrics", ()):
-            labels = row.get("labels", {})
-            if row["type"] == "histogram":
-                h = reg.histogram(row["name"], buckets=tuple(row["bounds"]),
-                                  **labels)
-                h.counts = list(row["counts"])
-                h.sum = float(row["sum"])
-                h.count = int(row["count"])
-            elif row["type"] == "gauge":
-                reg.gauge(row["name"], **labels).set(row["value"])
-            else:
-                reg.counter(row["name"], **labels).inc(row["value"])
-        return reg
 
     def flat(self) -> dict[str, float]:
         """Every exported sample as ``name{labels} -> value``.
@@ -362,9 +335,6 @@ class _NullMetrics(MetricsRegistry):
                   buckets: tuple[float, ...] = DEFAULT_BUCKETS,
                   **labels) -> Histogram:
         return _NULL_HISTOGRAM
-
-    def child(self) -> "MetricsRegistry":
-        return self
 
     def merge(self, other) -> None:
         pass

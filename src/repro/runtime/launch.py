@@ -20,11 +20,11 @@ here, once, for every backend:
   mechanism.
 * :func:`drive_shard` resumes one shard generator to its end on the
   calling thread, blocking in :func:`wait_event` — the one wait loop
-  (20 ms poll, cancel token, deadlock deadline, flight WAIT record and
-  wait histogram).  The thread driver, a forked ``procs`` child and a
-  ``net`` rank all run it; :func:`drive_stepped` is the deterministic
-  scheduler over the same event objects, and records the turns a shard
-  spends descheduled as its WAITs.
+  (20 ms poll, cancel token, deadlock deadline, flight WAIT record).
+  The thread driver, a forked ``procs`` child and a ``net`` rank all
+  run it; :func:`drive_stepped` is the deterministic scheduler over the
+  same event objects, and records the turns a shard spends descheduled
+  as its WAITs.
 * :func:`fork_and_funnel` is the one fork/collect/join loop under
   ``procs`` and ``net``: one child per shard runs a backend-supplied
   body, ships :func:`child_payload` back over a pipe, and the parent
@@ -170,10 +170,6 @@ def launch_spec(stmt, copy_pairs: Callable, num_shards: int) -> LaunchSpec:
 # Context: the spec's objects, plus group advance and pair delivery
 # ---------------------------------------------------------------------------
 
-# What marks a channel's two wait labels (``copy<uid>:ack(p,q)``, p and q
-# shards); written by CommContext, read back by wait_kind.
-_ACK, _READY = ":ack(", ":ready("
-
 # Every wait label of a statement starts ``<word><uid>:`` — ``copy7:…``,
 # ``barrier9:<tag>``, ``coll12:<redop>`` — and a WAIT record carries that
 # uid (0 for a label that names none, such as the net driver's own waits).
@@ -222,8 +218,8 @@ class CommContext:
                 cid += 1
                 if chan is not None:
                     p, q = key
-                    chan.ack_label = f"copy{stmt.uid}{_ACK}{p},{q})"
-                    chan.ready_label = f"copy{stmt.uid}{_READY}{p},{q})"
+                    chan.ack_label = f"copy{stmt.uid}:ack({p},{q})"
+                    chan.ready_label = f"copy{stmt.uid}:ready({p},{q})"
                     chans[key] = chan
         self.collectives = {}
         for uid, redop in spec.collectives:
@@ -264,19 +260,6 @@ class CommContext:
 # Drive: one wait loop, one per-shard resume loop, two schedulers
 # ---------------------------------------------------------------------------
 
-def wait_kind(label: str) -> str:
-    """Classify an event label into a wait-histogram ``kind`` bucket."""
-    if label.startswith("barrier"):
-        return "barrier"
-    if _ACK in label:
-        return "copy-ack"
-    if _READY in label:
-        return "copy-ready"
-    if label.endswith(":pre") or label.endswith(":post"):
-        return "copy-barrier"
-    return "collective"
-
-
 def wait_event(ex, state, ev, cancel) -> None:
     """Block the calling shard on one yielded event.
 
@@ -294,12 +277,8 @@ def wait_event(ex, state, ev, cancel) -> None:
             raise DeadlockError(
                 f"shard {state.shard} blocked on {ev.label or 'event'} "
                 f"for {ex.deadlock_timeout}s")
-    t1 = time.perf_counter()
-    state.flight.record(_flight.WAIT, label_uid(ev.label), t0, t1)
-    if state.metrics.enabled:
-        state.metrics.histogram(
-            "spmd_wait_seconds", shard=state.shard,
-            kind=wait_kind(ev.label or "event")).observe(t1 - t0)
+    state.flight.record(_flight.WAIT, label_uid(ev.label), t0,
+                        time.perf_counter())
 
 
 def drive_shard(ex, gen: Iterator, state, cancel) -> BaseException | None:
@@ -422,8 +401,7 @@ def child_payload(state, flight_base: int, error, extras) -> dict:
         "scalars": state.scalars,
         "counters": {name: getattr(state, name) for name in state.COUNTERS},
         "capture_points": state.capture_points,
-        "metrics": (state.metrics.to_dict()
-                    if state.metrics.enabled else None),
+        "window_passes": state.window_passes,
         "flight": (state.flight.export_since(flight_base)
                    if state.flight.enabled else None),
         "flight_anchor": flight_anchor() if state.flight.enabled else None,
@@ -434,16 +412,12 @@ def child_payload(state, flight_base: int, error, extras) -> dict:
 
 def apply_payload(ex, st, payload: dict, parent_anchor) -> None:
     """Restore one shard's state from its child's payload and funnel its
-    metrics and flight records into the parent."""
+    flight records into the parent."""
     st.scalars = payload["scalars"]
     for name, value in payload["counters"].items():
         setattr(st, name, value)
     st.capture_points = payload["capture_points"]
-    if payload["metrics"] is not None:
-        # The parent's copy of the child registry never saw the child's
-        # increments (they happened post-fork); fold the shipped snapshot
-        # in so the executor's counter merge sees them.
-        st.metrics.merge(payload["metrics"])
+    st.window_passes = payload["window_passes"]
     if ex.flight is not None and payload["flight"] is not None:
         # The wall-clock anchors repair a child perf_counter base that
         # differs from the parent's.

@@ -112,19 +112,6 @@ def _run_rank(ex, stmt, spec, st, ns: int, transport, cancel):
     return error, (final[0] if final else None), nctx
 
 
-def _mirror_net_stats(ex, rank: int, net: dict) -> None:
-    ex.net_stats[rank] = net
-    m = ex.metrics
-    if not m.enabled:
-        return
-    m.counter("net_bytes_sent_total", rank=rank).inc(net["bytes_sent"])
-    m.counter("net_bytes_recv_total", rank=rank).inc(net["bytes_recv"])
-    for direction in ("sent", "recv"):
-        for kind, n in net[f"messages_{direction}"].items():
-            m.counter("net_messages_total", rank=rank, kind=kind,
-                      direction=direction).inc(n)
-
-
 def run_shard_launch_net(ex, stmt, spec, states) -> None:
     """Run one launch over TCP: this process as one rank when the executor
     carries a worker identity, else one forked rank per shard."""
@@ -154,7 +141,7 @@ def run_shard_launch_net(ex, stmt, spec, states) -> None:
         return error, {"net": net_stats, "final_state": final}
 
     def on_extras(rank: int, extras: dict) -> None:
-        _mirror_net_stats(ex, rank, extras["net"])
+        ex.net_stats[rank] = extras["net"]
         if extras["final_state"] is not None:
             final_state.append(extras["final_state"])
 
@@ -198,7 +185,7 @@ def _run_worker(ex, stmt, spec, states) -> None:
                                              transport, threading.Event())
     finally:
         ex._dist_frozen = False
-        _mirror_net_stats(ex, rank, transport.stats())
+        ex.net_stats[rank] = transport.stats()
         transport.close()
     if error is None and nctx.failed.is_set():
         # We were unwound by a peer's failure; surface its error.

@@ -77,6 +77,7 @@ from ..core.ir import (
     WhileLoop,
     evaluate,
 )
+from ..core.passes import PassTiming, export_pass_metrics
 from ..core.shards import owner_of_color, shard_owned_colors
 from ..obs import NULL_METRICS, NULL_TRACER, MetricsRegistry, Tracer
 from ..obs import flight as _flight
@@ -105,10 +106,11 @@ class ReplicationDivergence(RuntimeError):
 # The per-shard counters: field name -> (metric it mirrors into, labels).
 # This table is the only list of them — it drives a state's zeroing and
 # reset, the child -> parent payload of the forking backends, the
-# executor's totals (same attribute names) and the metric mirror; the hot
-# paths bump the fields directly (``state.x += 1``).  Copy counters
-# accumulate per shard (no shared lock on the copy path) and are merged
-# into the executor totals after the drivers run.
+# executor's totals (same attribute names) and the metric mirror the
+# executor writes after each launch; the hot paths bump the fields
+# directly (``state.x += 1``).  Copy counters accumulate per shard (no
+# shared lock on the copy path) and are merged into the executor totals
+# after the drivers run.
 COUNTERS: dict[str, tuple[str, dict[str, str]]] = {
     "tasks_executed": ("spmd_tasks_total", {}),
     "copies_performed": ("spmd_copies_total", {}),
@@ -166,14 +168,15 @@ class _ShardState:
     scalars: dict[str, Any]
     epochs: dict[int, int] = field(default_factory=dict)
     pending_reductions: dict[str, Any] = field(default_factory=dict)
-    # Per-shard metrics child; single-owner during the run, so instrument
-    # updates take no lock.  Merged back by the executor after the join.
-    metrics: MetricsRegistry = NULL_METRICS
     # Always-on flight ring (repro.obs.flight): single-writer, bounded.
-    # Unlike metrics, the ring deliberately survives reset_for_run — it
-    # is a rolling window over the shard's recent history, which is
-    # exactly what a post-failure dump should show.
+    # Unlike the per-run data, the ring deliberately survives
+    # reset_for_run — it is a rolling window over the shard's recent
+    # history, which is exactly what a post-failure dump should show.
+    # The executor reads each launch's records back into its registry.
     flight: ShardRing = NULL_RING
+    # This launch's window-pipeline pass timings (compile_window), shipped
+    # back like the counters and exported by the executor.
+    window_passes: list[PassTiming] = field(default_factory=list)
     # loop uid -> iteration index at which this shard froze its trace.
     # Capture decisions are replicated control flow, so all shards must
     # agree; validated after the launch like scalar state.
@@ -204,8 +207,7 @@ class _ShardState:
         self.epochs[uid] = g
         return g
 
-    def reset_for_run(self, scalars: dict[str, Any],
-                      metrics: MetricsRegistry) -> None:
+    def reset_for_run(self, scalars: dict[str, Any]) -> None:
         """Prepare a persistent shard state for another run of its program.
 
         The per-program *plan* half of this state survives: ``epochs``
@@ -213,14 +215,14 @@ class _ShardState:
         sequences it indexes are monotone across runs), ``loop_replays``
         (the frozen ``CompiledWindow`` plans themselves),
         and ``capture_points``.  The per-run *data* half is replaced:
-        ``scalars`` and ``metrics`` are swapped as whole objects (plan
-        closures read them as attributes, never capture the old dicts)
-        and every counter restarts at zero so the executor's post-launch
+        ``scalars`` is swapped as a whole object (plan closures read it as
+        an attribute, never capture the old dict), and every counter and
+        ``window_passes`` restart empty so the executor's post-launch
         merge reports only this run's work.
         """
         self.scalars = scalars
-        self.metrics = metrics
         self.pending_reductions.clear()
+        self.window_passes = []
         self.zero_counters()
 
 
@@ -258,14 +260,15 @@ class SPMDExecutor(SequentialExecutor):
         self.tracer = tracer
         self.metrics = metrics
         # The shard runtime's one timeline: one bounded ring per shard,
-        # written by every driver.  A tracer shows the rings' rows, so an
-        # executor that has one always records.  REPRO_FLIGHT_DIR (or
+        # written by every driver.  A tracer shows the rings' rows and the
+        # registry's task and wait histograms are read from them, so an
+        # executor that has either always records.  REPRO_FLIGHT_DIR (or
         # flight_dir=) names where failure dumps land; without it the
         # Chrome trace is attached to the raised ShardExceptionGroup but
         # not written to disk.
         self.flight: FlightRecorder | None = (
             FlightRecorder(num_shards, capacity=flight_capacity)
-            if flight or tracer.enabled else None)
+            if flight or tracer.enabled or metrics.enabled else None)
         if tracer.enabled:
             tracer.attach(self.flight)
         self.flight_dir = (flight_dir if flight_dir is not None
@@ -501,6 +504,7 @@ class SPMDExecutor(SequentialExecutor):
             self._apply_batch(
                 self._lower_copy(stmt, self._copy_pairs(stmt), 1), state)
             self._merge_counters([state])
+            self._export_metrics([state], [0], {})
         else:
             super()._stmt(stmt)
 
@@ -548,21 +552,23 @@ class SPMDExecutor(SequentialExecutor):
         self._copy_locks = locks
         states = self._resident_states.get(stmt.uid) if persistent else None
         if states is None:
-            states = [_ShardState(shard=x, scalars=dict(self.scalars),
-                                  metrics=self.metrics.child())
+            states = [_ShardState(shard=x, scalars=dict(self.scalars))
                       for x in range(ns)]
             if persistent:
                 self._resident_states[stmt.uid] = states
         else:
             for st in states:
-                st.reset_for_run(dict(self.scalars), self.metrics.child())
+                st.reset_for_run(dict(self.scalars))
         if self.flight is not None:
             self.flight.names.update(spec.names)
             for st in states:
                 st.flight = self.flight.ring(st.shard)
+        # Where each ring stood: the launch's records are the ones after.
+        bases = [st.flight.count for st in states]
         backend.launch(self, stmt, spec, states)
         self._merge_scalars(states)
         self._merge_counters(states)
+        self._export_metrics(states, bases, self.net_stats)
         if not persistent:
             # A finished state and its compiled windows' closures hold each
             # other; dropping the plans lets refcounting free the run's
@@ -605,19 +611,59 @@ class SPMDExecutor(SequentialExecutor):
         return width
 
     def _merge_counters(self, states: list[_ShardState]) -> None:
-        m = self.metrics
         for st in states:
             for name in st.COUNTERS:
                 setattr(self, name, getattr(self, name) + getattr(st, name))
-            if not m.enabled:
-                continue
-            # Funnel-back: fold the shard's lock-free child registry (wait
-            # histograms, task timings) and mirror the scalar counters.
-            if st.metrics is not m:
-                m.merge(st.metrics)
+
+    def _export_metrics(self, states: list[_ShardState], bases: list[int],
+                        net_stats: dict[int, dict]) -> None:
+        """Fill the registry from what one launch left behind, once, in
+        this process: the shards run with no registry at all.
+
+        Per shard: its ``COUNTERS`` mirror; ``spmd_task_seconds{shard,task}``
+        from its TASK records (ring sequence numbers from ``bases[x]`` on)
+        whose uid names a task launch — a compiled window's TASK records
+        carry its loop's uid and stay out; ``spmd_wait_seconds{shard,kind}``
+        from every WAIT record, ``kind`` being the kind of statement its
+        uid names (``barrier``, ``copy``, ``collective``) or ``event``;
+        the window pass timings; and its rank's wire totals from
+        ``net_stats``.  The histograms cover what the ring still held.
+        """
+        m = self.metrics
+        if not m.enabled:
+            return
+        names = self.flight.names if self.flight is not None else {}
+        for st, base in zip(states, bases):
             shard = str(st.shard)
             for name, (metric, labels) in st.COUNTERS.items():
                 m.counter(metric, shard=shard, **labels).inc(getattr(st, name))
+            recs = st.flight.export_since(base)
+            secs = recs["t1"] - recs["t0"]
+            for kind in (_flight.TASK, _flight.WAIT):
+                mine = recs["kind"] == kind
+                uids, dur = recs["uid"][mine], secs[mine]
+                # One histogram update per uid, not per record.
+                for uid in np.unique(uids).tolist():
+                    stmt_kind, _, stmt_name = names.get(uid, "").partition(":")
+                    if kind == _flight.WAIT:
+                        h = m.histogram("spmd_wait_seconds", shard=shard,
+                                        kind=stmt_kind or "event")
+                    elif stmt_kind == "task":
+                        h = m.histogram("spmd_task_seconds", shard=shard,
+                                        task=stmt_name)
+                    else:  # a compiled window's TASK record: its loop's uid
+                        continue
+                    h.observe_many(dur[uids == uid])
+            export_pass_metrics(m, "spmd_window_pass", st.window_passes)
+            net = net_stats.get(st.shard)
+            if net is None:
+                continue
+            for direction in ("sent", "recv"):
+                m.counter(f"net_bytes_{direction}_total",
+                          rank=shard).inc(net[f"bytes_{direction}"])
+                for kind, n in net[f"messages_{direction}"].items():
+                    m.counter("net_messages_total", rank=shard, kind=kind,
+                              direction=direction).inc(n)
 
     def _merge_scalars(self, states: list[_ShardState]) -> None:
         if self.validate_replication and len(states) > 1:
@@ -774,10 +820,6 @@ class SPMDExecutor(SequentialExecutor):
             rec.launch(stmt, owned)
         fold = SCALAR_REDUCTIONS[stmt.reduce[0]] if stmt.reduce else None
         partial = state.pending_reductions.get(stmt.reduce[1]) if stmt.reduce else None
-        task_hist = (state.metrics.histogram("spmd_task_seconds",
-                                             shard=state.shard,
-                                             task=stmt.task.name)
-                     if state.metrics.enabled else None)
         for i in owned:
             args = stmt.point_args(i, state.scalars)
             t0 = time.perf_counter()
@@ -788,10 +830,8 @@ class SPMDExecutor(SequentialExecutor):
                 # Recorded even when the task (or its inspector) raises:
                 # the failing task is the record the post-mortem flight
                 # dump exists to show.
-                t1 = time.perf_counter()
-                state.flight.record(_flight.TASK, stmt.uid, t0, t1)
-            if task_hist is not None:
-                task_hist.observe(t1 - t0)
+                state.flight.record(_flight.TASK, stmt.uid, t0,
+                                    time.perf_counter())
             state.tasks_executed += 1
             if stmt.reduce is not None and result is not None:
                 partial = result if partial is None else fold(partial, result)
@@ -840,11 +880,6 @@ class SPMDExecutor(SequentialExecutor):
                 sends.setdefault(owner_of_color(dst_n, ns, j), []).append(
                     (i, j))
         batch = self._lower_copy(stmt, copies, ns)
-        if state.metrics.enabled:
-            hist = state.metrics.histogram("spmd_fused_batch_pairs",
-                                           shard=me)
-            for item in batch.items:
-                hist.observe(item.pair_count)
         sends = tuple((peer, tuple(group)) for peer, group in sends.items())
         if stmt.sync_mode == "p2p":
             chans = ctx.channels[uid].items()

@@ -302,7 +302,9 @@ def window_passes() -> list:
 def compile_window(ex, rec: IterationRecorder, state, comm, *,
                    uid: int = 0) -> CompiledWindow:
     """Lower one recorded iteration to a :class:`CompiledWindow` bound to
-    ``state`` and to the launch context ``comm``."""
+    ``state`` and to the launch context ``comm``.  The passes' timings
+    go to ``state.window_passes``, which the executor exports after the
+    launch (``spmd_window_pass_*``)."""
     t_compile = time.perf_counter()
     wir = WindowIR(ops=list(rec.ops), guards=list(rec.guards),
                    copy_protect=rec.copy_protect)
@@ -310,7 +312,7 @@ def compile_window(ex, rec: IterationRecorder, state, comm, *,
               for loop_uid, g in state.epochs.items())
     wir.epoch_deltas = tuple((loop_uid, d) for loop_uid, d in deltas if d)
     ctx = WindowContext(
-        num_shards=comm.num_shards, metrics=state.metrics,
+        num_shards=comm.num_shards, timings=state.window_passes,
         dump_after=ex.window_dump_after, dump_sink=ex.window_dump_sink,
         ex=ex, state=state, comm=comm)
     baseline = window_summary(wir)
@@ -326,9 +328,8 @@ def compile_window(ex, rec: IterationRecorder, state, comm, *,
 
     try:
         wir = run_pass_pipeline(
-            wir, window_passes(), ctx, metric_prefix="spmd_window_pass",
-            size_fn=lambda w: len(w.ops), verify_fn=verify,
-            dump_fn=format_window)
+            wir, window_passes(), ctx, size_fn=lambda w: len(w.ops),
+            verify_fn=verify, dump_fn=format_window)
     except WindowVerifyError as exc:
         # A lowering pass broke the window's visible effects.  Nothing
         # else could run this loop's steady state, so the shard fails.

@@ -3,7 +3,7 @@
 Each pass is a :class:`repro.core.passes.Pass` over a
 :class:`~repro.runtime.window.ir.WindowIR`, run by the shared
 :func:`repro.core.passes.run_pass_pipeline` loop so the window compiler
-reports per-pass stats/metrics, verifies the window summary between
+records per-pass timings and stats, verifies the window summary between
 passes, and honors dump-after hooks exactly like the front-end compiler.
 
 The pipeline (see :func:`repro.runtime.window.exec.window_passes`; the

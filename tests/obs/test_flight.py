@@ -11,14 +11,21 @@ The acceptance-critical properties:
   contain another shard's work;
 * a tracer shows the rows through the one exporter, under the tracer's
   span names, and a profile can be built from any run's rings;
+* the metrics registry is read from the records after each launch: its
+  task and wait histograms count exactly the matching ring records, its
+  counter series equal the executor's totals, its surface is the one
+  shards used to record themselves bar three stated changes, and no
+  instrument is fetched while a launch runs;
 * a ``ShardExceptionGroup`` automatically carries a parseable Chrome
   trace of the final window (``exc.flight_trace`` / ``exc.flight_path``);
 * ``drift_efficiency_ratio`` (measured / machine-model predicted
   iteration time) stays within [0.5, 1.5] on the fig-6 stencil smoke.
 """
 
+import dataclasses
 import json
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,7 +34,9 @@ from repro.apps.circuit import CircuitProblem
 from repro.apps.miniaero import MiniAeroProblem
 from repro.apps.pennant import PennantProblem
 from repro.apps.stencil import StencilProblem
-from repro.core import ProgramBuilder, control_replicate
+from repro.core import PASS_NAMES, ProgramBuilder, control_replicate
+from repro.core.ir import (BarrierStmt, IndexLaunch, PairwiseCopy,
+                           ScalarCollective, walk)
 from repro.obs import PID_SPMD, Tracer, build_profile
 from repro.obs.drift import analyze_drift, export_drift_metrics
 from repro.obs.flight import (
@@ -47,6 +56,8 @@ from repro.obs.flight import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.skew import analyze_skew, export_skew_metrics
 from repro.runtime import SPMDExecutor, procs_available
+from repro.runtime.spmd import COUNTERS
+from repro.runtime.window import exec as window_exec
 from repro.tasks import R, RW, task
 
 MODES = ["stepped", "threaded"] + (["procs", "net"] if procs_available()
@@ -59,6 +70,78 @@ APPS = {
     "pennant": lambda: PennantProblem(nx=8, ny=8, pieces=4, steps=4),
     "miniaero": lambda: MiniAeroProblem(shape=(6, 6, 6), tiles=4, steps=4),
 }
+
+
+# The metric surface (``name{label keys}``) of a 2-shard run of each app
+# in APPS while every shard still recorded into a registry of its own; it
+# was the same for all four apps on a backend.  The registry read from
+# the records differs from it in exactly the ways SURFACE_CHANGES states.
+_SURFACE_COMMON = frozenset({
+    "compiler_pass_ir_stmts{pass}", "compiler_pass_runs_total{pass}",
+    "compiler_pass_seconds_total{pass}", "compiler_pass_stat_total{pass,stat}",
+    "spmd_bytes_copied_total{shard}", "spmd_copies_total{shard}",
+    "spmd_elements_copied_total{shard}", "spmd_fused_batch_pairs{shard}",
+    "spmd_fused_copies_total{shard}", "spmd_fused_pairs_total{shard}",
+    "spmd_intersection_nonempty_pairs{pair_set}",
+    "spmd_intersection_seconds{pair_set}",
+    "spmd_intersections_computed_total{}", "spmd_pair_visits_total{shard}",
+    "spmd_reduction_folds_total{path,shard}",
+    "spmd_replay_iterations_total{outcome,shard}",
+    "spmd_task_seconds{shard,task}", "spmd_tasks_total{shard}",
+    "spmd_window_closures_total{shard}", "spmd_window_compiles_total{shard}",
+    "spmd_window_ops_total{shard,stage}", "spmd_window_pass_ir_stmts{pass}",
+    "spmd_window_pass_runs_total{pass}",
+    "spmd_window_pass_seconds_total{pass}",
+    "spmd_window_pass_stat_total{pass,stat}"})
+_WAIT_SERIES = "spmd_wait_seconds{kind,shard}"
+GOLDEN_SURFACE = {
+    "stepped": _SURFACE_COMMON,
+    "threaded": _SURFACE_COMMON | {_WAIT_SERIES},
+    "procs": _SURFACE_COMMON | {_WAIT_SERIES},
+    "net": _SURFACE_COMMON | {_WAIT_SERIES, "net_bytes_recv_total{rank}",
+                              "net_bytes_sent_total{rank}",
+                              "net_messages_total{direction,kind,rank}"},
+}
+SURFACE_CHANGES = {
+    # 1. Pairs per fused item, observed at lowering inside the shards;
+    #    spmd_fused_pairs_total / spmd_fused_copies_total is its mean.
+    "removed": {"spmd_fused_batch_pairs{shard}"},
+    # 2. Stepped's WAIT records (descheduled turns) are histogrammed like
+    #    every other backend's.
+    "added_on_stepped": {_WAIT_SERIES},
+    # 3. A wait's kind is the kind of statement its record's uid names.
+    "wait_kinds": {"barrier", "copy", "collective", "event"},
+}
+
+# Statement class -> the wait kind its uid gives a WAIT record.
+_WAIT_KIND = {BarrierStmt: "barrier", PairwiseCopy: "copy",
+              ScalarCollective: "collective"}
+
+
+def _surface(metrics) -> set[str]:
+    return {f"{name}{{{','.join(sorted(labels))}}}"
+            for name, labels, _ in metrics.items()}
+
+
+def _series_total(metrics, metric, labels) -> float:
+    return sum(inst.value for name, have, inst in metrics.items()
+               if name == metric
+               and all(have.get(k) == v for k, v in labels.items()))
+
+
+class _LaunchGuard(MetricsRegistry):
+    """A registry that fails any instrument fetch made while a shard
+    launch runs, in this process or in a shard process forked from it."""
+
+    def __init__(self):
+        super().__init__()
+        self.launching = False
+
+    def _get(self, cls, name, labels, *args):
+        if self.launching:
+            raise AssertionError(
+                f"metric {name!r} fetched while a shard launch runs")
+        return super()._get(cls, name, labels, *args)
 
 
 def run_stencil(mode, steps=14, shards=2, **kw):
@@ -270,6 +353,60 @@ class TestOneTimeline:
                                                             rel=0.02)
         assert report.critical_path and report.critical_path.steps
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("app", sorted(APPS))
+    def test_registry_is_read_from_the_records(self, app, mode):
+        p = APPS[app]()
+        metrics = MetricsRegistry()
+        prog, _ = control_replicate(p.build_program(), num_shards=2,
+                                    metrics=metrics)
+        ex = SPMDExecutor(num_shards=2, mode=mode, metrics=metrics,
+                          instances=p.fresh_instances())
+        ex.run(prog)
+        stmts = {s.uid: s for s in walk(prog.body)}
+        tasks, waits = Counter(), Counter()
+        for shard in ex.flight.shards():
+            snap = ex.flight.ring(shard).snapshot()
+            for kind, uid in zip(snap["kind"].tolist(), snap["uid"].tolist()):
+                stmt = stmts.get(uid)
+                if kind == TASK and isinstance(stmt, IndexLaunch):
+                    tasks[str(shard), stmt.task.name] += 1
+                elif kind == WAIT:
+                    waits[str(shard), _WAIT_KIND.get(type(stmt), "event")] += 1
+        # The histograms count exactly the matching ring records.
+        hists = {name: Counter() for name in ("spmd_task_seconds",
+                                              "spmd_wait_seconds")}
+        for name, labels, inst in metrics.items():
+            if name in hists:
+                key = labels.get("task", labels.get("kind"))
+                hists[name][labels["shard"], key] += inst.count
+        assert hists["spmd_task_seconds"] == tasks
+        assert hists["spmd_wait_seconds"] == waits
+        wait_kinds = {kind for _, kind in waits}
+        assert wait_kinds <= SURFACE_CHANGES["wait_kinds"]
+        if app != "pennant":  # the only app with a ScalarCollective
+            assert "collective" not in wait_kinds
+        # The surface is the golden one with the three stated changes.
+        expected = GOLDEN_SURFACE[mode] - SURFACE_CHANGES["removed"]
+        if mode == "stepped":
+            assert waits, "stepped records its descheduled turns as WAITs"
+            expected = expected | SURFACE_CHANGES["added_on_stepped"]
+        got = _surface(metrics)
+        assert (_WAIT_SERIES in got) == bool(waits)
+        assert got - {_WAIT_SERIES} == expected - {_WAIT_SERIES}
+        # Derived values equal the executor's own counts.
+        for attr, (metric, labels) in COUNTERS.items():
+            assert _series_total(metrics, metric, labels) == getattr(ex, attr)
+        for name in PASS_NAMES:
+            assert _series_total(metrics, "compiler_pass_runs_total",
+                                 {"pass": name}) == 1
+        for wp in window_exec.window_passes():
+            assert _series_total(metrics, "spmd_window_pass_runs_total",
+                                 {"pass": wp.name}) == ex.window_compiles
+        for rank, net in ex.net_stats.items():
+            assert _series_total(metrics, "net_bytes_sent_total",
+                                 {"rank": str(rank)}) == net["bytes_sent"]
+
     @pytest.mark.parametrize("seed", range(10))
     def test_stepped_turns_of_other_shards_are_waits(self, seed):
         p = APPS["circuit"]()
@@ -291,6 +428,39 @@ class TestOneTimeline:
         report = build_profile(ex.flight.to_chrome()["traceEvents"],
                                num_shards=2, executor=ex)
         assert all(a.buckets["sync_wait"] > 0 for a in report.shards)
+
+
+class TestNoRegistryInLaunch:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("app", sorted(APPS))
+    def test_no_instrument_fetched_while_a_launch_runs(self, app, mode):
+        p = APPS[app]()
+        guard = _LaunchGuard()
+        prog, _ = control_replicate(p.build_program(), num_shards=2,
+                                    metrics=guard)
+        ex = SPMDExecutor(num_shards=2, mode=mode, metrics=guard,
+                          instances=p.fresh_instances())
+        launch = ex.backend.launch
+        launched = []
+
+        def guarded(ex_, stmt, spec, states):
+            held = [(st.shard, attr) for st in states
+                    for attr, value in vars(st).items()
+                    if isinstance(value, MetricsRegistry)]
+            assert not held, f"shard states hold registries: {held}"
+            guard.launching = True
+            try:
+                launch(ex_, stmt, spec, states)
+            finally:
+                guard.launching = False
+            launched.append(stmt.uid)
+
+        ex.backend = dataclasses.replace(ex.backend, launch=guarded)
+        ex.run(prog)
+        assert launched
+        # Filled after the launch, from its records.
+        assert _series_total(guard, "spmd_tasks_total", {}) == \
+            ex.tasks_executed > 0
 
 
 class TestDriverWiring:

@@ -1,7 +1,6 @@
-"""The metrics registry: instruments, child/merge, exports, null behavior."""
+"""The metrics registry: instruments, merge, exports, null behavior."""
 
-import json
-
+import numpy as np
 import pytest
 
 from repro.obs import (
@@ -48,6 +47,15 @@ class TestInstruments:
         h = Histogram(bounds=(1.0, 10.0))
         h.observe(1.0)
         assert h.counts == [1, 0, 0]
+
+    def test_observe_many_equals_observing_each(self):
+        values = np.array([0.0, 0.5, 1.0, 1.5, 10.0, 50.0, 1.0])
+        one, many = Histogram(bounds=(1.0, 10.0)), Histogram(bounds=(1.0, 10.0))
+        for v in values:
+            one.observe(float(v))
+        many.observe_many(values)
+        assert many.counts == one.counts == [4, 2, 1]
+        assert many.count == one.count and many.sum == pytest.approx(one.sum)
 
     def test_histogram_merge_requires_matching_bounds(self):
         with pytest.raises(ValueError):
@@ -97,38 +105,17 @@ class TestRegistry:
         for v in (0.0005, 0.015, 0.4, 90.0):
             h.observe(v)
         assert parse_prometheus_text(m.prometheus_text()) == m.flat()
-        back = MetricsRegistry.from_dict(
-            json.loads(json.dumps(m.to_dict())))
-        assert back.flat() == m.flat()
 
-    def test_child_merge_adds_counters_and_histograms(self):
+    def test_merge_adds_counters_and_histograms(self):
         m = MetricsRegistry()
         m.counter("tasks", shard=0).inc(2)
-        child = m.child()
-        child.counter("tasks", shard=0).inc(3)
-        child.histogram("wait", shard=0).observe(1e-3)
-        m.merge(child)
+        other = MetricsRegistry()
+        other.counter("tasks", shard=0).inc(3)
+        other.histogram("wait", buckets=(0.1, 1.0), shard=0).observe(0.05)
+        m.merge(other)
         assert m.counter("tasks", shard=0).value == 5
-        assert m.histogram("wait", shard=0).count == 1
-
-    def test_merge_accepts_to_dict_payload(self):
-        child = MetricsRegistry()
-        child.counter("copies", shard=1).inc(7)
-        child.histogram("wait", buckets=(0.1, 1.0), shard=1).observe(0.05)
-        payload = json.loads(json.dumps(child.to_dict()))  # pipe round-trip
-        parent = MetricsRegistry()
-        parent.merge(payload)
-        assert parent.counter("copies", shard=1).value == 7
-        h = parent.histogram("wait", buckets=(0.1, 1.0), shard=1)
+        h = m.histogram("wait", buckets=(0.1, 1.0), shard=0)
         assert h.counts[0] == 1 and h.count == 1
-
-    def test_to_dict_from_dict_round_trip(self):
-        m = MetricsRegistry()
-        m.counter("a").inc(1.5)
-        m.gauge("b", k="v").set(-2.0)
-        m.histogram("c").observe(3.0)
-        back = MetricsRegistry.from_dict(m.to_dict())
-        assert back.flat() == m.flat()
 
     def test_prometheus_text_round_trips_exactly(self):
         m = MetricsRegistry()
@@ -171,11 +158,9 @@ class TestNullMetrics:
         NULL_METRICS.counter("c", shard=0).inc(5)
         NULL_METRICS.gauge("g").set(2)
         NULL_METRICS.histogram("h").observe(1.0)
-        assert NULL_METRICS.to_dict() == {"metrics": []}
+        NULL_METRICS.histogram("h").observe_many(np.ones(3))
+        assert NULL_METRICS.flat() == {}
         assert not NULL_METRICS.enabled
-
-    def test_child_is_itself(self):
-        assert NULL_METRICS.child() is NULL_METRICS
 
     def test_merge_is_noop(self):
         real = MetricsRegistry()

@@ -171,7 +171,7 @@ class TestCounterTable:
 
         st = Counted(shard=0, scalars={})
         st.epochs_taken = st.tasks_executed = 5
-        st.reset_for_run({}, metrics)
+        st.reset_for_run({})
         assert st.epochs_taken == 0 and st.tasks_executed == 0
 
 

@@ -181,29 +181,39 @@ class TestWindowShape:
         from repro.apps.stencil import StencilProblem
         from repro.core.ir import PairwiseCopy, walk
         from repro.core.shards import owner_of_color
-        from repro.obs import MetricsRegistry
+        from repro.runtime import spmd
         from repro.runtime.window import exec as window_exec
         from repro.runtime.window.recorder import OP_FUSED, OP_MSG
         ns = 2
         build = window_exec.CompiledWindow.build.__func__
 
+        class Counted(spmd._ShardState):
+            # Counter rows funnel back from the forked ranks like any other.
+            COUNTERS = {**spmd._ShardState.COUNTERS,
+                        "fused_ops": ("test_copy_ops", {"kind": "fused"}),
+                        "msg_ops": ("test_copy_ops", {"kind": "msg"}),
+                        "fused_op_pairs": ("test_copy_pairs",
+                                           {"kind": "fused"}),
+                        "msg_op_pairs": ("test_copy_pairs", {"kind": "msg"})}
+
         def counting(cls, wir, state, comm, uid=0):
-            # Counted through the rank's metrics, which funnel back.
             for op in wir.ops:
                 if op[0] in (OP_FUSED, OP_MSG):
                     kind = "fused" if op[0] == OP_FUSED else "msg"
-                    state.metrics.counter("test_copy_ops", kind=kind).inc()
-                    state.metrics.counter("test_copy_pairs", kind=kind).inc(
-                        op[1].pair_count)
+                    setattr(state, f"{kind}_ops",
+                            getattr(state, f"{kind}_ops") + 1)
+                    setattr(state, f"{kind}_op_pairs",
+                            getattr(state, f"{kind}_op_pairs")
+                            + op[1].pair_count)
             return build(cls, wir, state, comm, uid)
 
+        monkeypatch.setattr(spmd, "_ShardState", Counted)
         monkeypatch.setattr(window_exec.CompiledWindow, "build",
                             classmethod(counting))  # forked ranks inherit
         p = StencilProblem(n=96, radius=2, tiles=16, steps=4)
         seq, _, _ = p.run_sequential()
-        metrics = MetricsRegistry()
         prog, _ = control_replicate(p.build_program(), num_shards=ns)
-        ex = SPMDExecutor(num_shards=ns, mode="net", metrics=metrics,
+        ex = SPMDExecutor(num_shards=ns, mode="net",
                           instances=p.fresh_instances())
         ex.run(prog)
         cr = p.extract_state(ex.instances)
@@ -214,16 +224,10 @@ class TestWindowShape:
                   owner_of_color(s.dst.num_colors, ns, j))
                  for s in copies for (i, j) in ex._copy_pairs(s)]
         crossing = sum(a != b for a, b in pairs)
-
-        def stat(name, kind):
-            return sum(inst.value for metric, labels, inst in metrics.items()
-                       if metric == name and labels.get("kind") == kind)
-
         assert ex.window_compiles == ns and 0 < crossing < len(pairs)
-        assert (stat("test_copy_ops", "fused") == stat("test_copy_ops", "msg")
-                == len(copies) * ns)
-        assert stat("test_copy_pairs", "msg") == crossing
-        assert stat("test_copy_pairs", "fused") == len(pairs) - crossing
+        assert ex.fused_ops == ex.msg_ops == len(copies) * ns
+        assert ex.msg_op_pairs == crossing
+        assert ex.fused_op_pairs == len(pairs) - crossing
         assert ex.fused_pairs > 0  # the rank-local pairs, batched
         assert ex.window_closures <= 10 * ns
         # One message a rank a copy statement an iteration, interpreted
