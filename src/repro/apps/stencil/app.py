@@ -28,11 +28,17 @@ from ...regions import (
     partition_blocks_nd,
     partition_by_image,
     region,
+    row_major_boxes,
 )
 from ...tasks import R, RW, task
 from ..common import AppProblem, grid_dims_2d
 
 __all__ = ["StencilProblem", "star_weights", "square_weights", "stencil_offsets", "make_stencil_tasks"]
+
+# Bytes of one row strip of the accumulator (and of ``term``) in the
+# stencil body's sweep: small enough that a strip stays in cache across
+# the offsets, large enough that per-strip numpy calls stay few.
+STRIP_BYTES = 256 * 1024
 
 
 def star_weights(radius: int) -> list[tuple[int, int, float]]:
@@ -76,69 +82,94 @@ def make_stencil_tasks(n: int, radius: int, shape: str = "star"):
     """
     weights = stencil_offsets(shape, radius)
 
-    def unravel(points):
-        return np.unravel_index(points, (n, n))
-
-    def extent(coords):
+    def extent(*spans):
         """``(origin, length)`` of the window side that holds every
-        coordinate array of ``coords``, each widened by its padding."""
-        lo = min(int(c.min()) - pad for c, pad in coords if c.size)
-        hi = max(int(c.max()) + pad for c, pad in coords if c.size)
+        ``(lows, highs, pad)`` span of coordinates, widened by its pad."""
+        lo = min(int(a.min()) - pad for a, _, pad in spans if a.size)
+        hi = max(int(b.max()) + pad for _, b, pad in spans if b.size)
         return lo, hi - lo + 1
 
     def plan_stencil(OUT, IN, GHOST):
-        """Everything about a call that its point sets decide: a dense
-        window over the tile(s) plus halo, where ``IN`` and ``GHOST`` land
-        in it, and where each ``OUT`` point sits in the window's
-        (H-2r) x (W-2r) core, over which the body sums by dense slices."""
+        """Everything about a call that its point sets decide.
+
+        A dense window over the tile(s) plus halo, whose core (the window
+        less ``radius`` on every side) holds every ``OUT`` point.  ``IN``
+        and ``OUT`` arrive as boxes (:func:`row_major_boxes`; one per
+        tile), so the body places ``IN`` and accumulates into ``OUT``
+        with one slice per box; ``OUT`` boxes are cut to the grid
+        interior here, once.  ``GHOST`` (a thin halo of short runs) stays
+        a cell scatter.  The core is swept in row strips of about
+        ``STRIP_BYTES`` each: every strip's offset terms are precomputed
+        window views, and one strip-sized ``term`` keeps the accumulator
+        strip in cache.
+        """
         if not OUT.n:
             return None
-        ox, oy = unravel(OUT.points)
-        ix, iy = unravel(IN.points)
-        gx, gy = unravel(GHOST.points)
+        out_boxes = row_major_boxes(OUT.points, (n, n))
+        in_boxes = row_major_boxes(IN.points, (n, n))
+        _, ox, oy, oh, ow = out_boxes.T
+        _, ix, iy, ih, iw = in_boxes.T
+        gx, gy = np.divmod(GHOST.points, n)
         # The core must hold every OUT point, the window every input.
-        x0, height = extent(((ox, radius), (ix, 0), (gx, 0)))
-        y0, width = extent(((oy, radius), (iy, 0), (gy, 0)))
+        x0, height = extent((ox, ox + oh - 1, radius), (ix, ix + ih - 1, 0),
+                            (gx, gx, 0))
+        y0, width = extent((oy, oy + ow - 1, radius), (iy, iy + iw - 1, 0),
+                           (gy, gy, 0))
         core = width - 2 * radius
         index = np.int32 if height * width < 2 ** 31 else np.int64
-        interior = ((ox >= radius) & (ox < n - radius)
-                    & (oy >= radius) & (oy < n - radius))
         win = np.zeros((height, width))
         acc = np.empty((height - 2 * radius, core))
-        return (win, acc, np.empty_like(acc),
-                ((ix - x0) * width + (iy - y0)).astype(index),
+        rows = max(1, STRIP_BYTES // acc[0].nbytes)
+        term = np.empty((min(rows, acc.shape[0]), core))
+        strips = []
+        for a in range(0, acc.shape[0], rows):
+            b = min(a + rows, acc.shape[0])
+            strips.append((acc[a:b], term[:b - a], tuple(
+                (win[radius + dx + a:radius + dx + b,
+                     radius + dy:width - radius + dy], w)
+                for dx, dy, w in weights)))
+        placed = tuple(
+            (s, s + h * w, win[x - x0:x - x0 + h, y - y0:y - y0 + w])
+            for s, x, y, h, w in in_boxes.tolist())
+        added = []
+        for s, x, y, h, w in out_boxes.tolist():
+            # The part of the box inside the grid interior.
+            r0, r1 = max(x, radius), min(x + h, n - radius)
+            c0, c1 = max(y, radius), min(y + w, n - radius)
+            if r0 < r1 and c0 < c1:
+                added.append((s, s + h * w, w,
+                              (slice(r0 - x, r1 - x), slice(c0 - y, c1 - y)),
+                              acc[r0 - x0 - radius:r1 - x0 - radius,
+                                  c0 - y0 - radius:c1 - y0 - radius]))
+        return (win, placed,
                 ((gx - x0) * width + (gy - y0)).astype(index),
-                ((ox - x0 - radius) * core + (oy - y0 - radius)).astype(index),
-                None if interior.all()
-                else np.flatnonzero(interior).astype(index))
+                tuple(strips), tuple(added))
 
     # Batchable: every access is by global grid coordinate (the plan
-    # places points in the window by their unravelled coordinates), so one
-    # call over the union of a shard's tiles computes bit-identical
-    # per-point results.  Points outside the grid interior read window
-    # cells no input wrote; the interior selection discards them.
+    # places boxes and halo cells in the window by their grid
+    # coordinates), so one call over the union of a shard's tiles
+    # computes bit-identical per-point results.  Points outside the grid
+    # interior read window cells no input wrote; the plan cut them out of
+    # the OUT boxes.
     @task(privileges=[RW("v"), R("v"), R("v")], name="stencil",
           batchable=True, inspect=plan_stencil)
     def stencil_task(OUT, IN, GHOST, *, plan):
         if plan is None:
             return
-        win, acc, term, in_cells, ghost_cells, out_cells, interior = plan
+        win, placed, ghost_cells, strips, added = plan
         # Cells no input covers keep the 0.0 they were allocated with.
-        cells = win.reshape(-1)
-        cells[in_cells] = IN.read("v")
-        cells[ghost_cells] = GHOST.read("v")
-        height, width = win.shape
-        acc[...] = 0.0
-        for dx, dy, w in weights:
-            np.multiply(win[radius + dx:height - radius + dx,
-                            radius + dy:width - radius + dy], w, out=term)
-            acc += term
-        vals = acc.reshape(-1)[out_cells]
+        values = IN.read("v")
+        for s, e, box in placed:
+            box[...] = values[s:e].reshape(box.shape)
+        win.reshape(-1)[ghost_cells] = GHOST.read("v")
+        for acc, term, terms in strips:
+            acc[...] = 0.0
+            for src, weight in terms:
+                np.multiply(src, weight, out=term)
+                acc += term
         out = OUT.write("v")
-        if interior is None:
-            out += vals
-        else:
-            out[interior] += vals[interior]
+        for s, e, w, inner, vals in added:
+            out[s:e].reshape(-1, w)[inner] += vals
 
     @task(privileges=[RW("v")], name="increment", batchable=True)
     def increment_task(IN):

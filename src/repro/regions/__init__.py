@@ -26,7 +26,12 @@ from .partition_ops import (
     partition_restrict,
     partition_union,
 )
-from .rects import Rect, bounding_rect_of_intervals, rect_to_intervals
+from .rects import (
+    Rect,
+    bounding_rect_of_intervals,
+    rect_to_intervals,
+    row_major_boxes,
+)
 from .shm import SharedMemoryArena
 from .region import (
     FieldSpace,
@@ -68,5 +73,6 @@ __all__ = [
     "rect_to_intervals",
     "reduction_identity",
     "region",
+    "row_major_boxes",
     "shallow_intersection_pairs",
 ]

@@ -5,6 +5,11 @@ in C (row-major) order.  A :class:`Rect` is a half-open box ``[lo, hi)`` in
 each dimension.  Rectangles are the unit of the structured shallow
 intersection test (paper §3.3: "for structured regions, we use a bounding
 volume hierarchy").
+
+:func:`row_major_boxes` goes the other way for a 2-D grid: it describes
+an ordered array of point ids as the few boxes it is made of, so that a
+kernel can move each box with one slice assignment instead of scattering
+or gathering every point through an index array.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ import numpy as np
 
 from .intervals import IntervalSet
 
-__all__ = ["Rect", "rect_to_intervals", "bounding_rect_of_intervals"]
+__all__ = ["Rect", "rect_to_intervals", "bounding_rect_of_intervals",
+           "row_major_boxes"]
 
 
 @dataclass(frozen=True)
@@ -148,3 +154,38 @@ def bounding_rect_of_intervals(ivals: IntervalSet, shape: tuple[int, ...]) -> Re
     lo = np.where(wraps, 0, first).min(axis=1)
     hi = np.where(wraps, np.array(shape)[:, None] - 1, last).max(axis=1) + 1
     return Rect(tuple(lo.tolist()), tuple(hi.tolist()))
+
+
+def row_major_boxes(ids: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The boxes an ordered array of row-major point ids is made of.
+
+    ``ids[s]`` is the grid point held at slot ``s`` of some array.  Each
+    returned row ``(slot, x, y, h, w)`` says that slots
+    ``slot:slot + h*w``, read as an ``h x w`` array, hold grid rows
+    ``x:x+h`` and columns ``y:y+w``.  Runs of consecutive ids, cut at row
+    ends, are stacked into one box while ``x`` steps by one and ``y`` and
+    the width agree.  The boxes cover exactly ``ids`` in slot order, so a
+    block of a ``partition_blocks_nd`` partition is one box; in the worst
+    case every box is one row.  O(n) numpy plus O(runs).
+    """
+    if len(shape) != 2:
+        raise ValueError(f"row_major_boxes needs a 2-D shape, got {shape}")
+    ids = np.asarray(ids, dtype=np.int64)
+    if not ids.size:
+        return np.zeros((0, 5), dtype=np.int64)
+    width = int(shape[1])
+    cut = np.empty(ids.size, dtype=bool)
+    cut[0] = True
+    np.not_equal(ids[1:], ids[:-1] + 1, out=cut[1:])
+    cut |= ids % width == 0
+    slot = np.flatnonzero(cut)
+    run = np.diff(slot, append=ids.size)
+    x, y = np.divmod(ids[slot], width)
+    new = np.empty(slot.size, dtype=bool)
+    new[0] = True
+    new[1:] = ((x[1:] != x[:-1] + 1) | (y[1:] != y[:-1])
+               | (run[1:] != run[:-1]))
+    first = np.flatnonzero(new)
+    height = np.diff(first, append=slot.size)
+    return np.column_stack((slot[first], x[first], y[first], height,
+                            run[first]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps.stencil import StencilProblem, star_weights, stencil_offsets
+from repro.tasks import R, RW, task
 
 from tests.conftest import interpreted_iterations
 
@@ -166,3 +167,164 @@ class TestInspectorPlan:
         body = inspect.getsource(StencilProblem().stencil_task.fn)
         for name in ("unravel", "clip", "searchsorted", "localize"):
             assert name not in body
+
+
+def point_index_stencil_task(n, radius, shape):
+    """The stencil task as it was while its plan addressed points through
+    index arrays (a scatter of ``IN`` into the window, a gather of the
+    core at ``OUT``, an interior selection), kept verbatim as the oracle
+    the box kernel must equal bit for bit."""
+    weights = stencil_offsets(shape, radius)
+
+    def unravel(points):
+        return np.unravel_index(points, (n, n))
+
+    def extent(coords):
+        lo = min(int(c.min()) - pad for c, pad in coords if c.size)
+        hi = max(int(c.max()) + pad for c, pad in coords if c.size)
+        return lo, hi - lo + 1
+
+    def plan_stencil(OUT, IN, GHOST):
+        if not OUT.n:
+            return None
+        ox, oy = unravel(OUT.points)
+        ix, iy = unravel(IN.points)
+        gx, gy = unravel(GHOST.points)
+        x0, height = extent(((ox, radius), (ix, 0), (gx, 0)))
+        y0, width = extent(((oy, radius), (iy, 0), (gy, 0)))
+        core = width - 2 * radius
+        index = np.int32 if height * width < 2 ** 31 else np.int64
+        interior = ((ox >= radius) & (ox < n - radius)
+                    & (oy >= radius) & (oy < n - radius))
+        win = np.zeros((height, width))
+        acc = np.empty((height - 2 * radius, core))
+        return (win, acc, np.empty_like(acc),
+                ((ix - x0) * width + (iy - y0)).astype(index),
+                ((gx - x0) * width + (gy - y0)).astype(index),
+                ((ox - x0 - radius) * core + (oy - y0 - radius)).astype(index),
+                None if interior.all()
+                else np.flatnonzero(interior).astype(index))
+
+    @task(privileges=[RW("v"), R("v"), R("v")], name="stencil",
+          batchable=True, inspect=plan_stencil)
+    def stencil_task(OUT, IN, GHOST, *, plan):
+        if plan is None:
+            return
+        win, acc, term, in_cells, ghost_cells, out_cells, interior = plan
+        cells = win.reshape(-1)
+        cells[in_cells] = IN.read("v")
+        cells[ghost_cells] = GHOST.read("v")
+        height, width = win.shape
+        acc[...] = 0.0
+        for dx, dy, w in weights:
+            np.multiply(win[radius + dx:height - radius + dx,
+                            radius + dy:width - radius + dy], w, out=term)
+            acc += term
+        vals = acc.reshape(-1)[out_cells]
+        out = OUT.write("v")
+        if interior is None:
+            out += vals
+        else:
+            out[interior] += vals[interior]
+
+    return stencil_task
+
+
+def oracle_state(p, shards=None, mode="stepped"):
+    """``p``'s final state under the point-index kernel: sequential, or
+    control-replicated on ``shards`` shards."""
+    kernel = p.stencil_task
+    p.stencil_task = point_index_stencil_task(p.n, p.radius, p.shape)
+    try:
+        if shards is None:
+            return p.run_sequential()[0]
+        return p.run_control_replicated(shards, mode=mode)[0]
+    finally:
+        p.stencil_task = kernel
+
+
+def assert_same_state(got, want):
+    assert np.array_equal(got["in"], want["in"])
+    assert np.array_equal(got["out"], want["out"])
+
+
+SHAPES = [(shape, radius) for shape in ("star", "square")
+          for radius in (1, 2, 3, 4)]
+SIZES = [(n, tiles) for n in (24, 50, 97, 300) for tiles in (4, 6, 9, 16)]
+
+
+class TestBoxKernel:
+    """The box kernel (slice-placed window, strip sweep, slice
+    accumulate) equals the point-index kernel it replaced, `==`, on every
+    point-set shape it meets: one tile, ragged tiles, batches of 1-3
+    shards, windows of one strip and of several."""
+
+    @pytest.mark.parametrize("shape,radius", SHAPES)
+    @pytest.mark.parametrize("n,tiles", SIZES)
+    def test_sequential_equals_point_index_kernel(self, shape, radius, n,
+                                                  tiles):
+        p = StencilProblem(n=n, radius=radius, tiles=tiles, steps=2,
+                           shape=shape)
+        assert_same_state(p.run_sequential()[0], oracle_state(p))
+
+    @pytest.mark.parametrize("n,tiles", SIZES)
+    def test_batched_equals_point_index_kernel(self, n, tiles):
+        # Every (n, tiles) with one of the eight shapes, in rotation, so
+        # each shape meets two sizes; all shard counts on both in-process
+        # backends.
+        shape, radius = SHAPES[SIZES.index((n, tiles)) % len(SHAPES)]
+        p = StencilProblem(n=n, radius=radius, tiles=tiles, steps=3,
+                           shape=shape)
+        want = oracle_state(p)
+        for mode in ("stepped", "threaded"):
+            for shards in (1, 2, 3):
+                assert_same_state(
+                    p.run_control_replicated(shards, mode=mode)[0], want)
+
+    def test_ledger_shape(self):
+        # stencil_compute's shape: 768^2, 8 tiles, 2 threaded shards.
+        p = StencilProblem(n=768, radius=2, tiles=8, steps=6)
+        got = p.run_control_replicated(2, mode="threaded")[0]
+        assert_same_state(got, oracle_state(p, 2, "threaded"))
+        assert_same_state(got, oracle_state(p))
+
+
+def integer_bytes(plan):
+    """Bytes of every integer array a plan holds, however nested."""
+    if isinstance(plan, np.ndarray):
+        return plan.nbytes if plan.dtype.kind in "iu" else 0
+    if isinstance(plan, (tuple, list)):
+        return sum(integer_bytes(x) for x in plan)
+    return 0
+
+
+class TestNoPointIndexTraffic:
+    """A call moves boxes: one IN and one OUT box per tile of the call,
+    and the only index array is the halo's, so a return to per-point
+    scatters and gathers fails here by name."""
+
+    @pytest.mark.parametrize("n,tiles,shards", [(300, 9, 2), (97, 16, 3),
+                                                (768, 8, 2)])
+    def test_a_batched_plan_is_boxes_and_halo_cells(self, n, tiles, shards):
+        p = StencilProblem(n=n, radius=2, tiles=tiles, steps=3)
+        inspect = p.stencil_task.inspect
+        firsts = {int(p.POUT[c].index_set.to_indices()[0])
+                  for c in p.POUT.colors}
+        calls = []
+
+        def recording_inspector(OUT, IN, GHOST):
+            plan = inspect(OUT, IN, GHOST)
+            calls.append((len(firsts.intersection(OUT.points.tolist())),
+                          GHOST.n, plan))
+            return plan
+
+        p.stencil_task.inspect = recording_inspector
+        p.run_control_replicated(shards)
+        batched = [c for c in calls if c[0] > 1]
+        assert len(batched) == shards
+        for tiles_in_call, ghost_n, plan in calls:
+            _, placed, _, strips, added = plan
+            assert len(placed) == len(added) == tiles_in_call
+            assert integer_bytes(plan) <= 8 * ghost_n
+        if n >= 300:
+            assert all(len(plan[3]) > 1 for _, _, plan in batched)
