@@ -379,7 +379,7 @@ def cmd_run(args) -> int:
           f"[{ex.tasks_executed} tasks, {ex.copies_performed} copies, "
           f"{ex.bytes_copied} bytes exchanged, "
           f"{ex.replay_hits} replayed / {ex.replay_misses} interpreted "
-          f"iterations, {ex.fused_copies} fused batches "
+          f"iterations, {ex.fused_copies} block copies "
           f"({ex.fused_pairs} pairs), {elapsed:.3f}s] -- {check}")
     if ex.window_compiles:
         # Per-window lowering summary: how many recorded interpreter ops

@@ -409,7 +409,7 @@ class ProfileReport:
         if self.copy_engine:
             ce = self.copy_engine
             lines.append(
-                f"  copy engine: {ce.get('fused_copies', 0)} fused batches "
+                f"  copy engine: {ce.get('fused_copies', 0)} block copies "
                 f"({ce.get('fused_pairs', 0)} pairs), reduction folds "
                 f"{ce.get('lockfree_folds', 0)} lock-free / "
                 f"{ce.get('locked_folds', 0)} locked")

@@ -1,47 +1,60 @@
-"""The copy plan: one statement's pairs, lowered once, applied as one batch.
+"""The copy plan: one statement's pairs, lowered once against the shard
+blocks, applied as one batch.
 
 The paper (§3.2–§3.3) moves only ``dst[j] ∩ src[i]``, computed once per
 shard and issued every epoch, and argues that copy *cost* is dominated by
 how that intersection-restricted movement is issued, not by how much data
 moves.  This module owns the issue side, once for every consumer of it:
 
-* **One lowering.**  :func:`lower_copy` localizes all of a shard's
-  ``(src_inst, dst_inst, pts, lock)`` pairs of one ``PairwiseCopy``
-  statement in one stacked call (:func:`localize`), groups them by
-  destination instance in pair order, and lowers each group
-  (:func:`fuse_group`) to :class:`FusedCopy` items of one
-  :class:`FusedBatch`.  The executor builds the batch the first time the
-  shard runs the statement in a launch and keeps it for the launch: the
-  interpreter applies it, the iteration recorder stores it as the
-  statement's one ``fused`` op, and a compiled window replays that same
-  object.  The ``net`` backend's send gathers and receive scatters come
-  from the same :func:`localize`.
+* **Block runs.**  Every colour a shard owns in a partition is a row
+  range of one block per field (``SPMDExecutor.block_rows``).  A *place*
+  function maps an instance to ``(its block's field arrays, its first
+  row)``; :func:`block_runs` localizes all pairs of one side in one
+  stacked call (:func:`~repro.regions.region.localize_stacked`) and adds
+  each pair's row offset per interval, so a pair is a few runs of block
+  rows and no slot array exists until a plan needs one.  An instance
+  outside any block is its own block from row 0 (:func:`own_rows`).
 
-* **Pair fusion.**  A :class:`FusedCopy`'s plan is the one every pair
-  already has, over the whole group: each side's slots concatenated in
-  pair order and lowered by :func:`_as_index` — a slice when they form one
-  increasing run, else the index array.  A group with a single source
-  instance copies directly; one with several gathers each pair into a
-  preallocated staging buffer first.  Either way one scatter per field per
-  destination replaces ``pairs × fields`` numpy calls.
+* **One lowering.**  :func:`lower_copy` groups a statement's
+  ``(src_inst, dst_inst, pts, lock)`` pairs by (destination block, fold
+  lock) with one stable argsort, and splits a group wherever the source
+  block changes, so pair order holds inside a group and between the
+  groups that share a destination block.  Each group is one
+  :class:`FusedCopy` — one gather and one scatter per field — and the
+  groups make one :class:`FusedBatch`.  A shard's source colours sit in
+  its one source block, so a statement costs at most ``dst blocks × 2``
+  items whatever its colour count.  The executor builds the batch the
+  first time the shard runs the statement in a launch and keeps it for
+  the launch: the interpreter applies it, the iteration recorder stores it
+  as the statement's one ``fused`` op, and a compiled window replays that
+  same object.  Launch-entry and launch-exit copies (root instance to
+  blocks and back) and the ``net`` backend's send gathers and receive
+  scatters use the same :func:`block_runs` and :class:`FusedCopy`.
 
-* **Reduction semantics.**  ``ufunc.at`` applies its updates in index
-  order, so folding the concatenated (pair-ordered) index array is
-  bit-identical to folding each pair in turn.  It is used only when the
-  concatenated destination repeats a slot; otherwise the fold is a plain
-  gather-op-scatter (``dst[sel] = op(dst[sel], vals)``), which is both
-  faster and — elementwise on disjoint slots — exactly the same float
-  operations.  Plain (overwrite) groups whose destination slots repeat
-  across pairs are *not* fused: last-writer-wins order across pairs is
-  only guaranteed by applying them in sequence, one item a pair.
+* **Repeated slots.**  A pair's points are distinct, so a slot repeats in
+  a group only across pairs; one sort of the group's runs finds whether
+  any two overlap.  Without overlap a side is a slice when its runs
+  continue one another, else their expanded index array, and a fold is a
+  plain gather-op-scatter (``dst[sel] = op(dst[sel], vals)``), the same
+  float operations elementwise.  With overlap the slots are expanded: an
+  overwrite keeps each slot's last occurrence at plan time — exactly
+  last-writer-wins in pair order — and a fold uses ``ufunc.at``, which
+  applies its updates in index order, so folding the pair-ordered indices
+  is bit-identical to folding pair by pair.
 
 * **Producer disjointness.**  :func:`disjoint_dst_colors` decides, from
   the evaluated intersection pair sets alone (a pure function of the
   replicated program, hence identical on every shard and in every forked
   process), which destination colors can never receive overlapping
   reduction contributions from two different producer shards.  Folds into
-  those instances touch disjoint elements and need no lock at all — the
-  contention-free fast path that replaces the old global reduction lock.
+  those colours touch disjoint elements and need no lock at all; the rest
+  of a destination block's folds share one lock per (statement,
+  destination shard), so a block yields at most one lock-free and one
+  locked item.
+
+* **Footprints.**  An item moves block rows, but fission reasons about
+  the per-colour instance arrays that task footprints name, so every item
+  carries the ids of its pairs' instance arrays (``footprint``).
 """
 
 from __future__ import annotations
@@ -52,8 +65,9 @@ from ..core.shards import owner_of_color
 from ..regions.intervals import IntervalSet, expand_ranges, stack_intervals
 from ..regions.region import _REDUCTION_UFUNCS, localize_stacked
 
-__all__ = ["FusedBatch", "FusedCopy", "disjoint_dst_colors", "fuse_group",
-           "localize", "lower_copy"]
+__all__ = ["FusedBatch", "FusedCopy", "block_runs", "disjoint_dst_colors",
+           "field_width", "footprint_of", "lower_copy", "own_rows",
+           "receive_plan", "send_gathers"]
 
 
 def _as_index(slots: np.ndarray):
@@ -68,51 +82,121 @@ def _as_index(slots: np.ndarray):
     return slots
 
 
-def _as_fancy(ix) -> np.ndarray:
-    """A slot array for ``ix`` (which may be a slice from ``_as_index``)."""
-    if isinstance(ix, slice):
-        return np.arange(ix.start, ix.stop, dtype=np.int64)
-    return np.asarray(ix, dtype=np.int64)
+def own_rows(inst):
+    """The placement of an instance that is its own block: its field
+    arrays, from row 0."""
+    return inst.fields, 0
 
 
-def localize(insts, sets) -> list[np.ndarray]:
-    """Per pair ``p``, the local slots of the non-empty point set
-    ``sets[p]`` in ``insts[p]``, in point order.
+def _codes(objs) -> tuple[np.ndarray, list]:
+    """Per object, the index of its first occurrence among the distinct
+    objects (by identity), and those objects in first-appearance order."""
+    table: dict[int, int] = {}
+    distinct = []
+    codes = []
+    for x in objs:
+        n = table.get(id(x))
+        if n is None:
+            n = table[id(x)] = len(distinct)
+            distinct.append(x)
+        codes.append(n)
+    return np.array(codes, dtype=np.int64), distinct
 
-    Every pair is localized in one stacked call
-    (:func:`~repro.regions.region.localize_stacked`), interval by
-    interval; no point array is materialized.  The arrays are views of one
-    slot array."""
-    if not sets:
-        return []
+
+def block_runs(insts, sets, place=own_rows):
+    """Where the non-empty point sets ``sets[p]`` of ``insts[p]`` sit in
+    their blocks, one row per interval of every set, in pair order:
+    ``(first, lengths, block_of, blocks)`` — each interval's first block
+    row and length, each pair's block (an index into ``blocks``, the
+    distinct ``{field: array}`` dicts from ``place``).
+
+    Every pair is localized in one stacked call, interval by interval, and
+    its row offset in its block added per interval; no slot array is
+    materialized.  An interval's points are consecutive slots of its
+    instance, so both sides of a copy share the rows' lengths."""
+    which, distinct = _codes(insts)
     ivals, pair = stack_intervals(sets)
-    distinct = {id(x): x for x in insts}
-    position = {key: n for n, key in enumerate(distinct)}
-    which = np.array([position[id(x)] for x in insts])
-    slots = expand_ranges(*localize_stacked(
-        list(distinct.values()), which[pair], ivals))
-    ends = np.cumsum([pts.count for pts in sets]).tolist()
-    return [slots[s:e] for s, e in zip([0] + ends[:-1], ends)]
+    first, lengths = localize_stacked(distinct, which[pair], ivals)
+    rows = [place(x) for x in distinct]
+    offsets = np.array([lo for _, lo in rows], dtype=np.int64)
+    block_of, blocks = _codes([rows[w][0] for w in which.tolist()])
+    return first + offsets[which[pair]], lengths, block_of, blocks
 
 
-def _joined(ixs) -> np.ndarray:
-    """One side of a fused group: its pairs' slots in pair order."""
-    return np.concatenate([_as_fancy(ix) for ix in ixs])
+def _expand_runs(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The slots of the non-empty runs ``(first, lengths)`` in order.
+
+    :func:`~repro.regions.intervals.expand_ranges` for runs that may span
+    a whole block (a launch-entry gather), in one output-sized array and
+    no temporary: unit steps, each run's first slot a jump from the
+    previous run's last, summed in place."""
+    out = np.ones(int(lengths.sum()), dtype=np.int64)
+    out[0] = first[0]
+    out[np.cumsum(lengths[:-1])] = first[1:] - first[:-1] - lengths[:-1] + 1
+    return np.cumsum(out, out=out)
+
+
+def _run_index(first: np.ndarray, lengths: np.ndarray):
+    """The slots of the runs ``(first, lengths)`` in order: a slice when
+    they continue one another, else the index array."""
+    if (first[1:] == first[:-1] + lengths[:-1]).all():
+        return slice(int(first[0]), int(first[-1] + lengths[-1]))
+    return _expand_runs(first, lengths)
+
+
+def _overlapping(first: np.ndarray, lengths: np.ndarray) -> bool:
+    """Whether two of the runs share a slot (one sort of the runs)."""
+    if first.size < 2:
+        return False
+    order = np.argsort(first, kind="stable")
+    start, stop = first[order], (first + lengths)[order]
+    return bool((start[1:] < np.maximum.accumulate(stop)[:-1]).any())
+
+
+def _last_writes(slots: np.ndarray) -> np.ndarray:
+    """A mask that keeps each slot's last occurrence (one stable sort)."""
+    order = np.argsort(slots, kind="stable")
+    ranked = slots[order]
+    keep = np.ones(slots.size, dtype=bool)
+    keep[order[:-1][ranked[1:] == ranked[:-1]]] = False  # the earlier one
+    return keep
+
+
+def _runs(nrows, *codes: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """The maximal runs of pairs over which every code array stays
+    constant, as ``(first pair, end pair, first row, end row)``; ``nrows``
+    are the pairs' row counts."""
+    n = codes[0].size
+    change = np.zeros(max(n - 1, 0), dtype=bool)
+    for c in codes:
+        change |= c[1:] != c[:-1]
+    cuts = [0, *(np.flatnonzero(change) + 1).tolist(), n]
+    ends = [0, *np.cumsum(nrows).tolist()]
+    return [(a, b, ends[a], ends[b]) for a, b in zip(cuts, cuts[1:])]
+
+
+# From this many elements on, an overwrite gathering into a destination
+# slice uses ``np.take(..., out=)``: no value temporary (a launch-entry
+# gather spans a whole block), and faster than index-then-assign past
+# about a thousand elements; below, its keyword handling costs more.
+_TAKE_MIN = 1024
 
 
 class FusedCopy:
-    """Some of one statement's pair copies into one destination instance.
+    """Pair copies between one source block and one destination block.
 
-    Every apply issues one scatter per field, fed by one gather (single
-    source instance) or by one gather per pair into a staging buffer
-    (several).  Aggregate accounting (``pair_count`` pairs, ``count``
-    elements, ``nbytes`` bytes) matches what the pairs applied one by one
-    would move exactly.
+    Every apply issues one gather and one scatter per field (a fold's
+    scatter is ``ufunc.at`` or a gather-op-scatter).  Aggregate accounting
+    (``pair_count`` pairs, ``count`` elements, ``nbytes`` bytes) matches
+    what the pairs applied one by one would move exactly, repeats
+    included; ``footprint`` holds the ids of the pairs' per-colour
+    instance arrays.  A receive-side item has no source arrays: its source
+    slots index the message payload (:meth:`receive`).
     """
 
     __slots__ = ("uid", "ufunc", "lock", "count", "nbytes", "pair_count",
-                 "dst_arrays", "dst_sel", "has_dups", "src_arrays",
-                 "src_sel", "gathers", "bufs")
+                 "src_arrays", "src_sel", "dst_arrays", "dst_sel",
+                 "has_dups", "take", "footprint")
 
     def __init__(self, uid, ufunc, lock, count, nbytes, pair_count):
         self.uid = uid
@@ -121,46 +205,48 @@ class FusedCopy:
         self.count = count
         self.nbytes = nbytes
         self.pair_count = pair_count
-        self.dst_arrays = None   # tuple of per-field destination arrays
-        self.dst_sel = None      # concatenated dst slots: slice or array
+        self.src_arrays = None   # tuple of per-field source block arrays
+        self.src_sel = None      # source slots: slice or array
+        self.dst_arrays = None   # tuple of per-field destination block arrays
+        self.dst_sel = None      # destination slots: slice or array
         self.has_dups = False    # dst_sel repeats a slot: fold by ufunc.at
-        # Direct (single-source) plan:
-        self.src_arrays = None   # tuple of per-field source arrays
-        self.src_sel = None      # concatenated src slots: slice or array
-        # Staged (multi-source) plan:
-        self.gathers = None      # ((offset, n, src_ix, per-field arrays),...)
-        self.bufs = None         # per-field staging buffers, len == count
+        self.take = False        # gather straight into the dst slice
+        self.footprint = frozenset()
 
     @classmethod
-    def build(cls, dsts, members, ufunc, lock, uid: int,
-              width: int) -> "FusedCopy | None":
-        """Fuse ``members`` — ``(src field arrays, src slots, dst slots,
-        count)`` per pair, in pair order, each side a slot array or slice
-        — into the destination field arrays ``dsts``.  Returns ``None``
-        when fusion cannot preserve semantics (overwrite copies with
-        destination slots repeating across pairs)."""
-        dst_ix = _joined(m[2] for m in members)
-        count = int(dst_ix.size)
-        has_dups = bool(np.unique(dst_ix).size < count)
-        if has_dups and ufunc is None and len(members) > 1:
-            return None  # last-writer-wins needs per-pair ordering
+    def build(cls, src_arrays, src_first, dst_arrays, dst_first, lengths,
+              ufunc, lock, uid: int, pair_count: int, width: int,
+              footprint=frozenset()) -> "FusedCopy":
+        """The item moving the runs ``src_arrays[f][s:s + n]`` into
+        ``dst_arrays[f][d:d + n]`` per field, for ``(s, d, n)`` in
+        ``zip(src_first, dst_first, lengths)``, in order.
+
+        Overlapping destination runs (only ever across pairs) are the one
+        case that materializes: an overwrite keeps each slot's last
+        occurrence, a fold goes through ``ufunc.at``."""
+        src_first, dst_first, lengths = (np.asarray(x, dtype=np.int64)
+                                         for x in (src_first, dst_first,
+                                                   lengths))
+        count = int(lengths.sum())
         fc = cls(uid=uid, ufunc=ufunc, lock=lock, count=count,
-                 nbytes=count * width, pair_count=len(members))
-        fc.dst_arrays = tuple(dsts)
-        fc.dst_sel = _as_index(dst_ix)
-        fc.has_dups = has_dups
-        first = members[0][0]
-        if all(m[0][0] is first[0] for m in members):
-            fc.src_arrays = tuple(first)
-            fc.src_sel = _as_index(_joined(m[1] for m in members))
+                 nbytes=count * width, pair_count=pair_count)
+        fc.src_arrays = None if src_arrays is None else tuple(src_arrays)
+        fc.dst_arrays = tuple(dst_arrays)
+        fc.footprint = frozenset(footprint)
+        if not _overlapping(dst_first, lengths):
+            fc.src_sel = _run_index(src_first, lengths)
+            fc.dst_sel = _run_index(dst_first, lengths)
+            fc.take = (ufunc is None and count >= _TAKE_MIN
+                       and isinstance(fc.dst_sel, slice)
+                       and not isinstance(fc.src_sel, slice))
             return fc
-        offsets = np.cumsum([0] + [m[3] for m in members]).tolist()
-        fc.gathers = tuple((offset, n, _as_index(_as_fancy(src_ix)),
-                            tuple(srcs))
-                           for offset, (srcs, src_ix, _, n)
-                           in zip(offsets, members))
-        fc.bufs = tuple(np.empty((count, *d.shape[1:]), dtype=d.dtype)
-                        for d in fc.dst_arrays)
+        src_ix = _expand_runs(src_first, lengths)
+        dst_ix = _expand_runs(dst_first, lengths)
+        if ufunc is None:
+            keep = _last_writes(dst_ix)
+            src_ix, dst_ix = src_ix[keep], dst_ix[keep]
+        fc.has_dups = ufunc is not None
+        fc.src_sel, fc.dst_sel = _as_index(src_ix), _as_index(dst_ix)
         return fc
 
     def apply(self) -> None:
@@ -173,32 +259,41 @@ class FusedCopy:
                 self._apply()
 
     def _apply(self) -> None:
+        src_sel = self.src_sel
+        for src, dst in zip(self.src_arrays, self.dst_arrays):
+            if self.take:
+                # The slots are in range, so "clip" is exact and, unlike
+                # the default, writes ``out`` unbuffered.
+                np.take(src, src_sel, axis=0, out=dst[self.dst_sel],
+                        mode="clip")
+            else:
+                self._put(dst, src[src_sel])
+
+    def receive(self, vals) -> None:
+        """Scatter one message's per-field payload ``vals``."""
+        src_sel = self.src_sel
+        for v, dst in zip(vals, self.dst_arrays):
+            self._put(dst, v[src_sel])
+
+    def _put(self, dst, vals) -> None:
         ufunc, dst_sel = self.ufunc, self.dst_sel
-        for f, dst in enumerate(self.dst_arrays):
-            if self.gathers is None:
-                vals = self.src_arrays[f][self.src_sel]
-            else:
-                vals = self.bufs[f]
-                for offset, n, src_ix, srcs in self.gathers:
-                    vals[offset:offset + n] = srcs[f][src_ix]
-            if ufunc is None:
-                dst[dst_sel] = vals
-            elif self.has_dups:
-                ufunc.at(dst, dst_sel, vals)
-            else:
-                dst[dst_sel] = ufunc(dst[dst_sel], vals)
+        if ufunc is None:
+            dst[dst_sel] = vals
+        elif self.has_dups:
+            ufunc.at(dst, dst_sel, vals)
+        else:
+            dst[dst_sel] = ufunc(dst[dst_sel], vals)
 
 
 class FusedBatch:
     """One statement's entire per-shard in-memory copy set, as one op.
 
-    ``items`` are the :class:`FusedCopy` plans of its destination groups,
-    in order; ``visits`` counts the statement's in-memory pairs of this
+    ``items`` are the :class:`FusedCopy` plans of its block groups, in
+    order; ``visits`` counts the statement's in-memory pairs of this
     shard, empty ones included.  Batching the *issue* — one op, one flight
-    record, one counter pass for the whole statement — is where the win
-    lives when destination groups are small (one halo pair per neighbor):
-    the per-pair dispatch overhead disappears even when no numpy calls
-    could be merged.
+    record, one counter pass for the whole statement — removes the
+    per-pair dispatch overhead; lowering against blocks removes the
+    per-colour numpy calls.
     """
 
     __slots__ = ("uid", "items", "visits", "pair_count", "count", "nbytes",
@@ -233,57 +328,93 @@ class FusedBatch:
             op()
 
 
-def fuse_group(dsts, members, ufunc, lock, uid: int,
-               width: int) -> list[FusedCopy]:
-    """Lower one destination group (:meth:`FusedCopy.build` arguments) to
-    its cheapest form, the items to apply in order.
-
-    Multi-pair groups concatenate into a single :class:`FusedCopy` when
-    that reduces numpy work: always for a shared source instance, and for
-    reductions from any sources (one staged ``ufunc.at`` beats one per
-    pair).  Plain copies from *different* source instances gain nothing
-    from staging — it moves the data twice — so each pair becomes its own
-    single-pair item, applied in pair order (which also preserves
-    last-writer-wins when destination slots repeat across pairs)."""
-    if len(members) > 1:
-        first = members[0][0][0]
-        if ufunc is not None or all(m[0][0] is first for m in members):
-            fc = FusedCopy.build(dsts, members, ufunc, lock, uid, width)
-            if fc is not None:
-                return [fc]
-    return [FusedCopy.build(dsts, [m], ufunc, lock, uid, width)
-            for m in members]
+def field_width(block, fields) -> int:
+    """Bytes per element of ``fields`` (the copy counters' unit)."""
+    return sum(block[f].dtype.itemsize for f in fields)
 
 
-def lower_copy(stmt, pairs, width: int, visits: int) -> FusedBatch:
-    """The one lowering of a copy statement's in-memory pairs on a shard.
+def footprint_of(insts, fields) -> frozenset:
+    """ids of the ``fields`` arrays of the distinct ``insts``."""
+    return frozenset(id(x.fields[f]) for x in {id(x): x for x in insts}.values()
+                     for f in fields)
+
+
+def lower_copy(uid: int, fields, redop, pairs, visits: int,
+               place=own_rows) -> FusedBatch:
+    """The one lowering of a copy's in-memory pairs on a shard.
 
     ``pairs`` is a sequence of ``(src_inst, dst_inst, pts, lock)`` with
     non-empty ``pts``, in pair order; ``visits`` counts the shard's pairs
-    of the statement, empty ones included; ``width`` is the bytes per
-    element of the copied fields.  Both sides of every pair are localized
-    in one stacked call each, the pairs grouped by destination instance in
-    order of first appearance (pair order inside a group), and each group
-    lowered by :func:`fuse_group`.
+    of the statement, empty ones included; ``place`` maps an instance to
+    its block (:func:`block_runs`).  The pairs are grouped by
+    (destination block, lock) with one stable argsort, each group split
+    where its source block changes, and every group lowered to one
+    :class:`FusedCopy`; groups sharing a destination block stay in pair
+    order, so repeats across them resolve as pair by pair.
     """
-    ufunc = None if stmt.redop is None else _REDUCTION_UFUNCS[stmt.redop]
-    groups: dict[int, tuple] = {}
-    if pairs:
-        srcs, dsts, sets, locks = zip(*pairs)
-        src_ixs = localize(srcs, sets)
-        dst_ixs = localize(dsts, sets)
-        for src, dst, pts, lock, src_ix, dst_ix in zip(
-                srcs, dsts, sets, locks, src_ixs, dst_ixs):
-            group = groups.get(id(dst))
-            if group is None:
-                group = groups[id(dst)] = (
-                    tuple(dst.fields[f] for f in stmt.fields), lock, [])
-            group[2].append((tuple(src.fields[f] for f in stmt.fields),
-                             src_ix, dst_ix, int(pts.count)))
-    return FusedBatch(stmt.uid, [
-        item for dst_arrays, lock, members in groups.values()
-        for item in fuse_group(dst_arrays, members, ufunc, lock, stmt.uid,
-                               width)], visits)
+    if not pairs:
+        return FusedBatch(uid, (), visits)
+    ufunc = None if redop is None else _REDUCTION_UFUNCS[redop]
+    srcs, dsts, sets, locks = zip(*pairs)
+    src_first, lengths, src_of, src_blocks = block_runs(srcs, sets, place)
+    dst_first, _, dst_of, dst_blocks = block_runs(dsts, sets, place)
+    lock_of, lock_list = _codes(locks)
+    order = np.argsort(dst_of * len(lock_list) + lock_of, kind="stable")
+    nrows = np.array([pts.num_intervals for pts in sets], dtype=np.int64)
+    if (order[1:] < order[:-1]).any():
+        rows = expand_ranges((np.cumsum(nrows) - nrows)[order], nrows[order])
+        src_first, dst_first, lengths = (src_first[rows], dst_first[rows],
+                                         lengths[rows])
+    width = field_width(dst_blocks[0], fields)
+    items = []
+    for a, b, lo, hi in _runs(nrows[order], dst_of[order], lock_of[order],
+                              src_of[order]):
+        members = order[a:b].tolist()
+        p = members[0]
+        src_block, dst_block = src_blocks[src_of[p]], dst_blocks[dst_of[p]]
+        items.append(FusedCopy.build(
+            [src_block[f] for f in fields], src_first[lo:hi],
+            [dst_block[f] for f in fields], dst_first[lo:hi],
+            lengths[lo:hi], ufunc, locks[p], uid, len(members), width,
+            footprint_of([x for m in members for x in (srcs[m], dsts[m])],
+                         fields)))
+    return FusedBatch(uid, items, visits)
+
+
+def receive_plan(uid: int, fields, redop, insts, sets,
+                 place=own_rows) -> list[FusedCopy]:
+    """The scatters of one message whose payload holds ``sets`` (one
+    non-empty point set per pair, in pair order) into ``insts``: one
+    :class:`FusedCopy` per run of pairs in one destination block, its
+    source runs the payload positions.  Applied in order with
+    :meth:`FusedCopy.receive`."""
+    if not sets:
+        return []
+    ufunc = None if redop is None else _REDUCTION_UFUNCS[redop]
+    first, lengths, block_of, blocks = block_runs(insts, sets, place)
+    payload = np.cumsum(lengths) - lengths
+    width = field_width(blocks[0], fields)
+    plan = []
+    for a, b, lo, hi in _runs([pts.num_intervals for pts in sets],
+                              block_of):
+        block = blocks[block_of[a]]
+        plan.append(FusedCopy.build(
+            None, payload[lo:hi], [block[f] for f in fields], first[lo:hi],
+            lengths[lo:hi], ufunc, None, uid, b - a, width))
+    return plan
+
+
+def send_gathers(fields, insts, sets, place=own_rows):
+    """The gathers of one message carrying ``sets`` from ``insts`` in pair
+    order: ``((block field arrays, slots), ...)``, one per run of pairs in
+    one source block."""
+    if not sets:
+        return ()
+    first, lengths, block_of, blocks = block_runs(insts, sets, place)
+    return tuple((tuple(blocks[block_of[a]][f] for f in fields),
+                  _run_index(first[lo:hi], lengths[lo:hi]))
+                 for a, _, lo, hi in _runs([pts.num_intervals
+                                            for pts in sets], block_of))
 
 
 def disjoint_dst_colors(pairs, pts_of, src_num_colors: int,

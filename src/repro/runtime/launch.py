@@ -10,7 +10,7 @@ here, once, for every backend:
   statement crosses (:func:`channel_keys`), one collective per
   ``ScalarCollective``, one barrier per ``BarrierStmt`` tag plus a
   ``pre:``/``post:`` pair per barrier-synchronized copy, and the
-  (reduction copy, destination colour) keys that need a fold lock.
+  (reduction copy, destination shard) keys that need a fold lock.
 * :class:`CommContext` turns that spec into objects, in spec order.  The
   class itself is the in-memory implementation (``stepped``/``threaded``);
   :class:`repro.runtime.procs.BoardContext` puts the same objects in
@@ -121,8 +121,8 @@ class LaunchSpec:
     # completion must also cover that statement's inbound payloads on a
     # backend where data and barrier travel apart), else None.
     barriers: dict[str, Any] = field(default_factory=dict)
-    # (reduction copy uid, dst colour): folds into one destination
-    # instance may need a lock; different destinations never contend.
+    # (reduction copy uid, dst shard): folds into one shard's destination
+    # block may need a lock; different shards' blocks never contend.
     reduction_dsts: list[tuple[int, int]] = field(default_factory=list)
     # Statement uid -> the name its flight rows carry (FlightRecorder.names).
     names: dict[int, str] = field(default_factory=dict)
@@ -155,7 +155,8 @@ def launch_spec(stmt, copy_pairs: Callable, num_shards: int) -> LaunchSpec:
                 spec.barriers.setdefault(f"pre:{s.uid}", None)
                 spec.barriers.setdefault(f"post:{s.uid}", s)
             if s.redop is not None:
-                spec.reduction_dsts.extend((s.uid, j) for j in s.dst.colors)
+                spec.reduction_dsts.extend(
+                    (s.uid, q) for q in range(num_shards))
         elif isinstance(s, ScalarCollective):
             spec.collectives.append((s.uid, s.redop))
             spec.names[s.uid] = f"collective:{s.name}"

@@ -4,13 +4,14 @@ A copy statement hands the context all of its cross-rank pairs to one
 peer rank at once (``CommContext.send_pairs``); the net context lowers
 the group, the first time it sees it, to a :class:`PackedSend` — the
 cross-rank half of the statement's copy plan, beside the in-memory
-:class:`~repro.runtime.copy_engine.FusedBatch`: every member pair's gather
-index is resolved once against the producer's source instance, by the
-same stacked :func:`~repro.runtime.copy_engine.localize` that lowers the
-batch (and the consumer's unpack plan), and every ``apply`` ships all
-members' fields concatenated as one ``MSG`` frame.
-The interpreter and a frozen window run the same object, so a statement
-sends exactly one message per peer rank per epoch either way.
+:class:`~repro.runtime.copy_engine.FusedBatch`.  Its gathers are resolved
+once against the producer's source *block*, by the same
+:func:`~repro.runtime.copy_engine.block_runs` that lowers the batch (and
+the consumer's receive plan): a rank's source colours are rows of one
+block per field, so every ``apply`` gathers each field once and ships
+the fields as one ``MSG`` frame.  The interpreter and a frozen window run
+the same object, so a statement sends exactly one message per peer rank
+per epoch either way.
 
 The payload is applied on the *consumer*, in its own shard thread at its
 ready-wait point in replicated program order (see
@@ -31,20 +32,24 @@ __all__ = ["PackedSend"]
 class PackedSend:
     """All of one statement's pair copies from this rank to one peer rank.
 
-    ``gathers`` holds ``(source field arrays, source index)`` per
-    non-empty member pair, in pair order; the receiver's unpack plan
-    lists the same pairs in the same order, so the frame carries only
-    the statement uid, the generation and one buffer per field.  Every
-    apply bumps the generation, so the wire generation always equals the
-    consumer's statement epoch.  ``pair_count`` counts empty members too:
-    each is a visited and performed pair copy, as the window counts it.
+    ``gathers`` holds ``(source block field arrays, block slots)`` per run
+    of non-empty member pairs in one source block, in pair order — one
+    gather per field for a rank's block; the receiver's plan lists the
+    same pairs in the same order, so the frame carries only the statement
+    uid, the generation and one buffer per field.  Every apply bumps the
+    generation, so the wire generation always equals the consumer's
+    statement epoch.  ``pair_count`` counts empty members too: each is a
+    visited and performed pair copy, as the window counts it.
+    ``footprint`` holds the ids of the member pairs' per-colour source
+    instance arrays, which the window's fission pass reasons about.
     """
 
     __slots__ = ("transport", "peer", "uid", "gathers", "pair_count",
-                 "count", "nbytes", "gen")
+                 "count", "nbytes", "footprint", "gen")
 
     def __init__(self, transport, peer: int, uid: int, gathers,
-                 pair_count: int, count: int, nbytes: int) -> None:
+                 pair_count: int, count: int, nbytes: int,
+                 footprint=frozenset()) -> None:
         self.transport = transport
         self.peer = peer
         self.uid = uid
@@ -52,6 +57,7 @@ class PackedSend:
         self.pair_count = pair_count
         self.count = count
         self.nbytes = nbytes
+        self.footprint = frozenset(footprint)
         self.gen = 0
 
     def apply(self) -> None:

@@ -37,9 +37,10 @@ import numpy as np
 
 from ...core.shards import owner_of_color
 from ...obs import flight as _flight
-from ...regions.region import _REDUCTION_UFUNCS, reduction_identity
+from ...regions.region import reduction_identity
 from ..collectives import SCALAR_REDUCTIONS
-from ..copy_engine import _as_index, localize
+from ..copy_engine import (field_width, footprint_of, receive_plan,
+                           send_gathers)
 from ..events import Sequence
 from ..launch import Channel, CommContext
 from . import frame
@@ -127,21 +128,15 @@ class _RxChannel:
 
     def apply_up_to(self, g: int) -> None:
         # Shard thread only.  The unpack plan is built on first use:
-        # destination localization resolved once, like the sender's
-        # gathers.
+        # destination rows resolved once, like the sender's gathers.
         if self._plan is None:
             self._plan = self.nctx.rx_plan(self.stmt, self.producer)
-        ufunc, plan = self._plan
         while self.applied < g:
             gen = self.applied + 1
             with self._lock:
                 vals = self.pending.pop(gen)
-            for arrs, dst_ix, sl in plan:
-                for arr, v in zip(arrs, vals):
-                    if ufunc is None:
-                        arr[dst_ix] = v[sl]
-                    else:
-                        ufunc.at(arr, dst_ix, v[sl])
+            for item in self._plan:
+                item.receive(vals)
             self.applied = gen
 
 
@@ -564,13 +559,15 @@ class NetCommContext(CommContext):
 
     def _build_send(self, stmt, peer: int, pairs) -> PackedSend:
         """The gathers of ``stmt``'s non-empty ``pairs`` to ``peer``, in
-        pair order, localized in one call."""
+        pair order, against this rank's source block."""
         insts, sets = self._live(stmt, stmt.src, pairs, 0)
-        gathers = [(tuple(inst.fields[f] for f in stmt.fields), _as_index(ix))
-                   for inst, ix in zip(insts, localize(insts, sets))]
         count = sum(int(pts.count) for pts in sets)
-        return PackedSend(self.transport, peer, stmt.uid, gathers, len(pairs),
-                          count, count * self.ex._field_width(stmt))
+        width = field_width(insts[0].fields, stmt.fields) if insts else 0
+        return PackedSend(
+            self.transport, peer, stmt.uid,
+            send_gathers(stmt.fields, insts, sets, self.ex._place),
+            len(pairs), count, count * width,
+            footprint_of(insts, stmt.fields))
 
     def _live(self, stmt, part, pairs, side: int):
         """``(instances, point sets)`` of the non-empty ``pairs``, in pair
@@ -601,23 +598,17 @@ class NetCommContext(CommContext):
 
     # -- receive-side plans (shard thread) ---------------------------------
     def rx_plan(self, stmt, producer: int):
-        """``(ufunc, [(dst field arrays, dst index, value slice), ...])``
-        for ``stmt``'s messages from ``producer``: its non-empty pairs into
-        this rank, in pair order — the order the producer's
-        :class:`PackedSend` gathers them in, since both filter the same
-        pair list and localize through the same
-        :func:`~repro.runtime.copy_engine.localize`."""
+        """The :class:`~repro.runtime.copy_engine.FusedCopy` scatters of
+        ``stmt``'s messages from ``producer`` into this rank's destination
+        block: its non-empty pairs into this rank, in pair order — the
+        order the producer's :class:`PackedSend` gathers them in, since
+        both filter the same pair list and place their slots through the
+        same :func:`~repro.runtime.copy_engine.block_runs`."""
         ns = self.num_shards
         src_n, dst_n = stmt.src.num_colors, stmt.dst.num_colors
         pairs = [(i, j) for i, j in self.ex._copy_pairs(stmt)
                  if owner_of_color(dst_n, ns, j) == self.rank
                  and owner_of_color(src_n, ns, i) == producer]
         insts, sets = self._live(stmt, stmt.dst, pairs, 1)
-        plan, off = [], 0
-        for inst, pts, ix in zip(insts, sets, localize(insts, sets)):
-            cnt = int(pts.count)
-            plan.append((tuple(inst.fields[f] for f in stmt.fields),
-                         _as_index(ix), slice(off, off + cnt)))
-            off += cnt
-        ufunc = None if stmt.redop is None else _REDUCTION_UFUNCS[stmt.redop]
-        return ufunc, plan
+        return receive_plan(stmt.uid, stmt.fields, stmt.redop, insts, sets,
+                            self.ex._place)

@@ -286,7 +286,7 @@ class SPMDExecutor(SequentialExecutor):
         self.intersections_computed = 0
         # Only reduction-operator copies still need locking: ufunc.at on a
         # shared destination is not atomic across threads or processes.
-        # _copy_locks holds one lock per (copy stmt uid, dst color), built
+        # _copy_locks holds one lock per (copy stmt uid, dst shard), built
         # per shard launch with the backend's lock factory; _copy_lock is
         # the fallback for main-level copies, which run sequentially and
         # never went through a launch.  Destinations whose
@@ -297,7 +297,6 @@ class SPMDExecutor(SequentialExecutor):
         self._copy_lock = threading.Lock()
         self._copy_locks: dict[tuple[int, int], Any] = {}
         self._disjoint_cache: dict[tuple[int, int], frozenset] = {}
-        self._field_widths: dict[int, int] = {}
         self._force_locked_reductions = False
         # Backends with shared instances allocate them from this arena so
         # forked shard processes all map them; created on first allocation.
@@ -408,7 +407,6 @@ class SPMDExecutor(SequentialExecutor):
         self._isect_cache.clear()
         self._copy_locks.clear()
         self._disjoint_cache.clear()
-        self._field_widths.clear()
         self._plans.clear()
         self._resident_program = None
         self._resident_states.clear()
@@ -468,6 +466,16 @@ class SPMDExecutor(SequentialExecutor):
         partition's subregion) holds rows ``lo:hi`` of ``blocks[field]``."""
         return self._block_rows[(region.parent_partition.uid, region.color)]
 
+    def _place(self, inst: PhysicalInstance) -> tuple[dict, int]:
+        """``(blocks, lo)`` of any instance a copy names, for the copy
+        engine: a distributed instance's shard block and first row; any
+        other instance is its own block from row 0."""
+        part, color = inst.region.parent_partition, inst.region.color
+        if part is not None and self.dist.get((part.uid, color)) is inst:
+            blocks, lo, _ = self._block_rows[(part.uid, color)]
+            return blocks, lo
+        return inst.fields, 0
+
     def region_instance(self, region) -> PhysicalInstance:
         """The distributed instance of a partition's subregion."""
         return self.dist_instance(region.parent_partition, region.color)
@@ -509,20 +517,32 @@ class SPMDExecutor(SequentialExecutor):
             super()._stmt(stmt)
 
     def _init_copy(self, stmt: InitCopy) -> None:
-        part = stmt.partition
-        root_inst = self.root_instance(part.parent)
-        for c in part.colors:
-            pts = part.subset(c)
-            if pts:
-                self.dist_instance(part, c).copy_from(root_inst, pts, stmt.fields)
+        """Launch entry: one gather from the root instance per (shard
+        block, field)."""
+        self._root_copy(stmt, into_blocks=True)
 
     def _final_copy(self, stmt: FinalCopy) -> None:
+        """Launch exit: one scatter into the root instance per (shard
+        block, field).  The blocks go in colour order and each keeps its
+        last write to a repeated point, so an aliased partition's last
+        colour wins, as colour by colour."""
+        self._root_copy(stmt, into_blocks=False)
+
+    def _root_copy(self, stmt: InitCopy | FinalCopy, into_blocks: bool):
+        # Lowered and applied a block at a time: a block's plan holds an
+        # index as long as the block, and only one is alive at once.
         part = stmt.partition
         root_inst = self.root_instance(part.parent)
-        for c in part.colors:
-            pts = part.subset(c)
-            if pts:
-                root_inst.copy_from(self.dist_instance(part, c), pts, stmt.fields)
+        for x in range(self.num_shards):
+            pairs = []
+            for c in shard_owned_colors(part.num_colors, self.num_shards, x):
+                pts = part.subset(c)
+                if pts:
+                    inst = self.dist_instance(part, c)
+                    pairs.append((root_inst, inst, pts, None) if into_blocks
+                                 else (inst, root_inst, pts, None))
+            lower_copy(stmt.uid, stmt.fields, None, pairs, 0,
+                       self._place).apply()
 
     # -- shard launch ------------------------------------------------------------
     def _shard_launch(self, stmt: ShardLaunch) -> None:
@@ -539,7 +559,7 @@ class SPMDExecutor(SequentialExecutor):
         # the warm arena and the intersection results, but re-captures
         # per run.
         persistent = self.retain_plans and backend.resident
-        # One lock per (reduction copy stmt, dst color), of the kind the
+        # One lock per (reduction copy stmt, dst shard), of the kind the
         # backend's producers need.  Resident launches must *reuse* the
         # first launch's locks: frozen plans captured them, and an
         # interpreted guard-fallback iteration must contend on the same
@@ -595,20 +615,15 @@ class SPMDExecutor(SequentialExecutor):
         return cached
 
     def _reduction_lock(self, stmt: PairwiseCopy, j: int, ns: int):
-        """The lock a fold into ``(stmt, dst color j)`` must hold, or
-        ``None`` for the contention-free fast path."""
+        """The lock a fold into ``(stmt, dst color j)`` must hold — the
+        one of ``(stmt, the shard owning j)`` — or ``None`` for the
+        contention-free fast path."""
         if (not self._force_locked_reductions
                 and j in self._disjoint_dst(stmt, ns)):
             return None
-        return self._copy_locks.get((stmt.uid, j), self._copy_lock)
-
-    def _field_width(self, stmt: PairwiseCopy) -> int:
-        width = self._field_widths.get(stmt.uid)
-        if width is None:
-            inst = self.dist_instance(stmt.dst, next(iter(stmt.dst.colors)))
-            width = sum(inst.fields[f].dtype.itemsize for f in stmt.fields)
-            self._field_widths[stmt.uid] = width
-        return width
+        return self._copy_locks.get(
+            (stmt.uid, owner_of_color(stmt.dst.num_colors, ns, j)),
+            self._copy_lock)
 
     def _merge_counters(self, states: list[_ShardState]) -> None:
         for st in states:
@@ -985,7 +1000,7 @@ class SPMDExecutor(SequentialExecutor):
         """The :class:`~repro.runtime.copy_engine.FusedBatch` of the
         in-memory pairs ``copies`` — ``(i, j)``, empty ones included — of
         ``stmt``: their points, instances and fold locks resolved, and all
-        of them lowered in one call."""
+        of them lowered against the shard blocks in one call."""
         pairs = []
         for (i, j) in copies:
             pts = self._pair_points(stmt, i, j)
@@ -994,7 +1009,8 @@ class SPMDExecutor(SequentialExecutor):
                         if stmt.redop is not None else None)
                 pairs.append((self.dist_instance(stmt.src, i),
                               self.dist_instance(stmt.dst, j), pts, lock))
-        return lower_copy(stmt, pairs, self._field_width(stmt), len(copies))
+        return lower_copy(stmt.uid, stmt.fields, stmt.redop, pairs,
+                          len(copies), self._place)
 
     @staticmethod
     def _apply_batch(batch: FusedBatch, state: _ShardState) -> None:

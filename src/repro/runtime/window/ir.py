@@ -381,15 +381,12 @@ def op_arrays(op) -> frozenset[int] | None:
     if k == OP_TASK and len(op) == 2:
         return frozenset(op[1].arrays())
     if k == OP_FUSED:
-        ids: set[int] = set()
-        for item in op[1].items:
-            ids.update(map(id, item.dst_arrays))
-            ids.update(map(id, item.src_arrays or ()))
-            for gather in item.gathers or ():
-                ids.update(map(id, gather[3]))
-        return frozenset(ids)
+        # A block item moves block rows, but it names the per-colour
+        # instance arrays its pairs read and write: the ids task
+        # footprints and copy_protect use.
+        return frozenset().union(*(item.footprint for item in op[1].items))
     if k == OP_MSG:
-        return frozenset(id(src) for srcs, _ in op[1].gathers for src in srcs)
+        return op[1].footprint
     if k == OP_FILL:
         return frozenset(id(arr) for arr, _ in op[1])
     return None

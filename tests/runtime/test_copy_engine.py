@@ -1,5 +1,6 @@
-"""Fused copy engine: fusion plans, equivalence, contention-free folds."""
+"""Copy engine: block plans, equivalence, contention-free folds."""
 
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,10 +23,9 @@ from repro.regions import (
 )
 from repro.runtime import SequentialExecutor, SPMDExecutor, procs_available
 from repro.runtime.copy_engine import (
+    FusedBatch,
     FusedCopy,
-    _as_fancy,
     disjoint_dst_colors,
-    fuse_group,
     lower_copy,
 )
 from repro.tasks import R, Reduce, task
@@ -41,8 +41,8 @@ RTOL, ATOL = 1e-11, 1e-13
 # -- FusedCopy plan unit tests -----------------------------------------------
 
 def make_pc(src, dst_ix, src_ix):
-    """One pair as a :meth:`FusedCopy.build` member: ``src[src_ix]`` into
-    the destination's ``dst_ix``."""
+    """One pair of a block group: ``src[src_ix]`` into the destination's
+    ``dst_ix``."""
     dst_ix = np.asarray(dst_ix, dtype=np.int64)
     src_ix = np.asarray(src_ix, dtype=np.int64)
     return ((src,), src_ix, dst_ix, int(dst_ix.size))
@@ -59,90 +59,129 @@ def apply_each(dsts, members, ufunc=None):
                 ufunc.at(dst, dst_ix, src[src_ix])
 
 
+def as_fancy(ix) -> np.ndarray:
+    """A plan side's slots as an array (a slice is one run)."""
+    if isinstance(ix, slice):
+        return np.arange(ix.start, ix.stop, dtype=np.int64)
+    return np.asarray(ix, dtype=np.int64)
+
+
 def is_run(slots) -> bool:
     slots = np.asarray(slots)
     return bool(slots.size) and bool((np.diff(slots) == 1).all())
 
 
-UNIVERSE = 48    # points a pair may name
-GROUP_SIZE = 24  # points of a destination instance; six blocks of four
+UNIVERSE = 48  # points a colour may hold
+
+
+@st.composite
+def point_sets(draw, within=None):
+    """A non-empty sorted point list: one run, or any points (of
+    ``within`` when given)."""
+    pool = list(range(UNIVERSE)) if within is None else within
+    if draw(st.booleans()):
+        a = draw(st.integers(0, len(pool) - 1))
+        b = draw(st.integers(a + 1, len(pool)))
+        return pool[a:b]
+    return sorted(draw(st.lists(st.sampled_from(pool), min_size=1,
+                                max_size=24, unique=True)))
 
 
 @st.composite
 def copy_statements(draw):
-    """One copy statement's pairs on a shard: 1-6 pairs from 1-3 source
-    instances into 1-2 destination instances, 1-2 fields, plain or ``+``.
-    A destination holds 24 of 48 points, a source those plus some others,
-    so either side's slots may be a run (a slice) or not (an array); each
-    pair's points sit in their own block of four destination slots
-    (disjoint across pairs) or anywhere.  Returns a factory of fresh
-    ``(dst instances, pairs)``, the ``ufunc`` and the pair count."""
+    """One copy statement's pairs on a shard: 1-8 pairs between 1-4 source
+    colours and 1-4 destination colours, each side's colours stacked as
+    consecutive row ranges of 1-3 blocks (as a shard's colours are), 1-2
+    fields, plain or ``+``; a fold into a destination colour is lock-free
+    or holds one of two locks.  A pair's points are any non-empty subset
+    of its destination colour's, so pairs into one colour may repeat
+    slots, and its source colour holds them plus others, so either side's
+    slots may be a run (a slice) or not (an array).  Returns the
+    statement, a factory of fresh ``((blocks, place), pairs)`` and the
+    pair count."""
     nfields = draw(st.integers(1, 2))
-    nsrc = draw(st.integers(1, 3))
-    ndst = draw(st.integers(1, 2))
     elem = draw(st.sampled_from([(), (2,)]))
     redop = draw(st.sampled_from([None, "+"]))
-    disjoint = draw(st.booleans())
-    blocks = draw(st.permutations(range(GROUP_SIZE // 4)))
     seed = draw(st.integers(0, 2**32 - 1))
-    dst_pts = np.array(sorted(draw(st.lists(
-        st.integers(0, UNIVERSE - 1), min_size=GROUP_SIZE,
-        max_size=GROUP_SIZE, unique=True))))
-    if draw(st.booleans()):
-        dst_pts = np.arange(GROUP_SIZE)
-    src_pts = [np.union1d(dst_pts, draw(st.lists(
-        st.integers(0, UNIVERSE - 1), max_size=12))) for _ in range(nsrc)]
-
+    ndst, nsrc = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    dst_pts = [draw(point_sets()) for _ in range(ndst)]
     specs = []
-    for p in range(draw(st.integers(1, 6))):
-        n = draw(st.integers(1, 4))
-        lo, hi = ((4 * blocks[p], 4 * blocks[p] + 4) if disjoint
-                  else (0, GROUP_SIZE))
-        if draw(st.booleans()):
-            start = draw(st.integers(lo, hi - n))
-            slots = np.arange(start, start + n)
-        else:
-            slots = np.array(draw(st.lists(
-                st.integers(lo, hi - 1), min_size=n, max_size=n,
-                unique=True)))
-        specs.append((draw(st.integers(0, nsrc - 1)),
-                      draw(st.integers(0, ndst - 1)),
-                      IntervalSet.from_indices(dst_pts[slots].tolist())))
+    for _ in range(draw(st.integers(1, 8))):
+        d = draw(st.integers(0, ndst - 1))
+        specs.append((draw(st.integers(0, nsrc - 1)), d,
+                       draw(point_sets(within=dst_pts[d]))))
+    src_pts = [sorted(set(draw(st.lists(st.integers(0, UNIVERSE - 1),
+                                        min_size=1, max_size=8))).union(
+        *(pts for s, _, pts in specs if s == c))) for c in range(nsrc)]
+    locks = ([draw(st.sampled_from([None, 0, 1])) for _ in range(ndst)]
+             if redop else [None] * ndst)
 
+    def cuts(n):
+        inner = draw(st.lists(st.integers(1, n - 1), max_size=2, unique=True)
+                     if n > 1 else st.just([]))
+        bounds = [0, *sorted(inner), n]
+        return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+    src_groups, dst_groups = cuts(nsrc), cuts(ndst)
     fields = {f"f{k}": (np.float64, elem) for k in range(nfields)}
     root = region(ispace(size=UNIVERSE), fields)
 
     def make():
         rng = np.random.default_rng(seed)
+        lock_objs = (threading.Lock(), threading.Lock())
+        blocks, place_of = [], {}
 
-        def inst(points):
-            x = PhysicalInstance(root, IntervalSet.from_indices(points))
-            for arr in x.fields.values():
-                arr[...] = rng.standard_normal(arr.shape)
-            return x
+        def stack(colour_pts, groups):
+            insts = []
+            for group in groups:
+                ends = np.cumsum([0] + [len(colour_pts[c])
+                                        for c in group]).tolist()
+                blk = {f: rng.standard_normal((ends[-1], *elem))
+                       for f in fields}
+                blocks.append(blk)
+                for c, lo, hi in zip(group, ends, ends[1:]):
+                    rows = iter([arr[lo:hi] for arr in blk.values()])
+                    x = PhysicalInstance(
+                        root, IntervalSet.from_indices(colour_pts[c]),
+                        allocator=lambda *_: next(rows))
+                    place_of[id(x)] = (blk, lo)
+                    insts.append(x)
+            return insts
 
-        srcs = [inst(pts.tolist()) for pts in src_pts]
-        dsts = [inst(dst_pts.tolist()) for _ in range(ndst)]
-        return dsts, [(srcs[s], dsts[d], pts, None) for s, d, pts in specs]
+        srcs, dsts = stack(src_pts, src_groups), stack(dst_pts, dst_groups)
+        pairs = [(srcs[s], dsts[d], IntervalSet.from_indices(pts),
+                  None if locks[d] is None else lock_objs[locks[d]])
+                 for s, d, pts in specs]
+        return (blocks, lambda x: place_of[id(x)]), pairs
 
     stmt = SimpleNamespace(uid=7, fields=tuple(fields), redop=redop)
     return stmt, make, len(specs)
 
 
 class TestFusedCopyBuild:
+    """One block group — pairs between one source block and one
+    destination block, in pair order — is one :class:`FusedCopy`."""
+
     def setup_method(self):
         rng = np.random.default_rng(42)
         self.src = rng.standard_normal(64)
-        self.src2 = rng.standard_normal(64)
         self.dst0 = rng.standard_normal(64)
 
     def _check_equiv(self, members, ufunc=None):
         dst_seq, dst_fused = self.dst0.copy(), self.dst0.copy()
-        fc = FusedCopy.build((dst_fused,), members, ufunc, None, 7, 8)
-        assert fc is not None
+        # A member's slices are one run each; its slot arrays one unit
+        # run a slot.
+        src_first, dst_first, lengths = (np.concatenate(side) for side in zip(
+            *(([s.start], [d.start], [s.stop - s.start])
+              if isinstance(s, slice) else (s, d, np.ones_like(s))
+              for _, s, d, _ in members)))
+        fc = FusedCopy.build(members[0][0], src_first, (dst_fused,),
+                             dst_first, lengths, ufunc, None, 7,
+                             len(members), 8)
         apply_each((dst_seq,), members, ufunc)
         fc.apply()
         assert np.array_equal(dst_fused, dst_seq)
+        assert fc.count == sum(m[3] for m in members)
         return fc
 
     def test_single_source_joint_runs(self):
@@ -170,41 +209,67 @@ class TestFusedCopyBuild:
         assert isinstance(fc.src_sel, np.ndarray)
         assert isinstance(fc.dst_sel, np.ndarray)
 
-    def test_overwrite_with_cross_pair_dups_is_unfusable(self):
-        dst_seq, dst_fused = self.dst0.copy(), self.dst0.copy()
-        members = [make_pc(self.src, [0, 1, 2], [10, 11, 12]),
-                   make_pc(self.src, [2, 3, 4], [20, 21, 22])]
-        # Concatenation cannot preserve last-writer-wins on slot 2 …
-        assert FusedCopy.build((dst_fused,), members, None, None, 7, 8) is None
-        # … so the group lowers to per-pair plans applied in order.
-        out = fuse_group((dst_fused,), members, None, None, 7, 8)
-        assert len(out) == 2
-        assert all(isinstance(o, FusedCopy) and o.pair_count == 1
-                   for o in out)
-        apply_each((dst_seq,), members)
-        for o in out:
-            o.apply()
-        assert np.array_equal(dst_fused, dst_seq)
+    def test_overwrite_with_cross_pair_dups_keeps_the_last(self):
+        # Slot 2 is written by both pairs: the plan keeps the second
+        # write only, which is last-writer-wins in pair order — and the
+        # rest of the group is one run again.
+        fc = self._check_equiv([make_pc(self.src, [0, 1, 2], [10, 11, 12]),
+                                make_pc(self.src, [2, 3, 4], [20, 21, 22])])
+        assert fc.dst_sel == slice(0, 5) and not fc.has_dups
+        assert np.array_equal(fc.src_sel, [10, 11, 20, 21, 22])
+        assert fc.count == 6 and fc.pair_count == 2  # what the pairs move
 
     def test_reduction_with_dups_matches_sequential_folds(self):
         ix_a, ix_b = [0, 1, 2, 3], [2, 3, 4, 5]  # overlap on 2, 3
         fc = self._check_equiv([make_pc(self.src, ix_a, [0, 1, 2, 3]),
-                                make_pc(self.src2, ix_b, [4, 5, 6, 7])],
+                                make_pc(self.src, ix_b, [40, 41, 42, 43])],
                                np.add)
         assert fc.has_dups  # ufunc.at path: bit-identical by index order
 
     def test_reduction_without_dups_uses_gather_op_scatter(self):
         fc = self._check_equiv([make_pc(self.src, [0, 1], [0, 1]),
-                                make_pc(self.src2, [5, 6], [2, 3])], np.add)
+                                make_pc(self.src, [5, 6], [2, 3])], np.add)
         assert not fc.has_dups
 
-    def test_multi_source_staged_plan(self):
-        fc = self._check_equiv(
-            [make_pc(self.src, np.arange(0, 8), np.arange(8, 16)),
-             make_pc(self.src2, np.arange(8, 16), np.arange(0, 8))])
-        assert fc.gathers is not None and len(fc.gathers) == 2
-        # Contiguous destination: the scatter is one slice write.
-        assert fc.dst_sel == slice(0, 16)
+    def test_multi_source_blocks_apply_in_pair_order(self):
+        # Three pairs into one destination from two source blocks, A B A,
+        # overlapping: the groups are the three runs, applied in pair
+        # order, so each overlap resolves as pair by pair.
+        root = region(ispace(size=16), {"v": np.float64})
+        rng = np.random.default_rng(1)
+
+        def inst():
+            x = PhysicalInstance(root)
+            x.fields["v"][:] = rng.standard_normal(16)
+            return x
+
+        a, b, dst = inst(), inst(), inst()
+        want = dst.fields["v"].copy()
+        pairs = [(a, dst, IntervalSet.from_indices(range(0, 8)), None),
+                 (b, dst, IntervalSet.from_indices(range(4, 12)), None),
+                 (a, dst, IntervalSet.from_indices(range(10, 14)), None)]
+        for src, _, pts, _ in pairs:
+            ix = pts.to_indices()
+            want[ix] = src.fields["v"][ix]
+        batch = lower_copy(7, ("v",), None, pairs, 3)
+        assert [it.src_arrays[0] for it in batch.items] == [
+            a.fields["v"], b.fields["v"], a.fields["v"]]
+        batch.apply()
+        assert np.array_equal(dst.fields["v"], want)
+
+    def test_large_gather_into_a_slice_takes_in_place(self):
+        # A launch-entry-sized gather into destination rows goes through
+        # np.take(out=): same values, no value temporary.
+        rng = np.random.default_rng(3)
+        src = rng.standard_normal((5000, 2))
+        dst, want = np.zeros((3000, 2)), np.zeros((3000, 2))
+        ix = np.sort(rng.choice(5000, size=2000, replace=False))
+        fc = FusedCopy.build((src,), ix, (dst,), 500 + np.arange(2000),
+                             np.ones(2000, dtype=np.int64), None, None, 7, 1,
+                             16)
+        want[500:2500] = src[ix]
+        fc.apply()
+        assert fc.take and np.array_equal(dst, want)
 
     def test_slice_index_inputs_accepted(self):
         fc = self._check_equiv([((self.src,), slice(4, 12), slice(0, 8), 8)])
@@ -214,48 +279,57 @@ class TestFusedCopyBuild:
     @settings(max_examples=300, deadline=None)
     def test_fused_group_equals_its_pairs_in_order(self, case):
         stmt, make, npairs = case
-        seq_dsts, seq_pairs = make()
-        dsts, pairs = make()
-        width = sum(dsts[0].fields[f].itemsize for f in stmt.fields)
-        batch = lower_copy(stmt, pairs, width, visits=npairs + 1)
+        (seq_blocks, _), seq_pairs = make()
+        (blocks, place), pairs = make()
+        batch = lower_copy(stmt.uid, stmt.fields, stmt.redop, pairs,
+                           npairs + 1, place)
         batch.apply()
-        # The oracle: each pair in turn, localized on its own.
+        # The oracle: each pair in turn, localized in its own instance.
         ufunc = None if stmt.redop is None else np.add
-        expect = {}  # destination -> its pairs' (src, dst) slots, in order
-        seq_pos = {id(d): n for n, d in enumerate(seq_dsts)}
         for src, dst, pts, _ in seq_pairs:
-            src_ix, dst_ix = src.localize(pts), dst.localize(pts)
             apply_each(tuple(dst.fields[f] for f in stmt.fields),
                        [(tuple(src.fields[f] for f in stmt.fields),
-                         src_ix, dst_ix, None)], ufunc)
-            expect.setdefault(seq_pos[id(dst)], []).append((src_ix, dst_ix))
-        for got, want in zip(dsts, seq_dsts):
+                         src.localize(pts), dst.localize(pts), None)], ufunc)
+        for got, want in zip(blocks, seq_blocks):
             for f in stmt.fields:
-                assert np.array_equal(got.fields[f], want.fields[f])
-        # Items are the destination groups in first-appearance order, each
-        # its pairs in pair order; a side is a slice exactly when it is one
-        # run, and ufunc.at is chosen exactly when a slot repeats.
-        pos = {id(d): n for n, d in enumerate(dsts)}
-        it = iter(batch.items)
-        for key in dict.fromkeys(pos[id(d)] for _, d, _, _ in pairs):
-            todo = expect[key]
-            while todo:
-                item = next(it)
-                mine, todo = todo[:item.pair_count], todo[item.pair_count:]
-                assert item.dst_arrays[0] is dsts[key].fields[stmt.fields[0]]
-                dst_slots = np.concatenate([d for _, d in mine])
-                assert np.array_equal(_as_fancy(item.dst_sel), dst_slots)
-                assert isinstance(item.dst_sel, slice) == is_run(dst_slots)
-                assert item.has_dups == (np.unique(dst_slots).size
-                                         < dst_slots.size)
-                srcs = ([item.src_sel] if item.gathers is None
-                        else [g[2] for g in item.gathers])
-                src_slots = np.concatenate([s for s, _ in mine])
-                assert np.array_equal(
-                    np.concatenate([_as_fancy(s) for s in srcs]), src_slots)
-                for sel in srcs:
-                    assert isinstance(sel, slice) == is_run(_as_fancy(sel))
-        assert next(it, None) is None
+                assert np.array_equal(got[f], want[f])
+        # Items are block groups: (destination block, lock) classes, each
+        # split where the source block changes; pair order inside.
+        block_of = {id(arr): n for n, blk in enumerate(blocks)
+                    for arr in blk.values()}
+
+        def key(src, dst, lock):
+            # Instances or block arrays, whichever it is handed.
+            src, dst = (x if isinstance(x, np.ndarray)
+                        else place(x)[0][stmt.fields[0]] for x in (src, dst))
+            return block_of[id(src)], block_of[id(dst)], id(lock)
+
+        want = {}  # (dst block, lock) -> its runs: [source block, pairs]
+        for src, dst, _, lock in pairs:
+            s, *cls = key(src, dst, lock)
+            runs = want.setdefault(tuple(cls), [])
+            if not runs or runs[-1][0] != s:
+                runs.append([s, 0])
+            runs[-1][1] += 1
+        got = {}
+        for it in batch.items:
+            s, *cls = key(it.src_arrays[0], it.dst_arrays[0], it.lock)
+            got.setdefault(tuple(cls), []).append([s, it.pair_count])
+        assert got == want
+        for item in batch.items:
+            assert len(item.src_arrays) == len(item.dst_arrays) == len(
+                stmt.fields)
+            dst_slots = as_fancy(item.dst_sel)
+            if ufunc is None:  # repeats resolved at plan time
+                assert np.unique(dst_slots).size == dst_slots.size
+            assert item.has_dups == (ufunc is not None and np.unique(
+                dst_slots).size < dst_slots.size)
+            for sel in (item.src_sel, item.dst_sel):
+                assert isinstance(sel, slice) or not is_run(sel)
+        assert frozenset().union(*(it.footprint for it in batch.items)) == {
+            id(x.fields[f]) for src, dst, _, _ in pairs for x in (src, dst)
+            for f in stmt.fields}
+        width = sum(blocks[0][f].dtype.itemsize for f in stmt.fields)
         assert batch.pair_count == npairs and batch.visits == npairs + 1
         assert batch.count == sum(pts.count for _, _, pts, _ in pairs)
         assert batch.nbytes == batch.count * width
@@ -348,6 +422,98 @@ APPS = {
 def counters(ex):
     return (ex.tasks_executed, ex.pair_visits, ex.copies_performed,
             ex.elements_copied, ex.bytes_copied)
+
+
+class TestBlockPlan:
+    """A statement lowers against the shard blocks: its cost is bounded by
+    the blocks, not the colours, and its items name the per-colour
+    instance arrays fission reasons about."""
+
+    NS = 3  # uneven blocks: one statement spans several destination blocks
+
+    @staticmethod
+    def _lowered(monkeypatch):
+        from repro.runtime import spmd
+        batches = []
+        lower = spmd.lower_copy
+
+        def recording(uid, fields, redop, pairs, visits, place):
+            batch = lower(uid, fields, redop, pairs, visits, place)
+            batches.append((fields, pairs, place, batch))
+            return batch
+
+        monkeypatch.setattr(spmd, "lower_copy", recording)
+        return batches
+
+    @pytest.mark.parametrize("pieces", [24, 96])
+    def test_items_and_numpy_calls_bounded_by_blocks(self, pieces,
+                                                     monkeypatch):
+        # Deterministic stand-in for the copy cost: per applied batch, at
+        # most one lock-free and one locked item per destination block,
+        # each one gather and one scatter per field — whatever the colour
+        # count.
+        batches = self._lowered(monkeypatch)
+        scatters, applies = [0], []
+        put, take, apply = FusedCopy._put, np.take, FusedBatch.apply
+
+        def counting_put(self, dst, vals):
+            scatters[0] += 1
+            return put(self, dst, vals)
+
+        def counting_take(*args, **kw):  # a gather straight into rows
+            scatters[0] += 1
+            return take(*args, **kw)
+
+        def counting_apply(self):
+            before = scatters[0]
+            apply(self)
+            applies.append((self, scatters[0] - before))
+
+        monkeypatch.setattr(FusedCopy, "_put", counting_put)
+        monkeypatch.setattr(np, "take", counting_take)
+        monkeypatch.setattr(FusedBatch, "apply", counting_apply)
+        p = CircuitProblem(pieces=pieces, nodes_per_piece=20,
+                           wires_per_piece=30, steps=4)
+        _, _, ex, _ = p.run_control_replicated(self.NS)
+        fields = {id(b): len(f) for f, _, _, b in batches}
+        assert ex.replay_hits > 0 and applies
+        for batch, calls in applies:
+            bound = self.NS * 2 * fields[id(batch)]
+            assert len(batch.items) <= 2 * self.NS
+            assert calls == len(batch.items) * fields[id(batch)] <= bound
+            assert len({id(it.dst_arrays[0]) for it in batch.items}) \
+                <= self.NS
+        # The colours are many more than the items.
+        assert max(b.pair_count for _, _, _, b in batches) > 4 * 2 * self.NS
+
+    @pytest.mark.parametrize("app", sorted(APPS))
+    def test_item_footprint_is_its_pairs_instances(self, app, monkeypatch):
+        # An item moves block rows but must name the per-colour instance
+        # arrays its pairs read and write — the ids task footprints and
+        # copy_protect use — or fission could hoist an ack past a task
+        # writing those rows.
+        from repro.runtime.window.ir import op_arrays
+        from repro.runtime.window.recorder import OP_FUSED
+        batches = self._lowered(monkeypatch)
+        _, _, ex, _ = APPS[app][0]().run_control_replicated(
+            self.NS, mode="threaded")
+        blocks = {id(arr) for rows, _, _ in ex._block_rows.values()
+                  for arr in rows.values()}
+        items = 0
+        for fields, pairs, place, batch in batches:
+            for it in batch.items:
+                mine = [(src, dst) for src, dst, _, lock in pairs
+                        if lock is it.lock
+                        and place(src)[0][fields[0]] is it.src_arrays[0]
+                        and place(dst)[0][fields[0]] is it.dst_arrays[0]]
+                assert sum(1 for _ in mine) == it.pair_count
+                assert it.footprint == {id(x.fields[f]) for pair in mine
+                                        for x in pair for f in fields}
+                assert not it.footprint & blocks
+                items += 1
+            assert op_arrays((OP_FUSED, batch)) == frozenset().union(
+                *(it.footprint for it in batch.items))
+        assert items > 0
 
 
 class TestAppEquivalence:

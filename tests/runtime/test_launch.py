@@ -96,9 +96,11 @@ class TestSpecParity:
                 tags |= {f"pre:{s.uid}", f"post:{s.uid}"}
         assert set(spec.barriers) == tags
         assert sync == "p2p" or any(t.startswith("post:") for t in tags)
-        assert spec.reduction_dsts == [(s.uid, j) for s in copies
+        # One fold lock per (reduction statement, destination shard): a
+        # shard's destination colours are rows of one block.
+        assert spec.reduction_dsts == [(s.uid, q) for s in copies
                                        if s.redop is not None
-                                       for j in s.dst.colors]
+                                       for q in range(ns)]
 
         def keys(ctx):
             return ({uid: list(chans) for uid, chans in ctx.channels.items()},

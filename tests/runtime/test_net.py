@@ -238,17 +238,19 @@ class TestWindowShape:
 class TestSharedLocalization:
     @pytest.mark.parametrize("app", ["circuit", "stencil"])
     def test_send_and_receive_plans_match_per_pair_localize(self, app):
-        """The gathers of a :class:`PackedSend` and the scatters of
-        ``rx_plan`` come from the copy engine's stacked ``localize``; each
-        equals the pair's own ``inst.localize(pts)``, in pair order, and
-        the receiver's value slices tile the message."""
+        """A :class:`PackedSend` gathers each field once from the
+        producer's source block and ``rx_plan`` scatters each field once
+        into the consumer's block, both through the copy engine's
+        ``block_runs``: the gather equals each pair's block offset plus
+        its own ``inst.localize(pts)``, in pair order, and applying the
+        receive plan to a payload equals scattering it pair by pair."""
         from types import SimpleNamespace
 
         from repro.apps.circuit import CircuitProblem
         from repro.apps.stencil import StencilProblem
         from repro.core.ir import PairwiseCopy, ShardLaunch, walk
         from repro.core.shards import owner_of_color
-        from repro.runtime.copy_engine import _as_fancy
+        from repro.regions.region import _REDUCTION_UFUNCS
         from repro.runtime.launch import launch_spec
         from repro.runtime.net.sync import NetCommContext
         ns = 2
@@ -261,51 +263,77 @@ class TestSharedLocalization:
         launch = next(s for s in walk(prog.body) if isinstance(s, ShardLaunch))
         spec = launch_spec(launch, ex._copy_pairs, ns)
         copies = [s for s in walk(prog.body) if isinstance(s, PairwiseCopy)]
+        rng = np.random.default_rng(0)
+
+        def crossing(stmt, src_rank, dst_rank):
+            return [(i, j, ex._pair_points(stmt, i, j))
+                    for i, j in ex._copy_pairs(stmt)
+                    if owner_of_color(stmt.src.num_colors, ns, i) == src_rank
+                    and owner_of_color(stmt.dst.num_colors, ns, j)
+                    == dst_rank]
+
         checked = 0
         for rank in range(ns):
             transport = SimpleNamespace(rank=rank, register=lambda *a: None)
             ctx = NetCommContext(ex, transport, spec, ns)
             for stmt in copies:
+                fields = stmt.fields
                 for peer in range(ns):
                     if peer == rank:
                         continue
                     # Sent from `rank` to `peer`, in pair order.
-                    out = [(i, j) for i, j in ex._copy_pairs(stmt)
-                           if owner_of_color(stmt.src.num_colors, ns, i)
-                           == rank
-                           and owner_of_color(stmt.dst.num_colors, ns, j)
-                           == peer]
-                    live = [(i, j, ex._pair_points(stmt, i, j))
-                            for i, j in out if ex._pair_points(stmt, i, j)]
-                    ps = ctx._build_send(stmt, peer, out)
+                    out = crossing(stmt, rank, peer)
+                    live = [(i, pts) for i, _, pts in out if pts]
+                    ps = ctx._build_send(stmt, peer,
+                                         [(i, j) for i, j, _ in out])
                     assert ps.pair_count == len(out)
-                    assert len(ps.gathers) == len(live)
-                    for (srcs, ix), (i, _, pts) in zip(ps.gathers, live):
-                        inst = ex.dist_instance(stmt.src, i)
-                        assert all(a is inst.fields[f]
-                                   for a, f in zip(srcs, stmt.fields))
-                        assert np.array_equal(_as_fancy(ix),
-                                              inst.localize(pts))
+                    assert len(ps.gathers) == (1 if live else 0)
+                    if live:
+                        srcs, ix = ps.gathers[0]
+                        insts = [ex.dist_instance(stmt.src, i)
+                                 for i, _ in live]
+                        block, _ = ex._place(insts[0])
+                        assert all(a is block[f] for a, f in zip(srcs, fields))
+                        if isinstance(ix, slice):  # one run of rows
+                            ix = np.arange(ix.start, ix.stop)
+                        assert np.array_equal(ix, np.concatenate(
+                            [ex._place(inst)[1] + inst.localize(pts)
+                             for inst, (_, pts) in zip(insts, live)]))
+                        assert ps.footprint == {id(x.fields[f]) for x in insts
+                                                for f in fields}
                         checked += 1
                     # Received by `rank` from `peer`, in the same order.
-                    back = [(i, j, ex._pair_points(stmt, i, j))
-                            for i, j in ex._copy_pairs(stmt)
-                            if owner_of_color(stmt.src.num_colors, ns, i)
-                            == peer
-                            and owner_of_color(stmt.dst.num_colors, ns, j)
-                            == rank and ex._pair_points(stmt, i, j)]
-                    _, plan = ctx.rx_plan(stmt, peer)
-                    assert len(plan) == len(back)
+                    back = [(j, pts) for _, j, pts in crossing(stmt, peer,
+                                                               rank) if pts]
+                    plan = ctx.rx_plan(stmt, peer)
+                    assert len(plan) == (1 if back else 0)
+                    if not back:
+                        continue
+                    insts = [ex.dist_instance(stmt.dst, j) for j, _ in back]
+                    block, _ = ex._place(insts[0])
+                    assert all(a is block[f]
+                               for a, f in zip(plan[0].dst_arrays, fields))
+                    total = sum(pts.count for _, pts in back)
+                    vals = [rng.standard_normal((total, *block[f].shape[1:]))
+                            for f in fields]
+                    saved = {f: block[f].copy() for f in fields}
+                    want = {f: block[f].copy() for f in fields}
                     off = 0
-                    for (dsts, ix, sl), (_, j, pts) in zip(plan, back):
-                        inst = ex.dist_instance(stmt.dst, j)
-                        assert all(a is inst.fields[f]
-                                   for a, f in zip(dsts, stmt.fields))
-                        assert np.array_equal(_as_fancy(ix),
-                                              inst.localize(pts))
-                        assert sl == slice(off, off + pts.count)
+                    for inst, (_, pts) in zip(insts, back):
+                        rows = ex._place(inst)[1] + inst.localize(pts)
+                        for f, v in zip(fields, vals):
+                            part = v[off:off + pts.count]
+                            if stmt.redop is None:
+                                want[f][rows] = part
+                            else:
+                                _REDUCTION_UFUNCS[stmt.redop].at(
+                                    want[f], rows, part)
                         off += pts.count
-                        checked += 1
+                    plan[0].receive(vals)
+                    for f in fields:
+                        assert np.array_equal(block[f], want[f])
+                        block[f][...] = saved[f]
+                    checked += 1
         assert checked > 0
 
 

@@ -37,6 +37,7 @@ from repro.core.ir import (
     walk,
 )
 from repro.core.passes import Pass
+from repro.core.shards import owner_of_color
 from repro.obs import PID_SPMD, MetricsRegistry, Tracer
 from repro.regions import (
     IntervalSet,
@@ -45,6 +46,7 @@ from repro.regions import (
     partition_block,
     region,
 )
+from repro.regions.intervals import expand_ranges
 from repro.regions.shm import live_segment_count
 from repro.tasks import R, task
 from repro.runtime import (
@@ -554,7 +556,8 @@ def run_fission(ops, protect):
 def copy_op(dst, src):
     """A one-pair copy batch, ``src[0]`` into ``dst[0]``."""
     slot = np.zeros(1, dtype=np.int64)
-    fc = FusedCopy.build((dst,), [((src,), slot, slot, 1)], None, None, 0, 8)
+    fc = FusedCopy.build((src,), slot, (dst,), slot, [1], None, None, 0,
+                         1, 8, footprint=(id(src), id(dst)))
     return (OP_FUSED, FusedBatch(0, [fc], 1))
 
 
@@ -774,13 +777,15 @@ class TestFreezeCost:
         pointwise = Counter()  # per-pair work done inside a lowering
         lower = spmd.lower_copy
 
-        def counting(stmt, pairs, width, visits):
-            batches.append(stmt.uid)
-            lowered.extend((stmt.uid, id(src), id(dst))
+        def counting(uid, fields, redop, pairs, visits, place):
+            if uid not in copy_uids:  # a launch-entry or -exit copy
+                return lower(uid, fields, redop, pairs, visits, place)
+            batches.append(uid)
+            lowered.extend((uid, id(src), id(dst))
                            for src, dst, _, _ in pairs)
             pointwise["on"] += 1
             try:
-                return lower(stmt, pairs, width, visits)
+                return lower(uid, fields, redop, pairs, visits, place)
             finally:
                 pointwise["on"] -= 1
 
@@ -796,7 +801,9 @@ class TestFreezeCost:
         seq.run(fig2.build())
         seq.run(fig2.build())
         prog, _ = control_replicate(fig2.build(), num_shards=2)
-        copies = sum(isinstance(s, PairwiseCopy) for s in walk(prog.body))
+        copy_uids = {s.uid for s in walk(prog.body)
+                     if isinstance(s, PairwiseCopy)}
+        copies = len(copy_uids)
         ex = SPMDExecutor(num_shards=2, instances=fig2.fresh_instances())
         ex.run(prog)
         # The captured iterations of each shard (one: the body has no guard).
@@ -822,7 +829,9 @@ class TestFreezeCost:
         prog, _ = control_replicate(
             TestGuardFallback()._program_with_branch(fig2, 8, 5),
             num_shards=2)
-        copies = sum(isinstance(s, PairwiseCopy) for s in walk(prog.body))
+        copy_uids = {s.uid for s in walk(prog.body)
+                     if isinstance(s, PairwiseCopy)}
+        copies = len(copy_uids)
         ex = SPMDExecutor(num_shards=2, instances=fig2.fresh_instances(),
                           retain_plans=True)
         ran, misses = set(), []
@@ -858,51 +867,64 @@ class TestFreezeCost:
 
     @pytest.mark.parametrize("app", sorted(APPS))
     def test_batched_lowering_matches_per_pair(self, app, monkeypatch):
-        # The stacked localization against each pair's own, point by point.
+        # The stacked block runs against each pair's own localization,
+        # point by point: its row offset in its block plus its slots.
         checked = Counter()
-        stacked = copy_engine.localize
+        stacked = copy_engine.block_runs
 
-        def checking(insts, sets):
-            out = stacked(insts, sets)
-            assert len(out) == len(sets)
-            for inst, pts, got in zip(insts, sets, out):
-                want = inst.localize(pts.to_indices())
-                assert got.dtype == want.dtype and np.array_equal(got, want)
-                checked["slices" if isinstance(_as_index(want), slice)
+        def checking(insts, sets, place):
+            first, lengths, block_of, blocks = stacked(insts, sets, place)
+            assert len(block_of) == len(sets)
+            want = []
+            for inst, pts, b in zip(insts, sets, block_of.tolist()):
+                rows, lo = place(inst)
+                assert rows is blocks[b]
+                want.append(lo + inst.localize(pts.to_indices()))
+                checked["slices" if isinstance(_as_index(want[-1]), slice)
                         else "arrays"] += 1
-            if len(sets) > 1:  # one pair alone localizes the same
-                assert np.array_equal(stacked(insts[-1:], sets[-1:])[0],
-                                      out[-1])
-            return out
+            got = expand_ranges(first, lengths)
+            assert got.dtype == want[0].dtype
+            assert np.array_equal(got, np.concatenate(want))
+            return first, lengths, block_of, blocks
 
-        monkeypatch.setattr(copy_engine, "localize", checking)
+        monkeypatch.setattr(copy_engine, "block_runs", checking)
         batches = []
         lower = spmd.lower_copy
 
-        def recording(stmt, pairs, width, visits):
-            batch = lower(stmt, pairs, width, visits)
-            batches.append((stmt, pairs, width, visits, batch))
+        def recording(uid, fields, redop, pairs, visits, place):
+            batch = lower(uid, fields, redop, pairs, visits, place)
+            batches.append((uid, fields, pairs, visits, place, batch))
             return batch
 
         monkeypatch.setattr(spmd, "lower_copy", recording)
         # Threaded, so that reduction pairs carry real locks.
-        APPS[app]().run_control_replicated(2, mode="threaded")
+        ns = 2
+        _, _, ex, _ = APPS[app]().run_control_replicated(ns, mode="threaded")
         assert checked["slices"] + checked["arrays"] > 0
         if app in ("circuit", "pennant"):
             assert checked["arrays"] > 0  # unstructured: gathers, not slices
-        for stmt, pairs, width, visits, batch in batches:
-            if pairs:
-                assert width == sum(pairs[0][1].fields[f].dtype.itemsize
-                                    for f in stmt.fields)
+        for uid, fields, pairs, visits, place, batch in batches:
+            width = (sum(pairs[0][1].fields[f].dtype.itemsize
+                         for f in fields) if pairs else 0)
             count = sum(int(pts.count) for _, _, pts, _ in pairs)
-            assert (batch.uid, batch.visits) == (stmt.uid, visits)
+            assert (batch.uid, batch.visits) == (uid, visits)
             assert (batch.pair_count, batch.count) == (len(pairs), count)
             assert batch.nbytes == count * width
             assert type(batch.count) is int and type(batch.nbytes) is int
-            lock = {id(dst.fields[stmt.fields[0]]): lk
-                    for _, dst, _, lk in pairs}
-            assert all(item.lock is lock[id(item.dst_arrays[0])]
-                       and item.uid == stmt.uid for item in batch.items)
+            assert all(item.uid == uid for item in batch.items)
+            for src, dst, pts, lock in pairs:
+                # A fold's lock is its statement's lock of the shard that
+                # owns the destination colour; the item it lands in holds
+                # that lock.
+                if lock is not None:
+                    owner = owner_of_color(dst.region.parent_partition
+                                           .num_colors, ns, dst.region.color)
+                    assert lock is ex._copy_locks[(uid, owner)]
+                item = next(it for it in batch.items
+                            if it.lock is lock
+                            and it.dst_arrays[0] is place(dst)[0][fields[0]]
+                            and it.src_arrays[0] is place(src)[0][fields[0]])
+                assert id(dst.fields[fields[0]]) in item.footprint
 
     @pytest.mark.parametrize("mode", ["stepped", "threaded"])
     def test_finished_run_frees_its_windows_without_gc(self, mode,
