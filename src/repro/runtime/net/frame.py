@@ -25,8 +25,9 @@ import numpy as np
 
 MAGIC = b"RN"
 # 2: a copy statement's data is one MSG per (statement, peer), acked by
-# one CREDIT per (statement, peer).
-VERSION = 2
+# one CREDIT per (statement, peer).  3: an int outside int64 travels as
+# its own tag and decodes to an int, not a str.
+VERSION = 3
 
 # Frame kinds.
 HELLO = 1      # rank handshake right after connect
@@ -57,6 +58,7 @@ _T_LIST = 8
 _T_TUPLE = 9
 _T_DICT = 10
 _T_EXC = 11
+_T_BIGINT = 12
 
 _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
@@ -78,12 +80,10 @@ def _encode(value, out: list) -> None:
         v = int(value)
         if -(1 << 63) <= v < (1 << 63):
             out.append(bytes([_T_INT]) + _I64.pack(v))
-        else:  # arbitrary precision: ship as text
-            out.append(bytes([_T_STR]))
+        else:  # arbitrary precision: ship as decimal text
             raw = str(v).encode()
-            out.append(_U32.pack(len(raw)))
+            out.append(bytes([_T_BIGINT]) + _U32.pack(len(raw)))
             out.append(raw)
-            return
     elif isinstance(value, (float, np.floating)):
         out.append(bytes([_T_FLOAT]) + _F64.pack(float(value)))
     elif isinstance(value, str):
@@ -164,6 +164,9 @@ def _decode(r: _Reader):
     if tag == _T_BYTES:
         (n,) = _U32.unpack(r.take(4))
         return r.take(n)
+    if tag == _T_BIGINT:
+        (n,) = _U32.unpack(r.take(4))
+        return int(r.take(n))
     if tag == _T_NDARRAY:
         dtlen = r.take(1)[0]
         dtype = np.dtype(r.take(dtlen).decode())

@@ -360,9 +360,9 @@ class TreeComm:
 
 class _NetCollective:
     """Duck-types :class:`~repro.runtime.collectives.DynamicCollective`
-    over the tree.  Values are cast to float on contribution so every
-    rank re-reads the identical wire value — the replication-divergence
-    validator compares these scalars across shards."""
+    over the tree.  Values travel as they are — a float as F64, an int
+    exactly (as I64, or as its digits past int64) — so an integer
+    reduction returns the int the sequential executor folds."""
 
     __slots__ = ("tree", "key", "label")
 
@@ -372,8 +372,7 @@ class _NetCollective:
         tree.redops[self.key] = redop
 
     def contribute(self, generation: int, value) -> _NetEvent:
-        v = None if value is None else float(value)
-        return _NetEvent(self.tree.contribute(self.key, generation, v),
+        return _NetEvent(self.tree.contribute(self.key, generation, value),
                          label=self.label)
 
     def result(self, generation: int):

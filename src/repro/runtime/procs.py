@@ -24,7 +24,8 @@ What is specific to this backend:
   global-barrier generations, dynamic-collective slots (§4.4) — guarded
   by a single ``multiprocessing`` condition variable.  Waiters re-check
   monotone predicates; every state change notifies.  Collective values
-  travel as float64 (double-buffered by generation parity, which is safe
+  travel as exact integers while every contribution is an integer, as
+  float64 otherwise (double-buffered by generation parity, which is safe
   because generation ``g+2`` contributions cannot begin until every
   shard has read generation ``g``).
 """
@@ -43,6 +44,13 @@ from .launch import (Channel, CommContext, ProcsUnavailableError,
 
 __all__ = ["procs_available", "ensure_procs_available", "ProcsUnavailableError",
            "BoardContext"]
+
+# _ScalarSlots kinds.
+_EMPTY, _FLOAT, _INT = 0, 1, 2
+# Width of an int slot, two's complement: every int a float64 can hold
+# below 2**1023 fits, so an integer reduction stays exact wherever a
+# float one would not overflow.
+_INT_BYTES = 128
 
 
 # ---------------------------------------------------------------------------
@@ -136,26 +144,63 @@ class _BoardBarrier:
         return _BoardEvent(self._cond, lambda: done[idx] >= generation, label)
 
 
+class _ScalarSlots:
+    """Shared scalar slots that keep an integer an integer: slot ``s``
+    holds an int as ``_INT_BYTES`` two's-complement bytes, anything else
+    (or an int too wide for them) as a float64, and ``kinds[s]`` says
+    which (0: empty)."""
+
+    __slots__ = ("_floats", "_ints", "kinds")
+
+    def __init__(self, mpctx, n: int):
+        self._floats = mpctx.RawArray("d", n)
+        self._ints = mpctx.RawArray("c", n * _INT_BYTES)
+        self.kinds = mpctx.RawArray("b", n)
+
+    def store(self, s: int, value) -> None:
+        if isinstance(value, (int, np.integer)):
+            lo = s * _INT_BYTES
+            try:
+                raw = int(value).to_bytes(_INT_BYTES, "little", signed=True)
+            except OverflowError:
+                pass
+            else:
+                self._ints[lo:lo + _INT_BYTES] = raw
+                self.kinds[s] = _INT
+                return
+        self._floats[s] = float(value)
+        self.kinds[s] = _FLOAT
+
+    def load(self, s: int):
+        kind = self.kinds[s]
+        if kind == _INT:
+            lo = s * _INT_BYTES
+            return int.from_bytes(self._ints[lo:lo + _INT_BYTES], "little",
+                                  signed=True)
+        return self._floats[s] if kind == _FLOAT else None
+
+
 class _BoardCollective:
     """Cross-process :class:`~repro.runtime.collectives.DynamicCollective`.
 
-    Values are reduced as float64 in shared slots double-buffered by
-    generation parity.  Slot reuse is safe: a contribution to generation
-    ``g+2`` can only happen after ``g+1`` completed, which requires every
-    shard to have read ``result(g)`` first.  Completed slots are reset at
-    trigger time, so the state is O(1) per collective regardless of how
-    many generations a control loop runs — the cross-process counterpart
-    of the in-process generation retirement.
+    Values are reduced in shared :class:`_ScalarSlots` double-buffered by
+    generation parity, so an integer reduction returns the int the
+    sequential executor folds.  Slot reuse is safe: a contribution to
+    generation ``g+2`` can only happen after ``g+1`` completed, which
+    requires every shard to have read ``result(g)`` first.  Completed
+    slots are reset at trigger time, so the state is O(1) per collective
+    regardless of how many generations a control loop runs — the
+    cross-process counterpart of the in-process generation retirement.
     """
 
-    __slots__ = ("_cond", "_partial", "_has", "_arrived", "_result", "_done",
+    __slots__ = ("_cond", "_partial", "_arrived", "_result", "_done",
                  "_base", "_k", "_participants", "redop", "_fold", "label")
 
-    def __init__(self, cond, partial, has, arrived, result, done,
-                 k: int, participants: int, redop: str):
+    def __init__(self, cond, partial: _ScalarSlots, arrived,
+                 result: _ScalarSlots, done, k: int, participants: int,
+                 redop: str):
         self._cond = cond
         self._partial = partial
-        self._has = has
         self._arrived = arrived
         self._result = result
         self._done = done
@@ -169,23 +214,19 @@ class _BoardCollective:
         s = self._base + (generation & 1)
         with self._cond:
             if value is not None:
-                v = float(value)
-                if self._has[s]:
-                    self._partial[s] = self._fold(self._partial[s], v)
-                else:
-                    self._partial[s] = v
-                    self._has[s] = 1
+                prev = self._partial.load(s)
+                self._partial.store(
+                    s, value if prev is None else self._fold(prev, value))
             got = self._arrived[s] + 1
             if got == self._participants:
-                if self._has[s]:
-                    self._result[s] = self._partial[s]
-                else:
+                folded = self._partial.load(s)
+                if folded is None:
                     # Every shard contributed None (legal: §4.4 empty
                     # launch domain) — reduce to the identity.
-                    self._result[s] = float(
-                        reduction_identity(self.redop, np.float64))
+                    folded = reduction_identity(self.redop, np.float64)
+                self._result.store(s, folded)
                 self._arrived[s] = 0
-                self._has[s] = 0
+                self._partial.kinds[s] = _EMPTY
                 self._done[self._k] = generation
                 self._cond.notify_all()
             else:
@@ -194,9 +235,9 @@ class _BoardCollective:
         return _BoardEvent(self._cond, lambda: done[k] >= generation,
                            label=self.label)
 
-    def result(self, generation: int) -> float:
+    def result(self, generation: int):
         with self._cond:
-            return self._result[self._base + (generation & 1)]
+            return self._result.load(self._base + (generation & 1))
 
 
 class BoardContext(CommContext):
@@ -221,10 +262,9 @@ class BoardContext(CommContext):
         nc = max(1, len(spec.collectives))
         self._coll_index = {uid: i
                             for i, (uid, _) in enumerate(spec.collectives)}
-        self._coll_partial = mpctx.RawArray("d", 2 * nc)
-        self._coll_has = mpctx.RawArray("b", 2 * nc)
+        self._coll_partial = _ScalarSlots(mpctx, 2 * nc)
         self._coll_arrived = mpctx.RawArray("q", 2 * nc)
-        self._coll_result = mpctx.RawArray("d", 2 * nc)
+        self._coll_result = _ScalarSlots(mpctx, 2 * nc)
         self._coll_done = mpctx.RawArray("q", nc)
         super().__init__(spec, num_shards)
 
@@ -233,7 +273,7 @@ class BoardContext(CommContext):
                        _BoardSequence(self._cond, self._chan_acked, cid))
 
     def _collective(self, uid: int, redop: str) -> _BoardCollective:
-        return _BoardCollective(self._cond, self._coll_partial, self._coll_has,
+        return _BoardCollective(self._cond, self._coll_partial,
                                 self._coll_arrived, self._coll_result,
                                 self._coll_done, self._coll_index[uid],
                                 self.num_shards, redop)

@@ -84,14 +84,13 @@ from ..obs import flight as _flight
 from ..obs.flight import NULL_RING, FlightRecorder, ShardRing
 from ..regions.partition import Partition
 from ..regions.region import PhysicalInstance, reduction_identity
-from ..tasks.task import call_task
 from .backends import ensure_backend
-from .collectives import SCALAR_REDUCTIONS
 from .copy_engine import FusedBatch, disjoint_dst_colors, lower_copy
 from .events import Event
 from .intersection_exec import IntersectionResult, compute_intersections
 from .launch import (CommContext, DeadlockError, ShardExceptionGroup,
                      launch_spec)
+from .launch_plan import LaunchPlan, lower_launch
 from .window import LoopReplay, ReplayError
 from .sequential import SequentialExecutor
 
@@ -188,10 +187,12 @@ class _ShardState:
     # which every interpreted iteration applies and a frozen window
     # replays.
     copy_schedules: dict[int, "_CopySchedule"] = field(default_factory=dict)
-    # Inspector plans (Task.bound) of this shard's interpreted point tasks,
-    # so captured and guard-fallback iterations inspect once.  A freeze
-    # hands each frozen entry its plan from here; dropped at the end of
-    # any recorded iteration that leaves the loop holding a window.
+    # launch stmt uid -> this shard's LaunchPlan of it, built the first
+    # time the statement runs: the calls every interpreted iteration runs
+    # and a frozen window replays.
+    launch_plans: dict[int, LaunchPlan] = field(default_factory=dict)
+    # Inspector plans (Task.bound) of the per-point calls those plans
+    # bind, one per distinct (task, argument regions) on this shard.
     plans: dict[tuple, Any] = field(default_factory=dict)
     # One int attribute per row, zeroed at construction and per run.
     COUNTERS: ClassVar[dict] = COUNTERS
@@ -821,39 +822,40 @@ class SPMDExecutor(SequentialExecutor):
             # COMPILE interval, which must not also count as capture.
             flight.record(_flight.CAPTURE, stmt.uid, tf, perf())
             lr.end_iteration(self, state)
-            if lr.trace is not None:
-                # The loop holds a window — frozen just now, or kept
-                # through this guard fallback: it has what it needs of the
-                # inspector plans, and no further capture will ask for them.
-                state.plans.clear()
 
     def _shard_launch_stmt(self, stmt: IndexLaunch, state: _ShardState,
                            ctx: CommContext,
                            rec=None) -> Iterator[Event | None]:
-        owned = shard_owned_colors(stmt.domain.size, ctx.num_shards, state.shard)
-        if rec is not None:
-            rec.launch(stmt, owned)
-        fold = SCALAR_REDUCTIONS[stmt.reduce[0]] if stmt.reduce else None
-        partial = state.pending_reductions.get(stmt.reduce[1]) if stmt.reduce else None
-        for i in owned:
-            args = stmt.point_args(i, state.scalars)
-            t0 = time.perf_counter()
+        """Run this shard's :class:`LaunchPlan` of ``stmt``, lowering it
+        the first time: one TASK flight record and one preemption point
+        per call (the first call's record covers the lowering)."""
+        record, perf = state.flight.record, time.perf_counter
+        t0 = perf()
+        plan = state.launch_plans.get(stmt.uid)
+        if plan is None:
+            owned = shard_owned_colors(stmt.domain.size, ctx.num_shards,
+                                       state.shard)
             try:
-                result = call_task(stmt.task, args, self.region_instance,
-                                   state.plans)
+                plan = lower_launch(stmt, owned, self.region_instance,
+                                    self.block_rows, state.plans)
+            except BaseException:
+                # A raising inspector is the record the post-mortem
+                # flight dump exists to show.
+                record(_flight.TASK, stmt.uid, t0, perf())
+                raise
+            state.launch_plans[stmt.uid] = plan
+        if rec is not None:
+            rec.launch(plan)
+        for call in plan.calls:
+            try:
+                plan.step(call, state)
             finally:
-                # Recorded even when the task (or its inspector) raises:
-                # the failing task is the record the post-mortem flight
-                # dump exists to show.
-                state.flight.record(_flight.TASK, stmt.uid, t0,
-                                    time.perf_counter())
-            state.tasks_executed += 1
-            if stmt.reduce is not None and result is not None:
-                partial = result if partial is None else fold(partial, result)
-            yield None  # preemption point: one point task executed
-        if stmt.reduce is not None:
-            if partial is not None:
-                state.pending_reductions[stmt.reduce[1]] = partial
+                # Recorded even when the task raises: the failing task is
+                # the record the post-mortem flight dump exists to show.
+                record(_flight.TASK, stmt.uid, t0, perf())
+            state.tasks_executed += call.points
+            yield None  # preemption point: one call executed
+            t0 = perf()
 
     def _shard_fill(self, stmt: FillReductionBuffer, state: _ShardState,
                     ctx: CommContext, rec=None) -> None:

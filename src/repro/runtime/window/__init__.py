@@ -2,10 +2,8 @@
 
 * :mod:`~repro.runtime.window.recorder` — op vocabulary and the
   iteration shadow recorder.
-* :mod:`~repro.runtime.window.ir` — the window IR: frozen views and
-  launches, footprints, and the cross-pass verifier.
-* :mod:`~repro.runtime.window.lower` — lowering passes (freeze tasks,
-  batch launches).
+* :mod:`~repro.runtime.window.ir` — the window IR: footprints and the
+  cross-pass verifier.
 * :mod:`~repro.runtime.window.schedule` — phase fission: overlap compute
   with the p2p handshake.
 * :mod:`~repro.runtime.window.exec` — the pass list, the compile driver,
@@ -19,7 +17,6 @@ from .exec import (
     compile_window,
 )
 from .ir import (
-    FrozenView,
     WindowIR,
     WindowVerifyError,
     format_window,
@@ -28,7 +25,7 @@ from .ir import (
 from .recorder import IterationRecorder, ReplayError
 
 __all__ = [
-    "CompiledWindow", "FrozenView", "IterationRecorder", "LoopReplay",
+    "CompiledWindow", "IterationRecorder", "LoopReplay",
     "ReplayError", "WindowContext", "WindowIR",
     "WindowVerifyError", "compile_window", "format_window",
     "window_summary",

@@ -2,12 +2,16 @@
 
 A frozen loop holds exactly one thing: a :class:`CompiledWindow`.
 :func:`compile_window` runs the one window pipeline (:func:`window_passes`:
-``freeze-tasks`` → ``batch-launch`` → ``fission``, the same on every
-backend) over one recorded iteration and packages the
-result into a handful of phase closures (compute, copy, advance, wait,
-barrier, collective) executed by every driver.  The statement
-interpreter runs everything else: capture iterations, guard-miss
-iterations, and loops that cannot be frozen.
+``fission``, the same on every backend) over one recorded iteration and
+packages the result into a handful of phase closures (compute, copy,
+advance, wait, barrier, collective) executed by every driver.  Its ops
+arrive in final form — each launch the shard's
+:class:`~repro.runtime.launch_plan.LaunchPlan`, each copy its
+:class:`~repro.runtime.copy_engine.FusedBatch` — so compiling lowers
+nothing and runs no inspector: the window replays the objects the
+interpreter ran.  The statement interpreter runs everything else:
+capture iterations, guard-miss iterations, and loops that cannot be
+frozen.
 
 When a loop freezes is :class:`LoopReplay`'s decision and is observed, not
 configured: at the first interpreted iteration that recorded no guard —
@@ -24,7 +28,7 @@ values.
 A compiled window is a legal *coarsening* of the interpreted schedule.  A
 copy statement already runs in the window's phase order when interpreted
 (``SPMDExecutor._exec_copy``), yielding only events that are not yet
-triggered; the window also collapses each launch's per-task preemption
+triggered; the window also collapses each launch's per-call preemption
 points into one compute closure and runs adjacent statements' phases
 back to back, so the stepped driver crosses a replayed iteration in a
 handful of resumptions.  Counters stay bit-identical by construction: the
@@ -34,6 +38,8 @@ replayed iteration.
 A pass that changes the window's visible effects fails the cross-pass
 verifier; the freeze then raises :class:`ReplayError` naming the shard,
 the loop and the pass, and the launch ends like any other shard failure.
+A replayed call checks privileges as an interpreted one does: the views
+are the same objects.
 
 Plan/state separation (compile-once serve-many): everything in this
 module is a per-*program* plan, valid for as long as the executor's
@@ -63,13 +69,11 @@ from ...obs import flight as _flight
 from .ir import (
     WindowIR,
     WindowVerifyError,
-    _Unfreezable,
     format_window,
     guards_hold,
     verify_window,
     window_summary,
 )
-from .lower import BatchLaunchPass, FreezeTasksPass
 from .recorder import (
     OP_ADVN,
     OP_ASSIGN,
@@ -183,9 +187,9 @@ class CompiledWindow:
         for op in wir.ops:
             k = op[0]
             if k == OP_TASK:
-                fl = op[1]
+                plan = op[1]
                 classified.append(
-                    ("compute", (lambda f=fl: f.run_compiled(state))))
+                    ("compute", (lambda p=plan: p.run_compiled(state))))
             elif k == OP_ASSIGN:
                 classified.append(("compute",
                                    _assign_thunk(state, op[1], op[2])))
@@ -296,7 +300,7 @@ class CompiledWindow:
 
 def window_passes() -> list:
     """The window pipeline, in order; the same on every backend."""
-    return [FreezeTasksPass(), BatchLaunchPass(), FissionPass()]
+    return [FissionPass()]
 
 
 def compile_window(ex, rec: IterationRecorder, state, comm, *,
@@ -355,21 +359,19 @@ class LoopReplay:
     loop bound was evaluated, so its schedule is a function of the program
     and the launch's pair sets alone), or the second of two consecutive
     ones with identical fingerprints when guards were recorded.  An
-    iteration (or a body) that cannot be frozen keeps interpreting; a
-    guard-free body whose compile failed is not compiled again (every
-    iteration of it records the same ops).  Once frozen, the window is
+    iteration that cannot be frozen (a guard reads a scalar the same
+    iteration wrote) keeps interpreting.  Once frozen, the window is
     permanent: a guard miss falls back to interpretation for that
     iteration only, whatever the iteration writes.
     """
 
-    __slots__ = ("uid", "comm", "trace", "unfreezable",
-                 "iterations_recorded", "_prev", "_rec")
+    __slots__ = ("uid", "comm", "trace", "iterations_recorded", "_prev",
+                 "_rec")
 
     def __init__(self, uid: int, comm):
         self.uid = uid
         self.comm = comm  # the launch context its windows bind to
         self.trace: CompiledWindow | None = None
-        self.unfreezable = False  # a guard-free body failed to compile
         self.iterations_recorded = 0
         self._prev = None
         self._rec: IterationRecorder | None = None
@@ -384,7 +386,7 @@ class LoopReplay:
         self.iterations_recorded += 1
         if self.trace is not None:
             return  # guard-fallback: keep the frozen window
-        if rec.unfreezable or self.unfreezable:
+        if rec.unfreezable:
             self._prev = None
             return
         if rec.guards:
@@ -392,11 +394,5 @@ class LoopReplay:
             if fp != self._prev:
                 self._prev = fp
                 return
-        try:
-            self.trace = compile_window(ex, rec, state, self.comm,
-                                        uid=self.uid)
-        except _Unfreezable:
-            self._prev = None
-            self.unfreezable = not rec.guards
-            return
+        self.trace = compile_window(ex, rec, state, self.comm, uid=self.uid)
         state.capture_points[self.uid] = self.iterations_recorded

@@ -12,7 +12,9 @@ too: the statement's :class:`~repro.runtime.copy_engine.FusedBatch`, the
 very object the interpreter just applied (plus one send per peer rank on
 a backend that sends).  A recorded iteration is therefore ``a constant ×
 statements`` ops long whatever the number of intersection pairs, and no
-pass needs to shrink it.  The recorded op list is the input of the window
+pass needs to shrink it.  An index launch is one op in its final form as
+well: the shard's :class:`~repro.runtime.launch_plan.LaunchPlan`, the
+object whose calls the interpreter just ran.  The recorded op list is the input of the window
 compiler (:mod:`repro.runtime.window.exec`); the guards it collected
 decide when the loop freezes.
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ...core.ir import Expr, IndexLaunch
+from ...core.ir import Expr
 
 __all__ = [
     "IterationRecorder", "ReplayError",
@@ -38,11 +40,11 @@ __all__ = [
 # A copy statement is recorded the way it ran (SPMDExecutor._exec_copy), one
 # op a phase: ADVN ack, WAITN ack, its MSGs (one per peer shard, on a
 # backend that sends) and its FUSED batch, ADVN rdy, YIELD, WAITN rdy — or
-# BARRIER pre, MSGs, FUSED, YIELD, BARRIER post.  Every kind is recorded;
-# the passes freeze (maybe batch) a TASK's launch in place and reorder.
+# BARRIER pre, MSGs, FUSED, YIELD, BARRIER post.  Every kind is recorded
+# in its final form; the one pass only reorders.
 OP_ASSIGN = 0    # (k, name, expr)                   scalars[name] = eval(expr)
 OP_SETVAR = 1    # (k, name, value)                  nested loop variable
-OP_TASK = 2      # (k, frozen_launch)                point tasks of one launch
+OP_TASK = 2      # (k, launchplan)                   one launch's owned calls
 OP_FILL = 3      # (k, fills)                        reduction-buffer fills
 OP_ADVN = 4      # (k, seqs, uid, stride, kind)      advance a phase's channels
 OP_WAITN = 5     # (k, ((seq, label), ...), uid, stride, kind)  and wait on them
@@ -105,10 +107,10 @@ class IterationRecorder:
         self.keys.append(("v", name, value))
 
     # -- work ---------------------------------------------------------------
-    def launch(self, stmt: IndexLaunch, owned) -> None:
-        # Frozen lazily (views, argument vectors) if the window freezes.
-        self.ops.append((OP_TASK, stmt, tuple(owned)))
-        self.keys.append(("t", stmt.uid, tuple(owned)))
+    def launch(self, plan) -> None:
+        """A launch's plan: fixed for the launch, so its uid names it."""
+        self.ops.append((OP_TASK, plan))
+        self.keys.append(("t", plan.uid))
 
     def fill(self, uid: int, fills: list) -> None:
         self.ops.append((OP_FILL, tuple(fills)))

@@ -45,8 +45,8 @@ class Task:
     # alone (treating ``view.points`` as an unordered set, never calling
     # ``localize``), so running one call over the union of several point
     # tasks' view points produces the same per-point results as running
-    # the tasks one by one.  The window compiler uses this to lower a
-    # frozen index launch to a single kernel-body call per shard.
+    # the tasks one by one.  A shard then lowers an index launch of it to
+    # a single body call over its block rows (repro.runtime.launch_plan).
     batchable: bool = False
     # ``inspect(*views) -> plan``: see the module docstring.  May depend
     # only on view geometry and on constants it closes over.
@@ -122,7 +122,10 @@ def task(privileges: Sequence[Privilege], name: str | None = None,
 def call_task(task: Task, args: Sequence[Any],
               instance_of: Callable[[Region], PhysicalInstance],
               plans: dict) -> Any:
-    """Run one task call the way every interpreting executor does.
+    """Run one task call: the sequential executor's reference path.
+
+    SPMD shards run lowered calls instead (see
+    :mod:`repro.runtime.launch_plan`).
 
     ``args`` is the call's argument list in signature order, region
     arguments still as :class:`Region` objects: each becomes a
@@ -135,7 +138,7 @@ def call_task(task: Task, args: Sequence[Any],
     for pos, arg in enumerate(call_args):
         if isinstance(arg, Region):
             view = RegionView(arg, instance_of(arg),
-                              task.privileges[len(views)])
+                              task.privileges[len(views)], task.name)
             views.append(view)
             call_args[pos] = view
     result = task.bound(views, plans)(*call_args)

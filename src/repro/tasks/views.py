@@ -4,9 +4,10 @@ A task body never touches physical instances directly; it receives one
 :class:`RegionView` per region argument.  The view enforces the declared
 privileges at every access (Regent enforces this in its type system; we
 enforce it dynamically) and hides where the data physically lives — the
-same task body runs unmodified over a root instance (shared-memory mode),
-a shard-local instance (distributed mode), or a temporary reduction
-instance (paper §4.3).
+same task body runs unmodified over a root instance (shared-memory mode)
+or a shard-local instance (distributed mode).  A :class:`PlacedView` is
+the distributed-mode form: its instance covers its region exactly, so its
+field arrays are fixed when it is built and a check is one dict hit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from ..regions.intervals import IntervalSet
 from ..regions.region import PhysicalInstance, Region, apply_reduction
 from .privileges import Privilege, PrivilegeError
 
-__all__ = ["GeometryView", "RegionView"]
+__all__ = ["GeometryView", "PlacedView", "RegionView"]
+
 
 
 class RegionView:
@@ -30,12 +32,11 @@ class RegionView:
     """
 
     def __init__(self, region: Region, instance: PhysicalInstance,
-                 privilege: Privilege,
-                 reduction_instance: PhysicalInstance | None = None):
+                 privilege: Privilege, task_name: str | None = None):
         self.region = region
         self.instance = instance
         self.privilege = privilege
-        self.reduction_instance = reduction_instance
+        self.task_name = task_name  # named by a privilege error
         self._cache: dict[str, tuple[np.ndarray, object]] = {}
         self._written: set[str] = set()
         self._points: np.ndarray | None = None
@@ -89,37 +90,20 @@ class RegionView:
     def read(self, field: str) -> np.ndarray:
         """Local array for a field this task may read. Do not mutate."""
         if not self.privilege.allows_read(field):
-            raise PrivilegeError(
-                f"task holds {self.privilege} on {self.region.name}; cannot read field {field!r}")
+            raise self._denied("read", field)
         return self._field_array(field)
 
     def write(self, field: str) -> np.ndarray:
         """Local array for a field this task may write; mutate in place."""
         if not self.privilege.allows_write(field):
-            raise PrivilegeError(
-                f"task holds {self.privilege} on {self.region.name}; cannot write field {field!r}")
+            raise self._denied("write", field)
         self._written.add(field)
         return self._field_array(field)
 
     def reduce(self, field: str, slots: np.ndarray, values: np.ndarray, redop: str) -> None:
-        """Fold ``values`` into ``field[slots]`` with the named operator.
-
-        With a pure reduce privilege in distributed mode, the fold targets a
-        temporary reduction instance (initialized to the operator identity)
-        rather than the data itself; the runtime later applies it with
-        reduction copies (paper §4.3).
-        """
+        """Fold ``values`` into ``field[slots]`` with the named operator."""
         if not self.privilege.allows_reduce(field, redop):
-            raise PrivilegeError(
-                f"task holds {self.privilege} on {self.region.name}; "
-                f"cannot reduce({redop}) field {field!r}")
-        if self.reduction_instance is not None and self.privilege.redop is not None:
-            tgt_inst = self.reduction_instance
-            arr, writeback = tgt_inst.field_view(field, self.region.index_set)
-            apply_reduction(arr, slots, values, redop)
-            if writeback is not None:
-                writeback()
-            return
+            raise self._denied(f"reduce({redop})", field)
         self._written.add(field)
         apply_reduction(self._field_array(field), slots, values, redop)
 
@@ -133,8 +117,64 @@ class RegionView:
         self._cache.clear()
         self._written.clear()
 
+    def _denied(self, what: str, field: str) -> PrivilegeError:
+        who = "task" if self.task_name is None else f"task {self.task_name}"
+        return PrivilegeError(
+            f"{who} holds {self.privilege} on {self.region.name}; "
+            f"cannot {what} field {field!r}")
+
     def __repr__(self) -> str:
         return f"RegionView({self.region.name}, {self.privilege})"
+
+
+class PlacedView(RegionView):
+    """A :class:`RegionView` over field arrays fixed when it is built.
+
+    ``arrays`` are ``{field: array}`` covering the region's points exactly
+    (a distributed instance's fields, by construction), so every access is
+    the whole array: no gather, no writeback, and the same arrays on every
+    call.  The privilege is resolved into one dict per access kind, so a
+    check is one dict hit and a miss raises :class:`PrivilegeError`.
+    """
+
+    def __init__(self, region: Region, instance: PhysicalInstance | None,
+                 privilege: Privilege, task_name: str | None = None,
+                 arrays: dict[str, np.ndarray] | None = None):
+        super().__init__(region, instance, privilege, task_name)
+        if arrays is None:
+            arrays = instance.fields
+        p = privilege
+        self._readable = {f: a for f, a in arrays.items() if p.allows_read(f)}
+        self._writable = {f: a for f, a in arrays.items()
+                          if p.allows_write(f)}
+        # A write privilege folds with any operator; a reduce privilege
+        # with its own only.
+        self._reducible = (self._writable if p.write else
+                           {f: a for f, a in arrays.items()
+                            if p.redop is not None
+                            and p.allows_reduce(f, p.redop)})
+        self._redop = None if p.write else p.redop
+
+    def read(self, field: str) -> np.ndarray:
+        try:
+            return self._readable[field]
+        except KeyError:
+            raise self._denied("read", field) from None
+
+    def write(self, field: str) -> np.ndarray:
+        try:
+            return self._writable[field]
+        except KeyError:
+            raise self._denied("write", field) from None
+
+    def reduce(self, field: str, slots, values, redop: str) -> None:
+        arr = self._reducible.get(field)
+        if arr is None or (self._redop is not None and redop != self._redop):
+            raise self._denied(f"reduce({redop})", field)
+        apply_reduction(arr, slots, values, redop)
+
+    def __repr__(self) -> str:
+        return f"PlacedView({self.region.name}, {self.privilege})"
 
 
 class GeometryView:

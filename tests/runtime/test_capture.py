@@ -14,7 +14,6 @@ from repro.core.ir import BinOp, Const, ForRange, ScalarRef, walk
 from repro.runtime import SequentialExecutor, SPMDExecutor, procs_available
 from repro.runtime.spmd import COUNTERS
 from repro.runtime.window import exec as window_exec
-from repro.runtime.window.ir import _Unfreezable
 from repro.runtime.window.recorder import OP_FUSED
 
 from tests.conftest import Fig2, interpreted_iterations
@@ -120,32 +119,6 @@ class TestFreezeRule:
             assert same_as_sequential(ex, fig2, build, runs=2)
         finally:
             ex.reset_session()
-
-    def test_a_guard_free_body_that_cannot_freeze_compiles_once(
-            self, monkeypatch):
-        """Every iteration of a guard-free body records the same ops, so
-        a failed compile is not retried; with guards it may be (the next
-        pair of equal iterations can be another path)."""
-        attempts = []
-
-        def refuse(ex, rec, state, comm, **kw):
-            attempts.append(bool(rec.guards))
-            raise _Unfreezable("refused by the test")
-
-        monkeypatch.setattr(window_exec, "compile_window", refuse)
-        fig2 = Fig2(steps=6)
-        ex, *_ = run(fig2.build, fig2, "stepped", monkeypatch=monkeypatch)
-        assert attempts == [False] * 2  # once a shard, not once an iteration
-        assert (ex.replay_misses, ex.replay_hits) == (6 * 2, 0)
-        assert same_as_sequential(ex, fig2, fig2.build)
-
-        del attempts[:]
-        fig2 = Fig2(steps=1)
-        ex, *_ = run(lambda: branch_program(fig2, 6, 99), fig2, "stepped",
-                     monkeypatch=monkeypatch)
-        # Iterations (0, 1), (2, 3), (4, 5) each agree and each retry.
-        assert attempts == [True] * (3 * 2)
-        assert ex.replay_hits == 0
 
 
 APPS = {

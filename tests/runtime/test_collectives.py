@@ -2,9 +2,19 @@
 
 import threading
 
+import numpy as np
 import pytest
 
-from repro.runtime import DynamicCollective
+from repro.core import ProgramBuilder, control_replicate
+from repro.core.ir import ScalarRef
+from repro.regions import ispace, partition_block, region
+from repro.runtime import (
+    DynamicCollective,
+    SequentialExecutor,
+    SPMDExecutor,
+    procs_available,
+)
+from repro.tasks import R, task
 
 
 class TestDynamicCollective:
@@ -100,3 +110,54 @@ class TestDynamicCollective:
         for t in threads:
             t.join()
         assert results == [28] * 8
+
+
+BACKENDS = ["stepped", "threaded"] + (
+    ["procs", "net"] if procs_available() else [])
+
+
+class TestScalarTypesOnEveryBackend:
+    """A launch's scalar reduction returns what the sequential executor
+    folds, on every backend: an integer stays an exact integer."""
+
+    BIG = 2**53 + 7  # not representable as a float64
+    HUGE = 2**62  # four of them pass int64
+
+    def _program(self):
+        Rg = region(ispace(size=16), {"v": np.float64}, name="R")
+        I = ispace(size=4, name="I")
+        P = partition_block(Rg, I, name="P")
+        big = self.BIG
+
+        @task(privileges=[R("v")], name="biggest")
+        def biggest(A, t):
+            return big - int(A.points[0] != 0)
+
+        @task(privileges=[R("v")], name="count")
+        def count(A, t):
+            return int(A.n) + t
+
+        @task(privileges=[R("v")], name="huge")
+        def huge(A, t):
+            return self.HUGE + int(A.points[0]) + t
+
+        b = ProgramBuilder("int_reductions")
+        b.let("T", 3)
+        with b.for_range("t", 0, "T"):
+            b.launch(biggest, I, P, ScalarRef("t"), reduce=("max", "m"))
+            b.launch(count, I, P, ScalarRef("t"), reduce=("+", "s"))
+            b.launch(huge, I, P, ScalarRef("t"), reduce=("+", "h"))
+        return b.build()
+
+    @pytest.mark.parametrize("mode", BACKENDS)
+    def test_integer_reductions_stay_exact_integers(self, mode):
+        want = SequentialExecutor().run(self._program())
+        assert want["m"] == self.BIG and type(want["s"]) is int
+        assert want["h"] > 2**64
+        prog, _ = control_replicate(self._program(), num_shards=2)
+        got = SPMDExecutor(num_shards=2, mode=mode).run(prog)
+        assert got["m"] == self.BIG, (mode, got["m"])
+        for k in ("m", "s", "h"):
+            assert type(got[k]) is int, (mode, k, got[k])
+        assert got["s"] == want["s"]
+        assert got["h"] == want["h"], (mode, got["h"])

@@ -2,8 +2,9 @@
 
 How often a task's inspector runs must not depend on how many steps the
 program takes: once per distinct (task, point) under the sequential
-executor, and per shard once per owned point plus once per batched launch
-under control replication, on every backend.  Re-inspecting every step
+executor, and under control replication, on every backend, once per shard
+block for a batched launch (no per-point plan is ever built for it) and
+once per owned point otherwise.  Re-inspecting every step
 fails here by name instead of showing up as a slow benchmark.
 """
 
@@ -85,7 +86,7 @@ class TestCallCounts:
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     @pytest.mark.parametrize("shards", [2, 3])
-    def test_cr_inspects_owned_points_plus_one_per_batch(self, mode, shards):
+    def test_cr_inspects_once_per_shard_block(self, mode, shards):
         logs = []
         for steps in (4, 9):
             p, log = stencil(steps)
@@ -93,9 +94,9 @@ class TestCallCounts:
             assert ex.replay_hits == (
                 steps - interpreted_iterations()) * shards
             logs.append(log.calls())
-        # Per shard: one call per owned tile (capture iterations, memoised)
-        # and one over the batched views of its frozen launch.
-        expected = tile_calls(p)
+        # Per shard: one call, over the batched views of its launch plan;
+        # the interpreter runs that plan too, so no tile is inspected.
+        expected = []
         for x in range(shards):
             owned = [p.POUT[c] for c in shard_owned_colors(p.tiles, shards, x)]
             assert len(owned) > 1
@@ -148,9 +149,10 @@ class TestCallCounts:
         assert ex.replay_guard_fallbacks == 2
         assert np.array_equal(ex.instances[fig2.A.uid].fields["v"],
                               seq.instances[fig2.A.uid].fields["v"])
-        # Captured once per point; the t == 5 iteration runs TG twice per
-        # point yet inspects each point once more, not twice.
-        assert count.value == 2 * fig2.nt
+        # Once per point: the two TG launches are two plans, but a shard
+        # binds both to its one inspector memo, so the t == 5 fallback
+        # iteration that lowers the second one inspects nothing.
+        assert count.value == fig2.nt
 
 
 class TestRaisingInspector:

@@ -117,6 +117,14 @@ class TestRoundTrip:
             encode_frame(frame.MSG, (0, 1, [ops])))
         assert got.tobytes() == ops.tobytes()
 
+    def test_ints_beyond_int64_stay_ints(self):
+        # A scalar reduction past int64 (a big ``+`` or ``*``) crosses the
+        # wire exactly: an int comes back an int, never as its text.
+        for v in (2**63, -2**63 - 1, 3**200, -(7**90)):
+            _, got = decode_frame(encode_frame(frame.COLL, ("k", 1, 0, v)))
+            assert got == ("k", 1, 0, v) and type(got[3]) is int
+        assert decode_frame(encode_frame(frame.GATHER, "12"))[1] == "12"
+
     def test_decoded_arrays_writable(self):
         _, got = decode_frame(encode_frame(frame.MSG, np.zeros(4)))
         got += 1.0  # receiver folds in place; a read-only view would break

@@ -4,7 +4,9 @@ Covers the window-compiler pipeline end to end: sequential equivalence
 and counter parity across all four apps and all three backends against
 the interpreter, scalar writes (an evolving scalar is never frozen, and a
 guard-fallback iteration that writes one keeps the window), the
-verifier's failure path, the batched advance path, the one-sweep
+verifier's failure path, the batched advance path, batched launches and
+the one launch plan per (statement, shard) that the interpreter and the
+window both run, privilege checks on replayed calls, the one-sweep
 fission pass against its pairwise-swap oracle, the cost of a freeze
 (footprint derivations, one copy lowering per statement and shard, the
 stacked localization against the per-pair one, finished-run lifetime),
@@ -15,6 +17,8 @@ the observability surface (``spmd_window_*`` metrics, the
 
 import gc
 import multiprocessing
+import re
+import threading
 import time
 import weakref
 from collections import Counter
@@ -48,7 +52,7 @@ from repro.regions import (
 )
 from repro.regions.intervals import expand_ranges
 from repro.regions.shm import live_segment_count
-from repro.tasks import R, task
+from repro.tasks import PrivilegeError, R, task
 from repro.runtime import (
     ReplayError,
     SequentialExecutor,
@@ -62,17 +66,16 @@ from repro.runtime.events import Sequence
 from repro.runtime.launch import CommContext, LaunchSpec, channel_keys
 from repro.runtime.window import exec as window_exec
 from repro.runtime.window import schedule
-from repro.runtime.window.ir import (
-    WindowIR,
-    _BatchedView,
-    op_arrays,
-)
+from repro.runtime.launch_plan import BatchedView
+from repro.runtime.window.ir import WindowIR, op_arrays
 from repro.runtime.window.recorder import (
     OP_ADVN,
     OP_BARRIER,
     OP_COLL,
     OP_FUSED,
+    OP_TASK,
     OP_WAITN,
+    IterationRecorder,
 )
 from repro.runtime.window.schedule import FissionPass
 
@@ -126,8 +129,8 @@ class TestAppEquivalence:
         # The circuit, not the stencil: with a handshake recorded one op a
         # phase the stencil window has no two adjacent same-kind ops left
         # for `CompiledWindow.build` to merge (28 ops, 28 closures).  The
-        # passes only freeze, batch and reorder, so what shrinks is the
-        # closure count: copies are recorded in their final form.
+        # one pass only reorders, so what shrinks is the closure count:
+        # launches and copies are recorded in their final form.
         p = APPS["circuit"]()
         _, _, ex, _ = p.run_control_replicated(4)
         assert ex.window_compiles == 4  # one compiled window per shard
@@ -383,33 +386,63 @@ def _pass_stat(metrics, stat):
                and labels.get("stat") == stat)
 
 
-class TestBatchLaunch:
-    """Tentpole lever: batchable point tasks lower to one body call."""
+def lowered_plans(monkeypatch) -> list:
+    """Every LaunchPlan the shards lower from here on (in-process
+    backends): one per (launch statement, shard)."""
+    plans = []
+    lower = spmd.lower_launch
 
-    def _run_stencil(self, tiles=16, shards=4, executor_shards=None):
+    def recording(*args, **kw):
+        plan = lower(*args, **kw)
+        plans.append(plan)
+        return plan
+
+    monkeypatch.setattr(spmd, "lower_launch", recording)
+    return plans
+
+
+def is_batched(plan) -> bool:
+    return len(plan.calls) == 1 and plan.points > 1
+
+
+def batched(plans) -> tuple[int, int]:
+    """``(batched launches, point tasks in them)`` of lowered plans."""
+    mine = [p for p in plans if is_batched(p)]
+    return len(mine), sum(p.points for p in mine)
+
+
+class TestBatchLaunch:
+    """Batchable point tasks lower to one body call per shard block."""
+
+    def _run_stencil(self, monkeypatch, tiles=16, shards=4,
+                     executor_shards=None):
         p = StencilProblem(n=24, radius=2, tiles=tiles, steps=6)
-        metrics = MetricsRegistry()
+        plans = lowered_plans(monkeypatch)
         prog, _ = control_replicate(p.build_program(), num_shards=shards)
         ex = SPMDExecutor(num_shards=executor_shards or shards,
-                          mode="stepped", metrics=metrics,
-                          instances=p.fresh_instances())
+                          mode="stepped", instances=p.fresh_instances())
         ex.run(prog)
-        return p.extract_state(ex.instances), ex, metrics
+        monkeypatch.undo()
+        seq, _, _ = p.run_sequential()
+        return p.extract_state(ex.instances), seq, ex, plans
 
-    def test_batched_stencil_bit_identical(self, interpret_only):
+    def test_batched_stencil_bit_identical(self, monkeypatch,
+                                           interpret_only):
         # Oversubscribed tiles (4 per shard) so batching actually fires:
         # the stencil body is coordinate-based, so one call over the
-        # union of a shard's tiles must be bitwise equal to per-tile
-        # calls — array_equal, not allclose.
+        # union of a shard's tiles must be bitwise equal to the sequential
+        # executor's per-tile calls — array_equal, not allclose — whether
+        # the shard interprets every iteration or replays its window.
         with interpret_only:
-            st_off, ex_off, _ = self._run_stencil()
-        st_jit, ex_jit, metrics = self._run_stencil()
-        for k in st_off:
-            assert np.array_equal(st_off[k], st_jit[k]), k
+            st_off, seq, ex_off, plans_off = self._run_stencil(monkeypatch)
+        st_jit, _, ex_jit, plans = self._run_stencil(monkeypatch)
+        for k in seq:
+            assert np.array_equal(st_off[k], seq[k]), k
+            assert np.array_equal(st_jit[k], seq[k]), k
         assert counters(ex_off) == counters(ex_jit)
-        # 2 launches x 4 shards batched, 4 point tasks each.
-        assert _pass_stat(metrics, "batched_launches") == 8
-        assert _pass_stat(metrics, "batched_tasks") == 32
+        assert ex_off.window_compiles == 0 < ex_jit.window_compiles
+        # 2 launches x 4 shards batched, 4 point tasks each, both forms.
+        assert batched(plans_off) == batched(plans) == (8, 32)
 
     def test_batched_body_works_on_the_instances(self, monkeypatch):
         # A shard's colours are adjacent rows of one block per field, so
@@ -425,61 +458,70 @@ class TestBatchLaunch:
                 return arr
             return wrapper
 
-        monkeypatch.setattr(_BatchedView, "read", spy(_BatchedView.read))
-        monkeypatch.setattr(_BatchedView, "write", spy(_BatchedView.write))
-        _, ex, metrics = self._run_stencil()
-        assert _pass_stat(metrics, "batched_launches") == 8
+        read, write = BatchedView.read, BatchedView.write
+        monkeypatch.setattr(BatchedView, "read", spy(read))
+        monkeypatch.setattr(BatchedView, "write", spy(write))
+        plans = lowered_plans(monkeypatch)
+        p = StencilProblem(n=24, radius=2, tiles=16, steps=6)
+        _, _, ex, _ = p.run_control_replicated(4)
+        assert batched(plans) == (8, 32)
         assert {field for _, field, _ in seen} == {"v"}
         same = {}
         for view, field, arr in seen:
             assert same.setdefault((id(view), field), arr) is arr
-            assert arr.shape[0] == sum(v.n for v in view.views)
-            for v in view.views:
-                inst = ex.dist[(v.region.parent_partition.uid,
-                                v.region.color)]
+            assert arr.shape[0] == sum(r.volume for r in view.regions)
+            for r in view.regions:
+                inst = ex.dist[(r.parent_partition.uid, r.color)]
                 assert np.shares_memory(arr, inst.fields[field])
         # OUT, IN and GHOST of the stencil, IN of the increment, per shard.
         assert len(same) == 4 * 4
 
-    def test_straddling_shard_runs_per_point(self, interpret_only):
+    def test_straddling_shard_runs_per_point(self, monkeypatch,
+                                             interpret_only):
         # Compiled for 3 shards, run by a 2-shard executor: the executor's
         # blocks hold colours 0-5 and 6-11, so launch shard 1 (colours
         # 4-7) straddles both.  Its launches run per point; shards 0 and 2
-        # still batch, and the state is the interpreter's, bit for bit.
+        # still batch, and the state is the sequential one, bit for bit,
+        # whether the shards interpret every iteration or replay.
         with interpret_only:
-            st_off, ex_off, _ = self._run_stencil(tiles=12, shards=3,
-                                                  executor_shards=2)
-        st, ex, metrics = self._run_stencil(tiles=12, shards=3,
-                                            executor_shards=2)
-        for k in st_off:
-            assert np.array_equal(st_off[k], st[k]), k
+            st_off, seq, ex_off, plans_off = self._run_stencil(
+                monkeypatch, tiles=12, shards=3, executor_shards=2)
+        st, _, ex, plans = self._run_stencil(monkeypatch, tiles=12,
+                                             shards=3, executor_shards=2)
+        for k in seq:
+            assert np.array_equal(st_off[k], seq[k]), k
+            assert np.array_equal(st[k], seq[k]), k
         assert counters(ex_off) == counters(ex)
+        assert ex_off.window_compiles == 0
+        assert batched(plans_off) == batched(plans)
         assert ex.window_compiles == 3
-        assert _pass_stat(metrics, "batched_launches") == 2 * 2
-        assert _pass_stat(metrics, "batched_tasks") == 2 * 2 * 4
-        _, _, aligned = self._run_stencil(tiles=12, shards=3)
-        assert _pass_stat(aligned, "batched_launches") == 2 * 3
+        assert batched(plans) == (2 * 2, 2 * 2 * 4)
+        straddling = [p for p in plans if not is_batched(p)]
+        assert len(straddling) == 2
+        assert all(len(p.calls) == p.points == 4 for p in straddling)
+        _, _, _, aligned = self._run_stencil(monkeypatch, tiles=12, shards=3)
+        assert batched(aligned) == (2 * 3, 2 * 3 * 4)
 
-    def test_single_tile_shards_not_batched(self):
+    def test_single_tile_shards_not_batched(self, monkeypatch):
         # One tile per shard: nothing to batch (a 1-entry launch pays no
-        # per-tile dispatch), the pass must leave the launch alone.
-        _, ex, metrics = self._run_stencil(tiles=4)
+        # per-tile dispatch), the launch keeps its one per-point call.
+        _, _, ex, plans = self._run_stencil(monkeypatch, tiles=4)
         assert ex.window_compiles == 4
-        assert _pass_stat(metrics, "batched_launches") == 0
+        assert len(plans) == 2 * 4 and batched(plans) == (0, 0)
 
-    def test_opt_in_only(self):
-        # Fig2's tasks never declared `batchable`, so the pass must not
-        # batch them — the contract is the app author's promise.
+    def test_opt_in_only(self, monkeypatch):
+        # Fig2's tasks never declared `batchable`, so no launch batches —
+        # the contract is the app author's promise.
         fig2 = Fig2(steps=6)
-        metrics = MetricsRegistry()
+        plans = lowered_plans(monkeypatch)
         prog, _ = control_replicate(fig2.build(), num_shards=2)
-        ex = SPMDExecutor(num_shards=2, instances=fig2.fresh_instances(),
-                          metrics=metrics)
+        ex = SPMDExecutor(num_shards=2, instances=fig2.fresh_instances())
         ex.run(prog)
         assert ex.window_compiles == 2
-        assert _pass_stat(metrics, "batched_launches") == 0
+        assert len(plans) == 2 * 2 and batched(plans) == (0, 0)
+        assert all(len(p.calls) == p.points == 2 for p in plans)
 
-    def test_scalar_reduction_launch_not_batched(self):
+    def test_scalar_reduction_launch_not_batched(self, monkeypatch):
         # A batchable task folding into a scalar reduction stays
         # unbatched: one body call would regroup the fold order.
         Rg = region(ispace(size=16), {"v": np.float64}, name="R")
@@ -498,13 +540,190 @@ class TestBatchLaunch:
             return b.build()
 
         seq_scalars = SequentialExecutor().run(build())
-        metrics = MetricsRegistry()
+        plans = lowered_plans(monkeypatch)
         prog, _ = control_replicate(build(), num_shards=2)
-        ex = SPMDExecutor(num_shards=2, metrics=metrics)
+        ex = SPMDExecutor(num_shards=2)
         scalars = ex.run(prog)
         assert scalars["lo"] == seq_scalars["lo"]
         assert ex.window_compiles == 2
-        assert _pass_stat(metrics, "batched_launches") == 0
+        assert len(plans) == 2 and batched(plans) == (0, 0)
+
+
+# Up while this thread compiles a window or runs a step of a replay.
+_in_window = threading.local()
+
+
+class TestOneLaunchPlan:
+    """An index launch lowers once per (statement, shard), the first time
+    the shard reaches it: the plan the interpreter runs is the one the
+    window replays, and its inspectors run at that moment only."""
+
+    @staticmethod
+    def _count_inspectors(tasks, calls: list):
+        """Wrap each task's inspector to log ``(task, first view's region
+        uid, its n, inside a window?)`` into ``calls``."""
+        for t in tasks:
+            def counting(*views, t=t, inner=t.inspect):
+                calls.append((t.name, views[0].region.uid, views[0].n,
+                              getattr(_in_window, "on", False)))
+                return inner(*views)
+            t.inspect = counting
+
+    @pytest.mark.parametrize("mode", ["stepped", "threaded"])
+    def test_stencil_inspects_once_per_shard_block(self, mode):
+        p = StencilProblem(n=24, radius=2, tiles=16, steps=6)
+        calls = []
+        self._count_inspectors([p.stencil_task], calls)
+        _, _, ex, _ = p.run_control_replicated(4, mode=mode)
+        assert ex.replay_hits == (6 - interpreted_iterations()) * 4
+        # 4 batched plans, not 16 per-tile ones and 4 more at the freeze;
+        # each covers its shard's 4 tiles, together every point once.
+        assert len(calls) == 4
+        assert sum(n for _, _, n, _ in calls) == 24 * 24
+
+    @pytest.mark.parametrize("mode", ["stepped", "threaded"])
+    def test_circuit_inspects_once_per_point_task(self, mode):
+        p = CircuitProblem(pieces=8, nodes_per_piece=20, wires_per_piece=30,
+                           steps=5)
+        calls = []
+        self._count_inspectors(p.tasks, calls)
+        _, _, ex, _ = p.run_control_replicated(2, mode=mode)
+        assert ex.replay_hits > 0
+        keys = [(name, uid) for name, uid, _, _ in calls]
+        assert len(keys) == len(set(keys)) == 3 * 8
+        assert Counter(name for name, _ in keys) == {
+            t.name: 8 for t in p.tasks}
+
+    @pytest.mark.parametrize("mode", ["stepped", "threaded"])
+    def test_no_inspector_runs_in_a_window(self, mode, monkeypatch):
+        compile_window = window_exec.compile_window
+        replay = window_exec.CompiledWindow.replay
+
+        def compiling(*args, **kw):
+            _in_window.on = True
+            try:
+                return compile_window(*args, **kw)
+            finally:
+                _in_window.on = False
+
+        def replaying(cw, state):
+            steps = replay(cw, state)
+            while True:
+                _in_window.on = True
+                try:
+                    ev = next(steps)
+                except StopIteration:
+                    return
+                finally:
+                    _in_window.on = False
+                yield ev
+
+        monkeypatch.setattr(window_exec, "compile_window", compiling)
+        monkeypatch.setattr(window_exec.CompiledWindow, "replay", replaying)
+        calls = []
+        stencil = StencilProblem(n=24, radius=2, tiles=8, steps=5)
+        self._count_inspectors([stencil.stencil_task], calls)
+        circuit = APPS["circuit"]()
+        self._count_inspectors(circuit.tasks, calls)
+        for p in (stencil, circuit):
+            _, _, ex, _ = p.run_control_replicated(2, mode=mode)
+            assert ex.window_compiles == 2 and ex.replay_hits > 0
+        assert calls and not any(inside for *_, inside in calls)
+
+    @pytest.mark.parametrize("mode", ["stepped", "threaded"])
+    @pytest.mark.parametrize("app", ["circuit", "stencil"])
+    def test_interpreter_and_window_run_one_plan(self, app, mode,
+                                                 monkeypatch):
+        lowered, recorded, replayed = [], [], []
+        runs = Counter()  # id(plan) -> body calls made through it
+        lower = spmd.lower_launch
+
+        def lowering(*args, **kw):
+            plan = lower(*args, **kw)
+            lowered.append(plan)
+            for call in plan.calls:
+                def counted(*a, fn=call.fn, key=id(plan)):
+                    runs[key] += 1
+                    return fn(*a)
+                call.fn = counted
+            return plan
+
+        launch = IterationRecorder.launch
+
+        def recording(rec, plan):
+            recorded.append(plan)
+            launch(rec, plan)
+
+        build = window_exec.CompiledWindow.build.__func__
+
+        def tracking(cls, wir, state, comm, uid=0):
+            replayed.extend(op[1] for op in wir.ops if op[0] == OP_TASK)
+            return build(cls, wir, state, comm, uid)
+
+        monkeypatch.setattr(spmd, "lower_launch", lowering)
+        monkeypatch.setattr(IterationRecorder, "launch", recording)
+        monkeypatch.setattr(window_exec.CompiledWindow, "build",
+                            classmethod(tracking))
+        p = APPS[app]()
+        _, _, ex, _ = p.run_control_replicated(2, mode=mode)
+        assert ex.window_compiles == 2 and ex.replay_hits > 0
+        # One plan per (launch statement, shard) ...
+        assert len(lowered) == (3 if app == "circuit" else 2) * 2
+        ids = {id(plan) for plan in lowered}
+        # ... that the interpreter records and the window replays ...
+        assert {id(plan) for plan in recorded} == ids
+        assert {id(plan) for plan in replayed} == ids
+        # ... and whose calls ran every step, interpreted or replayed.
+        assert runs == {id(plan): p.steps * len(plan.calls)
+                        for plan in lowered}
+
+
+class TestReplayedPrivileges:
+    """A replayed call checks privileges as an interpreted one does: a
+    body that writes a field it only reads fails on the step it does so,
+    whether that step is interpreted or replayed."""
+
+    def _program(self, fig2, steps=5):
+        @task(privileges=[R("v")], name="late_writer")
+        def late_writer(A, t):
+            if t >= 2:
+                A.write("v")[:] = 0.0
+
+        b = ProgramBuilder("late_writer")
+        b.let("T", steps)
+        with b.for_range("t", 0, "T"):
+            b.launch(late_writer, fig2.I, fig2.PA, ScalarRef("t"))
+        return b.build()
+
+    def test_sequential(self, fig2):
+        with pytest.raises(PrivilegeError, match=self.MESSAGE):
+            SequentialExecutor(instances=fig2.fresh_instances()).run(
+                self._program(fig2))
+
+    MESSAGE = r"task late_writer holds .* on PA\[\d\]; cannot write field 'v'"
+
+    @pytest.mark.parametrize(
+        "mode", ["stepped", "threaded"] + (
+            ["procs", "net"] if procs_available() else []))
+    def test_every_backend_names_task_region_and_field(self, fig2, mode):
+        prog, _ = control_replicate(self._program(fig2), num_shards=2)
+        ex = SPMDExecutor(num_shards=2, mode=mode, flight=True,
+                          instances=fig2.fresh_instances(),
+                          deadlock_timeout=20.0)
+        with pytest.raises((PrivilegeError, ShardExceptionGroup)) as info:
+            ex.run(prog)
+        errors = getattr(info.value, "exceptions", (info.value,))
+        assert errors and all(re.search(self.MESSAGE, str(e))
+                              for e in errors), errors
+        # The loop freezes at its first iteration, so the failing step
+        # (t = 2) is a replay: steps 0 and 1 alone run clean, one of them
+        # replayed on each shard.
+        prog, _ = control_replicate(self._program(fig2, steps=2),
+                                    num_shards=2)
+        ex = SPMDExecutor(num_shards=2, mode=mode,
+                          instances=fig2.fresh_instances())
+        ex.run(prog)
+        assert ex.replay_hits == 1 * 2
 
 
 def bubble_fission(ops, protect):
@@ -636,18 +855,18 @@ class TestFission:
 
     def test_unknown_footprint_is_a_fence(self):
         # op_arrays promises that what it does not model is never crossed:
-        # an op kind from the future, and a launch not yet frozen.
+        # an op kind from the future.
         a = np.zeros(2)
         copy = copy_op(a, a)
         ack = (OP_ADVN, ("seq",), 1, 1, "ack")
         rdy = (OP_WAITN, (("seq", "w"),), 1, 1, "rdy")
         protect = {1: frozenset({id(a)})}
-        for unknown in ((99, "opaque"), (2, "stmt", (0, 1))):
-            assert op_arrays(unknown) is None
-            ops = [copy, unknown, ack]
-            assert same_ops(run_fission(ops, protect)[0], ops)
-            ops = [rdy, unknown, copy]
-            assert same_ops(run_fission(ops, protect)[0], ops)
+        unknown = (99, "opaque")
+        assert op_arrays(unknown) is None
+        ops = [copy, unknown, ack]
+        assert same_ops(run_fission(ops, protect)[0], ops)
+        ops = [rdy, unknown, copy]
+        assert same_ops(run_fission(ops, protect)[0], ops)
         # A known-empty op in the same place is crossed both ways.
         crossable = (OP_WAITN, (("other", "w"),), 9, 1, "ack")
         assert op_arrays(crossable) == frozenset()
@@ -977,14 +1196,14 @@ class TestObservability:
         # The window passes run without a tracer: one run of each per
         # compiled window (one window per shard), counted in metrics.
         passes = [p.name for p in window_exec.window_passes()]
-        assert passes == ["freeze-tasks", "batch-launch", "fission"]
+        assert passes == ["fission"]
         runs = {labels["pass"]: inst.value
                 for name, labels, inst in metrics.items()
                 if name == "spmd_window_pass_runs_total"}
         assert runs == {name: 2 for name in passes}
         assert not any(e["name"].startswith("window:")
                        and e["name"] != "window:compile" for e in rows)
-        assert _pass_stat(metrics, "launches") > 0
+        assert _pass_stat(metrics, "hoisted_acks") > 0
         got = {name for name, _, _ in metrics.items()}
         assert "spmd_window_ops_total" in got
         assert "spmd_window_closures_total" in got

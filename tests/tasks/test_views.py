@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.regions import IntervalSet, PhysicalInstance, ispace, partition_block, region
-from repro.tasks import PrivilegeError, R, Reduce, RegionView, RW
+from repro.tasks import PlacedView, PrivilegeError, R, Reduce, RegionView, RW
 
 
 @pytest.fixture
@@ -112,16 +112,43 @@ class TestDataMovement:
         w = v.write("a")
         assert r is w
 
-    def test_reduce_into_reduction_instance(self, setup):
-        reg, inst, _ = setup
-        red_inst = PhysicalInstance(reg)
-        red_inst.fields["a"][:] = 0.0
-        v = RegionView(reg, inst, Reduce("+"), reduction_instance=red_inst)
-        v.reduce("a", np.array([2, 2]), np.array([1.0, 3.0]), "+")
-        v.finalize()
-        assert red_inst.fields["a"][2] == 4.0
-        assert inst.fields["a"][2] == 2.0  # untouched
-
     def test_repr(self, setup):
         reg, inst, _ = setup
         assert "reads" in repr(RegionView(reg, inst, R()))
+
+
+class TestPlacedView:
+    """A view over fixed arrays checks every access as a RegionView does,
+    and names the task, the region and the field when it refuses."""
+
+    def _view(self, setup, privilege):
+        reg, inst, _ = setup
+        return PlacedView(reg, inst, privilege, "T")
+
+    def test_accesses_are_the_instance_arrays(self, setup):
+        _, inst, _ = setup
+        v = self._view(setup, RW())
+        assert v.read("a") is inst.fields["a"] is v.write("a")
+        v.reduce("b", np.array([1, 1]), np.array([2.0, 3.0]), "+")
+        assert inst.fields["b"][1] == 5.0
+
+    @pytest.mark.parametrize("privilege,access", [
+        (R("a"), lambda v: v.read("b")),
+        (R(), lambda v: v.write("a")),
+        (R(), lambda v: v.reduce("a", [0], [1.0], "+")),
+        (RW("a"), lambda v: v.write("b")),
+        (Reduce("+"), lambda v: v.read("a")),
+        (Reduce("+"), lambda v: v.write("a")),
+        (Reduce("+"), lambda v: v.reduce("a", [0], [1.0], "max")),
+        (Reduce("+", "a"), lambda v: v.reduce("b", [0], [1.0], "+")),
+    ])
+    def test_every_access_beyond_the_privilege_raises(self, setup, privilege,
+                                                      access):
+        with pytest.raises(PrivilegeError, match=r"task T .* on R; .*field"):
+            access(self._view(setup, privilege))
+
+    def test_a_reduce_privilege_folds_with_its_operator(self, setup):
+        _, inst, _ = setup
+        v = self._view(setup, Reduce("max"))
+        v.reduce("a", np.array([0]), np.array([7.0]), "max")
+        assert inst.fields["a"][0] == 7.0
