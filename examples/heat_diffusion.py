@@ -17,11 +17,11 @@ import numpy as np
 
 from repro.core import BinOp, Const, ProgramBuilder, ScalarRef, control_replicate
 from repro.regions import (
-    Partition,
     PhysicalInstance,
     ispace,
     partition_blocks_nd,
-    partition_by_image,
+    partition_by_offsets,
+    partition_difference,
     region,
 )
 from repro.runtime import SequentialExecutor, SPMDExecutor
@@ -29,16 +29,7 @@ from repro.tasks import R, RW, task
 
 N, TILES, SHARDS = 48, 4, 4
 ALPHA = 0.2  # diffusion number (stable: <= 0.25)
-
-
-def neighbors(pts):
-    x, y = np.unravel_index(pts, (N, N))
-    out = []
-    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        xx, yy = x + dx, y + dy
-        m = (xx >= 0) & (xx < N) & (yy >= 0) & (yy < N)
-        out.append(np.ravel_multi_index((xx[m], yy[m]), (N, N)))
-    return np.concatenate(out)
+FACES = ((1, 0), (-1, 0), (0, 1), (0, -1))  # a point's four neighbours
 
 
 def main():
@@ -48,10 +39,9 @@ def main():
     I = ispace(size=TILES, name="tiles")
     P_OLD = partition_blocks_nd(T_OLD, (2, 2), name="Pold")
     P_NEW = partition_blocks_nd(T_NEW, (2, 2), name="Pnew")
-    halo = partition_by_image(T_OLD, P_OLD, func=neighbors, name="Qold")
-    GHOST = Partition(T_OLD, [halo.subset(c) - P_OLD.subset(c)
-                              for c in P_OLD.colors],
-                      disjoint=False, name="Ghost")
+    # Each tile's halo: its neighbours' points, less the tile (aliased).
+    halo = partition_by_offsets(T_OLD, P_OLD, FACES, name="Qold")
+    GHOST = partition_difference(halo, P_OLD, name="Ghost")
 
     # The mesh never changes, so where each point's four neighbours live —
     # which view (own tile or halo), which slot, or off the grid — is
@@ -60,7 +50,7 @@ def main():
     def plan_diffuse(NEW, OLD, HALO):
         x, y = np.unravel_index(NEW.points, (N, N))
         plan = []
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        for dx, dy in FACES:
             xx, yy = x + dx, y + dy
             m = (xx >= 0) & (xx < N) & (yy >= 0) & (yy < N)
             ids = np.ravel_multi_index((np.clip(xx, 0, N - 1),

@@ -37,6 +37,7 @@ from .regions import (
     partition_blocks_nd,
     partition_by_field,
     partition_by_image,
+    partition_by_offsets,
     partition_by_preimage,
     partition_difference,
     partition_equal,
@@ -86,6 +87,7 @@ __all__ = [
     "partition_blocks_nd",
     "partition_by_field",
     "partition_by_image",
+    "partition_by_offsets",
     "partition_by_preimage",
     "partition_difference",
     "partition_equal",

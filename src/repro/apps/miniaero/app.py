@@ -27,7 +27,7 @@ from ...regions import (
     PhysicalInstance,
     ispace,
     partition_blocks_nd,
-    partition_by_image,
+    partition_by_offsets,
     region,
 )
 from ...tasks import R, RW, task
@@ -96,20 +96,6 @@ def _residual_dense(u: np.ndarray) -> np.ndarray:
     return res
 
 
-def _neighbors_fn(shape: tuple[int, int, int]):
-    def fn(pts: np.ndarray) -> np.ndarray:
-        coords = np.stack(np.unravel_index(pts, shape), axis=1)
-        out = [pts]
-        for axis in range(3):
-            for d in (-1, 1):
-                c = coords.copy()
-                c[:, axis] += d
-                m = (c[:, axis] >= 0) & (c[:, axis] < shape[axis])
-                out.append(np.ravel_multi_index(tuple(c[m].T), shape))
-        return np.concatenate(out)
-    return fn
-
-
 def _make_tasks(shape: tuple[int, int, int]):
     @task(privileges=[RW("res"), R("u")], name="compute_residual")
     def compute_residual(C, G):
@@ -171,8 +157,9 @@ class MiniAeroProblem(AppProblem):
                                        "u0": (np.float64, (5,)),
                                        "res": (np.float64, (5,))}, name="cells")
         self.PC = partition_blocks_nd(self.CELLS, (tx, ty, tz), name="PC")
-        self.QC = partition_by_image(self.CELLS, self.PC,
-                                     func=_neighbors_fn(self.shape), name="QC")
+        faces = np.vstack(([0, 0, 0], np.eye(3, dtype=np.int64),
+                           -np.eye(3, dtype=np.int64)))
+        self.QC = partition_by_offsets(self.CELLS, self.PC, faces, name="QC")
         self.tasks = _make_tasks(self.shape)
 
     def initial_u(self) -> np.ndarray:

@@ -9,11 +9,11 @@ to all interior points (``R <= x, y < n-R``) with the standard PRK weights
 ``w_k = 1/(2·k·R)``, then increments every ``in`` value by one.
 
 Regions: ``IN`` and ``OUT`` over the same structured index space.  ``OUT``
-and ``IN`` get 2D block partitions; a second, *aliased* partition ``QIN``
-of ``IN`` is the image of the star-neighbor map over the blocks — exactly
-the multiple-partitions idiom control replication leverages.  The halo
-exchange the compiler must synthesize is the copy ``PIN → QIN`` after the
-increment phase.
+and ``IN`` get 2D block partitions; a second, *aliased* partition
+``QGHOST`` of ``IN`` is the image of the blocks under the stencil's
+offsets, less the blocks themselves — exactly the multiple-partitions
+idiom control replication leverages.  The halo exchange the compiler must
+synthesize is the copy ``PIN → QGHOST`` after the increment phase.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from ...regions import (
     PhysicalInstance,
     ispace,
     partition_blocks_nd,
-    partition_by_image,
+    partition_by_offsets,
+    partition_difference,
     region,
     row_major_boxes,
 )
@@ -178,22 +179,6 @@ def make_stencil_tasks(n: int, radius: int, shape: str = "star"):
     return stencil_task, increment_task
 
 
-def star_image_fn(n: int, radius: int, shape: str = "star"):
-    """Vectorized neighbor map used to build the ghost partition."""
-    offsets = [(dx, dy) for dx, dy, _ in stencil_offsets(shape, radius)]
-
-    def fn(pts: np.ndarray) -> np.ndarray:
-        x, y = np.unravel_index(pts, (n, n))
-        out = [pts]
-        for dx, dy in offsets:
-            xx, yy = x + dx, y + dy
-            m = (xx >= 0) & (xx < n) & (yy >= 0) & (yy < n)
-            out.append(np.ravel_multi_index((xx[m], yy[m]), (n, n)))
-        return np.concatenate(out)
-
-    return fn
-
-
 class StencilProblem(AppProblem):
     """One stencil problem instance (functional scale)."""
 
@@ -213,16 +198,14 @@ class StencilProblem(AppProblem):
         self.I = ispace(size=tiles, name="tiles")
         self.PIN = partition_blocks_nd(self.IN, (gx, gy), name="PIN")
         self.POUT = partition_blocks_nd(self.OUT, (gx, gy), name="POUT")
-        self.QIN = partition_by_image(
-            self.IN, self.PIN, func=star_image_fn(n, radius, shape), name="QIN")
-        # The halo proper: image minus the tile itself (aliased).  Reading
-        # the tile through PIN and only the halo through QGHOST restricts
-        # the synthesized exchange to the halo, as in the Regent stencil.
-        from ...regions import Partition
-        self.QGHOST = Partition(
-            self.IN,
-            [self.QIN.subset(c) - self.PIN.subset(c) for c in self.PIN.colors],
-            disjoint=False, name="QGHOST")
+        # The halo proper: the tile's image under the stencil offsets minus
+        # the tile itself (aliased).  Reading the tile through PIN and only
+        # the halo through QGHOST restricts the synthesized exchange to the
+        # halo, as in the Regent stencil.
+        offsets = [(dx, dy) for dx, dy, _ in stencil_offsets(shape, radius)]
+        self.QGHOST = partition_difference(
+            partition_by_offsets(self.IN, self.PIN, offsets), self.PIN,
+            name="QGHOST")
         self.stencil_task, self.increment_task = make_stencil_tasks(
             n, radius, shape)
 

@@ -17,18 +17,17 @@ from .partition_ops import (
     partition_blocks_nd,
     partition_by_field,
     partition_by_image,
+    partition_by_offsets,
     partition_by_preimage,
     partition_difference,
     partition_equal,
     partition_from_subsets,
-    partition_halo_blocks_nd,
     partition_intersection,
     partition_restrict,
     partition_union,
 )
 from .rects import (
     Rect,
-    bounding_rect_of_intervals,
     rect_to_intervals,
     row_major_boxes,
 )
@@ -54,18 +53,17 @@ __all__ = [
     "Region",
     "SharedMemoryArena",
     "apply_reduction",
-    "bounding_rect_of_intervals",
     "ispace",
     "lca_may_alias",
     "partition_block",
     "partition_blocks_nd",
     "partition_by_field",
     "partition_by_image",
+    "partition_by_offsets",
     "partition_by_preimage",
     "partition_difference",
     "partition_equal",
     "partition_from_subsets",
-    "partition_halo_blocks_nd",
     "partition_intersection",
     "partition_restrict",
     "partition_union",

@@ -3,7 +3,8 @@
 These mirror the operators of Treichler et al., *Dependent Partitioning*
 (OOPSLA'16), which Regent exposes and the paper relies on (§2.1): ``equal``
 and ``block`` partitions, partitions by field, images and preimages of
-functions/pointer fields, set operations on partitions, and restriction.
+functions/pointer fields, images under constant grid offsets, set
+operations on partitions, and restriction.
 Each operator records the statically provable disjointness of its result —
 the only property the control replication compiler needs.
 """
@@ -15,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .index_space import IndexSpace
-from .intervals import IntervalSet
+from .intervals import IntervalSet, expand_ranges, stack_intervals
 from .partition import Partition
 from .rects import Rect
 from .region import PhysicalInstance, Region
@@ -26,13 +27,13 @@ __all__ = [
     "partition_blocks_nd",
     "partition_by_field",
     "partition_by_image",
+    "partition_by_offsets",
     "partition_by_preimage",
     "partition_intersection",
     "partition_difference",
     "partition_union",
     "partition_restrict",
     "partition_from_subsets",
-    "partition_halo_blocks_nd",
 ]
 
 
@@ -158,6 +159,61 @@ def partition_by_image(target: Region, source: Partition,
                      color_space=source.color_space)
 
 
+def partition_by_offsets(target: Region, source: Partition,
+                         offsets: Sequence[Sequence[int]] | np.ndarray,
+                         name: str | None = None) -> Partition:
+    """Image under constant grid offsets: color ``i`` holds ``{ p + d | p in
+    source[i], d in offsets, p + d inside the grid in every dimension }``,
+    restricted to ``target``'s points.
+
+    This is :func:`partition_by_image` of a stencil's neighbor map (the
+    ghost partition of paper §2.1), computed on row runs instead of points:
+    each subset's intervals are cut at the row ends of the last dimension,
+    every run is moved by every offset (its row by the leading coordinates,
+    dropped if that leaves the grid; its ends by the last coordinate,
+    clipped to the row), and the moved runs are linearized.  O(row runs x
+    offsets), whatever the point count.  Aliased, as an image is.
+    """
+    shape = target.ispace.shape
+    if shape is None or source.parent.ispace.shape != shape:
+        raise TypeError("partition_by_offsets requires a target and a source "
+                        "over one structured shape")
+    offsets = np.asarray(offsets, dtype=np.int64).reshape(len(offsets), len(shape))
+    lead, width = np.array(shape[:-1], dtype=np.int64), shape[-1]
+    row_strides = np.array([np.prod(shape[d + 1:-1]) for d in range(len(lead))],
+                           dtype=np.int64)
+    ivals, color = stack_intervals([source.subset(c) for c in source.colors])
+    # Row runs: (color, row, first column, column past the end).
+    first_row = ivals[:, 0] // width
+    nrows = (ivals[:, 1] - 1) // width - first_row + 1
+    row = expand_ranges(first_row, nrows)
+    k = np.repeat(np.arange(ivals.shape[0]), nrows)
+    lo = np.maximum(ivals[k, 0] - row * width, 0)
+    hi = np.minimum(ivals[k, 1] - row * width, width)
+    # Every run against every offset: (runs, offsets).
+    coords = (row[None, :] // row_strides[:, None]) % lead[:, None]
+    moved = coords[:, :, None] + offsets[:, :-1].T[:, None, :]
+    inside = ((moved >= 0) & (moved < lead[:, None, None])).all(axis=0)
+    start = np.clip(lo[:, None] + offsets[:, -1], 0, width)
+    stop = np.clip(hi[:, None] + offsets[:, -1], 0, width)
+    keep = inside & (start < stop)
+    # Linearize under composite keys ``color * span + point``: ``span``
+    # exceeds every point, so one normalization merges runs within a color
+    # and never across two.
+    span = target.ispace.size + 1
+    base = (row[:, None] + offsets[:, :-1] @ row_strides) * width
+    base += color[k, None] * span
+    merged = IntervalSet(np.column_stack((base[keep] + start[keep],
+                                          base[keep] + stop[keep]))).intervals
+    owner = merged[:, 0] // span
+    cuts = np.searchsorted(owner, np.arange(source.num_colors + 1))
+    subsets = [IntervalSet._from_normalized(merged[a:b] - c * span)
+               & target.index_set
+               for c, (a, b) in enumerate(zip(cuts[:-1], cuts[1:]))]
+    return Partition(target, subsets, disjoint=False, name=name,
+                     color_space=source.color_space)
+
+
 def partition_by_preimage(source: Region, target: Partition,
                           func: Callable[[np.ndarray], np.ndarray] | None = None,
                           instance: PhysicalInstance | None = None,
@@ -256,37 +312,3 @@ def partition_from_subsets(region: Region, subsets: Sequence[IntervalSet],
     if disjoint is None:
         p.disjoint = p.compute_disjoint()
     return p
-
-
-def partition_halo_blocks_nd(blocks: Partition, radius: int,
-                             include_self: bool = True,
-                             name: str | None = None) -> Partition:
-    """Rectangular halo partition: each block's bounding box inflated by
-    ``radius`` and clipped to the grid (minus the block itself when
-    ``include_self`` is false).
-
-    The structured shortcut for the common ghost-region idiom: equivalent
-    to an image over a dense square neighbor map but computed with rect
-    arithmetic, which is how hand-written Regent stencils define halos.
-    The result is aliased (neighboring halos overlap).
-    """
-    parent = blocks.parent
-    shape = parent.ispace.shape
-    if shape is None:
-        raise TypeError("partition_halo_blocks_nd requires a structured region")
-    from .rects import bounding_rect_of_intervals
-    subsets = []
-    for c in blocks.colors:
-        sub = blocks.subset(c)
-        if not sub:
-            subsets.append(IntervalSet.empty())
-            continue
-        r = bounding_rect_of_intervals(sub, shape)
-        inflated = Rect(tuple(max(0, l - radius) for l in r.lo),
-                        tuple(min(s, h + radius) for h, s in zip(r.hi, shape)))
-        halo = parent.ispace.rect_subset(inflated) & parent.index_set
-        if not include_self:
-            halo = halo - sub
-        subsets.append(halo)
-    return Partition(parent, subsets, disjoint=False, name=name,
-                     color_space=blocks.color_space)

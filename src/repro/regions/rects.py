@@ -21,8 +21,7 @@ import numpy as np
 
 from .intervals import IntervalSet
 
-__all__ = ["Rect", "rect_to_intervals", "bounding_rect_of_intervals",
-           "row_major_boxes"]
+__all__ = ["Rect", "rect_to_intervals", "row_major_boxes"]
 
 
 @dataclass(frozen=True)
@@ -136,24 +135,6 @@ def rect_to_intervals(rect: Rect, shape: tuple[int, ...]) -> IntervalSet:
     starts = base + clipped.lo[-1] * strides[-1]
     stops = base + clipped.hi[-1] * strides[-1]
     return IntervalSet(np.column_stack((starts, stops)))
-
-
-def bounding_rect_of_intervals(ivals: IntervalSet, shape: tuple[int, ...]) -> Rect:
-    """Bounding box (in grid coordinates) of a linearized point set."""
-    if not ivals:
-        return Rect((0,) * len(shape), (0,) * len(shape))
-    pairs = ivals.intervals
-    # Grid coordinates of each interval's first and last point: (dim, k).
-    first, last = np.array(np.unravel_index(
-        (pairs[:, 0], pairs[:, 1] - 1), shape)).swapaxes(0, 1)
-    # An interval whose ends differ in dimension d crosses a row boundary
-    # there, so it holds points at both extremes of every later dimension;
-    # up to and including d, the ends themselves are the extremes.
-    wraps = np.zeros(first.shape, dtype=bool)
-    np.logical_or.accumulate(first[:-1] != last[:-1], axis=0, out=wraps[1:])
-    lo = np.where(wraps, 0, first).min(axis=1)
-    hi = np.where(wraps, np.array(shape)[:, None] - 1, last).max(axis=1) + 1
-    return Rect(tuple(lo.tolist()), tuple(hi.tolist()))
 
 
 def row_major_boxes(ids: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

@@ -1,7 +1,11 @@
 """Tests for partitions and the dependent-partitioning operators."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.regions import (
     IntervalSet,
@@ -11,6 +15,7 @@ from repro.regions import (
     partition_blocks_nd,
     partition_by_field,
     partition_by_image,
+    partition_by_offsets,
     partition_by_preimage,
     partition_difference,
     partition_equal,
@@ -222,60 +227,161 @@ class TestSetOps:
         assert not q.disjoint
 
 
-class TestHaloBlocks:
+def point_offset_image(shape, offsets):
+    """The oracle: each point moved by each offset, one point at a time,
+    kept where the moved point is inside the grid in every dimension."""
+    offsets = np.asarray(offsets, dtype=np.int64).reshape(-1, len(shape))
+    extent = np.array(shape)[:, None]
+
+    def fn(pts):
+        coords = np.array(np.unravel_index(pts, shape)).reshape(len(shape), -1)
+        out = [np.zeros(0, dtype=np.int64)]
+        for d in offsets:
+            moved = coords + d[:, None]
+            inside = ((moved >= 0) & (moved < extent)).all(axis=0)
+            out.append(np.ravel_multi_index(tuple(moved[:, inside]), shape))
+        return np.concatenate(out)
+
+    return fn
+
+
+def square(radius, ndim=2):
+    """Every offset with each coordinate in ``[-radius, radius]``."""
+    return list(itertools.product(range(-radius, radius + 1), repeat=ndim))
+
+
+@st.composite
+def offset_images(draw):
+    """(target, source, offsets) over a random 1-, 2- or 3-D grid."""
+    ndim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(1, 12 if ndim == 1 else 6),
+                                min_size=ndim, max_size=ndim)))
+    A = region(ispace(shape=shape), {"v": np.float64})
+    size = int(np.prod(shape))
+    kind = draw(st.sampled_from(["blocks", "equal", "subsets"]))
+    if kind == "blocks":
+        tiles = [draw(st.integers(1, min(e, 3))) for e in shape]
+        source = partition_blocks_nd(A, tiles)
+    elif kind == "equal":  # runs that cross row ends
+        source = partition_equal(A, draw(st.integers(1, 6)))
+    else:  # arbitrary point sets, empty colours included
+        sets = draw(st.lists(st.lists(st.integers(0, size - 1), max_size=12),
+                             min_size=1, max_size=4))
+        source = partition_from_subsets(
+            A, [IntervalSet.from_indices(np.array(p, dtype=np.int64)) for p in sets])
+    reach = 2 * max(shape)  # offsets larger than the grid too
+    offsets = draw(st.lists(st.tuples(*[st.integers(-reach, reach)] * ndim),
+                            max_size=6))
+    if draw(st.booleans()):
+        offsets.append((0,) * ndim)
+    target = A
+    if draw(st.booleans()):  # a target that is not the whole grid
+        target = partition_equal(A, 2)[draw(st.integers(0, 1))]
+    return target, source, offsets
+
+
+class TestOffsetImage:
+    @settings(max_examples=200, deadline=None)
+    @given(offset_images())
+    def test_equals_the_point_image(self, case):
+        target, source, offsets = case
+        shape = target.ispace.shape
+        got = partition_by_offsets(target, source, offsets)
+        want = partition_by_image(target, source,
+                                  func=point_offset_image(shape, offsets))
+        assert not got.disjoint
+        assert got.parent is target and got.num_colors == source.num_colors
+        for c in source.colors:
+            assert got.subset(c) == want.subset(c), c
+
     def test_halo_covers_square_neighbors(self):
-        from repro.regions import partition_blocks_nd, partition_halo_blocks_nd
         A = region(ispace(shape=(12, 12)), {"v": np.float64})
         blocks = partition_blocks_nd(A, (3, 3))
-        halo = partition_halo_blocks_nd(blocks, radius=1)
+        halo = partition_by_offsets(A, blocks, square(1))
         assert not halo.disjoint
-        # Interior block (1,1) = color 4: halo is its 4x4 box grown to 6x6.
+        # Interior block (1,1) = color 4: its 4x4 box grown to 6x6.
         assert halo.subset(4).count == 36
         # Corner block: clipped at the boundary.
         assert halo.subset(0).count == 25
 
     def test_exclude_self(self):
-        from repro.regions import partition_blocks_nd, partition_halo_blocks_nd
         A = region(ispace(shape=(12, 12)), {"v": np.float64})
         blocks = partition_blocks_nd(A, (3, 3))
-        halo = partition_halo_blocks_nd(blocks, radius=1, include_self=False)
+        ghost = partition_difference(
+            partition_by_offsets(A, blocks, square(1)), blocks)
         for c in blocks.colors:
-            assert halo.subset(c).isdisjoint(blocks.subset(c))
-        assert halo.subset(4).count == 36 - 16
+            assert ghost.subset(c).isdisjoint(blocks.subset(c))
+        assert ghost.subset(4).count == 36 - 16
 
     def test_matches_square_image(self):
-        """Rect arithmetic agrees with the dense-neighbor image."""
-        from repro.regions import (partition_blocks_nd,
-                                   partition_halo_blocks_nd)
         n, r = 12, 2
         A = region(ispace(shape=(n, n)), {"v": np.float64})
         blocks = partition_blocks_nd(A, (3, 3))
-
-        def dense(pts):
-            x, y = np.unravel_index(pts, (n, n))
-            out = [pts]
-            for dx in range(-r, r + 1):
-                for dy in range(-r, r + 1):
-                    xx, yy = x + dx, y + dy
-                    m = (xx >= 0) & (xx < n) & (yy >= 0) & (yy < n)
-                    out.append(np.ravel_multi_index((xx[m], yy[m]), (n, n)))
-            return np.concatenate(out)
-
-        img = partition_by_image(A, blocks, func=dense)
-        halo = partition_halo_blocks_nd(blocks, radius=r)
+        img = partition_by_image(A, blocks,
+                                 func=point_offset_image((n, n), square(r)))
+        halo = partition_by_offsets(A, blocks, square(r))
         for c in blocks.colors:
             assert halo.subset(c) == img.subset(c)
 
+    def test_non_box_blocks(self):
+        # Equal chunks of a 12x12 grid are runs that cross row ends, not
+        # boxes: colour 0 is row 0, row 1 and 4 points of row 2.  Its
+        # radius-1 square image is 41 points, not the 48 of its bounding
+        # box grown by one.
+        A = region(ispace(shape=(12, 12)), {"v": np.float64})
+        chunks = partition_equal(A, 5)
+        halo = partition_by_offsets(A, chunks, square(1))
+        img = partition_by_image(A, chunks,
+                                 func=point_offset_image((12, 12), square(1)))
+        assert halo.subset(0).count == 41
+        for c in chunks.colors:
+            assert halo.subset(c) == img.subset(c)
+
+    def test_3d(self):
+        A = region(ispace(shape=(6, 6, 6)), {"v": np.float64})
+        blocks = partition_blocks_nd(A, (2, 2, 2))
+        halo = partition_by_offsets(A, blocks, square(1, ndim=3))
+        assert halo.subset(0).count == 4 ** 3
+
     def test_requires_structured(self):
-        from repro.regions import partition_halo_blocks_nd
         R2 = region(ispace(size=10), {"v": np.float64})
         p = partition_block(R2, 2)
         with pytest.raises(TypeError):
-            partition_halo_blocks_nd(p, radius=1)
+            partition_by_offsets(R2, p, [(1,)])
 
-    def test_3d(self):
-        from repro.regions import partition_blocks_nd, partition_halo_blocks_nd
-        A = region(ispace(shape=(6, 6, 6)), {"v": np.float64})
-        blocks = partition_blocks_nd(A, (2, 2, 2))
-        halo = partition_halo_blocks_nd(blocks, radius=1)
-        assert halo.subset(0).count == 4 ** 3
+    def test_one_coordinate_per_dimension(self):
+        A = region(ispace(shape=(12, 12)), {"v": np.float64})
+        blocks = partition_blocks_nd(A, (3, 3))
+        with pytest.raises(ValueError):
+            partition_by_offsets(A, blocks, [(1, 0, 0)])
+        assert not partition_by_offsets(A, blocks, []).union_of_subsets()
+
+    def test_requires_one_shape(self):
+        A = region(ispace(shape=(12, 12)), {"v": np.float64})
+        B = region(ispace(shape=(12, 13)), {"v": np.float64})
+        blocks = partition_blocks_nd(A, (3, 3))
+        with pytest.raises(TypeError):
+            partition_by_offsets(B, blocks, square(1))
+
+
+class TestNoPointImage:
+    """The apps' halos are built from row runs: with point expansion
+    refused, constructing the problems at benchmark scale still works."""
+
+    @pytest.fixture
+    def no_points(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-point set-up while building a halo")
+        monkeypatch.setattr(IntervalSet, "to_indices", refuse)
+        monkeypatch.setattr(IntervalSet, "from_indices", refuse)
+
+    @pytest.mark.parametrize("shape", ["star", "square"])
+    def test_stencil(self, no_points, shape):
+        from repro.apps.stencil.app import StencilProblem
+        p = StencilProblem(n=768, tiles=8, shape=shape)
+        assert all(p.QGHOST.subset(c) for c in p.QGHOST.colors)
+
+    def test_miniaero(self, no_points):
+        from repro.apps.miniaero.app import MiniAeroProblem
+        p = MiniAeroProblem(shape=(24, 24, 24), tiles=8)
+        assert all(p.QC.subset(c) for c in p.QC.colors)

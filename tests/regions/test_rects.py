@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.regions import (
     IntervalSet,
     Rect,
-    bounding_rect_of_intervals,
     ispace,
     partition_blocks_nd,
     rect_to_intervals,
@@ -82,47 +81,6 @@ class TestLinearization:
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
             rect_to_intervals(Rect((0,), (1,)), (4, 4))
-
-    def test_bounding_rect_roundtrip(self):
-        shape = (6, 7)
-        r = Rect((2, 1), (5, 6))
-        ivals = rect_to_intervals(r, shape)
-        assert bounding_rect_of_intervals(ivals, shape) == r
-
-    def test_bounding_rect_empty(self):
-        br = bounding_rect_of_intervals(IntervalSet.empty(), (4, 4))
-        assert br.empty
-
-    @given(st.tuples(st.integers(1, 6), st.integers(1, 6)),
-           st.data())
-    def test_bounding_rect_contains_all_points(self, shape, data):
-        lo = tuple(data.draw(st.integers(0, s - 1)) for s in shape)
-        hi = tuple(data.draw(st.integers(l + 1, s)) for l, s in zip(lo, shape))
-        r = Rect(lo, hi)
-        ivals = rect_to_intervals(r, shape)
-        br = bounding_rect_of_intervals(ivals, shape)
-        for p in ivals.to_indices():
-            assert br.contains_point(np.unravel_index(p, shape))
-
-    def test_bounding_rect_of_run_crossing_a_row(self):
-        # {2..5} on 4x4 is (0, 2), (0, 3), (1, 0), (1, 1): the box of the two
-        # end points alone would be [0, 2) x [1, 3) and miss two of them.
-        br = bounding_rect_of_intervals(IntervalSet.from_range(2, 6), (4, 4))
-        assert br == Rect((0, 0), (2, 4))
-
-    @given(st.sampled_from([(7,), (4, 4), (3, 4, 5), (2, 3, 2, 3)]), st.data())
-    def test_bounding_rect_is_tight_for_arbitrary_runs(self, shape, data):
-        # Linearized runs that are no rectangle's rows: the box must be the
-        # exact per-dimension extent of the points, in any rank.
-        size = int(np.prod(shape))
-        runs = data.draw(st.lists(st.tuples(st.integers(0, size - 1),
-                                            st.integers(1, size)),
-                                  min_size=1, max_size=3))
-        ivals = IntervalSet([(s, min(s + n, size)) for s, n in runs])
-        coords = np.array(np.unravel_index(ivals.to_indices(), shape))
-        br = bounding_rect_of_intervals(ivals, shape)
-        assert br.lo == tuple(coords.min(axis=1).tolist())
-        assert br.hi == tuple((coords.max(axis=1) + 1).tolist())
 
 
 def expand_boxes(boxes, shape):
