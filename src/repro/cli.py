@@ -2,21 +2,18 @@
 
 Commands:
 
-* ``verify``  — run an evaluation application three ways (reference,
-  sequential, control-replicated SPMD) and check agreement;
-* ``run``     — execute an application on one SPMD backend
-  (``--backend {sequential,stepped,threaded,procs,net}``), check the
-  region state against the sequential executor, and report throughput;
+* ``run``     — execute an application on one backend (``--backend
+  {sequential,stepped,threaded,procs,net}``), check the sequential state
+  against the app's reference and the SPMD state against the sequential
+  one (exit 1 on a mismatch), and print the profile read from the run's
+  flight rings: per-shard time buckets, the critical path, and parallel
+  efficiency T_seq / (N * T_spmd);
 * ``compile`` — print an application's control program before and after
   control replication, plus the compilation report;
 * ``figure``  — run one of the paper's weak-scaling figures on the machine
   simulator and print its table;
 * ``simulate`` — run one execution model of one app on the machine
   simulator and print timing/utilization;
-* ``profile`` — run an app sequentially and under SPMD, then attribute
-  each shard's wall time into compute/copy/sync-wait/launch/replay
-  buckets, extract the critical path, and report parallel efficiency
-  (human table + JSON report + Prometheus text export);
 * ``serve``   — run a resident compile-once/serve-many HTTP server: each
   structurally distinct request (app, sizes, shards, backend, sync mode)
   is compiled once, and every later identical request reuses the cached
@@ -31,22 +28,24 @@ Commands:
 * ``apps``    — list the available applications.
 
 Observability (the shared ``repro.obs`` subsystem): ``--trace out.json``
-writes a Chrome-trace file (``chrome://tracing`` / Perfetto) from
-``verify`` (compiler passes + per-shard execution) and ``simulate``
+writes a Chrome-trace file (``chrome://tracing`` / Perfetto) from ``run``
+(compiler passes + per-shard execution), ``compile`` and ``simulate``
 (virtual-time schedules) — if the file already exists, a run-index suffix
 is appended instead of clobbering it; ``--metrics out.prom`` writes the
 run's counters/gauges/histograms in the Prometheus text format;
+``run --json out.json`` writes the profile report; a missing or
+unwritable output directory exits 2 before any work.
 ``compile --explain-passes`` prints per-pass wall time and stats;
 ``compile --dump-after <pass>`` prints the IR as it leaves a pass.
 
 Examples::
 
-    python -m repro verify circuit --shards 4 --mode threaded --trace t.json
+    python -m repro run circuit --shards 4 --backend threaded --trace t.json
     python -m repro run pennant --backend procs --shards 4 --steps 10
+    python -m repro run stencil --backend procs --shards 2 --json p.json
     python -m repro compile stencil --explain-passes --dump-after replicate
     python -m repro figure 8 --max-nodes 64
     python -m repro simulate pennant --nodes 16 --model cr --trace sim.json
-    python -m repro profile --app stencil --backend procs --shards 2
 """
 
 from __future__ import annotations
@@ -140,34 +139,22 @@ def build_parser() -> argparse.ArgumentParser:
     from .runtime.backends import backend_names
     SPMD_BACKENDS = list(backend_names())
 
-    v = sub.add_parser("verify", help="check CR == sequential == reference")
-    add_app_args(v)
-    v.add_argument("--shards", type=int, default=4)
-    v.add_argument("--mode", "--backend", dest="mode", choices=SPMD_BACKENDS,
-                   default="stepped",
-                   help="SPMD driver: deterministic interleaving, OS "
-                        "threads, or OS processes over shared memory")
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--sync", choices=["p2p", "barrier"], default="p2p")
-    v.add_argument("--trace", metavar="OUT.json", default=None,
-                   help="write a Chrome-trace timeline of the compile + run")
-    v.add_argument("--metrics", metavar="OUT.prom", default=None,
-                   help="write run metrics in Prometheus text format")
-
-    r = sub.add_parser("run", help="run one app on one backend and time it")
+    r = sub.add_parser(
+        "run", help="run one app, check it against the sequential "
+                    "executor and the reference, and profile its shards")
     add_app_args(r)
     r.add_argument("--shards", type=int, default=4)
     r.add_argument("--backend", choices=["sequential"] + SPMD_BACKENDS,
                    default="threaded")
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--sync", choices=["p2p", "barrier"], default="p2p")
-    r.add_argument("--no-check", action="store_true",
-                   help="skip the region-state comparison against the "
-                        "sequential executor")
     r.add_argument("--trace", metavar="OUT.json", default=None,
-                   help="write a Chrome-trace timeline of the run")
+                   help="write a Chrome-trace timeline of the compile + run")
     r.add_argument("--metrics", metavar="OUT.prom", default=None,
-                   help="write run metrics in Prometheus text format")
+                   help="write run and profile metrics in Prometheus text "
+                        "format")
+    r.add_argument("--json", metavar="OUT.json", default=None,
+                   help="write the profile report as JSON")
 
     c = sub.add_parser("compile", help="show the program before/after CR")
     add_app_args(c)
@@ -202,35 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--metrics", metavar="OUT.prom", default=None,
                    help="write virtual-time buckets in Prometheus text "
                         "format")
-
-    pr = sub.add_parser(
-        "profile",
-        help="attribute shard time, extract the critical path, and "
-             "report parallel efficiency")
-    pr.add_argument("--app", required=True, choices=sorted(APP_FACTORIES))
-    pr.add_argument("--tiles", type=int, default=4,
-                    help="pieces/tiles in the partition (default 4)")
-    pr.add_argument("--steps", type=int, default=6,
-                    help="time steps (default 6: enough to reach replay "
-                         "steady state)")
-    pr.add_argument("--size", type=int, default=None,
-                    help="per-app problem size knob")
-    pr.add_argument("--shape", choices=["star", "square"], default="star",
-                    help="stencil shape (stencil only)")
-    pr.add_argument("--backend", choices=SPMD_BACKENDS, default="threaded")
-    pr.add_argument("--shards", type=int, default=2)
-    pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--sync", choices=["p2p", "barrier"], default="p2p")
-    pr.add_argument("--top-k", dest="top_k", type=int, default=3,
-                    help="number of longest chains to extract (default 3)")
-    pr.add_argument("--json", metavar="OUT.json", default=None,
-                    help="machine-readable report path (default "
-                         "profile_<app>_<backend>.json)")
-    pr.add_argument("--prom", metavar="OUT.prom", default=None,
-                    help="Prometheus text export path (default "
-                         "profile_<app>_<backend>.prom)")
-    pr.add_argument("--trace", metavar="OUT.json", default=None,
-                    help="also keep the raw Chrome-trace timeline")
 
     sv = sub.add_parser(
         "serve",
@@ -296,108 +254,102 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _output_error(args) -> str | None:
+    """Why an output flag cannot be honoured, checked before any work so
+    that a long run is never lost to a bad path at its end."""
+    given = [f for f in ("trace", "metrics", "json") if getattr(args, f, None)]
+    if given and getattr(args, "backend", None) == "sequential":
+        return (f"--{given[0]} records an SPMD run; "
+                f"--backend sequential writes none")
+    for flag in given:
+        d = os.path.dirname(os.path.abspath(getattr(args, flag)))
+        if not (os.path.isdir(d) and os.access(d, os.W_OK)):
+            return f"--{flag}: directory {d} is missing or not writable"
+    return None
+
+
 def _write_metrics(metrics, path: str) -> None:
     out = resolve_trace_path(path)
     metrics.write_prometheus(out)
     print(f"-- metrics: {out}")
 
 
-def cmd_verify(args) -> int:
-    from .obs import NULL_METRICS, NULL_TRACER, MetricsRegistry, Tracer
-    problem = APP_FACTORIES[args.app](args)
-    tracer = Tracer() if args.trace else NULL_TRACER
-    metrics = MetricsRegistry() if args.metrics else NULL_METRICS
-    t0 = time.perf_counter()
-    ref = problem.reference_state()
-    seq, seq_scalars, _ = problem.run_sequential()
-    cr, cr_scalars, ex, report = problem.run_control_replicated(
-        args.shards, mode=args.mode, seed=args.seed, sync=args.sync,
-        tracer=tracer, metrics=metrics)
-    elapsed = time.perf_counter() - t0
+def _diff(got, want, what: str, atol: float) -> bool:
+    """Print one FAIL line per field of ``want`` that ``got`` misses;
+    True when every field agrees to round-off."""
+    bad = [k for k in want
+           if not np.allclose(got[k], want[k], rtol=1e-11, atol=atol)]
+    for k in bad:
+        print(f"FAIL {what} on {k} "
+              f"(max diff {np.abs(got[k] - want[k]).max():.3e})")
+    return not bad
 
-    ok = True
-    for key in set(ref) & set(seq):  # references may report extra scalars
-        if not np.allclose(seq[key], ref[key], rtol=1e-11, atol=1e-12):
-            print(f"FAIL sequential != reference on {key}")
-            ok = False
-    for key in seq:
-        if not np.allclose(cr[key], seq[key], rtol=1e-11, atol=1e-13):
-            print(f"FAIL control-replicated != sequential on {key} "
-                  f"(max diff {np.abs(cr[key] - seq[key]).max():.3e})")
-            ok = False
-    print(report.summary())
-    print(f"{args.app}: reference == sequential == CR({args.shards} shards, "
-          f"{args.mode}, {args.sync}): {'OK' if ok else 'MISMATCH'} "
-          f"[{ex.elements_copied} elements exchanged, {elapsed:.2f}s]")
-    if args.trace:
-        out = resolve_trace_path(args.trace)
-        tracer.write(out)
-        print(f"-- trace: {len(tracer.events())} events -> {out}")
-    if args.metrics:
-        ex.export_flight_metrics(metrics)  # skew_*/drift_* gauges
-        _write_metrics(metrics, args.metrics)
-    return 0 if ok else 1
+
+def _run_sequential(args, problem):
+    """The sequential state, its wall time, and whether it matches the
+    app's independent reference."""
+    t0 = time.perf_counter()
+    seq, _, ex = problem.run_sequential()
+    t_seq = time.perf_counter() - t0
+    ref = problem.reference_state()
+    # References may report extra scalars the program does not keep.
+    ok = _diff(seq, {k: v for k, v in ref.items() if k in seq},
+               "sequential != reference", atol=1e-12)
+    print(f"{args.app}: reference == sequential: {'OK' if ok else 'MISMATCH'}"
+          f" [{ex.tasks_executed} tasks, {t_seq:.3f}s]")
+    return seq, t_seq, ok
 
 
 def cmd_run(args) -> int:
-    from .obs import NULL_METRICS, NULL_TRACER, MetricsRegistry, Tracer
+    """Run an app once and answer "is it right, and where did the time
+    go": the sequential state against the reference, the SPMD state
+    against the sequential one, and the profile read from the run's
+    flight rings with the sequential wall time as T_seq."""
+    import json
+
+    from .obs import NULL_METRICS, NULL_TRACER, MetricsRegistry, Tracer, build_profile
     problem = APP_FACTORIES[args.app](args)
+    if args.backend == "sequential":
+        return 0 if _run_sequential(args, problem)[2] else 1
     tracer = Tracer() if args.trace else NULL_TRACER
     metrics = MetricsRegistry() if args.metrics else NULL_METRICS
     t0 = time.perf_counter()
-    if args.backend == "sequential":
-        state, _, ex = problem.run_sequential()
-        elapsed = time.perf_counter() - t0
-        print(f"{args.app}: sequential, {ex.tasks_executed} tasks, "
-              f"{elapsed:.3f}s")
-        return 0
     state, _, ex, report = problem.run_control_replicated(
         args.shards, mode=args.backend, seed=args.seed, sync=args.sync,
         tracer=tracer, metrics=metrics)
     elapsed = time.perf_counter() - t0
+    seq, t_seq, ok = _run_sequential(args, problem)
 
-    ok = True
-    check = "unchecked"
-    if not args.no_check:
-        seq, _, _ = problem.run_sequential()
-        bitwise = all(np.array_equal(state[k], seq[k]) for k in seq)
-        if bitwise:
-            check = "bitwise-identical to sequential"
-        elif all(np.allclose(state[k], seq[k], rtol=1e-11, atol=1e-13)
-                 for k in seq):
-            # Float reduction copies reassociate sums, so apps with "+"
-            # reduction fields agree to round-off rather than bitwise.
-            check = "matches sequential to round-off"
-        else:
-            ok = False
-            check = "MISMATCH vs sequential"
-            for k in seq:
-                if not np.allclose(state[k], seq[k], rtol=1e-11, atol=1e-13):
-                    print(f"FAIL {args.backend} != sequential on {k} "
-                          f"(max diff {np.abs(state[k] - seq[k]).max():.3e})")
-    print(f"{args.app}: backend={args.backend} shards={args.shards} "
-          f"[{ex.tasks_executed} tasks, {ex.copies_performed} copies, "
-          f"{ex.bytes_copied} bytes exchanged, "
-          f"{ex.replay_hits} replayed / {ex.replay_misses} interpreted "
-          f"iterations, {ex.fused_copies} block copies "
-          f"({ex.fused_pairs} pairs), {elapsed:.3f}s] -- {check}")
-    if ex.window_compiles:
-        # Per-window lowering summary: how many recorded interpreter ops
-        # the window compiler saw, how many survived lowering, and how many
-        # fused closures the compiled windows actually execute per replay.
-        n = ex.window_compiles
-        print(f"-- window jit: {n} window(s) compiled, "
-              f"{ex.window_ops_recorded // n} ops recorded -> "
-              f"{ex.window_ops_lowered // n} lowered -> "
-              f"{ex.window_closures // n} closures per window "
-              f"({ex.window_ops_recorded} ops interpreted -> "
-              f"{ex.window_closures} closures executed in total)")
+    if all(np.array_equal(state[k], seq[k]) for k in seq):
+        check = "bitwise-identical to sequential"
+    elif _diff(state, seq, f"{args.backend} != sequential", atol=1e-13):
+        # Float reduction copies reassociate sums, so apps with "+"
+        # reduction fields agree to round-off rather than bitwise.
+        check = "matches sequential to round-off"
+    else:
+        ok = False
+        check = "MISMATCH vs sequential"
+    print(f"{args.app}: CR({args.shards} shards, {args.backend}, "
+          f"{args.sync}) {check} [{elapsed:.3f}s]")
+
+    prof = build_profile(ex.flight.to_chrome()["traceEvents"], app=args.app,
+                         backend=args.backend, num_shards=args.shards,
+                         t_seq_s=t_seq, executor=ex, compile_report=report,
+                         metrics=metrics)
+    print(prof.format())
+    if args.json:
+        out = resolve_trace_path(args.json)
+        with open(out, "w") as fh:
+            json.dump(prof.to_dict(), fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(f"-- report: {out}")
     if args.trace:
         out = resolve_trace_path(args.trace)
         tracer.write(out)
         print(f"-- trace: {len(tracer.events())} events -> {out}")
     if args.metrics:
         ex.export_flight_metrics(metrics)  # skew_*/drift_* gauges
+        prof.export_metrics(metrics)
         _write_metrics(metrics, args.metrics)
     return 0 if ok else 1
 
@@ -526,47 +478,6 @@ def cmd_simulate(args) -> int:
         simulation_metrics(sims[0], metrics,
                            name_prefix=f"{args.app}-{args.model}")
         _write_metrics(metrics, args.metrics)
-    return 0
-
-
-def cmd_profile(args) -> int:
-    import json
-
-    from .obs import MetricsRegistry, Tracer, build_profile
-    problem = APP_FACTORIES[args.app](args)
-
-    # Baseline: the unreplicated sequential interpreter on an identical
-    # fresh problem — the T_seq of the paper's efficiency metric.
-    t0 = time.perf_counter()
-    problem.run_sequential()
-    t_seq = time.perf_counter() - t0
-
-    tracer = Tracer()
-    metrics = MetricsRegistry()
-    _, _, ex, report = problem.run_control_replicated(
-        args.shards, mode=args.backend, seed=args.seed, sync=args.sync,
-        tracer=tracer, metrics=metrics)
-
-    prof = build_profile(tracer.events(), app=args.app, backend=args.backend,
-                         num_shards=args.shards, t_seq_s=t_seq, executor=ex,
-                         compile_report=report, metrics=metrics,
-                         top_k=args.top_k)
-    prof.export_metrics(metrics)
-    print(prof.format())
-
-    base = f"profile_{args.app}_{args.backend}"
-    json_path = resolve_trace_path(args.json or f"{base}.json")
-    with open(json_path, "w") as fh:
-        json.dump(prof.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"-- report: {json_path}")
-    prom_path = resolve_trace_path(args.prom or f"{base}.prom")
-    metrics.write_prometheus(prom_path)
-    print(f"-- metrics: {prom_path}")
-    if args.trace:
-        out = resolve_trace_path(args.trace)
-        tracer.write(out)
-        print(f"-- trace: {len(tracer.events())} events -> {out}")
     return 0
 
 
@@ -732,13 +643,15 @@ def cmd_apps(_args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    error = _output_error(args)
+    if error:
+        print(f"repro {args.command}: {error}", file=sys.stderr)
+        return 2
     handler = {
-        "verify": cmd_verify,
         "run": cmd_run,
         "compile": cmd_compile,
         "figure": cmd_figure,
         "simulate": cmd_simulate,
-        "profile": cmd_profile,
         "serve": cmd_serve,
         "top": cmd_top,
         "launch-worker": cmd_launch_worker,

@@ -234,8 +234,7 @@ class SPMDExecutor(SequentialExecutor):
                  instances=None, validate_replication: bool = True,
                  tracer: Tracer = NULL_TRACER, deadlock_timeout: float = 60.0,
                  metrics: MetricsRegistry = NULL_METRICS,
-                 window_dump_after: frozenset = frozenset(),
-                 window_dump_sink=None, retain_plans: bool = False,
+                 retain_plans: bool = False,
                  flight: bool = True,
                  flight_capacity: int = _flight.DEFAULT_CAPACITY,
                  flight_dir: str | None = None, net_worker=None):
@@ -252,8 +251,6 @@ class SPMDExecutor(SequentialExecutor):
         # per-rank transport stats funneled back after a launch.
         self.net_worker = net_worker
         self.net_stats: dict[int, dict] = {}
-        self.window_dump_after = frozenset(window_dump_after)
-        self.window_dump_sink = window_dump_sink
         # Run totals of the per-shard counters, under the same names.
         for name in _ShardState.COUNTERS:
             setattr(self, name, 0)

@@ -19,7 +19,6 @@ from .exec import (
 from .ir import (
     WindowIR,
     WindowVerifyError,
-    format_window,
     window_summary,
 )
 from .recorder import IterationRecorder, ReplayError
@@ -27,6 +26,6 @@ from .recorder import IterationRecorder, ReplayError
 __all__ = [
     "CompiledWindow", "IterationRecorder", "LoopReplay",
     "ReplayError", "WindowContext", "WindowIR",
-    "WindowVerifyError", "compile_window", "format_window",
+    "WindowVerifyError", "compile_window",
     "window_summary",
 ]

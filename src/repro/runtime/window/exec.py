@@ -69,7 +69,6 @@ from ...obs import flight as _flight
 from .ir import (
     WindowIR,
     WindowVerifyError,
-    format_window,
     guards_hold,
     verify_window,
     window_summary,
@@ -317,7 +316,6 @@ def compile_window(ex, rec: IterationRecorder, state, comm, *,
     wir.epoch_deltas = tuple((loop_uid, d) for loop_uid, d in deltas if d)
     ctx = WindowContext(
         num_shards=comm.num_shards, timings=state.window_passes,
-        dump_after=ex.window_dump_after, dump_sink=ex.window_dump_sink,
         ex=ex, state=state, comm=comm)
     baseline = window_summary(wir)
     verified = list(wir.ops)
@@ -333,7 +331,7 @@ def compile_window(ex, rec: IterationRecorder, state, comm, *,
     try:
         wir = run_pass_pipeline(
             wir, window_passes(), ctx, size_fn=lambda w: len(w.ops),
-            verify_fn=verify, dump_fn=format_window)
+            verify_fn=verify)
     except WindowVerifyError as exc:
         # A lowering pass broke the window's visible effects.  Nothing
         # else could run this loop's steady state, so the shard fails.

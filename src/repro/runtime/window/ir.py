@@ -32,7 +32,6 @@ from .recorder import (
     OP_FILL,
     OP_FUSED,
     OP_MSG,
-    OP_NAMES,
     OP_SETVAR,
     OP_TASK,
     OP_WAITN,
@@ -41,7 +40,7 @@ from .recorder import (
 
 __all__ = [
     "WindowIR", "WindowVerifyError",
-    "format_window", "guards_hold", "op_arrays",
+    "guards_hold", "op_arrays",
     "verify_window", "window_summary",
 ]
 
@@ -178,36 +177,3 @@ def verify_window(wir: WindowIR, baseline, stage: str) -> None:
     if syncs != base_syncs:
         raise WindowVerifyError(
             f"window pass {stage!r} changed the barrier/collective sequence")
-
-
-def format_window(wir: WindowIR) -> str:
-    """Render the window op list for ``--dump-after``-style inspection."""
-    lines = [f"window: {len(wir.ops)} ops, {len(wir.guards)} guards"]
-    for n, op in enumerate(wir.ops):
-        k = op[0]
-        name = OP_NAMES[k] if k < len(OP_NAMES) else f"op{k}"
-        if k == OP_TASK:
-            plan = op[1]
-            detail = (f"uid={plan.uid} {plan.task.name} "
-                      f"points={plan.points} calls={len(plan.calls)}")
-        elif k in (OP_ADVN, OP_WAITN):
-            detail = (f"uid={op[2]} stride={op[3]} kind={op[4]} "
-                      f"n={len(op[1])}")
-        elif k == OP_FUSED:
-            fb = op[1]
-            detail = (f"uid={fb.uid} pairs={fb.pair_count} "
-                      f"groups={len(fb.items)} visits={fb.visits}")
-        elif k == OP_MSG:
-            ps = op[1]
-            detail = (f"uid={ps.uid} peer={ps.peer} pairs={ps.pair_count} "
-                      f"count={ps.count}")
-        elif k in (OP_ASSIGN, OP_SETVAR):
-            detail = f"{op[1]} = {op[2]!r}"
-        elif k == OP_BARRIER:
-            detail = f"uid={op[2]} stride={op[3]} label={op[4]}"
-        elif k == OP_COLL:
-            detail = f"uid={op[2]} stride={op[3]} name={op[4]}"
-        else:
-            detail = ""
-        lines.append(f"  [{n:3d}] {name:<8} {detail}".rstrip())
-    return "\n".join(lines)

@@ -33,7 +33,7 @@ from ...core.ir import Expr
 __all__ = [
     "IterationRecorder", "ReplayError",
     "OP_ASSIGN", "OP_SETVAR", "OP_TASK", "OP_FILL", "OP_ADVN", "OP_WAITN",
-    "OP_BARRIER", "OP_COLL", "OP_YIELD", "OP_FUSED", "OP_MSG", "OP_NAMES",
+    "OP_BARRIER", "OP_COLL", "OP_YIELD", "OP_FUSED", "OP_MSG",
 ]
 
 # Op kinds of a recorded/lowered window (first element of every op tuple).
@@ -53,9 +53,6 @@ OP_COLL = 7      # (k, coll, uid, stride, name)      dynamic collective
 OP_YIELD = 8     # (k,)                              interpreter preemption pt
 OP_FUSED = 9     # (k, fusedbatch)                   one statement's local copies
 OP_MSG = 10      # (k, packedsend)                   one statement's send to a peer
-
-OP_NAMES = ("assign", "setvar", "task", "fill", "advn", "waitn", "barrier",
-            "coll", "yield", "fused", "msg")
 
 
 class ReplayError(RuntimeError):

@@ -1210,18 +1210,6 @@ class TestObservability:
         assert "spmd_window_compiles_total" in got
         assert "spmd_window_pass_runs_total" in got
 
-    def test_window_dump_after(self, capsys):
-        fig2 = Fig2(steps=5)
-        prog, _ = control_replicate(fig2.build(), num_shards=2)
-        dumped = []
-        ex = SPMDExecutor(num_shards=2, instances=fig2.fresh_instances())
-        ex.window_dump_after = frozenset({"fission"})
-        ex.window_dump_sink = lambda name, text: dumped.append((name, text))
-        ex.run(prog)
-        assert dumped  # one dump per compiled window
-        assert all(name == "fission" for name, _ in dumped)
-        assert all(text.startswith("window:") for _, text in dumped)
-
     def test_window_counters_funnel_through_procs(self):
         if not procs_available():
             pytest.skip("fork unavailable")
