@@ -97,6 +97,8 @@ def _run_rank(ex, stmt, spec, st, ns: int, transport, cancel):
 
     def body():
         yield from ex._shard_body(stmt.body, st, nctx)
+        # The last iteration's credits have no message left to ride.
+        transport.flush_credits()
         # Funnel this rank's owned region state up the gather tree, then
         # hold everyone at the shutdown barrier so no rank closes its
         # sockets while a peer still needs them.

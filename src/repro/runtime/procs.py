@@ -21,9 +21,12 @@ What is specific to this backend:
   objects out in flat ``ctypes`` arrays in anonymous shared memory —
   the ready/ack sequences of the §3.4 handshake, one slot pair per
   (copy statement, producer shard, consumer shard) channel in spec order,
-  global-barrier generations, dynamic-collective slots (§4.4) — guarded
-  by a single ``multiprocessing`` condition variable.  Waiters re-check
-  monotone predicates; every state change notifies.  Collective values
+  global-barrier generations, dynamic-collective slots (§4.4).  A
+  handshake slot has one writer and one waiting shard, so an advance is
+  a plain store and one ring of the waiter's doorbell (one semaphore per
+  shard); barrier and collective counters take one lock and ring every
+  bell when a generation completes.  Waiters drain their bell and
+  re-check monotone predicates.  Collective values
   travel as exact integers while every contribution is an integer, as
   float64 otherwise (double-buffered by generation parity, which is safe
   because generation ``g+2`` contributions cannot begin until every
@@ -32,6 +35,7 @@ What is specific to this backend:
 
 from __future__ import annotations
 
+import time
 from typing import Any, Callable
 
 import numpy as np
@@ -58,16 +62,21 @@ _INT_BYTES = 128
 # ---------------------------------------------------------------------------
 
 class _BoardEvent:
-    """Event facade over a monotone predicate on shared sync state.
+    """Event facade over a monotone predicate on shared sync state, woken
+    by the waiting shard's doorbell.
 
     Duck-types :class:`repro.runtime.events.Event` as far as the drivers
-    need: ``is_set`` / ``wait_blocking`` / ``label``.
+    need: ``is_set`` / ``wait_blocking`` / ``label``.  Every writer stores
+    first and rings after, so a ring drained before the re-check is never
+    a lost wake-up: either the check sees the store or the bell still
+    holds its ring.
     """
 
-    __slots__ = ("_cond", "_check", "label")
+    __slots__ = ("_bell", "_check", "label")
 
-    def __init__(self, cond, check: Callable[[], bool], label: str | None = None):
-        self._cond = cond
+    def __init__(self, bell, check: Callable[[], bool],
+                 label: str | None = None):
+        self._bell = bell
         self._check = check
         self.label = label
 
@@ -77,8 +86,17 @@ class _BoardEvent:
         return bool(self._check())
 
     def wait_blocking(self, timeout: float | None = None) -> bool:
-        with self._cond:
-            return self._cond.wait_for(self._check, timeout)
+        bell, check = self._bell, self._check
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            while bell.acquire(False):  # rings this wait has subsumed
+                pass
+            if check():
+                return True
+            left = (None if deadline is None
+                    else max(0.0, deadline - time.monotonic()))
+            if not bell.acquire(True, left):
+                return bool(check())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"_BoardEvent({self.label or 'event'}, {'set' if self.is_set() else 'unset'})"
@@ -86,29 +104,45 @@ class _BoardEvent:
 
 class _BoardSequence:
     """Cross-process :class:`~repro.runtime.events.Sequence`: a monotone
-    counter at a fixed slot of a shared array."""
+    counter at a fixed slot of a shared array.  One shard writes it and
+    one shard waits on it; ``bell`` is the waiting shard's doorbell."""
 
-    __slots__ = ("_cond", "_arr", "_idx")
+    __slots__ = ("_bell", "_arr", "_idx")
 
-    def __init__(self, cond, arr, idx: int):
-        self._cond = cond
+    def __init__(self, bell, arr, idx: int):
+        self._bell = bell
         self._arr = arr
         self._idx = idx
 
     @property
     def value(self) -> int:
-        with self._cond:
-            return self._arr[self._idx]
+        return self._arr[self._idx]
 
     def advance_to(self, n: int) -> None:
-        with self._cond:
-            if n > self._arr[self._idx]:
-                self._arr[self._idx] = n
-                self._cond.notify_all()
+        # The one writer: a plain store, then one ring.
+        if n > self._arr[self._idx]:
+            self._arr[self._idx] = n
+            self._bell.release()
 
     def event_for(self, n: int, label: str | None = None) -> _BoardEvent:
         arr, idx = self._arr, self._idx
-        return _BoardEvent(self._cond, lambda: arr[idx] >= n, label)
+        return _BoardEvent(self._bell, lambda: arr[idx] >= n, label)
+
+
+class _Bells:
+    """One doorbell (a ``multiprocessing`` semaphore) per shard, made
+    before the fork, and the calling shard's own: a forked child sets
+    ``mine`` to its shard's bell before it runs."""
+
+    __slots__ = ("all", "mine")
+
+    def __init__(self, mpctx, num_shards: int):
+        self.all = tuple(mpctx.Semaphore(0) for _ in range(num_shards))
+        self.mine = None
+
+    def ring_all(self) -> None:
+        for bell in self.all:
+            bell.release()
 
 
 class _BoardBarrier:
@@ -118,13 +152,17 @@ class _BoardBarrier:
     generation ``g`` before arriving at ``g+1``), so one arrival counter
     plus a last-completed-generation watermark per barrier suffices —
     the shared-state analogue of the eager pruning the in-process
-    :class:`~repro.runtime.events.PhaseBarrier` does.
+    :class:`~repro.runtime.events.PhaseBarrier` does.  The counters take
+    the board's one lock; the last arrival rings every shard's bell.
     """
 
-    __slots__ = ("_cond", "_count", "_done", "_idx", "_participants")
+    __slots__ = ("_lock", "_bells", "_count", "_done", "_idx",
+                 "_participants")
 
-    def __init__(self, cond, count, done, idx: int, participants: int):
-        self._cond = cond
+    def __init__(self, lock, bells: _Bells, count, done, idx: int,
+                 participants: int):
+        self._lock = lock
+        self._bells = bells
         self._count = count
         self._done = done
         self._idx = idx
@@ -132,16 +170,19 @@ class _BoardBarrier:
 
     def arrive_and_wait_event(self, generation: int,
                               label: str | None = None) -> _BoardEvent:
-        with self._cond:
+        with self._lock:
             got = self._count[self._idx] + 1
-            if got == self._participants:
+            last = got == self._participants
+            if last:
                 self._count[self._idx] = 0
                 self._done[self._idx] = generation
-                self._cond.notify_all()
             else:
                 self._count[self._idx] = got
+        if last:
+            self._bells.ring_all()
         done, idx = self._done, self._idx
-        return _BoardEvent(self._cond, lambda: done[idx] >= generation, label)
+        return _BoardEvent(self._bells.mine, lambda: done[idx] >= generation,
+                           label)
 
 
 class _ScalarSlots:
@@ -193,13 +234,15 @@ class _BoardCollective:
     cross-process counterpart of the in-process generation retirement.
     """
 
-    __slots__ = ("_cond", "_partial", "_arrived", "_result", "_done",
-                 "_base", "_k", "_participants", "redop", "_fold", "label")
+    __slots__ = ("_lock", "_bells", "_partial", "_arrived", "_result",
+                 "_done", "_base", "_k", "_participants", "redop", "_fold",
+                 "label")
 
-    def __init__(self, cond, partial: _ScalarSlots, arrived,
+    def __init__(self, lock, bells: _Bells, partial: _ScalarSlots, arrived,
                  result: _ScalarSlots, done, k: int, participants: int,
                  redop: str):
-        self._cond = cond
+        self._lock = lock
+        self._bells = bells
         self._partial = partial
         self._arrived = arrived
         self._result = result
@@ -212,13 +255,14 @@ class _BoardCollective:
 
     def contribute(self, generation: int, value: Any | None) -> _BoardEvent:
         s = self._base + (generation & 1)
-        with self._cond:
+        with self._lock:
             if value is not None:
                 prev = self._partial.load(s)
                 self._partial.store(
                     s, value if prev is None else self._fold(prev, value))
             got = self._arrived[s] + 1
-            if got == self._participants:
+            last = got == self._participants
+            if last:
                 folded = self._partial.load(s)
                 if folded is None:
                     # Every shard contributed None (legal: §4.4 empty
@@ -228,15 +272,16 @@ class _BoardCollective:
                 self._arrived[s] = 0
                 self._partial.kinds[s] = _EMPTY
                 self._done[self._k] = generation
-                self._cond.notify_all()
             else:
                 self._arrived[s] = got
+        if last:
+            self._bells.ring_all()
         done, k = self._done, self._k
-        return _BoardEvent(self._cond, lambda: done[k] >= generation,
+        return _BoardEvent(self._bells.mine, lambda: done[k] >= generation,
                            label=self.label)
 
     def result(self, generation: int):
-        with self._cond:
+        with self._lock:
             return self._result.load(self._base + (generation & 1))
 
 
@@ -245,13 +290,17 @@ class BoardContext(CommContext):
 
     Slots are assigned in spec order — channel ``cid`` is slot ``cid`` of
     the ready and acked arrays, sized by the spec's channel keys (at most
-    ``ns * (ns - 1)`` per copy statement) — and every object hangs off the
-    one Condition, created pre-fork so all children inherit it.
+    ``ns * (ns - 1)`` per copy statement).  A channel's ``ready`` slot
+    rings its consumer's bell, its ``acked`` slot its producer's; the
+    barrier and collective counters share one lock.  Bells and lock are
+    created pre-fork so all children inherit them; each child calls
+    :meth:`bind` with its shard first.
     """
 
     def __init__(self, spec, num_shards: int):
         mpctx = fork_context()
-        self._cond = mpctx.Condition()
+        self._bells = _Bells(mpctx, num_shards)
+        self._lock = mpctx.Lock()
         n = max(1, sum(len(keys) for keys in spec.channels.values()))
         self._chan_ready = mpctx.RawArray("q", n)
         self._chan_acked = mpctx.RawArray("q", n)
@@ -268,31 +317,39 @@ class BoardContext(CommContext):
         self._coll_done = mpctx.RawArray("q", nc)
         super().__init__(spec, num_shards)
 
+    def bind(self, shard: int) -> None:
+        """Make ``shard`` the one whose bell barrier and collective waits
+        block on (in a forked child: its own shard)."""
+        self._bells.mine = self._bells.all[shard]
+
     def _channel(self, stmt, key, cid: int) -> Channel:
-        return Channel(_BoardSequence(self._cond, self._chan_ready, cid),
-                       _BoardSequence(self._cond, self._chan_acked, cid))
+        producer, consumer = key
+        bells = self._bells.all
+        return Channel(
+            _BoardSequence(bells[consumer], self._chan_ready, cid),
+            _BoardSequence(bells[producer], self._chan_acked, cid))
 
     def _collective(self, uid: int, redop: str) -> _BoardCollective:
-        return _BoardCollective(self._cond, self._coll_partial,
+        return _BoardCollective(self._lock, self._bells, self._coll_partial,
                                 self._coll_arrived, self._coll_result,
                                 self._coll_done, self._coll_index[uid],
                                 self.num_shards, redop)
 
     def _barrier(self, tag: str, copy) -> _BoardBarrier:
-        return _BoardBarrier(self._cond, self._bar_count, self._bar_done,
-                             self._bar_index[tag], self.num_shards)
+        return _BoardBarrier(self._lock, self._bells, self._bar_count,
+                             self._bar_done, self._bar_index[tag],
+                             self.num_shards)
 
     def advance_group(self, seqs, n: int) -> None:
-        # Every slot hangs off the one Condition, so a batched ack release
-        # is a single lock round and a single notify_all.
-        with self._cond:
-            changed = False
-            for seq in seqs:
-                if n > seq._arr[seq._idx]:
-                    seq._arr[seq._idx] = n
-                    changed = True
-            if changed:
-                self._cond.notify_all()
+        # Store every slot, then ring each distinct waiting shard once.
+        rung = []
+        for seq in seqs:
+            if n > seq._arr[seq._idx]:
+                seq._arr[seq._idx] = n
+                if seq._bell not in rung:
+                    rung.append(seq._bell)
+        for bell in rung:
+            bell.release()
 
 
 def shared_lock():
@@ -305,6 +362,7 @@ def run_shard_launch_procs(ex, stmt, spec, states) -> None:
     ctx = BoardContext(spec, len(states))
 
     def body(state, cancel):
+        ctx.bind(state.shard)
         gen = ex._shard_body(stmt.body, state, ctx)
         return drive_shard(ex, gen, state, cancel), None
 

@@ -7,6 +7,8 @@ observationally identical to the threaded one: same region state, same
 copy counters, same error propagation.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -238,3 +240,73 @@ class TestIntersectionCache:
         spmd.run(cprog)
         assert spmd.intersections_computed == 1
         assert len(spmd._isect_cache) == 1
+
+
+class TestDoorbells:
+    """A handshake slot rings its one waiting shard's bell; the waiter
+    drains it before it re-checks, so rings that no wait needed do not
+    pile up past the next wait."""
+
+    def _board(self, ns=2):
+        from types import SimpleNamespace
+
+        from repro.runtime.launch import LaunchSpec
+        from repro.runtime.procs import BoardContext
+        spec = LaunchSpec(copies=[SimpleNamespace(uid=3)],
+                          channels={3: [(0, 1)]},
+                          barriers={"b": None})
+        return BoardContext(spec, ns)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="sem_getvalue is Linux-only here")
+    def test_unwaited_rings_are_drained_by_one_wait(self):
+        ctx = self._board()
+        ready = ctx.channels[3][(0, 1)].ready  # the consumer, shard 1, waits
+        for g in range(1, 10_001):
+            ready.advance_to(g)
+        consumer, producer = ctx._bells.all[1], ctx._bells.all[0]
+        assert producer.get_value() == 0
+        assert ready.event_for(10_000).wait_blocking(1.0)
+        assert consumer.get_value() <= 1
+        # A wait that times out drains as well.
+        ready.advance_to(10_001)
+        assert not ready.event_for(10_002).wait_blocking(0.01)
+        assert consumer.get_value() <= 1
+
+    def test_ring_from_another_process_wakes_the_waiter(self):
+        import time
+
+        from repro.runtime.launch import fork_context
+        ctx = self._board()
+        chan = ctx.channels[3][(0, 1)]
+
+        def producer():
+            time.sleep(0.05)
+            chan.ready.advance_to(1)
+
+        child = fork_context().Process(target=producer)
+        child.start()
+        try:
+            t0 = time.monotonic()
+            assert chan.ready.event_for(1).wait_blocking(10.0)
+            assert time.monotonic() - t0 < 5.0
+        finally:
+            child.join(5.0)
+
+    def test_barrier_completion_rings_every_shard(self):
+        from repro.runtime.launch import fork_context
+        ctx = self._board()
+        ctx.bind(0)
+        bar = ctx.barriers["b"]
+
+        def other():
+            ctx.bind(1)
+            assert bar.arrive_and_wait_event(1).wait_blocking(10.0)
+
+        child = fork_context().Process(target=other)
+        child.start()
+        try:
+            assert bar.arrive_and_wait_event(1).wait_blocking(10.0)
+        finally:
+            child.join(10.0)
+        assert child.exitcode == 0
