@@ -50,7 +50,7 @@ from .region_tree import (
     partitions_may_interfere,
     regions_may_alias_symbolic,
 )
-from .shards import owner_of_color, shard_owned_colors
+from .shards import color_owners, owner_of_color, shard_owned_colors
 from .target import (
     CRLegalityError,
     Fragment,
@@ -71,7 +71,8 @@ __all__ = [
     "Proj", "PureCall", "RegionArg", "ScalarArg", "ScalarAssign",
     "ScalarCollective", "ScalarRef", "ShardLaunch", "SingleCall", "Stmt",
     "SymbolicRegionTree", "UnaryOp", "WhileLoop", "as_expr",
-    "check_launch_legality", "control_replicate", "default_passes",
+    "check_launch_legality", "color_owners", "control_replicate",
+    "default_passes",
     "evaluate", "explain_shard", "find_fragments",
     "format_pipeline_ir", "format_program", "fragment_usage",
     "normalize_projections",

@@ -12,11 +12,13 @@ themselves.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..regions.index_space import IndexSpace
 from .ir import Block, ShardLaunch, Stmt
 
-__all__ = ["channel_keys", "create_shards", "shard_owned_colors",
-           "owner_of_color"]
+__all__ = ["channel_keys", "color_owners", "create_shards",
+           "shard_owned_colors", "owner_of_color"]
 
 
 def shard_owned_colors(domain_size: int, num_shards: int, shard: int) -> range:
@@ -39,10 +41,18 @@ def owner_of_color(domain_size: int, num_shards: int, color: int) -> int:
     return shard
 
 
+def color_owners(domain_size: int, num_shards: int) -> np.ndarray:
+    """:func:`owner_of_color` of every colour ``0 .. domain_size - 1`` as
+    one array: shard ``x`` repeated once per colour of its block."""
+    starts = domain_size * np.arange(num_shards + 1) // num_shards
+    return np.repeat(np.arange(num_shards), np.diff(starts))
+
+
 def channel_keys(stmt, pairs, ns: int) -> list[tuple[int, int]]:
     """The handshake channels of copy statement ``stmt`` under ``ns``
     shards: the distinct ``(producer shard, consumer shard)`` of its
-    ``pairs`` whose two shards differ, in pair order.
+    ``pairs`` (``(i, j)`` rows: a list of tuples or a ``(k, 2)`` array)
+    whose two shards differ, in pair order.
 
     At most ``ns * (ns - 1)`` of them, whatever the pair count.  A shard's
     own pairs get none: its copies into itself already sit between its
@@ -50,15 +60,12 @@ def channel_keys(stmt, pairs, ns: int) -> list[tuple[int, int]]:
     A pure function of the statement, the pair set and ``ns``, so every
     rank numbers the channels alike without exchanging anything.
     """
-    src_n, dst_n = stmt.src.num_colors, stmt.dst.num_colors
-    src_owner = [owner_of_color(src_n, ns, c) for c in range(src_n)]
-    dst_owner = [owner_of_color(dst_n, ns, c) for c in range(dst_n)]
-    keys: dict[tuple[int, int], None] = {}
-    for i, j in pairs:
-        p, q = src_owner[i], dst_owner[j]
-        if p != q:
-            keys[(p, q)] = None
-    return list(keys)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    p = color_owners(stmt.src.num_colors, ns)[pairs[:, 0]]
+    q = color_owners(stmt.dst.num_colors, ns)[pairs[:, 1]]
+    keys = (p * ns + q)[p != q]
+    _, first = np.unique(keys, return_index=True)
+    return [divmod(k, ns) for k in keys[np.sort(first)].tolist()]
 
 
 def create_shards(body: list[Stmt], launch_domains: list[IndexSpace],

@@ -498,9 +498,8 @@ def build_profile(events: Iterable[dict[str, Any]], *,
             "locked_folds": int(getattr(executor, "locked_folds", 0)),
         }
         pair_sets = [{"name": name,
-                      "nonempty_pairs": len(res.nonempty_pairs()),
-                      "elements": int(sum(p.count
-                                          for p in res.pairs.values()))}
+                      "nonempty_pairs": len(res.pairs),
+                      "elements": res.table.count}
                      for name, res in
                      sorted(getattr(executor, "pair_sets", {}).items())]
         report.intersections = {

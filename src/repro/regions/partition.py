@@ -21,9 +21,57 @@ from .index_space import IndexSpace
 from .intervals import IntervalSet, stack_intervals
 from .region import Region
 
-__all__ = ["Partition"]
+__all__ = ["ColourTable", "Partition"]
 
 _counter = itertools.count()
+
+
+class ColourTable:
+    """All colours' subsets of a partition stacked as one interval set
+    over composite keys ``colour * span + (point - base)``, with the
+    volume prefix of the colours.
+
+    ``span`` exceeds every coordinate's distance from ``base``, so no
+    colour's keys reach the next colour's.  A point's rank in ``stacked``
+    is then its slot in its colour's instance plus ``prefix[colour]``:
+    one :meth:`~repro.regions.intervals.IntervalSet.below` places rows of
+    any colours at once.  Colour ``c``'s intervals are the stacked rows
+    ``row_offsets[c]:row_offsets[c + 1]`` (:meth:`intervals`).
+    """
+
+    __slots__ = ("stacked", "base", "span", "prefix", "row_offsets")
+
+    def __init__(self, subsets: Sequence[IntervalSet]):
+        ivals, colour = stack_intervals(subsets)
+        self.base = int(ivals.min()) if ivals.size else 0
+        self.span = (int(ivals.max()) - self.base + 1) if ivals.size else 1
+        self.stacked = IntervalSet._from_normalized(
+            np.reshape(ivals - self.base + (colour * self.span)[:, None],
+                       (-1, 2)))
+        self.prefix = np.cumsum([0] + [s.count for s in subsets],
+                                dtype=np.int64)
+        self.row_offsets = np.cumsum([0] + [s.num_intervals for s in subsets],
+                                     dtype=np.int64)
+
+    def intervals(self, lo: int, hi: int) -> np.ndarray:
+        """The intervals of colours ``lo .. hi - 1``, in colour order."""
+        rows = self.row_offsets[lo:hi + 1]
+        colour = np.repeat(np.arange(lo, hi), np.diff(rows))
+        return (self.stacked.intervals[rows[0]:rows[-1]] + self.base
+                - (colour * self.span)[:, None])
+
+    def ranks(self, colours: np.ndarray, ivals: np.ndarray) -> np.ndarray:
+        """Per row ``ivals[k]`` of colour ``colours[k]``: the rank of its
+        first point among all stacked points.  Every row must lie in its
+        colour's subset."""
+        if ivals.size and (ivals.min() < self.base
+                           or ivals.max() >= self.base + self.span):
+            raise IndexError("points outside the partition")
+        rank = self.stacked.below(ivals - self.base
+                                  + (colours * self.span)[:, None])
+        if np.any(rank[:, 1] - rank[:, 0] != ivals[:, 1] - ivals[:, 0]):
+            raise IndexError("points not covered by their colour")
+        return rank[:, 0]
 
 
 class Partition:
@@ -51,6 +99,7 @@ class Partition:
         self.name = name or f"partition{self.uid}"
         self.color_space = color_space
         self._subregions: dict[int, Region] = {}
+        self._colour_table: ColourTable | None = None
         parent.partitions.append(self)
 
     # -- queries -------------------------------------------------------------
@@ -64,6 +113,13 @@ class Partition:
 
     def subset(self, color: int) -> IntervalSet:
         return self._subsets[color]
+
+    @property
+    def colour_table(self) -> ColourTable:
+        """The :class:`ColourTable` of the subsets, built on first use."""
+        if self._colour_table is None:
+            self._colour_table = ColourTable(self._subsets)
+        return self._colour_table
 
     def __getitem__(self, color: int) -> Region:
         """The subregion for ``color`` (created lazily, cached)."""

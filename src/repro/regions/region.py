@@ -21,12 +21,12 @@ Both implementations are provided here; the functional executors pick one.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
 from .index_space import IndexSpace
-from .intervals import IntervalSet, expand_ranges, stack_intervals
+from .intervals import IntervalSet, expand_ranges
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .partition import Partition
@@ -182,8 +182,8 @@ class PhysicalInstance:
                  allocator=None):
         self.region = region
         self.index_set = region.index_set if index_set is None else index_set
-        self._points = self.index_set.to_indices()
-        n = self._points.shape[0]
+        self._points = None  # the point array, built on first use
+        n = self.index_set.count
         alloc = np.zeros if allocator is None else allocator
         self.fields: dict[str, np.ndarray] = {
             fname: alloc((n, *eshape), dtype)
@@ -196,19 +196,24 @@ class PhysicalInstance:
 
     @property
     def num_points(self) -> int:
-        return self._points.shape[0]
+        return self.index_set.count
 
     @property
     def points(self) -> np.ndarray:
-        """Sorted global point array this instance covers."""
+        """Sorted global point array this instance covers, built on first
+        use.  Two shard threads may build it at once; both compute the
+        same array, so whichever store lands last is as good."""
+        if self._points is None:
+            self._points = self.index_set.to_indices()
         return self._points
 
     def localize(self, points: np.ndarray | IntervalSet) -> np.ndarray:
         """Map global points to local slots. Points must be covered."""
         if isinstance(points, IntervalSet):
             return expand_ranges(*self.localize_runs(points.intervals))
-        slots = np.searchsorted(self._points, points)
-        if slots.size and (np.any(slots >= self._points.shape[0]) or np.any(self._points[slots] != points)):
+        pts = self.points
+        slots = np.searchsorted(pts, points)
+        if slots.size and (np.any(slots >= pts.shape[0]) or np.any(pts[slots] != points)):
             raise IndexError("points not covered by this instance")
         return slots
 
@@ -238,10 +243,11 @@ class PhysicalInstance:
             return arr, None
         if points.num_intervals == 1:
             lo, hi = points.bounds
-            start = int(np.searchsorted(self._points, lo))
+            pts = self.points
+            start = int(np.searchsorted(pts, lo))
             stop = start + (hi - lo)
-            if (start < self._points.shape[0] and self._points[start] == lo
-                    and stop <= self._points.shape[0] and self._points[stop - 1] == hi - 1
+            if (start < pts.shape[0] and pts[start] == lo
+                    and stop <= pts.shape[0] and pts[stop - 1] == hi - 1
                     and stop - start == points.count):
                 return arr[start:stop], None
         slots = self.localize(points)
@@ -290,28 +296,6 @@ def _covered_runs(index_set: IntervalSet, ivals: np.ndarray) -> tuple[np.ndarray
     if np.any(rank[:, 1] - rank[:, 0] != lengths):
         raise IndexError("points not covered by this instance")
     return rank[:, 0], lengths
-
-
-def localize_stacked(instances: Sequence[PhysicalInstance], which: np.ndarray,
-                     ivals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:meth:`PhysicalInstance.localize_runs` of many intervals against many
-    instances in one call: row ``k`` of ``ivals`` is localized in
-    ``instances[which[k]]``.
-
-    The instances' interval tables are stacked into one interval set over
-    composite keys ``instance * span + point`` (``span`` exceeds every
-    coordinate in play, so no interval reaches the next instance's keys);
-    a row's slot is then its rank in the stack less the points stacked
-    before its instance.
-    """
-    tables, inst = stack_intervals([x.index_set for x in instances])
-    both = np.concatenate((tables, ivals))
-    lo = both.min()
-    span = both.max() - lo + 1
-    stacked = IntervalSet._from_normalized(tables - lo + (inst * span)[:, None])
-    first, lengths = _covered_runs(stacked, ivals - lo + (which * span)[:, None])
-    before = np.cumsum([0] + [x.num_points for x in instances[:-1]])
-    return first - before[which], lengths
 
 
 _REDUCTION_UFUNCS = {

@@ -6,30 +6,35 @@ shard and issued every epoch, and argues that copy *cost* is dominated by
 how that intersection-restricted movement is issued, not by how much data
 moves.  This module owns the issue side, once for every consumer of it:
 
-* **Block runs.**  Every colour a shard owns in a partition is a row
-  range of one block per field (``SPMDExecutor.block_rows``).  A *place*
-  function maps an instance to ``(its block's field arrays, its first
-  row)``; :func:`block_runs` localizes all pairs of one side in one
-  stacked call (:func:`~repro.regions.region.localize_stacked`) and adds
-  each pair's row offset per interval, so a pair is a few runs of block
-  rows and no slot array exists until a plan needs one.  An instance
-  outside any block is its own block from row 0 (:func:`own_rows`).
+* **Colour tables.**  Every colour a shard owns in a partition is a row
+  range of one block per field (``SPMDExecutor.block_rows``), the
+  block's colours in colour order.  A :class:`BlockLayout` says where a
+  partition's colours sit: its
+  :class:`~repro.regions.partition.ColourTable` (all colours' subsets
+  stacked under composite keys, with their volume prefix), each colour's
+  block and the stacked rank of that block's first row.
+  :func:`place_rows` places the rows of a slice of a pair table with one
+  ``below()`` on the colour table: a row's block row is its stacked rank
+  less its block's base, so a pair is a few runs of block rows, no
+  instance is looked up and no slot array exists until a plan needs one.
 
-* **One lowering.**  :func:`lower_copy` groups a statement's
-  ``(src_inst, dst_inst, pts, lock)`` pairs by (destination block, fold
-  lock) with one stable argsort, and splits a group wherever the source
-  block changes, so pair order holds inside a group and between the
-  groups that share a destination block.  Each group is one
-  :class:`FusedCopy` — one gather and one scatter per field — and the
-  groups make one :class:`FusedBatch`.  A shard's source colours sit in
-  its one source block, so a statement costs at most ``dst blocks × 2``
-  items whatever its colour count.  The executor builds the batch the
-  first time the shard runs the statement in a launch and keeps it for
-  the launch: the interpreter applies it, the iteration recorder stores it
-  as the statement's one ``fused`` op, and a compiled window replays that
-  same object.  Launch-entry and launch-exit copies (root instance to
-  blocks and back) and the ``net`` backend's send gathers and receive
-  scatters use the same :func:`block_runs` and :class:`FusedCopy`.
+* **One lowering.**  :func:`lower_copy` takes a statement's non-empty
+  pairs on a shard as their two placed sides, the rows' lengths, the
+  pairs' row counts and per-pair fold-lock codes.  It groups the pairs
+  by (destination block, fold lock) with one stable argsort, and splits
+  a group wherever the source block changes, so pair order holds inside
+  a group and between the groups that share a destination block.  Each
+  group is one :class:`FusedCopy` — one gather and one scatter per field
+  — and the groups make one :class:`FusedBatch`.  A shard's source
+  colours sit in its one source block, so a statement costs at most
+  ``dst blocks × 2`` items whatever its colour count.  The executor
+  builds the batch the first time the shard runs the statement in a
+  launch and keeps it for the launch: the interpreter applies it, the
+  iteration recorder stores it as the statement's one ``fused`` op, and
+  a compiled window replays that same object.  The ``net`` backend's
+  send gathers and receive scatters place their pairs with the same
+  :func:`place_rows`; launch-entry and launch-exit copies (root instance
+  to blocks and back) are one :class:`FusedCopy` per shard block.
 
 * **Repeated slots.**  A pair's points are distinct, so a slot repeats in
   a group only across pairs; one sort of the group's runs finds whether
@@ -54,20 +59,25 @@ moves.  This module owns the issue side, once for every consumer of it:
 
 * **Footprints.**  An item moves block rows, but fission reasons about
   the per-colour instance arrays that task footprints name, so every item
-  carries the ids of its pairs' instance arrays (``footprint``).
+  carries the ids of its pairs' instance arrays (``footprint``), looked
+  up once per distinct colour.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from ..core.shards import owner_of_color
-from ..regions.intervals import IntervalSet, expand_ranges, stack_intervals
-from ..regions.region import _REDUCTION_UFUNCS, localize_stacked
+from ..core.shards import color_owners
+from ..regions.intervals import IntervalSet, expand_ranges
+from ..regions.partition import ColourTable
+from ..regions.region import _REDUCTION_UFUNCS
 
-__all__ = ["FusedBatch", "FusedCopy", "block_runs", "disjoint_dst_colors",
-           "field_width", "footprint_of", "lower_copy", "own_rows",
-           "receive_plan", "send_gathers"]
+__all__ = ["BlockLayout", "FusedBatch", "FusedCopy", "PlacedRows",
+           "apply_root_copy", "disjoint_dst_colors", "field_width",
+           "footprint_of", "lower_copy", "place_rows", "receive_plan",
+           "send_gathers"]
 
 
 def _as_index(slots: np.ndarray):
@@ -82,45 +92,66 @@ def _as_index(slots: np.ndarray):
     return slots
 
 
-def own_rows(inst):
-    """The placement of an instance that is its own block: its field
-    arrays, from row 0."""
-    return inst.fields, 0
+class BlockLayout(NamedTuple):
+    """Where a partition's colour instances sit: colour ``c``'s instance
+    is rows ``prefix[c] - base[c]`` to ``prefix[c + 1] - base[c]`` of
+    ``blocks[block[c]]`` (``prefix`` being ``table``'s volume prefix;
+    ``block`` is non-decreasing: a block's colours are consecutive), and
+    ``arrays[c]`` is its own ``{field: array}``."""
+
+    table: ColourTable
+    block: np.ndarray
+    base: np.ndarray
+    blocks: list
+    arrays: list
 
 
-def _codes(objs) -> tuple[np.ndarray, list]:
-    """Per object, the index of its first occurrence among the distinct
-    objects (by identity), and those objects in first-appearance order."""
-    table: dict[int, int] = {}
-    distinct = []
-    codes = []
-    for x in objs:
-        n = table.get(id(x))
-        if n is None:
-            n = table[id(x)] = len(distinct)
-            distinct.append(x)
-        codes.append(n)
-    return np.array(codes, dtype=np.int64), distinct
+class PlacedRows(NamedTuple):
+    """One side of some pairs, placed: per row its first block row
+    (``first``); per pair its block (``block_of``, an index into
+    ``blocks`` numbered in order of first appearance) and its colour
+    (``colours``, an index into ``arrays``, the instances' field
+    dicts)."""
+
+    first: np.ndarray
+    block_of: np.ndarray
+    blocks: list
+    colours: np.ndarray
+    arrays: list
 
 
-def block_runs(insts, sets, place=own_rows):
-    """Where the non-empty point sets ``sets[p]`` of ``insts[p]`` sit in
-    their blocks, one row per interval of every set, in pair order:
-    ``(first, lengths, block_of, blocks)`` — each interval's first block
-    row and length, each pair's block (an index into ``blocks``, the
-    distinct ``{field: array}`` dicts from ``place``).
+def _first_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per key, the index of its value among the distinct values in order
+    of first appearance, and those values in that order."""
+    uniq, first, inverse = np.unique(keys, return_index=True,
+                                     return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[inverse.reshape(-1)], uniq[order]
 
-    Every pair is localized in one stacked call, interval by interval, and
-    its row offset in its block added per interval; no slot array is
-    materialized.  An interval's points are consecutive slots of its
-    instance, so both sides of a copy share the rows' lengths."""
-    which, distinct = _codes(insts)
-    ivals, pair = stack_intervals(sets)
-    first, lengths = localize_stacked(distinct, which[pair], ivals)
-    rows = [place(x) for x in distinct]
-    offsets = np.array([lo for _, lo in rows], dtype=np.int64)
-    block_of, blocks = _codes([rows[w][0] for w in which.tolist()])
-    return first + offsets[which[pair]], lengths, block_of, blocks
+
+def place_rows(layout: BlockLayout, colours: np.ndarray, nrows: np.ndarray,
+               ivals: np.ndarray) -> PlacedRows:
+    """Place the rows ``ivals`` of pairs whose colours in ``layout`` are
+    ``colours``, ``nrows[p]`` consecutive rows a pair, in pair order:
+    one rank query on the colour table, each row's block row its rank
+    less its colour's block base."""
+    per_row = np.repeat(colours, nrows)
+    first = layout.table.ranks(per_row, ivals) - layout.base[per_row]
+    block_of, distinct = _first_codes(layout.block[colours])
+    return PlacedRows(first, block_of,
+                      [layout.blocks[b] for b in distinct.tolist()],
+                      colours, layout.arrays)
+
+
+def footprint_of(side: PlacedRows, fields, members=slice(None)) -> set:
+    """ids of the ``fields`` arrays of the instances of ``side``'s pairs
+    ``members`` (all by default), one lookup per distinct colour."""
+    arrays = side.arrays
+    return {id(arrays[c][f])
+            for c in np.unique(side.colours[members]).tolist()
+            for f in fields}
 
 
 def _expand_runs(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -333,111 +364,133 @@ def field_width(block, fields) -> int:
     return sum(block[f].dtype.itemsize for f in fields)
 
 
-def footprint_of(insts, fields) -> frozenset:
-    """ids of the ``fields`` arrays of the distinct ``insts``."""
-    return frozenset(id(x.fields[f]) for x in {id(x): x for x in insts}.values()
-                     for f in fields)
-
-
-def lower_copy(uid: int, fields, redop, pairs, visits: int,
-               place=own_rows) -> FusedBatch:
+def lower_copy(uid: int, fields, redop, src: PlacedRows, dst: PlacedRows,
+               lengths: np.ndarray, nrows: np.ndarray, lock_of: np.ndarray,
+               locks, visits: int) -> FusedBatch:
     """The one lowering of a copy's in-memory pairs on a shard.
 
-    ``pairs`` is a sequence of ``(src_inst, dst_inst, pts, lock)`` with
-    non-empty ``pts``, in pair order; ``visits`` counts the shard's pairs
-    of the statement, empty ones included; ``place`` maps an instance to
-    its block (:func:`block_runs`).  The pairs are grouped by
+    ``src`` and ``dst`` place the non-empty pairs' rows in pair order
+    (:func:`place_rows`); ``lengths`` are the rows' lengths, ``nrows``
+    the pairs' row counts, and pair ``p`` folds under ``locks[lock_of[p]]``
+    (``None``: no lock; no object twice in ``locks``); ``visits`` counts
+    the shard's pairs of the statement, empty ones included.  The pairs are grouped by
     (destination block, lock) with one stable argsort, each group split
     where its source block changes, and every group lowered to one
     :class:`FusedCopy`; groups sharing a destination block stay in pair
     order, so repeats across them resolve as pair by pair.
     """
-    if not pairs:
+    if not nrows.size:
         return FusedBatch(uid, (), visits)
     ufunc = None if redop is None else _REDUCTION_UFUNCS[redop]
-    srcs, dsts, sets, locks = zip(*pairs)
-    src_first, lengths, src_of, src_blocks = block_runs(srcs, sets, place)
-    dst_first, _, dst_of, dst_blocks = block_runs(dsts, sets, place)
-    lock_of, lock_list = _codes(locks)
-    order = np.argsort(dst_of * len(lock_list) + lock_of, kind="stable")
-    nrows = np.array([pts.num_intervals for pts in sets], dtype=np.int64)
+    # The locks renumbered in order of first appearance.
+    lock_of, used = _first_codes(lock_of)
+    lock_list = [locks[k] for k in used.tolist()]
+    src_first, dst_first = src.first, dst.first
+    order = np.argsort(dst.block_of * len(lock_list) + lock_of,
+                       kind="stable")
     if (order[1:] < order[:-1]).any():
         rows = expand_ranges((np.cumsum(nrows) - nrows)[order], nrows[order])
         src_first, dst_first, lengths = (src_first[rows], dst_first[rows],
                                          lengths[rows])
-    width = field_width(dst_blocks[0], fields)
+    width = field_width(dst.blocks[0], fields)
     items = []
-    for a, b, lo, hi in _runs(nrows[order], dst_of[order], lock_of[order],
-                              src_of[order]):
-        members = order[a:b].tolist()
-        p = members[0]
-        src_block, dst_block = src_blocks[src_of[p]], dst_blocks[dst_of[p]]
+    for a, b, lo, hi in _runs(nrows[order], dst.block_of[order],
+                              lock_of[order], src.block_of[order]):
+        members = order[a:b]
+        p = int(members[0])
+        src_block = src.blocks[src.block_of[p]]
+        dst_block = dst.blocks[dst.block_of[p]]
         items.append(FusedCopy.build(
             [src_block[f] for f in fields], src_first[lo:hi],
             [dst_block[f] for f in fields], dst_first[lo:hi],
-            lengths[lo:hi], ufunc, locks[p], uid, len(members), width,
-            footprint_of([x for m in members for x in (srcs[m], dsts[m])],
-                         fields)))
+            lengths[lo:hi], ufunc, lock_list[lock_of[p]], uid, b - a, width,
+            footprint_of(src, fields, members)
+            | footprint_of(dst, fields, members)))
     return FusedBatch(uid, items, visits)
 
 
-def receive_plan(uid: int, fields, redop, insts, sets,
-                 place=own_rows) -> list[FusedCopy]:
-    """The scatters of one message whose payload holds ``sets`` (one
-    non-empty point set per pair, in pair order) into ``insts``: one
-    :class:`FusedCopy` per run of pairs in one destination block, its
-    source runs the payload positions.  Applied in order with
-    :meth:`FusedCopy.receive`."""
-    if not sets:
+def apply_root_copy(uid: int, fields, root, layout: BlockLayout,
+                    into_blocks: bool) -> None:
+    """Launch entry (``into_blocks``) or exit: copy ``fields`` between the
+    root instance ``root`` and the blocks of a partition laid out as
+    ``layout``, one :class:`FusedCopy` per block, each applied before the
+    next is built (a block's plan holds an index as long as the block).
+
+    A block's rows are its colours' stacked intervals in colour order,
+    so its side is rows 0, 1, ... in order and the root side is one
+    localize of those intervals; the blocks go in colour order and an
+    overwrite keeps its last write to a repeated point, so an aliased
+    partition's last colour wins, as colour by colour."""
+    table = layout.table
+    width = field_width(root.fields, fields)
+    for x, block in enumerate(layout.blocks):
+        lo, hi = np.searchsorted(layout.block, (x, x + 1))
+        ivals = table.intervals(lo, hi)
+        if not ivals.size:
+            continue
+        root_first, lengths = root.localize_runs(ivals)
+        block_first = np.cumsum(lengths) - lengths
+        ends = ((root.fields, root_first), (block, block_first))
+        (src, src_first), (dst, dst_first) = (ends if into_blocks
+                                              else ends[::-1])
+        FusedCopy.build([src[f] for f in fields], src_first,
+                        [dst[f] for f in fields], dst_first, lengths, None,
+                        None, uid, int(hi - lo), width).apply()
+
+
+def receive_plan(uid: int, fields, redop, dst: PlacedRows,
+                 lengths: np.ndarray, nrows: np.ndarray) -> list[FusedCopy]:
+    """The scatters of one message whose payload holds the rows ``dst``
+    places (non-empty pairs, in pair order): one :class:`FusedCopy` per
+    run of pairs in one destination block, its source runs the payload
+    positions.  Applied in order with :meth:`FusedCopy.receive`."""
+    if not nrows.size:
         return []
     ufunc = None if redop is None else _REDUCTION_UFUNCS[redop]
-    first, lengths, block_of, blocks = block_runs(insts, sets, place)
     payload = np.cumsum(lengths) - lengths
-    width = field_width(blocks[0], fields)
+    width = field_width(dst.blocks[0], fields)
     plan = []
-    for a, b, lo, hi in _runs([pts.num_intervals for pts in sets],
-                              block_of):
-        block = blocks[block_of[a]]
+    for a, b, lo, hi in _runs(nrows, dst.block_of):
+        block = dst.blocks[dst.block_of[a]]
         plan.append(FusedCopy.build(
-            None, payload[lo:hi], [block[f] for f in fields], first[lo:hi],
-            lengths[lo:hi], ufunc, None, uid, b - a, width))
+            None, payload[lo:hi], [block[f] for f in fields],
+            dst.first[lo:hi], lengths[lo:hi], ufunc, None, uid, b - a,
+            width))
     return plan
 
 
-def send_gathers(fields, insts, sets, place=own_rows):
-    """The gathers of one message carrying ``sets`` from ``insts`` in pair
-    order: ``((block field arrays, slots), ...)``, one per run of pairs in
-    one source block."""
-    if not sets:
+def send_gathers(fields, src: PlacedRows, lengths: np.ndarray,
+                 nrows: np.ndarray):
+    """The gathers of one message carrying the rows ``src`` places, in
+    pair order: ``((block field arrays, slots), ...)``, one per run of
+    pairs in one source block."""
+    if not nrows.size:
         return ()
-    first, lengths, block_of, blocks = block_runs(insts, sets, place)
-    return tuple((tuple(blocks[block_of[a]][f] for f in fields),
-                  _run_index(first[lo:hi], lengths[lo:hi]))
-                 for a, _, lo, hi in _runs([pts.num_intervals
-                                            for pts in sets], block_of))
+    return tuple((tuple(src.blocks[src.block_of[a]][f] for f in fields),
+                  _run_index(src.first[lo:hi], lengths[lo:hi]))
+                 for a, _, lo, hi in _runs(nrows, src.block_of))
 
 
-def disjoint_dst_colors(pairs, pts_of, src_num_colors: int,
+def disjoint_dst_colors(table, src_num_colors: int,
                         num_shards: int) -> frozenset:
     """Destination colors whose inbound contributions never overlap
     across producer *shards*.
 
-    ``pts_of(i, j)`` must return the intersection element set of pair
-    ``(i, j)`` (an :class:`~repro.regions.intervals.IntervalSet`).  Folds
-    into a returned color's instance touch disjoint element sets from any
-    two concurrent producers, so ``ufunc.at`` needs no lock there.  The
-    decision is a pure function of the evaluated pair sets, hence
-    identical on every shard and in every forked process.
+    ``table`` is the statement's
+    :class:`~repro.regions.interval_join.PairTable`: its non-empty pairs
+    and their intervals.  Folds into a returned color's instance touch
+    disjoint element sets from any two concurrent producers, so
+    ``ufunc.at`` needs no lock there.  The decision is a pure function of
+    the evaluated pair sets, hence identical on every shard and in every
+    forked process.
     """
-    live = [(i, j, pts) for (i, j) in pairs if (pts := pts_of(i, j))]
-    if not live:
+    if not len(table):
         return frozenset()
-    ivals, pair = stack_intervals([pts for _, _, pts in live])
-    dst = np.array([j for _, j, _ in live])[pair]
-    owner = np.array([owner_of_color(src_num_colors, num_shards, i)
-                      for i, _, _ in live])[pair]
+    pair = np.repeat(np.arange(len(table)), table.nrows)
+    dst = table.dst[pair]
+    owner = color_owners(src_num_colors, num_shards)[table.src[pair]]
     ndst = int(dst.max()) + 1
-    ivals = ivals - ivals[:, 0].min()  # every lo >= 0
+    ivals = table.intervals - table.intervals[:, 0].min()  # every lo >= 0
     span = int(ivals[:, 1].max()) + 1
 
     def union_counts(group: np.ndarray, ngroups: int) -> np.ndarray:

@@ -8,9 +8,11 @@ intersections to runtime.  Evaluation is two-phase:
   of the two sides' intervals (:mod:`repro.regions.interval_join`); never
   all-pairs;
 * **complete** — compute the exact shared element set for each candidate
-  pair: the join's rows clipped and grouped by pair.  After shard
-  creation this runs per shard over its owned sources, which is how the
-  paper keeps it ``O(M^2)`` in per-shard terms.
+  pair: the join's rows clipped and grouped by pair into one columnar
+  :class:`~repro.regions.interval_join.PairTable`, never one object per
+  pair.  After shard creation this runs per shard over its owned
+  sources, which is how the paper keeps it ``O(M^2)`` in per-shard
+  terms.
 
 The paper uses an interval tree for unstructured regions and a bounding
 volume hierarchy for structured ones.  Here one join serves both: a
@@ -26,12 +28,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from dataclasses import field as dataclass_field
 
 import numpy as np
 
-from ..regions.interval_join import exact_intersections, overlap_join
-from ..regions.intervals import IntervalSet
+from ..regions.interval_join import PairTable, exact_intersections, overlap_join
 from ..regions.partition import Partition
 
 __all__ = ["IntersectionResult", "compute_intersections",
@@ -40,41 +40,80 @@ __all__ = ["IntersectionResult", "compute_intersections",
 
 @dataclass
 class IntersectionResult:
-    """The evaluated pair set of one ComputeIntersections statement."""
+    """The evaluated pair set of one ComputeIntersections statement.
+
+    ``table`` is its one representation: the non-empty pairs as sorted
+    colour columns and their intervals (:class:`PairTable`).  With
+    ``all_pairs`` the statement visits every ``(i, j)``, empty ones
+    included (a copy with no pair set), and the table holds the
+    non-empty ones.
+    """
 
     src: Partition
     dst: Partition
-    pairs: dict[tuple[int, int], IntervalSet]
+    table: PairTable
     shallow_seconds: float
     complete_seconds: float
     candidate_pairs: int = 0
-    _nonempty: list | None = dataclass_field(default=None, repr=False,
-                                             compare=False)
-    _src_pairs: dict = dataclass_field(default_factory=dict, repr=False,
-                                       compare=False)
+    all_pairs: bool = False
+
+    @property
+    def pairs(self) -> PairTable:
+        """``{(i, j): IntervalSet}`` of the non-empty pairs, read-only."""
+        return self.table
 
     def nonempty_pairs(self) -> list[tuple[int, int]]:
-        # Called once per copy execution per shard per iteration; the pair
-        # dict is immutable after construction, so sort it only once.
-        if self._nonempty is None:
-            self._nonempty = sorted(self.pairs)
-        return self._nonempty
+        """The non-empty pairs in order (the table's, sorted)."""
+        return list(self.table)
 
-    def src_pairs(self, colors) -> list[tuple[int, int]]:
-        """Pairs whose source color is in ``colors`` (a shard's slice).
+    def split(self, produced: range, local, dst_owner: np.ndarray):
+        """A copy's pairs issued by the shard that produces the source
+        colours ``produced``: ``(copies, visits, sends)``.  ``copies``
+        are the table indices of its non-empty pairs into destination
+        colours that ``local`` (a mask of a colour array) marks, in pair
+        order; ``visits`` counts its pairs into those, empty ones
+        included; ``sends`` is one ``(peer, indices, visits)`` per other
+        destination shard (``dst_owner[j]``), in order of first
+        appearance."""
+        table = self.table
+        mine = table.src_range(produced.start, produced.stop)
+        here = local(table.dst[mine])
+        remote = mine[~here]
+        peer_of = dst_owner[table.dst[remote]]
+        if self.all_pairs:
+            # Every (i, j) is visited, empty or not, and in (i, j) order
+            # the peers first appear in ascending order.
+            here_dst = local(np.arange(self.dst.num_colors))
+            visits = len(produced) * int(here_dst.sum())
+            per_peer = len(produced) * np.bincount(dst_owner[~here_dst])
+            peers = np.flatnonzero(per_peer)
+        else:
+            visits = int(here.sum())
+            per_peer = np.bincount(peer_of)
+            _, first = np.unique(peer_of, return_index=True)
+            peers = peer_of[np.sort(first)]
+        return mine[here], visits, tuple(
+            (peer, remote[peer_of == peer], int(per_peer[peer]))
+            for peer in peers.tolist())
 
-        Cached per colors-tuple: the shard slices are a small fixed set
-        per run, while this is called every copy execution per shard per
-        iteration — re-filtering (let alone re-sorting) the pair dict on
-        every call showed up in shard-time profiles.
-        """
-        key = tuple(colors)
-        cached = self._src_pairs.get(key)
-        if cached is None:
-            cs = set(key)
-            cached = [(i, j) for (i, j) in self.nonempty_pairs() if i in cs]
-            self._src_pairs[key] = cached
-        return cached
+    def written(self, owned: range) -> list[int]:
+        """The destination colours in ``owned`` that some visited pair
+        writes (the pairs into them: one slice of the destination
+        order)."""
+        if self.all_pairs:
+            return list(owned) if self.src.num_colors else []
+        return np.unique(self.table.dst[self.table.dst_range(
+            owned.start, owned.stop)]).tolist()
+
+    def visited(self) -> np.ndarray:
+        """The ``(i, j)`` a copy over this pair set visits, in pair order,
+        as a ``(k, 2)`` array."""
+        if self.all_pairs:
+            i, j = np.divmod(np.arange(self.src.num_colors
+                                       * self.dst.num_colors),
+                             self.dst.num_colors)
+            return np.column_stack((i, j))
+        return np.column_stack((self.table.src, self.table.dst))
 
 
 def compute_intersections(src: Partition, dst: Partition) -> IntersectionResult:
@@ -93,30 +132,32 @@ def compute_intersections_sharded(src: Partition, dst: Partition,
     "making them O(M²) where M is the number of non-empty intersections
     for regions owned by that shard".
     """
-    from ..core.shards import owner_of_color
+    from ..core.shards import color_owners
 
     src_sets = [src.subset(c) for c in src.colors]
     dst_sets = [dst.subset(c) for c in dst.colors]
-    owner = np.array([owner_of_color(src.num_colors, num_shards, c)
-                      for c in src.colors], dtype=np.int64)
+    owner = color_owners(src.num_colors, num_shards)
     t0 = time.perf_counter()
     i, j, src_rows, dst_rows = overlap_join(src_sets, dst_sets)
     num_candidates = np.unique(i * dst.num_colors + j).size
     t1 = time.perf_counter()
 
-    # Hand every shard the candidates of its owned source colors.
+    # Hand every shard the candidates of its owned source colors.  Owners
+    # grow with the source colour, so the shards' tables, one after
+    # another, are sorted as one.
     owners = owner[i]
     by_owner = np.argsort(owners, kind="stable")
     cuts = np.searchsorted(owners[by_owner], np.arange(num_shards + 1))
-    pairs: dict[tuple[int, int], IntervalSet] = {}
+    tables: list[PairTable] = []
     per_shard: list[float] = []
     for s in range(num_shards):
         ts = time.perf_counter()
         rows = by_owner[cuts[s]:cuts[s + 1]]
-        pairs.update(exact_intersections(i[rows], j[rows], src_rows[rows],
-                                         dst_rows[rows]))
+        tables.append(exact_intersections(i[rows], j[rows], src_rows[rows],
+                                          dst_rows[rows]))
         per_shard.append(time.perf_counter() - ts)
-    result = IntersectionResult(src=src, dst=dst, pairs=pairs,
+    result = IntersectionResult(src=src, dst=dst,
+                                table=PairTable.concat(tables),
                                 shallow_seconds=t1 - t0,
                                 complete_seconds=max(per_shard, default=0.0),
                                 candidate_pairs=num_candidates)

@@ -43,6 +43,8 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as wait_any
 from typing import Any, Callable, Iterator
 
+import numpy as np
+
 from ..core.ir import (BarrierStmt, FillReductionBuffer, IndexLaunch,
                        PairwiseCopy, ScalarCollective, walk)
 from ..core.shards import channel_keys
@@ -246,14 +248,17 @@ class CommContext:
         for seq in seqs:
             seq.advance_to(n)
 
-    def is_local(self, stmt, j: int) -> bool:
-        """Whether destination colour ``j`` of ``stmt`` is reachable by an
-        in-memory copy from the calling shard."""
-        return True
+    def is_local(self, stmt, j: np.ndarray) -> np.ndarray:
+        """Per destination colour in ``j``, whether ``stmt``'s copies
+        into it from the calling shard are in-memory copies."""
+        return np.ones(j.shape, dtype=bool)
 
-    def send_pairs(self, stmt, peer: int, pairs, state, rec) -> None:
+    def send_pairs(self, stmt, peer: int, pairs, visits: int, state,
+                   rec) -> None:
         """Deliver all of ``stmt``'s pair copies from the calling shard to
-        shard ``peer``, whose destinations are not local, as one send."""
+        shard ``peer``, whose destinations are not local, as one send:
+        ``pairs`` are the non-empty ones (indices into the statement's
+        pair table, in pair order), of ``visits`` pairs in all."""
         raise NotImplementedError("every pair of this context is local")
 
 

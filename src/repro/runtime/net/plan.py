@@ -7,7 +7,7 @@ the group, the first time it sees it, to a :class:`PackedSend` — the
 cross-rank half of the statement's copy plan, beside the in-memory
 :class:`~repro.runtime.copy_engine.FusedBatch`.  Its gathers are resolved
 once against the producer's source *block*, by the same
-:func:`~repro.runtime.copy_engine.block_runs` that lowers the batch (and
+:func:`~repro.runtime.copy_engine.place_rows` that places the batch (and
 the consumer's receive plan): a rank's source colours are rows of one
 block per field, so every ``apply`` gathers each field once and ships
 the fields as one ``MSG`` frame: a header prefix packed once, the

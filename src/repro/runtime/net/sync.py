@@ -43,12 +43,12 @@ import time
 
 import numpy as np
 
-from ...core.shards import owner_of_color
+from ...core.shards import color_owners, shard_owned_colors
 from ...obs import flight as _flight
 from ...regions.region import reduction_identity
 from ..collectives import SCALAR_REDUCTIONS
-from ..copy_engine import (field_width, footprint_of, receive_plan,
-                           send_gathers)
+from ..copy_engine import (field_width, footprint_of, place_rows,
+                           receive_plan, send_gathers)
 from ..events import Event, Sequence
 from ..launch import Channel, CommContext
 from . import frame
@@ -575,18 +575,20 @@ class NetCommContext(CommContext):
         return _CopyPostBarrier(barrier, self._inbound.get(copy.uid, []))
 
     # -- operations (shard thread) ----------------------------------------
-    def is_local(self, stmt, j: int) -> bool:
-        """Whether destination color ``j`` of ``stmt`` lives on this rank."""
-        return (owner_of_color(stmt.dst.num_colors, self.num_shards, j)
+    def is_local(self, stmt, j: np.ndarray) -> np.ndarray:
+        """Per destination colour in ``j``, whether it lives on this
+        rank."""
+        return (color_owners(stmt.dst.num_colors, self.num_shards)[j]
                 == self.rank)
 
-    def send_pairs(self, stmt, peer: int, pairs, state, rec) -> None:
+    def send_pairs(self, stmt, peer: int, pairs, visits: int, state,
+                   rec) -> None:
         """All of ``stmt``'s pair copies from this rank to ``peer``, as one
         ``MSG`` frame."""
         ps = self._sends.get((stmt.uid, peer))
         if ps is None:
             ps = self._sends[(stmt.uid, peer)] = self._build_send(
-                stmt, peer, pairs)
+                stmt, peer, pairs, visits)
         if rec is not None:
             rec.send(ps)
         t0 = time.perf_counter()
@@ -601,29 +603,21 @@ class NetCommContext(CommContext):
         state.flight.record(_flight.COPY, stmt.uid, t0, time.perf_counter(),
                             ps.nbytes)
 
-    def _build_send(self, stmt, peer: int, pairs) -> PackedSend:
-        """The gathers of ``stmt``'s non-empty ``pairs`` to ``peer``, in
-        pair order, against this rank's source block."""
-        insts, sets = self._live(stmt, stmt.src, pairs, 0)
-        count = sum(int(pts.count) for pts in sets)
-        width = field_width(insts[0].fields, stmt.fields) if insts else 0
+    def _build_send(self, stmt, peer: int, pairs, visits: int) -> PackedSend:
+        """The gathers of ``stmt``'s non-empty ``pairs`` (pair-table
+        indices, in pair order) to ``peer``, of ``visits`` pairs in all,
+        against this rank's source block."""
+        table = self.ex._pair_table(stmt).table
+        nrows, ivals = table.select(pairs)
+        src = place_rows(self.ex._layout(stmt.src), table.src[pairs], nrows,
+                         ivals)
+        lengths = ivals[:, 1] - ivals[:, 0]
+        count = int(lengths.sum())
+        width = field_width(src.blocks[0], stmt.fields) if src.blocks else 0
         return PackedSend(
             self.transport, peer, stmt.uid,
-            send_gathers(stmt.fields, insts, sets, self.ex._place),
-            len(pairs), count, count * width,
-            footprint_of(insts, stmt.fields))
-
-    def _live(self, stmt, part, pairs, side: int):
-        """``(instances, point sets)`` of the non-empty ``pairs``, in pair
-        order: each one's instance of ``part`` at the pair's source
-        (``side`` 0) or destination (1) colour."""
-        ex, insts, sets = self.ex, [], []
-        for pair in pairs:
-            pts = ex._pair_points(stmt, *pair)
-            if pts:
-                insts.append(ex.dist_instance(part, pair[side]))
-                sets.append(pts)
-        return insts, sets
+            send_gathers(stmt.fields, src, lengths, nrows),
+            visits, count, count * width, footprint_of(src, stmt.fields))
 
     # -- frame handlers (receiver threads) ---------------------------------
     def _on_msg(self, peer: int, body) -> None:
@@ -646,13 +640,16 @@ class NetCommContext(CommContext):
         ``stmt``'s messages from ``producer`` into this rank's destination
         block: its non-empty pairs into this rank, in pair order — the
         order the producer's :class:`PackedSend` gathers them in, since
-        both filter the same pair list and place their slots through the
-        same :func:`~repro.runtime.copy_engine.block_runs`."""
+        both select them from the same pair table and place their rows
+        with the same :func:`~repro.runtime.copy_engine.place_rows`."""
         ns = self.num_shards
-        src_n, dst_n = stmt.src.num_colors, stmt.dst.num_colors
-        pairs = [(i, j) for i, j in self.ex._copy_pairs(stmt)
-                 if owner_of_color(dst_n, ns, j) == self.rank
-                 and owner_of_color(src_n, ns, i) == producer]
-        insts, sets = self._live(stmt, stmt.dst, pairs, 1)
-        return receive_plan(stmt.uid, stmt.fields, stmt.redop, insts, sets,
-                            self.ex._place)
+        table = self.ex._pair_table(stmt).table
+        owned = shard_owned_colors(stmt.dst.num_colors, ns, self.rank)
+        into = table.dst_range(owned.start, owned.stop)
+        pairs = into[color_owners(stmt.src.num_colors, ns)[table.src[into]]
+                     == producer]
+        nrows, ivals = table.select(pairs)
+        dst = place_rows(self.ex._layout(stmt.dst), table.dst[pairs], nrows,
+                         ivals)
+        return receive_plan(stmt.uid, stmt.fields, stmt.redop, dst,
+                            ivals[:, 1] - ivals[:, 0], nrows)

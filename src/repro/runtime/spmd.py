@@ -54,6 +54,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
+from dataclasses import replace as dataclass_replace
 from functools import partial
 from typing import Any, ClassVar, Iterator, NamedTuple
 
@@ -78,14 +79,15 @@ from ..core.ir import (
     evaluate,
 )
 from ..core.passes import PassTiming, export_pass_metrics
-from ..core.shards import owner_of_color, shard_owned_colors
+from ..core.shards import color_owners, shard_owned_colors
 from ..obs import NULL_METRICS, NULL_TRACER, MetricsRegistry, Tracer
 from ..obs import flight as _flight
 from ..obs.flight import NULL_RING, FlightRecorder, ShardRing
 from ..regions.partition import Partition
 from ..regions.region import PhysicalInstance, reduction_identity
 from .backends import ensure_backend
-from .copy_engine import FusedBatch, disjoint_dst_colors, lower_copy
+from .copy_engine import (BlockLayout, FusedBatch, apply_root_copy,
+                          disjoint_dst_colors, lower_copy, place_rows)
 from .events import Event
 from .intersection_exec import IntersectionResult, compute_intersections
 from .launch import (CommContext, DeadlockError, ShardExceptionGroup,
@@ -144,7 +146,8 @@ class _CopySchedule(NamedTuple):
     """One shard's side of one copy statement, loop-invariant for the
     launch: its in-memory pairs lowered to one
     :class:`~repro.runtime.copy_engine.FusedBatch`, the pairs it sends as
-    ``(peer, pairs)`` groups, the ids of the arrays its handshake protects
+    ``(peer, pair-table indices of the non-empty ones, pairs visited)``
+    groups, the ids of the arrays its handshake protects
     (its owned destination instances: fission's footprint), and what each
     handshake phase touches — the sequences it advances as tuples, the
     ones it waits on as ``(sequence, label)`` tuples, in the shapes the
@@ -276,11 +279,16 @@ class SPMDExecutor(SequentialExecutor):
         # (partition uid, color) -> (the owning shard's field blocks, lo,
         # hi): the colour's instance arrays are rows lo:hi of the blocks.
         self._block_rows: dict[tuple[int, int], tuple[dict, int, int]] = {}
+        # partition uid -> where its colours sit in the shard blocks (the
+        # copy engine's BlockLayout), built with the instances.
+        self._layouts: dict[int, BlockLayout] = {}
         self.pair_sets: dict[str, IntersectionResult] = {}
         # Loop-invariant ComputeIntersections statements hit this cache,
         # keyed on partition identity, so an intersection inside a time
-        # loop is evaluated once rather than per epoch.
-        self._isect_cache: dict[tuple[int, int], IntersectionResult] = {}
+        # loop is evaluated once rather than per epoch; a copy with no
+        # pair set keeps its all-pairs table here too, under the copy's
+        # uid.
+        self._isect_cache: dict[Any, IntersectionResult] = {}
         self.intersections_computed = 0
         # Only reduction-operator copies still need locking: ufunc.at on a
         # shared destination is not atomic across threads or processes.
@@ -401,6 +409,7 @@ class SPMDExecutor(SequentialExecutor):
         """
         self.dist.clear()
         self._block_rows.clear()
+        self._layouts.clear()
         self.pair_sets.clear()
         self._isect_cache.clear()
         self._copy_locks.clear()
@@ -431,48 +440,58 @@ class SPMDExecutor(SequentialExecutor):
     def dist_instance(self, part: Partition, color: int) -> PhysicalInstance:
         inst = self.dist.get((part.uid, color))
         if inst is None:
-            if self._dist_frozen:
-                raise RuntimeError(
-                    f"instance for ({part.name}, {color}) requested inside a "
-                    f"shard process but was not materialized pre-fork — it "
-                    f"would be process-private and silently wrong")
-            self._allocate_partition(part)
+            self._layout(part)
             inst = self.dist[(part.uid, color)]
         return inst
 
-    def _allocate_partition(self, part: Partition) -> None:
+    def _layout(self, part: Partition) -> BlockLayout:
+        """Where ``part``'s colours sit in the shard blocks, allocating
+        them at the first request."""
+        layout = self._layouts.get(part.uid)
+        if layout is None:
+            if self._dist_frozen:
+                raise RuntimeError(
+                    f"instances of {part.name} requested inside a shard "
+                    f"process but not materialized pre-fork — they would "
+                    f"be process-private and silently wrong")
+            layout = self._allocate_partition(part)
+        return layout
+
+    def _allocate_partition(self, part: Partition) -> BlockLayout:
         """Allocate every colour's instance of ``part`` at once: the colours
         shard ``x`` owns are consecutive slices, in colour order, of one
         block per field from the backend's allocator, so a batched launch
         over them is a view of the block (:meth:`block_rows`)."""
         alloc = self._instance_allocator()
         fspace = part.parent.fspace
-        for x in range(self.num_shards):
-            colors = shard_owned_colors(part.num_colors, self.num_shards, x)
-            ends = np.cumsum([0] + [part[c].volume for c in colors]).tolist()
-            blocks = {f: alloc((ends[-1], *eshape), dtype)
+        ns, n = self.num_shards, part.num_colors
+        table = part.colour_table
+        prefix = table.prefix.tolist()
+        shard_blocks, arrays = [], []
+        for x in range(ns):
+            colors = shard_owned_colors(n, ns, x)
+            base = prefix[colors.start]
+            blocks = {f: alloc((prefix[colors.stop] - base, *eshape), dtype)
                       for f, (dtype, eshape) in fspace.items()}
-            for c, lo, hi in zip(colors, ends, ends[1:]):
+            shard_blocks.append(blocks)
+            for c in colors:
+                lo, hi = prefix[c] - base, prefix[c + 1] - base
                 # PhysicalInstance allocates its fields in fspace order.
                 rows = iter([block[lo:hi] for block in blocks.values()])
-                self.dist[(part.uid, c)] = PhysicalInstance(
+                inst = self.dist[(part.uid, c)] = PhysicalInstance(
                     part[c], allocator=lambda *_: next(rows))
                 self._block_rows[(part.uid, c)] = (blocks, lo, hi)
+                arrays.append(inst.fields)
+        owner = color_owners(n, ns)
+        layout = self._layouts[part.uid] = BlockLayout(
+            table, owner, table.prefix[n * owner // ns], shard_blocks,
+            arrays)
+        return layout
 
     def block_rows(self, region) -> tuple[dict, int, int]:
         """``(blocks, lo, hi)``: the distributed instance of ``region`` (a
         partition's subregion) holds rows ``lo:hi`` of ``blocks[field]``."""
         return self._block_rows[(region.parent_partition.uid, region.color)]
-
-    def _place(self, inst: PhysicalInstance) -> tuple[dict, int]:
-        """``(blocks, lo)`` of any instance a copy names, for the copy
-        engine: a distributed instance's shard block and first row; any
-        other instance is its own block from row 0."""
-        part, color = inst.region.parent_partition, inst.region.color
-        if part is not None and self.dist.get((part.uid, color)) is inst:
-            blocks, lo, _ = self._block_rows[(part.uid, color)]
-            return blocks, lo
-        return inst.fields, 0
 
     def region_instance(self, region) -> PhysicalInstance:
         """The distributed instance of a partition's subregion."""
@@ -480,10 +499,12 @@ class SPMDExecutor(SequentialExecutor):
 
     # -- main-level statements ----------------------------------------------
     def _stmt(self, stmt: Stmt) -> None:
-        if isinstance(stmt, InitCopy):
-            self._init_copy(stmt)
-        elif isinstance(stmt, FinalCopy):
-            self._final_copy(stmt)
+        if isinstance(stmt, (InitCopy, FinalCopy)):
+            # Launch entry (root instance to shard blocks) and exit.
+            part = stmt.partition
+            apply_root_copy(stmt.uid, stmt.fields,
+                            self.root_instance(part.parent),
+                            self._layout(part), isinstance(stmt, InitCopy))
         elif isinstance(stmt, ComputeIntersections):
             key = (stmt.src.uid, stmt.dst.uid)
             result = self._isect_cache.get(key)
@@ -499,7 +520,7 @@ class SPMDExecutor(SequentialExecutor):
                         result.shallow_seconds + result.complete_seconds)
                     self.metrics.gauge(
                         "spmd_intersection_nonempty_pairs",
-                        pair_set=stmt.name).set(len(result.nonempty_pairs()))
+                        pair_set=stmt.name).set(len(result.pairs))
             self.pair_sets[stmt.name] = result
         elif isinstance(stmt, ShardLaunch):
             self._shard_launch(stmt)
@@ -507,40 +528,14 @@ class SPMDExecutor(SequentialExecutor):
             # Possible if placement hoisted a copy out of the whole fragment;
             # at main level it is sequential, no synchronization needed.
             state = _ShardState(shard=0, scalars=self.scalars)
-            self._apply_batch(
-                self._lower_copy(stmt, self._copy_pairs(stmt), 1), state)
+            res = self._pair_table(stmt)
+            self._apply_batch(self._lower_copy(
+                stmt, np.arange(len(res.table)), len(res.visited()), 1),
+                state)
             self._merge_counters([state])
             self._export_metrics([state], [0], {})
         else:
             super()._stmt(stmt)
-
-    def _init_copy(self, stmt: InitCopy) -> None:
-        """Launch entry: one gather from the root instance per (shard
-        block, field)."""
-        self._root_copy(stmt, into_blocks=True)
-
-    def _final_copy(self, stmt: FinalCopy) -> None:
-        """Launch exit: one scatter into the root instance per (shard
-        block, field).  The blocks go in colour order and each keeps its
-        last write to a repeated point, so an aliased partition's last
-        colour wins, as colour by colour."""
-        self._root_copy(stmt, into_blocks=False)
-
-    def _root_copy(self, stmt: InitCopy | FinalCopy, into_blocks: bool):
-        # Lowered and applied a block at a time: a block's plan holds an
-        # index as long as the block, and only one is alive at once.
-        part = stmt.partition
-        root_inst = self.root_instance(part.parent)
-        for x in range(self.num_shards):
-            pairs = []
-            for c in shard_owned_colors(part.num_colors, self.num_shards, x):
-                pts = part.subset(c)
-                if pts:
-                    inst = self.dist_instance(part, c)
-                    pairs.append((root_inst, inst, pts, None) if into_blocks
-                                 else (inst, root_inst, pts, None))
-            lower_copy(stmt.uid, stmt.fields, None, pairs, 0,
-                       self._place).apply()
 
     # -- shard launch ------------------------------------------------------------
     def _shard_launch(self, stmt: ShardLaunch) -> None:
@@ -550,8 +545,7 @@ class SPMDExecutor(SequentialExecutor):
         # Materialize every instance a shard might touch before any shard
         # exists (and, for forked shards, where they all map it).
         for part in spec.partitions:
-            for c in part.colors:
-                self.dist_instance(part, c)
+            self._layout(part)
         # Plans persist only where they can: where a launch's shards die
         # with it, a resident executor still reuses the compiled program,
         # the warm arena and the intersection results, but re-captures
@@ -594,10 +588,22 @@ class SPMDExecutor(SequentialExecutor):
             for st in states:
                 st.loop_replays.clear()
 
-    def _copy_pairs(self, stmt: PairwiseCopy) -> list[tuple[int, int]]:
+    def _pair_table(self, stmt: PairwiseCopy) -> IntersectionResult:
+        """The evaluated pair set ``stmt`` copies over.  A copy with no
+        pair set visits all ``(i, j)``; its table of the non-empty ones
+        comes from the same join, once."""
         if stmt.pairs_name is not None:
-            return self.pair_sets[stmt.pairs_name].nonempty_pairs()
-        return [(i, j) for i in stmt.src.colors for j in stmt.dst.colors]
+            return self.pair_sets[stmt.pairs_name]
+        res = self._isect_cache.get(stmt.uid)
+        if res is None:
+            res = self._isect_cache[stmt.uid] = dataclass_replace(
+                compute_intersections(stmt.src, stmt.dst), all_pairs=True)
+        return res
+
+    def _copy_pairs(self, stmt: PairwiseCopy) -> np.ndarray:
+        """The ``(i, j)`` pairs ``stmt`` visits, in pair order, as a
+        ``(k, 2)`` array (what :func:`launch_spec` numbers channels by)."""
+        return self._pair_table(stmt).visited()
 
     def _disjoint_dst(self, stmt: PairwiseCopy, ns: int) -> frozenset:
         """Dst colors of ``stmt`` whose inbound reduction contributions are
@@ -606,22 +612,29 @@ class SPMDExecutor(SequentialExecutor):
         key = (stmt.uid, ns)
         cached = self._disjoint_cache.get(key)
         if cached is None:
-            cached = disjoint_dst_colors(
-                self._copy_pairs(stmt), partial(self._pair_points, stmt),
-                stmt.src.num_colors, ns)
+            cached = disjoint_dst_colors(self._pair_table(stmt).table,
+                                         stmt.src.num_colors, ns)
             self._disjoint_cache[key] = cached
         return cached
 
-    def _reduction_lock(self, stmt: PairwiseCopy, j: int, ns: int):
-        """The lock a fold into ``(stmt, dst color j)`` must hold — the
-        one of ``(stmt, the shard owning j)`` — or ``None`` for the
-        contention-free fast path."""
-        if (not self._force_locked_reductions
-                and j in self._disjoint_dst(stmt, ns)):
-            return None
-        return self._copy_locks.get(
-            (stmt.uid, owner_of_color(stmt.dst.num_colors, ns, j)),
-            self._copy_lock)
+    def _fold_locks(self, stmt: PairwiseCopy, j: np.ndarray, ns: int):
+        """``(lock_of, locks)``: pair ``p`` into destination colour
+        ``j[p]`` folds under ``locks[lock_of[p]]`` — the lock of ``(stmt,
+        the shard owning j[p])``, or ``None`` (no lock) for a plain copy
+        or a destination in the contention-free set."""
+        if stmt.redop is None:
+            return np.zeros(j.size, dtype=np.int64), [None]
+        # A pair's key: its destination shard, or -1 for no lock.
+        key = color_owners(stmt.dst.num_colors, ns)[j]
+        if not self._force_locked_reductions:
+            free = np.zeros(stmt.dst.num_colors, dtype=bool)
+            free[list(self._disjoint_dst(stmt, ns))] = True
+            key[free[j]] = -1
+        keys, lock_of = np.unique(key, return_inverse=True)
+        return lock_of.reshape(-1), [
+            None if q < 0 else self._copy_locks.get((stmt.uid, q),
+                                                    self._copy_lock)
+            for q in keys.tolist()]
 
     def _merge_counters(self, states: list[_ShardState]) -> None:
         for st in states:
@@ -877,24 +890,10 @@ class SPMDExecutor(SequentialExecutor):
         if sched is not None:
             return sched
         me, ns, uid = state.shard, ctx.num_shards, stmt.uid
-        src_n, dst_n = stmt.src.num_colors, stmt.dst.num_colors
-        produced = shard_owned_colors(src_n, ns, me)
-        if stmt.pairs_name is not None:
-            # Cached per shard slice inside the pair set — avoids
-            # re-filtering the full pair list.
-            mine = self.pair_sets[stmt.pairs_name].src_pairs(tuple(produced))
-        else:
-            mine = [pair for pair in self._copy_pairs(stmt)
-                    if pair[0] in produced]
-        copies, sends = [], {}
-        for (i, j) in mine:
-            if ctx.is_local(stmt, j):
-                copies.append((i, j))
-            else:
-                sends.setdefault(owner_of_color(dst_n, ns, j), []).append(
-                    (i, j))
-        batch = self._lower_copy(stmt, copies, ns)
-        sends = tuple((peer, tuple(group)) for peer, group in sends.items())
+        copies, visits, sends = self._pair_table(stmt).split(
+            shard_owned_colors(stmt.src.num_colors, ns, me),
+            partial(ctx.is_local, stmt), color_owners(stmt.dst.num_colors, ns))
+        batch = self._lower_copy(stmt, copies, visits, ns)
         if stmt.sync_mode == "p2p":
             chans = ctx.channels[uid].items()
             out = [c for (p, _), c in chans if p == me]
@@ -954,8 +953,8 @@ class SPMDExecutor(SequentialExecutor):
                 if not ev.is_set():
                     yield ev
 
-        for peer, pairs in sched.sends:
-            ctx.send_pairs(stmt, peer, pairs, state, rec)
+        for peer, pairs, visits in sched.sends:
+            ctx.send_pairs(stmt, peer, pairs, visits, state, rec)
         if rec is not None:
             rec.fused(uid, g, sched.batch, sched.protect)
         self._apply_batch(sched.batch, state)
@@ -980,36 +979,33 @@ class SPMDExecutor(SequentialExecutor):
             if not ev.is_set():
                 yield ev
 
-    def _pair_points(self, stmt: PairwiseCopy, i: int, j: int):
-        if stmt.pairs_name is not None:
-            return self.pair_sets[stmt.pairs_name].pairs[(i, j)]
-        return stmt.src.subset(i) & stmt.dst.subset(j)
-
     def _owned_dst_arrays(self, stmt: PairwiseCopy, ns: int,
                           me: int) -> frozenset:
         """ids of the field arrays of every destination instance of
         ``stmt`` that shard ``me`` owns and some pair writes."""
-        dst_n = stmt.dst.num_colors
-        return frozenset(
-            id(arr) for j in {j for (_, j) in self._copy_pairs(stmt)}
-            if owner_of_color(dst_n, ns, j) == me
-            for arr in self.dist_instance(stmt.dst, j).fields.values())
+        arrays = self._layout(stmt.dst).arrays
+        written = self._pair_table(stmt).written(
+            shard_owned_colors(stmt.dst.num_colors, ns, me))
+        return frozenset(id(arr) for j in written
+                         for arr in arrays[j].values())
 
-    def _lower_copy(self, stmt: PairwiseCopy, copies, ns: int) -> FusedBatch:
+    def _lower_copy(self, stmt: PairwiseCopy, idx: np.ndarray, visits: int,
+                    ns: int) -> FusedBatch:
         """The :class:`~repro.runtime.copy_engine.FusedBatch` of the
-        in-memory pairs ``copies`` — ``(i, j)``, empty ones included — of
-        ``stmt``: their points, instances and fold locks resolved, and all
-        of them lowered against the shard blocks in one call."""
-        pairs = []
-        for (i, j) in copies:
-            pts = self._pair_points(stmt, i, j)
-            if pts:
-                lock = (self._reduction_lock(stmt, j, ns)
-                        if stmt.redop is not None else None)
-                pairs.append((self.dist_instance(stmt.src, i),
-                              self.dist_instance(stmt.dst, j), pts, lock))
-        return lower_copy(stmt.uid, stmt.fields, stmt.redop, pairs,
-                          len(copies), self._place)
+        in-memory pairs ``idx`` (indices into ``stmt``'s pair table, in
+        pair order) of ``stmt``, of ``visits`` pairs empty ones included:
+        both sides placed on their colour tables, fold locks resolved per
+        destination shard, and all of them lowered against the shard
+        blocks in one call."""
+        table = self._pair_table(stmt).table
+        nrows, ivals = table.select(idx)
+        i, j = table.src[idx], table.dst[idx]
+        lock_of, locks = self._fold_locks(stmt, j, ns)
+        return lower_copy(
+            stmt.uid, stmt.fields, stmt.redop,
+            place_rows(self._layout(stmt.src), i, nrows, ivals),
+            place_rows(self._layout(stmt.dst), j, nrows, ivals),
+            ivals[:, 1] - ivals[:, 0], nrows, lock_of, locks, visits)
 
     @staticmethod
     def _apply_batch(batch: FusedBatch, state: _ShardState) -> None:

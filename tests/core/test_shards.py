@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import owner_of_color, shard_owned_colors
+from repro.core import color_owners, owner_of_color, shard_owned_colors
 from repro.core.shards import create_shards
 from repro.core.ir import Block, Const, ScalarAssign, ShardLaunch
 from repro.regions import ispace
@@ -51,6 +51,39 @@ class TestBlockOwnership:
         color = data.draw(st.integers(0, domain - 1))
         s = owner_of_color(domain, shards, color)
         assert color in shard_owned_colors(domain, shards, s)
+
+    def test_color_owners_is_owner_of_every_color(self):
+        # The vector form the runtime uses, against the per-colour one,
+        # including more shards than colours (empty blocks).
+        for domain in range(1, 41):
+            for shards in range(1, 10):
+                got = color_owners(domain, shards)
+                assert got.dtype.kind == "i" and got.shape == (domain,)
+                assert got.tolist() == [owner_of_color(domain, shards, c)
+                                        for c in range(domain)]
+        assert color_owners(0, 3).size == 0
+
+    def test_channel_keys_in_pair_order(self):
+        # The distinct (producer, consumer) shards of the pairs, first
+        # appearance first, a shard's own pairs none; pairs as a list of
+        # tuples or as a (k, 2) array alike.
+        from types import SimpleNamespace
+
+        import numpy as np
+
+        from repro.core.shards import channel_keys
+        stmt = SimpleNamespace(src=SimpleNamespace(num_colors=6),
+                               dst=SimpleNamespace(num_colors=6))
+        pairs = [(0, 5), (1, 0), (2, 3), (4, 1), (5, 5), (1, 4), (3, 0)]
+        want = []
+        for i, j in pairs:
+            key = (owner_of_color(6, 3, i), owner_of_color(6, 3, j))
+            if key[0] != key[1] and key not in want:
+                want.append(key)
+        assert want == [(0, 2), (2, 0), (1, 0)]  # not sorted
+        assert channel_keys(stmt, pairs, 3) == want
+        assert channel_keys(stmt, np.array(pairs), 3) == want
+        assert channel_keys(stmt, [], 3) == []
 
 
 class TestCreateShards:

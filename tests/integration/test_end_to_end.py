@@ -129,7 +129,10 @@ class TestIntersectionFailureInjection:
     the dynamically computed pair sets are load-bearing data movement."""
 
     def test_dropped_pair_corrupts_halo(self):
+        from dataclasses import replace
+
         from repro.core.ir import ComputeIntersections
+        from repro.regions.interval_join import PairTable
         from repro.runtime.intersection_exec import compute_intersections
 
         p = APPS["stencil"]()
@@ -140,12 +143,15 @@ class TestIntersectionFailureInjection:
             def _stmt(self, stmt):
                 if isinstance(stmt, ComputeIntersections):
                     res = compute_intersections(stmt.src, stmt.dst)
-                    # Drop one genuine cross-color pair.
-                    victim = next((k for k in sorted(res.pairs)
-                                   if k[0] != k[1]), None)
+                    # Drop one genuine cross-color pair's rows from the
+                    # table.
+                    victim = next((k for k in res.pairs if k[0] != k[1]),
+                                  None)
                     assert victim is not None
-                    del res.pairs[victim]
-                    self.pair_sets[stmt.name] = res
+                    table = PairTable.from_mapping(
+                        {k: v for k, v in res.pairs.items() if k != victim})
+                    assert len(table) == len(res.pairs) - 1
+                    self.pair_sets[stmt.name] = replace(res, table=table)
                 else:
                     super()._stmt(stmt)
 

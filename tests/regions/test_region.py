@@ -20,7 +20,7 @@ from repro.regions import (
     region,
 )
 from repro.regions.intervals import stack_intervals
-from repro.regions.region import localize_stacked
+from repro.regions.partition import ColourTable
 
 
 @pytest.fixture
@@ -134,25 +134,42 @@ class TestPhysicalInstance:
     @given(st.lists(st.lists(st.integers(-40, 90), min_size=1, max_size=25),
                     min_size=1, max_size=6), st.data())
     @settings(deadline=None)
-    def test_localize_stacked_matches_one_by_one(self, helds, data):
+    def test_colour_table_matches_one_by_one(self, helds, data):
+        # One rank query on a partition's stacked colours, less the
+        # colour's volume prefix, against each colour's own instance.
         big = region(ispace(size=128), {"a": np.float64})
-        insts = [PhysicalInstance(big, IntervalSet.from_indices(h)) for h in helds]
+        sets = [IntervalSet.from_indices(h) for h in helds]
+        insts = [PhysicalInstance(big, s) for s in sets]
+        table = ColourTable(sets)
         which = data.draw(st.lists(st.integers(0, len(insts) - 1), max_size=12))
         subs = [IntervalSet.from_indices(data.draw(st.lists(
             st.sampled_from(helds[w]), min_size=1))) for w in which]
         ivals, row = stack_intervals(subs)
-        first, lengths = localize_stacked(insts, np.array(which, np.int64)[row], ivals)
+        colours = np.array(which, np.int64)[row]
+        first = table.ranks(colours, ivals) - table.prefix[colours]
         want = [insts[w].localize_runs(s.intervals) for w, s in zip(which, subs)]
         assert first.tolist() == [x for f, _ in want for x in f.tolist()]
-        assert lengths.tolist() == [x for _, n in want for x in n.tolist()]
-        # A row asked of the wrong instance must not be found in a
+        assert table.prefix.tolist() == np.cumsum(
+            [0] + [x.num_points for x in insts]).tolist()
+        # A row asked of the wrong colour must not be found in a
         # neighbour's keys.
         if len(insts) > 1 and subs:
             w = (which[0] + 1) % len(insts)
             if not subs[0].issubset(insts[w].index_set):
                 with pytest.raises(IndexError, match="points not covered"):
-                    localize_stacked(insts, np.full(subs[0].num_intervals, w),
-                                     subs[0].intervals)
+                    table.ranks(np.full(subs[0].num_intervals, w),
+                                subs[0].intervals)
+
+    def test_points_built_on_first_use(self, simple_region):
+        # Allocation reads the count off the index set; the point array
+        # exists only once something asks for it.
+        held = IntervalSet([(2, 5), (9, 12)])
+        inst = PhysicalInstance(simple_region, held)
+        assert inst._points is None and inst.num_points == 6
+        assert inst.fields["a"].shape == (6,)
+        assert inst.points.tolist() == [2, 3, 4, 9, 10, 11]
+        assert inst.points is inst._points
+        assert inst.localize(np.array([9, 3])).tolist() == [3, 1]
 
     def test_covers(self, simple_region):
         inst = PhysicalInstance(simple_region, IntervalSet.from_range(0, 8))

@@ -22,11 +22,15 @@ from repro.regions import (
     region,
 )
 from repro.runtime import SequentialExecutor, SPMDExecutor, procs_available
+from repro.regions.interval_join import PairTable
+from repro.regions.partition import ColourTable
 from repro.runtime.copy_engine import (
+    BlockLayout,
     FusedBatch,
     FusedCopy,
     disjoint_dst_colors,
     lower_copy,
+    place_rows,
 )
 from repro.tasks import R, Reduce, task
 
@@ -46,6 +50,15 @@ def make_pc(src, dst_ix, src_ix):
     dst_ix = np.asarray(dst_ix, dtype=np.int64)
     src_ix = np.asarray(src_ix, dtype=np.int64)
     return ((src,), src_ix, dst_ix, int(dst_ix.size))
+
+
+def own_blocks(insts):
+    """A layout in which every instance is its own block: colour ``c`` is
+    ``insts[c]``."""
+    table = ColourTable([x.index_set for x in insts])
+    arrays = [x.fields for x in insts]
+    return BlockLayout(table, np.arange(len(insts)), table.prefix[:-1],
+                       arrays, arrays)
 
 
 def apply_each(dsts, members, ufunc=None):
@@ -97,8 +110,10 @@ def copy_statements(draw):
     of its destination colour's, so pairs into one colour may repeat
     slots, and its source colour holds them plus others, so either side's
     slots may be a run (a slice) or not (an array).  Returns the
-    statement, a factory of fresh ``((blocks, place), pairs)`` and the
-    pair count."""
+    statement, a factory of fresh ``((blocks, block of instance, lowering
+    inputs), pairs)`` — the inputs being both sides placed on their
+    colour tables, the lengths, row counts and lock codes — and the pair
+    count."""
     nfields = draw(st.integers(1, 2))
     elem = draw(st.sampled_from([(), (2,)]))
     redop = draw(st.sampled_from([None, "+"]))
@@ -129,10 +144,12 @@ def copy_statements(draw):
     def make():
         rng = np.random.default_rng(seed)
         lock_objs = (threading.Lock(), threading.Lock())
-        blocks, place_of = [], {}
+        blocks, block_by_inst = [], {}
 
         def stack(colour_pts, groups):
-            insts = []
+            table = ColourTable([IntervalSet.from_indices(pts)
+                                 for pts in colour_pts])
+            insts, mine, block, base = [], [], [], []
             for group in groups:
                 ends = np.cumsum([0] + [len(colour_pts[c])
                                         for c in group]).tolist()
@@ -144,15 +161,31 @@ def copy_statements(draw):
                     x = PhysicalInstance(
                         root, IntervalSet.from_indices(colour_pts[c]),
                         allocator=lambda *_: next(rows))
-                    place_of[id(x)] = (blk, lo)
+                    block_by_inst[id(x)] = blk
                     insts.append(x)
-            return insts
+                    block.append(len(mine))
+                    base.append(table.prefix[group.start])
+                mine.append(blk)
+            return insts, BlockLayout(table, np.array(block), np.array(base),
+                                      mine, [x.fields for x in insts])
 
-        srcs, dsts = stack(src_pts, src_groups), stack(dst_pts, dst_groups)
+        (srcs, src_layout), (dsts, dst_layout) = (stack(src_pts, src_groups),
+                                                  stack(dst_pts, dst_groups))
         pairs = [(srcs[s], dsts[d], IntervalSet.from_indices(pts),
                   None if locks[d] is None else lock_objs[locks[d]])
                  for s, d, pts in specs]
-        return (blocks, lambda x: place_of[id(x)]), pairs
+        nrows = np.array([pts.num_intervals for _, _, pts, _ in pairs])
+        ivals = np.concatenate([pts.intervals for _, _, pts, _ in pairs])
+        src_of, dst_of = (np.array(side) for side in zip(
+            *((s, d) for s, d, _ in specs)))
+        # Lock code 0 is no lock, 1 + k is lock k.
+        lock_of = np.array([0 if locks[d] is None else 1 + locks[d]
+                            for _, d, _ in specs])
+        inputs = (place_rows(src_layout, src_of, nrows, ivals),
+                  place_rows(dst_layout, dst_of, nrows, ivals),
+                  ivals[:, 1] - ivals[:, 0], nrows, lock_of,
+                  (None, *lock_objs))
+        return (blocks, block_by_inst, inputs), pairs
 
     stmt = SimpleNamespace(uid=7, fields=tuple(fields), redop=redop)
     return stmt, make, len(specs)
@@ -251,7 +284,14 @@ class TestFusedCopyBuild:
         for src, _, pts, _ in pairs:
             ix = pts.to_indices()
             want[ix] = src.fields["v"][ix]
-        batch = lower_copy(7, ("v",), None, pairs, 3)
+        nrows = np.ones(3, dtype=np.int64)
+        ivals = np.concatenate([pts.intervals for _, _, pts, _ in pairs])
+        batch = lower_copy(
+            7, ("v",), None,
+            place_rows(own_blocks([a, b]), np.array([0, 1, 0]), nrows, ivals),
+            place_rows(own_blocks([dst]), np.zeros(3, np.int64), nrows, ivals),
+            ivals[:, 1] - ivals[:, 0], nrows, np.zeros(3, np.int64), [None],
+            3)
         assert [it.src_arrays[0] for it in batch.items] == [
             a.fields["v"], b.fields["v"], a.fields["v"]]
         batch.apply()
@@ -279,10 +319,10 @@ class TestFusedCopyBuild:
     @settings(max_examples=300, deadline=None)
     def test_fused_group_equals_its_pairs_in_order(self, case):
         stmt, make, npairs = case
-        (seq_blocks, _), seq_pairs = make()
-        (blocks, place), pairs = make()
-        batch = lower_copy(stmt.uid, stmt.fields, stmt.redop, pairs,
-                           npairs + 1, place)
+        (seq_blocks, _, _), seq_pairs = make()
+        (blocks, block_by_inst, inputs), pairs = make()
+        batch = lower_copy(stmt.uid, stmt.fields, stmt.redop, *inputs,
+                           npairs + 1)
         batch.apply()
         # The oracle: each pair in turn, localized in its own instance.
         ufunc = None if stmt.redop is None else np.add
@@ -301,7 +341,8 @@ class TestFusedCopyBuild:
         def key(src, dst, lock):
             # Instances or block arrays, whichever it is handed.
             src, dst = (x if isinstance(x, np.ndarray)
-                        else place(x)[0][stmt.fields[0]] for x in (src, dst))
+                        else block_by_inst[id(x)][stmt.fields[0]]
+                        for x in (src, dst))
             return block_of[id(src)], block_of[id(dst)], id(lock)
 
         want = {}  # (dst block, lock) -> its runs: [source block, pairs]
@@ -342,13 +383,13 @@ def iset(*idx):
 class TestDisjointDstColors:
     def test_distinct_owners_disjoint_points(self):
         pts = {(0, 0): iset(0, 1), (1, 0): iset(2, 3)}
-        out = disjoint_dst_colors(list(pts), lambda i, j: pts[(i, j)],
+        out = disjoint_dst_colors(PairTable.from_mapping(pts),
                                   src_num_colors=2, num_shards=2)
         assert out == frozenset({0})
 
     def test_overlapping_owners_excluded(self):
         pts = {(0, 0): iset(0, 1), (1, 0): iset(1, 2)}
-        out = disjoint_dst_colors(list(pts), lambda i, j: pts[(i, j)],
+        out = disjoint_dst_colors(PairTable.from_mapping(pts),
                                   src_num_colors=2, num_shards=2)
         assert out == frozenset()
 
@@ -356,7 +397,7 @@ class TestDisjointDstColors:
         # Both producer colors land on shard 0: no cross-shard contention
         # even though the point sets overlap.
         pts = {(0, 0): iset(0, 1), (1, 0): iset(1, 2)}
-        out = disjoint_dst_colors(list(pts), lambda i, j: pts[(i, j)],
+        out = disjoint_dst_colors(PairTable.from_mapping(pts),
                                   src_num_colors=2, num_shards=1)
         assert out == frozenset({0})
 
@@ -388,7 +429,7 @@ class TestDisjointDstColors:
                        rng.choice(40, int(rng.integers(0, 4)), replace=False))
                    for i in range(src_n) for j in range(dst_n)
                    if rng.random() < 0.7}
-            got = disjoint_dst_colors(list(pts), lambda i, j: pts[(i, j)],
+            got = disjoint_dst_colors(PairTable.from_mapping(pts),
                                       src_n, ns)
             assert got == per_destination(list(pts),
                                           lambda i, j: pts[(i, j)], src_n, ns)
@@ -399,9 +440,87 @@ class TestDisjointDstColors:
 
     def test_empty_pairs_ignored(self):
         pts = {(0, 0): iset(0), (1, 0): iset()}
-        out = disjoint_dst_colors(list(pts), lambda i, j: pts[(i, j)],
+        out = disjoint_dst_colors(PairTable.from_mapping(pts),
                                   src_num_colors=2, num_shards=2)
         assert out == frozenset({0})
+
+
+    def test_table_matches_brute_force_on_aliased_partitions(self):
+        # From the pair table of two random aliased partitions against a
+        # per-pair union check over their brute-force intersections.
+        from repro.core.shards import owner_of_color
+        from repro.regions import Partition
+        from repro.runtime import compute_intersections
+
+        def aliased(root, n, rng):
+            return Partition(root, [IntervalSet.from_indices(
+                rng.choice(60, int(rng.integers(0, 12)), replace=False))
+                for _ in range(n)], disjoint=False)
+
+        rng = np.random.default_rng(11)
+        disjoint = overlapping = 0
+        for _ in range(60):
+            root = region(ispace(size=60), {"v": np.float64})
+            src, dst = (aliased(root, int(rng.integers(1, 9)), rng)
+                        for _ in range(2))
+            ns = int(rng.integers(1, src.num_colors + 1))
+            table = compute_intersections(src, dst).table
+            want = set()
+            for j in dst.colors:
+                per_owner = {}
+                for i in src.colors:
+                    pts = src.subset(i) & dst.subset(j)
+                    if pts:
+                        per_owner.setdefault(owner_of_color(
+                            src.num_colors, ns, i), []).append(pts)
+                sets = [IntervalSet.union_all(p) for p in per_owner.values()]
+                if sets and (IntervalSet.union_all(sets).count
+                             == sum(x.count for x in sets)):
+                    want.add(j)
+            got = disjoint_dst_colors(table, src.num_colors, ns)
+            assert got == want
+            disjoint += len(got)
+            overlapping += len(set(table.dst.tolist()) - got)
+        assert disjoint > 20 and overlapping > 20
+
+
+class TestRootCopies:
+    """Launch entry and exit: one localize of a shard block's stacked
+    colour rows against the root instance, the block side its rows in
+    order."""
+
+    @pytest.mark.parametrize("ns", [1, 2, 3, 7])
+    def test_aliased_round_trip_last_colour_wins(self, ns):
+        from repro.core.ir import FinalCopy, InitCopy
+        from repro.regions import Partition
+        rng = np.random.default_rng(ns)
+        root = region(ispace(size=50), {"a": np.float64,
+                                        "b": (np.int64, (2,))})
+        part = Partition(root, [IntervalSet.from_indices(
+            rng.choice(50, int(rng.integers(0, 20)), replace=False))
+            for _ in range(5)], disjoint=False)
+        ex = SPMDExecutor(num_shards=ns)
+        r = ex.root_instance(root)
+        r.fields["a"][:] = rng.standard_normal(50)
+        r.fields["b"][:] = rng.integers(0, 1000, (50, 2))
+        before = {f: r.fields[f].copy() for f in r.fields}
+        ex._stmt(InitCopy(part, ("a", "b")))
+        for c in part.colors:
+            ix = part.subset(c).to_indices()
+            for f in ("a", "b"):
+                assert np.array_equal(ex.dist_instance(part, c).fields[f],
+                                      before[f][ix])
+        # Every colour writes its own values back, in colour order.
+        want = {f: before[f].copy() for f in before}
+        for c in part.colors:
+            inst, ix = ex.dist_instance(part, c), part.subset(c).to_indices()
+            inst.fields["a"][:] = 100.0 * c + np.arange(ix.size)
+            inst.fields["b"][:] = -c
+            for f in ("a", "b"):
+                want[f][ix] = inst.fields[f]
+        ex._stmt(FinalCopy(part, ("a", "b")))
+        for f in ("a", "b"):
+            assert np.array_equal(r.fields[f], want[f])
 
 
 # -- end-to-end equivalence across the evaluation apps -----------------------
@@ -437,9 +556,11 @@ class TestBlockPlan:
         batches = []
         lower = spmd.lower_copy
 
-        def recording(uid, fields, redop, pairs, visits, place):
-            batch = lower(uid, fields, redop, pairs, visits, place)
-            batches.append((fields, pairs, place, batch))
+        def recording(uid, fields, redop, src, dst, lengths, nrows, lock_of,
+                      locks, visits):
+            batch = lower(uid, fields, redop, src, dst, lengths, nrows,
+                          lock_of, locks, visits)
+            batches.append((fields, (src, dst, lock_of, locks), batch))
             return batch
 
         monkeypatch.setattr(spmd, "lower_copy", recording)
@@ -475,7 +596,7 @@ class TestBlockPlan:
         p = CircuitProblem(pieces=pieces, nodes_per_piece=20,
                            wires_per_piece=30, steps=4)
         _, _, ex, _ = p.run_control_replicated(self.NS)
-        fields = {id(b): len(f) for f, _, _, b in batches}
+        fields = {id(b): len(f) for f, _, b in batches}
         assert ex.replay_hits > 0 and applies
         for batch, calls in applies:
             bound = self.NS * 2 * fields[id(batch)]
@@ -484,7 +605,7 @@ class TestBlockPlan:
             assert len({id(it.dst_arrays[0]) for it in batch.items}) \
                 <= self.NS
         # The colours are many more than the items.
-        assert max(b.pair_count for _, _, _, b in batches) > 4 * 2 * self.NS
+        assert max(b.pair_count for _, _, b in batches) > 4 * 2 * self.NS
 
     @pytest.mark.parametrize("app", sorted(APPS))
     def test_item_footprint_is_its_pairs_instances(self, app, monkeypatch):
@@ -499,13 +620,22 @@ class TestBlockPlan:
             self.NS, mode="threaded")
         blocks = {id(arr) for rows, _, _ in ex._block_rows.values()
                   for arr in rows.values()}
+        # A placed side names each pair's instance by its colour's field
+        # dict; the executor's block_rows says which block holds it.
+        inst_of = {id(x.fields): x for x in ex.dist.values()}
         items = 0
-        for fields, pairs, place, batch in batches:
+        for fields, (src, dst, lock_of, locks), batch in batches:
+            pairs = [(inst_of[id(src.arrays[i])], inst_of[id(dst.arrays[j])],
+                      locks[k]) for i, j, k in zip(src.colours.tolist(),
+                                                    dst.colours.tolist(),
+                                                    lock_of.tolist())]
             for it in batch.items:
-                mine = [(src, dst) for src, dst, _, lock in pairs
+                mine = [(s, d) for s, d, lock in pairs
                         if lock is it.lock
-                        and place(src)[0][fields[0]] is it.src_arrays[0]
-                        and place(dst)[0][fields[0]] is it.dst_arrays[0]]
+                        and ex.block_rows(s.region)[0][fields[0]]
+                        is it.src_arrays[0]
+                        and ex.block_rows(d.region)[0][fields[0]]
+                        is it.dst_arrays[0]]
                 assert sum(1 for _ in mine) == it.pair_count
                 assert it.footprint == {id(x.fields[f]) for pair in mine
                                         for x in pair for f in fields}

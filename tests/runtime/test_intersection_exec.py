@@ -19,6 +19,7 @@ from repro.regions import (
     region,
     shallow_intersection_pairs,
 )
+from repro.regions.interval_join import PairTable
 from repro.runtime import compute_intersections, compute_intersections_sharded
 from repro.runtime import spmd
 
@@ -48,13 +49,49 @@ class TestUnstructured:
         assert res.candidate_pairs >= len(res.pairs)
 
     def test_src_pairs_filter(self):
+        # A block of source colours' pairs is one slice of the table, and
+        # a block of destination colours' one slice of its destination
+        # order; both in pair order.
         R = region(ispace(size=20), {"v": np.float64})
         p = partition_block(R, 4)
         q = partition_by_image(R, p, func=lambda pts: np.minimum(pts + 1, 19))
         res = compute_intersections(p, q)
-        owned = res.src_pairs([0, 1])
-        assert owned and all(i in (0, 1) for i, _ in owned)
-        assert set(owned) <= set(res.nonempty_pairs())
+        table = res.table
+
+        def pairs(idx):
+            return list(zip(table.src[idx].tolist(), table.dst[idx].tolist()))
+
+        owned = pairs(table.src_range(0, 2))
+        assert owned and owned == [k for k in res.nonempty_pairs()
+                                   if k[0] in (0, 1)]
+        into = pairs(table.dst_range(1, 3))
+        assert into and into == [k for k in res.nonempty_pairs()
+                                 if k[1] in (1, 2)]
+
+    def test_table_is_a_read_only_mapping(self):
+        R = region(ispace(size=60), {"v": np.float64})
+        p = partition_block(R, 6)
+        rng = np.random.default_rng(5)
+        image = rng.integers(0, 60, 60)
+        q = partition_by_image(R, p, func=lambda pts: image[pts])
+        res = compute_intersections(p, q)
+        want = brute(p, q)
+        assert res.pairs == want and len(res.pairs) == len(want)
+        assert list(res.pairs) == sorted(want) == res.nonempty_pairs()
+        assert all(res.pairs[k] == v for k, v in want.items())
+        assert (0, 99) not in res.pairs
+        with pytest.raises(TypeError):
+            del res.pairs[next(iter(want))]
+        assert res.table.count == sum(v.count for v in want.values())
+        # Round trip through the mapping, and the table's rows per pair.
+        again = PairTable.from_mapping(want)
+        for col in ("src", "dst", "offsets", "intervals"):
+            assert np.array_equal(getattr(again, col), getattr(res.table, col))
+        nrows, ivals = res.table.select(np.arange(len(want))[::-1])
+        assert nrows.tolist() == [v.num_intervals
+                                  for _, v in sorted(want.items())][::-1]
+        assert np.array_equal(ivals, np.concatenate(
+            [v.intervals for _, v in sorted(want.items())][::-1]))
 
     def test_disjoint_partitions_only_diagonal(self):
         R = region(ispace(size=24), {"v": np.float64})
@@ -228,6 +265,67 @@ class TestSetupCost:
         p.run_control_replicated(2)
         assert calls["pair_sets"] == 5
         assert calls["intersections"] == 0
+
+    @pytest.mark.parametrize("ns", [2, 8])
+    def test_copy_setup_counts_colours_not_pairs(self, ns, monkeypatch):
+        # A run's set-up — pair tables, colour tables, copy lowerings,
+        # send and receive plans, launch-entry and -exit copies — builds
+        # interval sets, looks up instances and asks colour owners a
+        # bounded number of times per colour and per lowered item, and
+        # not once per pair: four times the wires is over three times the
+        # pairs and the same counts.
+        import sys
+
+        from repro.core import control_replicate
+        from repro.core import shards
+        from repro.core.ir import ShardLaunch, walk
+        from repro.runtime.copy_engine import FusedCopy
+        from repro.runtime.launch import launch_spec
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+            return wrapper
+
+        monkeypatch.setattr(IntervalSet, "__init__",
+                            counted("sets", IntervalSet.__init__))
+        monkeypatch.setattr(IntervalSet, "_from_normalized", classmethod(
+            counted("sets", IntervalSet._from_normalized.__func__)))
+        monkeypatch.setattr(spmd.SPMDExecutor, "dist_instance",
+                            counted("instances",
+                                    spmd.SPMDExecutor.dist_instance))
+        owner = shards.owner_of_color
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "owner_of_color", None) is owner:
+                monkeypatch.setattr(mod, "owner_of_color",
+                                    counted("owners", owner))
+        monkeypatch.setattr(FusedCopy, "build", classmethod(
+            counted("items", FusedCopy.build.__func__)))
+        seen = []
+        for wires in (20, 80):
+            p = CircuitProblem(pieces=96, nodes_per_piece=20,
+                               wires_per_piece=wires, steps=4)
+            prog, _ = control_replicate(p.build_program(), num_shards=ns)
+            ex = spmd.SPMDExecutor(num_shards=ns,
+                                   instances=p.fresh_instances())
+            calls.clear()
+            ex.run(prog)
+            launch = next(s for s in walk(prog.body)
+                          if isinstance(s, ShardLaunch))
+            colours = sum(part.num_colors for part in
+                          launch_spec(launch, ex._copy_pairs, ns).partitions)
+            bound = 4 * (colours + calls["items"])
+            assert calls["items"] > 0
+            for name in ("sets", "instances", "owners"):
+                assert calls[name] <= bound, (name, calls[name], bound)
+            seen.append((sum(len(r.pairs) for r in ex.pair_sets.values()),
+                         {k: calls[k] for k in ("sets", "instances",
+                                                "owners")}))
+        (few, at_few), (many, at_many) = seen
+        assert many > 3 * few
+        assert at_many == at_few
 
     @pytest.mark.parametrize("pieces", [24, 96])
     def test_partition_containment_is_one_evaluation(self, pieces, monkeypatch):

@@ -240,24 +240,43 @@ class TestSharedLocalization:
     def test_send_and_receive_plans_match_per_pair_localize(self, app):
         """A :class:`PackedSend` gathers each field once from the
         producer's source block and ``rx_plan`` scatters each field once
-        into the consumer's block, both through the copy engine's
-        ``block_runs``: the gather equals each pair's block offset plus
-        its own ``inst.localize(pts)``, in pair order, and applying the
-        receive plan to a payload equals scattering it pair by pair."""
-        from types import SimpleNamespace
-
+        into the consumer's block, both placed on the partitions' colour
+        tables from the statement's pair table: the gather equals each
+        pair's block offset plus its own ``inst.localize(pts)``, in pair
+        order, with ``pts`` the pair's brute-force intersection, and
+        applying the receive plan to a payload equals scattering it pair
+        by pair."""
         from repro.apps.circuit import CircuitProblem
         from repro.apps.stencil import StencilProblem
+        p = (CircuitProblem(pieces=4, nodes_per_piece=25, wires_per_piece=40,
+                            steps=2) if app == "circuit"
+             else StencilProblem(n=24, radius=2, tiles=4, steps=2))
+        assert self._check(p, 2) > 0
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_uneven_blocks_and_all_pairs(self, optimize):
+        """The same on uneven blocks (7 pieces on 3 ranks), with and
+        without intersection optimization: a copy with no pair set visits
+        every pair, so its sends count the empty ones too."""
+        from repro.apps.circuit import CircuitProblem
+        from repro.apps.pennant import PennantProblem
+        for p in (CircuitProblem(pieces=7, nodes_per_piece=15,
+                                 wires_per_piece=25, steps=2),
+                  PennantProblem(nx=8, ny=8, pieces=4, steps=2)):
+            assert self._check(p, 3, optimize_intersection=optimize) > 0
+
+    @staticmethod
+    def _check(p, ns, **compile_kw) -> int:
+        from types import SimpleNamespace
+
         from repro.core.ir import PairwiseCopy, ShardLaunch, walk
         from repro.core.shards import owner_of_color
         from repro.regions.region import _REDUCTION_UFUNCS
         from repro.runtime.launch import launch_spec
         from repro.runtime.net.sync import NetCommContext
-        ns = 2
-        p = (CircuitProblem(pieces=4, nodes_per_piece=25, wires_per_piece=40,
-                            steps=2) if app == "circuit"
-             else StencilProblem(n=24, radius=2, tiles=4, steps=2))
-        prog, _ = control_replicate(p.build_program(), num_shards=ns)
+        from repro.runtime.spmd import _ShardState
+        prog, _ = control_replicate(p.build_program(), num_shards=ns,
+                                    **compile_kw)
         ex = SPMDExecutor(num_shards=ns, instances=p.fresh_instances())
         ex.run(prog)  # evaluates the pair sets, allocates the instances
         launch = next(s for s in walk(prog.body) if isinstance(s, ShardLaunch))
@@ -266,38 +285,52 @@ class TestSharedLocalization:
         rng = np.random.default_rng(0)
 
         def crossing(stmt, src_rank, dst_rank):
-            return [(i, j, ex._pair_points(stmt, i, j))
-                    for i, j in ex._copy_pairs(stmt)
+            # Every pair the statement visits between the two ranks, in
+            # pair order, with its brute-force intersection.
+            return [(i, j, stmt.src.subset(i) & stmt.dst.subset(j))
+                    for i, j in ex._copy_pairs(stmt).tolist()
                     if owner_of_color(stmt.src.num_colors, ns, i) == src_rank
                     and owner_of_color(stmt.dst.num_colors, ns, j)
                     == dst_rank]
+
+        def rows_of(inst):
+            return ex.block_rows(inst.region)
 
         checked = 0
         for rank in range(ns):
             transport = SimpleNamespace(rank=rank, register=lambda *a: None)
             ctx = NetCommContext(ex, transport, spec, ns)
+            state = _ShardState(shard=rank, scalars={})
             for stmt in copies:
                 fields = stmt.fields
+                sched = ex._copy_schedule(stmt, state, ctx)
+                sends = {peer: (pairs, visits)
+                         for peer, pairs, visits in sched.sends}
+                assert set(sends) == {peer for peer in range(ns)
+                                      if peer != rank
+                                      and crossing(stmt, rank, peer)}
                 for peer in range(ns):
                     if peer == rank:
                         continue
                     # Sent from `rank` to `peer`, in pair order.
                     out = crossing(stmt, rank, peer)
                     live = [(i, pts) for i, _, pts in out if pts]
-                    ps = ctx._build_send(stmt, peer,
-                                         [(i, j) for i, j, _ in out])
+                    if not out:
+                        continue
+                    ps = ctx._build_send(stmt, peer, *sends[peer])
                     assert ps.pair_count == len(out)
+                    assert ps.count == sum(pts.count for _, pts in live)
                     assert len(ps.gathers) == (1 if live else 0)
                     if live:
                         srcs, ix = ps.gathers[0]
                         insts = [ex.dist_instance(stmt.src, i)
                                  for i, _ in live]
-                        block, _ = ex._place(insts[0])
+                        block = rows_of(insts[0])[0]
                         assert all(a is block[f] for a, f in zip(srcs, fields))
                         if isinstance(ix, slice):  # one run of rows
                             ix = np.arange(ix.start, ix.stop)
                         assert np.array_equal(ix, np.concatenate(
-                            [ex._place(inst)[1] + inst.localize(pts)
+                            [rows_of(inst)[1] + inst.localize(pts)
                              for inst, (_, pts) in zip(insts, live)]))
                         assert ps.footprint == {id(x.fields[f]) for x in insts
                                                 for f in fields}
@@ -310,7 +343,7 @@ class TestSharedLocalization:
                     if not back:
                         continue
                     insts = [ex.dist_instance(stmt.dst, j) for j, _ in back]
-                    block, _ = ex._place(insts[0])
+                    block = rows_of(insts[0])[0]
                     assert all(a is block[f]
                                for a, f in zip(plan[0].dst_arrays, fields))
                     total = sum(pts.count for _, pts in back)
@@ -320,7 +353,7 @@ class TestSharedLocalization:
                     want = {f: block[f].copy() for f in fields}
                     off = 0
                     for inst, (_, pts) in zip(insts, back):
-                        rows = ex._place(inst)[1] + inst.localize(pts)
+                        rows = rows_of(inst)[1] + inst.localize(pts)
                         for f, v in zip(fields, vals):
                             part = v[off:off + pts.count]
                             if stmt.redop is None:
@@ -334,7 +367,7 @@ class TestSharedLocalization:
                         assert np.array_equal(block[f], want[f])
                         block[f][...] = saved[f]
                     checked += 1
-        assert checked > 0
+        return checked
 
 
 class TestBarrierCopyWait:

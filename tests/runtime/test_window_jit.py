@@ -60,7 +60,7 @@ from repro.runtime import (
     SPMDExecutor,
     procs_available,
 )
-from repro.runtime import copy_engine, spmd
+from repro.runtime import spmd
 from repro.runtime.copy_engine import FusedBatch, FusedCopy, _as_index
 from repro.runtime.events import Sequence
 from repro.runtime.launch import CommContext, LaunchSpec, channel_keys
@@ -1074,21 +1074,30 @@ class TestFreezeCost:
     def test_pair_copies_lowered_once_per_run(self, monkeypatch):
         batches, lowered = [], []
         pointwise = Counter()  # per-pair work done inside a lowering
-        lower = spmd.lower_copy
+        lower, place = spmd.lower_copy, spmd.place_rows
 
-        def counting(uid, fields, redop, pairs, visits, place):
-            if uid not in copy_uids:  # a launch-entry or -exit copy
-                return lower(uid, fields, redop, pairs, visits, place)
+        def counting(uid, fields, redop, src, dst, *rest):
             batches.append(uid)
-            lowered.extend((uid, id(src), id(dst))
-                           for src, dst, _, _ in pairs)
+            # A pair is its (source, destination) instance, named by its
+            # colour's field dict.
+            lowered.extend((uid, id(src.arrays[i]), id(dst.arrays[j]))
+                           for i, j in zip(src.colours.tolist(),
+                                           dst.colours.tolist()))
             pointwise["on"] += 1
             try:
-                return lower(uid, fields, redop, pairs, visits, place)
+                return lower(uid, fields, redop, src, dst, *rest)
+            finally:
+                pointwise["on"] -= 1
+
+        def placing(*args):
+            pointwise["on"] += 1
+            try:
+                return place(*args)
             finally:
                 pointwise["on"] -= 1
 
         monkeypatch.setattr(spmd, "lower_copy", counting)
+        monkeypatch.setattr(spmd, "place_rows", placing)
         for cls, name in ((IntervalSet, "to_indices"),
                           (PhysicalInstance, "localize")):
             def counted(self, *args, _fn=getattr(cls, name)):
@@ -1166,64 +1175,83 @@ class TestFreezeCost:
 
     @pytest.mark.parametrize("app", sorted(APPS))
     def test_batched_lowering_matches_per_pair(self, app, monkeypatch):
-        # The stacked block runs against each pair's own localization,
-        # point by point: its row offset in its block plus its slots.
-        checked = Counter()
-        stacked = copy_engine.block_runs
+        # The rows placed on the colour tables against each pair's own
+        # localization, point by point: its row offset in its block plus
+        # its slots.
+        placed = []
+        place = spmd.place_rows
 
-        def checking(insts, sets, place):
-            first, lengths, block_of, blocks = stacked(insts, sets, place)
-            assert len(block_of) == len(sets)
-            want = []
-            for inst, pts, b in zip(insts, sets, block_of.tolist()):
-                rows, lo = place(inst)
-                assert rows is blocks[b]
-                want.append(lo + inst.localize(pts.to_indices()))
-                checked["slices" if isinstance(_as_index(want[-1]), slice)
-                        else "arrays"] += 1
-            got = expand_ranges(first, lengths)
-            assert got.dtype == want[0].dtype
-            assert np.array_equal(got, np.concatenate(want))
-            return first, lengths, block_of, blocks
+        def recording_place(layout, colours, nrows, ivals):
+            side = place(layout, colours, nrows, ivals)
+            placed.append((colours, nrows, ivals, side))
+            return side
 
-        monkeypatch.setattr(copy_engine, "block_runs", checking)
+        monkeypatch.setattr(spmd, "place_rows", recording_place)
         batches = []
         lower = spmd.lower_copy
 
-        def recording(uid, fields, redop, pairs, visits, place):
-            batch = lower(uid, fields, redop, pairs, visits, place)
-            batches.append((uid, fields, pairs, visits, place, batch))
+        def recording(uid, fields, redop, src, dst, lengths, nrows, lock_of,
+                      locks, visits):
+            batch = lower(uid, fields, redop, src, dst, lengths, nrows,
+                          lock_of, locks, visits)
+            batches.append((uid, fields, src, dst, lengths, nrows, lock_of,
+                            locks, visits, batch))
             return batch
 
         monkeypatch.setattr(spmd, "lower_copy", recording)
         # Threaded, so that reduction pairs carry real locks.
         ns = 2
         _, _, ex, _ = APPS[app]().run_control_replicated(ns, mode="threaded")
+        inst_of = {id(x.fields): x for x in ex.dist.values()}
+        checked = Counter()
+        for colours, nrows, ivals, side in placed:
+            assert len(side.block_of) == len(colours)
+            ends = np.cumsum(nrows).tolist()
+            want = []
+            for c, b, lo, hi in zip(colours.tolist(), side.block_of.tolist(),
+                                    [0, *ends], ends):
+                inst = inst_of[id(side.arrays[c])]
+                rows, first_row, _ = ex.block_rows(inst.region)
+                assert rows is side.blocks[b]
+                pts = IntervalSet._from_normalized(ivals[lo:hi])
+                want.append(first_row + inst.localize(pts.to_indices()))
+                checked["slices" if isinstance(_as_index(want[-1]), slice)
+                        else "arrays"] += 1
+            got = expand_ranges(side.first, ivals[:, 1] - ivals[:, 0])
+            if want:
+                assert got.dtype == want[0].dtype
+                assert np.array_equal(got, np.concatenate(want))
         assert checked["slices"] + checked["arrays"] > 0
         if app in ("circuit", "pennant"):
             assert checked["arrays"] > 0  # unstructured: gathers, not slices
-        for uid, fields, pairs, visits, place, batch in batches:
-            width = (sum(pairs[0][1].fields[f].dtype.itemsize
-                         for f in fields) if pairs else 0)
-            count = sum(int(pts.count) for _, _, pts, _ in pairs)
+        for (uid, fields, src, dst, lengths, nrows, lock_of, locks, visits,
+             batch) in batches:
+            width = (sum(dst.arrays[0][f].dtype.itemsize for f in fields)
+                     if nrows.size else 0)
+            count = int(lengths.sum())
             assert (batch.uid, batch.visits) == (uid, visits)
-            assert (batch.pair_count, batch.count) == (len(pairs), count)
+            assert (batch.pair_count, batch.count) == (len(nrows), count)
             assert batch.nbytes == count * width
             assert type(batch.count) is int and type(batch.nbytes) is int
             assert all(item.uid == uid for item in batch.items)
-            for src, dst, pts, lock in pairs:
+            for i, j, k in zip(src.colours.tolist(), dst.colours.tolist(),
+                               lock_of.tolist()):
+                s, d, lock = (inst_of[id(src.arrays[i])],
+                              inst_of[id(dst.arrays[j])], locks[k])
                 # A fold's lock is its statement's lock of the shard that
                 # owns the destination colour; the item it lands in holds
                 # that lock.
                 if lock is not None:
-                    owner = owner_of_color(dst.region.parent_partition
-                                           .num_colors, ns, dst.region.color)
+                    owner = owner_of_color(d.region.parent_partition
+                                           .num_colors, ns, d.region.color)
                     assert lock is ex._copy_locks[(uid, owner)]
                 item = next(it for it in batch.items
                             if it.lock is lock
-                            and it.dst_arrays[0] is place(dst)[0][fields[0]]
-                            and it.src_arrays[0] is place(src)[0][fields[0]])
-                assert id(dst.fields[fields[0]]) in item.footprint
+                            and it.dst_arrays[0]
+                            is ex.block_rows(d.region)[0][fields[0]]
+                            and it.src_arrays[0]
+                            is ex.block_rows(s.region)[0][fields[0]])
+                assert id(d.fields[fields[0]]) in item.footprint
 
     @pytest.mark.parametrize("mode", ["stepped", "threaded"])
     def test_finished_run_frees_its_windows_without_gc(self, mode,
