@@ -4,7 +4,6 @@ from .builder import ProgramBuilder
 from .compiler import CompilationReport, FragmentReport, control_replicate
 from .explain import explain_shard, format_pipeline_ir, shard_communication_summary
 from .ir import (
-    BarrierStmt,
     BinOp,
     Block,
     ComputeIntersections,
@@ -62,7 +61,7 @@ from .target import (
 from .verify import IRVerificationError, verify_ir
 
 __all__ = [
-    "BarrierStmt", "BinOp", "Block", "CompilationReport", "ComputeIntersections",
+    "BinOp", "Block", "CompilationReport", "ComputeIntersections",
     "Const", "CRLegalityError", "Expr", "FillReductionBuffer", "FinalCopy",
     "ForRange", "Fragment", "FragmentReport", "FragmentUsage", "IfStmt",
     "IndexLaunch", "InitCopy", "IRVerificationError", "PairwiseCopy",

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .ir import (
-    BarrierStmt,
     Block,
     FillReductionBuffer,
     ForRange,
@@ -102,8 +101,6 @@ def _fmt(stmt: Stmt, shard: int, ns: int, lines: list[str], depth: int) -> None:
                      f"identity({stmt.redop})")
     elif isinstance(stmt, ScalarCollective):
         lines.append(f"{pad}allreduce({stmt.redop}) -> {stmt.name}")
-    elif isinstance(stmt, BarrierStmt):
-        lines.append(f"{pad}barrier  -- {stmt.tag}")
     elif isinstance(stmt, ScalarAssign):
         lines.append(f"{pad}{stmt.name} = ...  (replicated)")
     else:

@@ -30,7 +30,7 @@ __all__ = [
     "Stmt", "Block", "ForRange", "WhileLoop", "IfStmt", "ScalarAssign",
     "IndexLaunch", "SingleCall",
     "CopyKind", "PartitionFill", "InitCopy", "FinalCopy", "PairwiseCopy",
-    "ComputeIntersections", "BarrierStmt", "FillReductionBuffer",
+    "ComputeIntersections", "FillReductionBuffer",
     "ScalarCollective", "ShardLaunch", "Program",
     "walk", "format_program", "format_stmts",
 ]
@@ -398,14 +398,6 @@ class ComputeIntersections(Stmt):
         self.dst = dst
 
 
-class BarrierStmt(Stmt):
-    """A global barrier across shards (naive §3.4 synchronization)."""
-
-    def __init__(self, tag: str):
-        super().__init__()
-        self.tag = tag
-
-
 class FillReductionBuffer(Stmt):
     """Initialize a launch's temporary reduction buffers to the identity."""
 
@@ -531,8 +523,6 @@ def _fmt_stmt(s: Stmt, indent: int, out: list[str]) -> None:
                    f"  -- fields {list(s.fields)}, sync={s.sync_mode}")
     elif isinstance(s, ComputeIntersections):
         out.append(f"{pad}var {s.name} = {{ i, j | {s.dst.name}[j] ∩ {s.src.name}[i] ≠ ∅ }}")
-    elif isinstance(s, BarrierStmt):
-        out.append(f"{pad}barrier()  -- {s.tag}")
     elif isinstance(s, FillReductionBuffer):
         out.append(f"{pad}fill_reduction({s.partition.name}, {list(s.fields)}, {s.redop})")
     elif isinstance(s, ScalarCollective):

@@ -6,7 +6,9 @@ synchronization.  Two forms are produced:
 
 * ``barrier`` mode — the naive Fig. 4c form: a global barrier before each
   copy loop (write-after-read: previous consumers must finish) and one
-  after it (read-after-write: subsequent consumers must wait).
+  after it (read-after-write: subsequent consumers must wait).  The copy
+  is only marked; the executors run the two barriers as the copy's own
+  ``pre``/``post`` rendezvous.
 * ``p2p`` mode — the optimized form: the tasks that must synchronize are
   exactly those with non-empty intersections, so each copy statement is
   annotated with its *consumer launches* (found by a dataflow scan over
@@ -24,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ir import (
-    BarrierStmt,
     Block,
     ForRange,
     IfStmt,
@@ -85,13 +86,11 @@ def _rewrite(block: Block, mode: str, all_stmts: list[Stmt], stats: SyncStats) -
             new = PairwiseCopy(s.src, s.dst, s.fields, pairs_name=s.pairs_name,
                                redop=s.redop, sync_mode=mode)
             new.consumers = _copy_consumers(s, all_stmts)  # type: ignore[attr-defined]
+            out.append(new)
             if mode == "barrier":
-                out.append(BarrierStmt(f"war:{new.uid}"))
-                out.append(new)
-                out.append(BarrierStmt(f"raw:{new.uid}"))
+                # The copy's own pre/post rendezvous (WAR, RAW).
                 stats.barriers += 2
             else:
-                out.append(new)
                 stats.p2p_copies += 1
         elif isinstance(s, IndexLaunch):
             out.append(s)

@@ -22,9 +22,8 @@ boundary with a precise message instead of as a mysterious executor error:
   - ``replicated`` — copies only reference partitions the fragment uses
     (or its reduction temporaries);
   - ``synchronized`` — every copy in a (future) shard body carries a
-    synchronization mode, and barrier-mode copies have their bracketing
-    WAR/RAW barrier statements — the channels the executor will build
-    match the copy statements;
+    synchronization mode, so the executor builds its channels or its
+    pre/post rendezvous;
   - ``sharded`` — main-level-only statements (init/final copies,
     intersection computations) do not appear inside shard bodies.
 """
@@ -34,7 +33,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .ir import (
-    BarrierStmt,
     ComputeIntersections,
     FillReductionBuffer,
     FinalCopy,
@@ -155,20 +153,12 @@ def _shard_bodies(stmts: Sequence[Stmt]) -> Iterable[Sequence[Stmt]]:
 
 def _check_synchronized(body_stmts: Sequence[Stmt], where: str,
                         out: list[str]) -> None:
-    barrier_tags = {s.tag for s in _iter_view(body_stmts)
-                    if isinstance(s, BarrierStmt)}
     for s in _iter_view(body_stmts):
-        if not isinstance(s, PairwiseCopy):
-            continue
-        if s.sync_mode not in ("p2p", "barrier"):
+        if (isinstance(s, PairwiseCopy)
+                and s.sync_mode not in ("p2p", "barrier")):
             out.append(f"copy uid {s.uid} in {where}: sync_mode "
                        f"{s.sync_mode!r} inside replicated code (no channel "
                        f"will be built for it)")
-        elif s.sync_mode == "barrier":
-            for tag in (f"war:{s.uid}", f"raw:{s.uid}"):
-                if tag not in barrier_tags:
-                    out.append(f"copy uid {s.uid} in {where}: barrier sync "
-                               f"without bracketing barrier {tag!r}")
 
 
 _MAIN_LEVEL_ONLY = (InitCopy, FinalCopy, ComputeIntersections, SingleCall)

@@ -5,7 +5,7 @@ from .collectives import SCALAR_REDUCTIONS, DynamicCollective
 from .copy_engine import (FusedBatch, FusedCopy, disjoint_dst_colors,
                           lower_copy)
 from .dependence import DependenceAnalyzer, DependenceGraph, OpNode
-from .events import Event, GlobalBarrier, PhaseBarrier, Sequence
+from .events import Event, Sequence
 from .intersection_exec import (IntersectionResult, compute_intersections,
                                 compute_intersections_sharded)
 from .mapping import BlockMapper, Mapper
@@ -28,11 +28,9 @@ __all__ = [
     "Event",
     "FusedBatch",
     "FusedCopy",
-    "GlobalBarrier",
     "IntersectionResult",
     "BlockMapper",
     "Mapper",
-    "PhaseBarrier",
     "ProcsUnavailableError",
     "CompiledWindow",
     "LoopReplay",

@@ -7,6 +7,10 @@ a generation counter, so successive loop iterations use successive
 generations of the same collective object.  Shards that own no tasks for a
 launch contribute nothing (``None``), matching Legion's dynamically
 determined participant counts.
+
+A collective with ``redop=None`` is a global barrier (§3.4's naive
+synchronization): every contribution and the result are ``None``, and
+its event triggers once every shard has arrived.
 """
 
 from __future__ import annotations
@@ -42,12 +46,12 @@ class DynamicCollective:
 
     label: str | None = None
 
-    def __init__(self, num_shards: int, redop: str):
-        if redop not in SCALAR_REDUCTIONS:
+    def __init__(self, num_shards: int, redop: str | None):
+        if redop is not None and redop not in SCALAR_REDUCTIONS:
             raise ValueError(f"unknown scalar reduction {redop!r}")
         self.num_shards = num_shards
         self.redop = redop
-        self._fold = SCALAR_REDUCTIONS[redop]
+        self._fold = SCALAR_REDUCTIONS.get(redop)
         self._lock = threading.Lock()
         self._partial: dict[int, Any] = {}
         self._arrived: dict[int, int] = {}
@@ -73,14 +77,15 @@ class DynamicCollective:
             self._arrived[generation] = n
             ev = self._event(generation)
             if n == self.num_shards:
-                if generation not in self._partial:
-                    # Every shard contributed None: legal under the paper's
-                    # dynamically determined participant counts (§4.4, e.g.
-                    # an empty launch domain); reduce to the identity.
-                    self._results[generation] = reduction_identity(
-                        self.redop, np.float64)
-                else:
+                if generation in self._partial:
                     self._results[generation] = self._partial.pop(generation)
+                else:
+                    # Every shard contributed None: a barrier, or an empty
+                    # launch domain under §4.4's dynamically determined
+                    # participant counts, which reduces to the identity.
+                    self._results[generation] = (
+                        None if self.redop is None
+                        else reduction_identity(self.redop, np.float64))
                 ev.trigger()
             elif n > self.num_shards:
                 raise RuntimeError("collective over-arrived")

@@ -1,4 +1,4 @@
-"""Realm-style events and phase barriers.
+"""Realm-style events and monotone sequences.
 
 Legion's deferred execution model is built on events produced and consumed
 by the low-level Realm runtime (paper §4.1): every operation completes by
@@ -8,17 +8,18 @@ vocabulary: shard interpreters *yield* the events they need, and a
 scheduler (deterministic single-threaded, or OS threads) resumes them when
 the events trigger.
 
-:class:`PhaseBarrier` is the generation-based barrier Legion uses for
-point-to-point synchronization (§3.4): each generation must receive a
-fixed number of arrivals before its wait event triggers, and the barrier
-can be arrived at / waited on for any future generation without blocking.
+:class:`Sequence` is the functional form of the Legion phase barriers
+§3.4's point-to-point synchronization uses: a monotone generation counter
+whose wait event for any future generation can be taken without blocking.
+A global barrier is a :class:`~repro.runtime.collectives.DynamicCollective`
+whose contributions and result are ``None``.
 """
 
 from __future__ import annotations
 
 import threading
 
-__all__ = ["Event", "Sequence", "PhaseBarrier", "GlobalBarrier"]
+__all__ = ["Event", "Sequence"]
 
 
 class Event:
@@ -100,87 +101,3 @@ class Sequence:
             if n not in self._waiters:
                 self._waiters[n] = Event(label=label)
             return self._waiters[n]
-
-
-class PhaseBarrier:
-    """A generational barrier: each generation needs ``arrivals`` arrivals.
-
-    Generations are 1-based (generation 0 is the barrier's initial,
-    already-completed state — matching the shard interpreter's epoch
-    counters, which start at 1).
-
-    Completed generations are retired eagerly: a long-running control loop
-    advances through one generation per time step, so ``_counts`` and
-    ``_events`` must hold O(live generations), not O(total generations).
-    A watermark (plus a small set for out-of-order completions) remembers
-    which generations already completed so late waiters still get a
-    triggered event.
-    """
-
-    def __init__(self, arrivals: int):
-        if arrivals <= 0:
-            raise ValueError("arrivals must be positive")
-        self.arrivals = arrivals
-        self._counts: dict[int, int] = {}
-        self._events: dict[int, Event] = {}
-        self._lock = threading.Lock()
-        self._completed_through = 0  # all generations <= this completed
-        self._completed_beyond: set[int] = set()  # out-of-order completions
-
-    def _is_completed(self, generation: int) -> bool:
-        return (generation <= self._completed_through
-                or generation in self._completed_beyond)
-
-    def _event(self, generation: int, label: str | None = None) -> Event:
-        if generation not in self._events:
-            self._events[generation] = Event(label=label)
-        return self._events[generation]
-
-    def arrive(self, generation: int, count: int = 1) -> None:
-        with self._lock:
-            if generation <= 0:
-                raise ValueError("phase barrier generations are 1-based")
-            if self._is_completed(generation):
-                raise RuntimeError(
-                    f"phase barrier over-arrived: generation {generation} "
-                    f"already completed with {self.arrivals} arrivals")
-            got = self._counts.get(generation, 0) + count
-            if got > self.arrivals:
-                raise RuntimeError(
-                    f"phase barrier over-arrived: generation {generation} got "
-                    f"{got} > {self.arrivals}")
-            self._counts[generation] = got
-            if got == self.arrivals:
-                # Retire the generation: drop its count, trigger and drop
-                # its event (waiters hold their own references), and fold
-                # it into the completion watermark.
-                self._counts.pop(generation)
-                ev = self._events.pop(generation, None)
-                if ev is not None:
-                    ev.trigger()
-                self._completed_beyond.add(generation)
-                while self._completed_through + 1 in self._completed_beyond:
-                    self._completed_through += 1
-                    self._completed_beyond.discard(self._completed_through)
-
-    def wait_event(self, generation: int, label: str | None = None) -> Event:
-        with self._lock:
-            if self._is_completed(generation):
-                return _TRIGGERED  # shared singleton: never label it
-            return self._event(generation, label)
-
-
-class GlobalBarrier:
-    """A reusable all-shards barrier (the naive §3.4 synchronization).
-
-    Implemented as a phase barrier sequence: generation ``g`` completes when
-    all participants have arrived ``g`` times.
-    """
-
-    def __init__(self, participants: int):
-        self._pb = PhaseBarrier(participants)
-
-    def arrive_and_wait_event(self, generation: int,
-                              label: str | None = None) -> Event:
-        self._pb.arrive(generation)
-        return self._pb.wait_event(generation, label)

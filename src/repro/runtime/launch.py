@@ -8,9 +8,9 @@ here, once, for every backend:
   it needs: the partitions whose instances must exist, one channel per
   (copy statement, producer shard, consumer shard) that some pair of the
   statement crosses (:func:`channel_keys`), one collective per
-  ``ScalarCollective``, one barrier per ``BarrierStmt`` tag plus a
-  ``pre:``/``post:`` pair per barrier-synchronized copy, and the
-  (reduction copy, destination shard) keys that need a fold lock.
+  ``ScalarCollective`` and a ``pre:``/``post:`` pair of value-less ones
+  (barriers) per barrier-synchronized copy, and the (reduction copy,
+  destination shard) keys that need a fold lock.
 * :class:`CommContext` turns that spec into objects, in spec order.  The
   class itself is the in-memory implementation (``stepped``/``threaded``);
   :class:`repro.runtime.procs.BoardContext` puts the same objects in
@@ -45,13 +45,13 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from ..core.ir import (BarrierStmt, FillReductionBuffer, IndexLaunch,
-                       PairwiseCopy, ScalarCollective, walk)
+from ..core.ir import (FillReductionBuffer, IndexLaunch, PairwiseCopy,
+                       ScalarCollective, walk)
 from ..core.shards import channel_keys
 from ..obs import flight as _flight
 from ..obs.flight import anchor_delta_s, flight_anchor
 from .collectives import DynamicCollective
-from .events import GlobalBarrier, Sequence
+from .events import Sequence
 
 __all__ = ["Channel", "CommContext", "DeadlockError", "LaunchSpec",
            "channel_keys",
@@ -118,11 +118,13 @@ class LaunchSpec:
     # Copy statements, and per copy uid its channel keys (channel_keys).
     copies: list = field(default_factory=list)
     channels: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-    collectives: list[tuple[int, str]] = field(default_factory=list)
-    # Barrier tag -> the copy statement whose ``post:`` barrier it is (its
-    # completion must also cover that statement's inbound payloads on a
-    # backend where data and barrier travel apart), else None.
-    barriers: dict[str, Any] = field(default_factory=dict)
+    # (key, redop, copy): a ``ScalarCollective`` is keyed by its uid; a
+    # barrier-mode copy's ``pre``/``post`` rendezvous, by "pre:<uid>" and
+    # "post:<uid>", has redop None and names its copy statement (a
+    # ``post`` must also cover that statement's inbound payloads on a
+    # backend where data and rendezvous travel apart).
+    collectives: list[tuple[Any, str | None, Any]] = field(
+        default_factory=list)
     # (reduction copy uid, dst shard): folds into one shard's destination
     # block may need a lock; different shards' blocks never contend.
     reduction_dsts: list[tuple[int, int]] = field(default_factory=list)
@@ -154,17 +156,14 @@ def launch_spec(stmt, copy_pairs: Callable, num_shards: int) -> LaunchSpec:
             spec.channels[s.uid] = channel_keys(s, copy_pairs(s), num_shards)
             spec.names[s.uid] = f"copy:{s.src.name}->{s.dst.name}"
             if s.sync_mode == "barrier":
-                spec.barriers.setdefault(f"pre:{s.uid}", None)
-                spec.barriers.setdefault(f"post:{s.uid}", s)
+                spec.collectives += [(f"{tag}:{s.uid}", None, s)
+                                     for tag in ("pre", "post")]
             if s.redop is not None:
                 spec.reduction_dsts.extend(
                     (s.uid, q) for q in range(num_shards))
         elif isinstance(s, ScalarCollective):
-            spec.collectives.append((s.uid, s.redop))
+            spec.collectives.append((s.uid, s.redop, None))
             spec.names[s.uid] = f"collective:{s.name}"
-        elif isinstance(s, BarrierStmt):
-            spec.barriers.setdefault(s.tag, None)
-            spec.names[s.uid] = f"barrier:{s.tag}"
     spec.partitions = list(parts.values())
     return spec
 
@@ -174,8 +173,8 @@ def launch_spec(stmt, copy_pairs: Callable, num_shards: int) -> LaunchSpec:
 # ---------------------------------------------------------------------------
 
 # Every wait label of a statement starts ``<word><uid>:`` — ``copy7:…``,
-# ``barrier9:<tag>``, ``coll12:<redop>`` — and a WAIT record carries that
-# uid (0 for a label that names none, such as the net driver's own waits).
+# ``coll12:<redop>`` — and a WAIT record carries that uid (0 for a label
+# that names none, such as the net driver's own waits).
 _LABEL_UID = re.compile(r"[a-z]+(\d+):")
 
 
@@ -204,10 +203,10 @@ class CommContext:
 
     ``channels[copy uid][(p, q)]`` is the :class:`Channel` from producer
     shard ``p`` to consumer shard ``q`` (one per spec channel key, in
-    spec order), ``collectives[uid]`` and ``barriers[tag]`` the
-    generational all-reduce and barrier objects.  Subclasses override the
-    three factories (and the operations below) and nothing else; this
-    class builds plain in-process objects.
+    spec order), ``collectives[key]`` the generational all-reduce of
+    each spec collective, a barrier being one with no redop.  Subclasses
+    override the two factories (and the operations below) and nothing
+    else; this class builds plain in-process objects.
     """
 
     def __init__(self, spec: LaunchSpec, num_shards: int):
@@ -225,21 +224,17 @@ class CommContext:
                     chan.ready_label = f"copy{stmt.uid}:ready({p},{q})"
                     chans[key] = chan
         self.collectives = {}
-        for uid, redop in spec.collectives:
-            coll = self.collectives[uid] = self._collective(uid, redop)
-            coll.label = f"coll{uid}:{redop}"
-        self.barriers = {tag: self._barrier(tag, copy)
-                         for tag, copy in spec.barriers.items()}
+        for key, redop, copy in spec.collectives:
+            coll = self.collectives[key] = self._collective(key, redop, copy)
+            coll.label = (f"coll{key}:{redop}" if copy is None else
+                          f"copy{copy.uid}:{key.partition(':')[0]}")
 
     # -- factories, called in spec order ----------------------------------
     def _channel(self, stmt, key, cid: int):
         return Channel(Sequence(), Sequence())
 
-    def _collective(self, uid: int, redop: str):
+    def _collective(self, key, redop: str | None, copy):
         return DynamicCollective(self.num_shards, redop)
-
-    def _barrier(self, tag: str, copy):
-        return GlobalBarrier(self.num_shards)
 
     # -- operations -------------------------------------------------------
     def advance_group(self, seqs, n: int) -> None:
@@ -379,10 +374,10 @@ def drive_stepped(ex, gens: list, states: list) -> None:
 def launch_in_memory(drive: Callable):
     """The launch callable of a backend whose shards share this process."""
     def launch(ex, stmt, spec: LaunchSpec, states: list) -> None:
-        # Sync state is monotone (sequences, barrier and collective
-        # generations), so a resident executor's frozen plans stay
-        # consistent across runs as long as the epoch dicts and these
-        # objects persist together.
+        # Sync state is monotone (sequences and collective generations),
+        # so a resident executor's frozen plans stay consistent across
+        # runs as long as the epoch dicts and these objects persist
+        # together.
         ctx = ex._resident_ctx.get(stmt.uid)
         if ctx is None:
             ctx = CommContext(spec, len(states))

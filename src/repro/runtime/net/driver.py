@@ -100,11 +100,12 @@ def _run_rank(ex, stmt, spec, st, ns: int, transport, cancel):
         # The last iteration's credits have no message left to ride.
         transport.flush_credits()
         # Funnel this rank's owned region state up the gather tree, then
-        # hold everyone at the shutdown barrier so no rank closes its
+        # hold everyone at the shutdown rendezvous so no rank closes its
         # sockets while a peer still needs them.
         final.append((yield from nctx.tree.gather(
             _owned_state(ex, spec, ns, rank))))
-        yield nctx.done_barrier.arrive_and_wait_event(1, label="net:done")
+        yield nctx.done.contribute(1, None)
+        nctx.done.result(1)
 
     error = drive_shard(ex, body(), st, _CancelUnion(cancel, nctx.failed))
     if error is not None:

@@ -29,11 +29,12 @@ here flushes the queue before its wait blocks, so a credit is late only
 while its rank runs without blocking up to its ride, and no wait cycle
 can hold one.
 
-Init/finalize-style synchronization — dynamic collectives, named
-barriers, the final state gather, the shutdown barrier — runs over a
-binomial tree (:class:`TreeComm`): contributions flow up ``COLL``/
-``GATHER`` edges to rank 0 and results flow back down ``COLLR`` edges,
-O(log ranks) frames per rank per operation.
+Init/finalize-style synchronization — dynamic collectives (a barrier
+being one that carries no value), the final state gather, the shutdown
+rendezvous — runs over a binomial tree (:class:`TreeComm`):
+contributions flow up ``COLL``/``GATHER`` edges to rank 0 and results
+flow back down ``COLLR`` edges, O(log ranks) frames per rank per
+operation.
 """
 
 from __future__ import annotations
@@ -268,17 +269,16 @@ class _NetEvent:
 
 
 class TreeComm:
-    """Collectives, barriers, and the final gather over a binomial tree.
+    """Collectives and the final gather over a binomial tree.
 
-    Keys are strings (``c:<uid>`` for collectives, ``b:<tag>`` for
-    barriers) and generations follow the shard epoch counters.  A node
-    completes ``(key, gen)`` once its own contribution and one per child
-    are in, folds them in ascending source-rank order, and either sends
-    the partial to its parent (``COLL``) or — at the root — resolves the
-    result and broadcasts it back down (``COLLR``).  Completion can
-    happen on a receiver thread or the shard thread, whichever arrives
-    last; sends from receiver threads are safe under the transport's
-    per-peer send locks.
+    Keys are strings (``c:<spec key>``) and generations follow the shard
+    epoch counters.  A node completes ``(key, gen)`` once its own
+    contribution and one per child are in, folds them in ascending
+    source-rank order, and either sends the partial to its parent
+    (``COLL``) or — at the root — resolves the result and broadcasts it
+    back down (``COLLR``).  Completion can happen on a receiver thread or
+    the shard thread, whichever arrives last; sends from receiver threads
+    are safe under the transport's per-peer send locks.
     """
 
     def __init__(self, transport, ns: int):
@@ -287,7 +287,7 @@ class TreeComm:
         self.ns = ns
         self.parent = tree_parent(self.rank)
         self.children = tree_children(self.rank, ns)
-        # key -> scalar redop name, or None for pure barriers.  Registered
+        # key -> scalar redop name, or None for a barrier.  Registered
         # at endpoint construction (before receivers start) so receiver
         # threads can fold without the contributing context.
         self.redops: dict[str, str | None] = {}
@@ -343,7 +343,7 @@ class TreeComm:
             st = self._state(key, gen)
             st.result = result
         # Relay downward BEFORE releasing the local waiter: the waiter
-        # may be the shutdown barrier, and the rank would close its
+        # may be the shutdown rendezvous, and the rank would close its
         # sockets while the subtree's release is still unsent.
         for child in self.children:
             self.transport.send(child, frame.COLLR, (key, gen, result))
@@ -355,10 +355,6 @@ class TreeComm:
         with self._lock:
             st = self._states.pop((key, gen))
         return st.result
-
-    def retire(self, key: str, gen: int) -> None:
-        with self._lock:
-            self._states.pop((key, gen), None)
 
     # -- final gather ------------------------------------------------------
     def gather(self, data: dict):
@@ -400,13 +396,14 @@ class _NetCollective:
     """Duck-types :class:`~repro.runtime.collectives.DynamicCollective`
     over the tree.  Values travel as they are — a float as F64, an int
     exactly (as I64, or as its digits past int64) — so an integer
-    reduction returns the int the sequential executor folds."""
+    reduction returns the int the sequential executor folds; with no
+    redop it is a barrier, one up-and-down sweep per generation."""
 
     __slots__ = ("tree", "key", "label")
 
-    def __init__(self, tree: TreeComm, uid: int, redop: str):
+    def __init__(self, tree: TreeComm, key, redop: str | None):
         self.tree = tree
-        self.key = f"c:{uid}"
+        self.key = f"c:{key}"
         tree.redops[self.key] = redop
 
     def contribute(self, generation: int, value) -> _NetEvent:
@@ -418,35 +415,13 @@ class _NetCollective:
         return self.tree.result(self.key, generation)
 
 
-class _NetBarrier:
-    """Duck-types :class:`~repro.runtime.events.GlobalBarrier` over the
-    tree: one up-and-down sweep per generation."""
-
-    __slots__ = ("tree", "key")
-
-    def __init__(self, tree: TreeComm, tag: str):
-        self.tree = tree
-        self.key = f"b:{tag}"
-        tree.redops[self.key] = None
-
-    def arrive_and_wait_event(self, generation: int,
-                              label: str | None = None) -> _NetEvent:
-        # My arrival at generation g proves g-1 fully resolved everywhere
-        # in my subtree and at my parent, so no frame for g-1 can still
-        # arrive: retire its state here to keep the dict O(live gens).
-        self.tree.retire(self.key, generation - 1)
-        ev = self.tree.contribute(self.key, generation, None)
-        ev.label = label
-        return ev
-
-
 class _CopyPostEvent:
-    """Post-barrier event of a barrier-synchronized copy statement: set
-    once the barrier completed *and* every inbound payload arrived, at
+    """``post`` event of a barrier-synchronized copy statement: set once
+    the rendezvous completed *and* every inbound payload arrived, at
     which point checking it applies them in the shard thread.
 
-    The barrier sweep and the data frames travel different socket paths
-    (tree edges vs. the direct producer link), so barrier completion
+    The tree sweep and the data frames travel different socket paths
+    (tree edges vs. the direct producer link), so the sweep's completion
     alone does not imply arrival.
     """
 
@@ -474,7 +449,7 @@ class _CopyPostEvent:
         return True
 
     def wait_blocking(self, timeout: float | None = None) -> bool:
-        # The barrier, then each arrival still outstanding, all inside the
+        # The sweep, then each arrival still outstanding, all inside the
         # caller's timeout; every one of them has an event to block on.
         self.transport.flush_credits()
         deadline = (None if timeout is None
@@ -489,23 +464,21 @@ class _CopyPostEvent:
         return self.is_set()
 
 
-class _CopyPostBarrier:
-    """The ``post:<uid>`` barrier of a barrier-mode copy, composed with
-    the statement's inbound channel arrivals.  Barrier-mode statements
-    exchange no credits: the lockstep pre/post sweeps already bound every
-    producer to at most one outstanding generation."""
+class _CopyPostCollective(_NetCollective):
+    """The ``post:<uid>`` rendezvous of a barrier-mode copy, its event
+    composed with the statement's inbound channel arrivals.  Barrier-mode
+    statements exchange no credits: the lockstep pre/post sweeps already
+    bound every producer to at most one outstanding generation."""
 
-    __slots__ = ("barrier", "rx")
+    __slots__ = ("rx",)
 
-    def __init__(self, barrier: _NetBarrier, rx):
-        self.barrier = barrier
+    def __init__(self, tree: TreeComm, key, rx):
+        super().__init__(tree, key, None)
         self.rx = rx
 
-    def arrive_and_wait_event(self, generation: int,
-                              label: str | None = None) -> _CopyPostEvent:
-        inner = self.barrier.arrive_and_wait_event(generation, label=label)
-        return _CopyPostEvent(inner, self.rx, generation,
-                              self.barrier.tree.transport)
+    def contribute(self, generation: int, value) -> _CopyPostEvent:
+        return _CopyPostEvent(super().contribute(generation, value), self.rx,
+                              generation, self.tree.transport)
 
 
 # -- the per-launch communication context -----------------------------------
@@ -515,8 +488,8 @@ class NetCommContext(CommContext):
     Builds the channel endpoints (channel ids are the spec's — statement
     walk order crossed with channel-key order — so forked ranks and
     independently started workers agree without any exchanged spec), the
-    tree endpoints for collectives and barriers, and the send and
-    receive plans; registers all frame handlers.  Construct *before*
+    tree endpoints for collectives, and the send and receive plans;
+    registers all frame handlers.  Construct *before*
     ``transport.start_receivers()``.
     """
 
@@ -534,7 +507,8 @@ class NetCommContext(CommContext):
         self._inbound: dict[int, list[_RxChannel]] = {}
         # (copy uid, consumer rank) -> the lowered send.
         self._sends: dict[tuple[int, int], PackedSend] = {}
-        self.done_barrier = _NetBarrier(self.tree, "__done__")
+        self.done = _NetCollective(self.tree, "__done__", None)
+        self.done.label = "net:done"
         self._keys = spec.channels
         super().__init__(spec, ns)
 
@@ -565,14 +539,11 @@ class NetCommContext(CommContext):
         # channels it produces into or consumes from.
         return None
 
-    def _collective(self, uid: int, redop: str):
-        return _NetCollective(self.tree, uid, redop)
-
-    def _barrier(self, tag: str, copy):
-        barrier = _NetBarrier(self.tree, tag)
-        if copy is None:
-            return barrier
-        return _CopyPostBarrier(barrier, self._inbound.get(copy.uid, []))
+    def _collective(self, key, redop: str | None, copy):
+        if copy is not None and key == f"post:{copy.uid}":
+            return _CopyPostCollective(self.tree, key,
+                                       self._inbound.get(copy.uid, []))
+        return _NetCollective(self.tree, key, redop)
 
     # -- operations (shard thread) ----------------------------------------
     def is_local(self, stmt, j: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ dispatches them to handlers registered per frame kind; the handlers
 cheap and lock-scoped so the receiver threads never block on the shard
 thread.  A clean EOF at a frame boundary marks the peer *finished* — the
 normal end of a run, since ranks close their sockets after the shutdown
-barrier; a mid-frame EOF or decode error marks the peer finished too and
+rendezvous; a mid-frame EOF or decode error marks the peer finished too and
 leaves failure reporting to the driver's cancellation path (a dying rank
 broadcasts an ``ERROR`` frame first when it can).
 

@@ -21,16 +21,16 @@ What is specific to this backend:
   objects out in flat ``ctypes`` arrays in anonymous shared memory —
   the ready/ack sequences of the §3.4 handshake, one slot pair per
   (copy statement, producer shard, consumer shard) channel in spec order,
-  global-barrier generations, dynamic-collective slots (§4.4).  A
-  handshake slot has one writer and one waiting shard, so an advance is
-  a plain store and one ring of the waiter's doorbell (one semaphore per
-  shard); barrier and collective counters take one lock and ring every
-  bell when a generation completes.  Waiters drain their bell and
-  re-check monotone predicates.  Collective values
-  travel as exact integers while every contribution is an integer, as
-  float64 otherwise (double-buffered by generation parity, which is safe
-  because generation ``g+2`` contributions cannot begin until every
-  shard has read generation ``g``).
+  and dynamic-collective slots (§4.4), a barrier being a collective
+  with no value.  A handshake slot has one writer and one waiting shard,
+  so an advance is a plain store and one ring of the waiter's doorbell
+  (one semaphore per shard); collective counters take one lock and ring
+  every bell when a generation completes.  Waiters drain their bell and
+  re-check monotone predicates.  Collective values travel as exact
+  integers while every contribution is an integer, as float64 otherwise
+  (double-buffered by generation parity, which is safe because
+  generation ``g+2`` contributions cannot begin until every shard has
+  read generation ``g``).
 """
 
 from __future__ import annotations
@@ -145,46 +145,6 @@ class _Bells:
             bell.release()
 
 
-class _BoardBarrier:
-    """Cross-process :class:`~repro.runtime.events.GlobalBarrier`.
-
-    Generations complete strictly in order (every participant waits for
-    generation ``g`` before arriving at ``g+1``), so one arrival counter
-    plus a last-completed-generation watermark per barrier suffices —
-    the shared-state analogue of the eager pruning the in-process
-    :class:`~repro.runtime.events.PhaseBarrier` does.  The counters take
-    the board's one lock; the last arrival rings every shard's bell.
-    """
-
-    __slots__ = ("_lock", "_bells", "_count", "_done", "_idx",
-                 "_participants")
-
-    def __init__(self, lock, bells: _Bells, count, done, idx: int,
-                 participants: int):
-        self._lock = lock
-        self._bells = bells
-        self._count = count
-        self._done = done
-        self._idx = idx
-        self._participants = participants
-
-    def arrive_and_wait_event(self, generation: int,
-                              label: str | None = None) -> _BoardEvent:
-        with self._lock:
-            got = self._count[self._idx] + 1
-            last = got == self._participants
-            if last:
-                self._count[self._idx] = 0
-                self._done[self._idx] = generation
-            else:
-                self._count[self._idx] = got
-        if last:
-            self._bells.ring_all()
-        done, idx = self._done, self._idx
-        return _BoardEvent(self._bells.mine, lambda: done[idx] >= generation,
-                           label)
-
-
 class _ScalarSlots:
     """Shared scalar slots that keep an integer an integer: slot ``s``
     holds an int as ``_INT_BYTES`` two's-complement bytes, anything else
@@ -199,6 +159,9 @@ class _ScalarSlots:
         self.kinds = mpctx.RawArray("b", n)
 
     def store(self, s: int, value) -> None:
+        if value is None:
+            self.kinds[s] = _EMPTY
+            return
         if isinstance(value, (int, np.integer)):
             lo = s * _INT_BYTES
             try:
@@ -240,7 +203,7 @@ class _BoardCollective:
 
     def __init__(self, lock, bells: _Bells, partial: _ScalarSlots, arrived,
                  result: _ScalarSlots, done, k: int, participants: int,
-                 redop: str):
+                 redop: str | None):
         self._lock = lock
         self._bells = bells
         self._partial = partial
@@ -251,7 +214,7 @@ class _BoardCollective:
         self._base = 2 * k
         self._participants = participants
         self.redop = redop
-        self._fold = SCALAR_REDUCTIONS[redop]
+        self._fold = SCALAR_REDUCTIONS.get(redop)
 
     def contribute(self, generation: int, value: Any | None) -> _BoardEvent:
         s = self._base + (generation & 1)
@@ -264,13 +227,13 @@ class _BoardCollective:
             last = got == self._participants
             if last:
                 folded = self._partial.load(s)
-                if folded is None:
+                if folded is None and self.redop is not None:
                     # Every shard contributed None (legal: §4.4 empty
                     # launch domain) — reduce to the identity.
                     folded = reduction_identity(self.redop, np.float64)
                 self._result.store(s, folded)
                 self._arrived[s] = 0
-                self._partial.kinds[s] = _EMPTY
+                self._partial.store(s, None)
                 self._done[self._k] = generation
             else:
                 self._arrived[s] = got
@@ -292,7 +255,7 @@ class BoardContext(CommContext):
     the ready and acked arrays, sized by the spec's channel keys (at most
     ``ns * (ns - 1)`` per copy statement).  A channel's ``ready`` slot
     rings its consumer's bell, its ``acked`` slot its producer's; the
-    barrier and collective counters share one lock.  Bells and lock are
+    collective counters share one lock.  Bells and lock are
     created pre-fork so all children inherit them; each child calls
     :meth:`bind` with its shard first.
     """
@@ -304,13 +267,9 @@ class BoardContext(CommContext):
         n = max(1, sum(len(keys) for keys in spec.channels.values()))
         self._chan_ready = mpctx.RawArray("q", n)
         self._chan_acked = mpctx.RawArray("q", n)
-        nb = max(1, len(spec.barriers))
-        self._bar_index = {tag: i for i, tag in enumerate(spec.barriers)}
-        self._bar_count = mpctx.RawArray("q", nb)
-        self._bar_done = mpctx.RawArray("q", nb)
         nc = max(1, len(spec.collectives))
-        self._coll_index = {uid: i
-                            for i, (uid, _) in enumerate(spec.collectives)}
+        self._coll_index = {key: i
+                            for i, (key, _, _) in enumerate(spec.collectives)}
         self._coll_partial = _ScalarSlots(mpctx, 2 * nc)
         self._coll_arrived = mpctx.RawArray("q", 2 * nc)
         self._coll_result = _ScalarSlots(mpctx, 2 * nc)
@@ -318,8 +277,8 @@ class BoardContext(CommContext):
         super().__init__(spec, num_shards)
 
     def bind(self, shard: int) -> None:
-        """Make ``shard`` the one whose bell barrier and collective waits
-        block on (in a forked child: its own shard)."""
+        """Make ``shard`` the one whose bell collective waits block on
+        (in a forked child: its own shard)."""
         self._bells.mine = self._bells.all[shard]
 
     def _channel(self, stmt, key, cid: int) -> Channel:
@@ -329,16 +288,11 @@ class BoardContext(CommContext):
             _BoardSequence(bells[consumer], self._chan_ready, cid),
             _BoardSequence(bells[producer], self._chan_acked, cid))
 
-    def _collective(self, uid: int, redop: str) -> _BoardCollective:
+    def _collective(self, key, redop: str | None, copy) -> _BoardCollective:
         return _BoardCollective(self._lock, self._bells, self._coll_partial,
                                 self._coll_arrived, self._coll_result,
-                                self._coll_done, self._coll_index[uid],
+                                self._coll_done, self._coll_index[key],
                                 self.num_shards, redop)
-
-    def _barrier(self, tag: str, copy) -> _BoardBarrier:
-        return _BoardBarrier(self._lock, self._bells, self._bar_count,
-                             self._bar_done, self._bar_index[tag],
-                             self.num_shards)
 
     def advance_group(self, seqs, n: int) -> None:
         # Store every slot, then ring each distinct waiting shard once.

@@ -61,7 +61,6 @@ from typing import Any, ClassVar, Iterator, NamedTuple
 import numpy as np
 
 from ..core.ir import (
-    BarrierStmt,
     Block,
     ComputeIntersections,
     FillReductionBuffer,
@@ -151,8 +150,8 @@ class _CopySchedule(NamedTuple):
     (its owned destination instances: fission's footprint), and what each
     handshake phase touches — the sequences it advances as tuples, the
     ones it waits on as ``(sequence, label)`` tuples, in the shapes the
-    recorder stores — or, in barrier mode, ``(tag, barrier, label)`` for
-    ``pre`` and ``post``."""
+    recorder stores — or, in barrier mode, its ``pre`` and ``post``
+    collectives (§3.4's WAR and RAW barriers)."""
 
     batch: FusedBatch
     sends: tuple = ()
@@ -161,7 +160,7 @@ class _CopySchedule(NamedTuple):
     ack_waits: tuple = ()
     ready_advances: tuple = ()
     ready_waits: tuple = ()
-    barriers: tuple = ()
+    rendezvous: tuple = ()
 
 
 @dataclass
@@ -651,7 +650,7 @@ class SPMDExecutor(SequentialExecutor):
         whose uid names a task launch — a compiled window's TASK records
         carry its loop's uid and stay out; ``spmd_wait_seconds{shard,kind}``
         from every WAIT record, ``kind`` being the kind of statement its
-        uid names (``barrier``, ``copy``, ``collective``) or ``event``;
+        uid names (``copy``, ``collective``) or ``event``;
         the window pass timings; and its rank's wire totals from
         ``net_stats``.  The histograms cover what the ring still held.
         """
@@ -768,13 +767,6 @@ class SPMDExecutor(SequentialExecutor):
             yield None
         elif isinstance(stmt, PairwiseCopy):
             yield from self._exec_copy(stmt, state, ctx, rec)
-        elif isinstance(stmt, BarrierStmt):
-            g = state.next_epoch(stmt.uid)
-            bar = ctx.barriers[stmt.tag]
-            label = f"barrier{stmt.uid}:{stmt.tag}"
-            if rec is not None:
-                rec.barrier(stmt.uid, stmt.tag, bar, g, label)
-            yield bar.arrive_and_wait_event(g, label=label)
         elif isinstance(stmt, ScalarCollective):
             coll = ctx.collectives[stmt.uid]
             g = state.next_epoch(stmt.uid)
@@ -905,9 +897,8 @@ class SPMDExecutor(SequentialExecutor):
                 ready_advances=tuple(c.ready for c in out),
                 ready_waits=tuple((c.ready, c.ready_label) for c in inbound))
         elif stmt.sync_mode == "barrier":
-            sched = _CopySchedule(batch, sends, barriers=tuple(
-                (tag, ctx.barriers[f"{tag}:{uid}"], f"copy{uid}:{tag}")
-                for tag in ("pre", "post")))
+            sched = _CopySchedule(batch, sends, rendezvous=(
+                ctx.collectives[f"pre:{uid}"], ctx.collectives[f"post:{uid}"]))
         else:
             sched = _CopySchedule(batch, sends)
         state.copy_schedules[uid] = sched
@@ -918,24 +909,26 @@ class SPMDExecutor(SequentialExecutor):
         """One copy statement, in the phase order a compiled window keeps:
         all ack advances, all ack waits, one send per peer shard then the
         in-memory batch, all ready advances, one preemption point, all
-        ready waits (barrier mode: pre, sends and batch, the preemption
-        point, post).  Every shard, interpreting or replaying, makes all
-        of its ack advances at statement entry and before its first wait,
-        so no wait here can be part of a cycle.  An event that is already
-        set is not yielded."""
+        ready waits (barrier mode: the ``pre`` rendezvous, sends and batch,
+        the preemption point, ``post``).  Every shard, interpreting or
+        replaying, makes all of its ack advances at statement entry and
+        before its first wait, so no wait here can be part of a cycle.
+        An event that is already set is not yielded."""
         uid, ns = stmt.uid, ctx.num_shards
         sched = self._copy_schedule(stmt, state, ctx)
         g = state.next_epoch(uid)
 
-        def arrive(tag, bar, label):
+        def rendezvous(coll):
+            # A barrier: a collective that carries nothing.
             if rec is not None:
-                rec.barrier(uid, tag, bar, g, label)
-            return bar.arrive_and_wait_event(g, label=label)
-
-        if sched.barriers:
-            ev = arrive(*sched.barriers[0])
+                rec.collective(uid, coll, g)
+            ev = coll.contribute(g, None)
             if not ev.is_set():
                 yield ev
+            coll.result(g)
+
+        if sched.rendezvous:
+            yield from rendezvous(sched.rendezvous[0])
         if sched.ack_advances:
             # Consumer side first: arrival at this statement in epoch g means
             # every read of the epoch g-1 data precedes this point in the
@@ -974,10 +967,8 @@ class SPMDExecutor(SequentialExecutor):
                 ev = seq.event_for(g, label)
                 if not ev.is_set():
                     yield ev
-        if sched.barriers:
-            ev = arrive(*sched.barriers[1])
-            if not ev.is_set():
-                yield ev
+        if sched.rendezvous:
+            yield from rendezvous(sched.rendezvous[1])
 
     def _owned_dst_arrays(self, stmt: PairwiseCopy, ns: int,
                           me: int) -> frozenset:

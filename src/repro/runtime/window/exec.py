@@ -4,7 +4,7 @@ A frozen loop holds exactly one thing: a :class:`CompiledWindow`.
 :func:`compile_window` runs the one window pipeline (:func:`window_passes`:
 ``fission``, the same on every backend) over one recorded iteration and
 packages the result into a handful of phase closures (compute, copy,
-advance, wait, barrier, collective) executed by every driver.  Its ops
+advance, wait, collective) executed by every driver.  Its ops
 arrive in final form — each launch the shard's
 :class:`~repro.runtime.launch_plan.LaunchPlan`, each copy its
 :class:`~repro.runtime.copy_engine.FusedBatch` — so compiling lowers
@@ -76,7 +76,6 @@ from .ir import (
 from .recorder import (
     OP_ADVN,
     OP_ASSIGN,
-    OP_BARRIER,
     OP_COLL,
     OP_FILL,
     OP_FUSED,
@@ -111,8 +110,7 @@ class WindowContext(PassContext):
 _PH_RUN = 0      # (kind, (flight_kind, nbytes, thunks))
 _PH_WAIT = 1     # (kind, ((seq, uid, stride, label), ...))
 _PH_YIELD = 2    # (kind, None)
-_PH_BARRIER = 3  # (kind, (bar, uid, stride, label))
-_PH_COLL = 4     # (kind, (coll, uid, stride, name))
+_PH_COLL = 3     # (kind, (coll, uid, stride, name or None))
 
 # The flight record each run of thunks writes per replay: one TASK per
 # compute phase, one COPY (with the phase's bytes) per copy phase; an
@@ -208,8 +206,6 @@ class CompiledWindow:
                                   for seq, label in op[1])
             elif k == OP_YIELD:
                 classified.append(("yield", None))
-            elif k == OP_BARRIER:
-                classified.append(("barrier", (op[1], op[2], op[3], op[4])))
             elif k == OP_COLL:
                 classified.append(("coll", (op[1], op[2], op[3], op[4])))
             # A FUSED batch of empty pairs only is a pure counter bump,
@@ -235,9 +231,7 @@ class CompiledWindow:
             elif kind == "yield":
                 phases.append((_PH_YIELD, None))  # collapse the run
             else:
-                for _, p in classified[i:j]:
-                    phases.append((_PH_BARRIER if kind == "barrier"
-                                   else _PH_COLL, p))
+                phases.extend((_PH_COLL, p) for _, p in classified[i:j])
             i = j
         cw = cls(uid, tuple(phases), tuple(wir.guards), wir.epoch_deltas,
                  window_summary(wir)[0], len(phases))
@@ -273,20 +267,16 @@ class CompiledWindow:
                         yield ev
             elif kind == _PH_YIELD:
                 yield None
-            elif kind == _PH_BARRIER:
-                bar, uid, stride, label = payload
-                ev = bar.arrive_and_wait_event(epochs[uid] + stride,
-                                               label=label)
-                if not ev.is_set():
-                    yield ev
-            else:  # _PH_COLL
+            else:  # _PH_COLL; with no scalar name, a barrier
                 coll, uid, stride, name = payload
                 g = epochs[uid] + stride
                 ev = coll.contribute(g,
                                      state.pending_reductions.pop(name, None))
                 if not ev.is_set():
                     yield ev
-                state.scalars[name] = coll.result(g)
+                result = coll.result(g)
+                if name is not None:
+                    state.scalars[name] = result
         for name, d in self.counter_deltas:
             setattr(state, name, getattr(state, name) + d)
         for uid, d in self.epoch_deltas:

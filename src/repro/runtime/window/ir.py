@@ -14,7 +14,7 @@ sends — so no pass rewrites one.
 The structural verifier (:func:`window_summary` / :func:`verify_window`)
 runs after every pass that changed the op list: it recomputes the
 window's externally visible effects — counter deltas, per-channel advance
-targets and wait strides, the barrier/collective sequence — in one walk
+targets and wait strides, the collective sequence — in one walk
 and checks them against the recorded baseline, so a lowering bug fails at
 compile time instead of corrupting a steady-state run.
 """
@@ -27,7 +27,6 @@ from ...core.ir import evaluate
 from .recorder import (
     OP_ADVN,
     OP_ASSIGN,
-    OP_BARRIER,
     OP_COLL,
     OP_FILL,
     OP_FUSED,
@@ -80,8 +79,8 @@ class WindowIR:
 # ---------------------------------------------------------------------------
 
 # Op kinds that touch no instance array: sync, scalar, yield.
-_NO_ARRAYS = frozenset({OP_ADVN, OP_WAITN, OP_BARRIER, OP_COLL, OP_ASSIGN,
-                        OP_SETVAR, OP_YIELD})
+_NO_ARRAYS = frozenset({OP_ADVN, OP_WAITN, OP_COLL, OP_ASSIGN, OP_SETVAR,
+                        OP_YIELD})
 _EMPTY_FOOTPRINT: frozenset[int] = frozenset()
 
 
@@ -112,8 +111,8 @@ def op_arrays(op) -> frozenset[int] | None:
 def window_summary(wir: WindowIR):
     """The window's externally visible effects, in one walk of its ops:
     the shard-counter deltas one execution produces, per-channel max
-    advance target and ordered wait strides, and the ordered
-    barrier/collective sequence.
+    advance target and ordered wait strides, and the ordered collective
+    sequence (barriers included).
 
     The counter deltas are applied once per replayed iteration, so
     compiled windows stay counter-identical to interpretation by
@@ -149,10 +148,8 @@ def window_summary(wir: WindowIR):
             d["bytes_copied"] += ps.nbytes
         elif k == OP_TASK:
             d["tasks_executed"] += op[1].points
-        elif k == OP_BARRIER:
-            syncs.append(("barrier", id(op[1]), op[2], op[3]))
         elif k == OP_COLL:
-            syncs.append(("coll", id(op[1]), op[2], op[3], op[4]))
+            syncs.append((id(op[1]), op[2], op[3], op[4]))
     return (d, advs, {k: tuple(v) for k, v in waits.items()}, tuple(syncs))
 
 
@@ -176,4 +173,4 @@ def verify_window(wir: WindowIR, baseline, stage: str) -> None:
             f"window pass {stage!r} changed per-channel wait strides")
     if syncs != base_syncs:
         raise WindowVerifyError(
-            f"window pass {stage!r} changed the barrier/collective sequence")
+            f"window pass {stage!r} changed the collective sequence")

@@ -33,26 +33,26 @@ from ...core.ir import Expr
 __all__ = [
     "IterationRecorder", "ReplayError",
     "OP_ASSIGN", "OP_SETVAR", "OP_TASK", "OP_FILL", "OP_ADVN", "OP_WAITN",
-    "OP_BARRIER", "OP_COLL", "OP_YIELD", "OP_FUSED", "OP_MSG",
+    "OP_COLL", "OP_YIELD", "OP_FUSED", "OP_MSG",
 ]
 
 # Op kinds of a recorded/lowered window (first element of every op tuple).
 # A copy statement is recorded the way it ran (SPMDExecutor._exec_copy), one
 # op a phase: ADVN ack, WAITN ack, its MSGs (one per peer shard, on a
 # backend that sends) and its FUSED batch, ADVN rdy, YIELD, WAITN rdy — or
-# BARRIER pre, MSGs, FUSED, YIELD, BARRIER post.  Every kind is recorded
-# in its final form; the one pass only reorders.
+# COLL pre, MSGs, FUSED, YIELD, COLL post, two collectives with no scalar
+# name (barriers).  Every kind is recorded in its final form; the one pass
+# only reorders.
 OP_ASSIGN = 0    # (k, name, expr)                   scalars[name] = eval(expr)
 OP_SETVAR = 1    # (k, name, value)                  nested loop variable
 OP_TASK = 2      # (k, launchplan)                   one launch's owned calls
 OP_FILL = 3      # (k, fills)                        reduction-buffer fills
 OP_ADVN = 4      # (k, seqs, uid, stride, kind)      advance a phase's channels
 OP_WAITN = 5     # (k, ((seq, label), ...), uid, stride, kind)  and wait on them
-OP_BARRIER = 6   # (k, barrier, uid, stride, label)  arrive-and-wait
-OP_COLL = 7      # (k, coll, uid, stride, name)      dynamic collective
-OP_YIELD = 8     # (k,)                              interpreter preemption pt
-OP_FUSED = 9     # (k, fusedbatch)                   one statement's local copies
-OP_MSG = 10      # (k, packedsend)                   one statement's send to a peer
+OP_COLL = 6      # (k, coll, uid, stride, name)      dynamic collective
+OP_YIELD = 7     # (k,)                              interpreter preemption pt
+OP_FUSED = 8     # (k, fusedbatch)                   one statement's local copies
+OP_MSG = 9       # (k, packedsend)                   one statement's send to a peer
 
 
 class ReplayError(RuntimeError):
@@ -134,13 +134,12 @@ class IterationRecorder:
     def wait_group(self, uid: int, kind: str, waits, g: int) -> None:
         self.ops.append((OP_WAITN, waits, uid, self._stride(uid, g), kind))
 
-    def barrier(self, uid: int, tag: str, bar, g: int, label: str) -> None:
-        stride = self._stride(uid, g)
-        self.ops.append((OP_BARRIER, bar, uid, stride, label))
-        self.keys.append(("b", uid, tag, stride))
-
-    def collective(self, uid: int, coll, g: int, name: str) -> None:
-        self.written.add(name)
+    def collective(self, uid: int, coll, g: int,
+                   name: str | None = None) -> None:
+        """A collective into scalar ``name``, or with no name a barrier
+        (a barrier-mode copy's ``pre``/``post``)."""
+        if name is not None:
+            self.written.add(name)
         stride = self._stride(uid, g)
         self.ops.append((OP_COLL, coll, uid, stride, name))
         self.keys.append(("coll", uid, stride))

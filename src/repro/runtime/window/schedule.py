@@ -15,8 +15,8 @@ compute overlaps the neighbor handshake:
 
 Both motions are deadlock-monotone: advances only move earlier and waits
 only move later, so any schedule the original (deadlock-free) window
-admitted is still admitted.  Barriers, collectives and ops of unknown
-footprint are scheduling fences; footprints come from
+admitted is still admitted.  Collectives (barriers included) and ops of
+unknown footprint are scheduling fences; footprints come from
 :func:`repro.runtime.window.ir.op_arrays`, with the per-uid protected
 sets the recorder took from each copy statement's schedule.
 
@@ -35,11 +35,11 @@ from __future__ import annotations
 
 from ...core.passes import Pass
 from .ir import WindowIR, op_arrays
-from .recorder import OP_ADVN, OP_BARRIER, OP_COLL, OP_WAITN
+from .recorder import OP_ADVN, OP_COLL, OP_WAITN
 
 __all__ = ["FissionPass"]
 
-_FENCES = frozenset({OP_BARRIER, OP_COLL})
+_FENCES = frozenset({OP_COLL})
 
 
 def _sweep(items, protected):

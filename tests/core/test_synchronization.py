@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    BarrierStmt,
     IndexLaunch,
     PairwiseCopy,
     ProgramBuilder,
@@ -45,20 +44,20 @@ class TestP2P:
 
     def test_no_barriers_inserted(self, fig2):
         body, _ = transformed_body(fig2, "p2p")
-        assert not any(isinstance(s, BarrierStmt)
-                       for top in body for s in walk(top))
+        kinds = [type(s).__name__ for s in body[0].body.stmts]
+        assert kinds == ["IndexLaunch", "PairwiseCopy", "IndexLaunch"]
 
 
 class TestBarrier:
     def test_barriers_bracket_copies(self, fig2):
+        """Barrier mode emits only the copy: its own pre/post rendezvous
+        are the WAR and RAW barriers, counted two per copy."""
         body, stats = transformed_body(fig2, "barrier")
         loop = body[0]
         kinds = [type(s).__name__ for s in loop.body.stmts]
-        assert kinds == ["IndexLaunch", "BarrierStmt", "PairwiseCopy",
-                         "BarrierStmt", "IndexLaunch"]
-        assert stats.barriers == 2
-        tags = [s.tag for s in loop.body.stmts if isinstance(s, BarrierStmt)]
-        assert tags[0].startswith("war:") and tags[1].startswith("raw:")
+        assert kinds == ["IndexLaunch", "PairwiseCopy", "IndexLaunch"]
+        assert loop.body.stmts[1].sync_mode == "barrier"
+        assert stats.barriers == 2 and stats.p2p_copies == 0
 
     def test_copy_mode_marked(self, fig2):
         body, _ = transformed_body(fig2, "barrier")

@@ -35,8 +35,7 @@ from repro.apps.miniaero import MiniAeroProblem
 from repro.apps.pennant import PennantProblem
 from repro.apps.stencil import StencilProblem
 from repro.core import PASS_NAMES, ProgramBuilder, control_replicate
-from repro.core.ir import (BarrierStmt, IndexLaunch, PairwiseCopy,
-                           ScalarCollective, walk)
+from repro.core.ir import IndexLaunch, PairwiseCopy, ScalarCollective, walk
 from repro.obs import PID_SPMD, Tracer, build_profile
 from repro.obs.drift import analyze_drift, export_drift_metrics
 from repro.obs.flight import (
@@ -109,13 +108,13 @@ SURFACE_CHANGES = {
     # 2. Stepped's WAIT records (descheduled turns) are histogrammed like
     #    every other backend's.
     "added_on_stepped": {_WAIT_SERIES},
-    # 3. A wait's kind is the kind of statement its record's uid names.
-    "wait_kinds": {"barrier", "copy", "collective", "event"},
+    # 3. A wait's kind is the kind of statement its record's uid names
+    #    (a barrier-mode copy's pre/post waits name the copy).
+    "wait_kinds": {"copy", "collective", "event"},
 }
 
 # Statement class -> the wait kind its uid gives a WAIT record.
-_WAIT_KIND = {BarrierStmt: "barrier", PairwiseCopy: "copy",
-              ScalarCollective: "collective"}
+_WAIT_KIND = {PairwiseCopy: "copy", ScalarCollective: "collective"}
 
 
 def _surface(metrics) -> set[str]:

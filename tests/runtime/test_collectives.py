@@ -1,6 +1,7 @@
 """Tests for dynamic collectives (paper §4.4)."""
 
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -111,6 +112,72 @@ class TestDynamicCollective:
             t.join()
         assert results == [28] * 8
 
+    # -- redop=None: a barrier, the collective that carries nothing --------
+    def test_barrier_all_must_arrive(self):
+        c = DynamicCollective(3, None)
+        e1 = c.contribute(1, None)
+        e2 = c.contribute(1, None)
+        assert not e1.is_set() and not e2.is_set()
+        e3 = c.contribute(1, None)
+        assert e1.is_set() and e2.is_set() and e3.is_set()
+
+    def test_barrier_result_is_none(self):
+        c = DynamicCollective(2, None)
+        c.contribute(1, None)
+        assert c.contribute(1, None).is_set()
+        assert c.result(1) is None and c.result(1) is None
+
+    def test_barrier_generations_independent(self):
+        """A later generation may complete first; each one retires on its
+        own last read."""
+        c = DynamicCollective(2, None)
+        c.contribute(1, None)
+        c.contribute(2, None)
+        assert c.contribute(2, None).is_set()
+        assert not c._events[1].is_set()
+        for _ in range(2):
+            c.result(2)
+        assert 2 not in c._results and 1 in c._arrived
+        assert c.contribute(1, None).is_set()
+
+    def test_barrier_long_loop_stays_bounded(self):
+        """1000 generations of contribute, wait and read leave no state."""
+        c = DynamicCollective(3, None)
+        for g in range(1, 1001):
+            evs = [c.contribute(g, None) for _ in range(3)]
+            assert all(ev.is_set() for ev in evs)
+            for _ in range(3):
+                assert c.result(g) is None
+        assert not (c._results or c._reads or c._arrived or c._events
+                    or c._partial)
+
+    def test_barrier_threaded_rendezvous(self):
+        c = DynamicCollective(4, None)
+        hits = []
+
+        def worker(i):
+            assert c.contribute(1, None).wait_blocking(1.0)
+            assert c.result(1) is None
+            hits.append(i)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert sorted(hits) == [0, 1, 2, 3]
+
+    def test_barrier_over_arrival_rejected(self):
+        c = DynamicCollective(2, None)
+        c.contribute(1, None)
+        c.contribute(1, None)
+        with pytest.raises(RuntimeError):
+            c.contribute(1, None)
+
+    def test_barrier_unknown_redop_rejected(self):
+        with pytest.raises(ValueError):
+            DynamicCollective(2, "barrier")
+
 
 BACKENDS = ["stepped", "threaded"] + (
     ["procs", "net"] if procs_available() else [])
@@ -161,3 +228,73 @@ class TestScalarTypesOnEveryBackend:
             assert type(got[k]) is int, (mode, k, got[k])
         assert got["s"] == want["s"]
         assert got["h"] == want["h"], (mode, got["h"])
+
+
+def _barrier_problem(app):
+    from repro.apps.circuit import CircuitProblem
+    from repro.apps.miniaero import MiniAeroProblem
+    from repro.apps.pennant import PennantProblem
+    from repro.apps.stencil import StencilProblem
+    return {
+        "stencil": lambda: StencilProblem(n=24, radius=2, tiles=4, steps=4),
+        "circuit": lambda: CircuitProblem(pieces=4, nodes_per_piece=20,
+                                          wires_per_piece=30, steps=4),
+        "pennant": lambda: PennantProblem(nx=8, ny=8, pieces=4, steps=4),
+        "miniaero": lambda: MiniAeroProblem(shape=(6, 6, 6), tiles=4,
+                                            steps=4),
+    }[app]()
+
+
+def _copy_epochs(problem, ns):
+    """Per barrier-mode copy uid, the epochs each shard ran it, read from
+    a stepped run that keeps its shard states; and that run."""
+    counts = Counter()
+    contribute = DynamicCollective.contribute
+
+    def spy(self, generation, value):
+        counts[self.label, generation] += 1
+        return contribute(self, generation, value)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DynamicCollective, "contribute", spy)
+        _, _, ex, _ = problem.run_control_replicated(
+            ns, mode="stepped", sync="barrier",
+            executor_kw={"retain_plans": True})
+    (states,) = ex._resident_states.values()
+    copies = [uid for uid, name in ex.flight.names.items()
+              if name.startswith("copy:")]
+    epochs = {uid: states[0].epochs[uid] for uid in copies}
+    assert copies and all(st.epochs[u] == e for st in states
+                          for u, e in epochs.items())
+    return epochs, counts
+
+
+class TestBarrierCount:
+    """Barrier mode is §3.4's two barriers per copy: every shard makes
+    exactly two collective contributions, ``pre`` and ``post``, per
+    barrier-mode copy per epoch (each collective generation takes one
+    contribution from each shard)."""
+
+    @pytest.mark.parametrize("app", ["stencil", "circuit", "pennant",
+                                     "miniaero"])
+    def test_two_per_copy_per_epoch_on_stepped(self, app):
+        ns = 3
+        epochs, counts = _copy_epochs(_barrier_problem(app), ns)
+        rendezvous = Counter({k: n for k, n in counts.items()
+                              if k[0].startswith("copy")})
+        assert rendezvous == Counter({
+            (f"copy{uid}:{tag}", g): ns for uid, e in epochs.items()
+            for tag in ("pre", "post") for g in range(1, e + 1)})
+
+    @pytest.mark.skipif(not procs_available(), reason="net needs fork")
+    def test_two_per_copy_per_epoch_on_net(self):
+        """On net a contribution is one COLL frame from each non-root
+        rank to its tree parent; the one extra is the shutdown
+        rendezvous."""
+        ns = 3
+        epochs, _ = _copy_epochs(_barrier_problem("stencil"), ns)
+        _, _, ex, _ = _barrier_problem("stencil").run_control_replicated(
+            ns, mode="net", sync="barrier")
+        for rank in range(1, ns):
+            sent = ex.net_stats[rank]["messages_sent"]
+            assert sent.get("coll", 0) == 2 * sum(epochs.values()) + 1, rank

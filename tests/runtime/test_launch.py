@@ -22,7 +22,7 @@ import pytest
 import repro
 from repro.cli import APP_FACTORIES
 from repro.core import ProgramBuilder, control_replicate
-from repro.core.ir import BarrierStmt, PairwiseCopy, ScalarCollective, walk
+from repro.core.ir import PairwiseCopy, ScalarCollective, walk
 from repro.core.shards import owner_of_color
 from repro.obs import MetricsRegistry
 from repro.regions.shm import live_segment_count
@@ -88,14 +88,18 @@ class TestSpecParity:
             keys = spec.channels[s.uid]
             assert len(keys) == len(set(keys)) <= ns * (ns - 1)
             assert set(keys) == {(p, q) for (p, q) in crossing if p != q}
-        assert spec.collectives == [(s.uid, s.redop) for s in stmts
-                                    if isinstance(s, ScalarCollective)]
-        tags = {s.tag for s in stmts if isinstance(s, BarrierStmt)}
-        for s in copies:
-            if s.sync_mode == "barrier":
-                tags |= {f"pre:{s.uid}", f"post:{s.uid}"}
-        assert set(spec.barriers) == tags
-        assert sync == "p2p" or any(t.startswith("post:") for t in tags)
+        # A ScalarCollective under its uid, a barrier-mode copy's pre and
+        # post as value-less collectives naming the copy, in walk order.
+        want_colls = []
+        for s in stmts:
+            if isinstance(s, ScalarCollective):
+                want_colls.append((s.uid, s.redop, None))
+            elif isinstance(s, PairwiseCopy) and s.sync_mode == "barrier":
+                want_colls += [(f"pre:{s.uid}", None, s),
+                               (f"post:{s.uid}", None, s)]
+        assert spec.collectives == want_colls
+        assert (sync == "barrier") == any(
+            isinstance(key, str) for key, _, _ in want_colls)
         # One fold lock per (reduction statement, destination shard): a
         # shard's destination colours are rows of one block.
         assert spec.reduction_dsts == [(s.uid, q) for s in copies
@@ -104,9 +108,9 @@ class TestSpecParity:
 
         def keys(ctx):
             return ({uid: list(chans) for uid, chans in ctx.channels.items()},
-                    set(ctx.collectives), set(ctx.barriers))
+                    list(ctx.collectives))
 
-        want = (spec.channels, {uid for uid, _ in spec.collectives}, tags)
+        want = (spec.channels, [key for key, _, _ in spec.collectives])
         memory, board = CommContext(spec, ns), BoardContext(spec, ns)
         assert keys(memory) == keys(board) == want
         # Board slots are 0..n-1 in the spec's channel order.
@@ -118,8 +122,8 @@ class TestSpecParity:
         ranks = [NetCommContext(ex, fake_transport(r), spec, ns)
                  for r in range(ns)]
         for r, ctx in enumerate(ranks):
-            chans, colls, bars = keys(ctx)
-            assert (colls, bars) == want[1:]
+            chans, colls = keys(ctx)
+            assert colls == want[1]
             for s in copies:
                 assert chans[s.uid] == [k for k in spec.channels[s.uid]
                                         if r in k]
@@ -139,6 +143,12 @@ class TestSpecParity:
                 for (p, q), chan in ctx.channels[s.uid].items():
                     assert chan.ack_label == f"copy{s.uid}:ack({p},{q})"
                     assert chan.ready_label == f"copy{s.uid}:ready({p},{q})"
+            # ... and each collective its one wait label: a barrier-mode
+            # copy's waits name the copy, so they report as copy waits.
+            for key, redop, copy in spec.collectives:
+                assert ctx.collectives[key].label == (
+                    f"coll{key}:{redop}" if copy is None
+                    else f"copy{copy.uid}:{key.split(':')[0]}")
 
 
 @needs_fork

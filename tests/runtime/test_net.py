@@ -372,9 +372,9 @@ class TestSharedLocalization:
 
 class TestBarrierCopyWait:
     def test_post_barrier_wait_never_sleeps(self, monkeypatch):
-        """A barrier-mode copy on net waits for the post barrier and then
-        for each inbound arrival on that arrival's own event — not in 1 ms
-        sleeps.  No timing: any sleep, in any rank, fails the run."""
+        """A barrier-mode copy on net waits for its post collective and
+        then for each inbound arrival on that arrival's own event — not in
+        1 ms sleeps.  No timing: any sleep, in any rank, fails the run."""
         import time
         from repro.apps.stencil import StencilProblem
 

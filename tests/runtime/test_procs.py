@@ -254,7 +254,7 @@ class TestDoorbells:
         from repro.runtime.procs import BoardContext
         spec = LaunchSpec(copies=[SimpleNamespace(uid=3)],
                           channels={3: [(0, 1)]},
-                          barriers={"b": None})
+                          collectives=[("b", None, None)])
         return BoardContext(spec, ns)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -294,19 +294,23 @@ class TestDoorbells:
             child.join(5.0)
 
     def test_barrier_completion_rings_every_shard(self):
+        """A barrier is a collective with no redop: its completion rings
+        every shard's bell, and its result is None."""
         from repro.runtime.launch import fork_context
         ctx = self._board()
         ctx.bind(0)
-        bar = ctx.barriers["b"]
+        bar = ctx.collectives["b"]
 
         def other():
             ctx.bind(1)
-            assert bar.arrive_and_wait_event(1).wait_blocking(10.0)
+            assert bar.contribute(1, None).wait_blocking(10.0)
+            assert bar.result(1) is None
 
         child = fork_context().Process(target=other)
         child.start()
         try:
-            assert bar.arrive_and_wait_event(1).wait_blocking(10.0)
+            assert bar.contribute(1, None).wait_blocking(10.0)
+            assert bar.result(1) is None
         finally:
             child.join(10.0)
         assert child.exitcode == 0

@@ -70,7 +70,6 @@ from repro.runtime.launch_plan import BatchedView
 from repro.runtime.window.ir import WindowIR, op_arrays
 from repro.runtime.window.recorder import (
     OP_ADVN,
-    OP_BARRIER,
     OP_COLL,
     OP_FUSED,
     OP_TASK,
@@ -815,7 +814,7 @@ def bubble_fission(ops, protect):
 
     def stops(other, prot):
         fp = op_arrays(other)
-        return (other[0] in (OP_BARRIER, OP_COLL) or fp is None
+        return (other[0] == OP_COLL or fp is None
                 or bool(fp & prot))
 
     hoisted = sunk = 0
@@ -914,8 +913,8 @@ class TestFission:
             if r < 0.85:
                 x, y = rng.sample(arrays, 2)
                 return copy_op(x, y)
-            if r < 0.9:
-                return (OP_BARRIER, "bar", uid, 1, "barrier:x")
+            if r < 0.9:  # a barrier: a collective with no scalar name
+                return (OP_COLL, "bar", uid, 1, None)
             return (99, "unknown") if r < 0.95 else (OP_COLL, "c", uid, 1, "n")
 
         moved = 0
