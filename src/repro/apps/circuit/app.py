@@ -34,7 +34,7 @@ from ...regions import (
     region,
 )
 from ...tasks import R, RW, Reduce, task
-from ..common import AppProblem
+from ..common import AppProblem, first_view_index, fold_routes, segments
 
 __all__ = ["CircuitGraph", "CircuitProblem", "make_circuit_graph"]
 
@@ -82,31 +82,21 @@ def _make_tasks(graph: CircuitGraph, dt: float):
     body needs to know about *where* its nodes live — which of the
     private/shared/ghost views of a §4.5 region tree holds each wire
     endpoint, at which slot — is an inspector plan; the bodies only move
-    field values along it."""
+    field values along it.  A view may hold several pieces (a batched
+    launch, ``Task.batchable``): each wire's endpoints are looked up in
+    its own piece's views (``segments``)."""
     in_node, out_node = graph.in_node, graph.out_node
 
     def plan_currents(W, PRIV, SHR, GHOST):
         """Per endpoint array, each wire's node as an index into the three
-        views' values laid end to end — the first view that contains the
-        node wins."""
-        views = (PRIV, SHR, GHOST)
-        offsets = np.cumsum([0] + [view.n for view in views[:-1]])
-        plan = []
-        for ends in (in_node, out_node):
-            ids = ends[W.points]
-            index = np.full(ids.shape[0], -1)
-            for view, offset in zip(views, offsets):
-                slots, ok = view.maybe_localize(ids)
-                take = ok & (index < 0)
-                index[take] = offset + slots[take]
-            if (index < 0).any():
-                raise IndexError("node id not present in any view")
-            plan.append(index)
-        return plan
+        views' values laid end to end."""
+        seg = segments(W)
+        return [first_view_index((PRIV, SHR, GHOST), ends[W.points], seg)
+                for ends in (in_node, out_node)]
 
     @task(privileges=[RW("current", "resistance"), R("voltage"), R("voltage"),
                       R("voltage")],
-          name="calc_new_currents", inspect=plan_currents)
+          name="calc_new_currents", batchable=True, inspect=plan_currents)
     def calc_new_currents(W, PRIV, SHR, GHOST, *, plan):
         volts = np.concatenate([view.read("voltage")
                                 for view in (PRIV, SHR, GHOST)])
@@ -114,34 +104,21 @@ def _make_tasks(graph: CircuitGraph, dt: float):
         W.write("current")[:] = (v_in - v_out) / W.read("resistance")
 
     def plan_charge(W, PRIV, SHR, GHOST):
-        """Per endpoint array, where each wire's contribution goes: the
-        private slots, then (only if some wire is left over) the shared
-        ones, then (likewise) the ghost ones; ``None`` marks a view the
-        body must not touch at all."""
-        wids = W.points
-        legs = []
-        for ends in (in_node, out_node):
-            ids = ends[wids]
-            slots, ok = PRIV.maybe_localize(ids)
-            shared = ghost = None
-            rem = np.flatnonzero(~ok)
-            if rem.size:
-                s_slots, s_ok = SHR.maybe_localize(ids[rem])
-                shared = (rem[s_ok], s_slots[s_ok])
-                rem2 = rem[~s_ok]
-                if rem2.size:
-                    ghost = (rem2, GHOST.localize(ids[rem2]))
-            legs.append(((np.flatnonzero(ok), slots[ok]), shared, ghost))
-        return legs
+        """Per endpoint array, where each wire's contribution goes."""
+        seg = segments(W)
+        return [fold_routes(PRIV, SHR, GHOST, ends[W.points], seg)
+                for ends in (in_node, out_node)]
 
     @task(privileges=[R("current"), RW("charge"), Reduce("+", "charge"),
                       Reduce("+", "charge")],
-          name="distribute_charge", inspect=plan_charge)
+          name="distribute_charge", batchable=True, inspect=plan_charge)
     def distribute_charge(W, PRIV, SHR, GHOST, *, plan):
         cur = W.read("current")
         priv_charge = PRIV.write("charge")
         # In-node contributions fold before out-node ones, wire order
-        # within each: the fold order is part of the result's bits.
+        # within each: the fold order is part of the result's bits.  A
+        # node's rows belong to one piece's view, so a batched call folds
+        # each row in the same order as that piece's own call.
         for sign, (private, shared, ghost) in zip((-dt, dt), plan):
             vals = sign * cur
             np.add.at(priv_charge, private[1], vals[private[0]])
@@ -155,7 +132,7 @@ def _make_tasks(graph: CircuitGraph, dt: float):
                  1.0 - graph.leakage[view.points]) for view in (PRIV, SHR)]
 
     @task(privileges=[RW("voltage", "charge"), RW("voltage", "charge")],
-          name="update_voltage", inspect=plan_voltage)
+          name="update_voltage", batchable=True, inspect=plan_voltage)
     def update_voltage(PRIV, SHR, *, plan):
         for view, (capacitance, retained) in zip((PRIV, SHR), plan):
             v = view.write("voltage")

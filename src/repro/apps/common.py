@@ -17,7 +17,8 @@ import numpy as np
 from ..core.ir import Program
 from ..regions.region import PhysicalInstance
 
-__all__ = ["AppProblem", "grid_dims_2d", "grid_dims_3d"]
+__all__ = ["AppProblem", "first_view_index", "fold_routes", "grid_dims_2d",
+           "grid_dims_3d", "segments"]
 
 
 class AppProblem:
@@ -67,6 +68,51 @@ class AppProblem:
                           metrics=metrics, **(executor_kw or {}))
         scalars = ex.run(prog)
         return self.extract_state(ex.instances), scalars, ex, report
+
+
+# -- inspector helpers for the §4.5 private/shared/ghost region tree ------
+# Their views may hold several point tasks (a batched launch,
+# ``Task.batchable``): every lookup is segmented, ``seg[k]`` naming the
+# point task whose points ``ids[k]`` is looked up in.
+
+def segments(view, per: int = 1) -> np.ndarray:
+    """Per point of ``view`` (``per`` consecutive entries each), the
+    point task it belongs to, from the view's ``offsets``."""
+    offsets = view.offsets
+    return np.repeat(np.arange(offsets.shape[0] - 1),
+                     per * np.diff(offsets))
+
+
+def first_view_index(views, ids: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """Each id as an index into the views' values laid end to end — the
+    first view that contains it wins."""
+    index = np.full(ids.shape[0], -1)
+    offset = 0
+    for view in views:
+        slots, ok = view.maybe_localize(ids, seg)
+        take = ok & (index < 0)
+        index[take] = offset + slots[take]
+        offset += view.n
+    if (index < 0).any():
+        raise IndexError("id not present in any view")
+    return index
+
+
+def fold_routes(private, shared, ghost, ids: np.ndarray, seg: np.ndarray):
+    """Where a contribution to each id goes: ``(positions, slots)`` in
+    the private view, then (only if some id is left over) in the shared
+    one, then (likewise) in the ghost one; ``None`` marks a view the body
+    must not touch at all."""
+    slots, ok = private.maybe_localize(ids, seg)
+    to_shared = to_ghost = None
+    rem = np.flatnonzero(~ok)
+    if rem.size:
+        s_slots, s_ok = shared.maybe_localize(ids[rem], seg[rem])
+        to_shared = (rem[s_ok], s_slots[s_ok])
+        rem2 = rem[~s_ok]
+        if rem2.size:
+            to_ghost = (rem2, ghost.localize(ids[rem2], seg[rem2]))
+    return (np.flatnonzero(ok), slots[ok]), to_shared, to_ghost
 
 
 def grid_dims_2d(tiles: int) -> tuple[int, int]:

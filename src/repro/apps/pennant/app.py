@@ -39,7 +39,13 @@ from ...regions import (
     region,
 )
 from ...tasks import R, RW, Reduce, task
-from ..common import AppProblem, grid_dims_2d
+from ..common import (
+    AppProblem,
+    first_view_index,
+    fold_routes,
+    grid_dims_2d,
+    segments,
+)
 
 __all__ = ["PennantMesh", "PennantProblem"]
 
@@ -92,32 +98,32 @@ def _zone_geometry(x: np.ndarray, corners: np.ndarray):
 
 
 def _make_tasks(mesh: PennantMesh):
+    """The five point tasks.  Mesh topology is constant, so where each
+    zone's corner points live — which of the private/shared/ghost views
+    of a §4.5 region tree holds them, at which slot — is an inspector
+    plan; the bodies only move field values along it.  A view may hold
+    several pieces (a batched launch, ``Task.batchable``): each corner is
+    looked up in its own piece's views (``segments``)."""
     corners = mesh.corners
 
-    def gather_coords(views, ids):
-        out = np.zeros((ids.shape[0], 2))
-        found = np.zeros(ids.shape[0], dtype=bool)
-        for view, arr in views:
-            slots, ok = view.maybe_localize(ids)
-            take = ok & ~found
-            out[take] = arr[slots[take]]
-            found |= ok
-        if not found.all():
-            raise IndexError("corner point not present in any view")
-        return out
+    def gather_coords(views, index):
+        """The zones' corner coordinates, ``(nz, 4, 2)``."""
+        xs = np.concatenate([view.read("x") for view in views])
+        return xs[index].reshape(-1, 4, 2)
+
+    def plan_state(Z, PRIV, SHR, GHOST):
+        ids = corners[Z.points].ravel()
+        return (first_view_index((PRIV, SHR, GHOST), ids, segments(Z, 4)),
+                mesh.zone_mass[Z.points])
 
     @task(privileges=[RW("vol", "rho", "p", "e"), R("x"), R("x"), R("x")],
-          name="calc_state")
-    def calc_state(Z, PRIV, SHR, GHOST):
-        zids = Z.points
-        views = [(PRIV, PRIV.read("x")), (SHR, SHR.read("x")),
-                 (GHOST, GHOST.read("x"))]
-        cids = corners[zids]
-        coords = gather_coords(views, cids.ravel()).reshape(-1, 4, 2)
+          name="calc_state", batchable=True, inspect=plan_state)
+    def calc_state(Z, PRIV, SHR, GHOST, *, plan):
+        index, zm = plan
+        coords = gather_coords((PRIV, SHR, GHOST), index)
         nxt = np.roll(np.arange(4), -1)
         vol = 0.5 * np.abs((coords[:, :, 0] * coords[:, nxt, 1]
                             - coords[:, nxt, 0] * coords[:, :, 1]).sum(axis=1))
-        zm = mesh.zone_mass[zids]
         # pdV work against the previous cycle's pressure (energy equation).
         e = Z.write("e")
         e -= Z.read("p") * (vol - Z.read("vol")) / zm
@@ -126,41 +132,43 @@ def _make_tasks(mesh: PennantMesh):
         Z.write("rho")[:] = rho
         Z.write("p")[:] = (GAMMA - 1.0) * rho * e
 
-    @task(privileges=[RW("f"), RW("f")], name="zero_forces")
+    @task(privileges=[RW("f"), RW("f")], name="zero_forces", batchable=True)
     def zero_forces(PRIV, SHR):
         PRIV.write("f")[:] = 0.0
         SHR.write("f")[:] = 0.0
 
+    def plan_forces(Z, PRIV, SHR, GHOST, XPRIV, XSHR, XGHOST):
+        """Where each corner's coordinates come from, and where its force
+        goes."""
+        ids = corners[Z.points].ravel()
+        seg = segments(Z, 4)
+        return (first_view_index((XPRIV, XSHR, XGHOST), ids, seg),
+                *fold_routes(PRIV, SHR, GHOST, ids, seg))
+
     @task(privileges=[R("p"), RW("f"), Reduce("+", "f"), Reduce("+", "f"),
                       R("x"), R("x"), R("x")],
-          name="calc_forces")
-    def calc_forces(Z, PRIV, SHR, GHOST, XPRIV, XSHR, XGHOST):
-        zids = Z.points
+          name="calc_forces", batchable=True, inspect=plan_forces)
+    def calc_forces(Z, PRIV, SHR, GHOST, XPRIV, XSHR, XGHOST, *, plan):
+        gather, private, shared, ghost = plan
         p = Z.read("p")
-        views = [(XPRIV, XPRIV.read("x")), (XSHR, XSHR.read("x")),
-                 (XGHOST, XGHOST.read("x"))]
-        cids = corners[zids]  # (nz, 4)
-        coords = gather_coords(views, cids.ravel()).reshape(-1, 4, 2)
+        coords = gather_coords((XPRIV, XSHR, XGHOST), gather)
         nxt = np.roll(np.arange(4), -1)
         prv = np.roll(np.arange(4), 1)
         diag = coords[:, nxt, :] - coords[:, prv, :]  # P_{k+1} - P_{k-1}
         force = 0.5 * p[:, None, None] * np.stack(
             [diag[:, :, 1], -diag[:, :, 0]], axis=2)  # outward rotation
-        ids = cids.ravel()
         vals = force.reshape(-1, 2)
-        fpriv = PRIV.write("f")
-        slots, ok = PRIV.maybe_localize(ids)
-        np.add.at(fpriv, slots[ok], vals[ok])
-        rem = ~ok
-        if rem.any():
-            s_slots, s_ok = SHR.maybe_localize(ids[rem])
-            SHR.reduce("f", s_slots[s_ok], vals[rem][s_ok], "+")
-            rem2 = np.flatnonzero(rem)[~s_ok]
-            if rem2.size:
-                GHOST.reduce("f", GHOST.localize(ids[rem2]), vals[rem2], "+")
+        # Corner order within each destination row: a point's rows belong
+        # to one piece's view, so a batched call folds each row in the
+        # same order as that piece's own call.
+        np.add.at(PRIV.write("f"), private[1], vals[private[0]])
+        if shared is not None:
+            SHR.reduce("f", shared[1], vals[shared[0]], "+")
+        if ghost is not None:
+            GHOST.reduce("f", ghost[1], vals[ghost[0]], "+")
 
     @task(privileges=[RW("x", "v", "f", "m"), RW("x", "v", "f", "m")],
-          name="advance")
+          name="advance", batchable=True)
     def advance(PRIV, SHR, dt):
         for view in (PRIV, SHR):
             m = view.read("m")

@@ -184,6 +184,11 @@ class IntervalSet:
 
         For a point of the set this is its position in :meth:`to_indices`.
         """
+        return self.locate(x)[0]
+
+    def locate(self, x: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`below` of ``x`` and whether ``x`` is in the set, at one
+        ``searchsorted``."""
         if self._rank is None:
             # upto[n]: points in the first n intervals; before[n]: where the
             # n-th of them stops (a far-off sentinel for "none of them").
@@ -192,9 +197,10 @@ class IntervalSet:
                           np.concatenate(([_FAR_BELOW], self._ivals[:, 1])))
         upto, before = self._rank
         n = np.searchsorted(self._ivals[:, 0], x, side="right")  # intervals starting <= x
+        stop = before[n]
         # All of the first n intervals, less what the last of them holds
-        # at or above x.
-        return upto[n] - np.maximum(before[n] - x, 0)
+        # at or above x; x is in the set iff that last one stops above it.
+        return upto[n] - np.maximum(stop - x, 0), stop > x
 
     # -- set algebra ---------------------------------------------------------
     def union(self, other: "IntervalSet") -> "IntervalSet":

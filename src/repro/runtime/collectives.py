@@ -41,7 +41,11 @@ class DynamicCollective:
     keeps the internal dicts at O(live generations), not O(total).  Each
     shard must read :meth:`result` exactly once per generation it
     contributed to — which is exactly what the shard interpreter does.
-    ``label`` names its completion events (the launch context sets it).
+    A retired generation stays retired: every generation up to
+    ``_retired_below`` is, plus those in ``_retired_above`` (retired out
+    of order, folded into the watermark as the gaps below them retire),
+    and a contribution to one raises.  ``label`` names its completion
+    events (the launch context sets it).
     """
 
     label: str | None = None
@@ -58,6 +62,8 @@ class DynamicCollective:
         self._results: dict[int, Any] = {}
         self._events: dict[int, Event] = {}
         self._reads: dict[int, int] = {}
+        self._retired_below = 0  # generations start at 1
+        self._retired_above: set[int] = set()
 
     def _event(self, generation: int) -> Event:
         if generation not in self._events:
@@ -68,6 +74,10 @@ class DynamicCollective:
         """Add one shard's partial value (or ``None``); returns the
         completion event for this generation."""
         with self._lock:
+            if (generation <= self._retired_below
+                    or generation in self._retired_above):
+                raise RuntimeError(
+                    f"contribution to retired generation {generation}")
             if value is not None:
                 if generation in self._partial:
                     self._partial[generation] = self._fold(self._partial[generation], value)
@@ -106,6 +116,14 @@ class DynamicCollective:
                 self._reads.pop(generation, None)
                 self._arrived.pop(generation, None)
                 self._events.pop(generation, None)
+                self._retire(generation)
             else:
                 self._reads[generation] = reads
             return value
+
+    def _retire(self, generation: int) -> None:
+        above = self._retired_above
+        above.add(generation)
+        while self._retired_below + 1 in above:
+            self._retired_below += 1
+            above.remove(self._retired_below)

@@ -12,11 +12,16 @@ A plan holds one of two forms:
 
 * **batched** — one body call over the shard's block rows, when the task
   is declared ``batchable`` (see :class:`repro.tasks.task.Task`), the
-  launch folds no scalar reduction, no argument is re-evaluated per call,
-  static scalars agree across points, and each region argument's owned
-  instances are adjacent rows of one shard block, in point order
-  (``SPMDExecutor.block_rows``).  The body reads and writes the blocks in
-  place and pays its fixed numpy cost once per shard instead of per tile.
+  launch folds no scalar reduction, no argument reads the point index
+  ``i`` (scalars that read other variables are re-evaluated once per
+  call, the same for every point), static scalars agree across points,
+  and each region argument's owned instances are adjacent rows of one
+  shard block, in point order (``SPMDExecutor.block_rows``).  The body
+  reads and writes the blocks in place, through one :class:`BatchedView`
+  per argument, and pays its fixed numpy cost — and its inspector — once
+  per shard instead of per point task.  A pointer-chasing body localizes
+  segmented (``localize(ids, seg)``, ``seg`` read off a view's
+  ``offsets``), one rank query on the partition's colour table.
 * **per point** — one call per owned point, each over one
   :class:`~repro.tasks.views.PlacedView` per region argument.
 
@@ -44,9 +49,11 @@ class BatchedView(PlacedView):
 
     Its arrays are the one block slice that spans the points' instances,
     and its points are theirs concatenated in point order, so slots are
-    *not* globally sorted: a batchable body must treat ``points`` as an
-    unordered set (coordinate-based access only, no ``localize``) — the
-    slot-based geometry accessors raise, naming that contract.
+    *not* globally sorted: point task ``j``'s points and rows are
+    ``offsets[j]:offsets[j + 1]``.  A batchable body treats ``points``
+    as an unordered set and localizes segmented: ``localize(ids, seg)``
+    looks ``ids[k]`` up among point task ``seg[k]``'s points.  The
+    unsegmented forms and ``index_set`` raise, naming that contract.
     """
 
     def __init__(self, regions, arrays: dict[str, np.ndarray], privilege,
@@ -54,29 +61,69 @@ class BatchedView(PlacedView):
         # The first region stands for the union in error messages.
         super().__init__(regions[0], None, privilege, task_name, arrays)
         self.regions = tuple(regions)
-        self._points = np.concatenate(
-            [r.index_set.to_indices() for r in regions])
+        self._offsets = self._segments = None
+
+    @property
+    def points(self) -> np.ndarray:
+        if self._points is None:
+            self._points = np.concatenate(
+                [r.index_set.to_indices() for r in self.regions])
+        return self._points
 
     @property
     def n(self) -> int:
-        return self._points.shape[0]
+        return int(self.offsets[-1])
+
+    @property
+    def offsets(self) -> np.ndarray:
+        if self._offsets is None:
+            self._offsets = np.cumsum(
+                [0] + [r.index_set.count for r in self.regions],
+                dtype=np.int64)
+        return self._offsets
 
     def _unordered(self, what: str):
         raise TypeError(
             f"task {self.task_name} is declared batchable, but its body or "
             f"inspector used {what} on a batched view: the points of "
             f"several point tasks are concatenated unsorted, so a batchable "
-            f"task may address them by coordinate only (Task.batchable)")
+            f"task may address them by coordinate, or localize with seg "
+            f"naming each id's point task (Task.batchable)")
 
     @property
     def index_set(self):
         self._unordered("index_set")
 
-    def localize(self, global_ids):
-        self._unordered("localize()")
+    def maybe_localize(self, global_ids, seg=None):
+        """Segmented :meth:`~repro.tasks.views.RegionView.maybe_localize`:
+        the slot of ``ids[k]`` among point task ``seg[k]``'s rows, at one
+        rank query on the partition's colour table (the composite key
+        ``colour * span + (id - base)`` keeps aliased colours apart).  A
+        missing id's slot is clamped into its point task's rows, as a
+        view of that point task alone would clamp it."""
+        if seg is None:
+            if len(self.regions) > 1:
+                self._unordered("localize() without seg")
+            seg = 0
+        table, colour, upper, shift = self._segment_table()
+        ids = np.asarray(global_ids)
+        local = np.clip(ids - table.base, 0, table.span)
+        rank, hit = table.stacked.locate(colour[seg] * table.span + local)
+        ok = hit & (ids >= table.base) & (ids < table.base + table.span)
+        return np.minimum(rank, upper[seg]) + shift[seg], ok
 
-    def maybe_localize(self, global_ids):
-        self._unordered("maybe_localize()")
+    def _segment_table(self):
+        """Per point task its colour, the stacked rank of its last point
+        (of its first, when it has none) and the shift from stacked ranks
+        to rows of this view; built at the first localize."""
+        if self._segments is None:
+            table = self.region.parent_partition.colour_table
+            colour = np.array([r.color for r in self.regions], dtype=np.int64)
+            start = table.prefix[colour]
+            upper = np.maximum(table.prefix[colour + 1] - 1, start)
+            self._segments = (table, colour, upper,
+                              self.offsets[:-1] - start)
+        return self._segments
 
     def __repr__(self) -> str:
         return (f"BatchedView({self.region.name} x{len(self.regions)}, "
@@ -177,7 +224,7 @@ def _batched_args(stmt: IndexLaunch, points: list[list],
             if arrays is None:
                 return None
             args.append(BatchedView(col, arrays, next(privileges), task.name))
-        elif arg.expr.refs() or any(a != col[0] for a in col[1:]):
+        elif "i" in arg.expr.refs() or any(a != col[0] for a in col[1:]):
             return None
         else:
             args.append(col[0])
@@ -209,7 +256,7 @@ def lower_launch(stmt: IndexLaunch, owned, instance_of: Callable,
     if batched is not None:
         # The batch plan belongs to this call alone: a throwaway memo.
         views = [batched[pos] for pos in region_pos]
-        calls = [_Call(task.bound(views, {}), batched, (), None,
+        calls = [_Call(task.bound(views, {}), batched, dynamic, None,
                        len(points))]
         return LaunchPlan(stmt, calls, len(points), footprint)
     calls = []

@@ -42,11 +42,13 @@ class Task:
     leaf: bool = True  # leaf tasks launch no subtasks; informational
     # The app author's promise that the body is *point-batchable*: it
     # computes each point's result from coordinates and field values
-    # alone (treating ``view.points`` as an unordered set, never calling
-    # ``localize``), so running one call over the union of several point
-    # tasks' view points produces the same per-point results as running
-    # the tasks one by one.  A shard then lowers an index launch of it to
-    # a single body call over its block rows (repro.runtime.launch_plan).
+    # alone, treating ``view.points`` as an unordered set and localizing
+    # ids only segmented (``localize(ids, seg)``, ``seg[k]`` the point
+    # task of ``ids[k]``, from ``view.offsets``; never ``index_set``), so
+    # running one call over the union of several point tasks' views
+    # produces the same per-point results as running the tasks one by
+    # one.  A shard then lowers an index launch of it to a single body
+    # call over its block rows (repro.runtime.launch_plan).
     batchable: bool = False
     # ``inspect(*views) -> plan``: see the module docstring.  May depend
     # only on view geometry and on constants it closes over.

@@ -57,14 +57,26 @@ class RegionView:
             self._points = self.region.index_set.to_indices()
         return self._points
 
-    def localize(self, global_ids: np.ndarray) -> np.ndarray:
-        """Translate global point ids into local slots of this view."""
-        slots, ok = self.maybe_localize(global_ids)
+    @property
+    def offsets(self) -> np.ndarray:
+        """CSR over the view's point tasks: task ``j``'s points are
+        ``points[offsets[j]:offsets[j + 1]]``.  One task here."""
+        return np.array([0, self.n], dtype=np.int64)
+
+    def localize(self, global_ids: np.ndarray, seg=None) -> np.ndarray:
+        """Translate global point ids into local slots of this view.
+
+        ``seg[k]`` names the point task (an index into :attr:`offsets`)
+        whose points ``global_ids[k]`` is looked up in; a view of one
+        point task ignores it.
+        """
+        slots, ok = self.maybe_localize(global_ids, seg)
         if not np.all(ok):
             raise IndexError(f"global ids not contained in region {self.region.name}")
         return slots
 
-    def maybe_localize(self, global_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def maybe_localize(self, global_ids: np.ndarray,
+                       seg=None) -> tuple[np.ndarray, np.ndarray]:
         """Like :meth:`localize` but tolerant: returns ``(slots, mask)``.
 
         ``mask`` is True where the id is contained; slots of missing ids are
@@ -183,8 +195,9 @@ class GeometryView:
     A plan is built once and reused for every later call on the same
     regions, so anything it derived from field values would go stale
     without a trace.  Wrapping the view makes that unrepresentable:
-    ``points``/``n``/``index_set``/``localize``/``maybe_localize`` pass
-    through to the wrapped view, every data accessor raises.
+    ``points``/``n``/``offsets``/``index_set``/``localize``/
+    ``maybe_localize`` pass through to the wrapped view, every data
+    accessor raises.
     """
 
     __slots__ = ("_view", "_task_name")
@@ -209,11 +222,16 @@ class GeometryView:
     def points(self) -> np.ndarray:
         return self._view.points
 
-    def localize(self, global_ids: np.ndarray) -> np.ndarray:
-        return self._view.localize(global_ids)
+    @property
+    def offsets(self) -> np.ndarray:
+        return self._view.offsets
 
-    def maybe_localize(self, global_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._view.maybe_localize(global_ids)
+    def localize(self, global_ids: np.ndarray, seg=None) -> np.ndarray:
+        return self._view.localize(global_ids, seg)
+
+    def maybe_localize(self, global_ids: np.ndarray,
+                       seg=None) -> tuple[np.ndarray, np.ndarray]:
+        return self._view.maybe_localize(global_ids, seg)
 
     def _no_data(self, what: str, field: str):
         raise PrivilegeError(

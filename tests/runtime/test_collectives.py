@@ -179,6 +179,46 @@ class TestDynamicCollective:
             DynamicCollective(2, "barrier")
 
 
+class TestRetiredGenerations:
+    """A generation every shard has read stays retired: a late
+    contribution to it raises instead of starting it afresh."""
+
+    def test_late_contribution_after_the_last_read_raises(self):
+        c = DynamicCollective(2, None)
+        c.contribute(1, None)
+        c.contribute(1, None)
+        assert c.result(1) is None and c.result(1) is None
+        with pytest.raises(RuntimeError, match="retired generation 1"):
+            c.contribute(1, None)
+        assert not c._arrived
+
+    def test_out_of_order_retirement_raises_and_compacts(self):
+        c = DynamicCollective(1, "+")
+        c.contribute(2, 1.0)
+        assert c.result(2) == 1.0
+        with pytest.raises(RuntimeError, match="retired generation 2"):
+            c.contribute(2, 1.0)
+        c.contribute(1, 1.0)  # below the gap: still live
+        assert c.result(1) == 1.0
+        with pytest.raises(RuntimeError, match="retired generation 1"):
+            c.contribute(1, 1.0)
+        assert c._retired_below == 2 and not c._retired_above
+
+    def test_retired_state_stays_bounded(self):
+        """1000 generations retired in pairs, the later one first: the
+        out-of-order set never holds more than the one gap's worth."""
+        c = DynamicCollective(2, "+")
+        peak = 0
+        for g in range(1, 1001, 2):
+            for gen in (g + 1, g):
+                c.contribute(gen, 1.0)
+                c.contribute(gen, 2.0)
+                assert c.result(gen) == c.result(gen) == 3.0
+                peak = max(peak, len(c._retired_above))
+        assert peak == 1
+        assert c._retired_below == 1000 and not c._retired_above
+
+
 BACKENDS = ["stepped", "threaded"] + (
     ["procs", "net"] if procs_available() else [])
 

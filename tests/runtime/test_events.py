@@ -142,6 +142,8 @@ class TestPhaseBarrier:
         assert pb.contribute(1, None).is_set()
         assert pb.result(1) is None
         assert _is_empty(pb)
+        # The retired-generation record folded into its watermark too.
+        assert pb._retired_below == 2 and not pb._retired_above
 
 
 class TestGlobalBarrier:

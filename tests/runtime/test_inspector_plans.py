@@ -3,8 +3,8 @@
 How often a task's inspector runs must not depend on how many steps the
 program takes: once per distinct (task, point) under the sequential
 executor, and under control replication, on every backend, once per shard
-block for a batched launch (no per-point plan is ever built for it) and
-once per owned point otherwise.  Re-inspecting every step
+block for a batched launch (no per-point plan is ever built for it: the
+stencil's, circuit's and PENNANT's) and once per owned point otherwise.  Re-inspecting every step
 fails here by name instead of showing up as a slow benchmark.
 """
 
@@ -13,6 +13,8 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from repro.apps.circuit import CircuitProblem
+from repro.apps.pennant import PennantProblem
 from repro.apps.stencil import StencilProblem
 from repro.core import ProgramBuilder, control_replicate
 from repro.core.ir import BinOp, Const, ScalarRef
@@ -103,6 +105,32 @@ class TestCallCounts:
             expected.append((int(owned[0].index_set.to_indices()[0]),
                              sum(r.volume for r in owned)))
         assert logs[0] == logs[1] == sorted(expected)
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("app", ["circuit", "pennant"])
+    def test_pointer_chasing_apps_inspect_once_per_shard(self, app, mode):
+        # Segmented localize makes circuit's and PENNANT's inspected tasks
+        # batchable: one inspector run per (statement, shard), over the
+        # shard's point tasks' views side by side.
+        if app == "circuit":
+            p = CircuitProblem(pieces=8, nodes_per_piece=20,
+                               wires_per_piece=30, steps=4)
+            firsts = [p.PW, p.PW, p.pg.private_part]
+        else:
+            p = PennantProblem(nx=12, ny=12, pieces=8, steps=4)
+            firsts = [p.PZ, p.PZ]
+        log = CallLog()
+        for t in p.tasks:
+            if t.inspect is not None:
+                log.wrap(t)
+        run_cr(p, 2, mode)
+        expected = []
+        for part in firsts:
+            for x in range(2):
+                owned = [part[c] for c in shard_owned_colors(8, 2, x)]
+                expected.append((int(owned[0].index_set.to_indices()[0]),
+                                 sum(r.volume for r in owned)))
+        assert log.calls() == sorted(expected)
 
     @pytest.mark.parametrize("mode", ["stepped", "threaded"])
     def test_second_run_of_a_resident_executor_inspects_nothing(self, mode):
@@ -202,28 +230,63 @@ def _launches(prog):
 
 
 class TestBatchableContract:
-    @pytest.mark.parametrize("where", ["inspector", "body"])
-    def test_slot_access_on_a_batched_view_names_the_contract(self, fig2, where):
+    """A batched view localizes only with ``seg`` naming each id's point
+    task: without it the lookup raises by name, with it the answer is
+    the per-point one."""
+
+    @staticmethod
+    def _program(fig2, segmented, where, inspected=None):
         h = fig2.h
 
+        def lookup(Av, Bv):
+            ids = h[Av.points]
+            if not segmented:
+                return Bv.localize(ids)
+            seg = np.repeat(np.arange(Av.offsets.size - 1),
+                            np.diff(Av.offsets))
+            return Bv.localize(ids, seg)
+
         def plan_slots(Av, Bv):
-            return Bv.localize(h[Av.points]) if where == "inspector" else None
+            if inspected is not None:
+                inspected.value += 1
+            return lookup(Av, Bv) if where == "inspector" else None
 
         @task(privileges=[RW("v"), R("v")], name="gather", batchable=True,
               inspect=plan_slots)
         def gather(Av, Bv, *, plan):
             if where == "body":
-                plan = Bv.maybe_localize(h[Av.points])[0]
-            Av.write("v")[:] = Bv.read("v")[plan]
+                plan = lookup(Av, Bv)
+            Av.write("v")[:] = 0.5 * Bv.read("v")[plan] + 0.1
 
-        b = ProgramBuilder("not_batchable")
+        b = ProgramBuilder("batched_gather")
         b.let("T", 4)
         with b.for_range("t", 0, "T"):
+            b.launch(fig2.TF, fig2.I, fig2.PB, fig2.PA)
             b.launch(gather, fig2.I, fig2.PA, fig2.QB)
-        prog, _ = control_replicate(b.build(), num_shards=2)
+        return b.build()
+
+    @pytest.mark.parametrize("where", ["inspector", "body"])
+    def test_slot_access_on_a_batched_view_names_the_contract(self, fig2, where):
+        prog, _ = control_replicate(self._program(fig2, False, where),
+                                    num_shards=2)
         ex = SPMDExecutor(num_shards=2, instances=fig2.fresh_instances())
-        with pytest.raises(TypeError, match=r"gather.*batchable.*localize"):
+        with pytest.raises(TypeError,
+                           match=r"gather.*batchable.*localize.*seg"):
             ex.run(prog)
+
+    @pytest.mark.parametrize("where", ["inspector", "body"])
+    def test_segmented_localize_is_the_per_point_answer(self, fig2, where):
+        seq = SequentialExecutor(instances=fig2.fresh_instances())
+        seq.run(self._program(fig2, True, where))
+        inspected = multiprocessing.Value("i", 0)
+        prog, _ = control_replicate(
+            self._program(fig2, True, where, inspected), num_shards=2)
+        ex = SPMDExecutor(num_shards=2, instances=fig2.fresh_instances())
+        ex.run(prog)
+        assert inspected.value == 2  # one batched call per shard
+        for r in (fig2.A, fig2.B):
+            assert np.array_equal(ex.instances[r.uid].fields["v"],
+                                  seq.instances[r.uid].fields["v"])
 
 
 class TestWindowFlightCoverage:

@@ -15,6 +15,7 @@ the observability surface (``spmd_window_*`` metrics, the
 ``replay:iteration`` rows a tracer renders, pass dumps).
 """
 
+import dataclasses
 import gc
 import multiprocessing
 import re
@@ -628,6 +629,68 @@ class TestBatchLaunch:
         assert len(plans) == 2 and batched(plans) == (0, 0)
 
 
+class TestBatchedEqualsPerPoint:
+    """Circuit's and PENNANT's batched launches against the same tasks
+    forced per point: a destination row's contributions come from one
+    piece's wires or zones, in their order, either way, so the states are
+    bitwise equal wherever the cross-shard fold order is fixed — on
+    ``net`` (consumer-side apply in program order) and on one shard.  On
+    ``stepped`` with several shards the seed's interleaving orders the
+    locked cross-shard folds, and batching changes the interleaving (one
+    preemption point per call); there every batched state is one the
+    per-point runs reach too.  ``threaded``/``procs`` fold in arrival
+    order, which varies from run to run, so they are checked against the
+    sequential executor only (``TestAppEquivalence``)."""
+
+    PROBLEMS = {
+        "circuit": lambda: CircuitProblem(pieces=12, nodes_per_piece=20,
+                                          wires_per_piece=30, steps=4),
+        "pennant": lambda: PennantProblem(nx=12, ny=12, pieces=6, steps=4),
+    }
+
+    def _state(self, app, per_point, shards=3, **kw):
+        p = self.PROBLEMS[app]()
+        if per_point:
+            p.tasks = tuple(dataclasses.replace(t, batchable=False)
+                            for t in p.tasks)
+        st, _, ex, _ = p.run_control_replicated(shards, **kw)
+        return st, ex
+
+    @staticmethod
+    def _key(st):
+        return tuple(st[k].tobytes() for k in sorted(st))
+
+    @pytest.mark.parametrize("app", sorted(PROBLEMS))
+    def test_one_shard_stepped_and_net_bitwise(self, app):
+        seq, _, _ = self.PROBLEMS[app]().run_sequential()
+        runs = [((1, "stepped") if backend == "stepped" else (3, backend))
+                for backend in ["stepped"] + (
+                    ["net"] if procs_available() else [])]
+        for shards, mode in runs:
+            batched, ex_b = self._state(app, False, shards, mode=mode)
+            per_point, ex_p = self._state(app, True, shards, mode=mode)
+            assert counters(ex_b) == counters(ex_p)
+            for k in seq:
+                assert np.array_equal(batched[k], per_point[k]), (mode, k)
+                assert np.allclose(batched[k], seq[k], rtol=1e-11,
+                                   atol=1e-13), (mode, k)
+
+    @pytest.mark.parametrize("app", sorted(PROBLEMS))
+    def test_stepped_states_are_per_point_states(self, app):
+        # Circuit reaches 4 distinct states over 40 seeds, PENNANT 6, some
+        # of them on 1 seed in 20, batched or not; 40 per-point seeds
+        # reach them all.
+        seq, _, _ = self.PROBLEMS[app]().run_sequential()
+        reachable = {self._key(self._state(app, True, mode="stepped",
+                                           seed=seed)[0])
+                     for seed in range(40)}
+        for seed in range(4):
+            st, _ = self._state(app, False, mode="stepped", seed=seed)
+            assert self._key(st) in reachable, seed
+            for k in seq:
+                assert np.allclose(st[k], seq[k], rtol=1e-11, atol=1e-13)
+
+
 # Up while this thread compiles a window or runs a step of a replay.
 _in_window = threading.local()
 
@@ -661,17 +724,63 @@ class TestOneLaunchPlan:
         assert sum(n for _, _, n, _ in calls) == 24 * 24
 
     @pytest.mark.parametrize("mode", ["stepped", "threaded"])
-    def test_circuit_inspects_once_per_point_task(self, mode):
+    def test_circuit_inspects_once_per_shard(self, mode):
+        # Once per (statement, shard): each shard's launches of the three
+        # batchable tasks are one call over its 4 pieces' block rows.
         p = CircuitProblem(pieces=8, nodes_per_piece=20, wires_per_piece=30,
                            steps=5)
         calls = []
         self._count_inspectors(p.tasks, calls)
         _, _, ex, _ = p.run_control_replicated(2, mode=mode)
         assert ex.replay_hits > 0
-        keys = [(name, uid) for name, uid, _, _ in calls]
-        assert len(keys) == len(set(keys)) == 3 * 8
-        assert Counter(name for name, _ in keys) == {
-            t.name: 8 for t in p.tasks}
+        assert len(calls) == 3 * 2
+        assert Counter(name for name, *_ in calls) == {
+            t.name: 2 for t in p.tasks}
+        # Each covers its shard's half of the wires (or private nodes).
+        wires = Counter(n for name, _, n, _ in calls
+                        if name != "update_voltage")
+        assert wires == {4 * 30: 4}
+
+    @staticmethod
+    def _count_bodies(tasks, calls: Counter):
+        """Wrap each task's body to count its calls by task name."""
+        for t in tasks:
+            def counting(*args, t=t, inner=t.fn, **kw):
+                calls[t.name] += 1
+                return inner(*args, **kw)
+            t.fn = counting
+
+    def test_circuit_cold_shape_is_one_call_per_statement_and_shard(self):
+        # circuit_cold's shape: 48 pieces a shard, inspected 6 times (3
+        # tasks x 2 shards), not 288 (3 x 96), and each shard's circuit
+        # launches are 3 body calls an iteration, interpreted or replayed.
+        p = CircuitProblem(pieces=96, nodes_per_piece=40, wires_per_piece=60,
+                           steps=4)
+        inspected, bodies = [], Counter()
+        self._count_inspectors(p.tasks, inspected)
+        self._count_bodies(p.tasks, bodies)
+        _, _, ex, _ = p.run_control_replicated(2, mode="stepped")
+        assert ex.replay_hits > 0
+        assert len(inspected) == 6
+        assert bodies == {t.name: 2 * p.steps for t in p.tasks}
+        assert ex.tasks_executed == 3 * 96 * p.steps
+
+    def test_pennant_is_one_call_per_batchable_statement_and_shard(self):
+        # calc_state, zero_forces, calc_forces and advance batch (advance's
+        # dt is re-read each call but is the same for every point);
+        # calc_dt folds a scalar, so it keeps one call per piece.
+        p = PennantProblem(nx=12, ny=12, pieces=8, steps=4)
+        inspected, bodies = [], Counter()
+        planned = [t for t in p.tasks if t.inspect is not None]
+        assert {t.name for t in planned} == {"calc_state", "calc_forces"}
+        self._count_inspectors(planned, inspected)
+        self._count_bodies(p.tasks, bodies)
+        _, _, ex, _ = p.run_control_replicated(2, mode="stepped")
+        assert ex.replay_hits > 0
+        assert len(inspected) == 2 * 2
+        batched = {"calc_state", "zero_forces", "calc_forces", "advance"}
+        assert bodies == {t.name: 2 * p.steps if t.name in batched
+                          else 8 * p.steps for t in p.tasks}
 
     @pytest.mark.parametrize("mode", ["stepped", "threaded"])
     def test_no_inspector_runs_in_a_window(self, mode, monkeypatch):

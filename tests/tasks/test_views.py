@@ -2,9 +2,30 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.regions import IntervalSet, PhysicalInstance, ispace, partition_block, region
-from repro.tasks import PlacedView, PrivilegeError, R, Reduce, RegionView, RW
+from repro.core import ProgramBuilder
+from repro.core.ir import IndexLaunch, walk
+from repro.regions import (
+    IntervalSet,
+    PhysicalInstance,
+    ispace,
+    partition_block,
+    partition_from_subsets,
+    region,
+)
+from repro.runtime.launch_plan import BatchedView, lower_launch
+from repro.tasks import (
+    PlacedView,
+    PrivilegeError,
+    R,
+    Reduce,
+    RegionView,
+    RW,
+    task,
+)
+from repro.tasks.views import GeometryView
 
 
 @pytest.fixture
@@ -152,3 +173,164 @@ class TestPlacedView:
         v = self._view(setup, Reduce("max"))
         v.reduce("a", np.array([0]), np.array([7.0]), "max")
         assert inst.fields["a"][0] == 7.0
+
+
+@st.composite
+def shard_of_a_partition(draw):
+    """A partition (disjoint or aliased, empty colours allowed, not
+    necessarily starting at point 0) and one shard's run of its colours:
+    ``(partition, lo, hi)``."""
+    n = draw(st.integers(min_value=1, max_value=48))
+    k = draw(st.integers(min_value=1, max_value=8))
+    reg = region(ispace(size=n), {"a": np.float64}, name="R")
+    if draw(st.booleans()):
+        owner = draw(st.lists(st.integers(-1, k - 1), min_size=n, max_size=n))
+        subsets = [np.flatnonzero(np.array(owner) == c) for c in range(k)]
+        disjoint = True
+    else:
+        subsets = [np.array(sorted(draw(st.sets(st.integers(0, n - 1)))),
+                            dtype=int) for _ in range(k)]
+        disjoint = False
+    part = partition_from_subsets(
+        reg, [IntervalSet.from_indices(s) for s in subsets],
+        disjoint=disjoint, name="P")
+    lo = draw(st.integers(0, k - 1))
+    hi = draw(st.integers(lo + 1, k))
+    return part, lo, hi
+
+
+def _batched(part, lo, hi):
+    regions = [part[c] for c in range(lo, hi)]
+    rows = sum(r.index_set.count for r in regions)
+    return BatchedView(regions, {"a": np.zeros(rows)}, R("a"), "T")
+
+
+class TestSegmentedLocalize:
+    """A batched view localizes id ``k`` among point task ``seg[k]``'s
+    rows exactly as a view of that point task alone would, shifted by its
+    rows' offset in the batch: mask and (clamped) slots both."""
+
+    @given(shard_of_a_partition(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_each_point_tasks_own_view(self, shard, data):
+        part, lo, hi = shard
+        view = _batched(part, lo, hi)
+        m = hi - lo
+        n = part.parent.index_set.count
+        counts = [part[c].index_set.count for c in range(lo, hi)]
+        assert view.offsets.tolist() == np.cumsum([0] + counts).tolist()
+        size = data.draw(st.integers(0, 40))
+        ids = np.array(data.draw(st.lists(st.integers(-3, n + 3),
+                                          min_size=size, max_size=size)),
+                       dtype=np.int64)
+        seg = np.array(data.draw(st.lists(st.integers(0, m - 1),
+                                          min_size=size, max_size=size)),
+                       dtype=np.int64)
+        slots, ok = view.maybe_localize(ids, seg)
+        for j in range(m):
+            mine = seg == j
+            own = PlacedView(part[lo + j], PhysicalInstance(part[lo + j]),
+                             R("a"), "T")
+            want_slots, want_ok = own.maybe_localize(ids[mine])
+            assert ok[mine].tolist() == want_ok.tolist()
+            assert (slots[mine] - view.offsets[j]).tolist() == \
+                want_slots.tolist()
+            # A contained id's slot is its own point in the batch.
+            assert (view.points[slots[mine][want_ok]]
+                    == ids[mine][want_ok]).all()
+        if ok.all():
+            assert view.localize(ids, seg).tolist() == slots.tolist()
+        elif size:
+            with pytest.raises(IndexError):
+                view.localize(ids, seg)
+
+    def test_aliased_point_is_looked_up_in_its_own_colour(self):
+        reg = region(ispace(size=10), {"a": np.float64}, name="R")
+        part = partition_from_subsets(
+            reg, [IntervalSet.from_indices(s)
+                  for s in ([1, 4, 7], [4, 5], [0, 4, 9])],
+            disjoint=False, name="P")
+        view = _batched(part, 0, 3)
+        ids = np.array([4, 4, 4, 5, 5])
+        slots, ok = view.maybe_localize(ids, np.array([0, 1, 2, 1, 2]))
+        assert ok.tolist() == [True, True, True, True, False]
+        assert slots[ok].tolist() == [1, 3, 6, 4]
+
+    def test_seg_is_required_across_point_tasks(self):
+        reg = region(ispace(size=8), {"a": np.float64}, name="R")
+        view = _batched(partition_block(reg, 4), 1, 3)
+        for lookup in (view.localize, view.maybe_localize,
+                       GeometryView(view, "T").maybe_localize):
+            with pytest.raises(TypeError, match=r"T.*batchable.*seg"):
+                lookup(np.array([2]))
+        with pytest.raises(TypeError, match="index_set"):
+            view.index_set
+        assert view.maybe_localize(np.array([2, 5]),
+                                   np.array([0, 1]))[0].tolist() == [0, 3]
+
+    def test_a_view_of_one_point_task_ignores_seg(self, setup):
+        _, _, p = setup
+        v = RegionView(p[1], PhysicalInstance(p[1]), R())
+        assert v.offsets.tolist() == [0, 4]
+        assert v.localize(np.array([5, 7]), np.zeros(2, int)).tolist() == \
+            [1, 3]
+        assert GeometryView(v, "T").offsets.tolist() == [0, 4]
+
+
+class TestSegmentedLowering:
+    """``lower_launch`` over a shard's colours: one batched call when they
+    are adjacent rows of one block, one call per point task when they
+    straddle two — and the segmented plan is the per-point plans
+    side by side."""
+
+    @staticmethod
+    def _launch(part):
+        def reverse(Av):
+            """Each point task's points, last first, localized in it."""
+            seg = np.repeat(np.arange(Av.offsets.size - 1),
+                            np.diff(Av.offsets))
+            return Av.maybe_localize(Av.points[::-1], seg[::-1])
+
+        @task(privileges=[R("a")], name="rev", batchable=True,
+              inspect=reverse)
+        def rev(Av, *, plan):
+            return None
+
+        b = ProgramBuilder("segmented")
+        b.launch(rev, ispace(size=part.num_colors, name="I"), part)
+        return next(s for s in walk(b.build().body)
+                    if isinstance(s, IndexLaunch))
+
+    @given(shard_of_a_partition(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_straddling_shard_lowers_per_point(self, shard, data):
+        part, lo, hi = shard
+        split = data.draw(st.integers(lo, hi))  # == lo or hi: one block
+        stmt = self._launch(part)
+        prefix = part.colour_table.prefix
+        blocks = [{"a": np.zeros(prefix[b] - prefix[a])}
+                  for a, b in ((lo, split), (split, hi))]
+        starts = {c: (0 if c < split else 1,
+                      int(prefix[c] - prefix[lo if c < split else split]))
+                  for c in range(lo, hi)}
+
+        def block_rows(r):
+            which, start = starts[r.color]
+            return blocks[which], start, start + r.index_set.count
+
+        plans = {}
+        plan = lower_launch(stmt, range(lo, hi), PhysicalInstance,
+                            block_rows, plans)
+        straddles = lo < split < hi
+        if hi - lo < 2 or straddles:
+            assert len(plan.calls) == plan.points == hi - lo
+            assert len(plans) == hi - lo
+        else:
+            assert len(plan.calls) == 1 and plan.calls[0].points == hi - lo
+            assert not plans  # the batched plan binds no per-point plan
+            # Each point task's own slots, shifted by its rows' offset:
+            # every point found at its position in the batch.
+            slots, ok = plan.calls[0].fn.keywords["plan"]
+            assert ok.all()
+            total = int(prefix[hi] - prefix[lo])
+            assert slots.tolist() == list(range(total))[::-1]
