@@ -14,14 +14,6 @@ Commands:
   simulator and print its table;
 * ``simulate`` — run one execution model of one app on the machine
   simulator and print timing/utilization;
-* ``serve``   — run a resident compile-once/serve-many HTTP server: each
-  structurally distinct request (app, sizes, shards, backend, sync mode)
-  is compiled once, and every later identical request reuses the cached
-  SPMD program and frozen replay/window plans (see ``docs/serving.md``);
-* ``top``     — live terminal view of a running serve process: polls
-  ``/stats`` and ``/metrics`` and renders queue depth, plan-cache hit
-  ratio, per-endpoint latency percentiles, and the skew/drift gauges
-  (``--once`` prints a single frame for scripts/CI);
 * ``launch-worker`` — run one rank of a multi-host ``--backend net``
   launch: the process binds the address a shared host file assigns its
   rank and meshes with its peers over TCP (see ``docs/runtime.md``);
@@ -189,42 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--metrics", metavar="OUT.prom", default=None,
                    help="write virtual-time buckets in Prometheus text "
                         "format")
-
-    sv = sub.add_parser(
-        "serve",
-        help="resident compile-once/serve-many HTTP server with a "
-             "program/window plan cache")
-    sv.add_argument("--host", default="127.0.0.1")
-    sv.add_argument("--port", type=int, default=8349,
-                    help="TCP port (0 picks a free one; default 8349)")
-    sv.add_argument("--workers", type=int, default=2,
-                    help="worker threads draining the job queue (default 2)")
-    sv.add_argument("--cache-size", dest="cache_size", type=int, default=8,
-                    help="resident compiled programs kept (LRU, default 8)")
-    sv.add_argument("--queue-depth", dest="queue_depth", type=int, default=16,
-                    help="admission control: jobs buffered before requests "
-                         "are rejected with 429 (default 16)")
-    sv.add_argument("--max-shards", dest="max_shards", type=int, default=8,
-                    help="reject requests asking for more shards (default 8)")
-    sv.add_argument("--request-timeout", dest="request_timeout", type=float,
-                    default=300.0,
-                    help="seconds a synchronous /run may take (default 300)")
-    sv.add_argument("--verbose", action="store_true",
-                    help="log one line per HTTP request")
-    sv.add_argument("--flight-dir", dest="flight_dir", default=None,
-                    help="directory failed jobs dump their flight-recorder "
-                         "Chrome traces into (default: $REPRO_FLIGHT_DIR "
-                         "or <tmp>/repro-flight)")
-
-    tp = sub.add_parser(
-        "top",
-        help="live view of a running serve process (/stats + /metrics)")
-    tp.add_argument("--url", default="http://127.0.0.1:8349",
-                    help="serve base URL (default http://127.0.0.1:8349)")
-    tp.add_argument("--interval", type=float, default=2.0,
-                    help="seconds between refreshes (default 2)")
-    tp.add_argument("--once", action="store_true",
-                    help="print one frame and exit (for scripts/CI)")
 
     lw = sub.add_parser(
         "launch-worker",
@@ -481,106 +437,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    from .serve import ServeEngine, create_server
-    engine = ServeEngine(workers=args.workers, cache_size=args.cache_size,
-                         queue_depth=args.queue_depth,
-                         max_shards=args.max_shards,
-                         flight_dir=args.flight_dir)
-    server = create_server(engine, host=args.host, port=args.port,
-                           request_timeout=args.request_timeout,
-                           quiet=not args.verbose)
-    print(f"repro serve: listening on http://{args.host}:{server.server_port}"
-          f" ({args.workers} workers, plan cache {args.cache_size}, "
-          f"queue {args.queue_depth})", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-        engine.shutdown()
-    return 0
-
-
-def _top_frame(base_url: str) -> str:
-    """One rendered frame of the ``repro top`` view."""
-    import json
-    import urllib.request
-
-    from .obs.metrics import parse_prometheus_text
-
-    def fetch(path: str) -> bytes:
-        with urllib.request.urlopen(base_url.rstrip("/") + path,
-                                    timeout=5) as resp:
-            return resp.read()
-
-    stats = json.loads(fetch("/stats"))
-    samples = parse_prometheus_text(fetch("/metrics").decode("utf-8"))
-    cache = stats["plan_cache"]
-    lines = [
-        f"repro top -- {base_url}  "
-        f"[{time.strftime('%H:%M:%S')}]",
-        "",
-        f"queue  {stats['queued']}/{stats['queue_depth']} queued   "
-        f"workers {stats['workers']}   jobs "
-        + (" ".join(f"{k}={v}" for k, v in sorted(stats["jobs"].items()))
-           or "none"),
-        f"cache  {cache['entries']}/{cache['capacity']} resident   "
-        f"hit ratio {cache['hit_ratio']:.0%}   "
-        f"({cache['hits']} hits / {cache['misses']} misses, "
-        f"{cache['evictions']} evicted)",
-    ]
-    endpoints = stats.get("endpoints", {})
-    if endpoints:
-        lines.append("")
-        lines.append(f"{'endpoint':<24}{'count':>8}{'p50':>10}"
-                     f"{'p95':>10}{'p99':>10}")
-        for name in sorted(endpoints):
-            row = endpoints[name]
-            lines.append(
-                f"{name:<24}{int(row['count']):>8}"
-                f"{row['p50_s'] * 1e3:>9.1f}m{row['p95_s'] * 1e3:>9.1f}m"
-                f"{row['p99_s'] * 1e3:>9.1f}m")
-    watched = [
-        ("skew_imbalance_ratio", "skew imbalance"),
-        ("skew_critical_shard", "critical shard"),
-        ("drift_efficiency_ratio", "drift ratio"),
-        ("flight_records_total", "flight records"),
-        ("flight_dropped_total", "flight dropped"),
-    ]
-    health = [f"{label} {samples[name]:g}"
-              for name, label in watched if name in samples]
-    if health:
-        lines.append("")
-        lines.append("health  " + "   ".join(health))
-    return "\n".join(lines)
-
-
-def cmd_top(args) -> int:
-    import urllib.error
-    try:
-        frame = _top_frame(args.url)
-    except (urllib.error.URLError, OSError) as exc:
-        print(f"repro top: cannot reach {args.url}: {exc}")
-        return 1
-    if args.once:
-        print(frame)
-        return 0
-    try:
-        while True:
-            # ANSI home+clear keeps the frame in place like top(1).
-            print("\x1b[H\x1b[2J" + frame, flush=True)
-            time.sleep(args.interval)
-            frame = _top_frame(args.url)
-    except KeyboardInterrupt:
-        print()
-    except (urllib.error.URLError, OSError) as exc:
-        print(f"repro top: lost {args.url}: {exc}")
-        return 1
-    return 0
-
-
 def cmd_explain(args) -> int:
     from .core import control_replicate, explain_shard, shard_communication_summary
     problem = APP_FACTORIES[args.app](args)
@@ -652,8 +508,6 @@ def main(argv: list[str] | None = None) -> int:
         "compile": cmd_compile,
         "figure": cmd_figure,
         "simulate": cmd_simulate,
-        "serve": cmd_serve,
-        "top": cmd_top,
         "launch-worker": cmd_launch_worker,
         "explain": cmd_explain,
         "apps": cmd_apps,

@@ -12,9 +12,8 @@ parallel-efficiency metric.
 
 from .drift import DriftReport, analyze_drift, export_drift_metrics
 from .flight import NULL_RING, FlightRecorder, ShardRing, flight_anchor
-from .metrics import (DEFAULT_BUCKETS, NULL_METRICS, SERVE_LATENCY_BUCKETS,
-                      Counter, Gauge, Histogram, MetricsRegistry,
-                      parse_prometheus_text)
+from .metrics import (DEFAULT_BUCKETS, NULL_METRICS, Counter, Gauge,
+                      Histogram, MetricsRegistry, parse_prometheus_text)
 from .profile import (BUCKETS, Chain, ChainStep, ProfileReport, Segment,
                       ShardAttribution, attribute_shards, build_profile,
                       critical_chains, flatten_spans)
@@ -24,7 +23,7 @@ from .trace import NULL_TRACER, PID_COMPILER, PID_SIM_BASE, PID_SPMD, Tracer
 __all__ = [
     "Tracer", "NULL_TRACER", "PID_COMPILER", "PID_SPMD", "PID_SIM_BASE",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "NULL_METRICS",
-    "DEFAULT_BUCKETS", "SERVE_LATENCY_BUCKETS", "parse_prometheus_text",
+    "DEFAULT_BUCKETS", "parse_prometheus_text",
     "FlightRecorder", "ShardRing", "NULL_RING", "flight_anchor",
     "SkewReport", "analyze_skew", "export_skew_metrics",
     "DriftReport", "analyze_drift", "export_drift_metrics",

@@ -13,8 +13,7 @@ second half of the window actually measured.
 ``drift_efficiency_ratio`` (measured / predicted) near 1.0 means the
 schedule still matches the calibrated model; a climbing ratio means the
 run is drifting — a straggler shard, an interfering tenant, a schedule
-the model no longer explains — precisely the signal worth alerting on
-in a resident serve process.
+the model no longer explains.
 """
 
 from __future__ import annotations
@@ -82,8 +81,6 @@ def analyze_drift(recorder: FlightRecorder,
     for kinds in ((ITER,), None):
         per_shard: list[np.ndarray] = []
         for shard in recorder.shards():
-            if shard < 0:
-                continue
             ring = recorder.ring(shard)
             t0, t1 = ring.windows(kinds) if kinds else ring.windows()
             if t0.size:

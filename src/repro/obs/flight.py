@@ -40,20 +40,20 @@ import numpy as np
 from .trace import PID_SPMD
 
 __all__ = [
-    "ITER", "CAPTURE", "TASK", "COPY", "WAIT", "REQUEST", "COMPILE",
+    "ITER", "CAPTURE", "TASK", "COPY", "WAIT", "COMPILE",
     "DEFAULT_CAPACITY", "ShardRing", "NULL_RING", "FlightRecorder",
     "flight_anchor", "anchor_delta_s", "chrome_trace",
 ]
 
 # Record kinds.  Iteration-shaped records (ITER = a replayed steady-state
 # iteration, CAPTURE = an interpreted/captured one) bound each window;
-# TASK/COPY/WAIT attribute time within it; REQUEST marks a serve request.
+# TASK/COPY/WAIT attribute time within it.  Kind 6 is retired; the
+# numbers are part of the dump format, so none is reused.
 ITER = 1
 CAPTURE = 2
 TASK = 3
 COPY = 4
 WAIT = 5
-REQUEST = 6
 COMPILE = 7
 
 # Record kind -> (row name, category) of its Chrome row.  A TASK, COPY or
@@ -65,8 +65,7 @@ _ROWS = {ITER: ("replay:iteration", "jit"),
          COMPILE: ("window:compile", "replay"),
          TASK: ("jit:compute", "task"),
          COPY: ("jit:copy", "copy"),
-         WAIT: ("wait:event", "wait"),
-         REQUEST: ("request", "serve")}
+         WAIT: ("wait:event", "wait")}
 
 # Iteration-window kinds, used by the skew/drift analyzers.
 WINDOW_KINDS = (ITER, CAPTURE)
@@ -230,12 +229,10 @@ def anchor_delta_s(parent: tuple[float, float],
 class FlightRecorder:
     """Per-shard flight rings plus Chrome-trace export.
 
-    ``ring(shard)`` lazily creates one :class:`ShardRing` per shard;
-    negative shard ids are reserved for non-shard rows (serve requests
-    record into ``ring(-1)``).  ``names`` maps a statement uid to the
-    name its rows carry (``task:<task>``, ``copy:<src>-><dst>``,
-    ``barrier:<tag>``, ``collective:<scalar>``); the executor fills it
-    from each launch spec.
+    ``ring(shard)`` lazily creates one :class:`ShardRing` per shard.
+    ``names`` maps a statement uid to the name its rows carry
+    (``task:<task>``, ``copy:<src>-><dst>``, ``barrier:<tag>``,
+    ``collective:<scalar>``); the executor fills it from each launch spec.
     """
 
     def __init__(self, num_shards: int = 0,
@@ -308,10 +305,9 @@ def chrome_trace(recorders: Iterable[FlightRecorder],
     for rec, shard, dropped, snap in snaps:
         if shard not in named:
             named.add(shard)
-            row = "serve" if shard < 0 else f"shard {shard}"
             events.append({"name": "thread_name", "ph": "M",
                            "pid": PID_SPMD, "tid": shard,
-                           "args": {"name": row}})
+                           "args": {"name": f"shard {shard}"}})
         keep = snap["t1"] >= cutoff
         kinds = snap["kind"][keep].tolist()
         t0s = ((snap["t0"][keep] - origin) * 1e6).tolist()

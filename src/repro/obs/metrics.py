@@ -27,8 +27,6 @@ Design points, mirroring the tracer:
   ``_bucket``/``_sum``/``_count`` series), :meth:`flat` gives the same
   samples as a dict, and :func:`parse_prometheus_text` parses the text
   back — the round-trip the profiler's tests assert.
-  :meth:`MetricsRegistry.merge` folds one registry into another (the
-  serve engine merges each request's registry into its own).
 
 Instrument identity is ``(name, sorted label items)``; lookups get-or-
 create under a lock, so grab instruments once outside loops when a path
@@ -45,23 +43,11 @@ import numpy as np
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "NULL_METRICS",
-    "DEFAULT_BUCKETS", "SERVE_LATENCY_BUCKETS", "PROMETHEUS_CONTENT_TYPE",
-    "parse_prometheus_text", "scrape_payload",
+    "DEFAULT_BUCKETS", "parse_prometheus_text",
 ]
 
 # Default histogram bounds: wait/compute times in seconds, 1µs .. 10s.
 DEFAULT_BUCKETS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
-
-# Request-latency bounds for the serve endpoints: the decade edges above
-# are too coarse to tell a 30 ms warm hit from a 90 ms one, so serve
-# histograms use 1-2-5 steps from 1 ms to 60 s.
-SERVE_LATENCY_BUCKETS = (
-    0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5,
-    1.0, 2.0, 5.0, 10.0, 30.0, 60.0)
-
-# The Content-Type a Prometheus scraper expects for the text format.
-PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
 
 class Counter:
     """A monotonically increasing sum."""
@@ -77,12 +63,9 @@ class Counter:
             raise ValueError("counters only increase")
         self.value += amount
 
-    def merge(self, other: "Counter") -> None:
-        self.value += other.value
-
 
 class Gauge:
-    """A point-in-time value (last write wins across merges)."""
+    """A point-in-time value (last write wins)."""
 
     __slots__ = ("value",)
     kind = "gauge"
@@ -95,9 +78,6 @@ class Gauge:
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
-
-    def merge(self, other: "Gauge") -> None:
-        self.value = other.value
 
 
 class Histogram:
@@ -126,21 +106,12 @@ class Histogram:
         self.sum += float(values.sum())
         self.count += len(values)
 
-    def merge(self, other: "Histogram") -> None:
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different bounds")
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.sum += other.sum
-        self.count += other.count
-
     def quantile(self, q: float) -> float:
         """Estimate the q-quantile (0..1) by linear bucket interpolation.
 
         The standard Prometheus ``histogram_quantile`` estimate: find the
         bucket the target rank falls in and interpolate within its
-        bounds.  Resolution is whatever the bucket edges give you — the
-        reason serve latencies use :data:`SERVE_LATENCY_BUCKETS`.
+        bounds.  Resolution is whatever the bucket edges give you.
         Returns 0.0 with no observations.
         """
         if self.count == 0:
@@ -200,7 +171,7 @@ def _label_key(labels: dict[str, Any]) -> tuple[tuple[str, str], ...]:
 
 
 class MetricsRegistry:
-    """A named collection of instruments, mergeable and exportable."""
+    """A named collection of instruments, exportable as Prometheus text."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -237,8 +208,7 @@ class MetricsRegistry:
 
         The first caller fixes the edges; later callers naming different
         ones get an error rather than silently observing into the wrong
-        resolution (the same contract :meth:`Histogram.merge` enforces
-        across registries).
+        resolution.
         """
         h = self._get(Histogram, name, labels, buckets)
         if h.bounds != tuple(float(b) for b in buckets):
@@ -246,22 +216,6 @@ class MetricsRegistry:
                 f"histogram {name!r} already registered with bounds "
                 f"{h.bounds}, not {tuple(buckets)}")
         return h
-
-    # -- aggregation --------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one.
-
-        Counters and histograms add; gauges take the merged-in value.
-        """
-        with other._lock:
-            items = list(other._metrics.items())
-        for (name, lkey), inst in items:
-            labels = dict(lkey)
-            if isinstance(inst, Histogram):
-                mine = self._get(Histogram, name, labels, inst.bounds)
-            else:
-                mine = self._get(type(inst), name, labels)
-            mine.merge(inst)
 
     # -- export -------------------------------------------------------------
     def items(self) -> Iterator[tuple[str, dict[str, str], Any]]:
@@ -336,9 +290,6 @@ class _NullMetrics(MetricsRegistry):
                   **labels) -> Histogram:
         return _NULL_HISTOGRAM
 
-    def merge(self, other) -> None:
-        pass
-
 
 NULL_METRICS = _NullMetrics()
 
@@ -360,16 +311,6 @@ def _sample(name: str, labels: dict[str, str]) -> str:
 def _escape(value: str) -> str:
     return (str(value).replace("\\", r"\\").replace('"', r'\"')
             .replace("\n", r"\n"))
-
-
-def scrape_payload(registry: MetricsRegistry) -> tuple[str, bytes]:
-    """``(content_type, body)`` for an HTTP ``/metrics`` scrape response.
-
-    The body is the registry's text exposition encoded as UTF-8; the
-    content type is :data:`PROMETHEUS_CONTENT_TYPE`.  Used by the
-    ``repro serve`` ``/metrics`` endpoint.
-    """
-    return PROMETHEUS_CONTENT_TYPE, registry.prometheus_text().encode("utf-8")
 
 
 def parse_prometheus_text(text: str) -> dict[str, float]:

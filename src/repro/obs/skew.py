@@ -65,8 +65,6 @@ def analyze_skew(recorder: FlightRecorder) -> SkewReport | None:
     """Compute the skew report, or ``None`` with no complete window yet."""
     per_shard: list[tuple[int, np.ndarray, np.ndarray]] = []
     for shard in recorder.shards():
-        if shard < 0:
-            continue  # serve-request row, not a shard timeline
         t0, t1 = recorder.ring(shard).windows()
         if t0.size:
             per_shard.append((shard, t0, t1))

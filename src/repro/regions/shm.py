@@ -17,17 +17,16 @@ names from the OS so nothing leaks in ``/dev/shm``; the mappings
 themselves stay valid for every process that holds them until it exits,
 so instances remain readable after release.
 
-Leak containment: ``/dev/shm`` is a machine-wide resource, and a resident
-``repro serve`` process allocates arenas on behalf of many requests, so a
-segment that outlives its run is a slow denial of service.  Every live
-(unreleased) arena is tracked in a process-level registry:
+Leak containment: ``/dev/shm`` is a machine-wide resource, so a segment
+that outlives its run holds memory no later run on the machine gets back.
+Every live (unreleased) arena is tracked in a process-level registry:
 :func:`live_arena_count` / :func:`live_segment_count` expose it for leak
-regression tests and serve diagnostics, and :func:`release_all_arenas` —
+regression tests, and :func:`release_all_arenas` —
 registered as an :mod:`atexit` backstop — force-releases whatever error
 path dodged both the executor's ``try/finally`` and the arena's
 ``__del__``.  (Forked shard children exit through ``os._exit`` and never
 run the backstop, so a crashing shard cannot unlink segments its parent
-still serves from.)
+still maps.)
 """
 
 from __future__ import annotations
@@ -66,9 +65,7 @@ def release_all_arenas() -> int:
     """Force-release every live arena; returns how many were released.
 
     The :mod:`atexit` backstop for error paths that leak an arena (a
-    crashed serve job, a cancelled request, an executor whose owner never
-    called ``close()``); also callable directly by a server's shutdown
-    path.
+    crashed run, an executor whose owner never called ``close()``).
     """
     with _LIVE_LOCK:
         live = [a for a in _LIVE_ARENAS if not a._released]

@@ -2,11 +2,10 @@
 backend as far as the executor is concerned.
 
 Every consumer of "the list of backends" — the CLI's ``--backend``
-choices, the serve fingerprint, the executor's mode validation — reads
-this registry instead of repeating the literal tuple, and the executor
-asks the row, never the name, for what differs between drivers: where
-instances live, whether shards outlive a launch, which lock a reduction
-fold needs, and the callable that runs a launch.  Adding a backend is
+choices, the executor's mode validation — reads this registry instead of
+repeating the literal tuple, and the executor asks the row, never the
+name, for what differs between drivers: where instances live, which
+lock a reduction fold needs, and the callable that runs a launch.  Adding a backend is
 its row here plus its driver.
 """
 
@@ -45,10 +44,6 @@ class Backend:
     ensure: Callable[[], None] = field(default=_no_check, repr=False)
     # Partition instances are allocated in shared memory.
     shared_instances: bool = False
-    # Shards live in the executor's process, so a resident executor's
-    # frozen plans and sync objects persist across runs; otherwise they
-    # die with each launch's children and are rebuilt per run.
-    resident: bool = True
     # Lock factory for interfering reduction folds: producers are threads
     # of one process unless the row says otherwise.
     lock: Callable = field(default=threading.Lock, repr=False)
@@ -66,14 +61,13 @@ BACKENDS: dict[str, Backend] = {
                 "one forked process per shard over shared-memory instances",
                 launch=_lazy(".procs", "run_shard_launch_procs"),
                 ensure=_lazy(".launch", "ensure_procs_available"),
-                shared_instances=True, resident=False,
+                shared_instances=True,
                 lock=_lazy(".procs", "shared_lock")),
         # The net driver's single-host shape needs fork too, but that
         # check lives in the driver at fork time so worker mode (no
         # fork) stays usable on fork-less platforms.
         Backend("net", "one rank process per shard over a TCP peer mesh",
-                launch=_lazy(".net.driver", "run_shard_launch_net"),
-                resident=False),
+                launch=_lazy(".net.driver", "run_shard_launch_net")),
     )
 }
 

@@ -374,15 +374,7 @@ def drive_stepped(ex, gens: list, states: list) -> None:
 def launch_in_memory(drive: Callable):
     """The launch callable of a backend whose shards share this process."""
     def launch(ex, stmt, spec: LaunchSpec, states: list) -> None:
-        # Sync state is monotone (sequences and collective generations),
-        # so a resident executor's frozen plans stay consistent across
-        # runs as long as the epoch dicts and these objects persist
-        # together.
-        ctx = ex._resident_ctx.get(stmt.uid)
-        if ctx is None:
-            ctx = CommContext(spec, len(states))
-            if ex.retain_plans:
-                ex._resident_ctx[stmt.uid] = ctx
+        ctx = CommContext(spec, len(states))
         drive(ex, [ex._shard_body(stmt.body, st, ctx) for st in states],
               states)
     return launch

@@ -293,6 +293,10 @@ class TreeComm:
         self.redops: dict[str, str | None] = {}
         self._lock = threading.Lock()
         self._states: dict[tuple[str, int], _CollState] = {}
+        # key -> the newest generation this rank has read.  A rank reads
+        # a key's generations in order, so every one up to it is retired
+        # and a contribution to one raises.
+        self._read: dict[str, int] = {}
         self._gather: dict[int, object] = {}
         self._gather_evs = {c: Event() for c in self.children}
 
@@ -305,6 +309,8 @@ class TreeComm:
         return st
 
     def contribute(self, key: str, gen: int, value) -> _NetEvent:
+        if gen <= self._read.get(key, 0):
+            raise RuntimeError(f"contribution to retired generation {gen}")
         return _NetEvent(self._arrive(key, gen, self.rank, value),
                          self.transport)
 
@@ -354,6 +360,7 @@ class TreeComm:
         # interpreter's contract), so the read retires the generation.
         with self._lock:
             st = self._states.pop((key, gen))
+            self._read[key] = gen
         return st.result
 
     # -- final gather ------------------------------------------------------

@@ -195,6 +195,9 @@ class _BoardCollective:
     slots are reset at trigger time, so the state is O(1) per collective
     regardless of how many generations a control loop runs — the
     cross-process counterpart of the in-process generation retirement.
+    A completed generation stays retired: a contribution to it (or to any
+    generation before it) raises instead of folding into the parity slot
+    a later generation reuses.
     """
 
     __slots__ = ("_lock", "_bells", "_partial", "_arrived", "_result",
@@ -219,6 +222,9 @@ class _BoardCollective:
     def contribute(self, generation: int, value: Any | None) -> _BoardEvent:
         s = self._base + (generation & 1)
         with self._lock:
+            if generation <= self._done[self._k]:
+                raise RuntimeError(
+                    f"contribution to retired generation {generation}")
             if value is not None:
                 prev = self._partial.load(s)
                 self._partial.store(

@@ -170,10 +170,10 @@ class _ShardState:
     epochs: dict[int, int] = field(default_factory=dict)
     pending_reductions: dict[str, Any] = field(default_factory=dict)
     # Always-on flight ring (repro.obs.flight): single-writer, bounded.
-    # Unlike the per-run data, the ring deliberately survives
-    # reset_for_run — it is a rolling window over the shard's recent
-    # history, which is exactly what a post-failure dump should show.
-    # The executor reads each launch's records back into its registry.
+    # The ring is the executor's, not the state's, so it outlives every
+    # launch — a rolling window over the shard's recent history, which is
+    # exactly what a post-failure dump should show.  The executor reads
+    # each launch's records back into its registry.
     flight: ShardRing = NULL_RING
     # This launch's window-pipeline pass timings (compile_window), shipped
     # back like the counters and exported by the executor.
@@ -196,7 +196,7 @@ class _ShardState:
     # Inspector plans (Task.bound) of the per-point calls those plans
     # bind, one per distinct (task, argument regions) on this shard.
     plans: dict[tuple, Any] = field(default_factory=dict)
-    # One int attribute per row, zeroed at construction and per run.
+    # One int attribute per row, zeroed at construction.
     COUNTERS: ClassVar[dict] = COUNTERS
 
     def zero_counters(self) -> None:
@@ -210,24 +210,6 @@ class _ShardState:
         self.epochs[uid] = g
         return g
 
-    def reset_for_run(self, scalars: dict[str, Any]) -> None:
-        """Prepare a persistent shard state for another run of its program.
-
-        The per-program *plan* half of this state survives: ``epochs``
-        (frozen window closures captured the dict object, and the sync
-        sequences it indexes are monotone across runs), ``loop_replays``
-        (the frozen ``CompiledWindow`` plans themselves),
-        and ``capture_points``.  The per-run *data* half is replaced:
-        ``scalars`` is swapped as a whole object (plan closures read it as
-        an attribute, never capture the old dict), and every counter and
-        ``window_passes`` restart empty so the executor's post-launch
-        merge reports only this run's work.
-        """
-        self.scalars = scalars
-        self.pending_reductions.clear()
-        self.window_passes = []
-        self.zero_counters()
-
 
 class SPMDExecutor(SequentialExecutor):
     """Execute a control-replicated program across ``num_shards`` shards."""
@@ -236,7 +218,6 @@ class SPMDExecutor(SequentialExecutor):
                  instances=None, validate_replication: bool = True,
                  tracer: Tracer = NULL_TRACER, deadlock_timeout: float = 60.0,
                  metrics: MetricsRegistry = NULL_METRICS,
-                 retain_plans: bool = False,
                  flight: bool = True,
                  flight_capacity: int = _flight.DEFAULT_CAPACITY,
                  flight_dir: str | None = None, net_worker=None):
@@ -307,64 +288,39 @@ class SPMDExecutor(SequentialExecutor):
         # forked shard processes all map them; created on first allocation.
         self._arena = None
         self._dist_frozen = False
-        # Compile-once/serve-many (repro.serve): with retain_plans the
-        # executor becomes resident — distributed instances, intersection
-        # results, reduction locks, sync contexts, and the per-shard
-        # frozen replay plans all survive run() so a repeated run of the
-        # *same* program skips capture and goes straight to replay.  All
-        # of those caches are resolved against one program's partitions
-        # and statement uids, so they are keyed to the program object: a
-        # run() with any other program resets the session first.
-        self.retain_plans = retain_plans
-        self._resident_program = None
-        self._resident_states: dict[int, list[_ShardState]] = {}
-        self._resident_ctx: dict[int, CommContext] = {}
-        self._resident_locks: dict[int, dict[tuple[int, int], Any]] = {}
 
     def run(self, program):
-        if not (self.retain_plans and program is self._resident_program):
-            # A fresh (or different) program re-allocates every distributed
-            # instance, so intersection results, pair sets, reduction
-            # locks, and frozen plans resolved against the old instances
-            # must not leak into this run.
-            self.reset_session()
-            self._resident_program = program if self.retain_plans else None
+        # Every run starts fresh: it re-allocates every distributed
+        # instance, so no intersection result, pair set, lock or plan
+        # resolved against an earlier run's instances may leak into it.
+        self._fresh_session()
         try:
             result = super().run(program)
-            # Flush the flight rings on clean shutdown too, so `repro
-            # top` over a dump directory shows the final iteration's
-            # records, not only crash windows.
+            # Flush the flight rings on clean shutdown too, so a dump
+            # directory holds the final iteration's records, not only
+            # crash windows.
             if self.flight_dir:
                 self.dump_flight()
             return result
         except BaseException as exc:
-            # Failed shards are what the flight recorder exists for: dump
-            # the final window before the resident state is torn down.
+            # Failed shards are what the flight recorder exists for.
             if isinstance(exc, ShardExceptionGroup):
                 self.dump_flight(exc)
-            # A failed run leaves resident state (epochs vs. sync
-            # sequences, partially executed plans) inconsistent; the next
-            # run must rebuild from scratch rather than replay into it.
-            if self.retain_plans:
-                self.reset_session()
             raise
         finally:
-            if not self.retain_plans:
-                # Unlink shared-memory segment names eagerly (mappings —
-                # and therefore the instances — stay valid until process
-                # exit).  Resident executors keep the arena warm; their
-                # owner calls close() when evicting them.
-                self.close()
+            # Unlink shared-memory segment names eagerly (mappings — and
+            # therefore the instances — stay valid until process exit).
+            self.close()
 
     def dump_flight(self, exc: BaseException | None = None,
                     last_s: float | None = None) -> str | None:
         """Dump the flight rings as a Chrome trace; returns the path.
 
         The trace object is also attached to ``exc`` (as
-        ``exc.flight_trace``) so callers that contained the failure — the
-        serve engine, tests — can inspect or persist it without touching
-        the filesystem.  A file is written only when a dump directory is
-        configured (``flight_dir=`` / ``REPRO_FLIGHT_DIR``).
+        ``exc.flight_trace``) so callers that contained the failure can
+        inspect or persist it without touching the filesystem.  A file is
+        written only when a dump directory is configured (``flight_dir=``
+        / ``REPRO_FLIGHT_DIR``).
         """
         if self.flight is None or self.flight.records_total() == 0:
             return None
@@ -399,13 +355,10 @@ class SPMDExecutor(SequentialExecutor):
         drift = export_drift_metrics(self.flight, registry)
         return skew, drift
 
-    def reset_session(self) -> None:
-        """Drop every per-program cache and plan; release the arena.
-
-        After this the executor behaves as if freshly constructed (root
-        ``instances`` and configuration are kept).  Called automatically
-        when ``run()`` sees a different program than the resident one.
-        """
+    def _fresh_session(self) -> None:
+        """Drop every per-run cache and release the arena, so the executor
+        behaves as if freshly constructed (root ``instances`` and
+        configuration are kept)."""
         self.dist.clear()
         self._block_rows.clear()
         self._layouts.clear()
@@ -414,10 +367,6 @@ class SPMDExecutor(SequentialExecutor):
         self._copy_locks.clear()
         self._disjoint_cache.clear()
         self._plans.clear()
-        self._resident_program = None
-        self._resident_states.clear()
-        self._resident_ctx.clear()
-        self._resident_locks.clear()
         self.close()
         self._arena = None
         self._dist_frozen = False
@@ -545,31 +494,12 @@ class SPMDExecutor(SequentialExecutor):
         # exists (and, for forked shards, where they all map it).
         for part in spec.partitions:
             self._layout(part)
-        # Plans persist only where they can: where a launch's shards die
-        # with it, a resident executor still reuses the compiled program,
-        # the warm arena and the intersection results, but re-captures
-        # per run.
-        persistent = self.retain_plans and backend.resident
         # One lock per (reduction copy stmt, dst shard), of the kind the
-        # backend's producers need.  Resident launches must *reuse* the
-        # first launch's locks: frozen plans captured them, and an
-        # interpreted guard-fallback iteration must contend on the same
-        # lock objects the replaying shards hold.
-        locks = self._resident_locks.get(stmt.uid) if persistent else None
-        if locks is None:
-            locks = {key: backend.lock() for key in spec.reduction_dsts}
-            if persistent:
-                self._resident_locks[stmt.uid] = locks
-        self._copy_locks = locks
-        states = self._resident_states.get(stmt.uid) if persistent else None
-        if states is None:
-            states = [_ShardState(shard=x, scalars=dict(self.scalars))
-                      for x in range(ns)]
-            if persistent:
-                self._resident_states[stmt.uid] = states
-        else:
-            for st in states:
-                st.reset_for_run(dict(self.scalars))
+        # backend's producers need.
+        self._copy_locks = {key: backend.lock()
+                            for key in spec.reduction_dsts}
+        states = [_ShardState(shard=x, scalars=dict(self.scalars))
+                  for x in range(ns)]
         if self.flight is not None:
             self.flight.names.update(spec.names)
             for st in states:
@@ -580,12 +510,11 @@ class SPMDExecutor(SequentialExecutor):
         self._merge_scalars(states)
         self._merge_counters(states)
         self._export_metrics(states, bases, self.net_stats)
-        if not persistent:
-            # A finished state and its compiled windows' closures hold each
-            # other; dropping the plans lets refcounting free the run's
-            # instances instead of a later pass of the cyclic gc.
-            for st in states:
-                st.loop_replays.clear()
+        # A finished state and its compiled windows' closures hold each
+        # other; dropping the plans lets refcounting free the run's
+        # instances instead of a later pass of the cyclic gc.
+        for st in states:
+            st.loop_replays.clear()
 
     def _pair_table(self, stmt: PairwiseCopy) -> IntersectionResult:
         """The evaluated pair set ``stmt`` copies over.  A copy with no

@@ -41,19 +41,14 @@ the loop and the pass, and the launch ends like any other shard failure.
 A replayed call checks privileges as an interpreted one does: the views
 are the same objects.
 
-Plan/state separation (compile-once serve-many): everything in this
-module is a per-*program* plan, valid for as long as the executor's
-session (instances, sync objects, epoch dicts, shard states) is alive.
-A :class:`CompiledWindow` is *bound*: its closures capture the exact
-``_ShardState`` object (and its ``epochs`` dict) they were built
-against, so a resident executor must reuse those state objects across
-runs — resetting per-run data in place via ``_ShardState.reset_for_run``
-— rather than rebuild them.  The binding is recorded at build time and
-checked on every replayed iteration; replaying a window against a
-different state raises :class:`ReplayError` instead of silently reading
-stale data.  Frozen plans therefore survive across runs (the basis of
-the ``repro serve`` plan cache), and a program/layout switch must drop
-them via the executor's session reset.
+Lifetime: a compiled window lives exactly as long as the shard launch
+that froze it.  Every run starts fresh, and a launch drops its windows
+after the merge.  A :class:`CompiledWindow` is *bound*: its closures
+capture the exact ``_ShardState`` object (and its ``epochs`` dict) they
+were built against.  The binding is recorded at build time and checked
+on every replayed iteration; replaying a window against any other state
+raises :class:`ReplayError` instead of silently running on the state
+the closures captured.
 """
 
 from __future__ import annotations
@@ -169,9 +164,8 @@ class CompiledWindow:
         self.counter_deltas = tuple((k, v) for k, v in deltas.items() if v)
         self.num_closures = num_closures
         # The shard state whose scalars/epochs the phase closures captured.
-        # A resident executor reuses that state across runs; replaying
-        # against any other state would read stale bindings, so replay()
-        # enforces the identity.
+        # Replaying against any other state would read the bound state's
+        # data, so replay() enforces the identity.
         self.bound_state = None
 
     @classmethod
@@ -245,8 +239,8 @@ class CompiledWindow:
         if state is not self.bound_state:
             raise ReplayError(
                 f"compiled window for loop {self.uid} replayed against a "
-                f"shard state it was not built for; resident executors must "
-                f"reuse shard states (reset_for_run), not rebuild them")
+                f"shard state it was not built for; a window belongs to the "
+                f"shard launch that froze it")
         epochs = state.epochs
         record, loop, perf = state.flight.record, self.uid, time.perf_counter
         for kind, payload in self.phases:

@@ -1,11 +1,10 @@
-"""The metrics registry: instruments, merge, exports, null behavior."""
+"""The metrics registry: instruments, exports, null behavior."""
 
 import numpy as np
 import pytest
 
 from repro.obs import (
     DEFAULT_BUCKETS,
-    SERVE_LATENCY_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -31,9 +30,7 @@ class TestInstruments:
         g.set(4.0)
         g.inc(1.0)
         assert g.value == 5.0
-        other = Gauge()
-        other.set(9.0)
-        g.merge(other)
+        g.set(9.0)
         assert g.value == 9.0
 
     def test_histogram_buckets_and_totals(self):
@@ -56,10 +53,6 @@ class TestInstruments:
         many.observe_many(values)
         assert many.counts == one.counts == [4, 2, 1]
         assert many.count == one.count and many.sum == pytest.approx(one.sum)
-
-    def test_histogram_merge_requires_matching_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram(bounds=(1.0,)).merge(Histogram(bounds=(2.0,)))
 
     def test_quantile_interpolates_within_buckets(self):
         h = Histogram(bounds=(1.0, 2.0, 4.0))
@@ -100,22 +93,12 @@ class TestRegistry:
 
     def test_custom_bucket_edges_round_trip(self):
         m = MetricsRegistry()
-        h = m.histogram("serve_request_seconds",
-                        buckets=SERVE_LATENCY_BUCKETS, cache="hit")
+        h = m.histogram("request_seconds",
+                        buckets=(0.001, 0.002, 0.005, 0.01, 0.1, 1.0, 60.0),
+                        cache="hit")
         for v in (0.0005, 0.015, 0.4, 90.0):
             h.observe(v)
         assert parse_prometheus_text(m.prometheus_text()) == m.flat()
-
-    def test_merge_adds_counters_and_histograms(self):
-        m = MetricsRegistry()
-        m.counter("tasks", shard=0).inc(2)
-        other = MetricsRegistry()
-        other.counter("tasks", shard=0).inc(3)
-        other.histogram("wait", buckets=(0.1, 1.0), shard=0).observe(0.05)
-        m.merge(other)
-        assert m.counter("tasks", shard=0).value == 5
-        h = m.histogram("wait", buckets=(0.1, 1.0), shard=0)
-        assert h.counts[0] == 1 and h.count == 1
 
     def test_prometheus_text_round_trips_exactly(self):
         m = MetricsRegistry()
@@ -162,16 +145,5 @@ class TestNullMetrics:
         assert NULL_METRICS.flat() == {}
         assert not NULL_METRICS.enabled
 
-    def test_merge_is_noop(self):
-        real = MetricsRegistry()
-        real.counter("c").inc()
-        NULL_METRICS.merge(real)
-        assert NULL_METRICS.flat() == {}
-
     def test_default_buckets_cover_microseconds_to_seconds(self):
         assert DEFAULT_BUCKETS[0] <= 1e-6 and DEFAULT_BUCKETS[-1] >= 1.0
-
-    def test_serve_latency_buckets_cover_ms_to_minutes(self):
-        assert SERVE_LATENCY_BUCKETS[0] <= 1e-3
-        assert SERVE_LATENCY_BUCKETS[-1] >= 60.0
-        assert list(SERVE_LATENCY_BUCKETS) == sorted(SERVE_LATENCY_BUCKETS)

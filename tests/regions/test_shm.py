@@ -98,19 +98,31 @@ class TestExecutorArenaLifecycle:
         assert live_segment_count() == segs0
 
     def test_failed_resident_run_releases_arena(self):
-        from repro.core import control_replicate
-        from repro.runtime import SPMDExecutor
+        """A run whose shard raises after the arena was allocated leaks
+        no segment, and the executor runs its next program cleanly."""
+        from repro.core import ProgramBuilder, control_replicate
+        from repro.runtime import ShardExceptionGroup, SPMDExecutor
+        from repro.tasks import R, RW, task
         from tests.conftest import Fig2
         segs0 = live_segment_count()
         fig2 = Fig2(steps=3)
+
+        @task(privileges=[RW("v"), R("v")], name="shm_boom")
+        def boom(Bv, Av):
+            raise ValueError("boom")
+
+        b = ProgramBuilder()
+        with b.for_range("t", 0, 2):
+            b.launch(fig2.TF, fig2.I, fig2.PB, fig2.PA)
+            b.launch(boom, fig2.I, fig2.PB, fig2.PA)
+        bad, _ = control_replicate(b.build(), num_shards=2)
         prog, _ = control_replicate(fig2.build(), num_shards=2)
         ex = SPMDExecutor(num_shards=2, mode="procs",
-                          instances=fig2.fresh_instances(), retain_plans=True)
+                          instances=fig2.fresh_instances())
+        with pytest.raises((ValueError, ShardExceptionGroup)):
+            ex.run(bad)  # one failed shard raises its own error
+        assert live_segment_count() == segs0
         ex.run(prog)
-        assert live_segment_count() == segs0 + 1  # warm arena held
-        with pytest.raises(AttributeError):
-            ex.run(object())
-        # The error path reset the session and released the warm arena.
         assert live_segment_count() == segs0
 
     def test_shm_module_registers_atexit_backstop(self):

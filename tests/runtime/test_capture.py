@@ -96,29 +96,19 @@ class TestFreezeRule:
                                                          monkeypatch):
         """A branch taken on iteration 0 only: freezing what iteration 0
         ran would leave a window whose guard never holds again.  The
-        window is the steady path's; iteration 0 of a second run of the
-        resident executor is its one guard fallback."""
+        window is the steady path's."""
         fig2 = Fig2(steps=1)
 
         def build():
             return branch_program(fig2, 6, 0)
 
-        ex, prog, loop, froze = run(build, fig2, mode,
-                                    monkeypatch=monkeypatch,
-                                    retain_plans=True)
-        try:
-            # Iteration 0 took the branch, 1 and 2 agreed: frozen at the 3rd.
-            assert froze == [[{loop: 3}] * 2]
-            assert (ex.replay_misses, ex.replay_hits) == (3 * 2, 3 * 2)
-            assert ex.replay_guard_fallbacks == 0
-            assert same_as_sequential(ex, fig2, build)
-            ex.run(prog)  # executor totals accumulate over runs
-            assert ex.window_compiles == 2
-            assert ex.replay_guard_fallbacks == 1 * 2
-            assert (ex.replay_misses, ex.replay_hits) == (4 * 2, 8 * 2)
-            assert same_as_sequential(ex, fig2, build, runs=2)
-        finally:
-            ex.reset_session()
+        ex, _, loop, froze = run(build, fig2, mode, monkeypatch=monkeypatch)
+        # Iteration 0 took the branch, 1 and 2 agreed: frozen at the 3rd.
+        assert froze == [[{loop: 3}] * 2]
+        assert (ex.replay_misses, ex.replay_hits) == (3 * 2, 3 * 2)
+        assert ex.window_compiles == 2
+        assert ex.replay_guard_fallbacks == 0
+        assert same_as_sequential(ex, fig2, build)
 
 
 APPS = {

@@ -218,6 +218,43 @@ class TestRetiredGenerations:
         assert peak == 1
         assert c._retired_below == 1000 and not c._retired_above
 
+    @pytest.mark.skipif(not procs_available(), reason="needs fork")
+    def test_procs_board_collective_rejects_a_retired_generation(self):
+        """``procs``: a completed generation's parity slot is reused two
+        generations on, so a late contribution raises instead of folding
+        into it."""
+        from repro.runtime.launch import LaunchSpec
+        from repro.runtime.procs import BoardContext
+        ctx = BoardContext(LaunchSpec(collectives=[("s", "+", None)]), 2)
+        ctx.bind(0)
+        c = ctx.collectives["s"]
+        c.contribute(1, 1.0)
+        assert c.contribute(1, 2.0).is_set()
+        assert c.result(1) == 3.0
+        with pytest.raises(RuntimeError, match="retired generation 1"):
+            c.contribute(1, 4.0)
+        c.contribute(2, 1.0)
+        c.contribute(2, 1.0)
+        with pytest.raises(RuntimeError, match="retired generation 1"):
+            c.contribute(1, 4.0)  # would fold into generation 3's slot
+        assert c.result(2) == 2.0
+
+    def test_net_tree_comm_rejects_a_read_generation(self):
+        """``net``: reading a result pops its state, so a late
+        contribution raises instead of starting the generation afresh."""
+        from types import SimpleNamespace
+
+        from repro.runtime.net.sync import TreeComm
+        tree = TreeComm(SimpleNamespace(rank=0), 1)
+        tree.redops["c:s"] = "+"
+        assert tree.contribute("c:s", 1, 5.0).is_set()
+        assert tree.result("c:s", 1) == 5.0
+        with pytest.raises(RuntimeError, match="retired generation 1"):
+            tree.contribute("c:s", 1, 5.0)
+        assert not tree._states
+        assert tree.contribute("c:s", 2, 1.0).is_set()
+        assert tree.result("c:s", 2) == 1.0
+
 
 BACKENDS = ["stepped", "threaded"] + (
     ["procs", "net"] if procs_available() else [])
@@ -287,20 +324,28 @@ def _barrier_problem(app):
 
 def _copy_epochs(problem, ns):
     """Per barrier-mode copy uid, the epochs each shard ran it, read from
-    a stepped run that keeps its shard states; and that run."""
+    the shard states of a stepped run's one launch; and the contributions
+    to each (collective, generation)."""
+    from repro.runtime import launch as launch_mod
     counts = Counter()
     contribute = DynamicCollective.contribute
+    launch_stepped = launch_mod.launch_stepped
+    launched = []
 
     def spy(self, generation, value):
         counts[self.label, generation] += 1
         return contribute(self, generation, value)
 
+    def keep_states(ex, stmt, spec, states):
+        launched.append(states)
+        return launch_stepped(ex, stmt, spec, states)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(DynamicCollective, "contribute", spy)
+        mp.setattr(launch_mod, "launch_stepped", keep_states)
         _, _, ex, _ = problem.run_control_replicated(
-            ns, mode="stepped", sync="barrier",
-            executor_kw={"retain_plans": True})
-    (states,) = ex._resident_states.values()
+            ns, mode="stepped", sync="barrier")
+    (states,) = launched
     copies = [uid for uid, name in ex.flight.names.items()
               if name.startswith("copy:")]
     epochs = {uid: states[0].epochs[uid] for uid in copies}

@@ -132,18 +132,6 @@ class TestCallCounts:
                                  sum(r.volume for r in owned)))
         assert log.calls() == sorted(expected)
 
-    @pytest.mark.parametrize("mode", ["stepped", "threaded"])
-    def test_second_run_of_a_resident_executor_inspects_nothing(self, mode):
-        p, log = stencil(5)
-        ex, prog = run_cr(p, 2, mode, retain_plans=True)
-        try:
-            before, misses = log.calls(), ex.replay_misses
-            ex.run(prog)
-            assert ex.replay_misses == misses  # executor totals accumulate
-            assert log.calls() == before
-        finally:
-            ex.reset_session()
-
     def test_guard_fallback_reinspects_at_most_once(self):
         fig2 = Fig2(steps=1)
         h = fig2.h

@@ -183,7 +183,7 @@ class TestCounterTable:
 
         st = Counted(shard=0, scalars={})
         st.epochs_taken = st.tasks_executed = 5
-        st.reset_for_run({})
+        st.zero_counters()
         assert st.epochs_taken == 0 and st.tasks_executed == 0
 
 

@@ -9,6 +9,7 @@ from repro.apps.stencil import StencilProblem
 from repro.core import ProgramBuilder, control_replicate
 from repro.core.ir import BinOp, Const, ScalarRef
 from repro.obs import Tracer
+from repro.obs.flight import COMPILE
 from repro.runtime import (
     ReplicationDivergence,
     SequentialExecutor,
@@ -16,6 +17,7 @@ from repro.runtime import (
     procs_available,
 )
 from repro.runtime.spmd import _ShardState
+from repro.tasks import R, RW, task
 
 from tests.conftest import Fig2, interpreted_iterations
 
@@ -274,9 +276,8 @@ class TestRepeatedRun:
 
 
 def _install_roots(ex, problem):
-    """Load a problem's freshly initialized roots into a live executor,
-    in place where the instance already exists (resident plans hold
-    references to those exact arrays)."""
+    """Load a problem's freshly initialized roots into an executor's root
+    instances, overwriting in place any an earlier run left there."""
     for uid, inst in problem.fresh_instances().items():
         dst = ex.instances.get(uid)
         if dst is None:
@@ -286,103 +287,92 @@ def _install_roots(ex, problem):
                 dst.fields[field][...] = arr
 
 
-class TestResidentExecutor:
-    """Compile-once serve-many: ``retain_plans=True`` keeps frozen plans."""
+def _fig2_with_boom(fig2, boom):
+    """Fig. 2 whose TF raises at iteration ``boom["at"]`` (never when it
+    is None), so one program object can fail a run and then pass one."""
+    @task(privileges=[RW("v"), R("v")], name="TF")
+    def TF(Bv, Av, t):
+        if t == boom["at"]:
+            raise ValueError("boom")
+        Bv.write("v")[:] = np.sin(Av.read("v")) + 1.0
 
-    @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_warm_run_replays_without_capture(self, mode):
-        fig2 = Fig2(steps=6)
-        seq = SequentialExecutor(instances=fig2.fresh_instances())
-        seq.run(fig2.build())
-        seq.run(fig2.build())
-        prog, _ = control_replicate(fig2.build(), num_shards=4)
-        spmd = SPMDExecutor(num_shards=4, mode=mode,
-                            instances=fig2.fresh_instances(),
-                            retain_plans=True)
-        try:
-            spmd.run(prog)
-            misses = spmd.replay_misses
-            compiles = spmd.window_compiles
-            isects = spmd.intersections_computed
-            spmd.run(prog)
-            for uid in (fig2.A.uid, fig2.B.uid):
-                assert np.array_equal(spmd.instances[uid].fields["v"],
-                                      seq.instances[uid].fields["v"])
-            # Resident warm run: plans, intersections, and distributed
-            # instances are reused — no re-capture, no re-compile.  The
-            # procs driver forks fresh shard processes per launch, so it
-            # re-captures (its capture state dies with the children) but
-            # still reuses intersections and the warm arena.
-            assert spmd.intersections_computed == isects
-            if mode != "procs":
-                assert spmd.replay_misses == misses
-                assert spmd.window_compiles == compiles
-                assert spmd.replay_hits > misses
-        finally:
-            spmd.reset_session()
+    b = ProgramBuilder("fig2_boom")
+    b.let("T", fig2.steps)
+    with b.for_range("t", 0, "T"):
+        b.launch(TF, fig2.I, fig2.PB, fig2.PA, ScalarRef("t"))
+        b.launch(fig2.TG, fig2.I, fig2.PA, fig2.QB)
+    return b.build()
+
+
+class TestResidentExecutor:
+    """One executor kept across runs: every run starts fresh, so nothing
+    an earlier run resolved, froze or left half done reaches the next."""
 
     @pytest.mark.parametrize("mode", ["stepped", "threaded"])
     def test_program_switch_resets_stale_plans(self, mode):
-        # Satellite regression (extends test_double_run_matches_sequential):
-        # one resident executor serving back-to-back *different* apps must
-        # never replay plans or intersections captured for the other
-        # program/layout.
+        # One executor running back-to-back *different* apps must never
+        # replay plans or intersections of the other program/layout.
         fig2 = Fig2(steps=4)
         circuit = CircuitProblem(pieces=4, nodes_per_piece=10,
                                  wires_per_piece=15, steps=3)
         prog_a, _ = control_replicate(fig2.build(), num_shards=4)
         prog_b, _ = control_replicate(circuit.build_program(), num_shards=4)
         ex = SPMDExecutor(num_shards=4, mode=mode,
-                          instances=fig2.fresh_instances(), retain_plans=True)
-        try:
-            ex.run(prog_a)
-            isects_a = ex.intersections_computed
-            assert len(ex._isect_cache) > 0
+                          instances=fig2.fresh_instances())
+        ex.run(prog_a)
+        isects_a = ex.intersections_computed
+        assert len(ex._isect_cache) > 0
 
-            _install_roots(ex, circuit)
-            ex.run(prog_b)
-            # The program switch reset the session: the circuit's
-            # intersections were computed anew, not replayed from the
-            # stencil's cache.
-            assert ex.intersections_computed > isects_a
-            seq_state, _, _ = circuit.run_sequential()
-            state = circuit.extract_state(ex.instances)
-            for k in seq_state:
-                assert np.allclose(state[k], seq_state[k],
-                                   rtol=1e-11, atol=1e-13)
+        _install_roots(ex, circuit)
+        ex.run(prog_b)
+        # The circuit's intersections were computed anew, not read from
+        # the stencil's cache.
+        assert ex.intersections_computed > isects_a
+        seq_state, _, _ = circuit.run_sequential()
+        state = circuit.extract_state(ex.instances)
+        for k in seq_state:
+            assert np.allclose(state[k], seq_state[k],
+                               rtol=1e-11, atol=1e-13)
 
-            # And back again: the first program's plans were dropped too.
-            _install_roots(ex, fig2)
-            isects_b = ex.intersections_computed
-            ex.run(prog_a)
-            assert ex.intersections_computed > isects_b
-            seq = SequentialExecutor(instances=fig2.fresh_instances())
-            seq.run(fig2.build())
-            for uid in (fig2.A.uid, fig2.B.uid):
-                assert np.array_equal(ex.instances[uid].fields["v"],
-                                      seq.instances[uid].fields["v"])
-        finally:
-            ex.reset_session()
+        # And back again: the first program's intersections are
+        # recomputed, and its run is the sequential one.
+        _install_roots(ex, fig2)
+        isects_b = ex.intersections_computed
+        ex.run(prog_a)
+        assert ex.intersections_computed - isects_b == isects_a
+        seq = SequentialExecutor(instances=fig2.fresh_instances())
+        seq.run(fig2.build())
+        for uid in (fig2.A.uid, fig2.B.uid):
+            assert np.array_equal(ex.instances[uid].fields["v"],
+                                  seq.instances[uid].fields["v"])
 
     def test_failed_run_resets_resident_state(self):
+        """A shard failure after the loop froze leaves nothing the next
+        run of the same program replays into: it re-captures, recompiles
+        and recomputes its intersections, and ends where the sequential
+        run does."""
         fig2 = Fig2(steps=4)
-        prog, _ = control_replicate(fig2.build(), num_shards=2)
+        boom = {"at": 2}
+        prog, _ = control_replicate(_fig2_with_boom(fig2, boom),
+                                    num_shards=2)
         ex = SPMDExecutor(num_shards=2, mode="stepped",
-                          instances=fig2.fresh_instances(), retain_plans=True)
-        try:
-            ex.run(prog)
-            assert ex._resident_program is prog
-            with pytest.raises(AttributeError):
-                ex.run(object())  # not a program at all
-            # The failed run tore the session down; nothing stale remains.
-            assert ex._resident_program is None
-            assert not ex._resident_states and not ex._isect_cache
-            # A subsequent run of the real program rebuilds from scratch.
-            _install_roots(ex, fig2)
-            ex.run(prog)
-            seq = SequentialExecutor(instances=fig2.fresh_instances())
-            seq.run(fig2.build())
-            assert np.array_equal(ex.instances[fig2.A.uid].fields["v"],
-                                  seq.instances[fig2.A.uid].fields["v"])
-        finally:
-            ex.reset_session()
+                          instances=fig2.fresh_instances())
+        with pytest.raises(ValueError, match="boom"):
+            ex.run(prog)  # iteration 2 is a replayed one
+        # The failing launch froze its loop first (its counters die with
+        # it; its rings do not).
+        for shard in range(2):
+            assert COMPILE in ex.flight.ring(shard).snapshot()["kind"]
+        misses, compiles = ex.replay_misses, ex.window_compiles
+        isects = ex.intersections_computed
+        boom["at"] = None
+        _install_roots(ex, fig2)
+        ex.run(prog)
+        assert ex.replay_misses - misses == interpreted_iterations() * 2
+        assert ex.window_compiles - compiles == 2
+        assert ex.intersections_computed - isects == isects
+        seq = SequentialExecutor(instances=fig2.fresh_instances())
+        seq.run(fig2.build())
+        for uid in (fig2.A.uid, fig2.B.uid):
+            assert np.array_equal(ex.instances[uid].fields["v"],
+                                  seq.instances[uid].fields["v"])

@@ -292,6 +292,28 @@ class TestVerifierFailure:
         assert multiprocessing.active_children() == []
 
 
+class TestBoundState:
+    def test_replay_against_another_shard_state_raises(self, monkeypatch):
+        """A window's closures captured the state it was built against;
+        replaying it against any other raises instead of running."""
+        build = window_exec.CompiledWindow.build.__func__
+        built = []
+
+        def spy(cls, *args, **kw):
+            built.append(build(cls, *args, **kw))
+            return built[-1]
+
+        monkeypatch.setattr(window_exec.CompiledWindow, "build",
+                            classmethod(spy))
+        fig2 = Fig2(steps=3)
+        prog, _ = control_replicate(fig2.build(), num_shards=2)
+        SPMDExecutor(num_shards=2, instances=fig2.fresh_instances()).run(prog)
+        first, second = built
+        assert first.bound_state is not second.bound_state
+        with pytest.raises(ReplayError, match="not built for"):
+            next(first.replay(second.bound_state))
+
+
 def _one_copy_spec():
     """A hand-built launch spec: one copy statement over 6 x 6 colours.
     Under three shards, colours 0-1 live on shard 0, 2-3 on shard 1 and
@@ -1238,8 +1260,7 @@ class TestFreezeCost:
         # A guard-fallback iteration runs under a recorder too, with the
         # batches its launch lowered: after the freeze, a statement that
         # already ran lowers nothing on a miss (the one inside the branch
-        # lowers at its first run), in this run or in a resident
-        # executor's next one.
+        # lowers at its first run).
         del batches[:], lowered[:]
         fig2 = Fig2(steps=1)
         prog, _ = control_replicate(
@@ -1248,8 +1269,7 @@ class TestFreezeCost:
         copy_uids = {s.uid for s in walk(prog.body)
                      if isinstance(s, PairwiseCopy)}
         copies = len(copy_uids)
-        ex = SPMDExecutor(num_shards=2, instances=fig2.fresh_instances(),
-                          retain_plans=True)
+        ex = SPMDExecutor(num_shards=2, instances=fig2.fresh_instances())
         ran, misses = set(), []
         exec_copy = SPMDExecutor._exec_copy
 
@@ -1269,17 +1289,11 @@ class TestFreezeCost:
                 ev = next(gen, gen)
 
         monkeypatch.setattr(SPMDExecutor, "_exec_copy", watching)
-        try:
-            ex.run(prog)
-            assert ex.replay_guard_fallbacks == 2  # t == 5, on each shard
-            assert len(set(lowered)) == len(lowered)
-            assert len(batches) == copies * 2
-            ex.run(prog)
-            assert ex.replay_guard_fallbacks == 2 * 2
-            assert misses and misses == [0] * len(misses)
-            assert len(batches) == copies * 2
-        finally:
-            ex.reset_session()
+        ex.run(prog)
+        assert ex.replay_guard_fallbacks == 2  # t == 5, on each shard
+        assert len(set(lowered)) == len(lowered)
+        assert len(batches) == copies * 2
+        assert misses and misses == [0] * len(misses)
 
     @pytest.mark.parametrize("app", sorted(APPS))
     def test_batched_lowering_matches_per_pair(self, app, monkeypatch):
