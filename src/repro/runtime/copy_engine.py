@@ -27,14 +27,15 @@ moves.  This module owns the issue side, once for every consumer of it:
   group is one :class:`FusedCopy` — one gather and one scatter per field
   — and the groups make one :class:`FusedBatch`.  A shard's source
   colours sit in its one source block, so a statement costs at most
-  ``dst blocks × 2`` items whatever its colour count.  The executor
-  builds the batch the first time the shard runs the statement in a
-  launch and keeps it for the launch: the interpreter applies it, the
-  iteration recorder stores it as the statement's one ``fused`` op, and
-  a compiled window replays that same object.  The ``net`` backend's
-  send gathers and receive scatters place their pairs with the same
-  :func:`place_rows`; launch-entry and launch-exit copies (root instance
-  to blocks and back) are one :class:`FusedCopy` per shard block.
+  ``dst blocks × 2`` items whatever its colour count.  The batch is
+  planned before the shard's first statement
+  (:func:`repro.runtime.launch_plan.plan_shard`) and kept for the launch:
+  the interpreter applies it, the iteration recorder stores it as the
+  statement's one ``fused`` op, and a compiled window replays that same
+  object.  The ``net`` backend's send gathers and receive scatters select
+  and place their pairs with the same :func:`place_pairs`; launch-entry
+  and launch-exit copies (root instance to blocks and back) are one
+  :class:`FusedCopy` per shard block.
 
 * **Repeated slots.**  A pair's points are distinct, so a slot repeats in
   a group only across pairs; one sort of the group's runs finds whether
@@ -76,8 +77,8 @@ from ..regions.region import _REDUCTION_UFUNCS
 
 __all__ = ["BlockLayout", "FusedBatch", "FusedCopy", "PlacedRows",
            "apply_root_copy", "disjoint_dst_colors", "field_width",
-           "footprint_of", "lower_copy", "place_rows", "receive_plan",
-           "send_gathers"]
+           "footprint_of", "lower_copy", "place_pairs", "place_rows",
+           "receive_plan", "send_gathers"]
 
 
 def _as_index(slots: np.ndarray):
@@ -143,6 +144,21 @@ def place_rows(layout: BlockLayout, colours: np.ndarray, nrows: np.ndarray,
     return PlacedRows(first, block_of,
                       [layout.blocks[b] for b in distinct.tolist()],
                       colours, layout.arrays)
+
+
+def place_pairs(table, idx: np.ndarray, src: BlockLayout | None = None,
+                dst: BlockLayout | None = None):
+    """The one select-and-place step of a copy's pairs ``idx`` (indices
+    into its :class:`~repro.regions.interval_join.PairTable` ``table``,
+    in pair order), for the in-memory batch, a send and a receive alike:
+    ``(source rows, destination rows, row lengths, rows per pair)``, a
+    side placed on its layout when one is given, else ``None``."""
+    nrows, ivals = table.select(idx)
+    return (None if src is None else place_rows(src, table.src[idx], nrows,
+                                                ivals),
+            None if dst is None else place_rows(dst, table.dst[idx], nrows,
+                                                ivals),
+            ivals[:, 1] - ivals[:, 0], nrows)
 
 
 def footprint_of(side: PlacedRows, fields, members=slice(None)) -> set:

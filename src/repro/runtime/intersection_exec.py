@@ -66,26 +66,26 @@ class IntersectionResult:
         """The non-empty pairs in order (the table's, sorted)."""
         return list(self.table)
 
-    def split(self, produced: range, local, dst_owner: np.ndarray):
+    def split(self, produced: range, local: np.ndarray,
+              dst_owner: np.ndarray):
         """A copy's pairs issued by the shard that produces the source
         colours ``produced``: ``(copies, visits, sends)``.  ``copies``
         are the table indices of its non-empty pairs into destination
-        colours that ``local`` (a mask of a colour array) marks, in pair
-        order; ``visits`` counts its pairs into those, empty ones
-        included; ``sends`` is one ``(peer, indices, visits)`` per other
-        destination shard (``dst_owner[j]``), in order of first
+        colours that ``local`` (a mask over the destination colours)
+        marks, in pair order; ``visits`` counts its pairs into those,
+        empty ones included; ``sends`` is one ``(peer, indices, visits)``
+        per other destination shard (``dst_owner[j]``), in order of first
         appearance."""
         table = self.table
         mine = table.src_range(produced.start, produced.stop)
-        here = local(table.dst[mine])
+        here = local[table.dst[mine]]
         remote = mine[~here]
         peer_of = dst_owner[table.dst[remote]]
         if self.all_pairs:
             # Every (i, j) is visited, empty or not, and in (i, j) order
             # the peers first appear in ascending order.
-            here_dst = local(np.arange(self.dst.num_colors))
-            visits = len(produced) * int(here_dst.sum())
-            per_peer = len(produced) * np.bincount(dst_owner[~here_dst])
+            visits = len(produced) * int(local.sum())
+            per_peer = len(produced) * np.bincount(dst_owner[~local])
             peers = np.flatnonzero(per_peer)
         else:
             visits = int(here.sum())

@@ -43,8 +43,6 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as wait_any
 from typing import Any, Callable, Iterator
 
-import numpy as np
-
 from ..core.ir import (FillReductionBuffer, IndexLaunch, PairwiseCopy,
                        ScalarCollective, walk)
 from ..core.shards import channel_keys
@@ -203,18 +201,31 @@ class CommContext:
 
     ``channels[copy uid][(p, q)]`` is the :class:`Channel` from producer
     shard ``p`` to consumer shard ``q`` (one per spec channel key, in
-    spec order), ``collectives[key]`` the generational all-reduce of
-    each spec collective, a barrier being one with no redop.  Subclasses
-    override the two factories (and the operations below) and nothing
-    else; this class builds plain in-process objects.
+    spec order); ``outbound[copy uid][p]`` is ``{q: channel}`` of the
+    ones ``p`` produces into and ``inbound[copy uid][q]`` ``{p:
+    channel}`` of the ones ``q`` consumes from, in the same order, so a
+    shard's plan reads its own channels without scanning the others'.
+    ``collectives[key]`` is the generational all-reduce of each spec
+    collective, a barrier being one with no redop.  Subclasses override
+    the two factories (and the operations below) and nothing else; this
+    class builds plain in-process objects.
     """
+
+    # Whether a copy's pairs between two shards travel as messages
+    # (send, on a context that builds them in bind_plan) rather than as
+    # in-memory copies.
+    messages = False
 
     def __init__(self, spec: LaunchSpec, num_shards: int):
         self.num_shards = num_shards
         cid = 0
         self.channels: dict[int, dict[tuple[int, int], Channel]] = {}
+        self.outbound: dict[int, dict[int, dict[int, Channel]]] = {}
+        self.inbound: dict[int, dict[int, dict[int, Channel]]] = {}
         for stmt in spec.copies:
             chans = self.channels[stmt.uid] = {}
+            out = self.outbound[stmt.uid] = {}
+            into = self.inbound[stmt.uid] = {}
             for key in spec.channels[stmt.uid]:
                 chan = self._channel(stmt, key, cid)
                 cid += 1
@@ -223,6 +234,8 @@ class CommContext:
                     chan.ack_label = f"copy{stmt.uid}:ack({p},{q})"
                     chan.ready_label = f"copy{stmt.uid}:ready({p},{q})"
                     chans[key] = chan
+                    out.setdefault(p, {})[q] = chan
+                    into.setdefault(q, {})[p] = chan
         self.collectives = {}
         for key, redop, copy in spec.collectives:
             coll = self.collectives[key] = self._collective(key, redop, copy)
@@ -243,17 +256,14 @@ class CommContext:
         for seq in seqs:
             seq.advance_to(n)
 
-    def is_local(self, stmt, j: np.ndarray) -> np.ndarray:
-        """Per destination colour in ``j``, whether ``stmt``'s copies
-        into it from the calling shard are in-memory copies."""
-        return np.ones(j.shape, dtype=bool)
+    def bind_plan(self, plan) -> None:
+        """Build what the calling shard's messages need from its
+        :class:`~repro.runtime.launch_plan.ShardPlan`, before its first
+        statement (nothing, when no pair is a message)."""
 
-    def send_pairs(self, stmt, peer: int, pairs, visits: int, state,
-                   rec) -> None:
-        """Deliver all of ``stmt``'s pair copies from the calling shard to
-        shard ``peer``, whose destinations are not local, as one send:
-        ``pairs`` are the non-empty ones (indices into the statement's
-        pair table, in pair order), of ``visits`` pairs in all."""
+    def send(self, stmt, state, rec) -> None:
+        """Deliver ``stmt``'s pair copies from the calling shard to every
+        peer shard its plan sends to, one message each."""
         raise NotImplementedError("every pair of this context is local")
 
 
@@ -375,8 +385,7 @@ def launch_in_memory(drive: Callable):
     """The launch callable of a backend whose shards share this process."""
     def launch(ex, stmt, spec: LaunchSpec, states: list) -> None:
         ctx = CommContext(spec, len(states))
-        drive(ex, [ex._shard_body(stmt.body, st, ctx) for st in states],
-              states)
+        drive(ex, [ex._run_shard(stmt, st, ctx) for st in states], states)
     return launch
 
 

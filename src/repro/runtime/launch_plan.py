@@ -1,14 +1,29 @@
-"""One launch plan: an index launch lowered once per shard.
+"""One shard plan: a shard's launch body lowered before its first statement.
 
-A shard lowers each :class:`~repro.core.ir.IndexLaunch` the first time it
-reaches it, to one :class:`LaunchPlan`: its owned point tasks as calls
-whose views are built and whose bodies are bound to their inspector plans
-(:meth:`~repro.tasks.task.Task.bound`) at that moment.  The statement
-interpreter runs the plan's calls, the recorder records the plan, and a
-compiled window replays that same object — so an inspector runs once per
-(statement, shard), never again in the window compiler or in replay.
+:func:`plan_shard` runs at the top of every shard's driver body — the
+stepped generator, the threaded thread, the forked ``procs`` child, the
+``net`` rank — and maps each statement uid of the launch body to its
+lowered form, branches never taken included (an inspector sees geometry
+only, so planning one runs nothing).  The interpreter and the window
+compiler only read the :class:`ShardPlan`; neither lowers anything.
 
-A plan holds one of two forms:
+* an :class:`~repro.core.ir.IndexLaunch` becomes one :class:`LaunchPlan`:
+  its owned point tasks as calls whose views are built and whose bodies
+  are bound to their inspector plans (:meth:`~repro.tasks.task.Task.bound`)
+  at planning time.  The statement interpreter runs the plan's calls, the
+  recorder records the plan, and a compiled window replays that same
+  object — so an inspector runs once per (statement, shard), never again
+  in the window compiler or in replay;
+* a :class:`~repro.core.ir.PairwiseCopy` becomes one :class:`CopyPlan`:
+  its in-memory pairs lowered to one
+  :class:`~repro.runtime.copy_engine.FusedBatch`, its sends and receives
+  as pair-table indices, what each handshake phase touches and the
+  arrays the handshake protects;
+* a :class:`~repro.core.ir.FillReductionBuffer` becomes its
+  ``(array, value)`` fills, and a
+  :class:`~repro.core.ir.ScalarCollective` the launch's collective.
+
+A launch plan holds one of two forms:
 
 * **batched** — one body call over the shard's block rows, when the task
   is declared ``batchable`` (see :class:`repro.tasks.task.Task`), the
@@ -31,15 +46,23 @@ that exceeds its privileges fails the same way interpreted or replayed.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+import time
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from ..core.ir import IndexLaunch, RegionArg, evaluate
+from ..core.ir import (FillReductionBuffer, IndexLaunch, PairwiseCopy,
+                       RegionArg, ScalarCollective, evaluate, walk)
+from ..core.shards import color_owners, shard_owned_colors
+from ..obs import flight as _flight
+from ..regions.region import reduction_identity
 from ..tasks.views import PlacedView
 from .collectives import SCALAR_REDUCTIONS
+from .copy_engine import (FusedBatch, disjoint_dst_colors, lower_copy,
+                          place_pairs)
 
-__all__ = ["BatchedView", "LaunchPlan", "lower_launch"]
+__all__ = ["BatchedView", "CopyPlan", "LaunchPlan", "ShardPlan",
+           "fold_keys", "lower_launch", "plan_shard"]
 
 _EMPTY_ENV: dict[str, Any] = {}
 
@@ -267,3 +290,146 @@ def lower_launch(stmt: IndexLaunch, owned, instance_of: Callable,
         views = [args[pos] for pos in region_pos]
         calls.append(_Call(task.bound(views, plans), args, dynamic, i, 1))
     return LaunchPlan(stmt, calls, len(points), footprint)
+
+
+class CopyPlan(NamedTuple):
+    """One shard's side of one copy statement for the launch: its
+    in-memory pairs lowered to one
+    :class:`~repro.runtime.copy_engine.FusedBatch`; on a context whose
+    cross-shard pairs are messages, its sends as ``(peer, pair-table
+    indices of the non-empty pairs, pairs visited)`` and receives as
+    ``(producer, pair-table indices)``, which the context places on
+    ``table`` and the layouts ``src``/``dst``; the ids of the arrays its
+    handshake protects (its owned destination instances: fission's
+    footprint); and what each handshake phase touches, in the shapes the
+    recorder stores — or, in barrier mode, its ``pre`` and ``post``
+    collectives (§3.4's WAR and RAW barriers)."""
+
+    stmt: PairwiseCopy
+    table: Any
+    src: Any
+    dst: Any
+    batch: FusedBatch
+    sends: tuple = ()
+    receives: tuple = ()
+    protect: frozenset = frozenset()
+    ack_advances: tuple = ()
+    ack_waits: tuple = ()
+    ready_advances: tuple = ()
+    ready_waits: tuple = ()
+    rendezvous: tuple = ()
+
+
+class ShardPlan(NamedTuple):
+    """One shard's lowered launch body: ``steps`` maps the uid of every
+    index launch, copy, reduction-buffer fill and scalar collective in
+    it to its :class:`LaunchPlan`, :class:`CopyPlan`, ``((array, value),
+    ...)`` fills or collective; ``ctx`` is the launch context they name."""
+
+    ctx: Any
+    steps: dict
+
+
+def fold_keys(stmt: PairwiseCopy, table, ns: int, locked: bool):
+    """Per destination colour of the reduction copy ``stmt``, the shard
+    whose fold lock a fold into it takes, or -1 (no lock) where its
+    inbound contributions are disjoint across producer shards — a pure
+    function of the evaluated pair table ``table``, so a launch computes
+    it once for every shard; ``locked`` keeps every lock."""
+    key = color_owners(stmt.dst.num_colors, ns)
+    if not locked:
+        key[list(disjoint_dst_colors(table, stmt.src.num_colors, ns))] = -1
+    return key
+
+
+def _fold_locks(ex, stmt: PairwiseCopy, j: np.ndarray):
+    """``(lock_of, locks)``: pair ``p`` into destination colour ``j[p]``
+    folds under ``locks[lock_of[p]]`` — the launch's lock of its
+    destination colour's fold key, or ``None`` (no lock) for a plain copy
+    or a key of -1."""
+    if stmt.redop is None:
+        return np.zeros(j.size, dtype=np.int64), [None]
+    keys, lock_of = np.unique(ex._fold_keys[stmt.uid][j], return_inverse=True)
+    return lock_of.reshape(-1), [
+        None if q < 0 else ex._copy_locks[(stmt.uid, q)]
+        for q in keys.tolist()]
+
+
+def plan_copy(ex, stmt: PairwiseCopy, shard: int, ctx) -> CopyPlan:
+    """Shard ``shard``'s :class:`CopyPlan` of ``stmt`` under the launch
+    context ``ctx``, whose channel indexes name its handshake."""
+    ns, uid = ctx.num_shards, stmt.uid
+    res = ex._pair_table(stmt)
+    table, src, dst = res.table, ex._layout(stmt.src), ex._layout(stmt.dst)
+    dst_owner = color_owners(stmt.dst.num_colors, ns)
+    # The destination colours whose pairs from this shard are in-memory.
+    local = (dst_owner == shard if ctx.messages
+             else np.ones(dst_owner.size, dtype=bool))
+    copies, visits, sends = res.split(
+        shard_owned_colors(stmt.src.num_colors, ns, shard), local, dst_owner)
+    placed = place_pairs(table, copies, src, dst)
+    lock_of, locks = _fold_locks(ex, stmt, table.dst[copies])
+    batch = lower_copy(uid, stmt.fields, stmt.redop, *placed, lock_of, locks,
+                       visits)
+    owned = shard_owned_colors(stmt.dst.num_colors, ns, shard)
+    # This shard's channels, {peer: channel} in spec order.
+    out = ctx.outbound[uid].get(shard, {})
+    into = ctx.inbound[uid].get(shard, {})
+    receives = ()
+    if ctx.messages:
+        mine = table.dst_range(owned.start, owned.stop)
+        producer = color_owners(stmt.src.num_colors, ns)[table.src[mine]]
+        receives = tuple((p, mine[producer == p]) for p in into)
+    plan = CopyPlan(stmt, table, src, dst, batch, sends, receives)
+    if stmt.sync_mode == "p2p":
+        out, into = out.values(), into.values()
+        return plan._replace(
+            protect=frozenset(id(arr) for j in res.written(owned)
+                              for arr in dst.arrays[j].values()),
+            ack_advances=tuple(c.acked for c in into),
+            ack_waits=tuple((c.acked, c.ack_label) for c in out),
+            ready_advances=tuple(c.ready for c in out),
+            ready_waits=tuple((c.ready, c.ready_label) for c in into))
+    if stmt.sync_mode == "barrier":
+        return plan._replace(rendezvous=(ctx.collectives[f"pre:{uid}"],
+                                         ctx.collectives[f"post:{uid}"]))
+    return plan
+
+
+def plan_shard(body, shard: int, ex, ctx, flight) -> ShardPlan:
+    """Lower every statement of the launch body ``body`` for ``shard``,
+    taken branch or not, against the executor ``ex`` (its evaluated pair
+    sets, instances, block layouts and the launch's fold locks) and the
+    launch context ``ctx``.  A lowering that raises — an inspector, say
+    — writes a TASK record under its launch's uid to ``flight`` first,
+    the record the post-mortem flight dump exists to show."""
+    ns = ctx.num_shards
+    steps: dict = {}
+    inspected: dict = {}  # this shard's inspector memo (Task.bound)
+    # Launches last, each kind in walk order: an inspector's scratch
+    # lives as long as the plan and a copy lowering's temporaries do
+    # not, and allocating the short-lived temporaries first keeps the
+    # heap compact (with launches first, glibc kept ~10 MB more resident
+    # after most threaded runs of a 768x768 stencil).
+    for s in sorted(walk(body), key=lambda s: isinstance(s, IndexLaunch)):
+        if isinstance(s, IndexLaunch):
+            t0 = time.perf_counter()
+            try:
+                steps[s.uid] = lower_launch(
+                    s, shard_owned_colors(s.domain.size, ns, shard),
+                    ex.region_instance, ex.block_rows, inspected)
+            except BaseException:
+                flight.record(_flight.TASK, s.uid, t0, time.perf_counter())
+                raise
+        elif isinstance(s, PairwiseCopy):
+            steps[s.uid] = plan_copy(ex, s, shard, ctx)
+        elif isinstance(s, FillReductionBuffer):
+            part = s.partition
+            steps[s.uid] = tuple(
+                (arr, reduction_identity(s.redop, arr.dtype))
+                for c in shard_owned_colors(part.num_colors, ns, shard)
+                for arr in (ex.dist_instance(part, c).fields[f]
+                            for f in s.fields))
+        elif isinstance(s, ScalarCollective):
+            steps[s.uid] = ctx.collectives[s.uid]
+    return ShardPlan(ctx, steps)

@@ -90,13 +90,13 @@ def _run_rank(ex, stmt, spec, st, ns: int, transport, cancel):
     child and the worker process.
     """
     rank = st.shard
-    nctx = NetCommContext(ex, transport, spec, ns)
+    nctx = NetCommContext(transport, spec, ns)
     transport.connect_all()
     transport.start_receivers()
     final = []
 
     def body():
-        yield from ex._shard_body(stmt.body, st, nctx)
+        yield from ex._run_shard(stmt, st, nctx)
         # The last iteration's credits have no message left to ride.
         transport.flush_credits()
         # Funnel this rank's owned region state up the gather tree, then

@@ -1,13 +1,13 @@
 """Send and receive plans: one copy statement's pairs between two ranks,
 as one message.
 
-A copy statement hands the context all of its cross-rank pairs to one
-peer rank at once (``CommContext.send_pairs``); the net context lowers
-the group, the first time it sees it, to a :class:`PackedSend` — the
-cross-rank half of the statement's copy plan, beside the in-memory
+A shard's plan lists each copy statement's cross-rank pairs per peer
+rank; the net context lowers each group, planned before the shard's
+first statement (``NetCommContext.bind_plan``), to a :class:`PackedSend`
+— the cross-rank half of the statement's copy plan, beside the in-memory
 :class:`~repro.runtime.copy_engine.FusedBatch`.  Its gathers are resolved
 once against the producer's source *block*, by the same
-:func:`~repro.runtime.copy_engine.place_rows` that places the batch (and
+:func:`~repro.runtime.copy_engine.place_pairs` that places the batch (and
 the consumer's receive plan): a rank's source colours are rows of one
 block per field, so every ``apply`` gathers each field once and ships
 the fields as one ``MSG`` frame: a header prefix packed once, the
@@ -94,7 +94,8 @@ class ReceivePlan:
 
     ``items`` are the statement's receive-side
     :class:`~repro.runtime.copy_engine.FusedCopy` scatters from one
-    producer rank (``rx_plan``), whose source slots index the payload.
+    producer rank (``receive_plan``), whose source slots index the
+    payload.
     Their destination arrays give each field's dtype and element shape,
     their counts the number of values, so the plan knows the body's
     length and where each field starts: :meth:`apply` checks the length

@@ -44,14 +44,14 @@ import time
 
 import numpy as np
 
-from ...core.shards import color_owners, shard_owned_colors
 from ...obs import flight as _flight
 from ...regions.region import reduction_identity
 from ..collectives import SCALAR_REDUCTIONS
-from ..copy_engine import (field_width, footprint_of, place_rows,
+from ..copy_engine import (field_width, footprint_of, place_pairs,
                            receive_plan, send_gathers)
 from ..events import Event, Sequence
 from ..launch import Channel, CommContext
+from ..launch_plan import CopyPlan
 from . import frame
 from .plan import PackedSend, ReceivePlan
 
@@ -131,24 +131,24 @@ class _RxChannel:
 
     The receiver thread *delivers* (buffers the payload, then advances
     ``arrived``); the shard thread *applies* at its own ready-wait point,
-    strictly in generation order.  The split is the net backend's
-    correctness core: all writes into consumer instances happen in the
-    single shard thread at the consumer's replicated program point, so
-    remote reductions need no locks and remote pairs no WAR handshake.
+    strictly in generation order, through the channel's
+    :class:`ReceivePlan`, built from the shard's plan before its first
+    statement (``NetCommContext.bind_plan``).  The split is the net
+    backend's correctness core: all writes into consumer instances happen
+    in the single shard thread at the consumer's replicated program
+    point, so remote reductions need no locks and remote pairs no WAR
+    handshake.
     """
 
-    __slots__ = ("nctx", "stmt", "producer", "arrived", "applied",
-                 "pending", "_lock", "_plan")
+    __slots__ = ("nctx", "arrived", "applied", "pending", "_lock", "plan")
 
-    def __init__(self, nctx, stmt, producer: int):
+    def __init__(self, nctx):
         self.nctx = nctx
-        self.stmt = stmt
-        self.producer = producer
         self.arrived = Sequence()
         self.applied = 0          # shard-thread-only watermark
         self.pending: dict[int, list] = {}
         self._lock = threading.Lock()
-        self._plan = None
+        self.plan: ReceivePlan | None = None
 
     def deliver(self, gen: int, body) -> None:
         # Receiver thread.  Store under the lock *before* advancing so a
@@ -159,17 +159,12 @@ class _RxChannel:
 
     def apply_up_to(self, g: int) -> None:
         # Shard thread only, so a body that does not fit the plan fails
-        # this rank, not a receiver thread.  The plan is built on first
-        # use: destination rows resolved once, like the sender's gathers.
-        if self._plan is None:
-            self._plan = ReceivePlan(
-                self.nctx.rx_plan(self.stmt, self.producer), self.stmt.uid,
-                self.producer)
+        # this rank, not a receiver thread.
         while self.applied < g:
             gen = self.applied + 1
             with self._lock:
                 body = self.pending.pop(gen)
-            self._plan.apply(body)
+            self.plan.apply(body)
             self.applied = gen
 
 
@@ -494,14 +489,15 @@ class NetCommContext(CommContext):
 
     Builds the channel endpoints (channel ids are the spec's — statement
     walk order crossed with channel-key order — so forked ranks and
-    independently started workers agree without any exchanged spec), the
-    tree endpoints for collectives, and the send and receive plans;
-    registers all frame handlers.  Construct *before*
-    ``transport.start_receivers()``.
+    independently started workers agree without any exchanged spec) and
+    the tree endpoints for collectives, and registers all frame handlers;
+    the sends and receive plans follow from the rank's shard plan
+    (:meth:`bind_plan`).  Construct *before* ``transport.start_receivers()``.
     """
 
-    def __init__(self, ex, transport, spec, ns: int):
-        self.ex = ex
+    messages = True
+
+    def __init__(self, transport, spec, ns: int):
         self.transport = transport
         self.rank = transport.rank
         self.tree = TreeComm(transport, ns)
@@ -512,8 +508,8 @@ class NetCommContext(CommContext):
         # (copy uid, producer rank) -> its inbound channel on this rank.
         self._rx: dict[tuple[int, int], _RxChannel] = {}
         self._inbound: dict[int, list[_RxChannel]] = {}
-        # (copy uid, consumer rank) -> the lowered send.
-        self._sends: dict[tuple[int, int], PackedSend] = {}
+        # copy uid -> this rank's sends of it, one per peer rank.
+        self._outbox: dict[int, tuple[PackedSend, ...]] = {}
         self.done = _NetCollective(self.tree, "__done__", None)
         self.done.label = "net:done"
         self._keys = spec.channels
@@ -536,8 +532,7 @@ class NetCommContext(CommContext):
             mirror = self._credit[cid] = _CreditMirror(self.transport)
             return Channel(_MirrorSequence(), mirror)
         if consumer == self.rank:
-            rx = self._rx[(stmt.uid, producer)] = _RxChannel(
-                self, stmt, producer)
+            rx = self._rx[(stmt.uid, producer)] = _RxChannel(self)
             self._inbound.setdefault(stmt.uid, []).append(rx)
             rides = (self.rank, producer) in self._keys[stmt.uid]
             return Channel(_RxReady(rx), _TxSequence(
@@ -553,49 +548,54 @@ class NetCommContext(CommContext):
         return _NetCollective(self.tree, key, redop)
 
     # -- operations (shard thread) ----------------------------------------
-    def is_local(self, stmt, j: np.ndarray) -> np.ndarray:
-        """Per destination colour in ``j``, whether it lives on this
-        rank."""
-        return (color_owners(stmt.dst.num_colors, self.num_shards)[j]
-                == self.rank)
+    def bind_plan(self, plan) -> None:
+        """Build this rank's messages from its shard plan, before its first
+        statement: per copy statement one :class:`PackedSend` per peer it
+        sends to, gathering against this rank's source block, and one
+        :class:`ReceivePlan` per inbound channel, scattering into its
+        destination block.  Both sides select and place the same pairs in
+        the same order (:func:`~repro.runtime.copy_engine.place_pairs`),
+        so a frame carries only the generation and one buffer per field."""
+        for cp in plan.steps.values():
+            if not isinstance(cp, CopyPlan):
+                continue
+            uid, fields = cp.stmt.uid, cp.stmt.fields
+            sends = []
+            for peer, pairs, visits in cp.sends:
+                src, _, lengths, nrows = place_pairs(cp.table, pairs,
+                                                     src=cp.src)
+                count = int(lengths.sum())
+                width = (field_width(src.blocks[0], fields) if src.blocks
+                         else 0)
+                sends.append(PackedSend(
+                    self.transport, peer, uid,
+                    send_gathers(fields, src, lengths, nrows), visits, count,
+                    count * width, footprint_of(src, fields)))
+            self._outbox[uid] = tuple(sends)
+            for producer, pairs in cp.receives:
+                _, dst, lengths, nrows = place_pairs(cp.table, pairs,
+                                                     dst=cp.dst)
+                self._rx[(uid, producer)].plan = ReceivePlan(
+                    receive_plan(uid, fields, cp.stmt.redop, dst, lengths,
+                                 nrows), uid, producer)
 
-    def send_pairs(self, stmt, peer: int, pairs, visits: int, state,
-                   rec) -> None:
-        """All of ``stmt``'s pair copies from this rank to ``peer``, as one
-        ``MSG`` frame."""
-        ps = self._sends.get((stmt.uid, peer))
-        if ps is None:
-            ps = self._sends[(stmt.uid, peer)] = self._build_send(
-                stmt, peer, pairs, visits)
-        if rec is not None:
-            rec.send(ps)
-        t0 = time.perf_counter()
-        ps.apply()
-        # An empty member still counts as a performed copy here (unlike
-        # the in-memory path's early return), exactly as the window
-        # counts the recorded send.
-        state.pair_visits += ps.pair_count
-        state.copies_performed += ps.pair_count
-        state.elements_copied += ps.count
-        state.bytes_copied += ps.nbytes
-        state.flight.record(_flight.COPY, stmt.uid, t0, time.perf_counter(),
-                            ps.nbytes)
-
-    def _build_send(self, stmt, peer: int, pairs, visits: int) -> PackedSend:
-        """The gathers of ``stmt``'s non-empty ``pairs`` (pair-table
-        indices, in pair order) to ``peer``, of ``visits`` pairs in all,
-        against this rank's source block."""
-        table = self.ex._pair_table(stmt).table
-        nrows, ivals = table.select(pairs)
-        src = place_rows(self.ex._layout(stmt.src), table.src[pairs], nrows,
-                         ivals)
-        lengths = ivals[:, 1] - ivals[:, 0]
-        count = int(lengths.sum())
-        width = field_width(src.blocks[0], stmt.fields) if src.blocks else 0
-        return PackedSend(
-            self.transport, peer, stmt.uid,
-            send_gathers(stmt.fields, src, lengths, nrows),
-            visits, count, count * width, footprint_of(src, stmt.fields))
+    def send(self, stmt, state, rec) -> None:
+        """``stmt``'s pair copies from this rank, one ``MSG`` frame per
+        peer rank."""
+        for ps in self._outbox[stmt.uid]:
+            if rec is not None:
+                rec.send(ps)
+            t0 = time.perf_counter()
+            ps.apply()
+            # An empty member still counts as a performed copy here
+            # (unlike the in-memory path's early return), exactly as the
+            # window counts the recorded send.
+            state.pair_visits += ps.pair_count
+            state.copies_performed += ps.pair_count
+            state.elements_copied += ps.count
+            state.bytes_copied += ps.nbytes
+            state.flight.record(_flight.COPY, stmt.uid, t0,
+                                time.perf_counter(), ps.nbytes)
 
     # -- frame handlers (receiver threads) ---------------------------------
     def _on_msg(self, peer: int, body) -> None:
@@ -611,23 +611,3 @@ class NetCommContext(CommContext):
             exc = RuntimeError(f"rank {peer} failed: {exc!r}")
         self.failure = exc
         self.failed.set()
-
-    # -- receive-side plans (shard thread) ---------------------------------
-    def rx_plan(self, stmt, producer: int):
-        """The :class:`~repro.runtime.copy_engine.FusedCopy` scatters of
-        ``stmt``'s messages from ``producer`` into this rank's destination
-        block: its non-empty pairs into this rank, in pair order — the
-        order the producer's :class:`PackedSend` gathers them in, since
-        both select them from the same pair table and place their rows
-        with the same :func:`~repro.runtime.copy_engine.place_rows`."""
-        ns = self.num_shards
-        table = self.ex._pair_table(stmt).table
-        owned = shard_owned_colors(stmt.dst.num_colors, ns, self.rank)
-        into = table.dst_range(owned.start, owned.stop)
-        pairs = into[color_owners(stmt.src.num_colors, ns)[table.src[into]]
-                     == producer]
-        nrows, ivals = table.select(pairs)
-        dst = place_rows(self.ex._layout(stmt.dst), table.dst[pairs], nrows,
-                         ivals)
-        return receive_plan(stmt.uid, stmt.fields, stmt.redop, dst,
-                            ivals[:, 1] - ivals[:, 0], nrows)

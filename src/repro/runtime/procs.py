@@ -323,7 +323,7 @@ def run_shard_launch_procs(ex, stmt, spec, states) -> None:
 
     def body(state, cancel):
         ctx.bind(state.shard)
-        gen = ex._shard_body(stmt.body, state, ctx)
+        gen = ex._run_shard(stmt, state, ctx)
         return drive_shard(ex, gen, state, cancel), None
 
     fork_and_funnel(ex, states, body)

@@ -32,9 +32,12 @@ order a compiled window keeps, so interpreter and window are one schedule
 one channel per shard pair orders exactly what one per intersection pair
 did, and the pairs a shard copies into itself need none.
 
-Four drivers share one shard interpreter (a generator that yields the
-events it blocks on) and one launch path (:mod:`repro.runtime.launch`:
-spec → context → drive → funnel): a **stepped** driver interleaves shards
+Every shard plans its launch body before its first statement
+(:func:`repro.runtime.launch_plan.plan_shard`), then interprets it,
+reading the plan only (``_run_shard``).  Four drivers share that shard
+generator, which yields the events it blocks on, and one launch path
+(:mod:`repro.runtime.launch`: spec → context → drive → funnel): a
+**stepped** driver interleaves shards
 deterministically-adversarially under a seeded RNG (used by the
 failure-injection tests — removing synchronization makes it observably
 wrong), a **threaded** driver runs each shard on an OS thread with
@@ -51,12 +54,10 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from dataclasses import replace as dataclass_replace
-from functools import partial
-from typing import Any, ClassVar, Iterator, NamedTuple
+from typing import Any, ClassVar, Iterator
 
 import numpy as np
 
@@ -83,15 +84,14 @@ from ..obs import NULL_METRICS, NULL_TRACER, MetricsRegistry, Tracer
 from ..obs import flight as _flight
 from ..obs.flight import NULL_RING, FlightRecorder, ShardRing
 from ..regions.partition import Partition
-from ..regions.region import PhysicalInstance, reduction_identity
+from ..regions.region import PhysicalInstance
 from .backends import ensure_backend
-from .copy_engine import (BlockLayout, FusedBatch, apply_root_copy,
-                          disjoint_dst_colors, lower_copy, place_rows)
+from .copy_engine import BlockLayout, FusedBatch, apply_root_copy
 from .events import Event
 from .intersection_exec import IntersectionResult, compute_intersections
 from .launch import (CommContext, DeadlockError, ShardExceptionGroup,
                      launch_spec)
-from .launch_plan import LaunchPlan, lower_launch
+from .launch_plan import ShardPlan, fold_keys, plan_shard
 from .window import LoopReplay, ReplayError
 from .sequential import SequentialExecutor
 
@@ -141,28 +141,6 @@ COUNTERS: dict[str, tuple[str, dict[str, str]]] = {
 }
 
 
-class _CopySchedule(NamedTuple):
-    """One shard's side of one copy statement, loop-invariant for the
-    launch: its in-memory pairs lowered to one
-    :class:`~repro.runtime.copy_engine.FusedBatch`, the pairs it sends as
-    ``(peer, pair-table indices of the non-empty ones, pairs visited)``
-    groups, the ids of the arrays its handshake protects
-    (its owned destination instances: fission's footprint), and what each
-    handshake phase touches — the sequences it advances as tuples, the
-    ones it waits on as ``(sequence, label)`` tuples, in the shapes the
-    recorder stores — or, in barrier mode, its ``pre`` and ``post``
-    collectives (§3.4's WAR and RAW barriers)."""
-
-    batch: FusedBatch
-    sends: tuple = ()
-    protect: frozenset = frozenset()
-    ack_advances: tuple = ()
-    ack_waits: tuple = ()
-    ready_advances: tuple = ()
-    ready_waits: tuple = ()
-    rendezvous: tuple = ()
-
-
 @dataclass
 class _ShardState:
     shard: int
@@ -183,19 +161,6 @@ class _ShardState:
     # agree; validated after the launch like scalar state.
     capture_points: dict[int, int] = field(default_factory=dict)
     loop_replays: dict[int, LoopReplay] = field(default_factory=dict)
-    # copy stmt uid -> this shard's _CopySchedule of it, built the first
-    # time the statement runs.  Part of the plan half: it names the launch
-    # context's channels and holds the statement's one lowered batch,
-    # which every interpreted iteration applies and a frozen window
-    # replays.
-    copy_schedules: dict[int, "_CopySchedule"] = field(default_factory=dict)
-    # launch stmt uid -> this shard's LaunchPlan of it, built the first
-    # time the statement runs: the calls every interpreted iteration runs
-    # and a frozen window replays.
-    launch_plans: dict[int, LaunchPlan] = field(default_factory=dict)
-    # Inspector plans (Task.bound) of the per-point calls those plans
-    # bind, one per distinct (task, argument regions) on this shard.
-    plans: dict[tuple, Any] = field(default_factory=dict)
     # One int attribute per row, zeroed at construction.
     COUNTERS: ClassVar[dict] = COUNTERS
 
@@ -245,8 +210,7 @@ class SPMDExecutor(SequentialExecutor):
         # registry's task and wait histograms are read from them, so an
         # executor that has either always records.  REPRO_FLIGHT_DIR (or
         # flight_dir=) names where failure dumps land; without it the
-        # Chrome trace is attached to the raised ShardExceptionGroup but
-        # not written to disk.
+        # Chrome trace is only attached to the raised exception.
         self.flight: FlightRecorder | None = (
             FlightRecorder(num_shards, capacity=flight_capacity)
             if flight or tracer.enabled or metrics.enabled else None)
@@ -265,24 +229,17 @@ class SPMDExecutor(SequentialExecutor):
         self.pair_sets: dict[str, IntersectionResult] = {}
         # Loop-invariant ComputeIntersections statements hit this cache,
         # keyed on partition identity, so an intersection inside a time
-        # loop is evaluated once rather than per epoch; a copy with no
-        # pair set keeps its all-pairs table here too, under the copy's
-        # uid.
+        # loop is evaluated once; a copy with no pair set keeps its
+        # all-pairs table here, under the copy's uid.
         self._isect_cache: dict[Any, IntersectionResult] = {}
         self.intersections_computed = 0
-        # Only reduction-operator copies still need locking: ufunc.at on a
-        # shared destination is not atomic across threads or processes.
-        # _copy_locks holds one lock per (copy stmt uid, dst shard), built
-        # per shard launch with the backend's lock factory; _copy_lock is
-        # the fallback for main-level copies, which run sequentially and
-        # never went through a launch.  Destinations whose
-        # inbound contributions are provably disjoint across producer
-        # shards (_disjoint_cache, computed from the evaluated pair sets)
-        # skip locking entirely unless _force_locked_reductions is set
-        # (test hook for the lock-free-vs-locked equivalence check).
-        self._copy_lock = threading.Lock()
+        # Only reduction folds still need locking: ufunc.at on a shared
+        # destination is not atomic across threads or processes.  Built
+        # per launch before any shard: one lock per (copy stmt uid, dst
+        # shard), and per reduction copy uid its colours' fold_keys (the
+        # test hook _force_locked_reductions keeps every lock).
         self._copy_locks: dict[tuple[int, int], Any] = {}
-        self._disjoint_cache: dict[tuple[int, int], frozenset] = {}
+        self._fold_keys: dict[int, np.ndarray] = {}
         self._force_locked_reductions = False
         # Backends with shared instances allocate them from this arena so
         # forked shard processes all map them; created on first allocation.
@@ -304,8 +261,7 @@ class SPMDExecutor(SequentialExecutor):
             return result
         except BaseException as exc:
             # Failed shards are what the flight recorder exists for.
-            if isinstance(exc, ShardExceptionGroup):
-                self.dump_flight(exc)
+            self.dump_flight(exc)
             raise
         finally:
             # Unlink shared-memory segment names eagerly (mappings — and
@@ -365,7 +321,7 @@ class SPMDExecutor(SequentialExecutor):
         self.pair_sets.clear()
         self._isect_cache.clear()
         self._copy_locks.clear()
-        self._disjoint_cache.clear()
+        self._fold_keys.clear()
         self._plans.clear()
         self.close()
         self._arena = None
@@ -472,16 +428,6 @@ class SPMDExecutor(SequentialExecutor):
             self.pair_sets[stmt.name] = result
         elif isinstance(stmt, ShardLaunch):
             self._shard_launch(stmt)
-        elif isinstance(stmt, PairwiseCopy):
-            # Possible if placement hoisted a copy out of the whole fragment;
-            # at main level it is sequential, no synchronization needed.
-            state = _ShardState(shard=0, scalars=self.scalars)
-            res = self._pair_table(stmt)
-            self._apply_batch(self._lower_copy(
-                stmt, np.arange(len(res.table)), len(res.visited()), 1),
-                state)
-            self._merge_counters([state])
-            self._export_metrics([state], [0], {})
         else:
             super()._stmt(stmt)
 
@@ -495,9 +441,13 @@ class SPMDExecutor(SequentialExecutor):
         for part in spec.partitions:
             self._layout(part)
         # One lock per (reduction copy stmt, dst shard), of the kind the
-        # backend's producers need.
+        # backend's producers need, and the colours that need none.
         self._copy_locks = {key: backend.lock()
                             for key in spec.reduction_dsts}
+        self._fold_keys = {
+            s.uid: fold_keys(s, self._pair_table(s).table, ns,
+                             self._force_locked_reductions)
+            for s in spec.copies if s.redop is not None}
         states = [_ShardState(shard=x, scalars=dict(self.scalars))
                   for x in range(ns)]
         if self.flight is not None:
@@ -532,37 +482,6 @@ class SPMDExecutor(SequentialExecutor):
         """The ``(i, j)`` pairs ``stmt`` visits, in pair order, as a
         ``(k, 2)`` array (what :func:`launch_spec` numbers channels by)."""
         return self._pair_table(stmt).visited()
-
-    def _disjoint_dst(self, stmt: PairwiseCopy, ns: int) -> frozenset:
-        """Dst colors of ``stmt`` whose inbound reduction contributions are
-        disjoint across producer shards (pure function of the evaluated
-        pair sets, so identical on every shard/process)."""
-        key = (stmt.uid, ns)
-        cached = self._disjoint_cache.get(key)
-        if cached is None:
-            cached = disjoint_dst_colors(self._pair_table(stmt).table,
-                                         stmt.src.num_colors, ns)
-            self._disjoint_cache[key] = cached
-        return cached
-
-    def _fold_locks(self, stmt: PairwiseCopy, j: np.ndarray, ns: int):
-        """``(lock_of, locks)``: pair ``p`` into destination colour
-        ``j[p]`` folds under ``locks[lock_of[p]]`` — the lock of ``(stmt,
-        the shard owning j[p])``, or ``None`` (no lock) for a plain copy
-        or a destination in the contention-free set."""
-        if stmt.redop is None:
-            return np.zeros(j.size, dtype=np.int64), [None]
-        # A pair's key: its destination shard, or -1 for no lock.
-        key = color_owners(stmt.dst.num_colors, ns)[j]
-        if not self._force_locked_reductions:
-            free = np.zeros(stmt.dst.num_colors, dtype=bool)
-            free[list(self._disjoint_dst(stmt, ns))] = True
-            key[free[j]] = -1
-        keys, lock_of = np.unique(key, return_inverse=True)
-        return lock_of.reshape(-1), [
-            None if q < 0 else self._copy_locks.get((stmt.uid, q),
-                                                    self._copy_lock)
-            for q in keys.tolist()]
 
     def _merge_counters(self, states: list[_ShardState]) -> None:
         for st in states:
@@ -640,13 +559,21 @@ class SPMDExecutor(SequentialExecutor):
         self.scalars.update(states[0].scalars)
 
     # -- shard interpreter (a generator yielding blocking events) -------------
+    def _run_shard(self, stmt: ShardLaunch, state: _ShardState,
+                   ctx: CommContext) -> Iterator[Event | None]:
+        """One shard's side of a launch: its :class:`ShardPlan` (and the
+        context's messages from it), then the statements, which read it."""
+        plan = plan_shard(stmt.body, state.shard, self, ctx, state.flight)
+        ctx.bind_plan(plan)
+        yield from self._shard_body(stmt.body, state, plan)
+
     def _shard_body(self, block: Block, state: _ShardState,
-                    ctx: CommContext, rec=None) -> Iterator[Event | None]:
+                    plan: ShardPlan, rec=None) -> Iterator[Event | None]:
         for stmt in block.stmts:
-            yield from self._shard_stmt(stmt, state, ctx, rec)
+            yield from self._shard_stmt(stmt, state, plan, rec)
 
     def _shard_stmt(self, stmt: Stmt, state: _ShardState,
-                    ctx: CommContext, rec=None) -> Iterator[Event | None]:
+                    plan: ShardPlan, rec=None) -> Iterator[Event | None]:
         if isinstance(stmt, ScalarAssign):
             if rec is not None:
                 rec.assign(stmt.uid, stmt.name, stmt.expr)
@@ -657,47 +584,50 @@ class SPMDExecutor(SequentialExecutor):
             if rec is None:
                 # Outermost loop on this shard: the capture/replay window.
                 yield from self._replay_loop(
-                    stmt, stmt.var, range(int(start), int(stop)), state, ctx)
+                    stmt, stmt.var, range(int(start), int(stop)), state, plan)
                 return
-            if rec is not None:
-                # A nested loop replays only while its bounds still evaluate
-                # to the captured values at the start of the iteration.
-                rec.guard(stmt.start, start, as_bool=False)
-                rec.guard(stmt.stop, stop, as_bool=False)
+            # A nested loop replays only while its bounds still evaluate
+            # to the captured values at the start of the iteration.
+            rec.guard(stmt.start, start, as_bool=False)
+            rec.guard(stmt.stop, stop, as_bool=False)
             for v in range(int(start), int(stop)):
-                if rec is not None:
-                    rec.setvar(stmt.var, v)
+                rec.setvar(stmt.var, v)
                 state.scalars[stmt.var] = v
-                yield from self._shard_body(stmt.body, state, ctx, rec)
+                yield from self._shard_body(stmt.body, state, plan, rec)
         elif isinstance(stmt, WhileLoop):
             if rec is None:
-                yield from self._replay_loop(
-                    stmt, None, self._while_values(stmt, state), state, ctx)
+                # One value per iteration, until the condition is false.
+                taken = iter(lambda: bool(evaluate(stmt.cond, state.scalars)),
+                             False)
+                yield from self._replay_loop(stmt, None, taken, state, plan)
                 return
             while True:
                 taken = bool(evaluate(stmt.cond, state.scalars))
-                if rec is not None:
-                    rec.guard(stmt.cond, taken, as_bool=True)
+                rec.guard(stmt.cond, taken, as_bool=True)
                 if not taken:
                     break
-                yield from self._shard_body(stmt.body, state, ctx, rec)
+                yield from self._shard_body(stmt.body, state, plan, rec)
         elif isinstance(stmt, IfStmt):
             taken = bool(evaluate(stmt.cond, state.scalars))
             if rec is not None:
                 rec.guard(stmt.cond, taken, as_bool=True)
             yield from self._shard_body(
-                stmt.then_block if taken else stmt.else_block, state, ctx, rec)
+                stmt.then_block if taken else stmt.else_block, state, plan,
+                rec)
         elif isinstance(stmt, IndexLaunch):
-            yield from self._shard_launch_stmt(stmt, state, ctx, rec)
+            yield from self._shard_launch_stmt(stmt, state, plan, rec)
         elif isinstance(stmt, FillReductionBuffer):
-            self._shard_fill(stmt, state, ctx, rec)
+            fills = plan.steps[stmt.uid]
+            for arr, value in fills:
+                arr[...] = value
             if rec is not None:
+                rec.fill(stmt.uid, fills)
                 rec.yield_none()
             yield None
         elif isinstance(stmt, PairwiseCopy):
-            yield from self._exec_copy(stmt, state, ctx, rec)
+            yield from self._exec_copy(stmt, state, plan, rec)
         elif isinstance(stmt, ScalarCollective):
-            coll = ctx.collectives[stmt.uid]
+            coll = plan.steps[stmt.uid]
             g = state.next_epoch(stmt.uid)
             if rec is not None:
                 rec.collective(stmt.uid, coll, g, stmt.name)
@@ -712,14 +642,9 @@ class SPMDExecutor(SequentialExecutor):
                 f"shard interpreter cannot execute {type(stmt).__name__}")
 
     # -- steady-state capture & replay -----------------------------------------
-    @staticmethod
-    def _while_values(stmt: WhileLoop, state: _ShardState):
-        while evaluate(stmt.cond, state.scalars):
-            yield None
-
     def _replay_loop(self, stmt: Stmt, var: str | None, values,
                      state: _ShardState,
-                     ctx: CommContext) -> Iterator[Event | None]:
+                     plan: ShardPlan) -> Iterator[Event | None]:
         """Run an outermost loop, capturing and then replaying steady state.
 
         Each iteration either replays the frozen window (all guards hold)
@@ -728,7 +653,7 @@ class SPMDExecutor(SequentialExecutor):
         """
         lr = state.loop_replays.get(stmt.uid)
         if lr is None:
-            lr = state.loop_replays[stmt.uid] = LoopReplay(stmt.uid, ctx)
+            lr = state.loop_replays[stmt.uid] = LoopReplay(stmt.uid, plan)
         flight = state.flight
         perf = time.perf_counter
         for v in values:
@@ -748,38 +673,25 @@ class SPMDExecutor(SequentialExecutor):
             state.replay_misses += 1
             rec = lr.begin_iteration(state.epochs)
             tf = perf()
-            yield from self._shard_body(stmt.body, state, ctx, rec)
+            yield from self._shard_body(stmt.body, state, plan, rec)
             # Stamped before end_iteration: a freeze records its own
             # COMPILE interval, which must not also count as capture.
             flight.record(_flight.CAPTURE, stmt.uid, tf, perf())
-            lr.end_iteration(self, state)
+            lr.end_iteration(state)
 
     def _shard_launch_stmt(self, stmt: IndexLaunch, state: _ShardState,
-                           ctx: CommContext,
-                           rec=None) -> Iterator[Event | None]:
-        """Run this shard's :class:`LaunchPlan` of ``stmt``, lowering it
-        the first time: one TASK flight record and one preemption point
-        per call (the first call's record covers the lowering)."""
+                           plan: ShardPlan, rec=None) -> Iterator[Event | None]:
+        """Run this shard's :class:`LaunchPlan` of ``stmt``, planned before
+        the shard's first statement: one TASK flight record and one
+        preemption point per call."""
+        launch = plan.steps[stmt.uid]
+        if rec is not None:
+            rec.launch(launch)
         record, perf = state.flight.record, time.perf_counter
         t0 = perf()
-        plan = state.launch_plans.get(stmt.uid)
-        if plan is None:
-            owned = shard_owned_colors(stmt.domain.size, ctx.num_shards,
-                                       state.shard)
+        for call in launch.calls:
             try:
-                plan = lower_launch(stmt, owned, self.region_instance,
-                                    self.block_rows, state.plans)
-            except BaseException:
-                # A raising inspector is the record the post-mortem
-                # flight dump exists to show.
-                record(_flight.TASK, stmt.uid, t0, perf())
-                raise
-            state.launch_plans[stmt.uid] = plan
-        if rec is not None:
-            rec.launch(plan)
-        for call in plan.calls:
-            try:
-                plan.step(call, state)
+                launch.step(call, state)
             finally:
                 # Recorded even when the task raises: the failing task is
                 # the record the post-mortem flight dump exists to show.
@@ -788,53 +700,9 @@ class SPMDExecutor(SequentialExecutor):
             yield None  # preemption point: one call executed
             t0 = perf()
 
-    def _shard_fill(self, stmt: FillReductionBuffer, state: _ShardState,
-                    ctx: CommContext, rec=None) -> None:
-        part = stmt.partition
-        owned = shard_owned_colors(part.num_colors, ctx.num_shards, state.shard)
-        fills = [] if rec is not None else None
-        for c in owned:
-            inst = self.dist_instance(part, c)
-            for f in stmt.fields:
-                value = reduction_identity(stmt.redop, inst.fields[f].dtype)
-                inst.fields[f][...] = value
-                if fills is not None:
-                    fills.append((inst.fields[f], value))
-        if rec is not None:
-            rec.fill(stmt.uid, fills)
-
     # -- copies -----------------------------------------------------------------
-    def _copy_schedule(self, stmt: PairwiseCopy, state: _ShardState,
-                       ctx: CommContext) -> "_CopySchedule":
-        """This shard's side of ``stmt``, resolved once per launch."""
-        sched = state.copy_schedules.get(stmt.uid)
-        if sched is not None:
-            return sched
-        me, ns, uid = state.shard, ctx.num_shards, stmt.uid
-        copies, visits, sends = self._pair_table(stmt).split(
-            shard_owned_colors(stmt.src.num_colors, ns, me),
-            partial(ctx.is_local, stmt), color_owners(stmt.dst.num_colors, ns))
-        batch = self._lower_copy(stmt, copies, visits, ns)
-        if stmt.sync_mode == "p2p":
-            chans = ctx.channels[uid].items()
-            out = [c for (p, _), c in chans if p == me]
-            inbound = [c for (_, q), c in chans if q == me]
-            sched = _CopySchedule(
-                batch, sends, self._owned_dst_arrays(stmt, ns, me),
-                ack_advances=tuple(c.acked for c in inbound),
-                ack_waits=tuple((c.acked, c.ack_label) for c in out),
-                ready_advances=tuple(c.ready for c in out),
-                ready_waits=tuple((c.ready, c.ready_label) for c in inbound))
-        elif stmt.sync_mode == "barrier":
-            sched = _CopySchedule(batch, sends, rendezvous=(
-                ctx.collectives[f"pre:{uid}"], ctx.collectives[f"post:{uid}"]))
-        else:
-            sched = _CopySchedule(batch, sends)
-        state.copy_schedules[uid] = sched
-        return sched
-
     def _exec_copy(self, stmt: PairwiseCopy, state: _ShardState,
-                   ctx: CommContext, rec=None) -> Iterator[Event | None]:
+                   plan: ShardPlan, rec=None) -> Iterator[Event | None]:
         """One copy statement, in the phase order a compiled window keeps:
         all ack advances, all ack waits, one send per peer shard then the
         in-memory batch, all ready advances, one preemption point, all
@@ -843,8 +711,8 @@ class SPMDExecutor(SequentialExecutor):
         replaying, makes all of its ack advances at statement entry and
         before its first wait, so no wait here can be part of a cycle.
         An event that is already set is not yielded."""
-        uid, ns = stmt.uid, ctx.num_shards
-        sched = self._copy_schedule(stmt, state, ctx)
+        uid, ctx = stmt.uid, plan.ctx
+        sched = plan.steps[uid]
         g = state.next_epoch(uid)
 
         def rendezvous(coll):
@@ -875,10 +743,10 @@ class SPMDExecutor(SequentialExecutor):
                 if not ev.is_set():
                     yield ev
 
-        for peer, pairs, visits in sched.sends:
-            ctx.send_pairs(stmt, peer, pairs, visits, state, rec)
+        if sched.sends:
+            ctx.send(stmt, state, rec)
         if rec is not None:
-            rec.fused(uid, g, sched.batch, sched.protect)
+            rec.fused(uid, g, sched.batch)
         self._apply_batch(sched.batch, state)
         if sched.ready_advances:
             if rec is not None:
@@ -898,34 +766,6 @@ class SPMDExecutor(SequentialExecutor):
                     yield ev
         if sched.rendezvous:
             yield from rendezvous(sched.rendezvous[1])
-
-    def _owned_dst_arrays(self, stmt: PairwiseCopy, ns: int,
-                          me: int) -> frozenset:
-        """ids of the field arrays of every destination instance of
-        ``stmt`` that shard ``me`` owns and some pair writes."""
-        arrays = self._layout(stmt.dst).arrays
-        written = self._pair_table(stmt).written(
-            shard_owned_colors(stmt.dst.num_colors, ns, me))
-        return frozenset(id(arr) for j in written
-                         for arr in arrays[j].values())
-
-    def _lower_copy(self, stmt: PairwiseCopy, idx: np.ndarray, visits: int,
-                    ns: int) -> FusedBatch:
-        """The :class:`~repro.runtime.copy_engine.FusedBatch` of the
-        in-memory pairs ``idx`` (indices into ``stmt``'s pair table, in
-        pair order) of ``stmt``, of ``visits`` pairs empty ones included:
-        both sides placed on their colour tables, fold locks resolved per
-        destination shard, and all of them lowered against the shard
-        blocks in one call."""
-        table = self._pair_table(stmt).table
-        nrows, ivals = table.select(idx)
-        i, j = table.src[idx], table.dst[idx]
-        lock_of, locks = self._fold_locks(stmt, j, ns)
-        return lower_copy(
-            stmt.uid, stmt.fields, stmt.redop,
-            place_rows(self._layout(stmt.src), i, nrows, ivals),
-            place_rows(self._layout(stmt.dst), j, nrows, ivals),
-            ivals[:, 1] - ivals[:, 0], nrows, lock_of, locks, visits)
 
     @staticmethod
     def _apply_batch(batch: FusedBatch, state: _ShardState) -> None:

@@ -90,12 +90,10 @@ __all__ = ["CompiledWindow", "LoopReplay", "WindowContext",
 
 @dataclass
 class WindowContext(PassContext):
-    """Pass context for the window pipeline: adds the executor, the shard
-    state and the launch's comm context the window is compiled against."""
+    """Pass context for the window pipeline: adds the shard's plan (its
+    launch context too) the window is compiled against."""
 
-    ex: Any = None
-    state: Any = None
-    comm: Any = None
+    plan: Any = None
 
 
 # ---------------------------------------------------------------------------
@@ -286,21 +284,20 @@ def window_passes() -> list:
     return [FissionPass()]
 
 
-def compile_window(ex, rec: IterationRecorder, state, comm, *,
+def compile_window(rec: IterationRecorder, state, plan, *,
                    uid: int = 0) -> CompiledWindow:
     """Lower one recorded iteration to a :class:`CompiledWindow` bound to
-    ``state`` and to the launch context ``comm``.  The passes' timings
-    go to ``state.window_passes``, which the executor exports after the
-    launch (``spmd_window_pass_*``)."""
+    ``state`` and to the launch context of the shard's ``plan``, which
+    names each copy's protected arrays.  The passes' timings go to
+    ``state.window_passes``, which the executor exports after the launch
+    (``spmd_window_pass_*``)."""
     t_compile = time.perf_counter()
-    wir = WindowIR(ops=list(rec.ops), guards=list(rec.guards),
-                   copy_protect=rec.copy_protect)
+    wir = WindowIR(ops=list(rec.ops), guards=list(rec.guards))
     deltas = ((loop_uid, g - rec.epoch_base.get(loop_uid, 0))
               for loop_uid, g in state.epochs.items())
     wir.epoch_deltas = tuple((loop_uid, d) for loop_uid, d in deltas if d)
-    ctx = WindowContext(
-        num_shards=comm.num_shards, timings=state.window_passes,
-        ex=ex, state=state, comm=comm)
+    ctx = WindowContext(num_shards=plan.ctx.num_shards,
+                        timings=state.window_passes, plan=plan)
     baseline = window_summary(wir)
     verified = list(wir.ops)
 
@@ -323,7 +320,7 @@ def compile_window(ex, rec: IterationRecorder, state, comm, *,
             f"shard {state.shard}, loop {uid}: {exc}") from None
     state.window_ops_recorded += len(rec.ops)
     state.window_ops_lowered += len(wir.ops)
-    cw = CompiledWindow.build(wir, state, comm, uid=uid)
+    cw = CompiledWindow.build(wir, state, plan.ctx, uid=uid)
     state.window_compiles += 1
     state.window_closures += cw.num_closures
     # A window compile is exactly the kind of rare, expensive, should-not-
@@ -347,12 +344,12 @@ class LoopReplay:
     iteration only, whatever the iteration writes.
     """
 
-    __slots__ = ("uid", "comm", "trace", "iterations_recorded", "_prev",
+    __slots__ = ("uid", "plan", "trace", "iterations_recorded", "_prev",
                  "_rec")
 
-    def __init__(self, uid: int, comm):
+    def __init__(self, uid: int, plan):
         self.uid = uid
-        self.comm = comm  # the launch context its windows bind to
+        self.plan = plan  # the shard plan its windows bind to
         self.trace: CompiledWindow | None = None
         self.iterations_recorded = 0
         self._prev = None
@@ -362,7 +359,7 @@ class LoopReplay:
         self._rec = IterationRecorder(epochs)
         return self._rec
 
-    def end_iteration(self, ex, state) -> None:
+    def end_iteration(self, state) -> None:
         """Freeze the loop into a window if this iteration allows it."""
         rec, self._rec = self._rec, None
         self.iterations_recorded += 1
@@ -376,5 +373,5 @@ class LoopReplay:
             if fp != self._prev:
                 self._prev = fp
                 return
-        self.trace = compile_window(ex, rec, state, self.comm, uid=self.uid)
+        self.trace = compile_window(rec, state, self.plan, uid=self.uid)
         state.capture_points[self.uid] = self.iterations_recorded

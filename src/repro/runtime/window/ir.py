@@ -3,10 +3,8 @@
 A :class:`WindowIR` is one recorded loop iteration in flight through the
 window-compiler pass (:mod:`repro.runtime.window.schedule`): a flat op
 list (see :mod:`repro.runtime.window.recorder` for the vocabulary) plus
-the guard set, the per-iteration epoch deltas, and the per-uid
-protected-array footprints the recorder took from each copy statement's
-schedule, for fission.  Every op is already in its final form when
-recorded — a launch is the shard's
+the guard set and the per-iteration epoch deltas.  Every op is already
+in its final form when recorded — a launch is the shard's
 :class:`~repro.runtime.launch_plan.LaunchPlan`, a copy statement's data
 movement its :class:`~repro.runtime.copy_engine.FusedBatch` and its
 sends — so no pass rewrites one.
@@ -59,17 +57,11 @@ def guards_hold(guards, scalars: dict[str, Any]) -> bool:
 class WindowIR:
     """One recorded loop iteration in flight through the window passes."""
 
-    __slots__ = ("ops", "guards", "copy_protect", "epoch_deltas",
-                 "invariants")
+    __slots__ = ("ops", "guards", "epoch_deltas", "invariants")
 
-    def __init__(self, ops, guards, copy_protect=None):
+    def __init__(self, ops, guards):
         self.ops: list = ops
         self.guards: list = guards
-        # uid -> frozenset of array ids the uid's inbound copies protect
-        # (this shard's owned destination instances); the fission pass
-        # uses it to move handshake ops past unrelated compute.
-        self.copy_protect: dict[int, frozenset[int]] = (
-            {} if copy_protect is None else copy_protect)
         self.epoch_deltas: tuple = ()
         self.invariants: set[str] = set()
 
@@ -99,7 +91,7 @@ def op_arrays(op) -> frozenset[int] | None:
     if k == OP_FUSED:
         # A block item moves block rows, but it names the per-colour
         # instance arrays its pairs read and write: the ids task
-        # footprints and copy_protect use.
+        # footprints and the copy plans' protect sets use.
         return frozenset().union(*(item.footprint for item in op[1].items))
     if k == OP_MSG:
         return op[1].footprint

@@ -65,7 +65,7 @@ class IterationRecorder:
     """Shadows one interpreted loop iteration: ops, schedule keys, guards."""
 
     __slots__ = ("epoch_base", "ops", "keys", "guards", "written",
-                 "unfreezable", "copy_protect")
+                 "unfreezable")
 
     def __init__(self, epochs: dict[int, int]):
         self.epoch_base = dict(epochs)
@@ -74,9 +74,6 @@ class IterationRecorder:
         self.guards: list[tuple[Expr, Any, bool]] = []
         self.written: set[str] = set()
         self.unfreezable = False
-        # copy uid -> the array ids its handshake protects (the fission
-        # pass's footprint), as the statement's schedule names them.
-        self.copy_protect: dict[int, frozenset[int]] = {}
 
     def _stride(self, uid: int, g: int) -> int:
         return g - self.epoch_base.get(uid, 0)
@@ -116,13 +113,12 @@ class IterationRecorder:
     def send(self, ps) -> None:
         self.ops.append((OP_MSG, ps))
 
-    def fused(self, uid: int, g: int, batch, protect) -> None:
-        """A copy statement's in-memory batch (after its sends), and the
-        arrays its handshake protects.  One fingerprint key for the whole
-        statement: its batch and sends are fixed for the launch, so (uid,
-        stride) names its schedule.  A shard with no in-memory pair of the
-        statement records no op for it."""
-        self.copy_protect[uid] = protect
+    def fused(self, uid: int, g: int, batch) -> None:
+        """A copy statement's in-memory batch (after its sends).  One
+        fingerprint key for the whole statement: its batch and sends are
+        fixed for the launch, so (uid, stride) names its schedule.  A
+        shard with no in-memory pair of the statement records no op for
+        it."""
         if batch.visits:
             self.ops.append((OP_FUSED, batch))
         self.keys.append(("c", uid, self._stride(uid, g)))

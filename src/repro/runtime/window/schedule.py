@@ -17,8 +17,9 @@ Both motions are deadlock-monotone: advances only move earlier and waits
 only move later, so any schedule the original (deadlock-free) window
 admitted is still admitted.  Collectives (barriers included) and ops of
 unknown footprint are scheduling fences; footprints come from
-:func:`repro.runtime.window.ir.op_arrays`, with the per-uid protected
-sets the recorder took from each copy statement's schedule.
+:func:`repro.runtime.window.ir.op_arrays`, and each copy statement's
+protected set from its :class:`~repro.runtime.launch_plan.CopyPlan` in
+the shard's plan (the pass context's ``plan``).
 
 Each motion is one linear sweep.  A moved op has an empty footprint, so
 it is never what stops another moved op: the ops that stay keep their
@@ -90,15 +91,15 @@ class FissionPass(Pass):
     establishes = ("fissioned",)
 
     def run(self, wir: WindowIR, ctx) -> WindowIR:
-        protect = wir.copy_protect
+        steps = ctx.plan.steps
 
         def ack_advance(op):
             if op[0] == OP_ADVN and op[4] == "ack":
-                return protect.get(op[2])
+                return steps[op[2]].protect
 
         def ready_wait(op):
             if op[0] == OP_WAITN and op[4] == "rdy":
-                return protect.get(op[2])
+                return steps[op[2]].protect
 
         items = [(op, op_arrays(op)) for op in wir.ops]
         items, self._hoisted = _sweep(items, ack_advance)

@@ -64,7 +64,7 @@ class Task:
 
         ``plans`` memoises the inspector per (task, argument regions).  A
         plan may own scratch, so the memo belongs to exactly one thread
-        of control (an executor, a shard state) and is never shared.
+        of control (an executor, one shard's plan) and is never shared.
         """
         if self.inspect is None:
             return self.fn

@@ -79,6 +79,6 @@ def interpret_only():
     through the statement interpreter (forked shards inherit the patch)."""
     from repro.runtime.window import LoopReplay
 
-    def never_freeze(self, ex, state):
+    def never_freeze(self, state):
         self.iterations_recorded += 1
     return mock.patch.object(LoopReplay, "end_iteration", never_freeze)

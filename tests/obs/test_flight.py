@@ -16,14 +16,17 @@ The acceptance-critical properties:
   counter series equal the executor's totals, its surface is the one
   shards used to record themselves bar three stated changes, and no
   instrument is fetched while a launch runs;
-* a ``ShardExceptionGroup`` automatically carries a parseable Chrome
-  trace of the final window (``exc.flight_trace`` / ``exc.flight_path``);
+* an exception leaving a run — a ``ShardExceptionGroup``, or the one
+  error of a lone failing shard — automatically carries a parseable
+  Chrome trace of the final window (``exc.flight_trace`` /
+  ``exc.flight_path``);
 * ``drift_efficiency_ratio`` (measured / machine-model predicted
   iteration time) stays within [0.5, 1.5] on the fig-6 stencil smoke.
 """
 
 import dataclasses
 import json
+import os
 import threading
 from collections import Counter
 
@@ -551,6 +554,34 @@ class TestFailureDump:
         shard_rows = {e["tid"] for e in trace["traceEvents"]
                       if e.get("ph") == "X" and e.get("pid") == PID_SPMD}
         assert shard_rows and shard_rows <= {0, 1}
+
+
+    @pytest.mark.parametrize("mode", ["stepped", "threaded"])
+    def test_lone_shard_failure_dumps_its_flight(self, fig2, mode,
+                                                 tmp_path):
+        # Only point 0's task raises, so one shard fails and the other is
+        # cancelled: the run raises that one error as itself, not as a
+        # ShardExceptionGroup, and still dumps the rings.
+        @task(privileges=[RW("v"), R("v")], name="flight_lone")
+        def lone(Bv, Av):
+            if Bv.points[0] == 0:
+                raise ValueError("lone boom")
+            Bv.write("v")[:] = Av.read("v")
+
+        b = ProgramBuilder()
+        with b.for_range("t", 0, 1):
+            b.launch(lone, fig2.I, fig2.PB, fig2.PA)
+        prog, _ = control_replicate(b.build(), num_shards=2)
+        ex = SPMDExecutor(num_shards=2, mode=mode,
+                          instances=fig2.fresh_instances(),
+                          flight_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="lone boom") as exc_info:
+            ex.run(prog)
+        exc = exc_info.value
+        assert any(e.get("name") == "task:flight_lone"
+                   for e in exc.flight_trace["traceEvents"])
+        assert os.path.dirname(exc.flight_path) == str(tmp_path)
+        assert os.listdir(tmp_path) == [os.path.basename(exc.flight_path)]
 
 
 class TestSkewAndDrift:

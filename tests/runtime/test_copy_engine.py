@@ -552,9 +552,9 @@ class TestBlockPlan:
 
     @staticmethod
     def _lowered(monkeypatch):
-        from repro.runtime import spmd
+        from repro.runtime import launch_plan
         batches = []
-        lower = spmd.lower_copy
+        lower = launch_plan.lower_copy
 
         def recording(uid, fields, redop, src, dst, lengths, nrows, lock_of,
                       locks, visits):
@@ -563,7 +563,7 @@ class TestBlockPlan:
             batches.append((fields, (src, dst, lock_of, locks), batch))
             return batch
 
-        monkeypatch.setattr(spmd, "lower_copy", recording)
+        monkeypatch.setattr(launch_plan, "lower_copy", recording)
         return batches
 
     @pytest.mark.parametrize("pieces", [24, 96])

@@ -1,9 +1,11 @@
 """The one launch path under the four backends (``repro.runtime.launch``).
 
 What the refactor moved and nothing else exercised: the launch spec and
-the three contexts built from it agree; the counter table is the only
-list of counters; a rank that dies hard is reported when it dies,
-whichever rank it is; and worker mode (``repro launch-worker``) runs.
+the three contexts built from it agree, and a context indexes its
+channels by producer and by consumer; every shard plans its whole body
+before its first statement; the counter table is the only list of
+counters; a rank that dies hard is reported when it dies, whichever rank
+it is; and worker mode (``repro launch-worker``) runs.
 """
 
 import argparse
@@ -13,6 +15,7 @@ import os
 import socket
 import subprocess
 import sys
+import threading
 import time
 from types import SimpleNamespace
 
@@ -22,13 +25,18 @@ import pytest
 import repro
 from repro.cli import APP_FACTORIES
 from repro.core import ProgramBuilder, control_replicate
-from repro.core.ir import PairwiseCopy, ScalarCollective, walk
+from repro.apps.circuit import CircuitProblem
+from repro.core.ir import (BinOp, Const, FillReductionBuffer, IfStmt,
+                           IndexLaunch, PairwiseCopy, ScalarCollective,
+                           ScalarRef, ShardLaunch, walk)
 from repro.core.shards import owner_of_color
 from repro.obs import MetricsRegistry
+from repro.obs import flight as fl
 from repro.regions.shm import live_segment_count
-from repro.runtime import SPMDExecutor, procs_available, spmd
-from repro.runtime.launch import CommContext, channel_keys
-from repro.tasks import R, RW, task
+from repro.runtime import SPMDExecutor, launch_plan, procs_available, spmd
+from repro.runtime.launch import CommContext, channel_keys, launch_spec
+from repro.runtime.net.plan import PackedSend, ReceivePlan
+from repro.tasks import R, RW, Reduce, task
 
 from tests.conftest import Fig2, interpreted_iterations
 
@@ -119,7 +127,7 @@ class TestSpecParity:
         assert slots == list(range(len(slots)))
         assert len(board._chan_ready) == max(1, len(slots))
 
-        ranks = [NetCommContext(ex, fake_transport(r), spec, ns)
+        ranks = [NetCommContext(fake_transport(r), spec, ns)
                  for r in range(ns)]
         for r, ctx in enumerate(ranks):
             chans, colls = keys(ctx)
@@ -149,6 +157,154 @@ class TestSpecParity:
                 assert ctx.collectives[key].label == (
                     f"coll{key}:{redop}" if copy is None
                     else f"copy{copy.uid}:{key.split(':')[0]}")
+
+
+class TestChannelIndexes:
+    def test_producer_and_consumer_indexes_partition_the_channels(self):
+        """``outbound[uid][p]`` and ``inbound[uid][q]`` each hold every
+        channel of a copy exactly once, the very objects of
+        ``channels[uid]``, each row in spec order — so a shard's plan
+        reads its own channels instead of scanning all of them."""
+        ns = 8
+        p = CircuitProblem(pieces=24, nodes_per_piece=20, wires_per_piece=30,
+                           steps=2)
+        prog, _ = control_replicate(p.build_program(), num_shards=ns)
+        ex = SPMDExecutor(num_shards=ns, instances=p.fresh_instances())
+        ex.run(prog)  # evaluates the pair sets
+        launch = next(s for s in walk(prog.body)
+                      if isinstance(s, ShardLaunch))
+        spec = launch_spec(launch, ex._copy_pairs, ns)
+        ctx = CommContext(spec, ns)
+        assert spec.copies
+        for s in spec.copies:
+            chans = ctx.channels[s.uid]
+            order = list(chans)
+            assert order == spec.channels[s.uid]
+            by_producer = [((p, q), c)
+                           for p, row in ctx.outbound[s.uid].items()
+                           for q, c in row.items()]
+            by_consumer = [((p, q), c)
+                           for q, col in ctx.inbound[s.uid].items()
+                           for p, c in col.items()]
+            for index in (by_producer, by_consumer):
+                assert sorted(k for k, _ in index) == sorted(order)
+                assert all(c is chans[k] for k, c in index)
+            for p, row in ctx.outbound[s.uid].items():
+                assert list(row) == [q for pp, q in order if pp == p]
+            for q, col in ctx.inbound[s.uid].items():
+                assert list(col) == [p for p, qq in order if qq == q]
+        assert sum(map(len, spec.channels.values())) > 2 * ns
+
+
+def _planned_program(fig2):
+    """Fig. 2 plus a reduction into the image partition (a fill and
+    reduction copies), a max-reduced scalar (a collective), and a branch
+    that is never taken, holding a launch and the copy it needs."""
+    h = fig2.h
+
+    @task(privileges=[Reduce("+", "v"), R("v")], name="plan_fold")
+    def fold(Bacc, Av):
+        slots, ok = Bacc.maybe_localize(h[Av.points])
+        Bacc.reduce("v", slots[ok], 0.01 * Av.read("v")[ok], "+")
+
+    @task(privileges=[R("v")], name="plan_max")
+    def biggest(Av):
+        return float(Av.read("v").max())
+
+    b = ProgramBuilder("plan_then_run")
+    b.let("T", 3)
+    with b.for_range("t", 0, "T"):
+        b.launch(fig2.TF, fig2.I, fig2.PB, fig2.PA)
+        b.launch(fig2.TG, fig2.I, fig2.PA, fig2.QB)
+        b.launch(fold, fig2.I, fig2.QB, fig2.PA)
+        b.launch(biggest, fig2.I, fig2.PA, reduce=("max", "m"))
+        with b.if_stmt(BinOp("<", ScalarRef("t"), Const(0))):
+            b.launch(fig2.TF, fig2.I, fig2.PB, fig2.PA)
+    return b.build()
+
+
+_PLANNED = (IndexLaunch, PairwiseCopy, FillReductionBuffer, ScalarCollective)
+
+
+class TestPlanThenRun:
+    """A shard plans its whole launch body before its first statement, on
+    every backend: its plan has an entry for every index launch, copy,
+    fill and collective — also inside a branch never taken — and no
+    launch lowering, copy lowering or ``net`` send/receive plan is built
+    once the shard has written its first TASK or COPY flight record, nor
+    outside a shard's body."""
+
+    @pytest.mark.parametrize("mode", ["stepped", "threaded"] + (
+        ["procs", "net"] if procs_available() else []))
+    def test_plan_is_built_before_the_first_statement(self, fig2, mode,
+                                                      monkeypatch):
+        prog, _ = control_replicate(_planned_program(fig2), num_shards=2)
+        body = [s for s in walk(prog.body) if isinstance(s, _PLANNED)]
+        assert {type(s) for s in body} == set(_PLANNED)
+        branch = next(s for s in walk(prog.body) if isinstance(s, IfStmt))
+        untaken = {s.uid for s in walk(branch.then_block)
+                   if isinstance(s, _PLANNED)}
+        assert len(untaken) == 2  # a launch and its copy
+        expected = {s.uid for s in body}
+        # Shared with forked shards: plans checked, lowerings spied.
+        counts = multiprocessing.Array("i", 4)
+        current = threading.local()  # the shard state whose step runs
+
+        run_shard = spmd.SPMDExecutor._run_shard
+
+        def stepping(ex, stmt, state, ctx):
+            gen = run_shard(ex, stmt, state, ctx)
+            while True:
+                current.state = state
+                try:
+                    ev = next(gen)
+                except StopIteration:
+                    return
+                finally:
+                    current.state = None
+                yield ev
+
+        plan_shard = spmd.plan_shard
+
+        def planning(body, shard, ex, ctx, flight):
+            plan = plan_shard(body, shard, ex, ctx, flight)
+            assert set(plan.steps) == expected
+            with counts.get_lock():
+                counts[0] += 1
+            return plan
+
+        def spied(slot, fn):
+            def spy(*args, **kw):
+                state = getattr(current, "state", None)
+                assert state is not None, "lowered outside a shard body"
+                kinds = state.flight.snapshot()["kind"]
+                assert not np.isin(kinds, (fl.TASK, fl.COPY)).any(), (
+                    f"shard {state.shard} lowered after its first "
+                    f"TASK or COPY record")
+                with counts.get_lock():
+                    counts[slot] += 1
+                return fn(*args, **kw)
+            return spy
+
+        monkeypatch.setattr(spmd.SPMDExecutor, "_run_shard", stepping)
+        monkeypatch.setattr(spmd, "plan_shard", planning)
+        monkeypatch.setattr(launch_plan, "lower_launch",
+                            spied(1, launch_plan.lower_launch))
+        monkeypatch.setattr(launch_plan, "lower_copy",
+                            spied(2, launch_plan.lower_copy))
+        monkeypatch.setattr(PackedSend, "__init__",
+                            spied(3, PackedSend.__init__))
+        monkeypatch.setattr(ReceivePlan, "__init__",
+                            spied(3, ReceivePlan.__init__))
+        ex = SPMDExecutor(num_shards=2, mode=mode, deadlock_timeout=20.0,
+                          instances=fig2.fresh_instances())
+        ex.run(prog)
+        assert ex.replay_hits > 0
+        launches = sum(isinstance(s, IndexLaunch) for s in body)
+        copies = sum(isinstance(s, PairwiseCopy) for s in body)
+        assert counts[0] == 2
+        assert counts[1] == launches * 2 and counts[2] == copies * 2
+        assert (counts[3] > 0) == (mode == "net")
 
 
 @needs_fork

@@ -238,10 +238,11 @@ class TestWindowShape:
 class TestSharedLocalization:
     @pytest.mark.parametrize("app", ["circuit", "stencil"])
     def test_send_and_receive_plans_match_per_pair_localize(self, app):
-        """A :class:`PackedSend` gathers each field once from the
-        producer's source block and ``rx_plan`` scatters each field once
-        into the consumer's block, both placed on the partitions' colour
-        tables from the statement's pair table: the gather equals each
+        """A rank's :class:`PackedSend` gathers each field once from the
+        producer's source block and its :class:`ReceivePlan` scatters each
+        field once into the consumer's block, both built from the rank's
+        shard plan (its sends and receives as pair-table indices) and
+        placed on the partitions' colour tables: the gather equals each
         pair's block offset plus its own ``inst.localize(pts)``, in pair
         order, with ``pts`` the pair's brute-force intersection, and
         applying the receive plan to a payload equals scattering it pair
@@ -271,10 +272,11 @@ class TestSharedLocalization:
 
         from repro.core.ir import PairwiseCopy, ShardLaunch, walk
         from repro.core.shards import owner_of_color
+        from repro.obs.flight import NULL_RING
         from repro.regions.region import _REDUCTION_UFUNCS
         from repro.runtime.launch import launch_spec
+        from repro.runtime.launch_plan import plan_shard
         from repro.runtime.net.sync import NetCommContext
-        from repro.runtime.spmd import _ShardState
         prog, _ = control_replicate(p.build_program(), num_shards=ns,
                                     **compile_kw)
         ex = SPMDExecutor(num_shards=ns, instances=p.fresh_instances())
@@ -299,16 +301,20 @@ class TestSharedLocalization:
         checked = 0
         for rank in range(ns):
             transport = SimpleNamespace(rank=rank, register=lambda *a: None)
-            ctx = NetCommContext(ex, transport, spec, ns)
-            state = _ShardState(shard=rank, scalars={})
+            ctx = NetCommContext(transport, spec, ns)
+            plan = plan_shard(launch.body, rank, ex, ctx, NULL_RING)
+            ctx.bind_plan(plan)
             for stmt in copies:
                 fields = stmt.fields
-                sched = ex._copy_schedule(stmt, state, ctx)
-                sends = {peer: (pairs, visits)
-                         for peer, pairs, visits in sched.sends}
+                cp = plan.steps[stmt.uid]
+                sends = {ps.peer: ps for ps in ctx._outbox[stmt.uid]}
+                assert [peer for peer, _, _ in cp.sends] == list(sends)
                 assert set(sends) == {peer for peer in range(ns)
                                       if peer != rank
                                       and crossing(stmt, rank, peer)}
+                assert {p for p, _ in cp.receives} == {
+                    peer for peer in range(ns)
+                    if peer != rank and crossing(stmt, peer, rank)}
                 for peer in range(ns):
                     if peer == rank:
                         continue
@@ -317,7 +323,7 @@ class TestSharedLocalization:
                     live = [(i, pts) for i, _, pts in out if pts]
                     if not out:
                         continue
-                    ps = ctx._build_send(stmt, peer, *sends[peer])
+                    ps = sends[peer]
                     assert ps.pair_count == len(out)
                     assert ps.count == sum(pts.count for _, pts in live)
                     assert len(ps.gathers) == (1 if live else 0)
@@ -338,14 +344,15 @@ class TestSharedLocalization:
                     # Received by `rank` from `peer`, in the same order.
                     back = [(j, pts) for _, j, pts in crossing(stmt, peer,
                                                                rank) if pts]
-                    plan = ctx.rx_plan(stmt, peer)
-                    assert len(plan) == (1 if back else 0)
+                    rx = ctx._rx.get((stmt.uid, peer))
+                    items = rx.plan.items if rx is not None else ()
+                    assert len(items) == (1 if back else 0)
                     if not back:
                         continue
                     insts = [ex.dist_instance(stmt.dst, j) for j, _ in back]
                     block = rows_of(insts[0])[0]
                     assert all(a is block[f]
-                               for a, f in zip(plan[0].dst_arrays, fields))
+                               for a, f in zip(items[0].dst_arrays, fields))
                     total = sum(pts.count for _, pts in back)
                     vals = [rng.standard_normal((total, *block[f].shape[1:]))
                             for f in fields]
@@ -362,7 +369,7 @@ class TestSharedLocalization:
                                 _REDUCTION_UFUNCS[stmt.redop].at(
                                     want[f], rows, part)
                         off += pts.count
-                    plan[0].receive(vals)
+                    items[0].receive(vals)
                     for f in fields:
                         assert np.array_equal(block[f], want[f])
                         block[f][...] = saved[f]

@@ -235,6 +235,24 @@ class TestErrorPaths:
         with pytest.raises(KeyError):
             ex.run(prog)
 
+    def test_main_level_copy_is_not_executable(self, fig2):
+        """The compiler emits copies inside the shard launch only (it
+        wraps the whole placed body), so a copy at main level is not a
+        program the executor runs: a hand-built one gets the sequential
+        executor's TypeError."""
+        from repro.core import control_replicate, walk, PairwiseCopy
+        from repro.core.ir import Block, Program, ShardLaunch
+        prog, _ = control_replicate(fig2.build(), num_shards=2)
+        launch = next(s for s in walk(prog.body)
+                      if isinstance(s, ShardLaunch))
+        copies = [s for s in walk(prog.body) if isinstance(s, PairwiseCopy)]
+        assert copies and all(any(c is s for s in walk(launch))
+                              for c in copies)
+        ex = SPMDExecutor(num_shards=2, instances=fig2.fresh_instances())
+        top = Program(Block([PairwiseCopy(fig2.PB, fig2.QB, ("v",))]))
+        with pytest.raises(TypeError, match="PairwiseCopy"):
+            ex.run(top)
+
     def test_threaded_errors_propagate(self, fig2):
         """Exceptions inside shard threads reach the launcher; when several
         shards fail independently, ALL their errors surface in one group."""

@@ -22,7 +22,7 @@ import re
 import threading
 import time
 import weakref
-from collections import Counter
+from collections import Counter, defaultdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -61,13 +61,13 @@ from repro.runtime import (
     SPMDExecutor,
     procs_available,
 )
-from repro.runtime import spmd
+from repro.runtime import copy_engine, launch_plan, spmd
 from repro.runtime.copy_engine import FusedBatch, FusedCopy, _as_index
 from repro.runtime.events import Sequence
 from repro.runtime.launch import CommContext, LaunchSpec, channel_keys
 from repro.runtime.window import exec as window_exec
 from repro.runtime.window import schedule
-from repro.runtime.launch_plan import BatchedView
+from repro.runtime.launch_plan import BatchedView, CopyPlan
 from repro.runtime.window.ir import WindowIR, op_arrays
 from repro.runtime.window.recorder import (
     OP_ADVN,
@@ -389,7 +389,7 @@ class TestAdvanceGroup:
             for kind in (frame.MSG, frame.CREDIT):
                 ts[r].register(kind, lambda peer, body, r=r, kind=kind:
                                got[r].append((kind, body)))
-        ctx = NetCommContext(None, ts[0], spec, 3)
+        ctx = NetCommContext(ts[0], spec, 3)
         assert list(ctx.channels[7]) == keys  # every key names shard 0
         dials = [threading.Thread(target=t.connect_all) for t in ts]
         for th in dials:
@@ -469,7 +469,7 @@ class TestAdvanceGroup:
                 sent.append((peer, data))
 
         t = Recording(0, 3, None, [("127.0.0.1", 0)] * 3)
-        ctx = NetCommContext(None, t, LaunchSpec(copies=[stmt],
+        ctx = NetCommContext(t, LaunchSpec(copies=[stmt],
                                                  channels={7: keys}), 3)
         ctx.advance_group([ctx.channels[7][k].acked for k in keys[:2]], 4)
         assert sent == [(2, frame.credit_frame(1, 4))]
@@ -492,14 +492,14 @@ def lowered_plans(monkeypatch) -> list:
     """Every LaunchPlan the shards lower from here on (in-process
     backends): one per (launch statement, shard)."""
     plans = []
-    lower = spmd.lower_launch
+    lower = launch_plan.lower_launch
 
     def recording(*args, **kw):
         plan = lower(*args, **kw)
         plans.append(plan)
         return plan
 
-    monkeypatch.setattr(spmd, "lower_launch", recording)
+    monkeypatch.setattr(launch_plan, "lower_launch", recording)
     return plans
 
 
@@ -846,7 +846,7 @@ class TestOneLaunchPlan:
                                                  monkeypatch):
         lowered, recorded, replayed = [], [], []
         runs = Counter()  # id(plan) -> body calls made through it
-        lower = spmd.lower_launch
+        lower = launch_plan.lower_launch
 
         def lowering(*args, **kw):
             plan = lower(*args, **kw)
@@ -870,7 +870,7 @@ class TestOneLaunchPlan:
             replayed.extend(op[1] for op in wir.ops if op[0] == OP_TASK)
             return build(cls, wir, state, comm, uid)
 
-        monkeypatch.setattr(spmd, "lower_launch", lowering)
+        monkeypatch.setattr(launch_plan, "lower_launch", lowering)
         monkeypatch.setattr(IterationRecorder, "launch", recording)
         monkeypatch.setattr(window_exec.CompiledWindow, "build",
                             classmethod(tracking))
@@ -977,9 +977,15 @@ def bubble_fission(ops, protect):
 
 
 def run_fission(ops, protect):
-    wir = WindowIR(ops=list(ops), guards=[], copy_protect=protect)
+    """The pass over ``ops``, under a shard plan whose copy ``uid``
+    protects the arrays ``protect[uid]`` (none when absent)."""
+    steps = defaultdict(lambda: SimpleNamespace(protect=frozenset()),
+                        {uid: SimpleNamespace(protect=p)
+                         for uid, p in protect.items()})
+    wir = WindowIR(ops=list(ops), guards=[])
     fission = FissionPass()
-    return fission.run(wir, None).ops, fission.stats(wir)
+    ctx = SimpleNamespace(plan=SimpleNamespace(steps=steps))
+    return fission.run(wir, ctx).ops, fission.stats(wir)
 
 
 def copy_op(dst, src):
@@ -1006,8 +1012,10 @@ class TestFission:
         def run(self, wir, ctx):
             before = list(wir.ops)
             wir = sweep_run(self, wir, ctx)
-            windows.append((before, dict(wir.copy_protect), list(wir.ops),
-                            self.stats(wir)))
+            protect = {uid: step.protect
+                       for uid, step in ctx.plan.steps.items()
+                       if isinstance(step, CopyPlan)}
+            windows.append((before, protect, list(wir.ops), self.stats(wir)))
             return wir
 
         monkeypatch.setattr(FissionPass, "run", run)
@@ -1204,7 +1212,7 @@ class TestFreezeCost:
     def test_pair_copies_lowered_once_per_run(self, monkeypatch):
         batches, lowered = [], []
         pointwise = Counter()  # per-pair work done inside a lowering
-        lower, place = spmd.lower_copy, spmd.place_rows
+        lower, place = launch_plan.lower_copy, copy_engine.place_rows
 
         def counting(uid, fields, redop, src, dst, *rest):
             batches.append(uid)
@@ -1226,8 +1234,8 @@ class TestFreezeCost:
             finally:
                 pointwise["on"] -= 1
 
-        monkeypatch.setattr(spmd, "lower_copy", counting)
-        monkeypatch.setattr(spmd, "place_rows", placing)
+        monkeypatch.setattr(launch_plan, "lower_copy", counting)
+        monkeypatch.setattr(copy_engine, "place_rows", placing)
         for cls, name in ((IntervalSet, "to_indices"),
                           (PhysicalInstance, "localize")):
             def counted(self, *args, _fn=getattr(cls, name)):
@@ -1301,16 +1309,16 @@ class TestFreezeCost:
         # localization, point by point: its row offset in its block plus
         # its slots.
         placed = []
-        place = spmd.place_rows
+        place = copy_engine.place_rows
 
         def recording_place(layout, colours, nrows, ivals):
             side = place(layout, colours, nrows, ivals)
             placed.append((colours, nrows, ivals, side))
             return side
 
-        monkeypatch.setattr(spmd, "place_rows", recording_place)
+        monkeypatch.setattr(copy_engine, "place_rows", recording_place)
         batches = []
-        lower = spmd.lower_copy
+        lower = launch_plan.lower_copy
 
         def recording(uid, fields, redop, src, dst, lengths, nrows, lock_of,
                       locks, visits):
@@ -1320,7 +1328,7 @@ class TestFreezeCost:
                             locks, visits, batch))
             return batch
 
-        monkeypatch.setattr(spmd, "lower_copy", recording)
+        monkeypatch.setattr(launch_plan, "lower_copy", recording)
         # Threaded, so that reduction pairs carry real locks.
         ns = 2
         _, _, ex, _ = APPS[app]().run_control_replicated(ns, mode="threaded")
