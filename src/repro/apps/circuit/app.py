@@ -177,7 +177,7 @@ class CircuitProblem(AppProblem):
         # Nodes each piece touches: image of both endpoint pointer fields.
         accessed = partition_by_image(
             self.NODES, self.PW,
-            func=lambda pts: np.concatenate((g.in_node[pts], g.out_node[pts])),
+            func=lambda pts: np.stack((g.in_node[pts], g.out_node[pts]), axis=1),
             name="QN")
         # Hierarchical private/ghost decomposition (paper §4.5 / Fig. 5).
         self.pg = private_ghost_decomposition(self.NODES, owned, accessed,

@@ -209,7 +209,7 @@ class PennantProblem(AppProblem):
         owned_points = partition_blocks_nd(self.POINTS, (gx, gy), name="PP")
         accessed = partition_by_image(
             self.POINTS, self.PZ,
-            func=lambda zids: m.corners[zids].ravel(), name="QP")
+            func=lambda zids: m.corners[zids], name="QP")
         self.pg = private_ghost_decomposition(self.POINTS, owned_points,
                                               accessed, name="pennant")
         self.tasks = _make_tasks(m)

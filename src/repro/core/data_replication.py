@@ -92,7 +92,8 @@ class _Replicator:
                   fields: tuple[str, ...], redop: str) -> Partition:
         key = (launch_uid, argpos)
         if key not in self._temp_cache:
-            temp = Partition(part.parent, [part.subset(c) for c in part.colors],
+            # Colour tables are immutable: the temporary shares part's.
+            temp = Partition(part.parent, part.colour_table,
                              disjoint=part.disjoint,
                              name=f"{part.name}$red{len(self.temps)}")
             temp.is_reduction_temp = True  # type: ignore[attr-defined]

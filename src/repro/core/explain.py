@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from ..regions.interval_join import shallow_intersection_pairs
 from .ir import (
     Block,
     FillReductionBuffer,
@@ -48,15 +49,8 @@ class Traffic(NamedTuple):
 def _copy_pairs(stmt: PairwiseCopy) -> list[tuple[int, int]]:
     """All potentially non-empty pairs, statically (exact pairs are a
     runtime artifact; here we enumerate subset-overlap pairs)."""
-    out = []
-    for i in stmt.src.colors:
-        si = stmt.src.subset(i)
-        if not si:
-            continue
-        for j in stmt.dst.colors:
-            if si.intersects(stmt.dst.subset(j)):
-                out.append((i, j))
-    return out
+    return shallow_intersection_pairs(stmt.src.colour_table,
+                                      stmt.dst.colour_table)
 
 
 def _fmt(stmt: Stmt, shard: int, ns: int, lines: list[str], depth: int) -> None:

@@ -16,7 +16,6 @@ map to empty subregions, matching clamped-boundary access patterns.
 from __future__ import annotations
 
 from ..regions.index_space import IndexSpace
-from ..regions.intervals import IntervalSet
 from ..regions.partition import Partition
 from .ir import (
     Block,
@@ -42,14 +41,9 @@ class _ProjCache:
         key = (proj.partition.uid, id(proj.fn), domain.uid)
         if key not in self._cache:
             part = proj.partition
-            subsets = []
-            for i in range(domain.size):
-                c = proj.color_for(i)
-                if 0 <= c < part.num_colors:
-                    subsets.append(part.subset(c))
-                else:
-                    subsets.append(IntervalSet.empty())
-            q = Partition(part.parent, subsets, disjoint=False,
+            colours = [proj.color_for(i) for i in range(domain.size)]
+            q = Partition(part.parent, part.colour_table.take(colours),
+                          disjoint=False,
                           name=f"{part.name}.{proj.fn_name}")
             self._cache[key] = q
         return self._cache[key]

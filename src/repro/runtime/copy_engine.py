@@ -441,7 +441,7 @@ def apply_root_copy(uid: int, fields, root, layout: BlockLayout,
     width = field_width(root.fields, fields)
     for x, block in enumerate(layout.blocks):
         lo, hi = np.searchsorted(layout.block, (x, x + 1))
-        ivals = table.intervals(lo, hi)
+        ivals, _ = table.rows(lo, hi)
         if not ivals.size:
             continue
         root_first, lengths = root.localize_runs(ivals)

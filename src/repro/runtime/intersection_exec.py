@@ -134,11 +134,10 @@ def compute_intersections_sharded(src: Partition, dst: Partition,
     """
     from ..core.shards import color_owners
 
-    src_sets = [src.subset(c) for c in src.colors]
-    dst_sets = [dst.subset(c) for c in dst.colors]
     owner = color_owners(src.num_colors, num_shards)
     t0 = time.perf_counter()
-    i, j, src_rows, dst_rows = overlap_join(src_sets, dst_sets)
+    i, j, src_rows, dst_rows = overlap_join(*src.colour_table.rows(),
+                                            *dst.colour_table.rows())
     num_candidates = np.unique(i * dst.num_colors + j).size
     t1 = time.perf_counter()
 

@@ -55,6 +55,7 @@ from ..core.ir import (FillReductionBuffer, IndexLaunch, PairwiseCopy,
                        RegionArg, ScalarCollective, evaluate, walk)
 from ..core.shards import color_owners, shard_owned_colors
 from ..obs import flight as _flight
+from ..regions.intervals import expand_ranges
 from ..regions.region import reduction_identity
 from ..tasks.views import PlacedView
 from .collectives import SCALAR_REDUCTIONS
@@ -84,13 +85,22 @@ class BatchedView(PlacedView):
         # The first region stands for the union in error messages.
         super().__init__(regions[0], None, privilege, task_name, arrays)
         self.regions = tuple(regions)
-        self._offsets = self._segments = None
+        self._table = self._segments = None
+
+    def _point_table(self):
+        """Its point tasks' subsets as one colour table, colour ``j``
+        being point task ``j``'s: one gather of the partition's table,
+        taken on first use."""
+        if self._table is None:
+            self._table = self.region.parent_partition.colour_table.take(
+                [r.color for r in self.regions])
+        return self._table
 
     @property
     def points(self) -> np.ndarray:
         if self._points is None:
-            self._points = np.concatenate(
-                [r.index_set.to_indices() for r in self.regions])
+            ivals, _ = self._point_table().rows()
+            self._points = expand_ranges(ivals[:, 0], ivals[:, 1] - ivals[:, 0])
         return self._points
 
     @property
@@ -99,11 +109,7 @@ class BatchedView(PlacedView):
 
     @property
     def offsets(self) -> np.ndarray:
-        if self._offsets is None:
-            self._offsets = np.cumsum(
-                [0] + [r.index_set.count for r in self.regions],
-                dtype=np.int64)
-        return self._offsets
+        return self._point_table().prefix
 
     def _unordered(self, what: str):
         raise TypeError(

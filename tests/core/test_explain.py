@@ -114,3 +114,28 @@ class TestExplainControlFlow:
         assert "while ... do" in text
         assert "if ... then" in text
         assert "reduce max into go" in text
+
+
+def _brute_copy_pairs(stmt):
+    """The overlap test of every (source, destination) colour pair."""
+    return [(i, j) for i in stmt.src.colors for j in stmt.dst.colors
+            if stmt.src.subset(i).intersects(stmt.dst.subset(j))]
+
+
+@pytest.mark.parametrize("app", ["circuit", "stencil", "pennant"])
+def test_copy_pairs_equal_the_pairwise_loop(app):
+    # explain's static pair list is one join of the two colour tables;
+    # it must be the all-pairs loop's list, in the same order.
+    from repro.apps.circuit import CircuitProblem
+    from repro.apps.pennant import PennantProblem
+    from repro.apps.stencil import StencilProblem
+    from repro.core.explain import _copy_pairs
+    from repro.core.ir import PairwiseCopy, walk
+    problem = {"circuit": lambda: CircuitProblem(pieces=24),
+               "stencil": lambda: StencilProblem(),
+               "pennant": lambda: PennantProblem()}[app]()
+    prog, _ = control_replicate(problem.build_program(), num_shards=3)
+    copies = [s for s in walk(prog.body) if isinstance(s, PairwiseCopy)]
+    assert copies
+    for stmt in copies:
+        assert _copy_pairs(stmt) == _brute_copy_pairs(stmt)

@@ -21,7 +21,7 @@ def decomp():
     owned = partition_block(R, 4, name="PB")
     # Each color also reads two elements into its right neighbor.
     def acc(pts):
-        return np.concatenate([pts, np.minimum(pts + 2, 39)])
+        return np.stack([pts, np.minimum(pts + 2, 39)], axis=1)
     accessed = partition_by_image(R, owned, func=acc, name="QB")
     return R, owned, accessed, private_ghost_decomposition(R, owned, accessed)
 

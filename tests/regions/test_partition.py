@@ -229,18 +229,21 @@ class TestSetOps:
 
 def point_offset_image(shape, offsets):
     """The oracle: each point moved by each offset, one point at a time,
-    kept where the moved point is inside the grid in every dimension."""
+    kept where the moved point is inside the grid in every dimension (-1,
+    which no target holds, where it is not)."""
     offsets = np.asarray(offsets, dtype=np.int64).reshape(-1, len(shape))
     extent = np.array(shape)[:, None]
 
     def fn(pts):
         coords = np.array(np.unravel_index(pts, shape)).reshape(len(shape), -1)
-        out = [np.zeros(0, dtype=np.int64)]
+        out = [np.zeros((coords.shape[1], 0), dtype=np.int64)]
         for d in offsets:
             moved = coords + d[:, None]
             inside = ((moved >= 0) & (moved < extent)).all(axis=0)
-            out.append(np.ravel_multi_index(tuple(moved[:, inside]), shape))
-        return np.concatenate(out)
+            moved = np.clip(moved, 0, extent - 1)
+            out.append(np.where(inside, np.ravel_multi_index(tuple(moved), shape),
+                                -1)[:, None])
+        return np.concatenate(out, axis=1)
 
     return fn
 
