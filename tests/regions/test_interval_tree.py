@@ -6,8 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.regions import IntervalSet, shallow_intersection_pairs
+from repro.regions.partition import ColourTable
 
 from tests.interval_tree_oracle import IntervalTree
+
+
+def pairs(a_sets, b_sets):
+    return shallow_intersection_pairs(ColourTable(a_sets), ColourTable(b_sets))
 
 
 def brute_pairs(a_sets, b_sets):
@@ -60,14 +65,14 @@ class TestIntervalTree:
 
 class TestShallowPairs:
     def test_empty_sides(self):
-        assert shallow_intersection_pairs([], [IntervalSet.from_range(0, 2)]) == []
-        assert shallow_intersection_pairs([IntervalSet.empty()], [IntervalSet.empty()]) == []
+        assert pairs([], [IntervalSet.from_range(0, 2)]) == []
+        assert pairs([IntervalSet.empty()], [IntervalSet.empty()]) == []
 
     def test_block_vs_halo(self):
         blocks = [IntervalSet.from_range(i * 10, (i + 1) * 10) for i in range(4)]
         halos = [IntervalSet.from_range(max(0, i * 10 - 2), min(40, (i + 1) * 10 + 2))
                  for i in range(4)]
-        assert shallow_intersection_pairs(blocks, halos) == brute_pairs(blocks, halos)
+        assert pairs(blocks, halos) == brute_pairs(blocks, halos)
 
     @given(st.lists(st.lists(st.integers(0, 80), max_size=12), min_size=1, max_size=8),
            st.lists(st.lists(st.integers(0, 80), max_size=12), min_size=1, max_size=8))
@@ -75,11 +80,11 @@ class TestShallowPairs:
     def test_matches_bruteforce(self, a_lists, b_lists):
         a_sets = [IntervalSet.from_indices(l) for l in a_lists]
         b_sets = [IntervalSet.from_indices(l) for l in b_lists]
-        assert shallow_intersection_pairs(a_sets, b_sets) == brute_pairs(a_sets, b_sets)
+        assert pairs(a_sets, b_sets) == brute_pairs(a_sets, b_sets)
 
     def test_asymmetric_sizes_use_smaller_tree(self):
         # Exercise both branches of the size heuristic.
         a = [IntervalSet.from_range(0, 5)]
         b = [IntervalSet.from_indices([i]) for i in range(20)]
-        assert shallow_intersection_pairs(a, b) == brute_pairs(a, b)
-        assert shallow_intersection_pairs(b, a) == brute_pairs(b, a)
+        assert pairs(a, b) == brute_pairs(a, b)
+        assert pairs(b, a) == brute_pairs(b, a)
