@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .intervals import IntervalSet, expand_ranges, stack_intervals
+from .intervals import IntervalSet, expand_ranges, sorted_distinct, stack_intervals
 from .partition import ColourTable
 
 __all__ = ["PairTable", "overlap_join", "exact_intersections",
@@ -58,7 +58,7 @@ def shallow_intersection_pairs(a: ColourTable, b: ColourTable) -> list[tuple[int
     """All colour pairs ``(i, j)`` with ``a``'s ``i`` ∩ ``b``'s ``j`` != ∅, sorted."""
     i, j, _, _ = overlap_join(*a.rows(), *b.rows())
     nb = b.num_colours
-    return [divmod(key, nb) for key in np.unique(i * nb + j).tolist()]
+    return [divmod(key, nb) for key in sorted_distinct(i * nb + j).tolist()]
 
 
 class PairTable(Mapping):
@@ -70,12 +70,11 @@ class PairTable(Mapping):
     A read-only ``Mapping`` from ``(i, j)`` to that
     :class:`~repro.regions.intervals.IntervalSet`, built on lookup; the
     runtime reads the columns.  Sorted by source colour, so the pairs of
-    a block of source colours are one slice (:meth:`src_range`); the
-    pairs into a block of destination colours are one slice of the
-    destination order (:meth:`dst_range`).
+    a block of source colours are one slice
+    (:class:`~repro.runtime.launch_plan.CopyTable` indexes them by shard).
     """
 
-    __slots__ = ("src", "dst", "offsets", "intervals", "_by_dst")
+    __slots__ = ("src", "dst", "offsets", "intervals")
 
     def __init__(self, src: np.ndarray, dst: np.ndarray, offsets: np.ndarray,
                  intervals: np.ndarray):
@@ -83,7 +82,6 @@ class PairTable(Mapping):
         self.dst = dst
         self.offsets = offsets
         self.intervals = intervals
-        self._by_dst = None
 
     @classmethod
     def from_mapping(cls, pairs: Mapping) -> "PairTable":
@@ -122,27 +120,17 @@ class PairTable(Mapping):
         """Points in all pairs together."""
         return int((self.intervals[:, 1] - self.intervals[:, 0]).sum())
 
-    def select(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(nrows, intervals)`` of the pairs ``idx``: each one's row
-        count and all their rows, in that order."""
+    def select(self, idx: np.ndarray | slice) -> tuple[np.ndarray, np.ndarray]:
+        """``(nrows, intervals)`` of the pairs ``idx`` (indices, or a slice
+        of the pairs): each one's row count and all their rows, in that
+        order."""
+        if isinstance(idx, slice):
+            a, b, _ = idx.indices(len(self))
+            return (np.diff(self.offsets[a:b + 1]),
+                    self.intervals[self.offsets[a]:self.offsets[b]])
         first = self.offsets[idx]
         nrows = self.offsets[idx + 1] - first
         return nrows, self.intervals[expand_ranges(first, nrows)]
-
-    def src_range(self, lo: int, hi: int) -> np.ndarray:
-        """The pairs whose source colour is in ``[lo, hi)``, in order."""
-        a, b = np.searchsorted(self.src, (lo, hi))
-        return np.arange(a, b)
-
-    def dst_range(self, lo: int, hi: int) -> np.ndarray:
-        """The pairs whose destination colour is in ``[lo, hi)``, in
-        order (one slice of the destination order, built once)."""
-        if self._by_dst is None:
-            order = np.argsort(self.dst, kind="stable")
-            self._by_dst = (order, self.dst[order])
-        order, ranked = self._by_dst
-        a, b = np.searchsorted(ranked, (lo, hi))
-        return np.sort(order[a:b])
 
     # -- Mapping view ------------------------------------------------------
     def __len__(self) -> int:

@@ -20,7 +20,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["IntervalSet", "clip_rows", "expand_ranges", "stack_intervals"]
+__all__ = ["IntervalSet", "clip_rows", "expand_ranges", "sorted_distinct",
+           "stack_intervals"]
 
 
 def expand_ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -34,6 +35,17 @@ def expand_ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
     out[ends[:-1]] = lo[1:] - lo[:-1] - counts[:-1] + 1
     out[:1] = lo[:1]
     return np.cumsum(out, out=out)
+
+
+def sorted_distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of ``x``, sorted: one sort and one comparison.
+    Plain ``np.unique`` would do, but its first call imports ``numpy.ma``
+    (it asks ``np.ma.is_masked``), which a run has no other use for."""
+    x = np.sort(np.ravel(x))
+    keep = np.empty(x.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
 def stack_intervals(sets: Sequence["IntervalSet"]) -> tuple[np.ndarray, np.ndarray]:

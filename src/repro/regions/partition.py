@@ -173,9 +173,10 @@ class Partition:
             points = IntervalSet._from_normalized(
                 t.stacked.intervals[a:b] - color * t.span,
                 int(t.prefix[color + 1] - t.prefix[color]))
-            self._subregions[color] = Region(self.parent.ispace, self.parent.fspace,
-                                             index_set=points, parent_partition=self,
-                                             color=color)
+            # Two shard threads may make it at once: both keep the first.
+            return self._subregions.setdefault(color, Region(
+                self.parent.ispace, self.parent.fspace, index_set=points,
+                parent_partition=self, color=color))
         return self._subregions[color]
 
     def __iter__(self) -> Iterator[Region]:

@@ -190,10 +190,6 @@ class PhysicalInstance:
             for fname, (dtype, eshape) in region.fspace.items()
         }
 
-    @classmethod
-    def for_region(cls, region: Region) -> "PhysicalInstance":
-        return cls(region)
-
     @property
     def num_points(self) -> int:
         return self.index_set.count

@@ -122,10 +122,6 @@ class SharedMemoryArena:
     def num_segments(self) -> int:
         return len(self._segments)
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(seg.size for seg in self._segments)
-
     # -- teardown ----------------------------------------------------------
     def release(self) -> None:
         """Unlink every segment name.

@@ -66,19 +66,19 @@ moves.  This module owns the issue side, once for every consumer of it:
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from ..core.shards import color_owners
 from ..regions.intervals import IntervalSet, expand_ranges
 from ..regions.partition import ColourTable
-from ..regions.region import _REDUCTION_UFUNCS
+from ..regions.region import _REDUCTION_UFUNCS, PhysicalInstance
 
-__all__ = ["BlockLayout", "FusedBatch", "FusedCopy", "PlacedRows",
-           "apply_root_copy", "disjoint_dst_colors", "field_width",
-           "footprint_of", "lower_copy", "place_pairs", "place_rows",
-           "receive_plan", "send_gathers"]
+__all__ = ["BlockLayout", "ColourFields", "FusedBatch", "FusedCopy",
+           "PlacedRows", "apply_root_copy", "disjoint_dst_colors",
+           "field_width", "footprint_of", "lower_copy", "place_pairs",
+           "place_rows", "placed_rows", "receive_plan", "send_gathers"]
 
 
 def _as_index(slots: np.ndarray):
@@ -98,13 +98,72 @@ class BlockLayout(NamedTuple):
     is rows ``prefix[c] - base[c]`` to ``prefix[c + 1] - base[c]`` of
     ``blocks[block[c]]`` (``prefix`` being ``table``'s volume prefix;
     ``block`` is non-decreasing: a block's colours are consecutive), and
-    ``arrays[c]`` is its own ``{field: array}``."""
+    ``arrays[c]`` is its own ``{field: array}`` (the executor's
+    :class:`ColourFields`)."""
 
     table: ColourTable
     block: np.ndarray
     base: np.ndarray
     blocks: list
-    arrays: list
+    arrays: Any
+
+
+class ColourFields(dict):
+    """A layout's ``arrays``: colour ``c`` maps to its instance's ``{field:
+    array}``, rows ``lo[c]:hi[c]`` of ``blocks[block[c]]``, cut on first
+    lookup and kept, so the array ids that footprints name stay put (a
+    dict, so a later lookup is one hash).  Nothing is made per colour
+    until something asks for it: a colour's
+    :class:`~repro.regions.region.PhysicalInstance` (:meth:`instance`)
+    wraps the same arrays, and :meth:`ids` keeps the id set of each range
+    of colours asked for.  A shard thread that races another to a colour
+    takes whichever object was stored first (``dict.setdefault``)."""
+
+    __slots__ = ("part", "blocks", "_block", "_lo", "_hi", "_ids",
+                 "_instances")
+
+    def __init__(self, part, blocks: list, block: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray):
+        super().__init__()
+        self.part = part
+        self.blocks = blocks
+        self._block, self._lo, self._hi = (block.tolist(), lo.tolist(),
+                                           hi.tolist())
+        self._ids: dict = {}
+        self._instances: dict = {}
+
+    def rows(self, c: int) -> tuple[dict, int, int]:
+        """``(blocks, lo, hi)``: colour ``c`` is rows ``lo:hi`` of the
+        field blocks ``blocks``."""
+        return self.blocks[self._block[c]], self._lo[c], self._hi[c]
+
+    def __missing__(self, c: int) -> dict:
+        block, lo, hi = self.rows(c)
+        return self.setdefault(c, {f: arr[lo:hi] for f, arr in block.items()})
+
+    def ids(self, colours) -> frozenset:
+        """ids of every field array of ``colours``; kept per range."""
+        key = ((colours.start, colours.stop) if isinstance(colours, range)
+               else None)
+        got = self._ids.get(key)
+        if got is None:
+            got = frozenset(id(arr) for c in colours
+                            for arr in self[c].values())
+            if key is not None:
+                got = self._ids.setdefault(key, got)
+        return got
+
+    def instance(self, c: int):
+        """Colour ``c``'s instance: its subregion over these arrays."""
+        got = self._instances.get(c)
+        if got is None:
+            fields = self[c]
+            rows = iter(fields.values())  # allocated in fspace order
+            got = PhysicalInstance(self.part[c],
+                                   allocator=lambda *_: next(rows))
+            got.fields = fields  # the colour's own dict, not an equal one
+            got = self._instances.setdefault(c, got)
+        return got
 
 
 class PlacedRows(NamedTuple):
@@ -124,12 +183,11 @@ class PlacedRows(NamedTuple):
 def _first_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per key, the index of its value among the distinct values in order
     of first appearance, and those values in that order."""
-    uniq, first, inverse = np.unique(keys, return_index=True,
-                                     return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return rank[inverse.reshape(-1)], uniq[order]
+    distinct = np.array(list(dict.fromkeys(keys.tolist())), dtype=keys.dtype)
+    if distinct.size < 2:  # one block, one lock
+        return np.zeros(keys.size, dtype=np.int64), distinct
+    order = np.argsort(distinct)
+    return order[np.searchsorted(distinct[order], keys)], distinct
 
 
 def place_rows(layout: BlockLayout, colours: np.ndarray, nrows: np.ndarray,
@@ -139,18 +197,27 @@ def place_rows(layout: BlockLayout, colours: np.ndarray, nrows: np.ndarray,
     one rank query on the colour table, each row's block row its rank
     less its colour's block base."""
     per_row = np.repeat(colours, nrows)
-    first = layout.table.ranks(per_row, ivals) - layout.base[per_row]
+    return placed_rows(layout, colours,
+                       layout.table.ranks(per_row, ivals)
+                       - layout.base[per_row])
+
+
+def placed_rows(layout: BlockLayout, colours: np.ndarray,
+                first: np.ndarray) -> PlacedRows:
+    """Pairs whose colours in ``layout`` are ``colours`` and whose rows
+    start at the block rows ``first``, as a :class:`PlacedRows`: their
+    blocks numbered in order of first appearance."""
     block_of, distinct = _first_codes(layout.block[colours])
     return PlacedRows(first, block_of,
                       [layout.blocks[b] for b in distinct.tolist()],
                       colours, layout.arrays)
 
 
-def place_pairs(table, idx: np.ndarray, src: BlockLayout | None = None,
+def place_pairs(table, idx, src: BlockLayout | None = None,
                 dst: BlockLayout | None = None):
     """The one select-and-place step of a copy's pairs ``idx`` (indices
     into its :class:`~repro.regions.interval_join.PairTable` ``table``,
-    in pair order), for the in-memory batch, a send and a receive alike:
+    in pair order, or a slice of it), for every pair of a launch's copy:
     ``(source rows, destination rows, row lengths, rows per pair)``, a
     side placed on its layout when one is given, else ``None``."""
     nrows, ivals = table.select(idx)
@@ -166,8 +233,7 @@ def footprint_of(side: PlacedRows, fields, members=slice(None)) -> set:
     ``members`` (all by default), one lookup per distinct colour."""
     arrays = side.arrays
     return {id(arrays[c][f])
-            for c in np.unique(side.colours[members]).tolist()
-            for f in fields}
+            for c in set(side.colours[members].tolist()) for f in fields}
 
 
 def _expand_runs(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -186,7 +252,7 @@ def _expand_runs(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 def _run_index(first: np.ndarray, lengths: np.ndarray):
     """The slots of the runs ``(first, lengths)`` in order: a slice when
     they continue one another, else the index array."""
-    if (first[1:] == first[:-1] + lengths[:-1]).all():
+    if first.size == 1 or (first[1:] == first[:-1] + lengths[:-1]).all():
         return slice(int(first[0]), int(first[-1] + lengths[-1]))
     return _expand_runs(first, lengths)
 

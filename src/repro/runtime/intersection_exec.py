@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..regions.interval_join import PairTable, exact_intersections, overlap_join
+from ..regions.intervals import sorted_distinct
 from ..regions.partition import Partition
 
 __all__ = ["IntersectionResult", "compute_intersections",
@@ -66,45 +67,6 @@ class IntersectionResult:
         """The non-empty pairs in order (the table's, sorted)."""
         return list(self.table)
 
-    def split(self, produced: range, local: np.ndarray,
-              dst_owner: np.ndarray):
-        """A copy's pairs issued by the shard that produces the source
-        colours ``produced``: ``(copies, visits, sends)``.  ``copies``
-        are the table indices of its non-empty pairs into destination
-        colours that ``local`` (a mask over the destination colours)
-        marks, in pair order; ``visits`` counts its pairs into those,
-        empty ones included; ``sends`` is one ``(peer, indices, visits)``
-        per other destination shard (``dst_owner[j]``), in order of first
-        appearance."""
-        table = self.table
-        mine = table.src_range(produced.start, produced.stop)
-        here = local[table.dst[mine]]
-        remote = mine[~here]
-        peer_of = dst_owner[table.dst[remote]]
-        if self.all_pairs:
-            # Every (i, j) is visited, empty or not, and in (i, j) order
-            # the peers first appear in ascending order.
-            visits = len(produced) * int(local.sum())
-            per_peer = len(produced) * np.bincount(dst_owner[~local])
-            peers = np.flatnonzero(per_peer)
-        else:
-            visits = int(here.sum())
-            per_peer = np.bincount(peer_of)
-            _, first = np.unique(peer_of, return_index=True)
-            peers = peer_of[np.sort(first)]
-        return mine[here], visits, tuple(
-            (peer, remote[peer_of == peer], int(per_peer[peer]))
-            for peer in peers.tolist())
-
-    def written(self, owned: range) -> list[int]:
-        """The destination colours in ``owned`` that some visited pair
-        writes (the pairs into them: one slice of the destination
-        order)."""
-        if self.all_pairs:
-            return list(owned) if self.src.num_colors else []
-        return np.unique(self.table.dst[self.table.dst_range(
-            owned.start, owned.stop)]).tolist()
-
     def visited(self) -> np.ndarray:
         """The ``(i, j)`` a copy over this pair set visits, in pair order,
         as a ``(k, 2)`` array."""
@@ -138,7 +100,7 @@ def compute_intersections_sharded(src: Partition, dst: Partition,
     t0 = time.perf_counter()
     i, j, src_rows, dst_rows = overlap_join(*src.colour_table.rows(),
                                             *dst.colour_table.rows())
-    num_candidates = np.unique(i * dst.num_colors + j).size
+    num_candidates = sorted_distinct(i * dst.num_colors + j).size
     t1 = time.perf_counter()
 
     # Hand every shard the candidates of its owned source colors.  Owners

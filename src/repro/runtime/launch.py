@@ -404,6 +404,7 @@ def child_payload(state, flight_base: int, error, extras) -> dict:
         "counters": {name: getattr(state, name) for name in state.COUNTERS},
         "capture_points": state.capture_points,
         "window_passes": state.window_passes,
+        "plan_s": state.plan_s,
         "flight": (state.flight.export_since(flight_base)
                    if state.flight.enabled else None),
         "flight_anchor": flight_anchor() if state.flight.enabled else None,
@@ -420,6 +421,7 @@ def apply_payload(ex, st, payload: dict, parent_anchor) -> None:
         setattr(st, name, value)
     st.capture_points = payload["capture_points"]
     st.window_passes = payload["window_passes"]
+    st.plan_s = payload["plan_s"]
     if ex.flight is not None and payload["flight"] is not None:
         # The wall-clock anchors repair a child perf_counter base that
         # differs from the parent's.

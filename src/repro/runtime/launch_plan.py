@@ -1,11 +1,21 @@
-"""One shard plan: a shard's launch body lowered before its first statement.
+"""One launch table, sliced into one shard plan per shard.
+
+A shard launch builds its :class:`LaunchTable` once, in the parent,
+before any shard exists (``SPMDExecutor._shard_launch``): per copy
+statement a :class:`CopyTable` — its pairs indexed by producer and by
+consumer shard, both sides of every pair placed on the block layouts at
+once, each pair's fold-lock code.  ``procs`` children and forked ``net``
+ranks inherit it; a ``net`` worker builds the same one.
 
 :func:`plan_shard` runs at the top of every shard's driver body — the
 stepped generator, the threaded thread, the forked ``procs`` child, the
 ``net`` rank — and maps each statement uid of the launch body to its
 lowered form, branches never taken included (an inspector sees geometry
-only, so planning one runs nothing).  The interpreter and the window
-compiler only read the :class:`ShardPlan`; neither lowers anything.
+only, so planning one runs nothing).  It *slices*: what it reads of the
+table is the shard's own pairs and channels, so a shard's plan costs its
+own pairs and points, however many shards there are.  The interpreter
+and the window compiler only read the :class:`ShardPlan`; neither
+lowers anything.
 
 * an :class:`~repro.core.ir.IndexLaunch` becomes one :class:`LaunchPlan`:
   its owned point tasks as calls whose views are built and whose bodies
@@ -17,8 +27,8 @@ compiler only read the :class:`ShardPlan`; neither lowers anything.
 * a :class:`~repro.core.ir.PairwiseCopy` becomes one :class:`CopyPlan`:
   its in-memory pairs lowered to one
   :class:`~repro.runtime.copy_engine.FusedBatch`, its sends and receives
-  as pair-table indices, what each handshake phase touches and the
-  arrays the handshake protects;
+  as placed rows, what each handshake phase touches and the arrays the
+  handshake protects — all slices of its :class:`CopyTable`;
 * a :class:`~repro.core.ir.FillReductionBuffer` becomes its
   ``(array, value)`` fills, and a
   :class:`~repro.core.ir.ScalarCollective` the launch's collective.
@@ -29,9 +39,8 @@ A launch plan holds one of two forms:
   is declared ``batchable`` (see :class:`repro.tasks.task.Task`), the
   launch folds no scalar reduction, no argument reads the point index
   ``i`` (scalars that read other variables are re-evaluated once per
-  call, the same for every point), static scalars agree across points,
-  and each region argument's owned instances are adjacent rows of one
-  shard block, in point order (``SPMDExecutor.block_rows``).  The body
+  call, the same for every point), and each region argument's owned
+  colours are adjacent rows of one shard block, in point order.  The body
   reads and writes the blocks in place, through one :class:`BatchedView`
   per argument, and pays its fixed numpy cost — and its inspector — once
   per shard instead of per point task.  A pointer-chasing body localizes
@@ -55,15 +64,15 @@ from ..core.ir import (FillReductionBuffer, IndexLaunch, PairwiseCopy,
                        RegionArg, ScalarCollective, evaluate, walk)
 from ..core.shards import color_owners, shard_owned_colors
 from ..obs import flight as _flight
-from ..regions.intervals import expand_ranges
+from ..regions.intervals import expand_ranges, sorted_distinct
 from ..regions.region import reduction_identity
 from ..tasks.views import PlacedView
 from .collectives import SCALAR_REDUCTIONS
 from .copy_engine import (FusedBatch, disjoint_dst_colors, lower_copy,
-                          place_pairs)
+                          place_pairs, placed_rows)
 
-__all__ = ["BatchedView", "CopyPlan", "LaunchPlan", "ShardPlan",
-           "fold_keys", "lower_launch", "plan_shard"]
+__all__ = ["BatchedView", "CopyPlan", "CopyTable", "LaunchPlan",
+           "LaunchTable", "ShardPlan", "lower_launch", "plan_shard"]
 
 _EMPTY_ENV: dict[str, Any] = {}
 
@@ -80,12 +89,18 @@ class BatchedView(PlacedView):
     unsegmented forms and ``index_set`` raise, naming that contract.
     """
 
-    def __init__(self, regions, arrays: dict[str, np.ndarray], privilege,
-                 task_name: str):
-        # The first region stands for the union in error messages.
-        super().__init__(regions[0], None, privilege, task_name, arrays)
-        self.regions = tuple(regions)
+    def __init__(self, part, colours: range, arrays: dict[str, np.ndarray],
+                 privilege, task_name: str):
+        # The first colour's subregion stands for the union in errors.
+        super().__init__(part[colours[0]], None, privilege, task_name, arrays)
+        self.colours = colours
         self._table = self._segments = None
+
+    @property
+    def regions(self) -> tuple:
+        """The point tasks' subregions, in point order."""
+        part = self.region.parent_partition
+        return tuple(part[c] for c in self.colours)
 
     def _point_table(self):
         """Its point tasks' subsets as one colour table, colour ``j``
@@ -93,7 +108,7 @@ class BatchedView(PlacedView):
         taken on first use."""
         if self._table is None:
             self._table = self.region.parent_partition.colour_table.take(
-                [r.color for r in self.regions])
+                np.arange(self.colours.start, self.colours.stop))
         return self._table
 
     @property
@@ -131,7 +146,7 @@ class BatchedView(PlacedView):
         missing id's slot is clamped into its point task's rows, as a
         view of that point task alone would clamp it."""
         if seg is None:
-            if len(self.regions) > 1:
+            if len(self.colours) > 1:
                 self._unordered("localize() without seg")
             seg = 0
         table, colour, upper, shift = self._segment_table()
@@ -147,7 +162,7 @@ class BatchedView(PlacedView):
         to rows of this view; built at the first localize."""
         if self._segments is None:
             table = self.region.parent_partition.colour_table
-            colour = np.array([r.color for r in self.regions], dtype=np.int64)
+            colour = np.arange(self.colours.start, self.colours.stop)
             start = table.prefix[colour]
             upper = np.maximum(table.prefix[colour + 1] - 1, start)
             self._segments = (table, colour, upper,
@@ -155,7 +170,7 @@ class BatchedView(PlacedView):
         return self._segments
 
     def __repr__(self) -> str:
-        return (f"BatchedView({self.region.name} x{len(self.regions)}, "
+        return (f"BatchedView({self.region.name} x{len(self.colours)}, "
                 f"{self.privilege})")
 
 
@@ -225,96 +240,94 @@ class LaunchPlan:
             self.step(call, state)
 
 
-def _spanning_rows(regions, block_rows) -> dict[str, np.ndarray] | None:
+def _spanning_rows(arrays, colours: range) -> dict[str, np.ndarray] | None:
     """``{field: rows}`` of the one block whose adjacent slices the
-    regions' instances are, in order; None when they are not."""
-    blocks, lo, hi = block_rows(regions[0])
-    for r in regions[1:]:
-        other, start, stop = block_rows(r)
-        if other is not blocks or start != hi:
-            return None
-        hi = stop
+    ``colours`` of the layout's ``arrays`` are; None when they straddle
+    two blocks (a block's colours are consecutive, in colour order)."""
+    blocks, lo, _ = arrays.rows(colours[0])
+    other, _, hi = arrays.rows(colours[-1])
+    if other is not blocks:
+        return None
     return {f: block[lo:hi] for f, block in blocks.items()}
 
 
-def _batched_args(stmt: IndexLaunch, points: list[list],
-                  block_rows) -> list | None:
+def _batched_args(stmt: IndexLaunch, owned: range, fields: list,
+                  scalars: list) -> list | None:
     """The one call's arguments over every owned point, or None when the
     launch must run per point (see the module docstring)."""
     task = stmt.task
-    if not task.batchable or stmt.reduce is not None or len(points) < 2:
+    if not task.batchable or stmt.reduce is not None or len(owned) < 2:
         return None
-    args: list[Any] = []
+    args = list(scalars)
     privileges = iter(task.privileges)
     for pos, arg in enumerate(stmt.args):
-        col = [p[pos] for p in points]
         if isinstance(arg, RegionArg):
-            arrays = _spanning_rows(col, block_rows)
+            arrays = _spanning_rows(fields[pos], owned)
             if arrays is None:
                 return None
-            args.append(BatchedView(col, arrays, next(privileges), task.name))
-        elif "i" in arg.expr.refs() or any(a != col[0] for a in col[1:]):
+            args[pos] = BatchedView(arg.proj.partition, owned, arrays,
+                                    next(privileges), task.name)
+        elif "i" in arg.expr.refs():
             return None
-        else:
-            args.append(col[0])
     return args
 
 
-def lower_launch(stmt: IndexLaunch, owned, instance_of: Callable,
-                 block_rows: Callable, plans: dict) -> LaunchPlan:
+def lower_launch(stmt: IndexLaunch, owned: range, layout_of: Callable,
+                 plans: dict) -> LaunchPlan:
     """Lower ``stmt``'s ``owned`` point tasks to one :class:`LaunchPlan`.
 
-    ``instance_of(region)`` is the region's distributed instance,
-    ``block_rows`` is :meth:`~repro.runtime.spmd.SPMDExecutor.block_rows`
-    and ``plans`` the shard's inspector memo for per-point calls.  Region
-    arguments resolve once here, static scalars evaluate once here;
-    scalars that read the environment are re-evaluated per call.
+    ``layout_of(partition)`` is the partition's
+    :class:`~repro.runtime.copy_engine.BlockLayout` and ``plans`` the
+    shard's inspector memo for per-point calls.  Point ``i`` names colour
+    ``i`` of each region argument's partition (a launch reaches the shards
+    with identity projections only: ``core.target`` refuses any other),
+    so the footprint is the id set its layout keeps for the range
+    ``owned``.  Static scalars evaluate once here; scalars that read the
+    environment are re-evaluated per call.
     """
     task = stmt.task
-    region_pos = [pos for pos, arg in enumerate(stmt.args)
-                  if isinstance(arg, RegionArg)]
+    fields = [layout_of(arg.proj.partition).arrays
+              if isinstance(arg, RegionArg) else None for arg in stmt.args]
+    region_pos = [pos for pos, f in enumerate(fields) if f is not None]
     dynamic = tuple((pos, arg.expr) for pos, arg in enumerate(stmt.args)
-                    if not isinstance(arg, RegionArg) and arg.expr.refs())
-    points = [[arg.proj.partition[arg.proj.color_for(i)]
-               if isinstance(arg, RegionArg)
-               else None if arg.expr.refs() else evaluate(arg.expr, _EMPTY_ENV)
-               for arg in stmt.args] for i in owned]
-    footprint = frozenset(id(arr) for args in points for pos in region_pos
-                          for arr in instance_of(args[pos]).fields.values())
-    batched = _batched_args(stmt, points, block_rows)
+                    if fields[pos] is None and arg.expr.refs())
+    scalars = [None if f is not None or arg.expr.refs()
+               else evaluate(arg.expr, _EMPTY_ENV)
+               for arg, f in zip(stmt.args, fields)]
+    footprint = frozenset().union(*(fields[pos].ids(owned)
+                                    for pos in region_pos))
+    batched = _batched_args(stmt, owned, fields, scalars)
     if batched is not None:
         # The batch plan belongs to this call alone: a throwaway memo.
         views = [batched[pos] for pos in region_pos]
         calls = [_Call(task.bound(views, {}), batched, dynamic, None,
-                       len(points))]
-        return LaunchPlan(stmt, calls, len(points), footprint)
+                       len(owned))]
+        return LaunchPlan(stmt, calls, len(owned), footprint)
     calls = []
-    for i, args in zip(owned, points):
+    for i in owned:
+        args = list(scalars)
         for pos, privilege in zip(region_pos, task.privileges):
-            args[pos] = PlacedView(args[pos], instance_of(args[pos]),
-                                   privilege, task.name)
+            args[pos] = PlacedView(stmt.args[pos].proj.partition[i], None,
+                                   privilege, task.name, fields[pos][i])
         views = [args[pos] for pos in region_pos]
         calls.append(_Call(task.bound(views, plans), args, dynamic, i, 1))
-    return LaunchPlan(stmt, calls, len(points), footprint)
+    return LaunchPlan(stmt, calls, len(owned), footprint)
 
 
 class CopyPlan(NamedTuple):
     """One shard's side of one copy statement for the launch: its
     in-memory pairs lowered to one
     :class:`~repro.runtime.copy_engine.FusedBatch`; on a context whose
-    cross-shard pairs are messages, its sends as ``(peer, pair-table
-    indices of the non-empty pairs, pairs visited)`` and receives as
-    ``(producer, pair-table indices)``, which the context places on
-    ``table`` and the layouts ``src``/``dst``; the ids of the arrays its
-    handshake protects (its owned destination instances: fission's
-    footprint); and what each handshake phase touches, in the shapes the
-    recorder stores — or, in barrier mode, its ``pre`` and ``post``
-    collectives (§3.4's WAR and RAW barriers)."""
+    cross-shard pairs are messages, its sends as ``(peer, side, pairs
+    visited)`` and receives as ``(producer, side)``, a side being ``(rows
+    placed on the source or destination layout, row lengths, rows per
+    pair)`` of the non-empty pairs in pair order; the ids of the arrays
+    its handshake protects (the owned destination instances some pair
+    writes: fission's footprint); and what each handshake phase touches,
+    in the shapes the recorder stores — or, in barrier mode, its ``pre``
+    and ``post`` collectives (§3.4's WAR and RAW barriers)."""
 
     stmt: PairwiseCopy
-    table: Any
-    src: Any
-    dst: Any
     batch: FusedBatch
     sends: tuple = ()
     receives: tuple = ()
@@ -336,80 +349,168 @@ class ShardPlan(NamedTuple):
     steps: dict
 
 
-def fold_keys(stmt: PairwiseCopy, table, ns: int, locked: bool):
-    """Per destination colour of the reduction copy ``stmt``, the shard
-    whose fold lock a fold into it takes, or -1 (no lock) where its
-    inbound contributions are disjoint across producer shards — a pure
-    function of the evaluated pair table ``table``, so a launch computes
-    it once for every shard; ``locked`` keeps every lock."""
-    key = color_owners(stmt.dst.num_colors, ns)
-    if not locked:
-        key[list(disjoint_dst_colors(table, stmt.src.num_colors, ns))] = -1
-    return key
+class CopyTable:
+    """One copy statement's part of the :class:`LaunchTable`.
+
+    Its pair table's pairs are in producer order already (sorted by
+    source colour, whose owner grows with it), so ``produced[x]:
+    produced[x + 1]`` are shard ``x``'s.  One stable argsort by consumer
+    (``by_consumer``) lists each consumer's pairs in pair order, hence by
+    producer, so the pairs of one (producer, consumer) channel are one
+    slice of it, found by one search of the sorted ``channel`` keys.
+    Both sides of every pair are placed once (``src_first``,
+    ``dst_first``, ``lengths`` per row), and ``lock_of[p]`` indexes
+    ``locks``: no lock, or the fold lock of the destination shard that
+    pair ``p``'s fold takes (none where producers never overlap,
+    :func:`~repro.runtime.copy_engine.disjoint_dst_colors`).
+    """
+
+    def __init__(self, stmt: PairwiseCopy, res, src, dst, ns: int,
+                 owners: Callable, locks: list, locked: bool):
+        table = res.table
+        self.stmt, self.src, self.dst, self.ns = stmt, src, dst, ns
+        self.all_pairs = res.all_pairs
+        self.src_colours, self.dst_colours = table.src, table.dst
+        self.offsets, self.nrows = table.offsets, table.nrows
+        dst_owner = owners(stmt.dst)
+        producer, consumer = owners(stmt.src)[table.src], dst_owner[table.dst]
+        self.produced = np.searchsorted(producer,
+                                        np.arange(ns + 1)).tolist()
+        self.by_consumer = np.argsort(consumer, kind="stable")
+        self.channel = (consumer * ns + producer)[self.by_consumer]
+        src_side, dst_side, self.lengths, _ = place_pairs(
+            table, slice(None), src, dst)
+        self.src_first, self.dst_first = src_side.first, dst_side.first
+        self.locks = [None, *locks]
+        if stmt.redop is None:
+            self.lock_of = np.zeros(len(table), dtype=np.int64)
+            return
+        key = dst_owner.copy()
+        if not locked:
+            key[list(disjoint_dst_colors(table, stmt.src.num_colors,
+                                         ns))] = -1
+        self.lock_of = key[table.dst] + 1
+
+    def _channel(self, p: int, q: int) -> np.ndarray:
+        """The pairs from producer ``p`` to consumer ``q``, in pair order."""
+        a, b = np.searchsorted(self.channel, (q * self.ns + p,
+                                              q * self.ns + p + 1))
+        return self.by_consumer[a:b]
+
+    def _side(self, pairs, rows, dst: bool):
+        """One placed side of ``pairs`` (a slice or indices) whose rows
+        are ``rows``."""
+        layout, first, colours = ((self.dst, self.dst_first, self.dst_colours)
+                                  if dst else
+                                  (self.src, self.src_first, self.src_colours))
+        return placed_rows(layout, colours[pairs], first[rows])
+
+    def _message(self, pairs: np.ndarray, dst: bool):
+        rows = expand_ranges(self.offsets[pairs], self.nrows[pairs])
+        return (self._side(pairs, rows, dst), self.lengths[rows],
+                self.nrows[pairs])
+
+    def _written(self, shard: int):
+        """The destination colours ``shard`` owns that some visited pair
+        writes."""
+        stmt, ns = self.stmt, self.ns
+        if self.all_pairs:
+            return (shard_owned_colors(stmt.dst.num_colors, ns, shard)
+                    if stmt.src.num_colors else range(0))
+        a, b = np.searchsorted(self.channel, (shard * ns, (shard + 1) * ns))
+        return sorted_distinct(
+            self.dst_colours[self.by_consumer[a:b]]).tolist()
+
+    def plan(self, shard: int, ctx) -> CopyPlan:
+        """Shard ``shard``'s :class:`CopyPlan` under the launch context
+        ``ctx``, whose channel indexes name its handshake: slices of the
+        table by the shard's own pairs and channels."""
+        stmt, ns, uid = self.stmt, self.ns, self.stmt.uid
+        produced = len(shard_owned_colors(stmt.src.num_colors, ns, shard))
+        sends = receives = ()
+        if ctx.messages:
+            # The pairs into its own colours are in-memory; the rest are
+            # one message per peer, in the channels' order.
+            copies = self._channel(shard, shard)
+            rows = expand_ranges(self.offsets[copies], self.nrows[copies])
+            count, local = copies.size, len(
+                shard_owned_colors(stmt.dst.num_colors, ns, shard))
+            sends = tuple(
+                (q, self._message(pairs, False),
+                 (produced * len(shard_owned_colors(stmt.dst.num_colors, ns,
+                                                    q))
+                  if self.all_pairs else pairs.size))
+                for q in ctx.outbound[uid].get(shard, {})
+                for pairs in (self._channel(shard, q),))
+            receives = tuple((p, self._message(self._channel(p, shard), True))
+                             for p in ctx.inbound[uid].get(shard, {}))
+        else:
+            a, b = self.produced[shard:shard + 2]
+            copies, rows = slice(a, b), slice(self.offsets[a],
+                                              self.offsets[b])
+            count, local = b - a, stmt.dst.num_colors
+        batch = lower_copy(uid, stmt.fields, stmt.redop,
+                           self._side(copies, rows, False),
+                           self._side(copies, rows, True), self.lengths[rows],
+                           self.nrows[copies], self.lock_of[copies],
+                           self.locks,
+                           produced * local if self.all_pairs else count)
+        plan = CopyPlan(stmt, batch, sends, receives)
+        if stmt.sync_mode == "p2p":
+            out = ctx.outbound[uid].get(shard, {}).values()
+            into = ctx.inbound[uid].get(shard, {}).values()
+            return plan._replace(
+                protect=self.dst.arrays.ids(self._written(shard)),
+                ack_advances=tuple(c.acked for c in into),
+                ack_waits=tuple((c.acked, c.ack_label) for c in out),
+                ready_advances=tuple(c.ready for c in out),
+                ready_waits=tuple((c.ready, c.ready_label) for c in into))
+        if stmt.sync_mode == "barrier":
+            return plan._replace(rendezvous=(ctx.collectives[f"pre:{uid}"],
+                                             ctx.collectives[f"post:{uid}"]))
+        return plan
 
 
-def _fold_locks(ex, stmt: PairwiseCopy, j: np.ndarray):
-    """``(lock_of, locks)``: pair ``p`` into destination colour ``j[p]``
-    folds under ``locks[lock_of[p]]`` — the launch's lock of its
-    destination colour's fold key, or ``None`` (no lock) for a plain copy
-    or a key of -1."""
-    if stmt.redop is None:
-        return np.zeros(j.size, dtype=np.int64), [None]
-    keys, lock_of = np.unique(ex._fold_keys[stmt.uid][j], return_inverse=True)
-    return lock_of.reshape(-1), [
-        None if q < 0 else ex._copy_locks[(stmt.uid, q)]
-        for q in keys.tolist()]
+class LaunchTable:
+    """What every shard's plan of one launch shares, built once before any
+    shard exists: per copy statement its :class:`CopyTable` (``copies``,
+    by uid), and how long building them took (``seconds``).  ``procs``
+    children and forked ``net`` ranks inherit it; a ``net`` worker builds
+    the same one in its own process."""
 
+    __slots__ = ("copies", "seconds")
 
-def plan_copy(ex, stmt: PairwiseCopy, shard: int, ctx) -> CopyPlan:
-    """Shard ``shard``'s :class:`CopyPlan` of ``stmt`` under the launch
-    context ``ctx``, whose channel indexes name its handshake."""
-    ns, uid = ctx.num_shards, stmt.uid
-    res = ex._pair_table(stmt)
-    table, src, dst = res.table, ex._layout(stmt.src), ex._layout(stmt.dst)
-    dst_owner = color_owners(stmt.dst.num_colors, ns)
-    # The destination colours whose pairs from this shard are in-memory.
-    local = (dst_owner == shard if ctx.messages
-             else np.ones(dst_owner.size, dtype=bool))
-    copies, visits, sends = res.split(
-        shard_owned_colors(stmt.src.num_colors, ns, shard), local, dst_owner)
-    placed = place_pairs(table, copies, src, dst)
-    lock_of, locks = _fold_locks(ex, stmt, table.dst[copies])
-    batch = lower_copy(uid, stmt.fields, stmt.redop, *placed, lock_of, locks,
-                       visits)
-    owned = shard_owned_colors(stmt.dst.num_colors, ns, shard)
-    # This shard's channels, {peer: channel} in spec order.
-    out = ctx.outbound[uid].get(shard, {})
-    into = ctx.inbound[uid].get(shard, {})
-    receives = ()
-    if ctx.messages:
-        mine = table.dst_range(owned.start, owned.stop)
-        producer = color_owners(stmt.src.num_colors, ns)[table.src[mine]]
-        receives = tuple((p, mine[producer == p]) for p in into)
-    plan = CopyPlan(stmt, table, src, dst, batch, sends, receives)
-    if stmt.sync_mode == "p2p":
-        out, into = out.values(), into.values()
-        return plan._replace(
-            protect=frozenset(id(arr) for j in res.written(owned)
-                              for arr in dst.arrays[j].values()),
-            ack_advances=tuple(c.acked for c in into),
-            ack_waits=tuple((c.acked, c.ack_label) for c in out),
-            ready_advances=tuple(c.ready for c in out),
-            ready_waits=tuple((c.ready, c.ready_label) for c in into))
-    if stmt.sync_mode == "barrier":
-        return plan._replace(rendezvous=(ctx.collectives[f"pre:{uid}"],
-                                         ctx.collectives[f"post:{uid}"]))
-    return plan
+    def __init__(self, spec, ex, ns: int):
+        t0 = time.perf_counter()
+        owners: dict = {}
+
+        def owner(part):
+            # One color_owners per partition.
+            got = owners.get(part.uid)
+            if got is None:
+                got = owners[part.uid] = color_owners(part.num_colors, ns)
+            return got
+
+        self.copies = {
+            s.uid: CopyTable(
+                s, ex._pair_table(s), ex._layout(s.src), ex._layout(s.dst),
+                ns, owner, [ex._copy_locks[(s.uid, q)] for q in range(ns)]
+                if s.redop is not None else [], ex._force_locked_reductions)
+            for s in spec.copies}
+        self.seconds = time.perf_counter() - t0
 
 
 def plan_shard(body, shard: int, ex, ctx, flight) -> ShardPlan:
     """Lower every statement of the launch body ``body`` for ``shard``,
-    taken branch or not, against the executor ``ex`` (its evaluated pair
-    sets, instances, block layouts and the launch's fold locks) and the
-    launch context ``ctx``.  A lowering that raises — an inspector, say
-    — writes a TASK record under its launch's uid to ``flight`` first,
-    the record the post-mortem flight dump exists to show."""
+    taken branch or not, against the executor ``ex`` (its launch table,
+    block layouts and inspectors' geometry) and the launch context
+    ``ctx``: each copy a slice of its :class:`CopyTable` by the shard's
+    own pairs and channels, each launch its owned point tasks.  A
+    lowering that raises — an inspector, say — writes a TASK record under
+    its launch's uid to ``flight`` first, the record the post-mortem
+    flight dump exists to show."""
     ns = ctx.num_shards
+    table = ex.launch_table
     steps: dict = {}
     inspected: dict = {}  # this shard's inspector memo (Task.bound)
     # Launches last, each kind in walk order: an inspector's scratch
@@ -423,19 +524,19 @@ def plan_shard(body, shard: int, ex, ctx, flight) -> ShardPlan:
             try:
                 steps[s.uid] = lower_launch(
                     s, shard_owned_colors(s.domain.size, ns, shard),
-                    ex.region_instance, ex.block_rows, inspected)
+                    ex._layout, inspected)
             except BaseException:
                 flight.record(_flight.TASK, s.uid, t0, time.perf_counter())
                 raise
         elif isinstance(s, PairwiseCopy):
-            steps[s.uid] = plan_copy(ex, s, shard, ctx)
+            steps[s.uid] = table.copies[s.uid].plan(shard, ctx)
         elif isinstance(s, FillReductionBuffer):
             part = s.partition
+            arrays = ex._layout(part).arrays
             steps[s.uid] = tuple(
                 (arr, reduction_identity(s.redop, arr.dtype))
                 for c in shard_owned_colors(part.num_colors, ns, shard)
-                for arr in (ex.dist_instance(part, c).fields[f]
-                            for f in s.fields))
+                for arr in (arrays[c][f] for f in s.fields))
         elif isinstance(s, ScalarCollective):
             steps[s.uid] = ctx.collectives[s.uid]
     return ShardPlan(ctx, steps)

@@ -47,8 +47,8 @@ import numpy as np
 from ...obs import flight as _flight
 from ...regions.region import reduction_identity
 from ..collectives import SCALAR_REDUCTIONS
-from ..copy_engine import (field_width, footprint_of, place_pairs,
-                           receive_plan, send_gathers)
+from ..copy_engine import (field_width, footprint_of, receive_plan,
+                           send_gathers)
 from ..events import Event, Sequence
 from ..launch import Channel, CommContext
 from ..launch_plan import CopyPlan
@@ -553,17 +553,16 @@ class NetCommContext(CommContext):
         statement: per copy statement one :class:`PackedSend` per peer it
         sends to, gathering against this rank's source block, and one
         :class:`ReceivePlan` per inbound channel, scattering into its
-        destination block.  Both sides select and place the same pairs in
-        the same order (:func:`~repro.runtime.copy_engine.place_pairs`),
-        so a frame carries only the generation and one buffer per field."""
+        destination block.  Both sides hold the same pairs in the same
+        order, placed once for the launch
+        (:class:`~repro.runtime.launch_plan.CopyTable`), so a frame
+        carries only the generation and one buffer per field."""
         for cp in plan.steps.values():
             if not isinstance(cp, CopyPlan):
                 continue
             uid, fields = cp.stmt.uid, cp.stmt.fields
             sends = []
-            for peer, pairs, visits in cp.sends:
-                src, _, lengths, nrows = place_pairs(cp.table, pairs,
-                                                     src=cp.src)
+            for peer, (src, lengths, nrows), visits in cp.sends:
                 count = int(lengths.sum())
                 width = (field_width(src.blocks[0], fields) if src.blocks
                          else 0)
@@ -572,9 +571,7 @@ class NetCommContext(CommContext):
                     send_gathers(fields, src, lengths, nrows), visits, count,
                     count * width, footprint_of(src, fields)))
             self._outbox[uid] = tuple(sends)
-            for producer, pairs in cp.receives:
-                _, dst, lengths, nrows = place_pairs(cp.table, pairs,
-                                                     dst=cp.dst)
+            for producer, (dst, lengths, nrows) in cp.receives:
                 self._rx[(uid, producer)].plan = ReceivePlan(
                     receive_plan(uid, fields, cp.stmt.redop, dst, lengths,
                                  nrows), uid, producer)

@@ -55,6 +55,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from dataclasses import replace as dataclass_replace
 from typing import Any, ClassVar, Iterator
@@ -79,19 +80,20 @@ from ..core.ir import (
     evaluate,
 )
 from ..core.passes import PassTiming, export_pass_metrics
-from ..core.shards import color_owners, shard_owned_colors
+from ..core.shards import color_owners
 from ..obs import NULL_METRICS, NULL_TRACER, MetricsRegistry, Tracer
 from ..obs import flight as _flight
 from ..obs.flight import NULL_RING, FlightRecorder, ShardRing
+from ..regions.intervals import sorted_distinct
 from ..regions.partition import Partition
 from ..regions.region import PhysicalInstance
 from .backends import ensure_backend
-from .copy_engine import BlockLayout, FusedBatch, apply_root_copy
+from .copy_engine import BlockLayout, ColourFields, FusedBatch, apply_root_copy
 from .events import Event
 from .intersection_exec import IntersectionResult, compute_intersections
 from .launch import (CommContext, DeadlockError, ShardExceptionGroup,
                      launch_spec)
-from .launch_plan import ShardPlan, fold_keys, plan_shard
+from .launch_plan import LaunchTable, ShardPlan, plan_shard
 from .window import LoopReplay, ReplayError
 from .sequential import SequentialExecutor
 
@@ -161,6 +163,8 @@ class _ShardState:
     # agree; validated after the launch like scalar state.
     capture_points: dict[int, int] = field(default_factory=dict)
     loop_replays: dict[int, LoopReplay] = field(default_factory=dict)
+    # Seconds this shard took to plan its launch body (plan_shard).
+    plan_s: float = 0.0
     # One int attribute per row, zeroed at construction.
     COUNTERS: ClassVar[dict] = COUNTERS
 
@@ -174,6 +178,30 @@ class _ShardState:
         g = self.epochs.get(uid, 0) + 1
         self.epochs[uid] = g
         return g
+
+
+class _Instances(Mapping):
+    """``(partition uid, colour) -> PhysicalInstance`` over every allocated
+    partition: each one made on first request, around its colour's arrays
+    (:meth:`~repro.runtime.copy_engine.ColourFields.instance`)."""
+
+    def __init__(self, layouts: dict[int, BlockLayout]):
+        self._layouts = layouts
+
+    def __getitem__(self, key) -> PhysicalInstance:
+        uid, c = key
+        layout = self._layouts.get(uid)
+        if layout is None or not 0 <= c < layout.table.num_colours:
+            raise KeyError(key)
+        return layout.arrays.instance(c)
+
+    def __iter__(self):
+        return ((uid, c) for uid, layout in self._layouts.items()
+                for c in range(layout.table.num_colours))
+
+    def __len__(self) -> int:
+        return sum(layout.table.num_colours
+                   for layout in self._layouts.values())
 
 
 class SPMDExecutor(SequentialExecutor):
@@ -219,13 +247,12 @@ class SPMDExecutor(SequentialExecutor):
         self.flight_dir = (flight_dir if flight_dir is not None
                            else os.environ.get("REPRO_FLIGHT_DIR") or None)
         self.deadlock_timeout = deadlock_timeout
-        self.dist: dict[tuple[int, int], PhysicalInstance] = {}
-        # (partition uid, color) -> (the owning shard's field blocks, lo,
-        # hi): the colour's instance arrays are rows lo:hi of the blocks.
-        self._block_rows: dict[tuple[int, int], tuple[dict, int, int]] = {}
         # partition uid -> where its colours sit in the shard blocks (the
-        # copy engine's BlockLayout), built with the instances.
+        # copy engine's BlockLayout), built with the blocks; the colours'
+        # arrays and instances are cut from the blocks on first use.
         self._layouts: dict[int, BlockLayout] = {}
+        self.dist: Mapping[tuple[int, int], PhysicalInstance] = _Instances(
+            self._layouts)
         self.pair_sets: dict[str, IntersectionResult] = {}
         # Loop-invariant ComputeIntersections statements hit this cache,
         # keyed on partition identity, so an intersection inside a time
@@ -236,11 +263,13 @@ class SPMDExecutor(SequentialExecutor):
         # Only reduction folds still need locking: ufunc.at on a shared
         # destination is not atomic across threads or processes.  Built
         # per launch before any shard: one lock per (copy stmt uid, dst
-        # shard), and per reduction copy uid its colours' fold_keys (the
-        # test hook _force_locked_reductions keeps every lock).
+        # shard); which colours' folds take none is the launch table's
+        # (the test hook _force_locked_reductions keeps every lock).
         self._copy_locks: dict[tuple[int, int], Any] = {}
-        self._fold_keys: dict[int, np.ndarray] = {}
         self._force_locked_reductions = False
+        # The current launch's table (launch_plan.LaunchTable): what every
+        # shard's plan slices.
+        self.launch_table: LaunchTable | None = None
         # Backends with shared instances allocate them from this arena so
         # forked shard processes all map them; created on first allocation.
         self._arena = None
@@ -315,13 +344,11 @@ class SPMDExecutor(SequentialExecutor):
         """Drop every per-run cache and release the arena, so the executor
         behaves as if freshly constructed (root ``instances`` and
         configuration are kept)."""
-        self.dist.clear()
-        self._block_rows.clear()
         self._layouts.clear()
         self.pair_sets.clear()
         self._isect_cache.clear()
         self._copy_locks.clear()
-        self._fold_keys.clear()
+        self.launch_table = None
         self._plans.clear()
         self.close()
         self._arena = None
@@ -342,11 +369,7 @@ class SPMDExecutor(SequentialExecutor):
         return self._arena.allocate
 
     def dist_instance(self, part: Partition, color: int) -> PhysicalInstance:
-        inst = self.dist.get((part.uid, color))
-        if inst is None:
-            self._layout(part)
-            inst = self.dist[(part.uid, color)]
-        return inst
+        return self._layout(part).arrays.instance(color)
 
     def _layout(self, part: Partition) -> BlockLayout:
         """Where ``part``'s colours sit in the shard blocks, allocating
@@ -362,44 +385,34 @@ class SPMDExecutor(SequentialExecutor):
         return layout
 
     def _allocate_partition(self, part: Partition) -> BlockLayout:
-        """Allocate every colour's instance of ``part`` at once: the colours
-        shard ``x`` owns are consecutive slices, in colour order, of one
-        block per field from the backend's allocator, so a batched launch
-        over them is a view of the block (:meth:`block_rows`)."""
+        """Allocate the blocks of ``part``, one per shard and field from
+        the backend's allocator, and cut its layout from the colour
+        table's volume prefix: the colours shard ``x`` owns are
+        consecutive rows of its blocks, in colour order, so a batched
+        launch over them is a view of the block (:meth:`block_rows`).  No
+        colour's arrays or instance exist until something asks
+        (:class:`~repro.runtime.copy_engine.ColourFields`)."""
         alloc = self._instance_allocator()
         fspace = part.parent.fspace
         ns, n = self.num_shards, part.num_colors
         table = part.colour_table
-        prefix = table.prefix.tolist()
-        shard_blocks, arrays = [], []
-        for x in range(ns):
-            colors = shard_owned_colors(n, ns, x)
-            base = prefix[colors.start]
-            blocks = {f: alloc((prefix[colors.stop] - base, *eshape), dtype)
-                      for f, (dtype, eshape) in fspace.items()}
-            shard_blocks.append(blocks)
-            for c in colors:
-                lo, hi = prefix[c] - base, prefix[c + 1] - base
-                # PhysicalInstance allocates its fields in fspace order.
-                rows = iter([block[lo:hi] for block in blocks.values()])
-                inst = self.dist[(part.uid, c)] = PhysicalInstance(
-                    part[c], allocator=lambda *_: next(rows))
-                self._block_rows[(part.uid, c)] = (blocks, lo, hi)
-                arrays.append(inst.fields)
+        starts = table.prefix[n * np.arange(ns + 1) // ns]
+        blocks = [{f: alloc((size, *eshape), dtype)
+                   for f, (dtype, eshape) in fspace.items()}
+                  for size in np.diff(starts).tolist()]
         owner = color_owners(n, ns)
+        base = starts[owner]
         layout = self._layouts[part.uid] = BlockLayout(
-            table, owner, table.prefix[n * owner // ns], shard_blocks,
-            arrays)
+            table, owner, base, blocks,
+            ColourFields(part, blocks, owner, table.prefix[:-1] - base,
+                         table.prefix[1:] - base))
         return layout
 
     def block_rows(self, region) -> tuple[dict, int, int]:
         """``(blocks, lo, hi)``: the distributed instance of ``region`` (a
         partition's subregion) holds rows ``lo:hi`` of ``blocks[field]``."""
-        return self._block_rows[(region.parent_partition.uid, region.color)]
-
-    def region_instance(self, region) -> PhysicalInstance:
-        """The distributed instance of a partition's subregion."""
-        return self.dist_instance(region.parent_partition, region.color)
+        layout = self._layouts[region.parent_partition.uid]
+        return layout.arrays.rows(region.color)
 
     # -- main-level statements ----------------------------------------------
     def _stmt(self, stmt: Stmt) -> None:
@@ -441,13 +454,11 @@ class SPMDExecutor(SequentialExecutor):
         for part in spec.partitions:
             self._layout(part)
         # One lock per (reduction copy stmt, dst shard), of the kind the
-        # backend's producers need, and the colours that need none.
+        # backend's producers need; then the table every shard's plan
+        # slices.
         self._copy_locks = {key: backend.lock()
                             for key in spec.reduction_dsts}
-        self._fold_keys = {
-            s.uid: fold_keys(s, self._pair_table(s).table, ns,
-                             self._force_locked_reductions)
-            for s in spec.copies if s.redop is not None}
+        self.launch_table = LaunchTable(spec, self, ns)
         states = [_ShardState(shard=x, scalars=dict(self.scalars))
                   for x in range(ns)]
         if self.flight is not None:
@@ -499,15 +510,19 @@ class SPMDExecutor(SequentialExecutor):
         carry its loop's uid and stay out; ``spmd_wait_seconds{shard,kind}``
         from every WAIT record, ``kind`` being the kind of statement its
         uid names (``copy``, ``collective``) or ``event``;
-        the window pass timings; and its rank's wire totals from
-        ``net_stats``.  The histograms cover what the ring still held.
+        the window pass timings; ``spmd_plan_seconds{shard}``, its plan's
+        time; and its rank's wire totals from ``net_stats``.  The
+        histograms cover what the ring still held.  Once per launch,
+        ``spmd_launch_table_seconds``: the time the table took.
         """
         m = self.metrics
         if not m.enabled:
             return
+        m.gauge("spmd_launch_table_seconds").set(self.launch_table.seconds)
         names = self.flight.names if self.flight is not None else {}
         for st, base in zip(states, bases):
             shard = str(st.shard)
+            m.gauge("spmd_plan_seconds", shard=shard).set(st.plan_s)
             for name, (metric, labels) in st.COUNTERS.items():
                 m.counter(metric, shard=shard, **labels).inc(getattr(st, name))
             recs = st.flight.export_since(base)
@@ -516,7 +531,7 @@ class SPMDExecutor(SequentialExecutor):
                 mine = recs["kind"] == kind
                 uids, dur = recs["uid"][mine], secs[mine]
                 # One histogram update per uid, not per record.
-                for uid in np.unique(uids).tolist():
+                for uid in sorted_distinct(uids).tolist():
                     stmt_kind, _, stmt_name = names.get(uid, "").partition(":")
                     if kind == _flight.WAIT:
                         h = m.histogram("spmd_wait_seconds", shard=shard,
@@ -563,7 +578,9 @@ class SPMDExecutor(SequentialExecutor):
                    ctx: CommContext) -> Iterator[Event | None]:
         """One shard's side of a launch: its :class:`ShardPlan` (and the
         context's messages from it), then the statements, which read it."""
+        t0 = time.perf_counter()
         plan = plan_shard(stmt.body, state.shard, self, ctx, state.flight)
+        state.plan_s = time.perf_counter() - t0
         ctx.bind_plan(plan)
         yield from self._shard_body(stmt.body, state, plan)
 

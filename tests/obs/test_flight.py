@@ -14,7 +14,7 @@ The acceptance-critical properties:
 * the metrics registry is read from the records after each launch: its
   task and wait histograms count exactly the matching ring records, its
   counter series equal the executor's totals, its surface is the one
-  shards used to record themselves bar three stated changes, and no
+  shards used to record themselves bar four stated changes, and no
   instrument is fetched while a launch runs;
 * an exception leaving a run — a ``ShardExceptionGroup``, or the one
   error of a lone failing shard — automatically carries a parseable
@@ -112,6 +112,8 @@ SURFACE_CHANGES = {
     # 3. A wait's kind is the kind of statement its record's uid names
     #    (a barrier-mode copy's pre/post waits name the copy).
     "wait_kinds": {"copy", "collective", "event"},
+    # 4. The plan's cost: the launch table's build, and each shard's slice.
+    "added": {"spmd_launch_table_seconds{}", "spmd_plan_seconds{shard}"},
 }
 
 # Statement class -> the wait kind its uid gives a WAIT record.
@@ -375,8 +377,9 @@ class TestOneTimeline:
         assert wait_kinds <= SURFACE_CHANGES["wait_kinds"]
         if app != "pennant":  # the only app with a ScalarCollective
             assert "collective" not in wait_kinds
-        # The surface is the golden one with the three stated changes.
-        expected = GOLDEN_SURFACE[mode] - SURFACE_CHANGES["removed"]
+        # The surface is the golden one with the stated changes.
+        expected = ((GOLDEN_SURFACE[mode] - SURFACE_CHANGES["removed"])
+                    | SURFACE_CHANGES["added"])
         if mode == "stepped":
             assert waits, "stepped records its descheduled turns as WAITs"
             expected = expected | SURFACE_CHANGES["added_on_stepped"]

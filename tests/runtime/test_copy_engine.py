@@ -618,8 +618,8 @@ class TestBlockPlan:
         batches = self._lowered(monkeypatch)
         _, _, ex, _ = APPS[app][0]().run_control_replicated(
             self.NS, mode="threaded")
-        blocks = {id(arr) for rows, _, _ in ex._block_rows.values()
-                  for arr in rows.values()}
+        blocks = {id(arr) for layout in ex._layouts.values()
+                  for rows in layout.blocks for arr in rows.values()}
         # A placed side names each pair's instance by its colour's field
         # dict; the executor's block_rows says which block holds it.
         inst_of = {id(x.fields): x for x in ex.dist.values()}

@@ -48,26 +48,6 @@ class TestUnstructured:
         assert res.shallow_seconds >= 0 and res.complete_seconds >= 0
         assert res.candidate_pairs >= len(res.pairs)
 
-    def test_src_pairs_filter(self):
-        # A block of source colours' pairs is one slice of the table, and
-        # a block of destination colours' one slice of its destination
-        # order; both in pair order.
-        R = region(ispace(size=20), {"v": np.float64})
-        p = partition_block(R, 4)
-        q = partition_by_image(R, p, func=lambda pts: np.minimum(pts + 1, 19))
-        res = compute_intersections(p, q)
-        table = res.table
-
-        def pairs(idx):
-            return list(zip(table.src[idx].tolist(), table.dst[idx].tolist()))
-
-        owned = pairs(table.src_range(0, 2))
-        assert owned and owned == [k for k in res.nonempty_pairs()
-                                   if k[0] in (0, 1)]
-        into = pairs(table.dst_range(1, 3))
-        assert into and into == [k for k in res.nonempty_pairs()
-                                 if k[1] in (1, 2)]
-
     def test_table_is_a_read_only_mapping(self):
         R = region(ispace(size=60), {"v": np.float64})
         p = partition_block(R, 6)

@@ -17,6 +17,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -305,6 +306,148 @@ class TestPlanThenRun:
         assert counts[0] == 2
         assert counts[1] == launches * 2 and counts[2] == copies * 2
         assert (counts[3] > 0) == (mode == "net")
+
+
+class TestLaunchTable:
+    """Each copy is lowered once per launch, into one table that every
+    shard slices: a shard's plan costs its own pairs and channels.  No
+    shard body calls ``color_owners``, builds or searches the whole pair
+    table or places pairs; the rows the shards lower sum to the table's,
+    each pair in exactly one shard's slice; and the plan's cost is in the
+    registry."""
+
+    @pytest.mark.parametrize("ns", [8, 64])
+    def test_a_shard_body_only_slices(self, ns, monkeypatch):
+        from repro.core import shards
+        from repro.regions.interval_join import PairTable
+        inside = threading.local()
+        run_shard = spmd.SPMDExecutor._run_shard
+
+        def stepping(ex, stmt, state, ctx):
+            gen = run_shard(ex, stmt, state, ctx)
+            while True:
+                inside.shard = state.shard
+                try:
+                    ev = next(gen)
+                except StopIteration:
+                    return
+                finally:
+                    inside.shard = None
+                yield ev
+
+        calls = Counter()
+
+        def outside(name, fn):
+            def spy(*args, **kw):
+                assert getattr(inside, "shard", None) is None, (
+                    f"shard {inside.shard} called {name}")
+                calls[name] += 1
+                return fn(*args, **kw)
+            return spy
+
+        monkeypatch.setattr(spmd.SPMDExecutor, "_run_shard", stepping)
+        owners = shards.color_owners
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "color_owners", None) is owners:
+                monkeypatch.setattr(mod, "color_owners",
+                                    outside("color_owners", owners))
+        for name in ("place_pairs", "disjoint_dst_colors"):
+            monkeypatch.setattr(launch_plan, name,
+                                outside(name, getattr(launch_plan, name)))
+        monkeypatch.setattr(launch_plan.CopyTable, "__init__",
+                            outside("CopyTable",
+                                    launch_plan.CopyTable.__init__))
+        for name in ("select", "__getitem__", "__iter__", "__len__"):
+            monkeypatch.setattr(PairTable, name,
+                                outside(name, getattr(PairTable, name)))
+        monkeypatch.setattr(PairTable, "nrows", property(
+            outside("nrows", PairTable.nrows.fget)))
+        lowered = []
+        lower = launch_plan.lower_copy
+
+        def recording(uid, fields, redop, src, dst, lengths, nrows, *rest):
+            lowered.append((uid, src.colours.tolist(), dst.colours.tolist(),
+                            lengths.size, int(nrows.sum())))
+            return lower(uid, fields, redop, src, dst, lengths, nrows, *rest)
+
+        monkeypatch.setattr(launch_plan, "lower_copy", recording)
+        p = CircuitProblem(pieces=64, nodes_per_piece=10, wires_per_piece=15,
+                           steps=2)
+        prog, _ = control_replicate(p.build_program(), num_shards=ns)
+        ex = SPMDExecutor(num_shards=ns, instances=p.fresh_instances())
+        ex.run(prog)
+        assert ex.replay_hits > 0
+        copies = [s for s in walk(prog.body) if isinstance(s, PairwiseCopy)]
+        assert calls["CopyTable"] == calls["place_pairs"] == len(copies)
+        for s in copies:
+            table = ex._pair_table(s).table
+            mine = [got[1:] for got in lowered if got[0] == s.uid]
+            assert len(mine) == ns  # one slice per shard
+            rows = sum(n for _, _, n, _ in mine)
+            assert rows == sum(n for *_, n in mine) == len(table.intervals)
+            assert sorted(pair for src, dst, _, _ in mine
+                          for pair in zip(src, dst)) == list(
+                zip(table.src.tolist(), table.dst.tolist()))
+
+    def test_slices_are_the_shards_pairs(self):
+        # A producer's pairs are one slice of the pair table, and a
+        # (producer, consumer) channel's one slice of the consumer order;
+        # both in pair order.
+        ns = 3
+        p = CircuitProblem(pieces=7, nodes_per_piece=10, wires_per_piece=15,
+                           steps=2)
+        prog, _ = control_replicate(p.build_program(), num_shards=ns)
+        ex = SPMDExecutor(num_shards=ns, instances=p.fresh_instances())
+        ex.run(prog)
+        assert ex.launch_table.copies
+        for ct in ex.launch_table.copies.values():
+            src, dst = ct.stmt.src, ct.stmt.dst
+            owners = [(owner_of_color(src.num_colors, ns, i),
+                       owner_of_color(dst.num_colors, ns, j))
+                      for i, j in zip(ct.src_colours.tolist(),
+                                      ct.dst_colours.tolist())]
+            for x in range(ns):
+                a, b = ct.produced[x:x + 2]
+                assert list(range(a, b)) == [k for k, (o, _) in
+                                             enumerate(owners) if o == x]
+                for q in range(ns):
+                    assert ct._channel(x, q).tolist() == [
+                        k for k, key in enumerate(owners) if key == (x, q)]
+
+    @pytest.mark.parametrize("mode", ["stepped"] + (
+        ["procs"] if procs_available() else []))
+    def test_plan_time_is_in_the_registry(self, mode):
+        metrics = MetricsRegistry()
+        p = CircuitProblem(pieces=24, nodes_per_piece=10, wires_per_piece=15,
+                           steps=2)
+        p.run_control_replicated(2, mode=mode, metrics=metrics)
+        got = {(name, labels.get("shard")): inst.value
+               for name, labels, inst in metrics.items()
+               if name in ("spmd_launch_table_seconds", "spmd_plan_seconds")}
+        assert set(got) == {("spmd_launch_table_seconds", None),
+                            ("spmd_plan_seconds", "0"),
+                            ("spmd_plan_seconds", "1")}
+        assert all(v > 0 for v in got.values()), got
+
+
+def test_a_run_imports_no_numpy_ma():
+    # np.unique's first plain call imports numpy.ma (np.ma.is_masked): a
+    # run's sorted-distinct helper must not pay that import.
+    code = ("import sys\n"
+            "from repro.apps.circuit import CircuitProblem\n"
+            "from repro.apps.stencil import StencilProblem\n"
+            "for p in (CircuitProblem(pieces=4, nodes_per_piece=10,\n"
+            "                         wires_per_piece=15, steps=2),\n"
+            "          StencilProblem(n=24, radius=2, tiles=4, steps=2)):\n"
+            "    p.run_control_replicated(2)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 @needs_fork

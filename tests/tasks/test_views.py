@@ -15,6 +15,7 @@ from repro.regions import (
     partition_from_subsets,
     region,
 )
+from repro.runtime.copy_engine import BlockLayout, ColourFields
 from repro.runtime.launch_plan import BatchedView, lower_launch
 from repro.tasks import (
     PlacedView,
@@ -200,9 +201,9 @@ def shard_of_a_partition(draw):
 
 
 def _batched(part, lo, hi):
-    regions = [part[c] for c in range(lo, hi)]
-    rows = sum(r.index_set.count for r in regions)
-    return BatchedView(regions, {"a": np.zeros(rows)}, R("a"), "T")
+    rows = sum(part[c].index_set.count for c in range(lo, hi))
+    return BatchedView(part, range(lo, hi), {"a": np.zeros(rows)}, R("a"),
+                       "T")
 
 
 class TestSegmentedLocalize:
@@ -310,17 +311,16 @@ class TestSegmentedLowering:
         prefix = part.colour_table.prefix
         blocks = [{"a": np.zeros(prefix[b] - prefix[a])}
                   for a, b in ((lo, split), (split, hi))]
-        starts = {c: (0 if c < split else 1,
-                      int(prefix[c] - prefix[lo if c < split else split]))
-                  for c in range(lo, hi)}
-
-        def block_rows(r):
-            which, start = starts[r.color]
-            return blocks[which], start, start + r.index_set.count
+        # Colours lo .. split - 1 in the first block, the rest in the
+        # second, each block's colours in colour order.
+        block = (np.arange(part.num_colors) >= split).astype(np.int64)
+        base = np.where(block == 0, prefix[lo], prefix[split])
+        arrays = ColourFields(part, blocks, block, prefix[:-1] - base,
+                              prefix[1:] - base)
+        layout = BlockLayout(part.colour_table, block, base, blocks, arrays)
 
         plans = {}
-        plan = lower_launch(stmt, range(lo, hi), PhysicalInstance,
-                            block_rows, plans)
+        plan = lower_launch(stmt, range(lo, hi), lambda _: layout, plans)
         straddles = lo < split < hi
         if hi - lo < 2 or straddles:
             assert len(plan.calls) == plan.points == hi - lo
