@@ -120,14 +120,9 @@ class PairTable(Mapping):
         """Points in all pairs together."""
         return int((self.intervals[:, 1] - self.intervals[:, 0]).sum())
 
-    def select(self, idx: np.ndarray | slice) -> tuple[np.ndarray, np.ndarray]:
-        """``(nrows, intervals)`` of the pairs ``idx`` (indices, or a slice
-        of the pairs): each one's row count and all their rows, in that
-        order."""
-        if isinstance(idx, slice):
-            a, b, _ = idx.indices(len(self))
-            return (np.diff(self.offsets[a:b + 1]),
-                    self.intervals[self.offsets[a]:self.offsets[b]])
+    def select(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(nrows, intervals)`` of the pairs ``idx``: each one's row
+        count and all their rows, in that order."""
         first = self.offsets[idx]
         nrows = self.offsets[idx + 1] - first
         return nrows, self.intervals[expand_ranges(first, nrows)]

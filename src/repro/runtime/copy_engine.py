@@ -12,11 +12,15 @@ moves.  This module owns the issue side, once for every consumer of it:
   partition's colours sit: its
   :class:`~repro.regions.partition.ColourTable` (all colours' subsets
   stacked under composite keys, with their volume prefix), each colour's
-  block and the stacked rank of that block's first row.
-  :func:`place_rows` places the rows of a slice of a pair table with one
-  ``below()`` on the colour table: a row's block row is its stacked rank
-  less its block's base, so a pair is a few runs of block rows, no
+  block and the stacked rank of that block's first row; its ``arrays``
+  (:class:`ColourFields`) cut a colour's instance arrays from its block
+  on first use.  :func:`place_rows` places the rows of a pair table with
+  one ``below()`` on the colour table: a row's block row is its stacked
+  rank less its block's base, so a pair is a few runs of block rows, no
   instance is looked up and no slot array exists until a plan needs one.
+  A launch places every pair of a copy once
+  (:class:`repro.runtime.launch_plan.CopyTable`) and each shard takes
+  its own rows.
 
 * **One lowering.**  :func:`lower_copy` takes a statement's non-empty
   pairs on a shard as their two placed sides, the rows' lengths, the
@@ -32,8 +36,8 @@ moves.  This module owns the issue side, once for every consumer of it:
   (:func:`repro.runtime.launch_plan.plan_shard`) and kept for the launch:
   the interpreter applies it, the iteration recorder stores it as the
   statement's one ``fused`` op, and a compiled window replays that same
-  object.  The ``net`` backend's send gathers and receive scatters select
-  and place their pairs with the same :func:`place_pairs`; launch-entry
+  object.  The ``net`` backend's send gathers and receive scatters take
+  their rows from the same placement; launch-entry
   and launch-exit copies (root instance to blocks and back) are one
   :class:`FusedCopy` per shard block.
 
@@ -111,13 +115,10 @@ class BlockLayout(NamedTuple):
 class ColourFields(dict):
     """A layout's ``arrays``: colour ``c`` maps to its instance's ``{field:
     array}``, rows ``lo[c]:hi[c]`` of ``blocks[block[c]]``, cut on first
-    lookup and kept, so the array ids that footprints name stay put (a
-    dict, so a later lookup is one hash).  Nothing is made per colour
-    until something asks for it: a colour's
+    lookup and kept, so the array ids footprints name stay put.  Its
     :class:`~repro.regions.region.PhysicalInstance` (:meth:`instance`)
-    wraps the same arrays, and :meth:`ids` keeps the id set of each range
-    of colours asked for.  A shard thread that races another to a colour
-    takes whichever object was stored first (``dict.setdefault``)."""
+    wraps the same arrays, made on request too.  Racing shard threads
+    all take the object stored first (``dict.setdefault``)."""
 
     __slots__ = ("part", "blocks", "_block", "_lo", "_hi", "_ids",
                  "_instances")
@@ -157,11 +158,8 @@ class ColourFields(dict):
         """Colour ``c``'s instance: its subregion over these arrays."""
         got = self._instances.get(c)
         if got is None:
-            fields = self[c]
-            rows = iter(fields.values())  # allocated in fspace order
-            got = PhysicalInstance(self.part[c],
-                                   allocator=lambda *_: next(rows))
-            got.fields = fields  # the colour's own dict, not an equal one
+            got = PhysicalInstance(self.part[c], allocator=lambda *_: None)
+            got.fields = self[c]  # its rows of the blocks, this very dict
             got = self._instances.setdefault(c, got)
         return got
 
@@ -213,11 +211,12 @@ def placed_rows(layout: BlockLayout, colours: np.ndarray,
                       colours, layout.arrays)
 
 
-def place_pairs(table, idx, src: BlockLayout | None = None,
+def place_pairs(table, idx: np.ndarray, src: BlockLayout | None = None,
                 dst: BlockLayout | None = None):
     """The one select-and-place step of a copy's pairs ``idx`` (indices
     into its :class:`~repro.regions.interval_join.PairTable` ``table``,
-    in pair order, or a slice of it), for every pair of a launch's copy:
+    in pair order), done once per launch for all of them
+    (:class:`~repro.runtime.launch_plan.CopyTable`):
     ``(source rows, destination rows, row lengths, rows per pair)``, a
     side placed on its layout when one is given, else ``None``."""
     nrows, ivals = table.select(idx)

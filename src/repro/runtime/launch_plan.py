@@ -94,7 +94,7 @@ class BatchedView(PlacedView):
         # The first colour's subregion stands for the union in errors.
         super().__init__(part[colours[0]], None, privilege, task_name, arrays)
         self.colours = colours
-        self._table = self._segments = None
+        self._table = self._upper = None
 
     @property
     def regions(self) -> tuple:
@@ -141,33 +141,24 @@ class BatchedView(PlacedView):
     def maybe_localize(self, global_ids, seg=None):
         """Segmented :meth:`~repro.tasks.views.RegionView.maybe_localize`:
         the slot of ``ids[k]`` among point task ``seg[k]``'s rows, at one
-        rank query on the partition's colour table (the composite key
-        ``colour * span + (id - base)`` keeps aliased colours apart).  A
+        rank query on the view's colour table (the composite key
+        ``seg * span + (id - base)`` keeps aliased colours apart).  A
         missing id's slot is clamped into its point task's rows, as a
         view of that point task alone would clamp it."""
         if seg is None:
             if len(self.colours) > 1:
                 self._unordered("localize() without seg")
             seg = 0
-        table, colour, upper, shift = self._segment_table()
+        table = self._point_table()
+        if self._upper is None:
+            # Per point task the row of its last point (its first, when
+            # it has none).
+            self._upper = np.maximum(table.prefix[1:] - 1, table.prefix[:-1])
         ids = np.asarray(global_ids)
         local = np.clip(ids - table.base, 0, table.span)
-        rank, hit = table.stacked.locate(colour[seg] * table.span + local)
+        rank, hit = table.stacked.locate(np.asarray(seg) * table.span + local)
         ok = hit & (ids >= table.base) & (ids < table.base + table.span)
-        return np.minimum(rank, upper[seg]) + shift[seg], ok
-
-    def _segment_table(self):
-        """Per point task its colour, the stacked rank of its last point
-        (of its first, when it has none) and the shift from stacked ranks
-        to rows of this view; built at the first localize."""
-        if self._segments is None:
-            table = self.region.parent_partition.colour_table
-            colour = np.arange(self.colours.start, self.colours.stop)
-            start = table.prefix[colour]
-            upper = np.maximum(table.prefix[colour + 1] - 1, start)
-            self._segments = (table, colour, upper,
-                              self.offsets[:-1] - start)
-        return self._segments
+        return np.minimum(rank, self._upper[seg]), ok
 
     def __repr__(self) -> str:
         return (f"BatchedView({self.region.name} x{len(self.colours)}, "
@@ -379,7 +370,7 @@ class CopyTable:
         self.by_consumer = np.argsort(consumer, kind="stable")
         self.channel = (consumer * ns + producer)[self.by_consumer]
         src_side, dst_side, self.lengths, _ = place_pairs(
-            table, slice(None), src, dst)
+            table, np.arange(len(table)), src, dst)
         self.src_first, self.dst_first = src_side.first, dst_side.first
         self.locks = [None, *locks]
         if stmt.redop is None:
@@ -427,35 +418,40 @@ class CopyTable:
         table by the shard's own pairs and channels."""
         stmt, ns, uid = self.stmt, self.ns, self.stmt.uid
         produced = len(shard_owned_colors(stmt.src.num_colors, ns, shard))
+
+        def visits(pairs: int, consumer: int | None) -> int:
+            # A copy with no pair set visits every (i, j), empty or not.
+            if not self.all_pairs:
+                return pairs
+            return produced * (stmt.dst.num_colors if consumer is None else
+                               len(shard_owned_colors(stmt.dst.num_colors,
+                                                      ns, consumer)))
+
         sends = receives = ()
         if ctx.messages:
-            # The pairs into its own colours are in-memory; the rest are
-            # one message per peer, in the channels' order.
+            # Its pairs into itself are in memory; every other channel is
+            # one message, in the channels' order.
             copies = self._channel(shard, shard)
             rows = expand_ranges(self.offsets[copies], self.nrows[copies])
-            count, local = copies.size, len(
-                shard_owned_colors(stmt.dst.num_colors, ns, shard))
-            sends = tuple(
-                (q, self._message(pairs, False),
-                 (produced * len(shard_owned_colors(stmt.dst.num_colors, ns,
-                                                    q))
-                  if self.all_pairs else pairs.size))
-                for q in ctx.outbound[uid].get(shard, {})
-                for pairs in (self._channel(shard, q),))
+            local = visits(copies.size, shard)
+            sends = []
+            for q in ctx.outbound[uid].get(shard, {}):
+                pairs = self._channel(shard, q)
+                sends.append((q, self._message(pairs, False),
+                              visits(pairs.size, q)))
             receives = tuple((p, self._message(self._channel(p, shard), True))
                              for p in ctx.inbound[uid].get(shard, {}))
         else:
             a, b = self.produced[shard:shard + 2]
             copies, rows = slice(a, b), slice(self.offsets[a],
                                               self.offsets[b])
-            count, local = b - a, stmt.dst.num_colors
+            local = visits(b - a, None)
         batch = lower_copy(uid, stmt.fields, stmt.redop,
                            self._side(copies, rows, False),
                            self._side(copies, rows, True), self.lengths[rows],
                            self.nrows[copies], self.lock_of[copies],
-                           self.locks,
-                           produced * local if self.all_pairs else count)
-        plan = CopyPlan(stmt, batch, sends, receives)
+                           self.locks, local)
+        plan = CopyPlan(stmt, batch, tuple(sends), receives)
         if stmt.sync_mode == "p2p":
             out = ctx.outbound[uid].get(shard, {}).values()
             into = ctx.inbound[uid].get(shard, {}).values()

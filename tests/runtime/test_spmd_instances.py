@@ -141,3 +141,41 @@ class TestInstances:
         # ...and every element received exactly 2 (two iterations, one
         # contribution each from its unique producer).
         assert np.all(ex.instances[Rg.uid].fields["v"] == 2.0)
+
+
+class TestLazyColours:
+    def test_racing_threads_see_one_object_per_colour(self):
+        # A colour's arrays, instance and subregion are made on their
+        # first lookup, from whichever shard thread gets there first;
+        # every thread must get the one object stored, or the array ids
+        # that footprints name would disagree between shards.
+        import sys
+        import threading
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                Rg = region(ispace(size=256), {"v": np.float64,
+                                               "w": np.float64})
+                P = partition_block(Rg, 64)
+                ex = SPMDExecutor(num_shards=4, mode="threaded")
+                arrays = ex._layout(P).arrays
+                seen = []
+                start = threading.Barrier(8)
+
+                def look():
+                    start.wait(timeout=10)
+                    seen.append([(id(arrays[c]), id(ex.dist[(P.uid, c)]),
+                                  id(P[c])) for c in range(64)])
+
+                threads = [threading.Thread(target=look) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert len(seen) == 8 and all(s == seen[0] for s in seen)
+                assert all(ex.dist[(P.uid, c)].fields is arrays[c]
+                           for c in range(64))
+        finally:
+            sys.setswitchinterval(switch)
