@@ -75,7 +75,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from ..core.shards import color_owners
-from ..regions.intervals import IntervalSet, expand_ranges
+from ..regions.intervals import expand_ranges
 from ..regions.partition import ColourTable
 from ..regions.region import _REDUCTION_UFUNCS, PhysicalInstance
 
@@ -570,24 +570,28 @@ def disjoint_dst_colors(table, src_num_colors: int,
     pair = np.repeat(np.arange(len(table)), table.nrows)
     dst = table.dst[pair]
     owner = color_owners(src_num_colors, num_shards)[table.src[pair]]
-    ndst = int(dst.max()) + 1
     ivals = table.intervals - table.intervals[:, 0].min()  # every lo >= 0
     span = int(ivals[:, 1].max()) + 1
 
-    def union_counts(group: np.ndarray, ngroups: int) -> np.ndarray:
-        # Points in the union of each group's intervals, all groups in one
-        # normalization: group g lives in its own stretch [g*span, (g+1)*span).
-        # With 0 <= lo < hi <= span - 1 a shifted interval stays inside its
-        # stretch (so `// span` recovers the group) and ends at least one
-        # point short of the next one, so the normalization, which joins
-        # abutting intervals, never merges across groups.
-        u = IntervalSet(ivals + (group * span)[:, None]).intervals
-        return np.bincount(u[:, 0] // span, weights=u[:, 1] - u[:, 0],
-                           minlength=ngroups)
+    def sweep(group, lo, hi):
+        # The rows sorted by (group, lo), group g keyed into its own
+        # stretch [g*span, (g+1)*span), and per row the furthest end of
+        # its group's rows up to it: a row starting before the previous
+        # row's reach overlaps an earlier row of its group.
+        base = group * span
+        order = np.argsort(base + lo, kind="stable")
+        base = base[order]
+        reach = np.maximum.accumulate(base + hi[order])
+        starts = np.ones(order.size, dtype=bool)
+        starts[1:] = base[1:] + lo[order][1:] >= reach[:-1]
+        return order, starts, reach - base
 
-    # A destination's producer shards contribute pairwise disjoint sets iff
-    # their union is as large as all of them together.
-    per_owner = union_counts(dst * num_shards + owner, ndst * num_shards)
-    together = per_owner.reshape(ndst, num_shards).sum(axis=1)
-    ok = (union_counts(dst, ndst) == together) & (together > 0)
-    return frozenset(np.flatnonzero(ok).tolist())
+    # Each producer shard's rows into a colour merge into disjoint runs;
+    # two runs into one colour can then only overlap across producers.
+    order, starts, reach = sweep(dst * num_shards + owner, ivals[:, 0],
+                                 ivals[:, 1])
+    ends = np.append(starts[1:], True)
+    run_dst = dst[order][starts]
+    order, starts, _ = sweep(run_dst, ivals[order][starts, 0], reach[ends])
+    clash = run_dst[order][~starts]
+    return frozenset(set(run_dst.tolist()).difference(clash.tolist()))
