@@ -211,20 +211,16 @@ def placed_rows(layout: BlockLayout, colours: np.ndarray,
                       colours, layout.arrays)
 
 
-def place_pairs(table, idx: np.ndarray, src: BlockLayout | None = None,
-                dst: BlockLayout | None = None):
-    """The one select-and-place step of a copy's pairs ``idx`` (indices
-    into its :class:`~repro.regions.interval_join.PairTable` ``table``,
-    in pair order), done once per launch for all of them
-    (:class:`~repro.runtime.launch_plan.CopyTable`):
-    ``(source rows, destination rows, row lengths, rows per pair)``, a
-    side placed on its layout when one is given, else ``None``."""
-    nrows, ivals = table.select(idx)
-    return (None if src is None else place_rows(src, table.src[idx], nrows,
-                                                ivals),
-            None if dst is None else place_rows(dst, table.dst[idx], nrows,
-                                                ivals),
-            ivals[:, 1] - ivals[:, 0], nrows)
+def place_pairs(table, src: BlockLayout, dst: BlockLayout):
+    """Both sides of every pair of the
+    :class:`~repro.regions.interval_join.PairTable` ``table``, in pair
+    order, placed on their layouts: ``(source rows, destination rows, row
+    lengths)``, done once per launch for the copy, every shard's sends and
+    receives alike (:class:`~repro.runtime.launch_plan.CopyTable`)."""
+    nrows, ivals = table.nrows, table.intervals
+    return (place_rows(src, table.src, nrows, ivals),
+            place_rows(dst, table.dst, nrows, ivals),
+            ivals[:, 1] - ivals[:, 0])
 
 
 def footprint_of(side: PlacedRows, fields, members=slice(None)) -> set:

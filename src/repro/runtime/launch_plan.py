@@ -369,8 +369,7 @@ class CopyTable:
                                         np.arange(ns + 1)).tolist()
         self.by_consumer = np.argsort(consumer, kind="stable")
         self.channel = (consumer * ns + producer)[self.by_consumer]
-        src_side, dst_side, self.lengths, _ = place_pairs(
-            table, np.arange(len(table)), src, dst)
+        src_side, dst_side, self.lengths = place_pairs(table, src, dst)
         self.src_first, self.dst_first = src_side.first, dst_side.first
         self.locks = [None, *locks]
         if stmt.redop is None:
